@@ -40,7 +40,6 @@ from .foliation import (
     RotationalCmcChart,
     check_compatibility,
     hat_v_field,
-    time_function,
 )
 from .geometry import (
     FlowState,

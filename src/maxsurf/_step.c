@@ -95,7 +95,7 @@ static double planar_s(double x) { return log(sinh(x)); }
 static double planar_ds(double x) { return 1.0 / tanh(x); }
 static double planar_d2s(double x) { return -1.0 / pow(sinh(x), TWO); }
 
-/* -- incidence projections (flow._newton_planar, flow._newton_rotational) --- */
+/* -- incidence projections (flow._newton and its two residuals) ------------ */
 
 /* Slide the rim point along the surface tangent onto y = s(|x|); returns 0 and
  * the projected point, or 1 and the residual in *res. */
@@ -140,7 +140,7 @@ static int newton_rotational(int code, const double *p, double rb, double ub, do
     return !(fabs(*res) < 1e-9);
 }
 
-/* -- per-step record (flow._record_* and _boundary_block) -------------------- */
+/* -- per-step record (flow._*_record, _boundary_block, _pack_record) -------- */
 
 typedef struct {
     double res_h, res_v, grad_v, h2_ineq, a_nn;
@@ -280,7 +280,7 @@ int maxsurf_run_curve1d(int64_t n, double *u, double *bnd, double *t_io,
         double rhs2_l = uxx_l2 / m[0], rhs2_r = uxx_r2 / m[n - 1];
         int guard = m_min < eps_guard;
 
-        /* _record_curve1d of the pre-step state (also the trip record) */
+        /* _curve1d_record of the pre-step state (also the trip record) */
         double sup_v = -INFINITY, sup_vh = -INFINITY, sup_H = -INFINITY;
         double vol = 0.0, ih2 = 0.0, umin = INFINITY, umax = -INFINITY;
         double xc = 0.5 * (xl + xr), span = xr - xl;
@@ -330,7 +330,7 @@ int maxsurf_run_curve1d(int64_t n, double *u, double *bnd, double *t_io,
             break;
         }
 
-        /* _step_curve1d, explicit Euler */
+        /* flow._advance with _curve1d_rate and _curve1d_project, explicit Euler */
         double xdot_r = rhs2_r * dsR / (dsR * dsR - 1.0);
         double xdot_l = -rhs2_l * dsL / (dsL * dsL - 1.0);
         double dt = cfl * h * h * m_min / 1.0;
@@ -369,11 +369,11 @@ int maxsurf_run_curve1d(int64_t n, double *u, double *bnd, double *t_io,
         xl = xl_p;
         xr = xr_p;
         t = t + dt;
+        k += 1;
         if (h_stop > 0.0 && sup_H < h_stop) {
-            status = ST_CONV;           /* the reference does not count this step */
+            status = ST_CONV;
             break;
         }
-        k += 1;
         if (reached_t_end(t, t_end, has_t_end)) {
             status = ST_TEND;
             break;
@@ -435,7 +435,7 @@ int maxsurf_run_radial2d(int64_t n, double *u, double *bnd, double *t_io,
         double rhs_b2 = uxx_b2 / m[n - 1] + dfb / rb;
         int guard = m_min < eps_guard;
 
-        /* _record_radial2d of the pre-step state */
+        /* _radial2d_record of the pre-step state */
         double sup_v = -INFINITY, sup_vh = -INFINITY, sup_H = -INFINITY;
         double vol = 0.0, ih2 = 0.0, umin = INFINITY, umax = -INFINITY;
         for (int64_t i = 0; i < n; ++i) {
@@ -475,7 +475,7 @@ int maxsurf_run_radial2d(int64_t n, double *u, double *bnd, double *t_io,
             break;
         }
 
-        /* _step_radial2d, explicit Euler */
+        /* flow._advance with _radial2d_rate and _radial2d_project, explicit Euler */
         double rdot = dfb * rhs_b2 / (1.0 - dfb * dfb);
         double dt = cfl * h * h * m_min / 2.0;
         if (clip_dt(&dt, t, t_end, has_t_end)) {
@@ -513,11 +513,11 @@ int maxsurf_run_radial2d(int64_t n, double *u, double *bnd, double *t_io,
         }
         rb = rb_p;
         t = t + dt;
+        k += 1;
         if (h_stop > 0.0 && sup_H < h_stop) {
-            status = ST_CONV;           /* the reference does not count this step */
+            status = ST_CONV;
             break;
         }
-        k += 1;
         if (reached_t_end(t, t_end, has_t_end)) {
             status = ST_TEND;
             break;

@@ -17,19 +17,27 @@ Explicit Euler (default) or two-stage Runge-Kutta, with the parabolic step
 bound dt = cfl * h^2 * min(1 - |Du|^2) (halved for the 2d kinds).  A tripped
 spacelike guard is a successful detection of gradient blow-up, reported as a
 trajectory event rather than an exception from `run`.
+
+Each grid kind supplies only what differs (an evaluation, a rate, a
+projection back onto the boundary and its record fields, see ``_KINDS``);
+one step skeleton and one record packer serve all three.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .disk import disk_grid
-from .geometry import FlowState, GridSpec
-from .profiles import PlanarBoundary, RotationalProfile
+from .geometry import (
+    FlowState, GridSpec, disk_derivatives, planar_V, rotational_V_factors, trapezoid_weights,
+)
+from .profiles import (
+    RotationalProfile, normal_curvature, planar_boundary_data, profile_curvature, rim_curvature,
+)
 
 CHUNK_STEPS = 65536
 
@@ -99,11 +107,20 @@ class Trajectory:
         return self.series("t")
 
 
-# -- per-kind right-hand sides ------------------------------------------------
+class _Eval(NamedTuple):
+    """PDE data of one state: spacing, spacelike margin, kind-specific fields."""
+
+    h: float
+    m_min: float
+    data: tuple
 
 
-def _curve1d_eval(u, xl, xr, profile: PlanarBoundary):
+# -- curve1d: both ends on a planar boundary ------------------------------------
+
+
+def _curve1d_eval(state: FlowState, profile) -> _Eval:
     """PDE data on the current grid: derivatives, margins, boundary rates."""
+    u, (xl, xr) = state.u, state.boundary
     n = u.size
     h = (xr - xl) / (n - 1)
     dsR = float(profile.ds(xr))
@@ -129,10 +146,57 @@ def _curve1d_eval(u, xl, xr, profile: PlanarBoundary):
     rhs2 = (uxx_l2 / m[0], uxx_r2 / m[-1])
     xdot_r = rhs2[1] * dsR / (dsR * dsR - 1.0)
     xdot_l = -rhs2[0] * dsL / (dsL * dsL - 1.0)
-    return h, ux, m, rhs, xdot_l, xdot_r, rhs2
+    return _Eval(h, float(m.min()), (ux, m, rhs, np.array([xdot_l, xdot_r]), rhs2))
 
 
-def _radial2d_eval(u, rho_b, profile: RotationalProfile):
+def _curve1d_rate(state: FlowState, data):
+    ux, _, rhs, xdot, _ = data
+    xdot_l, xdot_r = xdot
+    w = 0.5 * (xdot_l + xdot_r) + state.grid.reference() * 0.5 * (xdot_r - xdot_l)
+    return rhs + w * ux, xdot
+
+
+def _curve1d_project(state: FlowState, u, boundary, profile):
+    """Exact incidence at both ends, then transport the interior along."""
+    xl, xr = boundary
+    slope_r = 1.0 / float(profile.ds(xr))
+    slope_l = -1.0 / float(profile.ds(abs(xl)))
+    xr_p = _incidence_planar(profile, xr, u[-1], slope_r)
+    xl_p = _incidence_planar(profile, xl, u[0], slope_l)
+    dshift = (0.5 * (xl_p - xl + xr_p - xr)
+              + state.grid.reference() * 0.5 * ((xr_p - xr) - (xl_p - xl)))
+    ux = np.empty_like(u)
+    ux[1:-1] = (u[2:] - u[:-2]) / (xr - xl) * (u.size - 1) / 2.0
+    ux[0] = slope_l
+    ux[-1] = slope_r
+    u = u + dshift * ux
+    u[0] = float(profile.s(abs(xl_p)))
+    u[-1] = float(profile.s(abs(xr_p)))
+    return u, (xl_p, xr_p)
+
+
+def _curve1d_record(state: FlowState, profile, h, data):
+    ux, m, rhs, _, rhs2 = data
+    u, (xl, xr) = state.u, state.boundary
+    w = np.sqrt(m)
+    v_hat = 1.0 / w
+    H = v_hat * rhs
+    # end values from the second-order one-sided stencil (records only)
+    H[0] = v_hat[0] * rhs2[0]
+    H[-1] = v_hat[-1] * rhs2[1]
+    Vx, Vt = planar_V(profile, state.coords())
+    v = (Vt - Vx * ux) / w
+    dV = w * trapezoid_weights(u.size, h)
+    ends = [_end_block(H, v, w, h, side, planar_boundary_data(profile, xb).A_VV, 0.0)
+            for side, xb in (("lo", xl), ("hi", xr))]
+    return u, v, v_hat, H, dV, (xl, xr), tuple(zip(*ends))
+
+
+# -- radial2d: rim on a rotational tube -----------------------------------------
+
+
+def _radial2d_eval(state: FlowState, profile) -> _Eval:
+    u, rho_b = state.u, state.boundary
     n = u.size
     h = rho_b / (n - 1)
     rho = np.linspace(0.0, rho_b, n)
@@ -153,94 +217,167 @@ def _radial2d_eval(u, rho_b, profile: RotationalProfile):
     uxx_b2 = (-3.5 * u[-1] + 4.0 * u[-2] - 0.5 * u[-3] + 3.0 * h * slope_b) / (h * h)
     rhs_b2 = uxx_b2 / m[-1] + ux[-1] / rho[-1]
     rdot = dfb * rhs_b2 / (1.0 - dfb * dfb)
-    return h, rho, ux, m, rhs, rdot, rhs_b2
+    return _Eval(h, float(m.min()), (rho, ux, m, rhs, rdot, rhs_b2))
 
 
-def _disk2d_eval(u, grid_spec: GridSpec):
-    grid = disk_grid(grid_spec.n, grid_spec.radius)
+def _radial2d_rate(state: FlowState, data):
+    _, ux, _, rhs, rdot, _ = data
+    return rhs + state.grid.reference() * rdot * ux, rdot
+
+
+def _radial2d_project(state: FlowState, u, rb, profile):
+    """Rim radius back onto the tube, then transport the interior along."""
+    ub = u[-1]
+    dfb = float(profile.df(ub))
+    if abs(dfb) < 1e-13:
+        # cylinder-like tangency: rim radius is pinned by f itself
+        rb_p = float(profile.f(ub))
+        du_b = 0.0
+    else:
+        # solve r = f(u_b + f'(u_b) (r - rb)) for the rim radius
+        rb_p = _newton(lambda r: r - float(profile.f(ub + dfb * (r - rb))),
+                       lambda r: 1.0 - float(profile.df(ub + dfb * (r - rb))) * dfb, rb, "rho")
+        du_b = dfb * (rb_p - rb)
+    dshift = state.grid.reference() * (rb_p - rb)
+    ux = np.empty_like(u)
+    ux[1:-1] = (u[2:] - u[:-2]) / (2.0 * rb / (u.size - 1))
+    ux[0] = 0.0
+    ux[-1] = dfb
+    u = u + dshift * ux
+    u[-1] += du_b - dshift[-1] * ux[-1]
+    return u, rb_p
+
+
+def _radial2d_record(state: FlowState, profile, h, data):
+    rho, ux, m, rhs, _, rhs_b2 = data
+    u = state.u
+    w = np.sqrt(m)
+    v_hat = 1.0 / w
+    H = v_hat * rhs
+    H[-1] = v_hat[-1] * rhs_b2
+    dfz, invw = rotational_V_factors(profile, u)
+    v = (1.0 - dfz * ux) * invw / w
+    dV = 2.0 * np.pi * rho * w * trapezoid_weights(u.size, h)
+    bc = profile_curvature(profile, float(u[-1]))
+    block = _end_block(H, v, w, h, "hi", bc.A_VV, bc.A_WW[0])
+    return u, v, v_hat, H, dV, (0.0, state.boundary), tuple(zip(block))
+
+
+# -- disk2d: fixed disk inside a vertical cylinder --------------------------------
+
+
+def _disk2d_eval(state: FlowState, profile) -> _Eval:
+    grid = disk_grid(state.grid.n, state.grid.radius)
     h = grid.h
-    uf = grid.fill_ghosts(u)
-    ux = (uf[2:, 1:-1] - uf[:-2, 1:-1]) / (2 * h)
-    uy = (uf[1:-1, 2:] - uf[1:-1, :-2]) / (2 * h)
-    uxx = (uf[2:, 1:-1] - 2 * uf[1:-1, 1:-1] + uf[:-2, 1:-1]) / (h * h)
-    uyy = (uf[1:-1, 2:] - 2 * uf[1:-1, 1:-1] + uf[1:-1, :-2]) / (h * h)
-    uxy = (uf[2:, 2:] + uf[:-2, :-2] - uf[2:, :-2] - uf[:-2, 2:]) / (4 * h * h)
-    du2 = ux * ux + uy * uy
-    m = 1.0 - du2
+    ux, uy, uxx, uyy, uxy = disk_derivatives(grid.fill_ghosts(state.u), h)
+    m = 1.0 - (ux * ux + uy * uy)
     vh2 = 1.0 / m
     rhs = (uxx + uyy) + vh2 * (ux * ux * uxx + 2 * ux * uy * uxy + uy * uy * uyy)
-    return grid, h, ux, uy, m, rhs
+    return _Eval(h, float(m[grid.inside[1:-1, 1:-1]].min()), (grid, ux, uy, m, rhs))
 
 
-# -- single public step --------------------------------------------------------
+def _disk2d_rate(state: FlowState, data):
+    """du/dt at the nodes inside the disk, zero elsewhere; the rim does not move."""
+    grid, _, _, _, rhs = data
+    udot = np.zeros_like(state.u)
+    udot[1:-1, 1:-1] = np.where(grid.inside[1:-1, 1:-1], rhs, 0.0)
+    return udot, None
 
 
-def step(state: FlowState, ctrl: StepControl, profile, chart=None,
+def _disk2d_project(state: FlowState, u, boundary, profile):
+    return u, boundary
+
+
+def _disk2d_record(state: FlowState, profile, h, data):
+    grid, ux, uy, m, rhs = data
+    u = state.u
+    ins_core = grid.inside[1:-1, 1:-1]
+    w = np.sqrt(np.where(ins_core, m, 1.0))
+    v_hat = 1.0 / w
+    H = np.where(ins_core, v_hat * rhs, 0.0)
+    if isinstance(profile, RotationalProfile):
+        dfz, invw = rotational_V_factors(profile, u[1:-1, 1:-1])
+        rsafe = np.maximum(grid.r[1:-1, 1:-1], 1e-300)
+        du_rad = (grid.X[1:-1, 1:-1] * ux + grid.Y[1:-1, 1:-1] * uy) / rsafe
+        v = np.where(ins_core, v_hat * (1.0 - dfz * du_rad) * invw, 1.0)
+    else:
+        v = v_hat
+    dV = np.where(ins_core, grid.area_weights[1:-1, 1:-1] / v_hat, 0.0)
+    # boundary identities sampled on the offset monitor ring (clean zone,
+    # no ghost values in any sampling cell), with the rim curvature there
+    Hf = np.zeros_like(u)
+    Hf[1:-1, 1:-1] = H
+    vf = np.ones_like(u)
+    vf[1:-1, 1:-1] = v
+    inv_w, a_vv, a_ww = rim_curvature(profile, grid.rim_values(u))
+    block = _boundary_block(
+        grid.rim_values(Hf), grid.rim_values(vf), grid.radial_derivative_at_rim(Hf),
+        grid.radial_derivative_at_rim(vf), grid.radial_derivative_at_rim(Hf * Hf),
+        inv_w, a_vv, a_ww,
+    )
+    return u[1:-1, 1:-1], v, v_hat, H, dV, (grid.radius, grid.radius), block, ins_core
+
+
+class _Kind(NamedTuple):
+    evaluate: Callable   # (state, profile) -> _Eval
+    rate: Callable       # (state, data) -> (du/dt, boundary velocity)
+    project: Callable    # (state, u, boundary, profile) -> (u, boundary), rim back on the tube
+    record: Callable     # (state, profile, h, data) -> the fields of _pack_record
+    dim_factor: float    # the dt bound is cfl h^2 m_min / dim_factor
+
+
+_KINDS = {
+    "curve1d": _Kind(_curve1d_eval, _curve1d_rate, _curve1d_project, _curve1d_record, 1.0),
+    "radial2d": _Kind(_radial2d_eval, _radial2d_rate, _radial2d_project, _radial2d_record, 2.0),
+    "disk2d": _Kind(_disk2d_eval, _disk2d_rate, _disk2d_project, _disk2d_record, 2.0),
+}
+
+
+# -- the step skeleton -------------------------------------------------------------
+
+
+def step(state: FlowState, ctrl: StepControl, profile,
          dt: Optional[float] = None) -> FlowState:
     """Advance one explicit step; raises GuardTrip / FlowError on failure."""
-    new_state, _rec = _step_with_record(state, ctrl, profile, dt_forced=dt)
-    return new_state
+    return _advance(state, ctrl, profile, _evaluate(state, ctrl, profile), dt)[0]
 
 
-def _dt_bound(kind: str, h: float, m_min: float, cfl: float) -> float:
-    dim_factor = 1.0 if kind == "curve1d" else 2.0
-    return cfl * h * h * m_min / dim_factor
+def _evaluate(state: FlowState, ctrl: StepControl, profile) -> _Eval:
+    """PDE data of a state; raises GuardTrip when its margin is below the guard."""
+    ev = _KINDS[state.grid.kind].evaluate(state, profile)
+    if ev.m_min < ctrl.eps_guard:
+        raise GuardTrip(state.t, ev.m_min)
+    return ev
 
 
-def _newton_planar(profile: PlanarBoundary, xb, ub, slope):
-    """Slide the rim point along the surface tangent onto y = s(|x|)."""
-    sgn = 1.0 if xb > 0 else -1.0
-    xi = xb
-    for _ in range(12):
-        ax = abs(xi)
-        phi = ub + slope * (xi - xb) - float(profile.s(ax))
-        dphi = slope - sgn * float(profile.ds(ax))
-        xi_new = xi - phi / dphi
-        if abs(xi_new - xi) < 1e-14 * max(1.0, abs(xi)):
-            xi = xi_new
-            break
-        xi = xi_new
-    ax = abs(xi)
-    res = ub + slope * (xi - xb) - float(profile.s(ax))
-    if not abs(res) < 1e-9:
-        raise _newton_failure("x", xb, res)
-    return xi, slope * (xi - xb)
+def _dt_bound(state: FlowState, ev: _Eval, cfl: float) -> float:
+    return cfl * ev.h * ev.h * ev.m_min / _KINDS[state.grid.kind].dim_factor
 
 
-def _newton_rotational(profile: RotationalProfile, rb, ub, slope):
-    """Solve r = f(u_b + slope (r - rb)) for the rim radius."""
-    ri = rb
-    for _ in range(12):
-        z = ub + slope * (ri - rb)
-        phi = ri - float(profile.f(z))
-        dphi = 1.0 - float(profile.df(z)) * slope
-        ri_new = ri - phi / dphi
-        if abs(ri_new - ri) < 1e-14 * max(1.0, abs(ri)):
-            ri = ri_new
-            break
-        ri = ri_new
-    res = ri - float(profile.f(ub + slope * (ri - rb)))
-    if not abs(res) < 1e-9:
-        raise _newton_failure("rho", rb, res)
-    return ri, slope * (ri - rb)
+def _advance(state: FlowState, ctrl: StepControl, profile, ev: _Eval,
+             dt: Optional[float] = None):
+    """(next state, record of this state) from an evaluated state."""
+    kind = _KINDS[state.grid.kind]
+    rec = _pack_record(state.t, *kind.record(state, profile, ev.h, ev.data))
+    dt = _clip_dt(_dt_bound(state, ev, ctrl.cfl) if dt is None else dt, state.t, ctrl.t_end)
+    udot, bdot = kind.rate(state, ev.data)
+    u, boundary = state.u + dt * udot, _advance_boundary(state.boundary, bdot, dt)
+    if ctrl.integrator == "rk2":
+        ev1 = _evaluate(FlowState(state.grid, state.t, u, boundary), ctrl, profile)
+        udot1, bdot1 = kind.rate(state, ev1.data)
+        half = 0.5 * dt
+        u = state.u + half * (udot + udot1)
+        boundary = _advance_boundary(state.boundary, None if bdot is None else bdot + bdot1, half)
+    u, boundary = kind.project(state, u, boundary, profile)
+    return FlowState(state.grid, state.t + dt, u, boundary), rec
 
 
-def _newton_failure(rim: str, start: float, res: float) -> FlowError:
-    return FlowError(f"incidence Newton failed at {rim}={float(start)} (residual {res:.2e})")
-
-
-def _step_underflow(dt: float, t: float) -> FlowError:
-    return FlowError(f"time step underflow (dt = {dt:.3e} at t = {float(t)})")
-
-
-def _step_with_record(state: FlowState, ctrl: StepControl, profile,
-                      dt_forced: Optional[float] = None):
-    kind = state.grid.kind
-    if kind == "curve1d":
-        return _step_curve1d(state, ctrl, profile, dt_forced)
-    if kind == "radial2d":
-        return _step_radial2d(state, ctrl, profile, dt_forced)
-    return _step_disk2d(state, ctrl, profile, dt_forced)
+def _advance_boundary(boundary, bdot, dt):
+    if boundary is None or bdot is None:
+        return boundary
+    if isinstance(boundary, tuple):
+        return (boundary[0] + dt * bdot[0], boundary[1] + dt * bdot[1])
+    return boundary + dt * bdot
 
 
 def _clip_dt(dt, t, t_end):
@@ -251,121 +388,68 @@ def _clip_dt(dt, t, t_end):
     return dt
 
 
-def _step_curve1d(state, ctrl, profile, dt_forced):
-    u, (xl, xr), t = state.u, state.boundary, state.t
-    h, ux, m, rhs, xdot_l, xdot_r, rhs2 = _curve1d_eval(u, xl, xr, profile)
-    m_min = float(m.min())
-    if m_min < ctrl.eps_guard:
-        raise GuardTrip(t, m_min)
-    rec = _record_curve1d(state, profile, h, ux, m, rhs, rhs2)
-    dt = dt_forced if dt_forced is not None else _dt_bound("curve1d", h, m_min, ctrl.cfl)
-    dt = _clip_dt(dt, t, ctrl.t_end)
-    s_ref = state.grid.reference()
-    w = 0.5 * (xdot_l + xdot_r) + s_ref * 0.5 * (xdot_r - xdot_l)
-    if ctrl.integrator == "rk2":
-        u1 = u + dt * (rhs + w * ux)
-        xl1, xr1 = xl + dt * xdot_l, xr + dt * xdot_r
-        h1, ux1, m1, rhs1, xdot_l1, xdot_r1, _r2 = _curve1d_eval(u1, xl1, xr1, profile)
-        if float(m1.min()) < ctrl.eps_guard:
-            raise GuardTrip(t, float(m1.min()))
-        w1 = 0.5 * (xdot_l1 + xdot_r1) + s_ref * 0.5 * (xdot_r1 - xdot_l1)
-        u_new = u + 0.5 * dt * ((rhs + w * ux) + (rhs1 + w1 * ux1))
-        xl_new = xl + 0.5 * dt * (xdot_l + xdot_l1)
-        xr_new = xr + 0.5 * dt * (xdot_r + xdot_r1)
-    else:
-        u_new = u + dt * (rhs + w * ux)
-        xl_new, xr_new = xl + dt * xdot_l, xr + dt * xdot_r
-    # exact incidence projection at both ends, then transport the interior
-    slope_r = 1.0 / float(profile.ds(xr_new))
-    slope_l = -1.0 / float(profile.ds(abs(xl_new)))
-    xr_p, du_r = _newton_planar(profile, xr_new, u_new[-1], slope_r)
-    xl_p, du_l = _newton_planar(profile, xl_new, u_new[0], slope_l)
-    dshift = 0.5 * (xl_p - xl_new + xr_p - xr_new) + s_ref * 0.5 * ((xr_p - xr_new) - (xl_p - xl_new))
-    ux_new = np.empty_like(u_new)
-    ux_new[1:-1] = (u_new[2:] - u_new[:-2]) / (xr_new - xl_new) * (u.size - 1) / 2.0
-    ux_new[0] = slope_l
-    ux_new[-1] = slope_r
-    u_new = u_new + dshift * ux_new
-    u_new[0] = float(profile.s(abs(xl_p)))
-    u_new[-1] = float(profile.s(abs(xr_p)))
-    return FlowState(state.grid, t + dt, u_new, (xl_p, xr_p)), rec
+def _newton(phi: Callable, dphi: Callable, x0: float, rim: str) -> float:
+    """Root of the incidence residual phi near the predicted rim point x0."""
+    xi = x0
+    for _ in range(12):
+        xi_new = xi - phi(xi) / dphi(xi)
+        done = abs(xi_new - xi) < 1e-14 * max(1.0, abs(xi))
+        xi = xi_new
+        if done:
+            break
+    res = phi(xi)
+    if not abs(res) < 1e-9:
+        raise _newton_failure(rim, x0, res)
+    return xi
 
 
-def _step_radial2d(state, ctrl, profile, dt_forced):
-    u, rho_b, t = state.u, state.boundary, state.t
-    h, rho, ux, m, rhs, rdot, rhs_b2 = _radial2d_eval(u, rho_b, profile)
-    m_min = float(m.min())
-    if m_min < ctrl.eps_guard:
-        raise GuardTrip(t, m_min)
-    rec = _record_radial2d(state, profile, h, rho, ux, m, rhs, rhs_b2)
-    dt = dt_forced if dt_forced is not None else _dt_bound("radial2d", h, m_min, ctrl.cfl)
-    dt = _clip_dt(dt, t, ctrl.t_end)
-    s_ref = state.grid.reference()
-    w = s_ref * rdot
-    if ctrl.integrator == "rk2":
-        u1 = u + dt * (rhs + w * ux)
-        rb1 = rho_b + dt * rdot
-        h1, rho1, ux1, m1, rhs1, rdot1, _r2 = _radial2d_eval(u1, rb1, profile)
-        if float(m1.min()) < ctrl.eps_guard:
-            raise GuardTrip(t, float(m1.min()))
-        w1 = s_ref * rdot1
-        u_new = u + 0.5 * dt * ((rhs + w * ux) + (rhs1 + w1 * ux1))
-        rb_new = rho_b + 0.5 * dt * (rdot + rdot1)
-    else:
-        u_new = u + dt * (rhs + w * ux)
-        rb_new = rho_b + dt * rdot
-    dfb = float(profile.df(u_new[-1]))
-    if abs(dfb) < 1e-13:
-        # cylinder-like tangency: rim radius is pinned by f itself
-        rb_p = float(profile.f(u_new[-1]))
-        du_b = 0.0
-    else:
-        rb_p, du_b = _newton_rotational(profile, rb_new, u_new[-1], dfb)
-    dshift = s_ref * (rb_p - rb_new)
-    ux_new = np.empty_like(u_new)
-    ux_new[1:-1] = (u_new[2:] - u_new[:-2]) / (2.0 * rb_new / (u.size - 1))
-    ux_new[0] = 0.0
-    ux_new[-1] = dfb
-    u_new = u_new + dshift * ux_new
-    u_new[-1] += du_b - dshift[-1] * ux_new[-1]
-    return FlowState(state.grid, t + dt, u_new, rb_p), rec
+def _incidence_planar(profile, xb, ub, slope):
+    """Slide the rim point along the surface tangent onto y = s(|x|)."""
+    sgn = 1.0 if xb > 0 else -1.0    # the branch of the start point
+    return _newton(lambda x: ub + slope * (x - xb) - float(profile.s(abs(x))),
+                   lambda x: slope - sgn * float(profile.ds(abs(x))), xb, "x")
 
 
-def _step_disk2d(state, ctrl, profile, dt_forced):
-    u, t = state.u, state.t
-    grid, h, ux, uy, m, rhs = _disk2d_eval(u, state.grid)
-    ins_core = grid.inside[1:-1, 1:-1]
-    m_min = float(m[ins_core].min())
-    if m_min < ctrl.eps_guard:
-        raise GuardTrip(t, m_min)
-    rec = _record_disk2d(state, profile, grid, h, ux, uy, m, rhs)
-    dt = dt_forced if dt_forced is not None else _dt_bound("disk2d", h, m_min, ctrl.cfl)
-    dt = _clip_dt(dt, t, ctrl.t_end)
-    u_new = u.copy()
-    core = u_new[1:-1, 1:-1]
-    core[ins_core] = core[ins_core] + dt * rhs[ins_core]
-    if ctrl.integrator == "rk2":
-        grid, h, ux1, uy1, m1, rhs1 = _disk2d_eval(u_new, state.grid)
-        if float(m1[ins_core].min()) < ctrl.eps_guard:
-            raise GuardTrip(t, float(m1[ins_core].min()))
-        u_new = u.copy()
-        core = u_new[1:-1, 1:-1]
-        core[ins_core] = core[ins_core] + 0.5 * dt * (rhs[ins_core] + rhs1[ins_core])
-    return FlowState(state.grid, t + dt, u_new, state.boundary), rec
+def _newton_failure(rim: str, start: float, res: float) -> FlowError:
+    return FlowError(f"incidence Newton failed at {rim}={float(start)} (residual {res:.2e})")
+
+
+def _step_underflow(dt: float, t: float) -> FlowError:
+    return FlowError(f"time step underflow (dt = {dt:.3e} at t = {float(t)})")
 
 
 # -- per-step scalar records ----------------------------------------------------
 
 
+def _pack_record(t, u, v, v_hat, H, dV, bounds, block, mask=None) -> np.ndarray:
+    """One record row from a state's nodal fields.
+
+    The sups and the range of u run over the masked nodes (all nodes without
+    a mask), the integrals over every entry of dV; bounds = (boundary_lo,
+    boundary_hi); block is _boundary_block's result, each entry an array or
+    a tuple over the boundary points.
+    """
+    sel = slice(None) if mask is None else mask
+    u_in = u[sel]
+    res_H, res_v, grad_v, h2_ineq, a_nn = block
+    return np.array([
+        t, float(v[sel].max()), float(v_hat[sel].max()), float(np.abs(H[sel]).max()),
+        float(dV.sum()), float((H * H * dV).sum()),
+        float(u_in.max() - u_in.min()), float(u_in.min()), float(u_in.max()), *bounds,
+        np.maximum.reduce(res_H), np.maximum.reduce(res_v), np.maximum.reduce(grad_v),
+        np.maximum.reduce(h2_ineq), np.minimum.reduce(a_nn), np.nan,
+    ])
+
+
 def _boundary_block(H_b, v_b, dH, dv, dH2, inv_w, a_vv, a_ww, grad_v_2pt=None):
-    """Boundary identity data at one boundary point.
+    """Boundary identity data at boundary points (scalars or arrays).
 
     A^Sig(nu,nu) = v^2 A_VV + (v^2-1) A_WW from the frame decomposition of nu
     (a_ww = 0 for planar boundaries).  The recorded grad_mu v uses the
     2-point difference when provided: v attains its discrete minimum at the
     perpendicular boundary, so that sign check is exact.
     """
-    a_nn = v_b * v_b * a_vv + (v_b * v_b - 1.0) * a_ww
+    a_nn = normal_curvature(v_b, a_vv, a_ww)
     grad_H = dH * inv_w
     grad_v = dv * inv_w
     grad_H2 = dH2 * inv_w
@@ -374,6 +458,18 @@ def _boundary_block(H_b, v_b, dH, dv, dH2, inv_w, a_vv, a_ww, grad_v_2pt=None):
     h2_ineq = grad_H2 + H_b * H_b * a_vv
     gv = grad_v if grad_v_2pt is None else grad_v_2pt * inv_w
     return res_H, res_v, gv, h2_ineq, a_nn
+
+
+def _end_block(H, v, w, h, side, a_vv, a_ww):
+    """_boundary_block at one end of a 1d grid."""
+    idx = 0 if side == "lo" else -1
+    H_b, dH = _rim_extrapolated(H, h, side)
+    _, dH2 = _rim_extrapolated(H * H, h, side)
+    dv = _one_sided_end(v, h, side)
+    # sign-exact first-order difference: v attains its minimum 1 at the rim
+    dv2pt = (v[0] - v[1]) / h if side == "lo" else (v[-1] - v[-2]) / h
+    return _boundary_block(float(H_b), float(v[idx]), dH, dv, dH2, 1.0 / float(w[idx]),
+                           a_vv, a_ww, grad_v_2pt=float(dv2pt))
 
 
 def _one_sided_end(arr, h, side):
@@ -399,182 +495,22 @@ def _rim_extrapolated(arr, h, side):
     return val, dval
 
 
-def _record_curve1d(state, profile, h, ux, m, rhs, rhs2):
-    from .geometry import planar_V, trapezoid_weights
-
-    u, (xl, xr) = state.u, state.boundary
-    w = np.sqrt(m)
-    v_hat = 1.0 / w
-    H = v_hat * rhs
-    # end values from the second-order one-sided stencil (records only)
-    H = H.copy()
-    H[0] = v_hat[0] * rhs2[0]
-    H[-1] = v_hat[-1] * rhs2[1]
-    x = state.coords()
-    Vx, Vt = planar_V(profile, x)
-    v = (Vt - Vx * ux) / w
-    dV = w * trapezoid_weights(u.size, h)
-    volume = float(dV.sum())
-    int_H2 = float((H * H * dV).sum())
-    blocks = []
-    for side, xb in (("lo", xl), ("hi", xr)):
-        from .profiles import planar_boundary_data
-
-        bc = planar_boundary_data(profile, xb)
-        idx = 0 if side == "lo" else -1
-        H_b, dH = _rim_extrapolated(H, h, side)
-        _, dH2 = _rim_extrapolated(H * H, h, side)
-        dv = _one_sided_end(v, h, side)
-        # sign-exact first-order difference: v attains its minimum 1 at the rim
-        dv2pt = (v[0] - v[1]) / h if side == "lo" else (v[-1] - v[-2]) / h
-        blocks.append(_boundary_block(
-            float(H_b), float(v[idx]), dH, dv, dH2,
-            1.0 / float(w[idx]), bc.A_VV, 0.0, grad_v_2pt=float(dv2pt),
-        ))
-    rec = np.full(len(RECORD_COLUMNS), np.nan)
-    rec[_COL["t"]] = state.t
-    rec[_COL["sup_v"]] = float(v.max())
-    rec[_COL["sup_v_hat"]] = float(v_hat.max())
-    rec[_COL["sup_H"]] = float(np.abs(H).max())
-    rec[_COL["volume"]] = volume
-    rec[_COL["int_H2_dV"]] = int_H2
-    rec[_COL["osc_u"]] = float(u.max() - u.min())
-    rec[_COL["u_min"]] = float(u.min())
-    rec[_COL["u_max"]] = float(u.max())
-    rec[_COL["boundary_lo"]] = xl
-    rec[_COL["boundary_hi"]] = xr
-    rec[_COL["bdry_res_Hmu"]] = max(b[0] for b in blocks)
-    rec[_COL["bdry_res_vmu"]] = max(b[1] for b in blocks)
-    rec[_COL["bdry_grad_v_max"]] = max(b[2] for b in blocks)
-    rec[_COL["bdry_H2_ineq_max"]] = max(b[3] for b in blocks)
-    rec[_COL["bdry_Asig_nn_min"]] = min(b[4] for b in blocks)
-    return rec
-
-
-def _record_radial2d(state, profile, h, rho, ux, m, rhs, rhs_b2):
-    from .geometry import rotational_V_factors, trapezoid_weights
-    from .profiles import profile_curvature
-
-    u, rho_b = state.u, state.boundary
-    w = np.sqrt(m)
-    v_hat = 1.0 / w
-    H = v_hat * rhs
-    H = H.copy()
-    H[-1] = v_hat[-1] * rhs_b2
-    dfz, invw = rotational_V_factors(profile, u)
-    v = (1.0 - dfz * ux) * invw / w
-    dV = 2.0 * np.pi * rho * w * trapezoid_weights(u.size, h)
-    volume = float(dV.sum())
-    int_H2 = float((H * H * dV).sum())
-    bc = profile_curvature(profile, float(u[-1]))
-    H_b, dH = _rim_extrapolated(H, h, "hi")
-    _, dH2 = _rim_extrapolated(H * H, h, "hi")
-    dv = _one_sided_end(v, h, "hi")
-    block = _boundary_block(float(H_b), float(v[-1]), dH, dv, dH2,
-                            1.0 / float(w[-1]), bc.A_VV, bc.A_WW[0],
-                            grad_v_2pt=float((v[-1] - v[-2]) / h))
-    rec = np.full(len(RECORD_COLUMNS), np.nan)
-    rec[_COL["t"]] = state.t
-    rec[_COL["sup_v"]] = float(v.max())
-    rec[_COL["sup_v_hat"]] = float(v_hat.max())
-    rec[_COL["sup_H"]] = float(np.abs(H).max())
-    rec[_COL["volume"]] = volume
-    rec[_COL["int_H2_dV"]] = int_H2
-    rec[_COL["osc_u"]] = float(u.max() - u.min())
-    rec[_COL["u_min"]] = float(u.min())
-    rec[_COL["u_max"]] = float(u.max())
-    rec[_COL["boundary_lo"]] = 0.0
-    rec[_COL["boundary_hi"]] = rho_b
-    rec[_COL["bdry_res_Hmu"]] = block[0]
-    rec[_COL["bdry_res_vmu"]] = block[1]
-    rec[_COL["bdry_grad_v_max"]] = block[2]
-    rec[_COL["bdry_H2_ineq_max"]] = block[3]
-    rec[_COL["bdry_Asig_nn_min"]] = block[4]
-    return rec
-
-
-def _record_disk2d(state, profile, grid, h, ux, uy, m, rhs):
-    u = state.u
-    ins_core = grid.inside[1:-1, 1:-1]
-    w = np.sqrt(np.where(ins_core, m, 1.0))
-    v_hat = 1.0 / w
-    H = np.where(ins_core, v_hat * rhs, 0.0)
-    if isinstance(profile, RotationalProfile):
-        from .geometry import rotational_V_factors
-
-        dfz, invw = rotational_V_factors(profile, u[1:-1, 1:-1])
-        rsafe = np.maximum(grid.r[1:-1, 1:-1], 1e-300)
-        du_rad = (grid.X[1:-1, 1:-1] * ux + grid.Y[1:-1, 1:-1] * uy) / rsafe
-        v = np.where(ins_core, v_hat * (1.0 - dfz * du_rad) * invw, 1.0)
-    else:
-        v = v_hat
-    dV = np.where(ins_core, grid.area_weights[1:-1, 1:-1] / v_hat, 0.0)
-    volume = float(dV.sum())
-    int_H2 = float((H * H * dV).sum())
-    # boundary identities sampled on the offset monitor ring (clean zone,
-    # no ghost values in any sampling cell)
-    Hf = np.zeros_like(u)
-    Hf[1:-1, 1:-1] = H
-    vf = np.ones_like(u)
-    vf[1:-1, 1:-1] = v
-    dH = grid.radial_derivative_at_rim(Hf)
-    dv = grid.radial_derivative_at_rim(vf)
-    dH2 = grid.radial_derivative_at_rim(Hf * Hf)
-    H_rim = grid.rim_values(Hf)
-    v_rim = grid.rim_values(vf)
-    u_rim = grid.rim_values(u)
-    # rim curvature data, vectorized over the ring
-    fz = np.asarray(profile.f(u_rim), dtype=float)
-    dfz_rim = np.asarray(profile.df(u_rim), dtype=float)
-    d2fz = np.asarray(profile.d2f(u_rim), dtype=float)
-    w_rim = np.sqrt(1.0 - dfz_rim**2)
-    inv_w_rim = 1.0 / w_rim
-    a_vv = -d2fz / w_rim**3
-    a_ww = 1.0 / (fz * w_rim)
-    a_nn = v_rim**2 * a_vv + (v_rim**2 - 1.0) * a_ww
-    res_H = np.abs(dH * inv_w_rim + H_rim * a_nn)
-    res_v = np.abs(dv * inv_w_rim + v_rim * (a_nn - a_vv))
-    h2_ineq = dH2 * inv_w_rim + H_rim**2 * a_vv
-    rec = np.full(len(RECORD_COLUMNS), np.nan)
-    rec[_COL["t"]] = state.t
-    rec[_COL["sup_v"]] = float(v[ins_core].max())
-    rec[_COL["sup_v_hat"]] = float(v_hat[ins_core].max())
-    rec[_COL["sup_H"]] = float(np.abs(H[ins_core]).max())
-    rec[_COL["volume"]] = volume
-    rec[_COL["int_H2_dV"]] = int_H2
-    uin = u[1:-1, 1:-1][ins_core]
-    rec[_COL["osc_u"]] = float(uin.max() - uin.min())
-    rec[_COL["u_min"]] = float(uin.min())
-    rec[_COL["u_max"]] = float(uin.max())
-    rec[_COL["boundary_lo"]] = grid.radius
-    rec[_COL["boundary_hi"]] = grid.radius
-    rec[_COL["bdry_res_Hmu"]] = float(res_H.max())
-    rec[_COL["bdry_res_vmu"]] = float(res_v.max())
-    rec[_COL["bdry_grad_v_max"]] = float((dv * inv_w_rim).max())
-    rec[_COL["bdry_H2_ineq_max"]] = float(h2_ineq.max())
-    rec[_COL["bdry_Asig_nn_min"]] = float(a_nn.min())
-    return rec
-
-
 def record_state(state: FlowState, ctrl: StepControl, profile) -> np.ndarray:
-    """Scalar record of a state without stepping (terminal records)."""
-    kind = state.grid.kind
-    if kind == "curve1d":
-        u, (xl, xr) = state.u, state.boundary
-        h, ux, m, rhs, _, _, rhs2 = _curve1d_eval(u, xl, xr, profile)
-        return _record_curve1d(state, profile, h, ux, m, rhs, rhs2)
-    if kind == "radial2d":
-        h, rho, ux, m, rhs, _, rhs_b2 = _radial2d_eval(state.u, state.boundary, profile)
-        return _record_radial2d(state, profile, h, rho, ux, m, rhs, rhs_b2)
-    grid, h, ux, uy, m, rhs = _disk2d_eval(state.u, state.grid)
-    return _record_disk2d(state, profile, grid, h, ux, uy, m, rhs)
+    """Scalar record of a state without stepping (terminal records).
+
+    No guard applies and ``ctrl`` is not read; it stays so that ``step`` and
+    ``record_state`` take the same three positional arguments, which is how
+    the benchmark's trace replay (perfbench/tracing.py) calls both.
+    """
+    kind = _KINDS[state.grid.kind]
+    ev = kind.evaluate(state, profile)
+    return _pack_record(state.t, *kind.record(state, profile, ev.h, ev.data))
 
 
 # -- trajectory drivers ---------------------------------------------------------
 
 
-def run(state0: FlowState, ctrl: StepControl, profile, chart=None,
-        stride: int = 100, use_fast_kernel: bool = True) -> Trajectory:
+def run(state0: FlowState, ctrl: StepControl, profile, stride: int = 100) -> Trajectory:
     """Iterate the flow until convergence, guard trip, t_end or step limit.
 
     Euler runs of the 1d kinds on built-in profiles take the compiled step
@@ -583,18 +519,16 @@ def run(state0: FlowState, ctrl: StepControl, profile, chart=None,
     """
     if stride < 1:
         raise ValueError("stride must be a positive number of steps")
-    if chart is not None and getattr(chart, "name", "flat") != "flat":
-        raise FlowError(
-            "stepping in a curved chart is not supported; run in ambient "
-            "coordinates and use the chart for monitoring only"
-        )
-    if (use_fast_kernel and ctrl.integrator == "euler"
-            and state0.grid.kind in ("curve1d", "radial2d")):
+    if ctrl.integrator == "euler" and state0.grid.kind in ("curve1d", "radial2d"):
         from . import _kernels
 
         if _kernels.available and profile.kind in _kernels.PROFILES:
             return _kernels.run_fast(state0, ctrl, profile, stride)
     return _run_python(state0, ctrl, profile, stride)
+
+
+def _t_end_reached(t: float, t_end: Optional[float]) -> bool:
+    return t_end is not None and t >= t_end - 1e-14 * max(1.0, abs(t_end))
 
 
 def _run_python(state0: FlowState, ctrl: StepControl, profile, stride: int) -> Trajectory:
@@ -607,19 +541,18 @@ def _run_python(state0: FlowState, ctrl: StepControl, profile, stride: int) -> T
             states.append(state.copy())
             state_steps.append(k)
         try:
-            new_state, rec = _step_with_record(state, ctrl, profile, None)
+            new_state, rec = _advance(state, ctrl, profile, _evaluate(state, ctrl, profile))
         except GuardTrip as trip:
             event, event_time = FlowEvent.GUARD_TRIPPED, trip.t
-            records.append(record_guarded(state, ctrl, profile))
+            records.append(record_state(state, ctrl, profile))
             break
         records.append(rec)
-        if ctrl.h_stop > 0.0 and rec[_COL["sup_H"]] < ctrl.h_stop:
-            event, event_time = FlowEvent.CONVERGED, state.t
-            state = new_state
-            break
         state = new_state
         k += 1
-        if ctrl.t_end is not None and state.t >= ctrl.t_end - 1e-14 * max(1.0, abs(ctrl.t_end)):
+        if ctrl.h_stop > 0.0 and rec[_COL["sup_H"]] < ctrl.h_stop:
+            event, event_time = FlowEvent.CONVERGED, rec[_COL["t"]]
+            break
+        if _t_end_reached(state.t, ctrl.t_end):
             event, event_time = FlowEvent.TIME_EXHAUSTED, state.t
             break
         if k >= ctrl.max_steps:
@@ -633,15 +566,8 @@ def _run_python(state0: FlowState, ctrl: StepControl, profile, stride: int) -> T
     return Trajectory(np.asarray(records), states, state_steps, event, event_time, state0.grid)
 
 
-def record_guarded(state: FlowState, ctrl: StepControl, profile) -> np.ndarray:
-    """Record of the last pre-trip state (margins below guard are fine here)."""
-    relaxed = StepControl(cfl=ctrl.cfl, eps_guard=1e-300, max_steps=ctrl.max_steps,
-                          h_stop=ctrl.h_stop, t_end=ctrl.t_end, integrator=ctrl.integrator)
-    return record_state(state, relaxed, profile)
-
-
 def comparison_pair_run(state_a: FlowState, state_b: FlowState, ctrl: StepControl,
-                        profile, chart=None, motion_law_b: Optional[Callable] = None,
+                        profile, motion_law_b: Optional[Callable] = None,
                         stride: int = 100):
     """Co-evolve an ordered pair with a common time step; track min(u_B - u_A).
 
@@ -653,25 +579,27 @@ def comparison_pair_run(state_a: FlowState, state_b: FlowState, ctrl: StepContro
     if np.any(state_b.u < state_a.u - 1e-12):
         raise ValueError("initial data must be ordered: u_A <= u_B nodewise")
     a, b = state_a.copy(), state_b.copy()
+    nodes = (slice(None) if a.grid.kind != "disk2d"
+             else disk_grid(a.grid.n, a.grid.radius).inside)
     rec_a, rec_b, gaps = [], [], []
     states_a, states_b, state_steps = [], [], []
     event, event_time = FlowEvent.STEP_LIMIT, a.t
     k = 0
     while True:
-        gap = float((b.u - a.u).min() if a.grid.kind != "disk2d"
-                    else (b.u - a.u)[disk_grid(a.grid.n, a.grid.radius).inside].min())
-        gaps.append(gap)
+        gaps.append(float((b.u - a.u)[nodes].min()))
         if k % stride == 0:
             states_a.append(a.copy())
             states_b.append(b.copy())
             state_steps.append(k)
-        dt_a = _dt_probe(a, ctrl, profile)
-        dt_b = dt_a if motion_law_b is not None else _dt_probe(b, ctrl, profile)
-        dt = min(dt_a, dt_b)
         try:
-            a2, ra = _step_with_record(a, ctrl, profile, dt_forced=dt)
+            ev_a = _evaluate(a, ctrl, profile)
+            dt = _dt_bound(a, ev_a, ctrl.cfl)
             if motion_law_b is None:
-                b2, rb = _step_with_record(b, ctrl, profile, dt_forced=dt)
+                ev_b = _evaluate(b, ctrl, profile)
+                dt = min(dt, _dt_bound(b, ev_b, ctrl.cfl))
+            a2, ra = _advance(a, ctrl, profile, ev_a, dt)
+            if motion_law_b is None:
+                b2, rb = _advance(b, ctrl, profile, ev_b, dt)
             else:
                 udot, bdot = motion_law_b(b)
                 b2 = FlowState(b.grid, b.t + dt, b.u + dt * udot,
@@ -684,7 +612,7 @@ def comparison_pair_run(state_a: FlowState, state_b: FlowState, ctrl: StepContro
         rec_b.append(rb)
         a, b = a2, b2
         k += 1
-        if ctrl.t_end is not None and a.t >= ctrl.t_end - 1e-14:
+        if _t_end_reached(a.t, ctrl.t_end):
             event, event_time = FlowEvent.TIME_EXHAUSTED, a.t
             break
         if k >= ctrl.max_steps:
@@ -693,27 +621,3 @@ def comparison_pair_run(state_a: FlowState, state_b: FlowState, ctrl: StepContro
     traj_b = Trajectory(np.asarray(rec_b), states_b, state_steps, event, event_time, b.grid)
     traj_a.records[:, _COL["min_gap"]] = np.asarray(gaps[: len(rec_a)])
     return {"traj_a": traj_a, "traj_b": traj_b, "min_gap": np.asarray(gaps)}
-
-
-def _advance_boundary(boundary, bdot, dt):
-    if boundary is None or bdot is None:
-        return boundary
-    if isinstance(boundary, tuple):
-        return (boundary[0] + dt * bdot[0], boundary[1] + dt * bdot[1])
-    return boundary + dt * bdot
-
-
-def _dt_probe(state: FlowState, ctrl: StepControl, profile) -> float:
-    kind = state.grid.kind
-    if kind == "curve1d":
-        xl, xr = state.boundary
-        h, _, m, _, _, _, _ = _curve1d_eval(state.u, xl, xr, profile)
-    elif kind == "radial2d":
-        h, _, _, m, _, _, _ = _radial2d_eval(state.u, state.boundary, profile)
-    else:
-        grid, h, _, _, m, _ = _disk2d_eval(state.u, state.grid)
-        m = m[grid.inside[1:-1, 1:-1]]
-    m_min = float(np.asarray(m).min())
-    if m_min < ctrl.eps_guard:
-        raise GuardTrip(state.t, m_min)
-    return _dt_bound(kind, h, m_min, ctrl.cfl)

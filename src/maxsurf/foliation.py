@@ -272,11 +272,6 @@ def hat_v_field(chart, x, lam: float) -> np.ndarray:
     return vh
 
 
-def time_function(chart, y) -> float:
-    """lam with F(x, lam) = y for some x in the domain (ray-wise inversion)."""
-    return chart.time_function(y)
-
-
 def _sigma_slice_point(profile, lam: float):
     """A boundary point at time-slice lam, with its frame data."""
     if isinstance(profile, RotationalProfile):

@@ -112,6 +112,14 @@ def d1(u: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
+def _slope_1d(state: FlowState) -> np.ndarray:
+    """d1 of u over a 1d kind's grid, zero on the axis for radial2d (symmetry)."""
+    du = d1(state.u, state.spacing())
+    if state.grid.kind == "radial2d":
+        du[0] = 0.0
+    return du
+
+
 def d2(u: np.ndarray, h: float) -> np.ndarray:
     out = np.empty_like(u)
     out[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / (h * h)
@@ -154,11 +162,11 @@ def rotational_V_factors(profile: RotationalProfile, z):
 # -- geometry evaluators ------------------------------------------------------
 
 
-def geometry(state: FlowState, profile, chart=None) -> GeometryFields:
+def geometry(state: FlowState, profile) -> GeometryFields:
     """Metric, gradient functions, normal, curvature and volume of a state.
 
-    The chart defaults to the flat ambient one (psi = 1, ghat = delta,
-    V_hat = e_t); the V field comes from the profile's extension.
+    In the flat ambient chart (psi = 1, ghat = delta, V_hat = e_t); the V
+    field comes from the profile's extension.
     """
     kind = state.grid.kind
     if kind == "curve1d":
@@ -199,8 +207,7 @@ def _geometry_radial2d(state: FlowState, profile) -> GeometryFields:
     u = state.u
     h = state.spacing()
     rho = state.coords()
-    ur = d1(u, h)
-    ur[0] = 0.0                       # axis symmetry
+    ur = _slope_1d(state)
     urr = d2(u, h)
     urr[0] = 2.0 * (u[1] - u[0]) / (h * h)
     m = 1.0 - ur * ur
@@ -233,7 +240,7 @@ def _geometry_disk2d(state: FlowState, profile) -> GeometryFields:
     grid = disk_grid(state.grid.n, state.grid.radius)
     h = grid.h
     uf = grid.fill_ghosts(state.u)
-    ux, uy, uxx, uyy, uxy = _disk_derivatives(uf, h)
+    ux, uy, uxx, uyy, uxy = disk_derivatives(uf, h, padded=True)
     ins = grid.inside
     du2 = ux * ux + uy * uy
     m = 1.0 - du2
@@ -274,18 +281,33 @@ def _geometry_disk2d(state: FlowState, profile) -> GeometryFields:
     )
 
 
-def _disk_derivatives(uf: np.ndarray, h: float):
-    ux = np.zeros_like(uf)
-    uy = np.zeros_like(uf)
-    uxx = np.zeros_like(uf)
-    uyy = np.zeros_like(uf)
-    uxy = np.zeros_like(uf)
-    ux[1:-1, 1:-1] = (uf[2:, 1:-1] - uf[:-2, 1:-1]) / (2 * h)
-    uy[1:-1, 1:-1] = (uf[1:-1, 2:] - uf[1:-1, :-2]) / (2 * h)
-    uxx[1:-1, 1:-1] = (uf[2:, 1:-1] - 2 * uf[1:-1, 1:-1] + uf[:-2, 1:-1]) / (h * h)
-    uyy[1:-1, 1:-1] = (uf[1:-1, 2:] - 2 * uf[1:-1, 1:-1] + uf[1:-1, :-2]) / (h * h)
-    uxy[1:-1, 1:-1] = (uf[2:, 2:] + uf[:-2, :-2] - uf[2:, :-2] - uf[:-2, 2:]) / (4 * h * h)
-    return ux, uy, uxx, uyy, uxy
+def _padded(core: np.ndarray) -> np.ndarray:
+    out = np.zeros((core.shape[0] + 2, core.shape[1] + 2))
+    out[1:-1, 1:-1] = core
+    return out
+
+
+def disk_gradient(f: np.ndarray, h: float, padded: bool = False):
+    """Central differences (f_x, f_y) at the nodes f[1:-1, 1:-1] of a disk array.
+
+    With padded=True they come in arrays of f's shape, zero on the pad ring.
+    """
+    fx = (f[2:, 1:-1] - f[:-2, 1:-1]) / (2 * h)
+    fy = (f[1:-1, 2:] - f[1:-1, :-2]) / (2 * h)
+    return (_padded(fx), _padded(fy)) if padded else (fx, fy)
+
+
+def disk_derivatives(f: np.ndarray, h: float, padded: bool = False):
+    """(f_x, f_y, f_xx, f_yy, f_xy) by central differences, laid out as disk_gradient."""
+    c = f[1:-1, 1:-1]
+    second = (
+        (f[2:, 1:-1] - 2 * c + f[:-2, 1:-1]) / (h * h),
+        (f[1:-1, 2:] - 2 * c + f[1:-1, :-2]) / (h * h),
+        (f[2:, 2:] + f[:-2, :-2] - f[2:, :-2] - f[:-2, 2:]) / (4 * h * h),
+    )
+    if padded:
+        second = tuple(_padded(d) for d in second)
+    return (*disk_gradient(f, h, padded), *second)
 
 
 def oscillation(state: FlowState) -> float:
@@ -302,20 +324,14 @@ def spacelike_margin(state: FlowState) -> float:
     """min over nodes of 1 - psi^2 |Du|^2_ghat (flat ambient chart)."""
     if state.grid.kind == "disk2d":
         grid = disk_grid(state.grid.n, state.grid.radius)
-        uf = grid.fill_ghosts(state.u)
-        h = grid.h
-        ux = (uf[2:, 1:-1] - uf[:-2, 1:-1]) / (2 * h)
-        uy = (uf[1:-1, 2:] - uf[1:-1, :-2]) / (2 * h)
+        ux, uy = disk_gradient(grid.fill_ghosts(state.u), grid.h)
         du2 = ux * ux + uy * uy
         return float(1.0 - du2[grid.inside[1:-1, 1:-1]].max())
-    h = state.spacing()
-    du = d1(state.u, h)
-    if state.grid.kind == "radial2d":
-        du[0] = 0.0
+    du = _slope_1d(state)
     return float(1.0 - (du * du).max())
 
 
-def height_gradient_identity(state: FlowState, chart=None) -> float:
+def height_gradient_identity(state: FlowState) -> float:
     """Self-consistency of the discrete metric: |grad u|^2 = psi^-2 (v_hat^2 - 1).
 
     The left side evaluates the intrinsic gradient square on staggered
@@ -333,10 +349,7 @@ def height_gradient_identity(state: FlowState, chart=None) -> float:
         mid2[1:-1, :] = 0.5 * (sx[:-1, :] + sx[1:, :])
         mid2[:, 1:-1] += 0.5 * (sy[:, :-1] + sy[:, 1:])
         lhs = mid2 / np.maximum(1.0 - mid2, 1e-12)
-        ux = np.zeros_like(uf)
-        uy = np.zeros_like(uf)
-        ux[1:-1, 1:-1] = (uf[2:, 1:-1] - uf[:-2, 1:-1]) / (2 * h)
-        uy[1:-1, 1:-1] = (uf[1:-1, 2:] - uf[1:-1, :-2]) / (2 * h)
+        ux, uy = disk_gradient(uf, h, padded=True)
         du2 = ux * ux + uy * uy
         rhs = du2 / np.maximum(1.0 - du2, 1e-12)
         return float(np.abs(lhs - rhs)[grid.deep].max())
@@ -346,9 +359,7 @@ def height_gradient_identity(state: FlowState, chart=None) -> float:
     lhs = np.empty_like(u)
     lhs[1:-1] = 0.5 * (lhs_mid[1:] + lhs_mid[:-1])
     lhs[0], lhs[-1] = lhs_mid[0], lhs_mid[-1]
-    du = d1(u, h)
-    if state.grid.kind == "radial2d":
-        du[0] = 0.0
+    du = _slope_1d(state)
     rhs = du * du / (1.0 - du * du)
     return float(np.abs(lhs - rhs)[1:-1].max())
 
@@ -377,8 +388,7 @@ def laplace_beltrami(state: FlowState, f: np.ndarray) -> np.ndarray:
         dum = np.diff(u) / h
         a_mid = rho_mid / np.sqrt(1.0 - dum * dum)  # sqrt(G) g^{rr} at midpoints
         flux = a_mid * np.diff(f) / h
-        ur = d1(u, h)
-        ur[0] = 0.0
+        ur = _slope_1d(state)
         out = np.full_like(f, np.nan)
         sg = rho * np.sqrt(1.0 - ur * ur)
         out[1:-1] = (flux[1:] - flux[:-1]) / (h * sg[1:-1])
@@ -390,7 +400,7 @@ def laplace_beltrami(state: FlowState, f: np.ndarray) -> np.ndarray:
     uf = grid.fill_ghosts(u)
     # midpoint metric coefficients in each direction
     out = np.full_like(uf, np.nan)
-    ux, uy, _, _, _ = _disk_derivatives(uf, h)
+    ux, uy = disk_gradient(uf, h, padded=True)
     du2 = ux * ux + uy * uy
     m = np.maximum(1.0 - du2, 1e-12)
     sg = np.sqrt(m)                                  # sqrt(det g) = 1/v_hat
@@ -398,10 +408,7 @@ def laplace_beltrami(state: FlowState, f: np.ndarray) -> np.ndarray:
     g11 = 1.0 + vh2 * ux * ux
     g12 = vh2 * ux * uy
     g22 = 1.0 + vh2 * uy * uy
-    fx = np.zeros_like(uf)
-    fy = np.zeros_like(uf)
-    fx[1:-1, 1:-1] = (f[2:, 1:-1] - f[:-2, 1:-1]) / (2 * h)
-    fy[1:-1, 1:-1] = (f[1:-1, 2:] - f[1:-1, :-2]) / (2 * h)
+    fx, fy = disk_gradient(f, h, padded=True)
     Fx = sg * (g11 * fx + g12 * fy)
     Fy = sg * (g12 * fx + g22 * fy)
     div = np.zeros_like(uf)

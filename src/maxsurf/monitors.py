@@ -22,15 +22,19 @@ material points with coordinate velocity H v_hat Du).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .disk import disk_grid
-from .flow import Trajectory, _COL
-from .geometry import FlowState, d1, geometry, laplace_beltrami
-from .profiles import PlanarBoundary, RotationalProfile, profile_curvature
+from .flow import Trajectory
+from .geometry import (
+    FlowState, d1, disk_gradient, geometry, laplace_beltrami, planar_V, rotational_V_factors,
+)
+from .profiles import (
+    PlanarBoundary, RotationalProfile, normal_curvature, profile_curvature, rim_curvature,
+)
 
 AXIS_EXCLUSION_CELLS = 3
 EDGE_FRACTION = 0.05   # interior = compactly inside: drop a 5% margin per side
@@ -65,8 +69,6 @@ def _planar_V_derivs(profile: PlanarBoundary, x: np.ndarray, delta: float = 1e-6
         d2s = np.asarray(profile.d2s(ax), dtype=float)
         W3 = (ds * ds - 1.0) ** 1.5
         return np.stack([-ds * d2s / W3, -sgn * d2s / W3], axis=-1)
-
-    from .geometry import planar_V
 
     Vx, Vt = planar_V(profile, x)
     V = np.stack([Vx, Vt], axis=-1)
@@ -114,8 +116,7 @@ def _material_rate(f_minus, f_mid, f_plus, t_minus, t_mid, t_plus):
     )
 
 
-def evolution_residuals(traj: Trajectory, profile, chart=None,
-                        skip_fraction: float = 0.5) -> dict:
+def evolution_residuals(traj: Trajectory, profile, skip_fraction: float = 0.5) -> dict:
     """Max interior residual of the H and v evolution identities.
 
     Requires stride-1 snapshots (consecutive steps); the first and last
@@ -139,14 +140,6 @@ def evolution_residuals(traj: Trajectory, profile, chart=None,
     return {"res_H": res_H, "res_v": res_v, "triples": len(triples)}
 
 
-def _node_positions(state: FlowState) -> np.ndarray:
-    if state.grid.kind == "curve1d":
-        return state.coords()
-    if state.grid.kind == "radial2d":
-        return state.coords()
-    raise ValueError
-
-
 def _triple_residuals(sm: FlowState, s0: FlowState, sp: FlowState, profile):
     kind = s0.grid.kind
     gm = geometry(sm, profile)
@@ -159,14 +152,8 @@ def _triple_residuals(sm: FlowState, s0: FlowState, sp: FlowState, profile):
         dvdt = _material_rate(gm.v, g0.v, gp.v, sm.t, s0.t, sp.t)
         Hf = grid.fill_ghosts(g0.H)
         vf = grid.fill_ghosts(g0.v)
-        Hx = np.zeros_like(Hf)
-        Hy = np.zeros_like(Hf)
-        Hx[1:-1, 1:-1] = (Hf[2:, 1:-1] - Hf[:-2, 1:-1]) / (2 * h)
-        Hy[1:-1, 1:-1] = (Hf[1:-1, 2:] - Hf[1:-1, :-2]) / (2 * h)
-        vx = np.zeros_like(vf)
-        vy = np.zeros_like(vf)
-        vx[1:-1, 1:-1] = (vf[2:, 1:-1] - vf[:-2, 1:-1]) / (2 * h)
-        vy[1:-1, 1:-1] = (vf[1:-1, 2:] - vf[1:-1, :-2]) / (2 * h)
+        Hx, Hy = disk_gradient(Hf, h, padded=True)
+        vx, vy = disk_gradient(vf, h, padded=True)
         ux, uy = g0.du[..., 0], g0.du[..., 1]
         drift_x = g0.H * g0.v_hat * ux
         drift_y = g0.H * g0.v_hat * uy
@@ -184,9 +171,8 @@ def _triple_residuals(sm: FlowState, s0: FlowState, sp: FlowState, profile):
             res_v = math.nan
         return res_H, res_v
     # one-dimensional kinds share the material-rate scaffolding
-    xm, x0, xp = _node_positions(sm), _node_positions(s0), _node_positions(sp)
     h = s0.spacing()
-    node_vel = (xp - xm) / (sp.t - sm.t)
+    node_vel = (sp.coords() - sm.coords()) / (sp.t - sm.t)
     dHdt = _material_rate(gm.H, g0.H, gp.H, sm.t, s0.t, sp.t)
     dvdt = _material_rate(gm.v, g0.v, gp.v, sm.t, s0.t, sp.t)
     ux = g0.du
@@ -244,8 +230,7 @@ def _v_rhs_radial(s0: FlowState, g0, profile: RotationalProfile):
     m = 1.0 - ux * ux
     kappa1, kappa2 = g0.kappa
     c, dz_mu, d2z_mu, d2z_V = _rotational_V_data(profile, u)
-    df = np.asarray(profile.df(u), dtype=float)
-    invw = 1.0 / np.sqrt(1.0 - df * df)
+    df, invw = rotational_V_factors(profile, u)
     # frame components (radial, e3)
     mu_r, mu_3 = invw, df * invw
     V_r, V_3 = df * invw, invw
@@ -398,7 +383,7 @@ def stability_certificate(state: FlowState, profile, center, radius: Optional[fl
         ur = float(g.du[-1])
         w = math.sqrt(1.0 - ur * ur)
         vb = float(g.v[-1])
-        a_nn = np.array([vb * vb * bc.A_VV + (vb * vb - 1.0) * bc.A_WW[0]])
+        a_nn = np.array([normal_curvature(vb, bc.A_VV, bc.A_WW[0])])
         rho_b = float(state.boundary)
         pairing = np.array([(rho_b - (zb - center[2]) * ur) / w])
         sq_bdry = np.array([rho_b**2 - (zb - center[2]) ** 2])
@@ -408,13 +393,8 @@ def stability_certificate(state: FlowState, profile, center, radius: Optional[fl
         u_rim = grid.rim_values(uf)
         du_rim = grid.radial_derivative_at_rim(uf)
         v_rim = grid.rim_values(grid.fill_ghosts(np.where(grid.inside, g.v, 1.0)))
-        fz = np.asarray(profile.f(u_rim), dtype=float)
-        dfz = np.asarray(profile.df(u_rim), dtype=float)
-        d2fz = np.asarray(profile.d2f(u_rim), dtype=float)
-        wb = np.sqrt(1.0 - dfz**2)
-        a_vv = -d2fz / wb**3
-        a_ww = 1.0 / (fz * wb)
-        a_nn = v_rim**2 * a_vv + (v_rim**2 - 1.0) * a_ww
+        _, a_vv, a_ww = rim_curvature(profile, u_rim)
+        a_nn = normal_curvature(v_rim, a_vv, a_ww)
         ca, sa = np.cos(grid.ring_angles), np.sin(grid.ring_angles)
         R0 = grid.radius
         wsl = np.sqrt(np.maximum(1.0 - du_rim**2, 1e-14))

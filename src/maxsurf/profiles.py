@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -36,6 +36,8 @@ __all__ = [
     "CmcLeaf",
     "ProfileError",
     "profile_curvature",
+    "rim_curvature",
+    "normal_curvature",
     "planar_boundary_data",
     "check_condition_curvature",
     "cmc_leaf_through",
@@ -152,6 +154,20 @@ def profile_curvature(p: RotationalProfile, z: float) -> BoundaryCurvature:
     a_vv = -d2fz / w**3
     a_ww = 1.0 / (fz * w)
     return BoundaryCurvature(mu=mu, V=V, W=[W], A_VV=a_vv, A_WW=[a_ww])
+
+
+def rim_curvature(p: RotationalProfile, z):
+    """(1/sqrt(1-f'^2), A(V,V), A(W,W)) of the tube at heights z, vectorized."""
+    fz = np.asarray(p.f(z), dtype=float)
+    dfz = np.asarray(p.df(z), dtype=float)
+    d2fz = np.asarray(p.d2f(z), dtype=float)
+    w = np.sqrt(1.0 - dfz**2)
+    return 1.0 / w, -d2fz / w**3, 1.0 / (fz * w)
+
+
+def normal_curvature(v, a_vv, a_ww):
+    """A^Sig(nu,nu) = v^2 A(V,V) + (v^2 - 1) A(W,W) for a normal nu with v = -<nu, V>."""
+    return v * v * a_vv + (v * v - 1.0) * a_ww
 
 
 def planar_boundary_data(b: PlanarBoundary, x: float) -> BoundaryCurvature:

@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .config import ConfigError, ScenarioConfig, parse_config, serialize
+from .config import ConfigError, ScenarioConfig, parse_config
 from .disk import disk_grid
 from .flow import RECORD_COLUMNS, FlowEvent, StepControl, Trajectory, run
 from .geometry import geometry
@@ -31,7 +31,6 @@ from .monitors import (
     boundary_identities,
     estimate_monitors,
     evolution_residuals,
-    refinement_orders,
     stability_certificate,
     volume_identity,
 )

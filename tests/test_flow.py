@@ -18,6 +18,7 @@ from maxsurf.flow import (
     step,
 )
 from maxsurf.geometry import FlowState, GridSpec
+from maxsurf.monitors import _consecutive_triples
 from maxsurf.profiles import cylinder, pseudosphere, sine_tube, trumpet
 
 
@@ -85,7 +86,7 @@ def test_guard_trip_definition():
 def test_run_translator_window():
     st = translator_state(-1.0, 101)
     ctrl = StepControl(cfl=0.4, t_end=-0.8)
-    traj = run(st, ctrl, trumpet(), stride=50, use_fast_kernel=False)
+    traj = _run_python(st, ctrl, trumpet(), stride=50)
     assert traj.event is FlowEvent.TIME_EXHAUSTED
     assert traj.times[-1] == pytest.approx(-0.8, abs=1e-12)
     # space-time error against the exact translator
@@ -104,7 +105,7 @@ def test_convergence_order_translator():
     for n in (51, 101):
         st = translator_state(-1.0, n)
         ctrl = StepControl(cfl=0.4, t_end=-0.9)
-        traj = run(st, ctrl, trumpet(), stride=25, use_fast_kernel=False)
+        traj = _run_python(st, ctrl, trumpet(), stride=25)
         err = 0.0
         for s in traj.states:
             x = s.coords()
@@ -133,9 +134,34 @@ def test_run_guard_trip_on_steep_data():
     st = FlowState(grid, math.log(math.tanh(0.5)), np.log(np.cosh(x)) + math.log(math.tanh(0.5)), (-0.5, 0.5))
     # translator started close to t = 0 blows up; give it room to evolve
     ctrl = StepControl(cfl=0.4, t_end=0.5, max_steps=2_000_000)
-    traj = run(st, ctrl, line, stride=1000, use_fast_kernel=False)
+    traj = _run_python(st, ctrl, line, stride=1000)
     assert traj.event is FlowEvent.GUARD_TRIPPED
     assert traj.event_time < 0.0
+
+
+@pytest.mark.parametrize("kind", ["curve1d", "radial2d", "disk2d"])
+def test_rk2_integrator(kind):
+    # the two-stage scheme on the exact translator and on two maximal states
+    if kind == "curve1d":
+        st = translator_state(-1.0, 101)
+        ctrl = StepControl(cfl=0.4, t_end=-0.8, integrator="rk2")
+        traj = run(st, ctrl, trumpet(), stride=50)
+        assert traj.event is FlowEvent.TIME_EXHAUSTED
+        errs = [np.abs(s.u - (np.log(np.cosh(s.coords())) + s.t)).max() for s in traj.states]
+        assert max(errs) < 2e-4
+        assert abs(traj.states[-1].boundary[1] - grim_reaper_boundary(-0.8)) < 2e-4
+        return
+    if kind == "radial2d":
+        p, z0 = sine_tube(2.0, 0.5, 1.0), math.pi / 2
+        st = FlowState(GridSpec("radial2d", 101), 0.0, np.full(101, z0), float(p.f(z0)))
+    else:
+        p, z0 = cylinder(1.0), 0.0
+        st = disk_state(lambda x, y: 0.0 * x, 48)
+    traj = run(st, StepControl(max_steps=50, integrator="rk2"), p, stride=10)
+    assert traj.event is FlowEvent.STEP_LIMIT
+    for s in traj.states:
+        assert np.abs(s.u - z0).max() <= 1e-12
+        assert s.boundary == pytest.approx(st.boundary, abs=1e-12)
 
 
 def test_comparison_identical_states():
@@ -192,6 +218,32 @@ def test_comparison_below_stationary_plane():
     out = comparison_pair_run(st_a, st_b, ctrl, p,
                               motion_law_b=lambda s: (np.zeros_like(s.u), 0.0))
     assert np.all(out["min_gap"] >= -1e-10)
+
+
+def test_comparison_pair_reports_a_guard_trip():
+    # the translator pair blows up before t = 0; the trip ends the run as an
+    # event, as it does for run()
+    grid = GridSpec("curve1d", 101)
+    t0 = math.log(math.tanh(0.5))
+    x = grid.reference() * 0.5
+    st = FlowState(grid, t0, np.log(np.cosh(x)) + t0, (-0.5, 0.5))
+    ctrl = StepControl(cfl=0.4, t_end=0.5, max_steps=2_000_000)
+    out = comparison_pair_run(st, st.copy(), ctrl, trumpet())
+    assert out["traj_a"].event is FlowEvent.GUARD_TRIPPED
+    assert out["traj_a"].event_time < 0.0
+    assert np.abs(out["min_gap"]).max() == 0.0
+
+
+def test_converged_run_labels_its_final_snapshot():
+    # the converging step counts: the last snapshot is the state after it
+    st = disk_state(lambda x, y: 0.01 * (1 - (x * x + y * y)) ** 2, 33)
+    ctrl = StepControl(cfl=0.4, t_end=1.0, h_stop=1e-3)
+    traj = _run_python(st, ctrl, cylinder(1.0), stride=1)
+    assert traj.event is FlowEvent.CONVERGED
+    steps = traj.state_steps
+    assert all(b > a for a, b in zip(steps[:-1], steps[1:]))
+    assert steps[-1] == traj.records.shape[0] - 1
+    assert len(list(_consecutive_triples(traj))) == len(traj.states) - 2
 
 
 def test_order_preservation_random_pairs():
@@ -271,6 +323,8 @@ def test_fast_kernel_matches_reference_exits():
         assert fast.event is ref.event
         assert fast.event_time == pytest.approx(ref.event_time, abs=1e-12)
         assert fast.state_steps == ref.state_steps
+        assert all(b > a for a, b in zip(ref.state_steps[:-1], ref.state_steps[1:]))
+        assert ref.state_steps[-1] == ref.records.shape[0] - 1
         assert [s.t for s in fast.states] == pytest.approx([s.t for s in ref.states], abs=1e-12)
         assert np.abs(ref.records[:, :11] - fast.records[:, :11]).max() < 1e-9
 

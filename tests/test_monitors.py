@@ -5,7 +5,7 @@ import pytest
 
 from maxsurf.analytic import grim_reaper_boundary
 from maxsurf.disk import disk_grid
-from maxsurf.flow import StepControl, run
+from maxsurf.flow import StepControl, _run_python, run
 from maxsurf.geometry import FlowState, GridSpec
 from maxsurf.monitors import (
     boundary_identities,
@@ -23,8 +23,7 @@ def translator_traj(n, t_end=-0.98, stride=1):
     grid = GridSpec("curve1d", n)
     x = grid.reference() * xb
     st = FlowState(grid, -1.0, np.log(np.cosh(x)) - 1.0, (-xb, xb))
-    return run(st, StepControl(cfl=0.4, t_end=t_end), trumpet(), stride=stride,
-               use_fast_kernel=False)
+    return _run_python(st, StepControl(cfl=0.4, t_end=t_end), trumpet(), stride=stride)
 
 
 def disk_traj(n, t_end=0.06, amp=0.1, stride=1, h_stop=0.0, max_steps=5_000_000):
