@@ -1,9 +1,11 @@
-"""Compiled Euler stepping loops for the built-in 1d scenarios.
+"""Compiled Euler stepping loop for the built-in 1d scenarios.
 
 ``_step.c`` translates the numpy reference engine in flow.py operation for
 operation (same stencils, projection, per-step records, snapshots and exits)
-for the curve1d and radial2d kinds on the built-in profiles; tests compare
-the two engines.  On first use the source is compiled with the system C
+for the curve1d and radial2d kinds on the built-in profiles, with one
+stepping loop over a per-kind table, as flow.py has; its one entry point
+``maxsurf_run`` takes the kind as its first argument.  Tests compare the two
+engines.  On first use the source is compiled with the system C
 compiler (``$CC``, else ``cc``) and loaded through ctypes.  The shared object
 is cached beside this module in ``__pycache__``, or in a per-user temporary
 directory when that is not writable, under a hash of the source, the
@@ -35,6 +37,7 @@ COMPILE_TIMEOUT_S = 120
 # built-in profiles: (code in _step.c, number of params); rotational
 # cylinder(R), pseudosphere(A, B), sine_tube(a, b, w); planar trumpet
 PROFILES = {"cylinder": (0, 1), "pseudosphere": (1, 2), "sine_tube": (2, 3), "trumpet": (10, 0)}
+KINDS = {"curve1d": 0, "radial2d": 1}      # the kind argument of maxsurf_run
 
 NREC = 17
 (_STATUS_CHUNK, _STATUS_GUARD, _STATUS_CONV, _STATUS_TEND, _STATUS_DT_UNDERFLOW,
@@ -102,8 +105,8 @@ def _load_library(path: str):
     lib = ctypes.CDLL(path)
     f64 = np.ctypeslib.ndpointer(dtype=np.float64, flags="C_CONTIGUOUS")
     i64 = np.ctypeslib.ndpointer(dtype=np.int64, flags="C_CONTIGUOUS")
-    argtypes = [
-        ctypes.c_int64, f64, f64, f64,                     # n, u, bnd, t
+    lib.maxsurf_run.argtypes = [
+        ctypes.c_int, ctypes.c_int64, f64, f64, f64,       # kind, n, u, bnd, t
         f64, ctypes.c_int, f64,                            # s_ref, code, prm
         ctypes.c_double, ctypes.c_double, ctypes.c_double, ctypes.c_double,
         ctypes.c_int,                                      # cfl .. t_end, has_t_end
@@ -111,9 +114,7 @@ def _load_library(path: str):
         f64, i64, f64, f64, f64, i64, i64,                 # rec .. nsnap
         f64, f64,                                          # fail, work
     ]
-    for fn in (lib.maxsurf_run_curve1d, lib.maxsurf_run_radial2d):
-        fn.argtypes = argtypes
-        fn.restype = ctypes.c_int
+    lib.maxsurf_run.restype = ctypes.c_int
     return lib
 
 
@@ -155,13 +156,10 @@ def run_fast(state0, ctrl, profile, stride):
         raise ValueError(f"a {grid.kind} state with the {profile.kind} profile "
                          "does not fit the step loop")
     if curve:
-        loop, rim = lib.maxsurf_run_curve1d, "x"
-        prm = np.array([profile.domain[0]], dtype=float)   # planar_V's clamp
-        bnd = np.array(state0.boundary, dtype=float)
+        rim, prm, bnd = "x", [profile.domain[0]], state0.boundary    # planar_V's clamp
     else:
-        loop, rim = lib.maxsurf_run_radial2d, "rho"
-        prm = np.array(profile.params, dtype=float)
-        bnd = np.array([state0.boundary, state0.boundary], dtype=float)
+        rim, prm, bnd = "rho", profile.params, (state0.boundary, state0.boundary)
+    prm, bnd = np.array(prm, dtype=float), np.array(bnd, dtype=float)
 
     def boundary(lo, hi):
         return (float(lo), float(hi)) if curve else float(hi)
@@ -172,7 +170,7 @@ def run_fast(state0, ctrl, profile, stride):
     k = np.zeros(1, dtype=np.int64)
     nrec, nsnap = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
     fail = np.zeros(2)
-    work = np.empty(6 * n)
+    work = np.empty(8 * n)
     has_t_end = ctrl.t_end is not None
     records, states, state_steps = [], [], []
     while True:
@@ -186,11 +184,11 @@ def run_fast(state0, ctrl, profile, stride):
         snap_t = np.empty(max_snaps)
         snap_b = np.empty((max_snaps, 2))
         snap_k = np.empty(max_snaps, dtype=np.int64)
-        status = loop(n, u, bnd, t, s_ref, code, prm,
-                      ctrl.cfl, ctrl.eps_guard, ctrl.h_stop,
-                      ctrl.t_end if has_t_end else 0.0, int(has_t_end),
-                      chunk, stride, k, rec, nrec, snaps, snap_t, snap_b, snap_k, nsnap,
-                      fail, work)
+        status = lib.maxsurf_run(KINDS[grid.kind], n, u, bnd, t, s_ref, code, prm,
+                                 ctrl.cfl, ctrl.eps_guard, ctrl.h_stop,
+                                 ctrl.t_end if has_t_end else 0.0, int(has_t_end),
+                                 chunk, stride, k, rec, nrec, snaps, snap_t, snap_b, snap_k,
+                                 nsnap, fail, work)
         # trim the buffers in place (a realloc, no copy; nothing else refers
         # to them yet) and hand out row views, so each snapshot is held once
         rec.resize((int(nrec[0]), NREC), refcheck=False)

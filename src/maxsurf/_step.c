@@ -1,5 +1,5 @@
 /*
- * Explicit Euler stepping loops for the curve1d and radial2d grid kinds on
+ * Explicit Euler stepping loop for the curve1d and radial2d grid kinds on
  * the built-in profiles (trumpet; cylinder, pseudosphere, sine_tube).
  *
  * This is a translation of the numpy reference engine in flow.py, operation
@@ -11,10 +11,15 @@
  * few ulps.  Where the reference takes a pairwise numpy sum (volume,
  * int H^2 dV) this file sums in node order.
  *
- * _kernels.py compiles the file with the system C compiler and calls
- * maxsurf_run_curve1d / maxsurf_run_radial2d through ctypes, one chunk of
- * steps per call.  Both share one signature:
+ * As in flow.py, each kind supplies only what differs (see KINDS): its
+ * evaluation (with the per-node factors of v and dV, and the rate with the
+ * moving grid's advection term), its rim block(s) and its projection back
+ * onto the boundary.  One loop, maxsurf_run, does the rest.
  *
+ * _kernels.py compiles the file with the system C compiler and calls
+ * maxsurf_run through ctypes, one chunk of steps per call, with
+ *
+ *   kind                            K_CURVE1D or K_RADIAL2D
  *   n, u[n], bnd[2], t              state, updated in place; bnd holds
  *                                   (x_left, x_right) or (rho_b, rho_b)
  *   s_ref[n]                        the grid's reference coordinate
@@ -28,21 +33,21 @@
  *                                   guard-tripped state
  *   fail[2]                         on ST_DT_UNDERFLOW (dt, t); on
  *                                   ST_NEWTON (rim start point, residual)
- *   work[6*n]                       scratch
+ *   work[8*n]                       scratch
  *
- * and return one of the ST_* codes.
+ * and returns one of the ST_* codes.
  */
 #include <math.h>
 #include <stdint.h>
+#include <string.h>
 
 #define NREC 17
-enum {
-    C_T, C_SUP_V, C_SUP_VHAT, C_SUP_H, C_VOL, C_IH2, C_OSC, C_UMIN, C_UMAX,
-    C_BLO, C_BHI, C_RES_HMU, C_RES_VMU, C_GRAD_V, C_H2_INEQ, C_ASIG, C_GAP
-};
 
 /* chunk exit status; mirrored in _kernels.py */
 enum { ST_CHUNK, ST_GUARD, ST_CONV, ST_TEND, ST_DT_UNDERFLOW, ST_NEWTON };
+
+/* grid kinds; mirrored in _kernels.KINDS */
+enum { K_CURVE1D = 0, K_RADIAL2D = 1 };
 
 /* rotational profile codes; mirrored in _kernels.PROFILES */
 enum { P_CYLINDER = 0, P_PSEUDOSPHERE = 1, P_SINE_TUBE = 2 };
@@ -95,98 +100,73 @@ static double planar_s(double x) { return log(sinh(x)); }
 static double planar_ds(double x) { return 1.0 / tanh(x); }
 static double planar_d2s(double x) { return -1.0 / pow(sinh(x), TWO); }
 
-/* -- incidence projections (flow._newton and its two residuals) ------------ */
+/* -- the incidence Newton (flow._newton and its two residuals) --------------- */
 
-/* Slide the rim point along the surface tangent onto y = s(|x|); returns 0 and
- * the projected point, or 1 and the residual in *res. */
-static int newton_planar(double xb, double ub, double slope, double *xi_out, double *res)
+/* one rim's incidence equation: start point x0, rim height ub, surface slope */
+typedef struct {
+    int code;
+    const double *prm;
+    double x0, ub, slope;
+} Incidence;
+
+/* the residual phi(x), and phi'(x) in *dphi unless dphi is NULL */
+typedef double (*Residual)(const Incidence *c, double x, double *dphi);
+
+/* slide the rim point along the surface tangent onto y = s(|x|), on the
+ * branch of the start point */
+static double planar_residual(const Incidence *c, double x, double *dphi)
 {
-    double sgn = xb > 0 ? 1.0 : -1.0;
-    double xi = xb;
+    double ax = fabs(x);
+    if (dphi)
+        *dphi = c->slope - (c->x0 > 0 ? 1.0 : -1.0) * planar_ds(ax);
+    return c->ub + c->slope * (x - c->x0) - planar_s(ax);
+}
+
+/* r = f(u_b + slope (r - rho_b)) for the rim radius */
+static double rotational_residual(const Incidence *c, double r, double *dphi)
+{
+    double z = c->ub + c->slope * (r - c->x0);
+    if (dphi)
+        *dphi = 1.0 - rot_df(c->code, c->prm, z) * c->slope;
+    return r - rot_f(c->code, c->prm, z);
+}
+
+/* Root of phi near the predicted rim point c->x0: returns 0 and the root in
+ * *x, or 1 with (start point, residual) in fail[]. */
+static int newton(Residual phi, const Incidence *c, double *x, double *fail)
+{
+    double xi = c->x0;
     for (int it = 0; it < 12; ++it) {
-        double ax = fabs(xi);
-        double phi = ub + slope * (xi - xb) - planar_s(ax);
-        double dphi = slope - sgn * planar_ds(ax);
-        double xi_new = xi - phi / dphi;
-        if (fabs(xi_new - xi) < 1e-14 * max1(fabs(xi))) {
-            xi = xi_new;
-            break;
-        }
+        double dphi, p = phi(c, xi, &dphi);
+        double xi_new = xi - p / dphi;
+        int done = fabs(xi_new - xi) < 1e-14 * max1(fabs(xi));
         xi = xi_new;
-    }
-    *res = ub + slope * (xi - xb) - planar_s(fabs(xi));
-    *xi_out = xi;
-    return !(fabs(*res) < 1e-9);
-}
-
-/* Solve r = f(u_b + slope (r - rb)) for the rim radius. */
-static int newton_rotational(int code, const double *p, double rb, double ub, double slope,
-                             double *ri_out, double *res)
-{
-    double ri = rb;
-    for (int it = 0; it < 12; ++it) {
-        double z = ub + slope * (ri - rb);
-        double phi = ri - rot_f(code, p, z);
-        double dphi = 1.0 - rot_df(code, p, z) * slope;
-        double ri_new = ri - phi / dphi;
-        if (fabs(ri_new - ri) < 1e-14 * max1(fabs(ri))) {
-            ri = ri_new;
+        if (done)
             break;
-        }
-        ri = ri_new;
     }
-    *res = ri - rot_f(code, p, ub + slope * (ri - rb));
-    *ri_out = ri;
-    return !(fabs(*res) < 1e-9);
+    double res = phi(c, xi, NULL);
+    *x = xi;
+    if (fabs(res) < 1e-9)
+        return 0;
+    fail[0] = c->x0;
+    fail[1] = res;
+    return 1;
 }
 
-/* -- per-step record (flow._*_record, _boundary_block, _pack_record) -------- */
+/* -- per-step record (flow._pack_record) and snapshots ------------------------ */
 
 typedef struct {
     double res_h, res_v, grad_v, h2_ineq, a_nn;
 } Block;
 
-/* Boundary identity data at one rim from the three nodes inside it
- * (f1, f2, f3 = H at 1, 2, 3 nodes in), the rim-side v values (vb, v1, v2),
- * the outward one-sided sign `out` and the boundary curvatures. */
-static Block boundary_block(double f1, double f2, double f3, double vb, double v1, double v2,
-                            double out, double h, double inv_w, double a_vv, double a_ww)
-{
-    Block b;
-    double H_b = 3.0 * f1 - 3.0 * f2 + f3;
-    double dH = (2.5 * f1 - 4.0 * f2 + 1.5 * f3) / h;
-    double dH2 = (2.5 * (f1 * f1) - 4.0 * (f2 * f2) + 1.5 * (f3 * f3)) / h;
-    double dv = out * ((3.0 * vb - 4.0 * v1 + v2) / (2.0 * h));
-    double dv2pt = (vb - v1) / h;
-    b.a_nn = vb * vb * a_vv + (vb * vb - 1.0) * a_ww;
-    b.res_h = fabs(dH * inv_w + H_b * b.a_nn);
-    b.res_v = fabs(dv * inv_w + vb * (b.a_nn - a_vv));
-    b.h2_ineq = dH2 * inv_w + H_b * H_b * a_vv;
-    b.grad_v = dv2pt * inv_w;
-    return b;
-}
-
+/* one record row, in the order of flow.RECORD_COLUMNS */
 static void store_record(double *r, double t, double sup_v, double sup_vh, double sup_H,
                          double vol, double ih2, double umin, double umax,
                          double blo, double bhi, Block b)
 {
-    r[C_T] = t;
-    r[C_SUP_V] = sup_v;
-    r[C_SUP_VHAT] = sup_vh;
-    r[C_SUP_H] = sup_H;
-    r[C_VOL] = vol;
-    r[C_IH2] = ih2;
-    r[C_OSC] = umax - umin;
-    r[C_UMIN] = umin;
-    r[C_UMAX] = umax;
-    r[C_BLO] = blo;
-    r[C_BHI] = bhi;
-    r[C_RES_HMU] = b.res_h;
-    r[C_RES_VMU] = b.res_v;
-    r[C_GRAD_V] = b.grad_v;
-    r[C_H2_INEQ] = b.h2_ineq;
-    r[C_ASIG] = b.a_nn;
-    r[C_GAP] = NAN;
+    const double row[NREC] = {t, sup_v, sup_vh, sup_H, vol, ih2, umax - umin, umin, umax,
+                              blo, bhi, b.res_h, b.res_v, b.grad_v, b.h2_ineq, b.a_nn, NAN};
+    memcpy(r, row, sizeof row);
 }
 
 static Block merge_blocks(Block a, Block b)
@@ -205,8 +185,7 @@ static void take_snapshot(int64_t n, const double *u, double t, double blo, doub
                           int64_t *snap_k, int64_t *nsnap)
 {
     int64_t j = *nsnap;
-    for (int64_t i = 0; i < n; ++i)
-        snaps[j * n + i] = u[i];
+    memcpy(snaps + j * n, u, n * sizeof *u);
     snap_t[j] = t;
     snap_b[2 * j] = blo;
     snap_b[2 * j + 1] = bhi;
@@ -214,240 +193,285 @@ static void take_snapshot(int64_t n, const double *u, double t, double blo, doub
     *nsnap = j + 1;
 }
 
-/* flow._clip_dt: returns 0, or 1 when the step underflows */
-static int clip_dt(double *dt, double t, double t_end, int has_t_end)
+/* -- what the kinds share: the state, its evaluation and the work arrays ----- */
+
+typedef struct {
+    int64_t n;
+    double nm1;                      /* n - 1 */
+    const double *s_ref;
+    int code;
+    const double *prm;
+    double *u;
+    double *ux, *m, *rhs;            /* u_x, the margin 1 - u_x^2, du/dt without advection */
+    double *H, *v;                   /* record fields */
+    double *dvol;                    /* dV per unit w h: 1, or 2 pi rho */
+    double *udot, *unew;             /* du/dt with advection, the Euler update */
+    double b[2];                     /* (x_l, x_r), or (rho_b, rho_b) */
+    double bdot[2], bnew[2];         /* boundary velocity, the Euler update */
+    double h, m_min;
+    double r_end[2];                 /* rhs at the ends from the one-sided stencil */
+    double ds[2];                    /* s'(|x|) at both ends, or f'(u_b) at the rim */
+} Step;
+
+/* u_x, the margin and u_xx / margin on spacing h: central differences
+ * inside, the given slopes at the ends; sets h and the least margin */
+static void stencil(Step *S, double h, double slope_lo, double slope_hi)
 {
-    if (has_t_end && t + *dt > t_end)
-        *dt = t_end - t;
-    return *dt < 1e-16 * max1(fabs(t));
+    const int64_t n = S->n;
+    const double *u = S->u;
+    double h2 = h * h, two_h = 2.0 * h;
+    S->ux[0] = slope_lo;
+    S->ux[n - 1] = slope_hi;
+    S->m[0] = 1.0 - slope_lo * slope_lo;
+    S->m[n - 1] = 1.0 - slope_hi * slope_hi;
+    double m_min = S->m[0];
+    for (int64_t i = 1; i < n - 1; ++i) {
+        double d = (u[i + 1] - u[i - 1]) / two_h;
+        double dd = (u[i + 1] - 2.0 * u[i] + u[i - 1]) / h2;
+        double mi = 1.0 - d * d;
+        S->ux[i] = d;
+        S->m[i] = mi;
+        S->rhs[i] = dd / mi;
+        TAKE_MIN(m_min, mi);
+    }
+    TAKE_MIN(m_min, S->m[n - 1]);
+    S->h = h;
+    S->m_min = m_min;
 }
 
-static int reached_t_end(double t, double t_end, int has_t_end)
+/* u_xx at the end e (inward step d = +-1) with the slope imposed there: the
+ * ghost (mirror-slope) form for the update keeps the interior stencil's
+ * stability bound; the second-order one-sided form gives the boundary
+ * speeds and the recorded H */
+static double ghost_uxx(const double *u, int64_t e, int64_t d, double h, double slope)
 {
-    return has_t_end && t >= t_end - 1e-14 * max1(fabs(t_end));
+    return (2.0 * u[e + d] - 2.0 * u[e] - d * (2.0 * h) * slope) / (h * h);
+}
+
+static double one_sided_uxx(const double *u, int64_t e, int64_t d, double h, double slope)
+{
+    return (-3.5 * u[e] + 4.0 * u[e + d] - 0.5 * u[e + 2 * d] - d * 3.0 * h * slope) / (h * h);
+}
+
+/* Boundary identity data at the low (hi = 0) or high end of the grid, from
+ * the three nodes inside it (f1, f2, f3 = H at 1, 2, 3 nodes in), the
+ * end-side v values (vb, v1, v2), the outward one-sided sign `out` and the
+ * boundary curvatures (flow._end_block and _boundary_block). */
+static Block boundary_block(const Step *S, int hi, double a_vv, double a_ww)
+{
+    int64_t e = hi ? S->n - 1 : 0, d = hi ? -1 : 1;     /* the end, inward */
+    double f1 = S->H[e + d], f2 = S->H[e + 2 * d], f3 = S->H[e + 3 * d];
+    double vb = S->v[e], v1 = S->v[e + d], v2 = S->v[e + 2 * d];
+    double out = hi ? 1.0 : -1.0, h = S->h, inv_w = 1.0 / sqrt(S->m[e]);
+    Block b;
+    double H_b = 3.0 * f1 - 3.0 * f2 + f3;
+    double dH = (2.5 * f1 - 4.0 * f2 + 1.5 * f3) / h;
+    double dH2 = (2.5 * (f1 * f1) - 4.0 * (f2 * f2) + 1.5 * (f3 * f3)) / h;
+    double dv = out * ((3.0 * vb - 4.0 * v1 + v2) / (2.0 * h));
+    double dv2pt = (vb - v1) / h;
+    b.a_nn = vb * vb * a_vv + (vb * vb - 1.0) * a_ww;
+    b.res_h = fabs(dH * inv_w + H_b * b.a_nn);
+    b.res_v = fabs(dv * inv_w + vb * (b.a_nn - a_vv));
+    b.h2_ineq = dH2 * inv_w + H_b * H_b * a_vv;
+    b.grad_v = dv2pt * inv_w;
+    return b;
 }
 
 /* -- curve1d: u_t = u_xx / (1 - u_x^2) on [x_l(t), x_r(t)] -------------------- */
 
-int maxsurf_run_curve1d(int64_t n, double *u, double *bnd, double *t_io,
-                        const double *s_ref, int code, const double *prm,
-                        double cfl, double eps_guard, double h_stop, double t_end,
-                        int has_t_end, int64_t max_steps, int64_t stride, int64_t *k_io,
-                        double *rec, int64_t *nrec, double *snaps, double *snap_t,
-                        double *snap_b, int64_t *snap_k, int64_t *nsnap,
-                        double *fail, double *work)
+/* flow._curve1d_eval and _curve1d_rate, with v w and the dV weight of the record */
+static void curve1d_evaluate(Step *S)
 {
-    (void)code;
-    double *ux = work, *rhs = work + n, *H = work + 2 * n, *v = work + 3 * n;
-    double *unew = work + 4 * n, *m = work + 5 * n;
-    const double x_min = prm[0];          /* planar_V clamps |x| to the domain */
-    const double nm1 = (double)(n - 1);
-    double t = *t_io, xl = bnd[0], xr = bnd[1];
-    int64_t k = *k_io;
-    int status = ST_CHUNK;
-    *nrec = 0;
-    *nsnap = 0;
-    for (int64_t it = 0; it < max_steps; ++it) {
-        /* _curve1d_eval */
-        double h = (xr - xl) / nm1;
-        double h2 = h * h, two_h = 2.0 * h;
-        double dsR = planar_ds(xr), dsL = planar_ds(fabs(xl));
-        double slope_r = 1.0 / dsR, slope_l = -1.0 / dsL;
-        double m_min;
-        ux[0] = slope_l;
-        ux[n - 1] = slope_r;
-        {
-            double uxx0 = (2.0 * u[1] - 2.0 * u[0] - two_h * slope_l) / h2;
-            double uxxn = (2.0 * u[n - 2] - 2.0 * u[n - 1] + two_h * slope_r) / h2;
-            m[0] = 1.0 - slope_l * slope_l;
-            m[n - 1] = 1.0 - slope_r * slope_r;
-            rhs[0] = uxx0 / m[0];
-            rhs[n - 1] = uxxn / m[n - 1];
-        }
-        m_min = m[0];
-        for (int64_t i = 1; i < n - 1; ++i) {
-            double d = (u[i + 1] - u[i - 1]) / two_h;
-            double dd = (u[i + 1] - 2.0 * u[i] + u[i - 1]) / h2;
-            double mi = 1.0 - d * d;
-            ux[i] = d;
-            m[i] = mi;
-            rhs[i] = dd / mi;
-            TAKE_MIN(m_min, mi);
-        }
-        TAKE_MIN(m_min, m[n - 1]);
-        double uxx_l2 = (-3.5 * u[0] + 4.0 * u[1] - 0.5 * u[2] - 3.0 * h * slope_l) / h2;
-        double uxx_r2 = (-3.5 * u[n - 1] + 4.0 * u[n - 2] - 0.5 * u[n - 3] + 3.0 * h * slope_r) / h2;
-        double rhs2_l = uxx_l2 / m[0], rhs2_r = uxx_r2 / m[n - 1];
-        int guard = m_min < eps_guard;
+    const int64_t n = S->n;
+    double xl = S->b[0], xr = S->b[1], h = (xr - xl) / S->nm1;
+    double dsR = planar_ds(xr), dsL = planar_ds(fabs(xl));
+    double slope_r = 1.0 / dsR, slope_l = -1.0 / dsL;
+    stencil(S, h, slope_l, slope_r);
+    S->rhs[0] = ghost_uxx(S->u, 0, 1, h, slope_l) / S->m[0];
+    S->rhs[n - 1] = ghost_uxx(S->u, n - 1, -1, h, slope_r) / S->m[n - 1];
+    S->r_end[0] = one_sided_uxx(S->u, 0, 1, h, slope_l) / S->m[0];
+    S->r_end[1] = one_sided_uxx(S->u, n - 1, -1, h, slope_r) / S->m[n - 1];
+    S->ds[0] = dsL;
+    S->ds[1] = dsR;
+    double xdot_r = S->r_end[1] * dsR / (dsR * dsR - 1.0);
+    double xdot_l = -S->r_end[0] * dsL / (dsL * dsL - 1.0);
+    double w_mid = 0.5 * (xdot_l + xdot_r), w_half = xdot_r - xdot_l;
+    S->bdot[0] = xdot_l;
+    S->bdot[1] = xdot_r;
 
-        /* _curve1d_record of the pre-step state (also the trip record) */
-        double sup_v = -INFINITY, sup_vh = -INFINITY, sup_H = -INFINITY;
-        double vol = 0.0, ih2 = 0.0, umin = INFINITY, umax = -INFINITY;
-        double xc = 0.5 * (xl + xr), span = xr - xl;
-        for (int64_t i = 0; i < n; ++i) {
-            double wi = sqrt(m[i]);
-            double vh = 1.0 / wi;
-            double Hi = vh * (i == 0 ? rhs2_l : i == n - 1 ? rhs2_r : rhs[i]);
-            double x = xc + s_ref[i] * 0.5 * span;
-            double Vx = 0.0, Vt = 1.0;
-            if (!(fabs(x) < 1e-12)) {
-                /* geometry.planar_V for the trumpet: (sgn, coth a) / sqrt(coth^2 a - 1)
-                 * is (sgn sinh a, cosh a) with a = max(|x|, domain start) */
-                double a = fabs(x) > x_min ? fabs(x) : x_min;
-                double e = exp(a), ie = 1.0 / e;
-                Vx = 0.5 * (e - ie);
-                Vt = 0.5 * (e + ie);
-                if (x < 0)
-                    Vx = -Vx;
-            }
-            double vi = (Vt - Vx * ux[i]) / wi;
-            double dV = wi * (i == 0 || i == n - 1 ? 0.5 * h : h);
-            H[i] = Hi;
-            v[i] = vi;
-            vol += dV;
-            ih2 += Hi * Hi * dV;
-            TAKE_MAX(sup_v, vi);
-            TAKE_MAX(sup_vh, vh);
-            TAKE_MAX(sup_H, fabs(Hi));
-            TAKE_MIN(umin, u[i]);
-            TAKE_MAX(umax, u[i]);
+    const double x_min = S->prm[0];          /* planar_V clamps |x| to the domain */
+    double xc = 0.5 * (xl + xr), span = xr - xl;
+    for (int64_t i = 0; i < n; ++i) {
+        double x = xc + S->s_ref[i] * 0.5 * span;
+        double Vx = 0.0, Vt = 1.0;
+        if (!(fabs(x) < 1e-12)) {
+            /* geometry.planar_V for the trumpet: (sgn, coth a) / sqrt(coth^2 a - 1)
+             * is (sgn sinh a, cosh a) with a = max(|x|, domain start) */
+            double a = fabs(x) > x_min ? fabs(x) : x_min;
+            double e = exp(a), ie = 1.0 / e;
+            Vx = 0.5 * (e - ie);
+            Vt = 0.5 * (e + ie);
+            if (x < 0)
+                Vx = -Vx;
         }
-        {
-            double wL = sqrt(dsL * dsL - 1.0), wR = sqrt(dsR * dsR - 1.0);
-            Block lo = boundary_block(H[1], H[2], H[3], v[0], v[1], v[2], -1.0, h,
-                                      1.0 / sqrt(m[0]), planar_d2s(fabs(xl)) / pow(wL, THREE), 0.0);
-            Block hi = boundary_block(H[n - 2], H[n - 3], H[n - 4], v[n - 1], v[n - 2], v[n - 3],
-                                      1.0, h, 1.0 / sqrt(m[n - 1]),
-                                      planar_d2s(fabs(xr)) / pow(wR, THREE), 0.0);
-            if (k % stride == 0 || guard)
-                take_snapshot(n, u, t, xl, xr, k, snaps, snap_t, snap_b, snap_k, nsnap);
-            store_record(rec + NREC * (*nrec), t, sup_v, sup_vh, sup_H, vol, ih2, umin, umax,
-                         xl, xr, merge_blocks(lo, hi));
-            *nrec += 1;
-        }
-        if (guard) {
-            status = ST_GUARD;
-            break;
-        }
-
-        /* flow._advance with _curve1d_rate and _curve1d_project, explicit Euler */
-        double xdot_r = rhs2_r * dsR / (dsR * dsR - 1.0);
-        double xdot_l = -rhs2_l * dsL / (dsL * dsL - 1.0);
-        double dt = cfl * h * h * m_min / 1.0;
-        if (clip_dt(&dt, t, t_end, has_t_end)) {
-            fail[0] = dt;
-            fail[1] = t;
-            status = ST_DT_UNDERFLOW;
-            break;
-        }
-        double w_mid = 0.5 * (xdot_l + xdot_r), w_half = xdot_r - xdot_l;
-        for (int64_t i = 0; i < n; ++i)
-            unew[i] = u[i] + dt * (rhs[i] + (w_mid + s_ref[i] * 0.5 * w_half) * ux[i]);
-        double xl_new = xl + dt * xdot_l, xr_new = xr + dt * xdot_r;
-        double slope_rn = 1.0 / planar_ds(xr_new);
-        double slope_ln = -1.0 / planar_ds(fabs(xl_new));
-        double xr_p, xl_p;
-        if (newton_planar(xr_new, unew[n - 1], slope_rn, &xr_p, &fail[1])) {
-            fail[0] = xr_new;
-            status = ST_NEWTON;
-            break;
-        }
-        if (newton_planar(xl_new, unew[0], slope_ln, &xl_p, &fail[1])) {
-            fail[0] = xl_new;
-            status = ST_NEWTON;
-            break;
-        }
-        double d_lo = xl_p - xl_new, d_hi = xr_p - xr_new;
-        double shift_mid = 0.5 * (d_lo + xr_p - xr_new), shift_half = d_hi - d_lo;
-        double span_new = xr_new - xl_new;
-        for (int64_t i = 1; i < n - 1; ++i) {
-            double uxn = (unew[i + 1] - unew[i - 1]) / span_new * nm1 / 2.0;
-            u[i] = unew[i] + (shift_mid + s_ref[i] * 0.5 * shift_half) * uxn;
-        }
-        u[0] = planar_s(fabs(xl_p));
-        u[n - 1] = planar_s(fabs(xr_p));
-        xl = xl_p;
-        xr = xr_p;
-        t = t + dt;
-        k += 1;
-        if (h_stop > 0.0 && sup_H < h_stop) {
-            status = ST_CONV;
-            break;
-        }
-        if (reached_t_end(t, t_end, has_t_end)) {
-            status = ST_TEND;
-            break;
-        }
+        S->v[i] = Vt - Vx * S->ux[i];
+        S->dvol[i] = 1.0;
+        S->udot[i] = S->rhs[i] + (w_mid + S->s_ref[i] * 0.5 * w_half) * S->ux[i];
     }
-    *t_io = t;
-    bnd[0] = xl;
-    bnd[1] = xr;
-    *k_io = k;
-    return status;
+}
+
+static Block curve1d_rim(const Step *S, double *lo)
+{
+    double dsL = S->ds[0], dsR = S->ds[1];
+    double wL = sqrt(dsL * dsL - 1.0), wR = sqrt(dsR * dsR - 1.0);
+    *lo = S->b[0];
+    return merge_blocks(boundary_block(S, 0, planar_d2s(fabs(S->b[0])) / pow(wL, THREE), 0.0),
+                        boundary_block(S, 1, planar_d2s(fabs(S->b[1])) / pow(wR, THREE), 0.0));
+}
+
+/* exact incidence at both ends, then transport the interior along */
+static int curve1d_project(Step *S, double *fail)
+{
+    const int64_t n = S->n;
+    const double *unew = S->unew;
+    double xl_new = S->bnew[0], xr_new = S->bnew[1];
+    Incidence r = {0, NULL, xr_new, unew[n - 1], 1.0 / planar_ds(xr_new)};
+    Incidence l = {0, NULL, xl_new, unew[0], -1.0 / planar_ds(fabs(xl_new))};
+    double xr_p, xl_p;
+    if (newton(planar_residual, &r, &xr_p, fail) || newton(planar_residual, &l, &xl_p, fail))
+        return 1;
+    double d_lo = xl_p - xl_new, d_hi = xr_p - xr_new;
+    double shift_mid = 0.5 * (d_lo + xr_p - xr_new), shift_half = d_hi - d_lo;
+    double span_new = xr_new - xl_new;
+    for (int64_t i = 1; i < n - 1; ++i) {
+        double uxn = (unew[i + 1] - unew[i - 1]) / span_new * S->nm1 / 2.0;
+        S->u[i] = unew[i] + (shift_mid + S->s_ref[i] * 0.5 * shift_half) * uxn;
+    }
+    S->u[0] = planar_s(fabs(xl_p));
+    S->u[n - 1] = planar_s(fabs(xr_p));
+    S->b[0] = xl_p;
+    S->b[1] = xr_p;
+    return 0;
 }
 
 /* -- radial2d: u_t = u_rr / (1 - u_r^2) + u_r / rho on [0, rho_b(t)] ----------- */
 
-int maxsurf_run_radial2d(int64_t n, double *u, double *bnd, double *t_io,
-                         const double *s_ref, int code, const double *prm,
-                         double cfl, double eps_guard, double h_stop, double t_end,
-                         int has_t_end, int64_t max_steps, int64_t stride, int64_t *k_io,
-                         double *rec, int64_t *nrec, double *snaps, double *snap_t,
-                         double *snap_b, int64_t *snap_k, int64_t *nsnap,
-                         double *fail, double *work)
+/* flow._radial2d_eval and _radial2d_rate, with v w and the dV weight of the record */
+static void radial2d_evaluate(Step *S)
 {
-    double *ux = work, *rhs = work + n, *H = work + 2 * n, *v = work + 3 * n;
-    double *unew = work + 4 * n, *m = work + 5 * n;
-    const double nm1 = (double)(n - 1);
-    const double twopi = 2.0 * M_PI;
-    double t = *t_io, rb = bnd[0];
+    const int64_t n = S->n;
+    const double *u = S->u, twopi = 2.0 * M_PI;
+    double rb = S->b[1], h = rb / S->nm1;
+    double dfb = rot_df(S->code, S->prm, u[n - 1]);
+    stencil(S, h, 0.0, dfb);
+    for (int64_t i = 1; i < n - 1; ++i)              /* the u_r / rho term */
+        S->rhs[i] += S->ux[i] / ((double)i * h);
+    S->rhs[0] = 2.0 * (u[1] - u[0]) / (h * h) * (1.0 / S->m[0] + 1.0);   /* even across the axis */
+    S->rhs[n - 1] = ghost_uxx(u, n - 1, -1, h, dfb) / S->m[n - 1] + dfb / rb;
+    S->r_end[0] = S->rhs[0];
+    S->r_end[1] = one_sided_uxx(u, n - 1, -1, h, dfb) / S->m[n - 1] + dfb / rb;
+    S->ds[0] = S->ds[1] = dfb;
+    double rdot = dfb * S->r_end[1] / (1.0 - dfb * dfb);
+    S->bdot[0] = S->bdot[1] = rdot;
+
+    for (int64_t i = 0; i < n; ++i) {
+        double dfz = rot_df(S->code, S->prm, u[i]);
+        double rho = i == n - 1 ? rb : (double)i * h;
+        S->v[i] = (1.0 - dfz * S->ux[i]) * (1.0 / sqrt(1.0 - dfz * dfz));
+        S->dvol[i] = twopi * rho;
+        S->udot[i] = S->rhs[i] + S->s_ref[i] * rdot * S->ux[i];
+    }
+}
+
+static Block radial2d_rim(const Step *S, double *lo)
+{
+    /* profiles.profile_curvature at the rim height */
+    double zb = S->u[S->n - 1], dfb = S->ds[1];
+    double fz = rot_f(S->code, S->prm, zb);
+    double wb = sqrt(1.0 - dfb * dfb);
+    *lo = 0.0;
+    return boundary_block(S, 1, -rot_d2f(S->code, S->prm, zb) / pow(wb, THREE), 1.0 / (fz * wb));
+}
+
+/* rim radius back onto the tube, then transport the interior along */
+static int radial2d_project(Step *S, double *fail)
+{
+    const int64_t n = S->n;
+    const double *unew = S->unew;
+    double rb_new = S->bnew[1];
+    double dfbn = rot_df(S->code, S->prm, unew[n - 1]);
+    double rb_p, du_b;
+    if (fabs(dfbn) < 1e-13) {
+        /* cylinder-like tangency: the rim radius is pinned by f itself */
+        rb_p = rot_f(S->code, S->prm, unew[n - 1]);
+        du_b = 0.0;
+    } else {
+        Incidence c = {S->code, S->prm, rb_new, unew[n - 1], dfbn};
+        if (newton(rotational_residual, &c, &rb_p, fail))
+            return 1;
+        du_b = dfbn * (rb_p - rb_new);
+    }
+    double d_rim = rb_p - rb_new;
+    double dx_new = 2.0 * rb_new / S->nm1;
+    S->u[0] = unew[0];
+    for (int64_t i = 1; i < n - 1; ++i)
+        S->u[i] = unew[i] + S->s_ref[i] * d_rim * ((unew[i + 1] - unew[i - 1]) / dx_new);
+    double shift_b = S->s_ref[n - 1] * d_rim;
+    double ub = unew[n - 1] + shift_b * dfbn;
+    S->u[n - 1] = ub + (du_b - shift_b * dfbn);
+    S->b[0] = S->b[1] = rb_p;
+    return 0;
+}
+
+/* -- the per-kind table and the one stepping loop ----------------------------- */
+
+typedef struct {
+    void (*evaluate)(Step *);                /* PDE data, record factors and rates */
+    Block (*rim)(const Step *, double *lo);  /* rim block(s); the record's boundary_lo */
+    int (*project)(Step *, double *fail);    /* (unew, bnew) back onto the boundary */
+    double dim_factor;                       /* the dt bound is cfl h^2 m_min / dim_factor */
+} Kind;
+
+static const Kind KINDS[] = {
+    [K_CURVE1D] = {curve1d_evaluate, curve1d_rim, curve1d_project, 1.0},
+    [K_RADIAL2D] = {radial2d_evaluate, radial2d_rim, radial2d_project, 2.0},
+};
+
+int maxsurf_run(int kind, int64_t n, double *u, double *bnd, double *t_io,
+                const double *s_ref, int code, const double *prm,
+                double cfl, double eps_guard, double h_stop, double t_end,
+                int has_t_end, int64_t max_steps, int64_t stride, int64_t *k_io,
+                double *rec, int64_t *nrec, double *snaps, double *snap_t,
+                double *snap_b, int64_t *snap_k, int64_t *nsnap,
+                double *fail, double *work)
+{
+    const Kind *K = &KINDS[kind];
+    Step S = {
+        .n = n, .nm1 = (double)(n - 1), .s_ref = s_ref, .code = code, .prm = prm, .u = u,
+        .ux = work, .m = work + n, .rhs = work + 2 * n, .H = work + 3 * n, .v = work + 4 * n,
+        .dvol = work + 5 * n, .udot = work + 6 * n, .unew = work + 7 * n,
+        .b = {bnd[0], bnd[1]},
+    };
+    double t = *t_io;
     int64_t k = *k_io;
     int status = ST_CHUNK;
     *nrec = 0;
     *nsnap = 0;
     for (int64_t it = 0; it < max_steps; ++it) {
-        /* _radial2d_eval */
-        double h = rb / nm1;
-        double h2 = h * h, two_h = 2.0 * h;
-        double dfb = rot_df(code, prm, u[n - 1]);
-        double m_min;
-        ux[0] = 0.0;
-        ux[n - 1] = dfb;
-        m[0] = 1.0;
-        m[n - 1] = 1.0 - dfb * dfb;
-        rhs[0] = 2.0 * (u[1] - u[0]) / h2 * (1.0 / m[0] + 1.0);
-        {
-            double uxxn = (2.0 * u[n - 2] - 2.0 * u[n - 1] + two_h * dfb) / h2;
-            rhs[n - 1] = uxxn / m[n - 1] + dfb / rb;
-        }
-        m_min = m[0];
-        for (int64_t i = 1; i < n - 1; ++i) {
-            double d = (u[i + 1] - u[i - 1]) / two_h;
-            double dd = (u[i + 1] - 2.0 * u[i] + u[i - 1]) / h2;
-            double mi = 1.0 - d * d;
-            ux[i] = d;
-            m[i] = mi;
-            rhs[i] = dd / mi + d / ((double)i * h);
-            TAKE_MIN(m_min, mi);
-        }
-        TAKE_MIN(m_min, m[n - 1]);
-        double uxx_b2 = (-3.5 * u[n - 1] + 4.0 * u[n - 2] - 0.5 * u[n - 3] + 3.0 * h * dfb) / h2;
-        double rhs_b2 = uxx_b2 / m[n - 1] + dfb / rb;
-        int guard = m_min < eps_guard;
+        K->evaluate(&S);
+        int guard = S.m_min < eps_guard;
 
-        /* _radial2d_record of the pre-step state */
+        /* the record of the pre-step state (also the trip record) */
         double sup_v = -INFINITY, sup_vh = -INFINITY, sup_H = -INFINITY;
         double vol = 0.0, ih2 = 0.0, umin = INFINITY, umax = -INFINITY;
         for (int64_t i = 0; i < n; ++i) {
-            double wi = sqrt(m[i]);
+            double wi = sqrt(S.m[i]);
             double vh = 1.0 / wi;
-            double Hi = vh * (i == n - 1 ? rhs_b2 : rhs[i]);
-            double dfz = rot_df(code, prm, u[i]);
-            double vi = (1.0 - dfz * ux[i]) * (1.0 / sqrt(1.0 - dfz * dfz)) / wi;
-            double rho = i == n - 1 ? rb : (double)i * h;
-            double dV = twopi * rho * wi * (i == 0 || i == n - 1 ? 0.5 * h : h);
-            H[i] = Hi;
-            v[i] = vi;
+            double Hi = vh * (i == 0 ? S.r_end[0] : i == n - 1 ? S.r_end[1] : S.rhs[i]);
+            double vi = S.v[i] / wi;
+            double dV = S.dvol[i] * wi * (i == 0 || i == n - 1 ? 0.5 * S.h : S.h);
+            S.H[i] = Hi;
+            S.v[i] = vi;
             vol += dV;
             ih2 += Hi * Hi * dV;
             TAKE_MAX(sup_v, vi);
@@ -456,76 +480,51 @@ int maxsurf_run_radial2d(int64_t n, double *u, double *bnd, double *t_io,
             TAKE_MIN(umin, u[i]);
             TAKE_MAX(umax, u[i]);
         }
-        {
-            /* profiles.profile_curvature at the rim height */
-            double fz = rot_f(code, prm, u[n - 1]);
-            double wb = sqrt(1.0 - dfb * dfb);
-            double a_vv = -rot_d2f(code, prm, u[n - 1]) / pow(wb, THREE);
-            double a_ww = 1.0 / (fz * wb);
-            Block b = boundary_block(H[n - 2], H[n - 3], H[n - 4], v[n - 1], v[n - 2], v[n - 3],
-                                     1.0, h, 1.0 / sqrt(m[n - 1]), a_vv, a_ww);
-            if (k % stride == 0 || guard)
-                take_snapshot(n, u, t, rb, rb, k, snaps, snap_t, snap_b, snap_k, nsnap);
-            store_record(rec + NREC * (*nrec), t, sup_v, sup_vh, sup_H, vol, ih2, umin, umax,
-                         0.0, rb, b);
-            *nrec += 1;
-        }
+        double blo;
+        Block b = K->rim(&S, &blo);
+        if (k % stride == 0 || guard)
+            take_snapshot(n, u, t, S.b[0], S.b[1], k, snaps, snap_t, snap_b, snap_k, nsnap);
+        store_record(rec + NREC * (*nrec), t, sup_v, sup_vh, sup_H, vol, ih2, umin, umax,
+                     blo, S.b[1], b);
+        *nrec += 1;
         if (guard) {
             status = ST_GUARD;
             break;
         }
 
-        /* flow._advance with _radial2d_rate and _radial2d_project, explicit Euler */
-        double rdot = dfb * rhs_b2 / (1.0 - dfb * dfb);
-        double dt = cfl * h * h * m_min / 2.0;
-        if (clip_dt(&dt, t, t_end, has_t_end)) {
+        /* flow._advance: the dt bound, flow._clip_dt, explicit Euler */
+        double dt = cfl * S.h * S.h * S.m_min / K->dim_factor;
+        if (has_t_end && t + dt > t_end)
+            dt = t_end - t;
+        if (dt < 1e-16 * max1(fabs(t))) {
             fail[0] = dt;
             fail[1] = t;
             status = ST_DT_UNDERFLOW;
             break;
         }
         for (int64_t i = 0; i < n; ++i)
-            unew[i] = u[i] + dt * (rhs[i] + s_ref[i] * rdot * ux[i]);
-        double rb_new = rb + dt * rdot;
-        double dfbn = rot_df(code, prm, unew[n - 1]);
-        double rb_p, du_b;
-        if (fabs(dfbn) < 1e-13) {
-            /* cylinder-like tangency: the rim radius is pinned by f itself */
-            rb_p = rot_f(code, prm, unew[n - 1]);
-            du_b = 0.0;
-        } else {
-            if (newton_rotational(code, prm, rb_new, unew[n - 1], dfbn, &rb_p, &fail[1])) {
-                fail[0] = rb_new;
-                status = ST_NEWTON;
-                break;
-            }
-            du_b = dfbn * (rb_p - rb_new);
+            S.unew[i] = u[i] + dt * S.udot[i];
+        for (int j = 0; j < 2; ++j)
+            S.bnew[j] = S.b[j] + dt * S.bdot[j];
+        if (K->project(&S, fail)) {
+            status = ST_NEWTON;
+            break;
         }
-        double d_rim = rb_p - rb_new;
-        double dx_new = 2.0 * rb_new / nm1;
-        u[0] = unew[0];
-        for (int64_t i = 1; i < n - 1; ++i)
-            u[i] = unew[i] + s_ref[i] * d_rim * ((unew[i + 1] - unew[i - 1]) / dx_new);
-        {
-            double shift_b = s_ref[n - 1] * d_rim;
-            double ub = unew[n - 1] + shift_b * dfbn;
-            u[n - 1] = ub + (du_b - shift_b * dfbn);
-        }
-        rb = rb_p;
         t = t + dt;
         k += 1;
         if (h_stop > 0.0 && sup_H < h_stop) {
             status = ST_CONV;
             break;
         }
-        if (reached_t_end(t, t_end, has_t_end)) {
+        /* flow._t_end_reached */
+        if (has_t_end && t >= t_end - 1e-14 * max1(fabs(t_end))) {
             status = ST_TEND;
             break;
         }
     }
     *t_io = t;
-    bnd[0] = rb;
-    bnd[1] = rb;
+    bnd[0] = S.b[0];
+    bnd[1] = S.b[1];
     *k_io = k;
     return status;
 }

@@ -22,7 +22,6 @@ class AnalyticSolution:
     u: Callable            # u(x, t)
     du: Callable           # spatial derivative u_x(x, t)
     d2u: Callable          # u_xx(x, t)
-    ut: Callable           # time derivative
     static: bool = False
 
 
@@ -32,7 +31,6 @@ def grim_reaper() -> AnalyticSolution:
         u=lambda x, t: np.log(np.cosh(x)) + t,
         du=lambda x, t: np.tanh(x),
         d2u=lambda x, t: 1.0 / np.cosh(x) ** 2,
-        ut=lambda x, t: np.ones_like(np.asarray(x, dtype=float)),
     )
 
 
@@ -55,7 +53,6 @@ def plane(z0: float) -> AnalyticSolution:
         u=lambda x, t: np.full_like(np.asarray(x, dtype=float), z0),
         du=lambda x, t: np.zeros_like(np.asarray(x, dtype=float)),
         d2u=lambda x, t: np.zeros_like(np.asarray(x, dtype=float)),
-        ut=lambda x, t: np.zeros_like(np.asarray(x, dtype=float)),
         static=True,
     )
 
@@ -80,7 +77,6 @@ def hyperbolic_plane(R: float, J: float = 0.0, sign: int = 1) -> AnalyticSolutio
         u=u,
         du=du,
         d2u=d2u,
-        ut=lambda rho, t: np.zeros_like(np.asarray(rho, dtype=float)),
         static=True,
     )
 
@@ -109,22 +105,6 @@ def cylinder_disk_constant(c: float) -> AnalyticSolution:
         u=lambda x, t: np.full_like(np.asarray(x, dtype=float), float(c)),
         du=lambda x, t: np.zeros_like(np.asarray(x, dtype=float)),
         d2u=lambda x, t: np.zeros_like(np.asarray(x, dtype=float)),
-        ut=lambda x, t: np.zeros_like(np.asarray(x, dtype=float)),
         static=True,
     )
 
-
-def pseudosphere_profile(A: float = 1.0, B: float = 0.0):
-    """Exact radius data of the pseudo-sphere: f, f' = (z+B)/f, f'' = A^2/f^3."""
-    from .profiles import pseudosphere
-
-    return pseudosphere(A, B)
-
-
-REGISTRY = {
-    "grim_reaper": grim_reaper,
-    "plane": plane,
-    "hyperbolic_plane": hyperbolic_plane,
-    "cylinder_disk_constant": cylinder_disk_constant,
-    "pseudosphere_profile": pseudosphere_profile,
-}

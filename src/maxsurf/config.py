@@ -3,13 +3,14 @@
 Lines starting with `#` (or blank) are ignored.  Unknown keys are errors so
 configs stay diff-checkable; parse(serialize(cfg)) round-trips exactly.
 
-Key table (defaults in parentheses; "scenario default" varies per scenario):
+Key table (defaults in parentheses; "scenario default" varies per scenario;
+t0, t_end, h_stop and certificate_z must be finite numbers):
 
     scenario            grim_reaper | cylinder_disk | sine_tube | pseudosphere_leaf
     profile             profile spec, e.g. sine_tube(2, 0.5, 1)   (scenario default)
     nodes               grid resolution per axis, >= 5            (101)
     t0                  start time                                (scenario default)
-    t_end               stop time; "none" disables                (scenario default)
+    t_end               stop time, >= t0; "none" disables         (scenario default)
     max_steps           step budget                               (5000000)
     h_stop              sup|H| convergence threshold; 0 disables  (0)
     cfl                 step factor in (0, 0.5]                   (0.4)
@@ -40,6 +41,7 @@ Initial-data selectors:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from typing import Optional, Tuple
 
@@ -113,6 +115,12 @@ class ScenarioConfig:
             raise ConfigError("snapshot_stride must be >= 1")
         if self.max_steps < 1:
             raise ConfigError("max_steps must be >= 1")
+        for key in ("t0", "t_end", "h_stop", "certificate_z"):
+            value = getattr(self, key)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{key} must be a finite number")
+        if self.t_end is not None and self.t_end < self.t0:
+            raise ConfigError("t_end must not be earlier than t0")
         if self.h_stop < 0:
             raise ConfigError("h_stop must be >= 0")
         if self.condition_samples < 2:

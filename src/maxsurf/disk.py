@@ -240,16 +240,6 @@ class DiskGrid:
         out[0, :] = out[-1, :] = out[:, 0] = out[:, -1] = False
         return out
 
-    def interp(self, w: np.ndarray, xs, ys):
-        """Bilinear sample of a (ghost-filled) field at physical points."""
-        fi = (np.asarray(xs, dtype=float) - self.coord[0]) / self.h
-        fj = (np.asarray(ys, dtype=float) - self.coord[0]) / self.h
-        i0 = np.clip(np.floor(fi).astype(int), 0, w.shape[0] - 2)
-        j0 = np.clip(np.floor(fj).astype(int), 0, w.shape[1] - 2)
-        tx, ty = fi - i0, fj - j0
-        return ((1 - tx) * (1 - ty) * w[i0, j0] + tx * (1 - ty) * w[i0 + 1, j0]
-                + (1 - tx) * ty * w[i0, j0 + 1] + tx * ty * w[i0 + 1, j0 + 1])
-
     def radial_derivative_at_rim(self, w: np.ndarray):
         """One-sided second-order d(w)/drho at the monitor ring, per angle.
 

@@ -339,7 +339,7 @@ _KINDS = {
 def step(state: FlowState, ctrl: StepControl, profile,
          dt: Optional[float] = None) -> FlowState:
     """Advance one explicit step; raises GuardTrip / FlowError on failure."""
-    return _advance(state, ctrl, profile, _evaluate(state, ctrl, profile), dt)[0]
+    return _advance(state, ctrl, profile, _evaluate(state, ctrl, profile), dt)
 
 
 def _evaluate(state: FlowState, ctrl: StepControl, profile) -> _Eval:
@@ -355,10 +355,9 @@ def _dt_bound(state: FlowState, ev: _Eval, cfl: float) -> float:
 
 
 def _advance(state: FlowState, ctrl: StepControl, profile, ev: _Eval,
-             dt: Optional[float] = None):
-    """(next state, record of this state) from an evaluated state."""
+             dt: Optional[float] = None) -> FlowState:
+    """The next state from an evaluated state."""
     kind = _KINDS[state.grid.kind]
-    rec = _pack_record(state.t, *kind.record(state, profile, ev.h, ev.data))
     dt = _clip_dt(_dt_bound(state, ev, ctrl.cfl) if dt is None else dt, state.t, ctrl.t_end)
     udot, bdot = kind.rate(state, ev.data)
     u, boundary = state.u + dt * udot, _advance_boundary(state.boundary, bdot, dt)
@@ -369,7 +368,7 @@ def _advance(state: FlowState, ctrl: StepControl, profile, ev: _Eval,
         u = state.u + half * (udot + udot1)
         boundary = _advance_boundary(state.boundary, None if bdot is None else bdot + bdot1, half)
     u, boundary = kind.project(state, u, boundary, profile)
-    return FlowState(state.grid, state.t + dt, u, boundary), rec
+    return FlowState(state.grid, state.t + dt, u, boundary)
 
 
 def _advance_boundary(boundary, bdot, dt):
@@ -495,6 +494,11 @@ def _rim_extrapolated(arr, h, side):
     return val, dval
 
 
+def _record(state: FlowState, profile, ev: _Eval) -> np.ndarray:
+    """The record row of an evaluated state."""
+    return _pack_record(state.t, *_KINDS[state.grid.kind].record(state, profile, ev.h, ev.data))
+
+
 def record_state(state: FlowState, ctrl: StepControl, profile) -> np.ndarray:
     """Scalar record of a state without stepping (terminal records).
 
@@ -502,9 +506,7 @@ def record_state(state: FlowState, ctrl: StepControl, profile) -> np.ndarray:
     ``record_state`` take the same three positional arguments, which is how
     the benchmark's trace replay (perfbench/tracing.py) calls both.
     """
-    kind = _KINDS[state.grid.kind]
-    ev = kind.evaluate(state, profile)
-    return _pack_record(state.t, *kind.record(state, profile, ev.h, ev.data))
+    return _record(state, profile, _KINDS[state.grid.kind].evaluate(state, profile))
 
 
 # -- trajectory drivers ---------------------------------------------------------
@@ -515,10 +517,15 @@ def run(state0: FlowState, ctrl: StepControl, profile, stride: int = 100) -> Tra
 
     Euler runs of the 1d kinds on built-in profiles take the compiled step
     loop of ``_kernels`` when that library can be built; everything else,
-    and every run when it cannot, takes the numpy reference engine.
+    and every run when it cannot, takes the numpy reference engine.  A state
+    already at t_end takes no step: its trajectory is itself.
     """
     if stride < 1:
         raise ValueError("stride must be a positive number of steps")
+    if _t_end_reached(state0.t, ctrl.t_end):
+        state = state0.copy()
+        return Trajectory(record_state(state, ctrl, profile)[None, :], [state], [0],
+                          FlowEvent.TIME_EXHAUSTED, state.t, state.grid)
     if ctrl.integrator == "euler" and state0.grid.kind in ("curve1d", "radial2d"):
         from . import _kernels
 
@@ -541,11 +548,16 @@ def _run_python(state0: FlowState, ctrl: StepControl, profile, stride: int) -> T
             states.append(state.copy())
             state_steps.append(k)
         try:
-            new_state, rec = _advance(state, ctrl, profile, _evaluate(state, ctrl, profile))
+            ev = _evaluate(state, ctrl, profile)
+            rec = _record(state, profile, ev)
+            new_state = _advance(state, ctrl, profile, ev)
         except GuardTrip as trip:
             event, event_time = FlowEvent.GUARD_TRIPPED, trip.t
             records.append(record_state(state, ctrl, profile))
             break
+        # free this step's fields before the next snapshot copy: kept alive,
+        # they fragment the heap and raise the peak memory of stride-1 runs
+        del ev
         records.append(rec)
         state = new_state
         k += 1
@@ -597,9 +609,11 @@ def comparison_pair_run(state_a: FlowState, state_b: FlowState, ctrl: StepContro
             if motion_law_b is None:
                 ev_b = _evaluate(b, ctrl, profile)
                 dt = min(dt, _dt_bound(b, ev_b, ctrl.cfl))
-            a2, ra = _advance(a, ctrl, profile, ev_a, dt)
+            ra = _record(a, profile, ev_a)
+            a2 = _advance(a, ctrl, profile, ev_a, dt)
             if motion_law_b is None:
-                b2, rb = _advance(b, ctrl, profile, ev_b, dt)
+                rb = _record(b, profile, ev_b)
+                b2 = _advance(b, ctrl, profile, ev_b, dt)
             else:
                 udot, bdot = motion_law_b(b)
                 b2 = FlowState(b.grid, b.t + dt, b.u + dt * udot,

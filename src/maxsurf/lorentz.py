@@ -73,11 +73,6 @@ def unit_spacelike(a):
     return a / np.sqrt(q)
 
 
-def is_future_directed(a) -> bool:
-    """True when the temporal component is positive."""
-    return float(np.asarray(a)[..., -1]) > 0.0
-
-
 def boost_factor(u, w):
     """-<u,w> for unit timelike u, w: the relative Lorentz factor.
 

@@ -371,10 +371,10 @@ def stability_certificate(state: FlowState, profile, center, radius: Optional[fl
     center = np.asarray(center, dtype=float)
     g = geometry(state, profile)
     ins = g.mask if g.mask is not None else slice(None)
-    sup_H = float(np.abs(g.H[ins]).max()) if g.mask is not None else float(np.abs(g.H).max())
+    sup_H = float(np.abs(g.H[ins]).max())
     if sup_H > maximal_tol:
         raise ValueError(f"state is not approximately maximal (sup|H| = {sup_H:.2e})")
-    n_dim = 1 if state.grid.kind == "curve1d" else 2
+    n_dim = 2    # both kinds below are surfaces; curve1d raises
 
     # boundary data: A^Sig(nu,nu), mu pairing <x-a, mu>
     if state.grid.kind == "radial2d":

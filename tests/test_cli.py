@@ -47,6 +47,25 @@ def test_run_exit_3_config_error(tmp_path, out_root, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("times", ["t0 = -1\nt_end = -2", "t_end = nan", "h_stop = nan"])
+def test_run_exit_3_on_bad_times(tmp_path, out_root, capsys, times):
+    cfg = write(tmp_path, "bad.cfg", f"scenario = grim_reaper\nnodes = 21\n{times}\n")
+    assert main(["run", cfg]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and err.count("\n") == 1
+
+
+def test_run_static_leaf_takes_no_step(out_root):
+    # the shipped pseudosphere config starts at its t_end (t0 = t_end = 0)
+    cfg = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                       "ac8_pseudosphere_leaves.cfg")
+    assert main(["run", cfg]) == 0
+    out = out_root / "runs" / "ac8_pseudosphere"
+    summary = (out / "monitor_summary.txt").read_text().splitlines()
+    assert "steps = 0" in summary and "event = time_exhausted" in summary
+    assert len((out / "timeseries.csv").read_text().splitlines()) == 2
+
+
 def test_run_exit_4_condition_failure(tmp_path, out_root):
     cfg = write(tmp_path, "cond.cfg",
                 "scenario = grim_reaper\nnodes = 51\nrequire_conditions = true\n"

@@ -1,4 +1,8 @@
 import math
+import os
+import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -311,12 +315,16 @@ def test_fast_kernel_matches_reference_exits():
                       (-0.5, 0.5))
     p = sine_tube(2.0, 0.5, 1.0)
     grid = GridSpec("radial2d", 41)
-    bump = FlowState(grid, 0.0, math.pi / 2 + 0.02 * (1 - grid.reference() ** 2) ** 2,
-                     float(p.f(math.pi / 2)))
+    rb = float(p.f(math.pi / 2))
+    bump = FlowState(grid, 0.0, math.pi / 2 + 0.02 * (1 - grid.reference() ** 2) ** 2, rb)
+    # margin 0.031 against a guard at 0.05
+    steep_bump = FlowState(grid, 0.0, math.pi / 2 + 1.6 * (1 - grid.reference() ** 2) ** 2, rb)
     for state, ctrl, profile in (
         (bump, StepControl(h_stop=0.05, t_end=5.0), p),
         (steep, StepControl(t_end=0.5, max_steps=2_000_000), trumpet()),
         (st, StepControl(max_steps=7), trumpet()),
+        (steep_bump, StepControl(eps_guard=0.05, t_end=5.0), p),
+        (bump, StepControl(max_steps=7), p),
     ):
         ref = _run_python(state.copy(), ctrl, profile, stride=3)
         fast = _kernels.run_fast(state.copy(), ctrl, profile, stride=3)
@@ -334,16 +342,27 @@ def test_fast_kernel_failures_match_reference():
     # a time step underflow and an incidence Newton failure are told apart,
     # with the reference's own messages
     st = translator_state(-1.0, 51)
+    grid = GridSpec("radial2d", 41)
+    tube = sine_tube(2.0, 0.5, 1.0)
+    bump = math.pi / 2 + 0.02 * (1 - grid.reference() ** 2) ** 2
+    # a nearly lightlike tube (|f'| up to 0.99) with the rim off it, at rho = 0.5
+    # against f(3) = 2.14: Newton ends with a residual of 2.4e-3
+    near_null = sine_tube(2.0, 0.99, 1.0)
     cases = (
-        (FlowState(st.grid, 1e20, st.u, st.boundary), StepControl(t_end=2e20), "underflow"),
+        (FlowState(st.grid, 1e20, st.u, st.boundary), StepControl(t_end=2e20), trumpet(),
+         "underflow"),
         (FlowState(st.grid, -1.0, np.full(51, -50.0), st.boundary), StepControl(max_steps=5),
-         "incidence Newton failed at x="),
+         trumpet(), "incidence Newton failed at x="),
+        (FlowState(grid, 1e20, bump, float(tube.f(math.pi / 2))), StepControl(t_end=2e20), tube,
+         "underflow"),
+        (FlowState(grid, 0.0, np.full(41, 3.0), 0.5), StepControl(max_steps=5), near_null,
+         "incidence Newton failed at rho="),
     )
-    for state, ctrl, words in cases:
+    for state, ctrl, profile, words in cases:
         with pytest.raises(FlowError, match=words) as ref, np.errstate(all="ignore"):
-            _run_python(state.copy(), ctrl, trumpet(), stride=10)
+            _run_python(state.copy(), ctrl, profile, stride=10)
         with pytest.raises(FlowError) as fast:
-            _kernels.run_fast(state.copy(), ctrl, trumpet(), stride=10)
+            _kernels.run_fast(state.copy(), ctrl, profile, stride=10)
         assert str(fast.value) == str(ref.value)
 
 
@@ -360,6 +379,19 @@ def test_run_falls_back_to_numpy_when_the_loop_cannot_load(monkeypatch, tmp_path
     ref = _run_python(st.copy(), ctrl, trumpet(), stride=10)
     assert np.array_equal(traj.records, ref.records, equal_nan=True)
     assert all(np.array_equal(a.u, b.u) for a, b in zip(traj.states, ref.states))
+
+
+def test_built_package_ships_the_step_loop_source(tmp_path):
+    # without _step.c an installed package could never build the loop
+    pytest.importorskip("setuptools")
+    root = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+    shutil.copy(os.path.join(root, "pyproject.toml"), tmp_path)
+    shutil.copytree(os.path.join(root, "src"), tmp_path / "src",
+                    ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    subprocess.run([sys.executable, "-c", "import setuptools; setuptools.setup()", "build_py",
+                    "--build-lib", str(tmp_path / "build")],
+                   cwd=tmp_path, check=True, capture_output=True, timeout=120)
+    assert (tmp_path / "build" / "maxsurf" / "_step.c").is_file()
 
 
 def test_trajectory_invariants():
