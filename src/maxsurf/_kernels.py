@@ -1,15 +1,18 @@
-"""Compiled Euler stepping loop for the built-in 1d scenarios.
+"""Compiled Euler stepping loop for the scenarios on built-in profiles.
 
 ``_step.c`` translates the numpy reference engine in flow.py operation for
-operation (same stencils, projection, per-step records, snapshots and exits)
-for the curve1d and radial2d kinds on the built-in profiles, with one
-stepping loop over a per-kind table, as flow.py has; its one entry point
-``maxsurf_run`` takes the kind as its first argument.  Tests compare the two
-engines.  On first use the source is compiled with the system C
-compiler (``$CC``, else ``cc``) and loaded through ctypes.  The shared object
-is cached beside this module in ``__pycache__``, or in a per-user temporary
-directory when that is not writable, under a hash of the source, the
-compiler and the flags.  Nothing is compiled at import.
+operation (same stencils, ghost fill, projection, per-step records,
+snapshots and exits) for the curve1d, radial2d and disk2d kinds on the
+built-in profiles, with one stepping loop over a per-kind table, as flow.py
+has; its one entry point ``maxsurf_run`` takes the kind as its first
+argument, and for disk2d the disk grid's tables (inside mask, node
+geometry, quadrature weights, ghost operator and ring sampler) in one
+struct.  Tests compare the two engines.  On first use the source is
+compiled with the system C compiler (``$CC``, else ``cc``) and loaded
+through ctypes.  The shared object is cached beside this module in
+``__pycache__``, or in a per-user temporary directory when that is not
+writable, under a hash of the source, the compiler and the flags.  Nothing
+is compiled at import.
 
 ``available`` (read lazily) says whether the library could be built and
 loaded; when it could not, ``reason`` holds a one-line explanation and
@@ -37,7 +40,10 @@ COMPILE_TIMEOUT_S = 120
 # built-in profiles: (code in _step.c, number of params); rotational
 # cylinder(R), pseudosphere(A, B), sine_tube(a, b, w); planar trumpet
 PROFILES = {"cylinder": (0, 1), "pseudosphere": (1, 2), "sine_tube": (2, 3), "trumpet": (10, 0)}
-KINDS = {"curve1d": 0, "radial2d": 1}      # the kind argument of maxsurf_run
+KINDS = {"curve1d": 0, "radial2d": 1, "disk2d": 2}    # the kind argument of maxsurf_run
+# a chunk's snapshot buffer stays within this many bytes (address space that
+# stride-1 runs would otherwise reserve without touching)
+SNAPSHOT_BUFFER_BYTES = 64 << 20
 
 NREC = 17
 (_STATUS_CHUNK, _STATUS_GUARD, _STATUS_CONV, _STATUS_TEND, _STATUS_DT_UNDERFLOW,
@@ -48,6 +54,44 @@ _loaded = None      # (library or None, reason or None) after the first attempt
 
 class BuildError(RuntimeError):
     """The step library could not be compiled or loaded."""
+
+
+_F64P, _I64P = ctypes.POINTER(ctypes.c_double), ctypes.POINTER(ctypes.c_int64)
+
+
+class _Disk(ctypes.Structure):
+    """The struct Disk of _step.c: a disk grid's tables."""
+
+    _fields_ = [
+        ("m", ctypes.c_int64), ("h", ctypes.c_double), ("radius", ctypes.c_double),
+        ("inside", ctypes.POINTER(ctypes.c_uint8)),
+        ("x", _F64P), ("y", _F64P), ("r", _F64P), ("area", _F64P),
+        ("n_ghost", ctypes.c_int64), ("ghost_node", _I64P), ("ghost_ptr", _I64P),
+        ("ghost_col", _I64P), ("ghost_val", _F64P),
+        ("n_angles", ctypes.c_int64), ("ring_col", _I64P), ("ring_val", _F64P),
+        ("ring_delta", ctypes.c_double),
+    ]
+
+
+def _disk_tables(grid):
+    """(struct Disk, the arrays it points into) for a disk.DiskGrid."""
+    G, ring = grid.ghost_operator, grid.ring_sampler
+    if not np.all(np.diff(ring.indptr) == 4):
+        raise ValueError("the ring sampler needs 4 taps per row")
+    inside = np.ascontiguousarray(grid.inside, dtype=np.uint8)
+    f64 = {name: np.ascontiguousarray(a, dtype=np.float64) for name, a in (
+        ("x", grid.X), ("y", grid.Y), ("r", np.maximum(grid.r, 1e-300)),
+        ("area", grid.area_weights), ("ghost_val", G.data), ("ring_val", ring.data))}
+    i64 = {name: np.ascontiguousarray(a, dtype=np.int64) for name, a in (
+        ("ghost_node", np.ravel_multi_index(grid.ghost_idx, grid.X.shape)),
+        ("ghost_ptr", G.indptr), ("ghost_col", grid.inside_flat[G.indices]),
+        ("ring_col", ring.indices))}
+    tables = _Disk(m=grid.X.shape[0], h=grid.h, radius=grid.radius, n_ghost=G.shape[0],
+                   n_angles=grid.ring_angles.size, ring_delta=grid.ring_delta,
+                   inside=inside.ctypes.data_as(ctypes.POINTER(ctypes.c_uint8)),
+                   **{k: a.ctypes.data_as(_F64P) for k, a in f64.items()},
+                   **{k: a.ctypes.data_as(_I64P) for k, a in i64.items()})
+    return tables, (inside, f64, i64)
 
 
 def _compiler() -> list:
@@ -107,7 +151,7 @@ def _load_library(path: str):
     i64 = np.ctypeslib.ndpointer(dtype=np.int64, flags="C_CONTIGUOUS")
     lib.maxsurf_run.argtypes = [
         ctypes.c_int, ctypes.c_int64, f64, f64, f64,       # kind, n, u, bnd, t
-        f64, ctypes.c_int, f64,                            # s_ref, code, prm
+        f64, ctypes.c_int, f64, ctypes.POINTER(_Disk),     # s_ref, code, prm, disk
         ctypes.c_double, ctypes.c_double, ctypes.c_double, ctypes.c_double,
         ctypes.c_int,                                      # cfl .. t_end, has_t_end
         ctypes.c_int64, ctypes.c_int64, i64,               # max_steps, stride, k
@@ -141,6 +185,7 @@ def __getattr__(name):
 
 def run_fast(state0, ctrl, profile, stride):
     """Chunked driver around the compiled loop; mirrors flow._run_python."""
+    from .disk import disk_grid
     from .flow import (
         CHUNK_STEPS, FlowEvent, Trajectory, _newton_failure, _step_underflow, record_state,
     )
@@ -148,43 +193,51 @@ def run_fast(state0, ctrl, profile, stride):
 
     lib = load()[0]
     grid = state0.grid
-    n = grid.n
+    shape = np.shape(state0.u)
     curve = grid.kind == "curve1d"
     code, n_params = PROFILES[profile.kind]
-    if (np.shape(state0.u) != (n,) or len(profile.params) != n_params
+    if (shape != ((grid.n + 2,) * 2 if grid.kind == "disk2d" else (grid.n,))
+            or len(profile.params) != n_params
             or (profile.boundary_type == "planar") != curve):
         raise ValueError(f"a {grid.kind} state with the {profile.kind} profile "
                          "does not fit the step loop")
+    disk = None
     if curve:
         rim, prm, bnd = "x", [profile.domain[0]], state0.boundary    # planar_V's clamp
-    else:
+    elif grid.kind == "radial2d":
         rim, prm, bnd = "rho", profile.params, (state0.boundary, state0.boundary)
+    else:
+        dg = disk_grid(grid.n, grid.radius)
+        disk, keep_alive = _disk_tables(dg)    # the arrays disk points into
+        rim, prm, bnd = None, profile.params, (dg.radius, dg.radius)
     prm, bnd = np.array(prm, dtype=float), np.array(bnd, dtype=float)
 
     def boundary(lo, hi):
-        return (float(lo), float(hi)) if curve else float(hi)
+        if curve:
+            return (float(lo), float(hi))
+        return float(hi) if disk is None else None    # the disk's rim does not move
 
     u = np.array(state0.u, dtype=float)
-    s_ref = grid.reference()
+    n = u.size
+    s_ref = grid.reference() if disk is None else np.zeros(1)    # unread on the disk
     t = np.array([state0.t], dtype=float)
     k = np.zeros(1, dtype=np.int64)
     nrec, nsnap = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
     fail = np.zeros(2)
-    work = np.empty(8 * n)
+    work = np.empty(12 * n)
     has_t_end = ctrl.t_end is not None
     records, states, state_steps = [], [], []
     while True:
         # the reference takes at least one step, whatever max_steps says
         chunk = max(1, int(min(CHUNK_STEPS, ctrl.max_steps - k[0])))
-        if stride < 64:
-            chunk = min(chunk, 8192)   # bound the snapshot buffer
+        chunk = min(chunk, max(1, SNAPSHOT_BUFFER_BYTES // (8 * n) - 3) * stride)
         rec = np.empty((chunk + 1, NREC))
         max_snaps = chunk // stride + 3
         snaps = np.empty((max_snaps, n))
         snap_t = np.empty(max_snaps)
         snap_b = np.empty((max_snaps, 2))
         snap_k = np.empty(max_snaps, dtype=np.int64)
-        status = lib.maxsurf_run(KINDS[grid.kind], n, u, bnd, t, s_ref, code, prm,
+        status = lib.maxsurf_run(KINDS[grid.kind], n, u, bnd, t, s_ref, code, prm, disk,
                                  ctrl.cfl, ctrl.eps_guard, ctrl.h_stop,
                                  ctrl.t_end if has_t_end else 0.0, int(has_t_end),
                                  chunk, stride, k, rec, nrec, snaps, snap_t, snap_b, snap_k,
@@ -195,7 +248,7 @@ def run_fast(state0, ctrl, profile, stride):
         snaps.resize((int(nsnap[0]), n), refcheck=False)
         records.append(rec)
         for j in range(int(nsnap[0])):
-            states.append(FlowState(grid, float(snap_t[j]), snaps[j],
+            states.append(FlowState(grid, float(snap_t[j]), snaps[j].reshape(shape),
                                     boundary(snap_b[j, 0], snap_b[j, 1])))
             state_steps.append(int(snap_k[j]))
         if status == _STATUS_DT_UNDERFLOW:

@@ -1,29 +1,36 @@
 /*
- * Explicit Euler stepping loop for the curve1d and radial2d grid kinds on
- * the built-in profiles (trumpet; cylinder, pseudosphere, sine_tube).
+ * Explicit Euler stepping loop for the three grid kinds on the built-in
+ * profiles: curve1d (trumpet), radial2d and disk2d (cylinder, pseudosphere,
+ * sine_tube).
  *
  * This is a translation of the numpy reference engine in flow.py, operation
- * for operation: the same stencils, time step bound, incidence projection,
- * per-step 17-column record, snapshots at a stride, and guard, convergence
- * and t_end exits.  Floating-point expressions keep the reference's order of
- * evaluation, and the file is compiled without contraction
- * (-ffp-contract=off) or fast-math, so the states follow the reference to a
- * few ulps.  Where the reference takes a pairwise numpy sum (volume,
- * int H^2 dV) this file sums in node order.
+ * for operation: the same stencils, ghost fill, time step bound, incidence
+ * projection, per-step 17-column record, snapshots at a stride, and guard,
+ * convergence and t_end exits.  Floating-point expressions keep the
+ * reference's order of evaluation, and the file is compiled without
+ * contraction (-ffp-contract=off) or fast-math, so the states follow the
+ * reference to a few ulps (disk2d states, whose update calls no profile
+ * function, exactly).  The integrals (volume, int H^2 dV) are summed
+ * pairwise on the disk, as numpy sums the reference's; on the line grids they
+ * are summed in node order and differ from the reference's by summation order.
  *
  * As in flow.py, each kind supplies only what differs (see KINDS): its
- * evaluation (with the per-node factors of v and dV, and the rate with the
- * moving grid's advection term), its rim block(s) and its projection back
- * onto the boundary.  One loop, maxsurf_run, does the rest.
+ * evaluation (the rate with the moving grid's advection term, and the
+ * record's per-node fields v_hat, H, v and dV), its rim block(s) and its
+ * projection back onto the boundary.  One loop, maxsurf_run, does the rest.
  *
  * _kernels.py compiles the file with the system C compiler and calls
  * maxsurf_run through ctypes, one chunk of steps per call, with
  *
- *   kind                            K_CURVE1D or K_RADIAL2D
+ *   kind                            K_CURVE1D, K_RADIAL2D or K_DISK2D
  *   n, u[n], bnd[2], t              state, updated in place; bnd holds
- *                                   (x_left, x_right) or (rho_b, rho_b)
- *   s_ref[n]                        the grid's reference coordinate
+ *                                   (x_left, x_right), (rho_b, rho_b) or, on
+ *                                   the fixed disk, (R, R); a disk state is
+ *                                   the row-major (N+2) x (N+2) box, n = (N+2)^2
+ *   s_ref[n]                        the line grids' reference coordinate
  *   code, prm[]                     profile code and parameters
+ *   disk                            the disk grid's tables (struct Disk),
+ *                                   NULL for the line kinds
  *   cfl, eps_guard, h_stop, t_end, has_t_end
  *   max_steps, stride, k            steps in this chunk, snapshot stride,
  *                                   global step counter (updated)
@@ -33,7 +40,7 @@
  *                                   guard-tripped state
  *   fail[2]                         on ST_DT_UNDERFLOW (dt, t); on
  *                                   ST_NEWTON (rim start point, residual)
- *   work[8*n]                       scratch
+ *   work[12*n]                      scratch
  *
  * and returns one of the ST_* codes.
  */
@@ -47,7 +54,7 @@
 enum { ST_CHUNK, ST_GUARD, ST_CONV, ST_TEND, ST_DT_UNDERFLOW, ST_NEWTON };
 
 /* grid kinds; mirrored in _kernels.KINDS */
-enum { K_CURVE1D = 0, K_RADIAL2D = 1 };
+enum { K_CURVE1D = 0, K_RADIAL2D = 1, K_DISK2D = 2 };
 
 /* rotational profile codes; mirrored in _kernels.PROFILES */
 enum { P_CYLINDER = 0, P_PSEUDOSPHERE = 1, P_SINE_TUBE = 2 };
@@ -195,17 +202,45 @@ static void take_snapshot(int64_t n, const double *u, double t, double blo, doub
 
 /* -- what the kinds share: the state, its evaluation and the work arrays ----- */
 
+/* The disk grid (disk.DiskGrid): the (N+2) x (N+2) box of cell-centred
+ * nodes, row-major with x the first index, and its two sparse operators,
+ * each row applied in its stored order (scipy's csr_matvec). */
+typedef struct {
+    int64_t m;                       /* nodes per box side, N + 2 */
+    double h, radius;
+    const uint8_t *inside;           /* [m*m] node strictly inside the rim circle */
+    const double *x, *y, *r, *area;  /* [m*m] coordinates, max(|node|, 1e-300), weights */
+    /* the ghost operator G in CSR form: ghost node ghost_node[g] takes the sum
+     * of ghost_val[j] u[ghost_col[j]] over ghost_ptr[g] <= j < ghost_ptr[g+1],
+     * the columns being inside nodes */
+    int64_t n_ghost;
+    const int64_t *ghost_node, *ghost_ptr, *ghost_col;
+    const double *ghost_val;
+    /* the monitor ring: row k n_angles + a samples the circle of radius
+     * R - 2h - k ring_delta at angle a from the 4 bilinear taps
+     * ring_col[4 row + j], ring_val[4 row + j], j = 0..3 */
+    int64_t n_angles;
+    const int64_t *ring_col;
+    const double *ring_val;
+    double ring_delta;
+} Disk;
+
 typedef struct {
     int64_t n;
     double nm1;                      /* n - 1 */
     const double *s_ref;
     int code;
     const double *prm;
+    const Disk *disk;
     double *u;
     double *ux, *m, *rhs;            /* u_x, the margin 1 - u_x^2, du/dt without advection */
-    double *H, *v;                   /* record fields */
-    double *dvol;                    /* dV per unit w h: 1, or 2 pi rho */
+    double *vh, *H, *v, *dV;         /* record fields; the line kinds first store v w
+                                        in v and dV per unit w h (1, or 2 pi rho) in dV */
+    double vol, ih2;                 /* the record's sums of dV and H^2 dV */
+    const uint8_t *mask;             /* nodes of the sups and the range of u; NULL: all */
     double *udot, *unew;             /* du/dt with advection, the Euler update */
+    double *uf;                      /* disk2d: u with its ghost values */
+    double *core_dV, *core_H2dV;     /* disk2d: dV and H^2 dV over the N x N core */
     double b[2];                     /* (x_l, x_r), or (rho_b, rho_b) */
     double bdot[2], bnew[2];         /* boundary velocity, the Euler update */
     double h, m_min;
@@ -253,33 +288,90 @@ static double one_sided_uxx(const double *u, int64_t e, int64_t d, double h, dou
     return (-3.5 * u[e] + 4.0 * u[e + d] - 0.5 * u[e + 2 * d] - d * 3.0 * h * slope) / (h * h);
 }
 
-/* Boundary identity data at the low (hi = 0) or high end of the grid, from
- * the three nodes inside it (f1, f2, f3 = H at 1, 2, 3 nodes in), the
- * end-side v values (vb, v1, v2), the outward one-sided sign `out` and the
- * boundary curvatures (flow._end_block and _boundary_block). */
+/* the record fields of a line grid (flow._curve1d_record, _radial2d_record):
+ * w = sqrt(m), v_hat = 1/w, H = v_hat rhs with the one-sided ends, v = (v w)/w
+ * and dV = (dV per unit w h) w h, with half cells at the ends; the integrals
+ * are summed in node order */
+static void line_record(Step *S)
+{
+    const int64_t n = S->n;
+    S->vol = S->ih2 = 0.0;
+    for (int64_t i = 0; i < n; ++i) {
+        double wi = sqrt(S->m[i]);
+        double vh = 1.0 / wi;
+        double Hi = vh * (i == 0 ? S->r_end[0] : i == n - 1 ? S->r_end[1] : S->rhs[i]);
+        double dV = S->dV[i] * wi * (i == 0 || i == n - 1 ? 0.5 * S->h : S->h);
+        S->vh[i] = vh;
+        S->H[i] = Hi;
+        S->v[i] = S->v[i] / wi;
+        S->dV[i] = dV;
+        S->vol += dV;
+        S->ih2 += Hi * Hi * dV;
+    }
+}
+
+/* numpy's pairwise summation of a[0..n), the reference's dV.sum() */
+static double pairwise_sum(const double *a, int64_t n)
+{
+    if (n < 8) {
+        double res = 0.0;
+        for (int64_t i = 0; i < n; ++i)
+            res += a[i];
+        return res;
+    }
+    if (n <= 128) {
+        double r[8];
+        int64_t i;
+        memcpy(r, a, sizeof r);
+        for (i = 8; i < n - n % 8; i += 8)
+            for (int j = 0; j < 8; ++j)
+                r[j] += a[i + j];
+        double res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; ++i)
+            res += a[i];
+        return res;
+    }
+    int64_t n2 = n / 2;
+    n2 -= n2 % 8;
+    return pairwise_sum(a, n2) + pairwise_sum(a + n2, n - n2);
+}
+
+/* Boundary identity data at one boundary point (flow._boundary_block): rim
+ * values H_b, vb, outward derivatives dH, dv, dH2 of H, v, H^2, the recorded
+ * derivative of v, and the boundary's 1/sqrt(1-f'^2) and curvatures. */
+static Block identity_block(double H_b, double vb, double dH, double dv, double dH2,
+                            double dv_rec, double inv_w, double a_vv, double a_ww)
+{
+    Block b;
+    b.a_nn = vb * vb * a_vv + (vb * vb - 1.0) * a_ww;
+    b.res_h = fabs(dH * inv_w + H_b * b.a_nn);
+    b.res_v = fabs(dv * inv_w + vb * (b.a_nn - a_vv));
+    b.h2_ineq = dH2 * inv_w + H_b * H_b * a_vv;
+    b.grad_v = dv_rec * inv_w;
+    return b;
+}
+
+/* identity_block at the low (hi = 0) or high end of a line grid, from the
+ * three nodes inside it (f1, f2, f3 = H at 1, 2, 3 nodes in), the end-side v
+ * values (vb, v1, v2) and the outward one-sided sign `out`; v is recorded
+ * with the sign-exact 2-point difference (flow._end_block) */
 static Block boundary_block(const Step *S, int hi, double a_vv, double a_ww)
 {
     int64_t e = hi ? S->n - 1 : 0, d = hi ? -1 : 1;     /* the end, inward */
     double f1 = S->H[e + d], f2 = S->H[e + 2 * d], f3 = S->H[e + 3 * d];
     double vb = S->v[e], v1 = S->v[e + d], v2 = S->v[e + 2 * d];
-    double out = hi ? 1.0 : -1.0, h = S->h, inv_w = 1.0 / sqrt(S->m[e]);
-    Block b;
+    double out = hi ? 1.0 : -1.0, h = S->h;
     double H_b = 3.0 * f1 - 3.0 * f2 + f3;
     double dH = (2.5 * f1 - 4.0 * f2 + 1.5 * f3) / h;
     double dH2 = (2.5 * (f1 * f1) - 4.0 * (f2 * f2) + 1.5 * (f3 * f3)) / h;
     double dv = out * ((3.0 * vb - 4.0 * v1 + v2) / (2.0 * h));
     double dv2pt = (vb - v1) / h;
-    b.a_nn = vb * vb * a_vv + (vb * vb - 1.0) * a_ww;
-    b.res_h = fabs(dH * inv_w + H_b * b.a_nn);
-    b.res_v = fabs(dv * inv_w + vb * (b.a_nn - a_vv));
-    b.h2_ineq = dH2 * inv_w + H_b * H_b * a_vv;
-    b.grad_v = dv2pt * inv_w;
-    return b;
+    return identity_block(H_b, vb, dH, dv, dH2, dv2pt, 1.0 / sqrt(S->m[e]), a_vv, a_ww);
 }
 
 /* -- curve1d: u_t = u_xx / (1 - u_x^2) on [x_l(t), x_r(t)] -------------------- */
 
-/* flow._curve1d_eval and _curve1d_rate, with v w and the dV weight of the record */
+/* flow._curve1d_eval and _curve1d_rate, and the record's fields */
 static void curve1d_evaluate(Step *S)
 {
     const int64_t n = S->n;
@@ -315,9 +407,10 @@ static void curve1d_evaluate(Step *S)
                 Vx = -Vx;
         }
         S->v[i] = Vt - Vx * S->ux[i];
-        S->dvol[i] = 1.0;
+        S->dV[i] = 1.0;
         S->udot[i] = S->rhs[i] + (w_mid + S->s_ref[i] * 0.5 * w_half) * S->ux[i];
     }
+    line_record(S);
 }
 
 static Block curve1d_rim(const Step *S, double *lo)
@@ -356,7 +449,7 @@ static int curve1d_project(Step *S, double *fail)
 
 /* -- radial2d: u_t = u_rr / (1 - u_r^2) + u_r / rho on [0, rho_b(t)] ----------- */
 
-/* flow._radial2d_eval and _radial2d_rate, with v w and the dV weight of the record */
+/* flow._radial2d_eval and _radial2d_rate, and the record's fields */
 static void radial2d_evaluate(Step *S)
 {
     const int64_t n = S->n;
@@ -378,9 +471,10 @@ static void radial2d_evaluate(Step *S)
         double dfz = rot_df(S->code, S->prm, u[i]);
         double rho = i == n - 1 ? rb : (double)i * h;
         S->v[i] = (1.0 - dfz * S->ux[i]) * (1.0 / sqrt(1.0 - dfz * dfz));
-        S->dvol[i] = twopi * rho;
+        S->dV[i] = twopi * rho;
         S->udot[i] = S->rhs[i] + S->s_ref[i] * rdot * S->ux[i];
     }
+    line_record(S);
 }
 
 static Block radial2d_rim(const Step *S, double *lo)
@@ -423,10 +517,129 @@ static int radial2d_project(Step *S, double *fail)
     return 0;
 }
 
+/* -- disk2d: u_t = (delta^ij + vhat^2 D^i u D^j u) D^2_ij u on a fixed disk ---- */
+
+/* flow._disk2d_eval and _disk2d_rate over the inside nodes (the rest of the
+ * box does not move), and _disk2d_record's per-node fields: H = 0, v = 1 off
+ * the inside nodes, where the ring may sample them */
+static void disk2d_evaluate(Step *S)
+{
+    const Disk *D = S->disk;
+    const int64_t m = D->m, n = S->n;
+    const double *u = S->u;
+    double *f = S->uf;
+    /* disk.fill_ghosts: u with the ghost rows of G u[inside] */
+    memcpy(f, u, n * sizeof *f);
+    for (int64_t g = 0; g < D->n_ghost; ++g) {
+        double sum = 0.0;
+        for (int64_t j = D->ghost_ptr[g]; j < D->ghost_ptr[g + 1]; ++j)
+            sum += D->ghost_val[j] * u[D->ghost_col[j]];
+        f[D->ghost_node[g]] = sum;
+    }
+    const double h = D->h, two_h = 2.0 * h, h2 = h * h, four_h2 = 4.0 * h * h;
+    double m_min = INFINITY;
+    for (int64_t i = 0; i < n; ++i) {
+        if (!D->inside[i]) {
+            S->udot[i] = 0.0;
+            S->H[i] = 0.0;
+            S->v[i] = 1.0;
+            continue;
+        }
+        /* geometry.disk_derivatives: x runs along the first index */
+        double c = f[i], xp = f[i + m], xm = f[i - m], yp = f[i + 1], ym = f[i - 1];
+        double ux = (xp - xm) / two_h, uy = (yp - ym) / two_h;
+        double uxx = (xp - 2.0 * c + xm) / h2, uyy = (yp - 2.0 * c + ym) / h2;
+        double uxy = (f[i + m + 1] + f[i - m - 1] - f[i + m - 1] - f[i - m + 1]) / four_h2;
+        double mi = 1.0 - (ux * ux + uy * uy);
+        double vh2 = 1.0 / mi;
+        double rhs = (uxx + uyy) + vh2 * (ux * ux * uxx + 2.0 * ux * uy * uxy + uy * uy * uyy);
+        TAKE_MIN(m_min, mi);
+        double wi = sqrt(mi);
+        double vh = 1.0 / wi;
+        double dfz = rot_df(S->code, S->prm, u[i]);
+        S->vh[i] = vh;
+        S->H[i] = vh * rhs;
+        /* where f' = 0 (the cylinder) the reference's v_hat (1 - 0 u_rho) / 1 is
+         * v_hat itself: u_rho is finite wherever v_hat is */
+        S->v[i] = vh;
+        if (dfz != 0.0) {
+            double du_rad = (D->x[i] * ux + D->y[i] * uy) / D->r[i];
+            S->v[i] = vh * (1.0 - dfz * du_rad) * (1.0 / sqrt(1.0 - dfz * dfz));
+        }
+        S->dV[i] = D->area[i] / vh;
+        S->udot[i] = rhs;
+    }
+    /* the integrals as the reference takes them: pairwise over the N x N core,
+     * zero off the inside nodes */
+    const int64_t N = m - 2;
+    for (int64_t r = 0; r < N; ++r)
+        for (int64_t c = 0; c < N; ++c) {
+            int64_t i = (r + 1) * m + c + 1, q = r * N + c;
+            int in = D->inside[i];
+            S->core_dV[q] = in ? S->dV[i] : 0.0;
+            S->core_H2dV[q] = in ? S->H[i] * S->H[i] * S->dV[i] : 0.0;
+        }
+    S->vol = pairwise_sum(S->core_dV, N * N);
+    S->ih2 = pairwise_sum(S->core_H2dV, N * N);
+    S->h = h;
+    S->m_min = m_min;
+    S->bdot[0] = S->bdot[1] = 0.0;
+}
+
+/* one row of the ring sampler applied to w, or to w^2 */
+static double ring_sample(const Disk *D, int64_t row, const double *w, int squared)
+{
+    const int64_t *col = D->ring_col + 4 * row;
+    const double *val = D->ring_val + 4 * row;
+    double sum = 0.0;
+    for (int j = 0; j < 4; ++j)
+        sum += val[j] * (squared ? w[col[j]] * w[col[j]] : w[col[j]]);
+    return sum;
+}
+
+/* the boundary identities on the monitor ring (disk.rim_values and
+ * radial_derivative_at_rim of u, H, v and H^2), with the tube's curvature at
+ * the ring height (profiles.rim_curvature) */
+static Block disk2d_rim(const Step *S, double *lo)
+{
+    const Disk *D = S->disk;
+    const int64_t na = D->n_angles;
+    const double two_delta = 2.0 * D->ring_delta;
+    Block acc = {0};
+    for (int64_t a = 0; a < na; ++a) {
+        double Hk[3], vk[3], H2k[3];
+        for (int k = 0; k < 3; ++k) {
+            Hk[k] = ring_sample(D, k * na + a, S->H, 0);
+            vk[k] = ring_sample(D, k * na + a, S->v, 0);
+            H2k[k] = ring_sample(D, k * na + a, S->H, 1);
+        }
+        double z = ring_sample(D, a, S->u, 0);
+        double dfz = rot_df(S->code, S->prm, z);
+        double w = sqrt(1.0 - dfz * dfz);
+        double a_vv = -rot_d2f(S->code, S->prm, z) / pow(w, THREE);
+        double a_ww = 1.0 / (rot_f(S->code, S->prm, z) * w);
+        double dH = (3.0 * Hk[0] - 4.0 * Hk[1] + Hk[2]) / two_delta;
+        double dv = (3.0 * vk[0] - 4.0 * vk[1] + vk[2]) / two_delta;
+        double dH2 = (3.0 * H2k[0] - 4.0 * H2k[1] + H2k[2]) / two_delta;
+        Block b = identity_block(Hk[0], vk[0], dH, dv, dH2, dv, 1.0 / w, a_vv, a_ww);
+        acc = a == 0 ? b : merge_blocks(acc, b);
+    }
+    *lo = D->radius;
+    return acc;
+}
+
+/* the disk does not move: the update is the new state */
+static int disk2d_project(Step *S, double *fail)
+{
+    (void)fail;
+    memcpy(S->u, S->unew, S->n * sizeof *S->u);
+    return 0;
+}
+
 /* -- the per-kind table and the one stepping loop ----------------------------- */
 
 typedef struct {
-    void (*evaluate)(Step *);                /* PDE data, record factors and rates */
+    void (*evaluate)(Step *);                /* PDE data, rates and record fields */
     Block (*rim)(const Step *, double *lo);  /* rim block(s); the record's boundary_lo */
     int (*project)(Step *, double *fail);    /* (unew, bnew) back onto the boundary */
     double dim_factor;                       /* the dt bound is cfl h^2 m_min / dim_factor */
@@ -435,10 +648,11 @@ typedef struct {
 static const Kind KINDS[] = {
     [K_CURVE1D] = {curve1d_evaluate, curve1d_rim, curve1d_project, 1.0},
     [K_RADIAL2D] = {radial2d_evaluate, radial2d_rim, radial2d_project, 2.0},
+    [K_DISK2D] = {disk2d_evaluate, disk2d_rim, disk2d_project, 2.0},
 };
 
 int maxsurf_run(int kind, int64_t n, double *u, double *bnd, double *t_io,
-                const double *s_ref, int code, const double *prm,
+                const double *s_ref, int code, const double *prm, const Disk *disk,
                 double cfl, double eps_guard, double h_stop, double t_end,
                 int has_t_end, int64_t max_steps, int64_t stride, int64_t *k_io,
                 double *rec, int64_t *nrec, double *snaps, double *snap_t,
@@ -447,9 +661,11 @@ int maxsurf_run(int kind, int64_t n, double *u, double *bnd, double *t_io,
 {
     const Kind *K = &KINDS[kind];
     Step S = {
-        .n = n, .nm1 = (double)(n - 1), .s_ref = s_ref, .code = code, .prm = prm, .u = u,
-        .ux = work, .m = work + n, .rhs = work + 2 * n, .H = work + 3 * n, .v = work + 4 * n,
-        .dvol = work + 5 * n, .udot = work + 6 * n, .unew = work + 7 * n,
+        .n = n, .nm1 = (double)(n - 1), .s_ref = s_ref, .code = code, .prm = prm,
+        .disk = disk, .u = u, .ux = work, .m = work + n, .rhs = work + 2 * n,
+        .vh = work + 3 * n, .H = work + 4 * n, .v = work + 5 * n, .dV = work + 6 * n,
+        .mask = disk ? disk->inside : NULL, .udot = work + 7 * n, .unew = work + 8 * n,
+        .uf = work + 9 * n, .core_dV = work + 10 * n, .core_H2dV = work + 11 * n,
         .b = {bnd[0], bnd[1]},
     };
     double t = *t_io;
@@ -461,22 +677,16 @@ int maxsurf_run(int kind, int64_t n, double *u, double *bnd, double *t_io,
         K->evaluate(&S);
         int guard = S.m_min < eps_guard;
 
-        /* the record of the pre-step state (also the trip record) */
+        /* the record of the pre-step state (also the trip record): the sups and
+         * the range of u over the masked nodes, as flow._pack_record */
         double sup_v = -INFINITY, sup_vh = -INFINITY, sup_H = -INFINITY;
-        double vol = 0.0, ih2 = 0.0, umin = INFINITY, umax = -INFINITY;
+        double umin = INFINITY, umax = -INFINITY;
         for (int64_t i = 0; i < n; ++i) {
-            double wi = sqrt(S.m[i]);
-            double vh = 1.0 / wi;
-            double Hi = vh * (i == 0 ? S.r_end[0] : i == n - 1 ? S.r_end[1] : S.rhs[i]);
-            double vi = S.v[i] / wi;
-            double dV = S.dvol[i] * wi * (i == 0 || i == n - 1 ? 0.5 * S.h : S.h);
-            S.H[i] = Hi;
-            S.v[i] = vi;
-            vol += dV;
-            ih2 += Hi * Hi * dV;
-            TAKE_MAX(sup_v, vi);
-            TAKE_MAX(sup_vh, vh);
-            TAKE_MAX(sup_H, fabs(Hi));
+            if (S.mask && !S.mask[i])
+                continue;
+            TAKE_MAX(sup_v, S.v[i]);
+            TAKE_MAX(sup_vh, S.vh[i]);
+            TAKE_MAX(sup_H, fabs(S.H[i]));
             TAKE_MIN(umin, u[i]);
             TAKE_MAX(umax, u[i]);
         }
@@ -484,7 +694,7 @@ int maxsurf_run(int kind, int64_t n, double *u, double *bnd, double *t_io,
         Block b = K->rim(&S, &blo);
         if (k % stride == 0 || guard)
             take_snapshot(n, u, t, S.b[0], S.b[1], k, snaps, snap_t, snap_b, snap_k, nsnap);
-        store_record(rec + NREC * (*nrec), t, sup_v, sup_vh, sup_H, vol, ih2, umin, umax,
+        store_record(rec + NREC * (*nrec), t, sup_v, sup_vh, sup_H, S.vol, S.ih2, umin, umax,
                      blo, S.b[1], b);
         *nrec += 1;
         if (guard) {

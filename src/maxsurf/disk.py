@@ -5,8 +5,10 @@ Nodes are cell-centered (never exactly on the rim circle) with one pad ring,
 so every stencil and every mirror interpolation stays inside the stored
 array.  A ghost node g outside the circle takes the value of its mirror
 point m = (2R/|g| - 1) g inside, which enforces du/drho = 0 at the rim to
-second order; mirror values are bilinear in the surrounding cell, and the
-resulting ghost-ghost coupling is solved once by sparse LU.
+second order; mirror values are bilinear in the surrounding cell.  The
+ghost-ghost coupling is solved once, at construction, into one sparse ghost
+operator G = (I - A_gg)^-1 A_gi from the inside values to the ghost values,
+which both stepping engines apply.
 
 Quadrature weights are exact cell-disk intersection areas, with the coverage
 of cells centered outside the circle lumped onto the nearest inside node, so
@@ -149,9 +151,18 @@ class DiskGrid:
                     agg_c.append(gindex[(ci, cj)])
                     agg_v.append(w)
         n_g = len(self.ghost_nodes)
-        self._A_gi = sp.csr_matrix((agi_v, (agi_r, agi_c)), shape=(n_g, n_in))
+        A_gi = sp.csr_matrix((agi_v, (agi_r, agi_c)), shape=(n_g, n_in))
         A_gg = sp.csr_matrix((agg_v, (agg_r, agg_c)), shape=(n_g, n_g))
-        self._ghost_lu = spla.splu(sp.csc_matrix(sp.eye(n_g) - A_gg))
+        lu = spla.splu(sp.csc_matrix(sp.eye(n_g) - A_gg))
+        # solve only for the inside nodes some mirror cell touches (no dense
+        # n_ghost x n_inside temporary), 16 columns at a time: one solve with
+        # all of them can take threaded BLAS paths, which stall for up to a
+        # second when other processes keep the cores busy
+        cols = np.unique(A_gi.indices)
+        B = A_gi[:, cols].toarray()
+        X = np.hstack([lu.solve(B[:, i:i + 16]) for i in range(0, B.shape[1], 16)])
+        r, c = np.nonzero(X)
+        self.ghost_operator = sp.csr_matrix((X[r, c], (r, cols[c])), shape=(n_g, n_in))
         self.ghost_idx = (
             np.array([g[0] for g in self.ghost_nodes], dtype=int),
             np.array([g[1] for g in self.ghost_nodes], dtype=int),
@@ -160,8 +171,7 @@ class DiskGrid:
     def fill_ghosts(self, u: np.ndarray) -> np.ndarray:
         """Return a copy of u with ghost entries set by mirror reflection."""
         out = u.copy()
-        rhs = self._A_gi @ u[self.inside]
-        out[self.ghost_idx] = self._ghost_lu.solve(rhs)
+        out[self.ghost_idx] = self.ghost_operator @ u[self.inside]
         return out
 
     # -- quadrature and monitor geometry ------------------------------------
@@ -207,11 +217,11 @@ class DiskGrid:
         self.ring_offset = 2.0 * self.h
         self.ring_radius = self.radius - self.ring_offset
         self.ring_delta = 1.5 * self.h
-        ca, sa = np.cos(self.ring_angles), np.sin(self.ring_angles)
-        self._ray_samplers = []
-        for k in range(3):
-            rr = self.ring_radius - k * self.ring_delta
-            self._ray_samplers.append(self._bilinear_operator(rr * ca, rr * sa))
+        # one operator for the three sampling circles R_off - k*1.5h, k = 0, 1, 2:
+        # row k*n_angles + a samples circle k at angle a
+        radii = self.ring_radius - np.arange(3.0)[:, None] * self.ring_delta
+        self.ring_sampler = self._bilinear_operator(
+            (radii * np.cos(self.ring_angles)).ravel(), (radii * np.sin(self.ring_angles)).ravel())
 
     def _bilinear_operator(self, xs, ys) -> sp.csr_matrix:
         mshape = self.X.shape[0]
@@ -248,13 +258,12 @@ class DiskGrid:
         formula; evaluating the boundary identities on the offset ring costs
         one order, consistent with the monitors' >= 1 target.
         """
-        flat = w.ravel()
-        vals = [S @ flat for S in self._ray_samplers]
-        return (3.0 * vals[0] - 4.0 * vals[1] + vals[2]) / (2.0 * self.ring_delta)
+        v0, v1, v2 = (self.ring_sampler @ w.ravel()).reshape(3, -1)
+        return (3.0 * v0 - 4.0 * v1 + v2) / (2.0 * self.ring_delta)
 
     def rim_values(self, w: np.ndarray):
         """Field values on the monitor ring (radius R - 2h)."""
-        return self._ray_samplers[0] @ w.ravel()
+        return (self.ring_sampler @ w.ravel())[: self.ring_angles.size]
 
 
 _CACHE: dict[tuple[int, float], DiskGrid] = {}

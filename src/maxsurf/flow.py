@@ -515,10 +515,10 @@ def record_state(state: FlowState, ctrl: StepControl, profile) -> np.ndarray:
 def run(state0: FlowState, ctrl: StepControl, profile, stride: int = 100) -> Trajectory:
     """Iterate the flow until convergence, guard trip, t_end or step limit.
 
-    Euler runs of the 1d kinds on built-in profiles take the compiled step
-    loop of ``_kernels`` when that library can be built; everything else,
-    and every run when it cannot, takes the numpy reference engine.  A state
-    already at t_end takes no step: its trajectory is itself.
+    Euler runs on built-in profiles, of every grid kind, take the compiled
+    step loop of ``_kernels`` when that library can be built; RK2 runs,
+    custom profiles, and every run when it cannot, take the numpy reference
+    engine.  A state already at t_end takes no step: its trajectory is itself.
     """
     if stride < 1:
         raise ValueError("stride must be a positive number of steps")
@@ -526,7 +526,7 @@ def run(state0: FlowState, ctrl: StepControl, profile, stride: int = 100) -> Tra
         state = state0.copy()
         return Trajectory(record_state(state, ctrl, profile)[None, :], [state], [0],
                           FlowEvent.TIME_EXHAUSTED, state.t, state.grid)
-    if ctrl.integrator == "euler" and state0.grid.kind in ("curve1d", "radial2d"):
+    if ctrl.integrator == "euler":
         from . import _kernels
 
         if _kernels.available and profile.kind in _kernels.PROFILES:

@@ -176,7 +176,7 @@ def run_scenario(cfg: ScenarioConfig, write: bool = True):
     if cfg.monitor_boundary:
         for key, val in boundary_identities(traj, scenario.profile).items():
             summary[f"boundary_{key}"] = val
-    if cfg.monitor_estimates:
+    if cfg.monitor_estimates and traj.records.shape[0] >= 2:
         est = estimate_monitors(traj)
         summary["h_sup_monotone"] = est["h_sup_monotone"]
         summary["boundary_Asig_min"] = est["boundary_Asig_min"]

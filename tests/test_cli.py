@@ -64,6 +64,10 @@ def test_run_static_leaf_takes_no_step(out_root):
     summary = (out / "monitor_summary.txt").read_text().splitlines()
     assert "steps = 0" in summary and "event = time_exhausted" in summary
     assert len((out / "timeseries.csv").read_text().splitlines()) == 2
+    # one record determines no fit
+    keys = {line.split(" = ")[0] for line in summary}
+    assert not keys & {"p_best_fit", "grad_bound_C1", "grad_bound_C2", "h_vs_v_C1",
+                       "h_vs_v_C2", "h_vs_v_p", "h_sup_monotone", "boundary_Asig_min"}
 
 
 def test_run_exit_4_condition_failure(tmp_path, out_root):

@@ -307,6 +307,38 @@ def test_fast_kernel_matches_reference_radial2d():
 
 
 @needs_step_loop
+def test_fast_kernel_matches_reference_disk2d():
+    # AC-3's fixed point to the step limit, a bump to h_stop at two strides, a
+    # disk of radius 0.8 and a steep bump (margin 0.040) under a guard at 0.05;
+    # both engines apply the same ghost operator and the update reads no
+    # profile, so the states agree bit for bit
+    def bump(amp, n=33, radius=1.0):
+        return disk_state(lambda x, y: amp * (1 - (x * x + y * y) / radius**2) ** 2, n, radius)
+
+    events = set()
+    for state, ctrl, profile, stride in (
+        (bump(0.0), StepControl(max_steps=40), cylinder(1.0), 7),
+        (bump(0.1), StepControl(h_stop=1e-3, t_end=10.0), cylinder(1.0), 1),
+        (bump(0.1), StepControl(h_stop=1e-3, t_end=10.0), cylinder(1.0), 7),
+        (bump(0.05, radius=0.8), StepControl(t_end=0.01), cylinder(0.8), 5),
+        (bump(0.64), StepControl(eps_guard=0.05, t_end=1.0), cylinder(1.0), 3),
+    ):
+        ref = _run_python(state.copy(), ctrl, profile, stride=stride)
+        fast = _kernels.run_fast(state.copy(), ctrl, profile, stride=stride)
+        assert fast.event is ref.event
+        assert fast.event_time == ref.event_time
+        assert fast.state_steps == ref.state_steps
+        assert fast.records.shape == ref.records.shape
+        assert all(a.u.shape == b.u.shape and a.u.tobytes() == b.u.tobytes() and
+                   a.t == b.t and b.boundary is None for a, b in zip(ref.states, fast.states))
+        assert np.abs(ref.records[:, :11] - fast.records[:, :11]).max() < 1e-12
+        d = np.abs(ref.records[:, 11:16] - fast.records[:, 11:16])
+        assert np.nanmax(np.where(np.isfinite(ref.records[:, 11:16]), d, 0.0)) < 1e-6
+        events.add(ref.event)
+    assert events == set(FlowEvent)
+
+
+@needs_step_loop
 def test_fast_kernel_matches_reference_exits():
     # h_stop convergence, guard trip and the step limit end both engines alike
     st = translator_state(-1.0, 51)
@@ -339,8 +371,8 @@ def test_fast_kernel_matches_reference_exits():
 
 @needs_step_loop
 def test_fast_kernel_failures_match_reference():
-    # a time step underflow and an incidence Newton failure are told apart,
-    # with the reference's own messages
+    # a time step underflow (on each grid kind) and an incidence Newton failure
+    # are told apart, with the reference's own messages
     st = translator_state(-1.0, 51)
     grid = GridSpec("radial2d", 41)
     tube = sine_tube(2.0, 0.5, 1.0)
@@ -357,6 +389,8 @@ def test_fast_kernel_failures_match_reference():
          "underflow"),
         (FlowState(grid, 0.0, np.full(41, 3.0), 0.5), StepControl(max_steps=5), near_null,
          "incidence Newton failed at rho="),
+        (disk_state(lambda x, y: 0.05 * (1 - (x * x + y * y)) ** 2, 33, t=1e20),
+         StepControl(t_end=2e20), cylinder(1.0), "underflow"),
     )
     for state, ctrl, profile, words in cases:
         with pytest.raises(FlowError, match=words) as ref, np.errstate(all="ignore"):
@@ -379,6 +413,38 @@ def test_run_falls_back_to_numpy_when_the_loop_cannot_load(monkeypatch, tmp_path
     ref = _run_python(st.copy(), ctrl, trumpet(), stride=10)
     assert np.array_equal(traj.records, ref.records, equal_nan=True)
     assert all(np.array_equal(a.u, b.u) for a, b in zip(traj.states, ref.states))
+    disk = disk_state(lambda x, y: 0.05 * (1 - (x * x + y * y)) ** 2, 33)
+    ctrl = StepControl(max_steps=20)
+    traj = run(disk.copy(), ctrl, cylinder(1.0), stride=10)
+    ref = _run_python(disk.copy(), ctrl, cylinder(1.0), stride=10)
+    assert np.array_equal(traj.records, ref.records, equal_nan=True)
+    assert all(np.array_equal(a.u, b.u) for a, b in zip(traj.states, ref.states))
+
+
+def test_run_sends_euler_runs_to_the_step_loop(monkeypatch):
+    # the engine decides, not the grid kind: a disk2d Euler run takes the
+    # compiled loop, an RK2 run the numpy engine
+    from maxsurf import flow
+
+    calls = []
+    monkeypatch.setattr(_kernels, "load", lambda: (object(), None))
+    monkeypatch.setattr(_kernels, "run_fast", lambda *a: calls.append("run_fast"))
+    monkeypatch.setattr(flow, "_run_python", lambda *a: calls.append("_run_python"))
+    disk = disk_state(lambda x, y: 0.0 * x, 33)
+    run(disk, StepControl(max_steps=3), cylinder(1.0))
+    run(disk, StepControl(max_steps=3, integrator="rk2"), cylinder(1.0))
+    assert calls == ["run_fast", "_run_python"]
+
+
+def test_step_loop_compiles_without_warnings(tmp_path):
+    try:
+        cc = _kernels._compiler()
+    except _kernels.BuildError as exc:
+        pytest.skip(str(exc))
+    proc = subprocess.run([*cc, *_kernels.CFLAGS, "-Wall", "-Wextra", "-Werror",
+                           "-o", str(tmp_path / "_step.so"), _kernels.SOURCE, *_kernels.LDLIBS],
+                          capture_output=True, text=True, timeout=_kernels.COMPILE_TIMEOUT_S)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_built_package_ships_the_step_loop_source(tmp_path):
