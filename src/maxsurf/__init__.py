@@ -6,15 +6,7 @@ surfaces; the package also verifies the evolution identities, boundary
 derivatives and a-priori estimate quantities along every discrete trajectory.
 """
 
-from .lorentz import (
-    CausalClass,
-    boost_factor,
-    causal_class,
-    minkowski_inner,
-    minkowski_square,
-    unit_spacelike,
-    unit_timelike,
-)
+from .lorentz import minkowski_inner
 from .profiles import (
     BoundaryCurvature,
     CmcLeaf,
@@ -33,23 +25,13 @@ from .profiles import (
     sine_tube,
     trumpet,
 )
-from .foliation import (
-    ChartCompatibilityReport,
-    ChartError,
-    FlatChart,
-    RotationalCmcChart,
-    check_compatibility,
-    hat_v_field,
-)
 from .geometry import (
     FlowState,
     GeometryFields,
     GridSpec,
     SpacelikeError,
     geometry,
-    height_gradient_identity,
     laplace_beltrami,
-    oscillation,
     spacelike_margin,
 )
 from .flow import (

@@ -11,8 +11,7 @@
  * contraction (-ffp-contract=off) or fast-math, so the states follow the
  * reference to a few ulps (disk2d states, whose update calls no profile
  * function, exactly).  The integrals (volume, int H^2 dV) are summed
- * pairwise on the disk, as numpy sums the reference's; on the line grids they
- * are summed in node order and differ from the reference's by summation order.
+ * pairwise, as numpy sums the reference's.
  *
  * As in flow.py, each kind supplies only what differs (see KINDS): its
  * evaluation (the rate with the moving grid's advection term, and the
@@ -240,7 +239,7 @@ typedef struct {
     const uint8_t *mask;             /* nodes of the sups and the range of u; NULL: all */
     double *udot, *unew;             /* du/dt with advection, the Euler update */
     double *uf;                      /* disk2d: u with its ghost values */
-    double *core_dV, *core_H2dV;     /* disk2d: dV and H^2 dV over the N x N core */
+    double *sum_dV, *sum_H2dV;       /* summands of vol, ih2 (disk2d: the N x N core) */
     double b[2];                     /* (x_l, x_r), or (rho_b, rho_b) */
     double bdot[2], bnew[2];         /* boundary velocity, the Euler update */
     double h, m_min;
@@ -288,28 +287,6 @@ static double one_sided_uxx(const double *u, int64_t e, int64_t d, double h, dou
     return (-3.5 * u[e] + 4.0 * u[e + d] - 0.5 * u[e + 2 * d] - d * 3.0 * h * slope) / (h * h);
 }
 
-/* the record fields of a line grid (flow._curve1d_record, _radial2d_record):
- * w = sqrt(m), v_hat = 1/w, H = v_hat rhs with the one-sided ends, v = (v w)/w
- * and dV = (dV per unit w h) w h, with half cells at the ends; the integrals
- * are summed in node order */
-static void line_record(Step *S)
-{
-    const int64_t n = S->n;
-    S->vol = S->ih2 = 0.0;
-    for (int64_t i = 0; i < n; ++i) {
-        double wi = sqrt(S->m[i]);
-        double vh = 1.0 / wi;
-        double Hi = vh * (i == 0 ? S->r_end[0] : i == n - 1 ? S->r_end[1] : S->rhs[i]);
-        double dV = S->dV[i] * wi * (i == 0 || i == n - 1 ? 0.5 * S->h : S->h);
-        S->vh[i] = vh;
-        S->H[i] = Hi;
-        S->v[i] = S->v[i] / wi;
-        S->dV[i] = dV;
-        S->vol += dV;
-        S->ih2 += Hi * Hi * dV;
-    }
-}
-
 /* numpy's pairwise summation of a[0..n), the reference's dV.sum() */
 static double pairwise_sum(const double *a, int64_t n)
 {
@@ -334,6 +311,27 @@ static double pairwise_sum(const double *a, int64_t n)
     int64_t n2 = n / 2;
     n2 -= n2 % 8;
     return pairwise_sum(a, n2) + pairwise_sum(a + n2, n - n2);
+}
+
+/* the record fields of a line grid (flow._curve1d_record, _radial2d_record):
+ * w = sqrt(m), v_hat = 1/w, H = v_hat rhs with the one-sided ends, v = (v w)/w
+ * and dV = (dV per unit w h) w h, with half cells at the ends */
+static void line_record(Step *S)
+{
+    const int64_t n = S->n;
+    for (int64_t i = 0; i < n; ++i) {
+        double wi = sqrt(S->m[i]);
+        double vh = 1.0 / wi;
+        double Hi = vh * (i == 0 ? S->r_end[0] : i == n - 1 ? S->r_end[1] : S->rhs[i]);
+        double dV = S->dV[i] * wi * (i == 0 || i == n - 1 ? 0.5 * S->h : S->h);
+        S->vh[i] = vh;
+        S->H[i] = Hi;
+        S->v[i] = S->v[i] / wi;
+        S->dV[i] = dV;
+        S->sum_H2dV[i] = Hi * Hi * dV;
+    }
+    S->vol = pairwise_sum(S->dV, n);
+    S->ih2 = pairwise_sum(S->sum_H2dV, n);
 }
 
 /* Boundary identity data at one boundary point (flow._boundary_block): rim
@@ -576,11 +574,11 @@ static void disk2d_evaluate(Step *S)
         for (int64_t c = 0; c < N; ++c) {
             int64_t i = (r + 1) * m + c + 1, q = r * N + c;
             int in = D->inside[i];
-            S->core_dV[q] = in ? S->dV[i] : 0.0;
-            S->core_H2dV[q] = in ? S->H[i] * S->H[i] * S->dV[i] : 0.0;
+            S->sum_dV[q] = in ? S->dV[i] : 0.0;
+            S->sum_H2dV[q] = in ? S->H[i] * S->H[i] * S->dV[i] : 0.0;
         }
-    S->vol = pairwise_sum(S->core_dV, N * N);
-    S->ih2 = pairwise_sum(S->core_H2dV, N * N);
+    S->vol = pairwise_sum(S->sum_dV, N * N);
+    S->ih2 = pairwise_sum(S->sum_H2dV, N * N);
     S->h = h;
     S->m_min = m_min;
     S->bdot[0] = S->bdot[1] = 0.0;
@@ -665,7 +663,7 @@ int maxsurf_run(int kind, int64_t n, double *u, double *bnd, double *t_io,
         .disk = disk, .u = u, .ux = work, .m = work + n, .rhs = work + 2 * n,
         .vh = work + 3 * n, .H = work + 4 * n, .v = work + 5 * n, .dV = work + 6 * n,
         .mask = disk ? disk->inside : NULL, .udot = work + 7 * n, .unew = work + 8 * n,
-        .uf = work + 9 * n, .core_dV = work + 10 * n, .core_H2dV = work + 11 * n,
+        .uf = work + 9 * n, .sum_dV = work + 10 * n, .sum_H2dV = work + 11 * n,
         .b = {bnd[0], bnd[1]},
     };
     double t = *t_io;

@@ -14,7 +14,9 @@ import argparse
 import sys
 
 from .config import ConfigError, parse_config
+from .flow import FlowError
 from .runner import (
+    EXIT_BREAKDOWN,
     EXIT_CONFIG,
     check_boundary,
     convergence_study,
@@ -76,6 +78,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except FlowError as exc:
+        print(f"flow breakdown: {exc}", file=sys.stderr)
+        return EXIT_BREAKDOWN
     return 0
 
 

@@ -206,9 +206,8 @@ class DiskGrid:
             w[i, j] = 0.0
         self.area_weights = w
 
-    def _build_boundary_ring(self, n_angles: int | None = None) -> None:
-        if n_angles is None:
-            n_angles = min(4 * self.n, 128)
+    def _build_boundary_ring(self) -> None:
+        n_angles = min(4 * self.n, 128)
         self.ring_angles = (np.arange(n_angles) + 0.5) * (2.0 * np.pi / n_angles)
         self.deep = self._erode(self._erode(self.inside))
         # mirror-ghost second derivatives are only O(1) in a ~2-cell rim band,

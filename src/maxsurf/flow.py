@@ -382,9 +382,19 @@ def _advance_boundary(boundary, bdot, dt):
 def _clip_dt(dt, t, t_end):
     if t_end is not None and t + dt > t_end:
         dt = t_end - t
-    if dt < 1e-16 * max(1.0, abs(t)):
+    if _underflows(dt, t):
         raise _step_underflow(dt, t)
     return dt
+
+
+def _underflows(dt: float, t: float) -> bool:
+    return dt < 1e-16 * max(1.0, abs(t))
+
+
+def first_step_underflows(state: FlowState, profile, cfl: float) -> bool:
+    """Whether the dt bound of a spacelike start state underflows against its time."""
+    dt = _dt_bound(state, _KINDS[state.grid.kind].evaluate(state, profile), cfl)
+    return 0.0 < dt and _underflows(dt, state.t)   # not spacelike: the guard trips first
 
 
 def _newton(phi: Callable, dphi: Callable, x0: float, rim: str) -> float:
@@ -630,6 +640,7 @@ def comparison_pair_run(state_a: FlowState, state_b: FlowState, ctrl: StepContro
             event, event_time = FlowEvent.TIME_EXHAUSTED, a.t
             break
         if k >= ctrl.max_steps:
+            event_time = a.t
             break
     traj_a = Trajectory(np.asarray(rec_a), states_a, state_steps, event, event_time, a.grid)
     traj_b = Trajectory(np.asarray(rec_b), states_b, state_steps, event, event_time, b.grid)

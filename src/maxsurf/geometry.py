@@ -26,9 +26,6 @@ import numpy as np
 from .disk import disk_grid
 from .profiles import PlanarBoundary, RotationalProfile
 
-EPS_GUARD_DEFAULT = 1e-3
-
-
 class SpacelikeError(RuntimeError):
     """Raised when a state violates the strict spacelike guard."""
 
@@ -84,7 +81,7 @@ class FlowState:
 
 @dataclass
 class GeometryFields:
-    """Per-node geometric data plus global volume and oscillation."""
+    """Per-node geometric data plus the global volume."""
 
     v_hat: np.ndarray
     v: np.ndarray
@@ -92,11 +89,8 @@ class GeometryFields:
     H: np.ndarray
     normA2: np.ndarray
     dV: np.ndarray
-    det_g: np.ndarray
-    det_ghat: np.ndarray
     du: np.ndarray
     volume: float
-    osc_u: float
     mask: Optional[np.ndarray] = None   # disk2d inside mask
     kappa: Optional[tuple] = None       # radial2d principal curvatures
 
@@ -198,8 +192,7 @@ def _geometry_curve1d(state: FlowState, profile) -> GeometryFields:
     dV = w * trapezoid_weights(u.size, h)
     return GeometryFields(
         v_hat=v_hat, v=v, nu=nu, H=H, normA2=normA2, dV=dV,
-        det_g=m.copy(), det_ghat=np.ones_like(u), du=ux,
-        volume=float(dV.sum()), osc_u=float(u.max() - u.min()),
+        du=ux, volume=float(dV.sum()),
     )
 
 
@@ -230,8 +223,7 @@ def _geometry_radial2d(state: FlowState, profile) -> GeometryFields:
     dV = 2.0 * np.pi * rho * w * trapezoid_weights(u.size, h)
     return GeometryFields(
         v_hat=v_hat, v=v, nu=nu, H=H, normA2=normA2, dV=dV,
-        det_g=m * rho**2, det_ghat=rho**2, du=ur,
-        volume=float(dV.sum()), osc_u=float(u.max() - u.min()),
+        du=ur, volume=float(dV.sum()),
         kappa=(kappa1, kappa2),
     )
 
@@ -271,13 +263,9 @@ def _geometry_disk2d(state: FlowState, profile) -> GeometryFields:
     else:
         v = v_hat.copy()
     dV = np.where(ins, grid.area_weights / v_hat, 0.0)
-    uin = state.u[ins]
     return GeometryFields(
         v_hat=v_hat, v=v, nu=nu, H=H, normA2=normA2, dV=dV,
-        det_g=np.where(ins, (1 - ux * ux) * (1 - uy * uy) - (ux * uy) ** 2, 1.0),
-        det_ghat=np.ones_like(uf), du=np.stack([ux, uy], axis=-1),
-        volume=float(dV.sum()), osc_u=float(uin.max() - uin.min()),
-        mask=ins,
+        du=np.stack([ux, uy], axis=-1), volume=float(dV.sum()), mask=ins,
     )
 
 
@@ -310,16 +298,6 @@ def disk_derivatives(f: np.ndarray, h: float, padded: bool = False):
     return (*disk_gradient(f, h, padded), *second)
 
 
-def oscillation(state: FlowState) -> float:
-    """max - min of the time function over nodes (flat chart: of u itself)."""
-    if state.grid.kind == "disk2d":
-        ins = disk_grid(state.grid.n, state.grid.radius).inside
-        vals = state.u[ins]
-    else:
-        vals = state.u
-    return float(vals.max() - vals.min())
-
-
 def spacelike_margin(state: FlowState) -> float:
     """min over nodes of 1 - psi^2 |Du|^2_ghat (flat ambient chart)."""
     if state.grid.kind == "disk2d":
@@ -329,39 +307,6 @@ def spacelike_margin(state: FlowState) -> float:
         return float(1.0 - du2[grid.inside[1:-1, 1:-1]].max())
     du = _slope_1d(state)
     return float(1.0 - (du * du).max())
-
-
-def height_gradient_identity(state: FlowState) -> float:
-    """Self-consistency of the discrete metric: |grad u|^2 = psi^-2 (v_hat^2 - 1).
-
-    The left side evaluates the intrinsic gradient square on staggered
-    midpoints, the right side uses the nodal v_hat route; the two
-    discretizations of the same identity differ by O(h^2) on smooth states.
-    """
-    u = state.u
-    if state.grid.kind == "disk2d":
-        grid = disk_grid(state.grid.n, state.grid.radius)
-        uf = grid.fill_ghosts(u)
-        h = grid.h
-        sx = (np.diff(uf, axis=0) / h) ** 2
-        sy = (np.diff(uf, axis=1) / h) ** 2
-        mid2 = np.zeros_like(uf)
-        mid2[1:-1, :] = 0.5 * (sx[:-1, :] + sx[1:, :])
-        mid2[:, 1:-1] += 0.5 * (sy[:, :-1] + sy[:, 1:])
-        lhs = mid2 / np.maximum(1.0 - mid2, 1e-12)
-        ux, uy = disk_gradient(uf, h, padded=True)
-        du2 = ux * ux + uy * uy
-        rhs = du2 / np.maximum(1.0 - du2, 1e-12)
-        return float(np.abs(lhs - rhs)[grid.deep].max())
-    h = state.spacing()
-    dm = np.diff(u) / h
-    lhs_mid = dm * dm / (1.0 - dm * dm)
-    lhs = np.empty_like(u)
-    lhs[1:-1] = 0.5 * (lhs_mid[1:] + lhs_mid[:-1])
-    lhs[0], lhs[-1] = lhs_mid[0], lhs_mid[-1]
-    du = _slope_1d(state)
-    rhs = du * du / (1.0 - du * du)
-    return float(np.abs(lhs - rhs)[1:-1].max())
 
 
 def laplace_beltrami(state: FlowState, f: np.ndarray) -> np.ndarray:

@@ -343,30 +343,26 @@ class StabilityCertificate:
 
 
 def _minkowski_square_from_center(state: FlowState, center: np.ndarray):
-    """|x - a|^2 per node for the graph points of the state."""
+    """|x - a|^2 per node for the graph points of a radial2d or disk2d state."""
     if state.grid.kind == "radial2d":
         rho = state.coords()
         ax = math.hypot(center[0], center[1])
         if ax > 1e-12:
             raise ValueError("radial states need the center on the rotation axis")
         return rho**2 - (state.u - center[2]) ** 2
-    if state.grid.kind == "disk2d":
-        grid = disk_grid(state.grid.n, state.grid.radius)
-        return ((grid.X - center[0]) ** 2 + (grid.Y - center[1]) ** 2
-                - (state.u - center[2]) ** 2)
-    x = state.coords()
-    return (x - center[0]) ** 2 - (state.u - center[1]) ** 2
+    grid = disk_grid(state.grid.n, state.grid.radius)
+    return ((grid.X - center[0]) ** 2 + (grid.Y - center[1]) ** 2
+            - (state.u - center[2]) ** 2)
 
 
-def stability_certificate(state: FlowState, profile, center, radius: Optional[float] = None,
-                          epsilon: float = 1e-2, maximal_tol: float = 1e-4) -> StabilityCertificate:
+def stability_certificate(state: FlowState, profile, center, epsilon: float = 1e-2,
+                          maximal_tol: float = 1e-4) -> StabilityCertificate:
     """Build and check phi = R - |x-a|^2 on an (approximately) maximal state.
 
     The hypothesis A^Sig(nu,nu) > 0 on the boundary is reported, not raised:
-    certificates are simply not constructible where it fails.  With radius
-    None the recipe R = max(sup|x-a|^2, boundary requirement) + epsilon-margin
-    is used.  On a maximal surface the interior identity Lap phi = -2n is
-    cross-checked.
+    certificates are simply not constructible where it fails.  The radius is
+    R = max(sup|x-a|^2, boundary requirement) + epsilon-margin.  On a maximal
+    surface the interior identity Lap phi = -2n is cross-checked.
     """
     center = np.asarray(center, dtype=float)
     g = geometry(state, profile)
@@ -408,12 +404,11 @@ def stability_certificate(state: FlowState, profile, center, radius: Optional[fl
     hypothesis_ok = bool(np.min(a_nn) > 1e-10)
     sq = _minkowski_square_from_center(state, center)
     sq_in = sq[ins]
-    if radius is None:
-        if hypothesis_ok:
-            need_bdry = float(np.max(sq_bdry + 2.0 * pairing / a_nn))
-            radius = max(float(sq_in.max()), need_bdry) + max(epsilon, 0.1)
-        else:
-            radius = float(sq_in.max()) + max(epsilon, 0.1)
+    if hypothesis_ok:
+        need_bdry = float(np.max(sq_bdry + 2.0 * pairing / a_nn))
+        radius = max(float(sq_in.max()), need_bdry) + max(epsilon, 0.1)
+    else:
+        radius = float(sq_in.max()) + max(epsilon, 0.1)
     phi = radius - sq
     lap_phi = laplace_beltrami(state, phi)
     interior = np.isfinite(lap_phi)

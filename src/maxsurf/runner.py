@@ -9,14 +9,16 @@ Every run writes, under its output directory:
 
 Exit codes: 0 completed as requested (converged, t_end, or the step budget
 when no convergence threshold was set), 1 convergence requested but not
-reached, 2 spacelike guard tripped, 3 configuration error, 4 curvature
-condition failed while require_conditions is set.
+reached, 2 the flow left the scheme's domain (guard trip, incidence Newton
+failure or time step underflow), 3 configuration error, 4 curvature condition
+failed while require_conditions is set.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
@@ -25,7 +27,7 @@ import numpy as np
 
 from .config import ConfigError, ScenarioConfig, parse_config
 from .disk import disk_grid
-from .flow import RECORD_COLUMNS, FlowEvent, StepControl, Trajectory, run
+from .flow import RECORD_COLUMNS, FlowError, FlowEvent, StepControl, Trajectory, run
 from .geometry import geometry
 from .monitors import (
     boundary_identities,
@@ -44,7 +46,7 @@ from .scenarios import Scenario, build_scenario
 
 EXIT_OK = 0
 EXIT_NOT_CONVERGED = 1
-EXIT_GUARD = 2
+EXIT_BREAKDOWN = 2
 EXIT_CONFIG = 3
 EXIT_CONDITION = 4
 
@@ -212,7 +214,7 @@ def run_scenario(cfg: ScenarioConfig, write: bool = True):
                       traj.states[-1])
         write_summary(os.path.join(out_dir, "monitor_summary.txt"), summary)
     if traj.event is FlowEvent.GUARD_TRIPPED:
-        code = EXIT_GUARD
+        code = EXIT_BREAKDOWN
     elif traj.event is FlowEvent.STEP_LIMIT and cfg.h_stop > 0:
         code = EXIT_NOT_CONVERGED
     else:
@@ -289,8 +291,17 @@ def convergence_study(cfg: ScenarioConfig, levels: int, write: bool = True) -> l
 
 
 def _batch_worker(path: str) -> tuple:
-    cfg = parse_config(open(path).read())
-    report, _ = run_scenario(cfg)
+    """(path, exit code) of one run; a bad file does not stop the others."""
+    try:
+        with open(path) as f:
+            cfg = parse_config(f.read())
+        report, _ = run_scenario(cfg)
+    except ConfigError as exc:
+        print(f"{path}: config error: {exc}", file=sys.stderr)
+        return path, EXIT_CONFIG
+    except FlowError as exc:
+        print(f"{path}: flow breakdown: {exc}", file=sys.stderr)
+        return path, EXIT_BREAKDOWN
     return path, report.code
 
 

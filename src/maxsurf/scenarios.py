@@ -28,6 +28,7 @@ from .analytic import (
 )
 from .config import ConfigError, ScenarioConfig
 from .disk import disk_grid
+from .flow import first_step_underflows
 from .geometry import FlowState, GridSpec
 from .profiles import cmc_leaf_through, leaf_time, profile_from_spec
 
@@ -56,6 +57,14 @@ def _resolve_plane_z(profile, which) -> float:
 
 
 def build_scenario(cfg: ScenarioConfig) -> Scenario:
+    """The scenario of a config; ConfigError when its first time step underflows."""
+    scenario = _build(cfg)
+    if first_step_underflows(scenario.state0, scenario.profile, cfg.cfl):
+        raise ConfigError(f"|t0| = {abs(cfg.t0)} is too large: the first time step underflows")
+    return scenario
+
+
+def _build(cfg: ScenarioConfig) -> Scenario:
     profile = profile_from_spec(cfg.profile)
     name, args = cfg.initial
     n = cfg.nodes

@@ -2,7 +2,9 @@ import os
 
 import pytest
 
+from maxsurf import runner
 from maxsurf.cli import main
+from maxsurf.flow import FlowError
 
 
 def write(tmp_path, name, text):
@@ -53,6 +55,29 @@ def test_run_exit_3_on_bad_times(tmp_path, out_root, capsys, times):
     assert main(["run", cfg]) == 3
     err = capsys.readouterr().err
     assert err.startswith("config error") and err.count("\n") == 1
+
+
+def test_run_exit_3_when_the_first_step_underflows(tmp_path, out_root, capsys):
+    # dt ~ 1e-4 is below 1e-16 |t0|: no step could advance the time
+    cfg = write(tmp_path, "far.cfg", "scenario = sine_tube\nt0 = 1e20\nt_end = none\n")
+    assert main(["run", cfg]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "Traceback" not in err
+
+
+def test_run_exit_2_on_flow_breakdown(tmp_path, out_root, capsys, monkeypatch):
+    def breakdown(*args, **kwargs):
+        raise FlowError("time step underflow (dt = 1e-20 at t = 1.0)")
+
+    monkeypatch.setattr(runner, "run", breakdown)
+    cfg = write(tmp_path, "sine.cfg", "scenario = sine_tube\nnodes = 21\n")
+    assert main(["run", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("flow breakdown") and err.count("\n") == 1
+    # batch gives the file its code instead of aborting the pool
+    assert runner._batch_worker(cfg) == (cfg, 2)
+    bad = write(tmp_path, "bad.cfg", "scenario = sine_tube\nfrobnicate = 1\n")
+    assert runner._batch_worker(bad) == (bad, 3)
 
 
 def test_run_static_leaf_takes_no_step(out_root):

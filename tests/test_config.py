@@ -4,6 +4,7 @@ import os
 import pytest
 
 from maxsurf.config import ConfigError, parse_config, serialize
+from maxsurf.scenarios import build_scenario
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -76,3 +77,4 @@ def test_shipped_configs_parse():
         with open(path) as f:
             cfg = parse_config(f.read())
         assert parse_config(serialize(cfg)) == cfg
+        build_scenario(cfg)

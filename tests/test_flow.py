@@ -238,6 +238,19 @@ def test_comparison_pair_reports_a_guard_trip():
     assert np.abs(out["min_gap"]).max() == 0.0
 
 
+def test_comparison_pair_reports_the_time_reached_at_the_step_limit():
+    # a pair of equal states steps as one run: same event time, not the start time
+    p = sine_tube(2.0, 0.5, 1.0)
+    grid = GridSpec("radial2d", 21)
+    z = math.pi / 2
+    st = FlowState(grid, 0.0, z + 0.05 * (1 - grid.reference() ** 2) ** 2, float(p.f(z)))
+    ctrl = StepControl(max_steps=50)
+    traj = comparison_pair_run(st, st.copy(), ctrl, p)["traj_a"]
+    ref = _run_python(st, ctrl, p, stride=100)
+    assert traj.event is ref.event is FlowEvent.STEP_LIMIT
+    assert traj.event_time == ref.event_time > traj.times[-1] > 0.0
+
+
 def test_converged_run_labels_its_final_snapshot():
     # the converging step counts: the last snapshot is the state after it
     st = disk_state(lambda x, y: 0.01 * (1 - (x * x + y * y)) ** 2, 33)

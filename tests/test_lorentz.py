@@ -2,14 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from maxsurf.lorentz import (
-    CausalClass,
-    boost_factor,
-    causal_class,
-    minkowski_inner,
-    minkowski_square,
-    unit_timelike,
-)
+from maxsurf.lorentz import minkowski_inner
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -38,41 +31,3 @@ def test_inner_symmetric_bilinear(a, seed):
     rhs = lam * minkowski_inner(a, b) + minkowski_inner(a, c)
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-6 * (1 + abs(rhs)))
 
-
-def test_causal_class_examples():
-    assert causal_class([1.0, 0.0], tol=0.0) is CausalClass.SPACELIKE
-    assert causal_class([0.0, 1.0], tol=0.0) is CausalClass.TIMELIKE
-    assert causal_class([1.0, 1.0], tol=1e-12) is CausalClass.LIGHTLIKE
-    with pytest.raises(ValueError):
-        causal_class([1.0, 0.0], tol=-1.0)
-
-
-def test_unit_timelike_examples():
-    np.testing.assert_allclose(unit_timelike([0.0, 2.0]), [0.0, 1.0])
-    np.testing.assert_allclose(unit_timelike([3.0, 5.0]), np.array([3.0, 5.0]) / 4.0)
-    with pytest.raises(ValueError):
-        unit_timelike([1.0, 1.0])
-
-
-@given(st.floats(-2, 2), st.floats(0.1, 10))
-def test_unit_timelike_normalization(rapidity, scale):
-    a = scale * np.array([np.sinh(rapidity), np.cosh(rapidity)])
-    u = unit_timelike(a)
-    assert abs(minkowski_square(u) + 1.0) <= 1e-14
-    assert u[-1] > 0  # preserves time orientation
-
-
-@given(st.floats(-8, 8), st.floats(0.1, 10))
-def test_unit_timelike_normalization_large_boost(rapidity, scale):
-    # cancellation grows like cosh^2 * eps, so scale the tolerance
-    a = scale * np.array([np.sinh(rapidity), np.cosh(rapidity)])
-    u = unit_timelike(a)
-    assert abs(minkowski_square(u) + 1.0) <= 1e-13 * np.cosh(rapidity) ** 2
-
-
-@given(st.floats(-3, 3), st.floats(-3, 3), st.floats(0, 2 * np.pi))
-def test_reversed_cauchy_schwarz(r1, r2, phi):
-    # random boosts of e_t in 2+1 dimensions, both future-directed
-    u = np.array([np.sinh(r1), 0.0, np.cosh(r1)])
-    w = np.array([np.sinh(r2) * np.cos(phi), np.sinh(r2) * np.sin(phi), np.cosh(r2)])
-    assert boost_factor(u, w) >= 1.0 - 1e-12
