@@ -83,7 +83,7 @@ def _disk_tables(grid):
         ("x", grid.X), ("y", grid.Y), ("r", np.maximum(grid.r, 1e-300)),
         ("area", grid.area_weights), ("ghost_val", G.data), ("ring_val", ring.data))}
     i64 = {name: np.ascontiguousarray(a, dtype=np.int64) for name, a in (
-        ("ghost_node", np.ravel_multi_index(grid.ghost_idx, grid.X.shape)),
+        ("ghost_node", grid.ghost_flat),
         ("ghost_ptr", G.indptr), ("ghost_col", grid.inside_flat[G.indices]),
         ("ring_col", ring.indices))}
     tables = _Disk(m=grid.X.shape[0], h=grid.h, radius=grid.radius, n_ghost=G.shape[0],

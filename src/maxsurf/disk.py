@@ -163,15 +163,16 @@ class DiskGrid:
         X = np.hstack([lu.solve(B[:, i:i + 16]) for i in range(0, B.shape[1], 16)])
         r, c = np.nonzero(X)
         self.ghost_operator = sp.csr_matrix((X[r, c], (r, cols[c])), shape=(n_g, n_in))
-        self.ghost_idx = (
-            np.array([g[0] for g in self.ghost_nodes], dtype=int),
-            np.array([g[1] for g in self.ghost_nodes], dtype=int),
-        )
+        self.ghost_flat = np.array([i * m + j for i, j in self.ghost_nodes], dtype=int)
 
     def fill_ghosts(self, u: np.ndarray) -> np.ndarray:
-        """Return a copy of u with ghost entries set by mirror reflection."""
+        """Return a copy of u with ghost entries set by mirror reflection.
+
+        u may stack several fields along leading axes.
+        """
         out = u.copy()
-        out[self.ghost_idx] = self.ghost_operator @ u[self.inside]
+        for row in out.reshape(-1, out.shape[-2] * out.shape[-1]):
+            row[self.ghost_flat] = self.ghost_operator @ row[self.inside_flat]
         return out
 
     # -- quadrature and monitor geometry ------------------------------------

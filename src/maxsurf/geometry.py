@@ -98,11 +98,16 @@ class GeometryFields:
 # -- one-dimensional stencils -------------------------------------------------
 
 
-def d1(u: np.ndarray, h: float) -> np.ndarray:
+# The stencils and kernels below index the node axis last (``...``), so one
+# formula serves one state or a stack of states along leading axes; a stack's
+# spacing h then has shape (K, 1), and end nodes are taken as length-1 slices.
+
+
+def d1(u: np.ndarray, h) -> np.ndarray:
     out = np.empty_like(u)
-    out[1:-1] = (u[2:] - u[:-2]) / (2.0 * h)
-    out[0] = (-3.0 * u[0] + 4.0 * u[1] - u[2]) / (2.0 * h)
-    out[-1] = (3.0 * u[-1] - 4.0 * u[-2] + u[-3]) / (2.0 * h)
+    out[..., 1:-1] = (u[..., 2:] - u[..., :-2]) / (2.0 * h)
+    out[..., :1] = (-3.0 * u[..., :1] + 4.0 * u[..., 1:2] - u[..., 2:3]) / (2.0 * h)
+    out[..., -1:] = (3.0 * u[..., -1:] - 4.0 * u[..., -2:-1] + u[..., -3:-2]) / (2.0 * h)
     return out
 
 
@@ -110,21 +115,23 @@ def _slope_1d(state: FlowState) -> np.ndarray:
     """d1 of u over a 1d kind's grid, zero on the axis for radial2d (symmetry)."""
     du = d1(state.u, state.spacing())
     if state.grid.kind == "radial2d":
-        du[0] = 0.0
+        du[..., 0] = 0.0
     return du
 
 
-def d2(u: np.ndarray, h: float) -> np.ndarray:
+def d2(u: np.ndarray, h) -> np.ndarray:
     out = np.empty_like(u)
-    out[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / (h * h)
-    out[0] = (2.0 * u[0] - 5.0 * u[1] + 4.0 * u[2] - u[3]) / (h * h)
-    out[-1] = (2.0 * u[-1] - 5.0 * u[-2] + 4.0 * u[-3] - u[-4]) / (h * h)
+    out[..., 1:-1] = (u[..., 2:] - 2.0 * u[..., 1:-1] + u[..., :-2]) / (h * h)
+    out[..., :1] = (2.0 * u[..., :1] - 5.0 * u[..., 1:2] + 4.0 * u[..., 2:3]
+                    - u[..., 3:4]) / (h * h)
+    out[..., -1:] = (2.0 * u[..., -1:] - 5.0 * u[..., -2:-1] + 4.0 * u[..., -3:-2]
+                     - u[..., -4:-3]) / (h * h)
     return out
 
 
-def trapezoid_weights(n: int, h: float) -> np.ndarray:
-    w = np.full(n, h)
-    w[0] = w[-1] = 0.5 * h
+def trapezoid_weights(n: int, h) -> np.ndarray:
+    w = h * np.ones(n)
+    w[..., :1] = w[..., -1:] = 0.5 * h
     return w
 
 
@@ -189,10 +196,10 @@ def _geometry_curve1d(state: FlowState, profile) -> GeometryFields:
         v = (Vt - Vx * ux) / w
     else:
         v = v_hat.copy()
-    dV = w * trapezoid_weights(u.size, h)
+    dV = w * trapezoid_weights(u.shape[-1], h)
     return GeometryFields(
         v_hat=v_hat, v=v, nu=nu, H=H, normA2=normA2, dV=dV,
-        du=ux, volume=float(dV.sum()),
+        du=ux, volume=dV.sum(axis=-1),
     )
 
 
@@ -202,7 +209,7 @@ def _geometry_radial2d(state: FlowState, profile) -> GeometryFields:
     rho = state.coords()
     ur = _slope_1d(state)
     urr = d2(u, h)
-    urr[0] = 2.0 * (u[1] - u[0]) / (h * h)
+    urr[..., :1] = 2.0 * (u[..., 1:2] - u[..., :1]) / (h * h)
     m = 1.0 - ur * ur
     if np.any(m <= 0) or not np.all(np.isfinite(urr)):
         raise SpacelikeError("graph is not strictly spacelike")
@@ -211,8 +218,8 @@ def _geometry_radial2d(state: FlowState, profile) -> GeometryFields:
     nu = np.stack([ur / w, 1.0 / w], axis=-1)   # (nu_radial, nu_t)
     kappa1 = urr / (m * w)
     kappa2 = np.empty_like(u)
-    kappa2[1:] = ur[1:] / (rho[1:] * w[1:])
-    kappa2[0] = urr[0] / w[0]         # L'Hopital at the axis
+    kappa2[..., 1:] = ur[..., 1:] / (rho[..., 1:] * w[..., 1:])
+    kappa2[..., :1] = urr[..., :1] / w[..., :1]   # L'Hopital at the axis
     H = kappa1 + kappa2
     normA2 = kappa1**2 + kappa2**2
     if profile is not None and isinstance(profile, RotationalProfile):
@@ -220,10 +227,10 @@ def _geometry_radial2d(state: FlowState, profile) -> GeometryFields:
         v = (1.0 - dfz * ur) * invw / w
     else:
         v = v_hat.copy()
-    dV = 2.0 * np.pi * rho * w * trapezoid_weights(u.size, h)
+    dV = 2.0 * np.pi * rho * w * trapezoid_weights(u.shape[-1], h)
     return GeometryFields(
         v_hat=v_hat, v=v, nu=nu, H=H, normA2=normA2, dV=dV,
-        du=ur, volume=float(dV.sum()),
+        du=ur, volume=dV.sum(axis=-1),
         kappa=(kappa1, kappa2),
     )
 
@@ -236,7 +243,7 @@ def _geometry_disk2d(state: FlowState, profile) -> GeometryFields:
     ins = grid.inside
     du2 = ux * ux + uy * uy
     m = 1.0 - du2
-    if np.any(m[ins] <= 0):
+    if np.any((m <= 0) & ins):
         raise SpacelikeError("graph is not strictly spacelike")
     m_safe = np.where(ins, m, 1.0)
     w = np.sqrt(m_safe)
@@ -265,13 +272,13 @@ def _geometry_disk2d(state: FlowState, profile) -> GeometryFields:
     dV = np.where(ins, grid.area_weights / v_hat, 0.0)
     return GeometryFields(
         v_hat=v_hat, v=v, nu=nu, H=H, normA2=normA2, dV=dV,
-        du=np.stack([ux, uy], axis=-1), volume=float(dV.sum()), mask=ins,
+        du=np.stack([ux, uy], axis=-1), volume=dV.sum(axis=(-2, -1)), mask=ins,
     )
 
 
 def _padded(core: np.ndarray) -> np.ndarray:
-    out = np.zeros((core.shape[0] + 2, core.shape[1] + 2))
-    out[1:-1, 1:-1] = core
+    out = np.zeros(core.shape[:-2] + (core.shape[-2] + 2, core.shape[-1] + 2))
+    out[..., 1:-1, 1:-1] = core
     return out
 
 
@@ -280,18 +287,18 @@ def disk_gradient(f: np.ndarray, h: float, padded: bool = False):
 
     With padded=True they come in arrays of f's shape, zero on the pad ring.
     """
-    fx = (f[2:, 1:-1] - f[:-2, 1:-1]) / (2 * h)
-    fy = (f[1:-1, 2:] - f[1:-1, :-2]) / (2 * h)
+    fx = (f[..., 2:, 1:-1] - f[..., :-2, 1:-1]) / (2 * h)
+    fy = (f[..., 1:-1, 2:] - f[..., 1:-1, :-2]) / (2 * h)
     return (_padded(fx), _padded(fy)) if padded else (fx, fy)
 
 
 def disk_derivatives(f: np.ndarray, h: float, padded: bool = False):
     """(f_x, f_y, f_xx, f_yy, f_xy) by central differences, laid out as disk_gradient."""
-    c = f[1:-1, 1:-1]
+    c = f[..., 1:-1, 1:-1]
     second = (
-        (f[2:, 1:-1] - 2 * c + f[:-2, 1:-1]) / (h * h),
-        (f[1:-1, 2:] - 2 * c + f[1:-1, :-2]) / (h * h),
-        (f[2:, 2:] + f[:-2, :-2] - f[2:, :-2] - f[:-2, 2:]) / (4 * h * h),
+        (f[..., 2:, 1:-1] - 2 * c + f[..., :-2, 1:-1]) / (h * h),
+        (f[..., 1:-1, 2:] - 2 * c + f[..., 1:-1, :-2]) / (h * h),
+        (f[..., 2:, 2:] + f[..., :-2, :-2] - f[..., 2:, :-2] - f[..., :-2, 2:]) / (4 * h * h),
     )
     if padded:
         second = tuple(_padded(d) for d in second)
@@ -314,7 +321,8 @@ def laplace_beltrami(state: FlowState, f: np.ndarray) -> np.ndarray:
 
     (1/sqrt(det g)) D_i(sqrt(det g) g^{ij} D_j f) with midpoint fluxes.
     Boundary entries are NaN; for disk2d only the deep-interior mask is
-    filled (all stencil nodes strictly inside).
+    filled (all stencil nodes strictly inside).  f may stack several fields
+    ahead of the state's own axes; they share one metric evaluation.
     """
     u = state.u
     if state.grid.kind == "curve1d":
@@ -324,27 +332,26 @@ def laplace_beltrami(state: FlowState, f: np.ndarray) -> np.ndarray:
         flux = a_mid * np.diff(f) / h
         ux = d1(u, h)
         out = np.full_like(f, np.nan)
-        out[1:-1] = (flux[1:] - flux[:-1]) / (h * np.sqrt(1.0 - ux[1:-1] ** 2))
+        out[..., 1:-1] = (flux[..., 1:] - flux[..., :-1]) / (h * np.sqrt(1.0 - ux[..., 1:-1] ** 2))
         return out
     if state.grid.kind == "radial2d":
         h = state.spacing()
         rho = state.coords()
-        rho_mid = 0.5 * (rho[1:] + rho[:-1])
+        rho_mid = 0.5 * (rho[..., 1:] + rho[..., :-1])
         dum = np.diff(u) / h
         a_mid = rho_mid / np.sqrt(1.0 - dum * dum)  # sqrt(G) g^{rr} at midpoints
         flux = a_mid * np.diff(f) / h
         ur = _slope_1d(state)
         out = np.full_like(f, np.nan)
         sg = rho * np.sqrt(1.0 - ur * ur)
-        out[1:-1] = (flux[1:] - flux[:-1]) / (h * sg[1:-1])
+        out[..., 1:-1] = (flux[..., 1:] - flux[..., :-1]) / (h * sg[..., 1:-1])
         # axis cell: (1/(rho sqrt(g))) d_rho(rho f_rho/sqrt(g)) -> 2 f_rr at 0
-        out[0] = 4.0 * (f[1] - f[0]) / (h * h * np.sqrt(1.0 - dum[0] ** 2))
+        out[..., :1] = 4.0 * (f[..., 1:2] - f[..., :1]) / (h * h * np.sqrt(1.0 - dum[..., :1] ** 2))
         return out
     grid = disk_grid(state.grid.n, state.grid.radius)
     h = grid.h
     uf = grid.fill_ghosts(u)
     # midpoint metric coefficients in each direction
-    out = np.full_like(uf, np.nan)
     ux, uy = disk_gradient(uf, h, padded=True)
     du2 = ux * ux + uy * uy
     m = np.maximum(1.0 - du2, 1e-12)
@@ -356,7 +363,7 @@ def laplace_beltrami(state: FlowState, f: np.ndarray) -> np.ndarray:
     fx, fy = disk_gradient(f, h, padded=True)
     Fx = sg * (g11 * fx + g12 * fy)
     Fy = sg * (g12 * fx + g22 * fy)
-    div = np.zeros_like(uf)
-    div[1:-1, 1:-1] = ((Fx[2:, 1:-1] - Fx[:-2, 1:-1]) + (Fy[1:-1, 2:] - Fy[1:-1, :-2])) / (2 * h)
-    out[grid.deep] = (div / sg)[grid.deep]
-    return out
+    div = np.zeros_like(Fx)
+    div[..., 1:-1, 1:-1] = ((Fx[..., 2:, 1:-1] - Fx[..., :-2, 1:-1])
+                            + (Fy[..., 1:-1, 2:] - Fy[..., 1:-1, :-2])) / (2 * h)
+    return np.where(grid.deep, div / sg, np.nan)

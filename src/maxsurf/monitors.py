@@ -17,6 +17,10 @@ maximal surface is Lap phi = -2n.
 Time derivatives are material: centered differences at fixed reference
 nodes plus the tangential-drift correction (graph parametrizations move
 material points with coordinate velocity H v_hat Du).
+
+The evolution residuals are evaluated over blocks of consecutive states
+stacked along a leading axis, with one geometry per state: rates, drifts,
+Laplacians and right-hand sides are array operations over a block.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import numpy as np
 from .disk import disk_grid
 from .flow import Trajectory
 from .geometry import (
-    FlowState, d1, disk_gradient, geometry, laplace_beltrami, planar_V, rotational_V_factors,
+    FlowState, d1, disk_gradient, geometry, laplace_beltrami, rotational_V_factors,
 )
 from .profiles import (
     PlanarBoundary, RotationalProfile, normal_curvature, profile_curvature, rim_curvature,
@@ -56,7 +60,7 @@ def volume_identity(traj: Trajectory) -> float:
 
 
 def _planar_V_derivs(profile: PlanarBoundary, x: np.ndarray, delta: float = 1e-6):
-    """(V, dV/dx, d2V/dx2) of the planar extension, components (x, t).
+    """(dV/dx, d2V/dx2) of the planar extension, components (x, t).
 
     dV/dx is closed form; the second derivative differentiates it numerically
     (the boundary data carry two derivatives of s only).
@@ -70,11 +74,9 @@ def _planar_V_derivs(profile: PlanarBoundary, x: np.ndarray, delta: float = 1e-6
         W3 = (ds * ds - 1.0) ** 1.5
         return np.stack([-ds * d2s / W3, -sgn * d2s / W3], axis=-1)
 
-    Vx, Vt = planar_V(profile, x)
-    V = np.stack([Vx, Vt], axis=-1)
     dV = first(x)
     d2V = (first(x + delta) - first(x - delta)) / (2.0 * delta)
-    return V, dV, d2V
+    return dV, d2V
 
 
 def _rotational_V_data(profile: RotationalProfile, z: np.ndarray, delta: float = 1e-6):
@@ -99,12 +101,17 @@ def _rotational_V_data(profile: RotationalProfile, z: np.ndarray, delta: float =
 
 # -- evolution residuals ---------------------------------------------------------
 
+# grid nodes per block of states (each temporary <= 64 KB): the benchmark's
+# stride-1 probes peak at 126 MB with this, at 139 and 157 MB with 4x and 8x
+RESIDUAL_BLOCK_NODES = 8192
 
-def _consecutive_triples(traj: Trajectory):
+
+def _consecutive_triples(traj: Trajectory) -> list:
+    """Indices i of the stored states whose neighbours i - 1 and i + 1 are the
+    adjacent steps: the centres of the stride-1 triples."""
     steps = traj.state_steps
-    for i in range(1, len(traj.states) - 1):
-        if steps[i] - steps[i - 1] == 1 and steps[i + 1] - steps[i] == 1:
-            yield traj.states[i - 1], traj.states[i], traj.states[i + 1]
+    return [i for i in range(1, len(traj.states) - 1)
+            if steps[i] - steps[i - 1] == 1 and steps[i + 1] - steps[i] == 1]
 
 
 def _material_rate(f_minus, f_mid, f_plus, t_minus, t_mid, t_plus):
@@ -116,6 +123,20 @@ def _material_rate(f_minus, f_mid, f_plus, t_minus, t_mid, t_plus):
     )
 
 
+def _stack(states: list) -> FlowState:
+    """One FlowState holding a block of states along a leading axis; t, rho_b
+    and each of (x_left, x_right) become columns that broadcast over the nodes."""
+    s0 = states[0]
+    t = np.array([s.t for s in states]).reshape((-1,) + (1,) * s0.u.ndim)
+    boundary = np.array([s.boundary for s in states], dtype=float).T[..., None]
+    return FlowState(s0.grid, t, np.stack([s.u for s in states]), boundary)
+
+
+def _at(a: np.ndarray, k, kax: int) -> np.ndarray:
+    """a[..., k, :, ...] on the state axis kax (counted from the end)."""
+    return a[(..., k) + (slice(None),) * (-kax - 1)]
+
+
 def evolution_residuals(traj: Trajectory, profile, skip_fraction: float = 0.5) -> dict:
     """Max interior residual of the H and v evolution identities.
 
@@ -125,82 +146,102 @@ def evolution_residuals(traj: Trajectory, profile, skip_fraction: float = 0.5) -
     but refines nowhere).  res_v uses the profile's V extension; nodes in an
     axis band are excluded where that extension is singular.  Comparable
     refinement studies must probe the same physical time window.
+
+    The window is walked in blocks of states stacked along a leading axis,
+    with one geometry per state; a block's residuals wait for the first
+    state of the next one.  A triple whose residual is NaN is skipped.
     """
-    triples = list(_consecutive_triples(traj))
-    if not triples:
+    centers = _consecutive_triples(traj)
+    if not centers:
         raise ValueError("evolution residuals need stride-1 stored states")
-    start = int(skip_fraction * len(triples))
-    triples = triples[start:] or triples[-1:]
-    res_H = 0.0
-    res_v = 0.0
-    for sm, s0, sp in triples:
-        rH, rv = _triple_residuals(sm, s0, sp, profile)
-        res_H = max(res_H, rH)
-        res_v = max(res_v, rv)
-    return {"res_H": res_H, "res_v": res_v, "triples": len(triples)}
+    start = int(skip_fraction * len(centers))
+    centers = centers[start:] or centers[-1:]
+    wanted = set(centers)
+    ids = sorted({j for i in centers for j in (i - 1, i, i + 1)})
+    per_block = max(1, RESIDUAL_BLOCK_NODES // traj.states[0].u.size)
+    blocks = [ids[a:a + per_block] for a in range(0, len(ids), per_block)]
+    kax = -1 - traj.states[0].u.ndim          # the state axis, ahead of the nodes
+
+    def terms(block):
+        return _block_terms([traj.states[j] for j in block], profile)
+
+    res = np.zeros(2)
+    before = [[]] * 3                         # the last state of the block before
+    nxt = terms(blocks[0])
+    for k, block in enumerate(blocks):
+        (rate_in, center), nxt = nxt, (terms(blocks[k + 1]) if k + 1 < len(blocks) else None)
+        after = [[_at(a, slice(0, 1), kax)] for a in nxt[0]] if nxt else [[]] * 3
+        # rate inputs (t, x, F) of the block's states and of their neighbours
+        ext = [np.concatenate([*b, a, *c], axis=kax) for a, b, c in zip(rate_in, before, after)]
+        # the block's states with both neighbours in ext, and which are centres
+        offset = len(before[0])
+        inner = slice(1 - offset, ext[0].shape[kax] - 1 - offset)
+        keep = np.array([j in wanted for j in block[inner]], dtype=bool)
+        res = _fold_residuals(res, ext, center, inner, keep, kax)
+        before = [[_at(a, slice(-1, None), kax)] for a in rate_in]
+    return {"res_H": float(res[0]), "res_v": float(res[1]), "triples": len(centers)}
 
 
-def _triple_residuals(sm: FlowState, s0: FlowState, sp: FlowState, profile):
-    kind = s0.grid.kind
-    gm = geometry(sm, profile)
-    g0 = geometry(s0, profile)
-    gp = geometry(sp, profile)
-    if kind == "disk2d":
-        grid = disk_grid(s0.grid.n, s0.grid.radius)
-        h = grid.h
-        dHdt = _material_rate(gm.H, g0.H, gp.H, sm.t, s0.t, sp.t)
-        dvdt = _material_rate(gm.v, g0.v, gp.v, sm.t, s0.t, sp.t)
-        Hf = grid.fill_ghosts(g0.H)
-        vf = grid.fill_ghosts(g0.v)
-        Hx, Hy = disk_gradient(Hf, h, padded=True)
-        vx, vy = disk_gradient(vf, h, padded=True)
-        ux, uy = g0.du[..., 0], g0.du[..., 1]
-        drift_x = g0.H * g0.v_hat * ux
-        drift_y = g0.H * g0.v_hat * uy
-        lapH = laplace_beltrami(s0, g0.H)
-        lapv = laplace_beltrami(s0, g0.v)
+def _block_terms(states: list, profile):
+    """The pieces of the H and v identities over a block of states: the rate
+    inputs (t, node positions x, F = (H, v)) and the terms read at a centre only
+    (drift H v_hat Du, gradient, Laplacian and right-hand side of F, masks)."""
+    st = _stack(states)
+    g = geometry(st, profile)
+    F = np.stack([g.H, g.v])
+    x, grad, rhs_v, mask_H, mask_v = _kind_terms(st, g, F, profile)
+    du = np.moveaxis(g.du.reshape(g.H.shape + (-1,)), -1, 0)
+    masks = np.stack([np.broadcast_to(m, g.H.shape) for m in (mask_H, mask_v)])
+    center = (g.H * g.v_hat * du, grad, laplace_beltrami(st, F),
+              np.stack([-(g.H * g.normA2), rhs_v]), masks)
+    return (st.t, x, F), center
+
+
+def _kind_terms(st: FlowState, g, F: np.ndarray, profile):
+    """What differs per grid kind: node positions, the gradient components of
+    F = (H, v), the v right-hand side, and the nodes each identity is checked on."""
+    n = st.grid.n
+    if st.grid.kind == "disk2d":
+        grid = disk_grid(n, st.grid.radius)
         # drop the rim band where mirror-ghost second derivatives are noisy
-        deep = grid.deep & (grid.r < grid.radius - 6.0 * h)
-        rH = np.abs(dHdt + drift_x * Hx + drift_y * Hy - lapH + g0.H * g0.normA2)
-        res_H = float(np.nanmax(np.where(deep, rH, np.nan)))
-        if isinstance(profile, RotationalProfile) and float(np.abs(profile.df(s0.u[deep])).max()) < 1e-14:
-            # constant V (cylinder): all ambient-derivative terms vanish
-            rv = np.abs(dvdt + drift_x * vx + drift_y * vy - lapv + g0.v * g0.normA2)
-            res_v = float(np.nanmax(np.where(deep, rv, np.nan)))
-        else:
-            res_v = math.nan
-        return res_H, res_v
-    # one-dimensional kinds share the material-rate scaffolding
-    h = s0.spacing()
-    node_vel = (sp.coords() - sm.coords()) / (sp.t - sm.t)
-    dHdt = _material_rate(gm.H, g0.H, gp.H, sm.t, s0.t, sp.t)
-    dvdt = _material_rate(gm.v, g0.v, gp.v, sm.t, s0.t, sp.t)
-    ux = g0.du
-    drift = g0.H * g0.v_hat * ux - node_vel
-    Hx = d1(g0.H, h)
-    vx = d1(g0.v, h)
-    lapH = laplace_beltrami(s0, g0.H)
-    lapv = laplace_beltrami(s0, g0.v)
-    rH = dHdt + drift * Hx - lapH + g0.H * g0.normA2
-    rv_lhs = dvdt + drift * vx - lapv
-    n = s0.grid.n
+        deep = grid.deep & (grid.r < grid.radius - 6.0 * grid.h)
+        grad = np.stack(disk_gradient(grid.fill_ghosts(F), grid.h, padded=True))
+        # only a constant V (cylinder) is checked: its ambient-derivative terms
+        # vanish; elsewhere the v identity is NaN and skipped
+        rhs_v = np.full_like(g.v, np.nan)
+        if isinstance(profile, RotationalProfile):
+            const = np.abs(profile.df(st.u[..., deep])).max(axis=-1) < 1e-14
+            rhs_v[const] = -(g.v * g.normA2)[const]
+        return np.zeros_like(st.t), grad, rhs_v, deep, deep
+    h = st.spacing()
+    x = st.coords()
     ex = max(5, int(EDGE_FRACTION * n))
-    if kind == "curve1d":
-        rv_rhs = _v_rhs_curve(s0, g0, profile)
-        core = slice(ex, -ex)
-        res_H = float(np.abs(rH[core]).max())
-        res_v = float(np.abs(rv_lhs - rv_rhs)[core].max())
-        return res_H, res_v
-    rv_rhs = _v_rhs_radial(s0, g0, profile)
-    core = slice(2, -ex)   # the axis side is regular for H
-    res_H = float(np.abs(rH[core]).max())
-    rho = s0.coords()
-    keep = (rho > AXIS_EXCLUSION_CELLS * h) & np.isfinite(rv_rhs)
-    keep[:2] = False
-    keep[-ex:] = False
-    diff = np.abs(rv_lhs - rv_rhs)[keep]
-    res_v = float(diff.max()) if diff.size else math.nan
-    return res_H, res_v
+    core = np.zeros(n, dtype=bool)
+    if st.grid.kind == "curve1d":
+        core[ex:-ex] = True
+        return x, d1(F, h)[None], _v_rhs_curve(st, g, profile), core, core
+    core[2:-ex] = True   # the axis side is regular for H
+    rhs_v = _v_rhs_radial(st, g, profile)
+    keep = core & (x > AXIS_EXCLUSION_CELLS * h) & np.isfinite(rhs_v)
+    return x, d1(F, h)[None], rhs_v, core, keep
+
+
+def _fold_residuals(res, ext, center, inner: slice, keep: np.ndarray, kax: int):
+    """Fold the residuals at the block's states inner, with their neighbours'
+    rate inputs in ext, into the running maxima; keep marks the centres."""
+    t, x, F = ext
+    n = F.shape[kax]
+    m, o, p = slice(0, n - 2), slice(1, n - 1), slice(2, n)
+    rate = _material_rate(_at(F, m, kax), _at(F, o, kax), _at(F, p, kax),
+                          _at(t, m, kax), _at(t, o, kax), _at(t, p, kax))
+    node_vel = (_at(x, p, kax) - _at(x, m, kax)) / (_at(t, p, kax) - _at(t, m, kax))
+    drift, grad, lap, rhs, mask = (_at(a, inner, kax) for a in center)
+    lhs = rate
+    for d_c, g_c in zip(drift - node_vel, grad):
+        lhs = lhs + d_c * g_c
+    r = np.where(mask, np.abs(lhs - lap - rhs), -np.inf)
+    rows = r.max(axis=tuple(range(kax + 1, 0)))[:, keep]
+    return np.fmax(res, np.fmax.reduce(rows, axis=-1, initial=0.0))
 
 
 def _v_rhs_curve(s0: FlowState, g0, profile: PlanarBoundary):
@@ -208,15 +249,15 @@ def _v_rhs_curve(s0: FlowState, g0, profile: PlanarBoundary):
     x = s0.coords()
     ux = g0.du
     m = 1.0 - ux * ux
-    V, dV, d2V = _planar_V_derivs(profile, x)
+    dV, d2V = _planar_V_derivs(profile, x)
     # Minkowski pairing of (x, t)-component pairs
     def ip(a_x, a_t, b_x, b_t):
         return a_x * b_x - a_t * b_t
 
-    nu_x, nu_t = g0.nu[:, 0], g0.nu[:, 1]
-    hess_term = (1.0 / m) * ip(d2V[:, 0], d2V[:, 1], nu_x, nu_t)
+    nu_x, nu_t = g0.nu[..., 0], g0.nu[..., 1]
+    hess_term = (1.0 / m) * ip(d2V[..., 0], d2V[..., 1], nu_x, nu_t)
     # tangential projection coefficient of DV along the tangent (1, u_x)
-    c = (1.0 / m) * ip(dV[:, 0], dV[:, 1], np.ones_like(ux), ux)
+    c = (1.0 / m) * ip(dV[..., 0], dV[..., 1], np.ones_like(ux), ux)
     h_xx = g0.H * m  # h_xx = H g_xx in one dimension
     a_term = 2.0 * (1.0 / m) * c * h_xx
     return -g0.v * g0.normA2 + a_term + hess_term
@@ -234,7 +275,7 @@ def _v_rhs_radial(s0: FlowState, g0, profile: RotationalProfile):
     # frame components (radial, e3)
     mu_r, mu_3 = invw, df * invw
     V_r, V_3 = df * invw, invw
-    nu_r, nu_3 = g0.nu[:, 0], g0.nu[:, 1]
+    nu_r, nu_3 = g0.nu[..., 0], g0.nu[..., 1]
 
     def ip(a_r, a_3, b_r, b_3):
         return a_r * b_r - a_3 * b_3

@@ -1,10 +1,15 @@
 import os
 
+import numpy as np
 import pytest
 
 from maxsurf import runner
 from maxsurf.cli import main
-from maxsurf.flow import FlowError
+from maxsurf.disk import disk_grid
+from maxsurf.flow import RECORD_COLUMNS, FlowError, FlowEvent, Trajectory
+from maxsurf.geometry import FlowState, GridSpec, geometry
+from maxsurf.profiles import cylinder
+from maxsurf.scenarios import Scenario
 
 
 def write(tmp_path, name, text):
@@ -153,3 +158,43 @@ def test_deterministic_outputs(tmp_path, out_root):
     assert main(["run", cfg]) == 0
     assert (out_root / "det" / "timeseries.csv").read_bytes() == first
     assert (out_root / "det" / "final_profile.csv").read_bytes() == first_prof
+
+
+def per_value_csv(rows):
+    """The writers' byte format, one format() call per value."""
+    return "".join(",".join(format(v, ".17g") for v in row) + "\n" for row in rows)
+
+
+def test_timeseries_writer_matches_per_value_format(tmp_path):
+    rng = np.random.default_rng(3)
+    n_rows = 2 * runner.CSV_BLOCK_ROWS + 37          # a partial last block
+    rows = rng.standard_normal((n_rows, len(RECORD_COLUMNS)))
+    rows *= 10.0 ** rng.integers(-300, 300, rows.shape)
+    special = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e308, -1e308, 2.2250738585072014e-308]
+    for k, v in enumerate(special):
+        rows[(k * 997) % n_rows, k % rows.shape[1]] = v
+    rows[-1, :len(special)] = special
+    traj = Trajectory(rows, [], [], FlowEvent.STEP_LIMIT, 0.0, GridSpec("curve1d", 5))
+    path = tmp_path / "timeseries.csv"
+    runner.write_timeseries(str(path), traj)
+    expected = ",".join(RECORD_COLUMNS) + "\n" + per_value_csv(rows)
+    assert path.read_bytes() == expected.encode()
+
+
+def test_profile_writer_matches_per_value_format(tmp_path, monkeypatch):
+    monkeypatch.setattr(runner, "CSV_BLOCK_ROWS", 100)   # several blocks, a partial last one
+    dg = disk_grid(33, 1.0)
+    u = np.where(dg.inside, 0.05 * (1 - dg.X**2 - dg.Y**2) ** 2, 0.0)
+    st = FlowState(GridSpec("disk2d", 33), 0.0, u, None)
+    scenario = Scenario("disk", cylinder(1.0), st, None)
+    path = tmp_path / "final_profile.csv"
+    runner.write_profile(str(path), scenario, st)
+    g = geometry(st, cylinder(1.0))
+    ins = dg.inside
+    r = dg.r[ins]
+    cols = [r / dg.radius, r, u[ins], g.H[ins], g.v[ins], g.v_hat[ins], g.normA2[ins], g.dV[ins]]
+    order = np.lexsort((np.arctan2(dg.Y[ins], dg.X[ins]), r))
+    expected = "s,physical_coord,u,H,v,v_hat,normA2,dV\n" + per_value_csv(
+        [[c[k] for c in cols] for k in order])
+    assert len(order) % 100 != 0
+    assert path.read_bytes() == expected.encode()

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from maxsurf import monitors
 from maxsurf.analytic import grim_reaper_boundary
 from maxsurf.disk import disk_grid
 from maxsurf.flow import StepControl, _run_python, run
@@ -15,23 +16,33 @@ from maxsurf.monitors import (
     stability_certificate,
     volume_identity,
 )
-from maxsurf.profiles import cylinder, sine_tube, trumpet
+from maxsurf.profiles import cylinder, pseudosphere, sine_tube, trumpet
 
 
-def translator_traj(n, t_end=-0.98, stride=1):
+def translator_traj(n, t_end=-0.98, stride=1, max_steps=5_000_000):
     xb = grim_reaper_boundary(-1.0)
     grid = GridSpec("curve1d", n)
     x = grid.reference() * xb
     st = FlowState(grid, -1.0, np.log(np.cosh(x)) - 1.0, (-xb, xb))
-    return _run_python(st, StepControl(cfl=0.4, t_end=t_end), trumpet(), stride=stride)
+    ctrl = StepControl(cfl=0.4, t_end=t_end, max_steps=max_steps)
+    return _run_python(st, ctrl, trumpet(), stride=stride)
 
 
-def disk_traj(n, t_end=0.06, amp=0.1, stride=1, h_stop=0.0, max_steps=5_000_000):
+def disk_traj(n, t_end=0.06, amp=0.1, stride=1, h_stop=0.0, max_steps=5_000_000,
+              profile=None):
     dg = disk_grid(n, 1.0)
     u0 = np.where(dg.inside, amp * (1 - (dg.X**2 + dg.Y**2)) ** 2, 0.0)
     st = FlowState(GridSpec("disk2d", n), 0.0, u0, None)
     ctrl = StepControl(cfl=0.4, t_end=t_end, h_stop=h_stop, max_steps=max_steps)
-    return run(st, ctrl, cylinder(1.0), stride=stride)
+    return run(st, ctrl, profile or cylinder(1.0), stride=stride)
+
+
+def sine_tube_bump_traj(n, t_end=0.02):
+    p = sine_tube(2.0, 0.5, 1.0)
+    z0 = math.pi / 2
+    s_ref = np.linspace(0.0, 1.0, n)
+    st = FlowState(GridSpec("radial2d", n), 0.0, z0 + 0.05 * (1 - s_ref**2) ** 2, float(p.f(z0)))
+    return run(st, StepControl(cfl=0.4, t_end=t_end), p, stride=1)
 
 
 def stationary_disk_traj(n=33, steps=30):
@@ -93,6 +104,59 @@ def test_evolution_residuals_disk_refine():
         vals_v.append(res["res_v"])
     assert refinement_orders(vals_H)[0] >= 1.0
     assert refinement_orders(vals_v)[0] >= 1.0
+
+
+# evolution_residuals on these inputs, recorded (as reprs) from the per-triple
+# evaluation that the block walk over stacked states replaced
+RESIDUAL_PINS = {
+    "curve1d_translator": {"res_H": 0.0003803518491078961, "res_v": 7.004876678401356e-09,
+                           "triples": 119},
+    "radial2d_sine_tube_bump": {"res_H": 0.0052949522791300545,
+                                "res_v": 1.2497681406634879e-05, "triples": 13},
+    "disk2d_bump": {"res_H": 0.1364667827746696, "res_v": 0.007896377571038615,
+                    "triples": 41},
+    # per-triple res_v is NaN (V not constant); the running max stays at 0.0
+    "disk2d_pseudosphere_bump": {"res_H": 0.2716185718855725, "res_v": 0.0, "triples": 7},
+    "one_triple": {"res_H": 0.00035343576306368085, "res_v": 4.73781732987897e-09,
+                   "triples": 1},
+}
+
+
+@pytest.fixture(scope="module")
+def residual_inputs():
+    return {
+        "curve1d_translator": (translator_traj(51), trumpet()),
+        "radial2d_sine_tube_bump": (sine_tube_bump_traj(41), sine_tube(2.0, 0.5, 1.0)),
+        "disk2d_bump": (disk_traj(33), cylinder(1.0)),
+        "disk2d_pseudosphere_bump": (disk_traj(33, t_end=0.01, profile=pseudosphere()),
+                                     pseudosphere()),
+        "one_triple": (translator_traj(51, max_steps=2), trumpet()),
+    }
+
+
+def assert_same_values(got, want):
+    assert got.keys() == want.keys()
+    for key, val in want.items():
+        if isinstance(val, float) and math.isnan(val):
+            assert math.isnan(got[key]), key
+        else:
+            assert got[key] == val, key
+
+
+@pytest.mark.parametrize("name", sorted(RESIDUAL_PINS))
+def test_evolution_residuals_pinned(residual_inputs, name):
+    traj, profile = residual_inputs[name]
+    if name == "one_triple":
+        assert len(traj.states) == 3
+    assert_same_values(evolution_residuals(traj, profile), RESIDUAL_PINS[name])
+
+
+@pytest.mark.parametrize("budget", [1, 200])
+def test_evolution_residuals_ignore_block_edges(residual_inputs, monkeypatch, budget):
+    # budget 1: one state per block; 200 nodes: a few 1d states per block
+    monkeypatch.setattr(monitors, "RESIDUAL_BLOCK_NODES", budget)
+    for name, (traj, profile) in residual_inputs.items():
+        assert_same_values(evolution_residuals(traj, profile), RESIDUAL_PINS[name])
 
 
 def test_evolution_residuals_need_stride_one():
