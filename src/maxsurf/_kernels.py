@@ -5,11 +5,17 @@ operation (same stencils, ghost fill, projection, per-step records,
 snapshots and exits) for the curve1d, radial2d and disk2d kinds on the
 built-in profiles, with one stepping loop over a per-kind table, as flow.py
 has; its one entry point ``maxsurf_run`` takes the kind as its first
-argument, and for disk2d the disk grid's tables (inside mask, node
-geometry, quadrature weights, ghost operator and ring sampler) in one
-struct.  Tests compare the two engines.  On first use the source is
-compiled with the system C compiler (``$CC``, else ``cc``) and loaded
-through ctypes.  The shared object is cached beside this module in
+argument, and for disk2d the disk grid's tables (each box row's run of
+inside nodes, node geometry, quadrature weights, ghost operator and ring
+sampler) in one struct.  Tests compare the two engines.  On first use the
+source is compiled with the system C compiler (``$CC``, else ``cc``) and
+``CFLAGS``, and loaded through ctypes.  The flags keep results bit-identical
+to the scalar code: ``-O3`` vectorises loops without reordering any
+floating-point operation, ``-fno-math-errno`` only spares ``sqrt`` (correctly
+rounded either way) its errno check, which otherwise blocks vectorising the
+disk's node loop, and ``-ffp-contract=off`` forbids fused multiply-adds; never
+``-ffast-math``, and no ``-march``, as the cache key holds only the machine
+type.  The shared object is cached beside this module in
 ``__pycache__``, or in a per-user temporary directory when that is not
 writable, under a hash of the source, the compiler and the flags.  Nothing
 is compiled at import.
@@ -33,7 +39,7 @@ import tempfile
 import numpy as np
 
 SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_step.c")
-CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+CFLAGS = ("-O3", "-fno-math-errno", "-ffp-contract=off", "-fPIC", "-shared")
 LDLIBS = ("-lm",)
 COMPILE_TIMEOUT_S = 120
 
@@ -64,7 +70,7 @@ class _Disk(ctypes.Structure):
 
     _fields_ = [
         ("m", ctypes.c_int64), ("h", ctypes.c_double), ("radius", ctypes.c_double),
-        ("inside", ctypes.POINTER(ctypes.c_uint8)),
+        ("row_lo", _I64P), ("row_hi", _I64P),
         ("x", _F64P), ("y", _F64P), ("r", _F64P), ("area", _F64P),
         ("n_ghost", ctypes.c_int64), ("ghost_node", _I64P), ("ghost_ptr", _I64P),
         ("ghost_col", _I64P), ("ghost_val", _F64P),
@@ -78,20 +84,26 @@ def _disk_tables(grid):
     G, ring = grid.ghost_operator, grid.ring_sampler
     if not np.all(np.diff(ring.indptr) == 4):
         raise ValueError("the ring sampler needs 4 taps per row")
-    inside = np.ascontiguousarray(grid.inside, dtype=np.uint8)
+    # each box row's inside nodes, as one run of flat indices [row_lo, row_hi)
+    m = grid.X.shape[0]
+    count = grid.inside.sum(axis=1)
+    first = np.where(count > 0, grid.inside.argmax(axis=1), 0)
+    cols = np.arange(m)
+    if not np.array_equal(grid.inside, (cols >= first[:, None]) & (cols < (first + count)[:, None])):
+        raise ValueError("the inside nodes of each box row must form one run")
+    row_lo = cols * m + first
     f64 = {name: np.ascontiguousarray(a, dtype=np.float64) for name, a in (
         ("x", grid.X), ("y", grid.Y), ("r", np.maximum(grid.r, 1e-300)),
         ("area", grid.area_weights), ("ghost_val", G.data), ("ring_val", ring.data))}
     i64 = {name: np.ascontiguousarray(a, dtype=np.int64) for name, a in (
-        ("ghost_node", grid.ghost_flat),
+        ("row_lo", row_lo), ("row_hi", row_lo + count), ("ghost_node", grid.ghost_flat),
         ("ghost_ptr", G.indptr), ("ghost_col", grid.inside_flat[G.indices]),
         ("ring_col", ring.indices))}
-    tables = _Disk(m=grid.X.shape[0], h=grid.h, radius=grid.radius, n_ghost=G.shape[0],
+    tables = _Disk(m=m, h=grid.h, radius=grid.radius, n_ghost=G.shape[0],
                    n_angles=grid.ring_angles.size, ring_delta=grid.ring_delta,
-                   inside=inside.ctypes.data_as(ctypes.POINTER(ctypes.c_uint8)),
                    **{k: a.ctypes.data_as(_F64P) for k, a in f64.items()},
                    **{k: a.ctypes.data_as(_I64P) for k, a in i64.items()})
-    return tables, (inside, f64, i64)
+    return tables, (f64, i64)
 
 
 def _compiler() -> list:

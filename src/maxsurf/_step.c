@@ -7,11 +7,15 @@
  * for operation: the same stencils, ghost fill, time step bound, incidence
  * projection, per-step 17-column record, snapshots at a stride, and guard,
  * convergence and t_end exits.  Floating-point expressions keep the
- * reference's order of evaluation, and the file is compiled without
- * contraction (-ffp-contract=off) or fast-math, so the states follow the
- * reference to a few ulps (disk2d states, whose update calls no profile
- * function, exactly).  The integrals (volume, int H^2 dV) are summed
- * pairwise, as numpy sums the reference's.
+ * reference's order of evaluation, and the file is compiled with
+ * -O3 -fno-math-errno -ffp-contract=off, never fast-math: -O3 vectorises
+ * loops but reorders no floating-point operation, each lane doing what the
+ * scalar loop did; -fno-math-errno only lets sqrt, correctly rounded either
+ * way, be the instruction (without it no loop calling sqrt vectorises); no
+ * contraction into fused multiply-adds.  So the states follow the reference
+ * to a few ulps (disk2d states, whose update calls no profile function,
+ * exactly).  The integrals (volume, int H^2 dV) are summed pairwise, as
+ * numpy sums the reference's.
  *
  * As in flow.py, each kind supplies only what differs (see KINDS): its
  * evaluation (the rate with the moving grid's advection term, and the
@@ -58,9 +62,11 @@ enum { K_CURVE1D = 0, K_RADIAL2D = 1, K_DISK2D = 2 };
 /* rotational profile codes; mirrored in _kernels.PROFILES */
 enum { P_CYLINDER = 0, P_PSEUDOSPHERE = 1, P_SINE_TUBE = 2 };
 
-/* numpy's max/min reductions propagate NaN; so do these */
-#define TAKE_MAX(acc, x) do { double x_ = (x); if (!((acc) >= x_) && (acc) == (acc)) (acc) = x_; } while (0)
-#define TAKE_MIN(acc, x) do { double x_ = (x); if (!((acc) <= x_) && (acc) == (acc)) (acc) = x_; } while (0)
+/* numpy's max/min reductions propagate NaN; so do these selects: the first
+ * NaN sticks, and a tie keeps the earlier value (`&`, not `&&`, lets GCC
+ * test acc against x first: a well-predicted branch that skips the NaN test) */
+#define TAKE_MAX(acc, x) do { double x_ = (x); (acc) = ((acc) == (acc)) & !((acc) >= x_) ? x_ : (acc); } while (0)
+#define TAKE_MIN(acc, x) do { double x_ = (x); (acc) = ((acc) == (acc)) & !((acc) <= x_) ? x_ : (acc); } while (0)
 
 /* Python floats and numpy scalars evaluate x**k as pow(x, k), which can
  * differ from x*x in the last bit; reading the exponent through a volatile
@@ -165,12 +171,16 @@ typedef struct {
     double res_h, res_v, grad_v, h2_ineq, a_nn;
 } Block;
 
+/* the record's sups of v, v_hat and |H| and the range of u */
+typedef struct {
+    double v, vh, H, umin, umax;
+} Sups;
+
 /* one record row, in the order of flow.RECORD_COLUMNS */
-static void store_record(double *r, double t, double sup_v, double sup_vh, double sup_H,
-                         double vol, double ih2, double umin, double umax,
+static void store_record(double *r, double t, Sups s, double vol, double ih2,
                          double blo, double bhi, Block b)
 {
-    const double row[NREC] = {t, sup_v, sup_vh, sup_H, vol, ih2, umax - umin, umin, umax,
+    const double row[NREC] = {t, s.v, s.vh, s.H, vol, ih2, s.umax - s.umin, s.umin, s.umax,
                               blo, bhi, b.res_h, b.res_v, b.grad_v, b.h2_ineq, b.a_nn, NAN};
     memcpy(r, row, sizeof row);
 }
@@ -207,7 +217,7 @@ static void take_snapshot(int64_t n, const double *u, double t, double blo, doub
 typedef struct {
     int64_t m;                       /* nodes per box side, N + 2 */
     double h, radius;
-    const uint8_t *inside;           /* [m*m] node strictly inside the rim circle */
+    const int64_t *row_lo, *row_hi;  /* [m] row x's inside nodes: row_lo[x] <= i < row_hi[x] */
     const double *x, *y, *r, *area;  /* [m*m] coordinates, max(|node|, 1e-300), weights */
     /* the ghost operator G in CSR form: ghost node ghost_node[g] takes the sum
      * of ghost_val[j] u[ghost_col[j]] over ghost_ptr[g] <= j < ghost_ptr[g+1],
@@ -236,7 +246,8 @@ typedef struct {
     double *vh, *H, *v, *dV;         /* record fields; the line kinds first store v w
                                         in v and dV per unit w h (1, or 2 pi rho) in dV */
     double vol, ih2;                 /* the record's sums of dV and H^2 dV */
-    const uint8_t *mask;             /* nodes of the sups and the range of u; NULL: all */
+    const int64_t *span_lo, *span_hi;   /* the record's nodes: span_lo[j] <= i < span_hi[j], */
+    int64_t n_spans;                    /* [0, n) on a line, the disk's row runs */
     double *udot, *unew;             /* du/dt with advection, the Euler update */
     double *uf;                      /* disk2d: u with its ghost values */
     double *sum_dV, *sum_H2dV;       /* summands of vol, ih2 (disk2d: the N x N core) */
@@ -246,6 +257,21 @@ typedef struct {
     double r_end[2];                 /* rhs at the ends from the one-sided stencil */
     double ds[2];                    /* s'(|x|) at both ends, or f'(u_b) at the rim */
 } Step;
+
+/* the record's Sups over the spans, in node order */
+static Sups take_sups(const Step *S)
+{
+    Sups s = {-INFINITY, -INFINITY, -INFINITY, INFINITY, -INFINITY};
+    for (int64_t j = 0; j < S->n_spans; ++j)
+        for (int64_t i = S->span_lo[j]; i < S->span_hi[j]; ++i) {
+            TAKE_MAX(s.v, S->v[i]);
+            TAKE_MAX(s.vh, S->vh[i]);
+            TAKE_MAX(s.H, fabs(S->H[i]));
+            TAKE_MIN(s.umin, S->u[i]);
+            TAKE_MAX(s.umax, S->u[i]);
+        }
+    return s;
+}
 
 /* u_x, the margin and u_xx / margin on spacing h: central differences
  * inside, the given slopes at the ends; sets h and the least margin */
@@ -517,13 +543,69 @@ static int radial2d_project(Step *S, double *fail)
 
 /* -- disk2d: u_t = (delta^ij + vhat^2 D^i u D^j u) D^2_ij u on a fixed disk ---- */
 
-/* flow._disk2d_eval and _disk2d_rate over the inside nodes (the rest of the
- * box does not move), and _disk2d_record's per-node fields: H = 0, v = 1 off
- * the inside nodes, where the ring may sample them */
+/* geometry.disk_gradient at box node i of f: x runs along the first index */
+static inline void disk_gradient(const double *f, int64_t i, int64_t m, double two_h,
+                                 double *ux, double *uy)
+{
+    *ux = (f[i + m] - f[i - m]) / two_h;
+    *uy = (f[i + 1] - f[i - 1]) / two_h;
+}
+
+/* flow._disk2d_eval and _disk2d_rate, and _disk2d_record's per-node fields
+ * and summands of vol and int H^2 dV, over one run of len inside nodes: each
+ * pointer is at the run's first node (sdV and sH2dV at its place in the
+ * N x N core).  Free of branches, so the compiler vectorises it. */
+static void disk2d_row(int64_t len, int64_t m, double h, const double *restrict f,
+                       const double *restrict area, double *restrict mm, double *restrict vh,
+                       double *restrict H, double *restrict v, double *restrict udot,
+                       double *restrict sdV, double *restrict sH2dV)
+{
+    const double two_h = 2.0 * h, h2 = h * h, four_h2 = 4.0 * h * h;
+    for (int64_t i = 0; i < len; ++i) {
+        /* geometry.disk_derivatives */
+        double c = f[i], xp = f[i + m], xm = f[i - m], yp = f[i + 1], ym = f[i - 1];
+        double ux, uy;
+        disk_gradient(f, i, m, two_h, &ux, &uy);
+        double uxx = (xp - 2.0 * c + xm) / h2, uyy = (yp - 2.0 * c + ym) / h2;
+        double uxy = (f[i + m + 1] + f[i - m - 1] - f[i + m - 1] - f[i - m + 1]) / four_h2;
+        double mi = 1.0 - (ux * ux + uy * uy);
+        double vh2 = 1.0 / mi;
+        double rhs = (uxx + uyy) + vh2 * (ux * ux * uxx + 2.0 * ux * uy * uxy + uy * uy * uyy);
+        double wi = sqrt(mi);
+        double vhi = 1.0 / wi;
+        double Hi = vhi * rhs, dV = area[i] / vhi;
+        mm[i] = mi;
+        vh[i] = vhi;
+        H[i] = Hi;
+        /* where f' = 0 (the cylinder) the reference's v_hat (1 - 0 u_rho) / 1 is
+         * v_hat itself: u_rho is finite wherever v_hat is */
+        v[i] = vhi;
+        udot[i] = rhs;
+        sdV[i] = dV;
+        sH2dV[i] = Hi * Hi * dV;
+    }
+}
+
+/* the fields off the inside nodes, which no step changes: udot = 0, and H = 0
+ * and v = 1 where the ring may sample them; zero summands of the integrals */
+static void disk2d_prepare(Step *S)
+{
+    const int64_t N = S->disk->m - 2;
+    for (int64_t i = 0; i < S->n; ++i) {
+        S->udot[i] = 0.0;
+        S->H[i] = 0.0;
+        S->v[i] = 1.0;
+    }
+    memset(S->sum_dV, 0, N * N * sizeof *S->sum_dV);
+    memset(S->sum_H2dV, 0, N * N * sizeof *S->sum_H2dV);
+}
+
+/* the disk's evaluation over its row runs (the rest of the box does not move,
+ * and disk2d_prepare set its fields) */
 static void disk2d_evaluate(Step *S)
 {
     const Disk *D = S->disk;
-    const int64_t m = D->m, n = S->n;
+    const int64_t m = D->m, n = S->n, N = m - 2;
     const double *u = S->u;
     double *f = S->uf;
     /* disk.fill_ghosts: u with the ghost rows of G u[inside] */
@@ -534,52 +616,32 @@ static void disk2d_evaluate(Step *S)
             sum += D->ghost_val[j] * u[D->ghost_col[j]];
         f[D->ghost_node[g]] = sum;
     }
-    const double h = D->h, two_h = 2.0 * h, h2 = h * h, four_h2 = 4.0 * h * h;
-    double m_min = INFINITY;
-    for (int64_t i = 0; i < n; ++i) {
-        if (!D->inside[i]) {
-            S->udot[i] = 0.0;
-            S->H[i] = 0.0;
-            S->v[i] = 1.0;
+    const double two_h = 2.0 * D->h;
+    for (int64_t x = 1; x < m - 1; ++x) {
+        int64_t lo = D->row_lo[x], hi = D->row_hi[x];    /* rows off the pad are never empty */
+        int64_t q = (x - 1) * N + (lo - x * m - 1);
+        disk2d_row(hi - lo, m, D->h, f + lo, D->area + lo, S->m + lo, S->vh + lo, S->H + lo,
+                   S->v + lo, S->udot + lo, S->sum_dV + q, S->sum_H2dV + q);
+        if (S->code == P_CYLINDER)
             continue;
+        for (int64_t i = lo; i < hi; ++i) {
+            double dfz = rot_df(S->code, S->prm, u[i]);
+            if (dfz != 0.0) {
+                double ux, uy;
+                disk_gradient(f, i, m, two_h, &ux, &uy);
+                double du_rad = (D->x[i] * ux + D->y[i] * uy) / D->r[i];
+                S->v[i] = S->vh[i] * (1.0 - dfz * du_rad) * (1.0 / sqrt(1.0 - dfz * dfz));
+            }
         }
-        /* geometry.disk_derivatives: x runs along the first index */
-        double c = f[i], xp = f[i + m], xm = f[i - m], yp = f[i + 1], ym = f[i - 1];
-        double ux = (xp - xm) / two_h, uy = (yp - ym) / two_h;
-        double uxx = (xp - 2.0 * c + xm) / h2, uyy = (yp - 2.0 * c + ym) / h2;
-        double uxy = (f[i + m + 1] + f[i - m - 1] - f[i + m - 1] - f[i - m + 1]) / four_h2;
-        double mi = 1.0 - (ux * ux + uy * uy);
-        double vh2 = 1.0 / mi;
-        double rhs = (uxx + uyy) + vh2 * (ux * ux * uxx + 2.0 * ux * uy * uxy + uy * uy * uyy);
-        TAKE_MIN(m_min, mi);
-        double wi = sqrt(mi);
-        double vh = 1.0 / wi;
-        double dfz = rot_df(S->code, S->prm, u[i]);
-        S->vh[i] = vh;
-        S->H[i] = vh * rhs;
-        /* where f' = 0 (the cylinder) the reference's v_hat (1 - 0 u_rho) / 1 is
-         * v_hat itself: u_rho is finite wherever v_hat is */
-        S->v[i] = vh;
-        if (dfz != 0.0) {
-            double du_rad = (D->x[i] * ux + D->y[i] * uy) / D->r[i];
-            S->v[i] = vh * (1.0 - dfz * du_rad) * (1.0 / sqrt(1.0 - dfz * dfz));
-        }
-        S->dV[i] = D->area[i] / vh;
-        S->udot[i] = rhs;
     }
-    /* the integrals as the reference takes them: pairwise over the N x N core,
-     * zero off the inside nodes */
-    const int64_t N = m - 2;
-    for (int64_t r = 0; r < N; ++r)
-        for (int64_t c = 0; c < N; ++c) {
-            int64_t i = (r + 1) * m + c + 1, q = r * N + c;
-            int in = D->inside[i];
-            S->sum_dV[q] = in ? S->dV[i] : 0.0;
-            S->sum_H2dV[q] = in ? S->H[i] * S->H[i] * S->dV[i] : 0.0;
-        }
+    double m_min = INFINITY;
+    for (int64_t j = 0; j < S->n_spans; ++j)
+        for (int64_t i = S->span_lo[j]; i < S->span_hi[j]; ++i)
+            TAKE_MIN(m_min, S->m[i]);
+    /* the integrals as the reference takes them: pairwise over the N x N core */
     S->vol = pairwise_sum(S->sum_dV, N * N);
     S->ih2 = pairwise_sum(S->sum_H2dV, N * N);
-    S->h = h;
+    S->h = D->h;
     S->m_min = m_min;
     S->bdot[0] = S->bdot[1] = 0.0;
 }
@@ -658,14 +720,18 @@ int maxsurf_run(int kind, int64_t n, double *u, double *bnd, double *t_io,
                 double *fail, double *work)
 {
     const Kind *K = &KINDS[kind];
+    const int64_t whole[2] = {0, n};
     Step S = {
         .n = n, .nm1 = (double)(n - 1), .s_ref = s_ref, .code = code, .prm = prm,
         .disk = disk, .u = u, .ux = work, .m = work + n, .rhs = work + 2 * n,
         .vh = work + 3 * n, .H = work + 4 * n, .v = work + 5 * n, .dV = work + 6 * n,
-        .mask = disk ? disk->inside : NULL, .udot = work + 7 * n, .unew = work + 8 * n,
+        .span_lo = disk ? disk->row_lo : whole, .span_hi = disk ? disk->row_hi : whole + 1,
+        .n_spans = disk ? disk->m : 1, .udot = work + 7 * n, .unew = work + 8 * n,
         .uf = work + 9 * n, .sum_dV = work + 10 * n, .sum_H2dV = work + 11 * n,
         .b = {bnd[0], bnd[1]},
     };
+    if (disk)
+        disk2d_prepare(&S);
     double t = *t_io;
     int64_t k = *k_io;
     int status = ST_CHUNK;
@@ -676,24 +742,13 @@ int maxsurf_run(int kind, int64_t n, double *u, double *bnd, double *t_io,
         int guard = S.m_min < eps_guard;
 
         /* the record of the pre-step state (also the trip record): the sups and
-         * the range of u over the masked nodes, as flow._pack_record */
-        double sup_v = -INFINITY, sup_vh = -INFINITY, sup_H = -INFINITY;
-        double umin = INFINITY, umax = -INFINITY;
-        for (int64_t i = 0; i < n; ++i) {
-            if (S.mask && !S.mask[i])
-                continue;
-            TAKE_MAX(sup_v, S.v[i]);
-            TAKE_MAX(sup_vh, S.vh[i]);
-            TAKE_MAX(sup_H, fabs(S.H[i]));
-            TAKE_MIN(umin, u[i]);
-            TAKE_MAX(umax, u[i]);
-        }
+         * the range of u over the spans, as flow._pack_record over its mask */
+        Sups sup = take_sups(&S);
         double blo;
         Block b = K->rim(&S, &blo);
         if (k % stride == 0 || guard)
             take_snapshot(n, u, t, S.b[0], S.b[1], k, snaps, snap_t, snap_b, snap_k, nsnap);
-        store_record(rec + NREC * (*nrec), t, sup_v, sup_vh, sup_H, S.vol, S.ih2, umin, umax,
-                     blo, S.b[1], b);
+        store_record(rec + NREC * (*nrec), t, sup, S.vol, S.ih2, blo, S.b[1], b);
         *nrec += 1;
         if (guard) {
             status = ST_GUARD;
@@ -720,7 +775,7 @@ int maxsurf_run(int kind, int64_t n, double *u, double *bnd, double *t_io,
         }
         t = t + dt;
         k += 1;
-        if (h_stop > 0.0 && sup_H < h_stop) {
+        if (h_stop > 0.0 && sup.H < h_stop) {
             status = ST_CONV;
             break;
         }

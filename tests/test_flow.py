@@ -9,7 +9,7 @@ import pytest
 
 from maxsurf import _kernels
 from maxsurf.analytic import grim_reaper_boundary
-from maxsurf.disk import disk_grid
+from maxsurf.disk import DiskGrid, disk_grid
 from maxsurf.flow import (
     FlowError,
     FlowEvent,
@@ -319,15 +319,19 @@ def test_fast_kernel_matches_reference_radial2d():
         assert np.nanmax(np.where(finite, d, 0.0)) < 1e-8
 
 
+def disk_bump(amp, n=33, radius=1.0, base=0.0):
+    return disk_state(lambda x, y: base + amp * (1 - (x * x + y * y) / radius**2) ** 2, n,
+                      radius)
+
+
 @needs_step_loop
 def test_fast_kernel_matches_reference_disk2d():
     # AC-3's fixed point to the step limit, a bump to h_stop at two strides, a
-    # disk of radius 0.8 and a steep bump (margin 0.040) under a guard at 0.05;
-    # both engines apply the same ghost operator and the update reads no
-    # profile, so the states agree bit for bit
-    def bump(amp, n=33, radius=1.0):
-        return disk_state(lambda x, y: amp * (1 - (x * x + y * y) / radius**2) ** 2, n, radius)
-
+    # disk of radius 0.8, a steep bump (margin 0.040) under a guard at 0.05,
+    # and bumps in the pseudosphere and the sine tube, whose v takes the
+    # f'(u) correction; both engines apply the same ghost operator and the
+    # update reads no profile, so the states agree bit for bit
+    bump = disk_bump
     events = set()
     for state, ctrl, profile, stride in (
         (bump(0.0), StepControl(max_steps=40), cylinder(1.0), 7),
@@ -335,6 +339,8 @@ def test_fast_kernel_matches_reference_disk2d():
         (bump(0.1), StepControl(h_stop=1e-3, t_end=10.0), cylinder(1.0), 7),
         (bump(0.05, radius=0.8), StepControl(t_end=0.01), cylinder(0.8), 5),
         (bump(0.64), StepControl(eps_guard=0.05, t_end=1.0), cylinder(1.0), 3),
+        (bump(0.1, 40, base=0.3), StepControl(t_end=0.02), pseudosphere(1.0, 0.0), 4),
+        (bump(0.1, 41, base=0.1), StepControl(t_end=0.02), sine_tube(1.0, 0.1, 3.0), 4),
     ):
         ref = _run_python(state.copy(), ctrl, profile, stride=stride)
         fast = _kernels.run_fast(state.copy(), ctrl, profile, stride=stride)
@@ -349,6 +355,46 @@ def test_fast_kernel_matches_reference_disk2d():
         assert np.nanmax(np.where(np.isfinite(ref.records[:, 11:16]), d, 0.0)) < 1e-6
         events.add(ref.event)
     assert events == set(FlowEvent)
+
+
+@needs_step_loop
+def test_fast_kernel_record_propagates_nan_disk2d():
+    # a negative margin (amplitude 1.0) trips the guard at step 0; the sups and
+    # the integrals of the trip record are NaN in both engines, the range of u
+    # and the bounds finite
+    for profile in (cylinder(1.0), pseudosphere(1.0, 0.0)):
+        state, ctrl = disk_bump(1.0), StepControl(eps_guard=0.05, t_end=1.0)
+        with np.errstate(all="ignore"):
+            ref = _run_python(state.copy(), ctrl, profile, stride=3)
+            fast = _kernels.run_fast(state.copy(), ctrl, profile, stride=3)
+        assert ref.event is fast.event is FlowEvent.GUARD_TRIPPED
+        assert ref.state_steps == fast.state_steps == [0]
+        assert ref.records.shape == fast.records.shape == (1, 17)
+        nan_cols = [1, 2, 3, 4, 5, 11, 12, 13, 14, 15, 16]
+        assert np.isnan(fast.records[0, nan_cols]).all()
+        assert np.isfinite(fast.records[0, [0, 6, 7, 8, 9, 10]]).all()
+        assert np.array_equal(ref.records[:, :11], fast.records[:, :11], equal_nan=True)
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8, 9, 10, 11, 12, 33, 101])
+def test_disk_row_runs_cover_the_inside_nodes(n):
+    grid = DiskGrid(n, 0.8)
+    tables, _arrays = _kernels._disk_tables(grid)
+    m = n + 2
+    for x in range(m):
+        run = np.arange(tables.row_lo[x], tables.row_hi[x])
+        assert np.array_equal(run, x * m + np.flatnonzero(grid.inside[x]))
+    assert sum(tables.row_hi[x] - tables.row_lo[x] for x in range(m)) == grid.inside.sum()
+
+
+def test_disk_tables_reject_a_row_with_a_hole():
+    grid = DiskGrid(9)
+    grid.inside = grid.inside.copy()
+    x = grid.inside.shape[0] // 2
+    cols = np.flatnonzero(grid.inside[x])
+    grid.inside[x, cols[cols.size // 2]] = False
+    with pytest.raises(ValueError, match="one run"):
+        _kernels._disk_tables(grid)
 
 
 @needs_step_loop
