@@ -389,7 +389,6 @@ def test_disk_row_runs_cover_the_inside_nodes(n):
 
 def test_disk_tables_reject_a_row_with_a_hole():
     grid = DiskGrid(9)
-    grid.inside = grid.inside.copy()
     x = grid.inside.shape[0] // 2
     cols = np.flatnonzero(grid.inside[x])
     grid.inside[x, cols[cols.size // 2]] = False
