@@ -97,9 +97,8 @@ def _disk_tables(grid):
         ("area", grid.area_weights), ("ghost_val", G.data), ("ring_val", ring.data))}
     i64 = {name: np.ascontiguousarray(a, dtype=np.int64) for name, a in (
         ("row_lo", row_lo), ("row_hi", row_lo + count), ("ghost_node", grid.ghost_flat),
-        ("ghost_ptr", G.indptr), ("ghost_col", grid.inside_flat[G.indices]),
-        ("ring_col", ring.indices))}
-    tables = _Disk(m=m, h=grid.h, radius=grid.radius, n_ghost=G.shape[0],
+        ("ghost_ptr", G.indptr), ("ghost_col", G.indices), ("ring_col", ring.indices))}
+    tables = _Disk(m=m, h=grid.h, radius=grid.radius, n_ghost=grid.ghost_flat.size,
                    n_angles=grid.ring_angles.size, ring_delta=grid.ring_delta,
                    **{k: a.ctypes.data_as(_F64P) for k, a in f64.items()},
                    **{k: a.ctypes.data_as(_I64P) for k, a in i64.items()})

@@ -213,7 +213,7 @@ static void take_snapshot(int64_t n, const double *u, double t, double blo, doub
 
 /* The disk grid (disk.DiskGrid): the (N+2) x (N+2) box of cell-centred
  * nodes, row-major with x the first index, and its two sparse operators,
- * each row applied in its stored order (scipy's csr_matvec). */
+ * each row applied in its stored order (as disk.CSR does). */
 typedef struct {
     int64_t m;                       /* nodes per box side, N + 2 */
     double h, radius;

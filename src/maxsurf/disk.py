@@ -5,10 +5,13 @@ Nodes are cell-centered (never exactly on the rim circle) with one pad ring,
 so every stencil and every mirror interpolation stays inside the stored
 array.  A ghost node g outside the circle takes the value of its mirror
 point m = (2R/|g| - 1) g inside, which enforces du/drho = 0 at the rim to
-second order; mirror values are bilinear in the surrounding cell.  The
-ghost-ghost coupling is solved once, at construction, into one sparse ghost
-operator G = (I - A_gg)^-1 A_gi from the inside values to the ghost values,
-which both stepping engines apply.
+second order; mirror values are bilinear in the surrounding cell, whose
+corners may be ghosts themselves.  Apart from a ghost's reference to itself
+this ghost-ghost coupling A_gg is acyclic, so (I - A_gg) is triangular up to
+an ordering of the ghosts: at construction, substitution in dependency order
+solves it exactly into one sparse ghost operator G = (I - A_gg)^-1 A_gi from
+the inside values to the ghost values (a CSR), which both stepping engines
+apply.
 
 Quadrature weights are exact cell-disk intersection areas, with the coverage
 of cells centered outside the circle lumped onto the nearest inside node, so
@@ -20,8 +23,6 @@ accuracy O(h) localized on an O(h) band.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 
 def _circ_antiderivative(x: float, R: float) -> float:
@@ -65,6 +66,87 @@ def _cell_disk_area(x0: float, x1: float, y0: float, y1: float, R: float) -> flo
             lower = y0 * (b - a)
         total += upper - lower
     return max(total, 0.0)
+
+
+class CSR:
+    """A sparse matrix in compressed rows: row k holds data[j] at column
+    indices[j] for indptr[k] <= j < indptr[k+1].
+
+    ``A @ x`` acts on the last axis of x and sums each row's terms in stored
+    order from +0.0, as the C step loop does.  It gathers the terms into a
+    (width x rows) table padded with +0.0; a running sum that starts at +0.0
+    is never -0.0, so adding the padding leaves it unchanged.
+    """
+
+    def __init__(self, indptr, indices, data):
+        self.indptr = np.asarray(indptr, dtype=np.int64)
+        self.indices = np.asarray(indices, dtype=np.int64)
+        self.data = np.asarray(data, dtype=float)
+        counts = np.diff(self.indptr)
+        slot = np.arange(counts.max(initial=0))[:, None]
+        self._active = slot < counts
+        at = np.where(self._active, self.indptr[:-1] + slot, 0)
+        self._cols = np.where(self._active, self.indices[at], 0)
+        self._vals = np.where(self._active, self.data[at], 0.0)
+
+    @classmethod
+    def from_rows(cls, rows) -> "CSR":
+        """From one {column: value} dict per row; columns are stored sorted."""
+        rows = [sorted(r.items()) for r in rows]
+        pairs = [p for r in rows for p in r]
+        return cls(np.cumsum([0] + [len(r) for r in rows]),
+                   [c for c, _ in pairs], [v for _, v in pairs])
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore", invalid="ignore"):    # silent, as in C
+            terms = np.where(self._active, self._vals * np.take(x, self._cols, axis=-1), 0.0)
+            out = np.zeros(terms.shape[:-2] + terms.shape[-1:])
+            for term in np.moveaxis(terms, -2, 0):
+                out += term
+        return out
+
+
+def _substitute(rows: dict) -> dict:
+    """The ghost operator's rows, X = A_gi + A_gg X solved by substitution.
+
+    rows maps each ghost node to its mirror taps (node, weight, inside).  Apart
+    from self-references the ghost-ghost coupling is acyclic, so the ghosts are
+    taken in dependency order, each row being
+    X_g = (inside taps + sum over ghosts d != g of w_gd X_d) / (1 - w_gg).
+    Returns {ghost: {inside node: weight}} without exact zeros; a cycle
+    raises ValueError.
+    """
+    users = {g: [] for g in rows}
+    waiting = {}
+    for g, taps in rows.items():
+        deps = {c for c, w, inside in taps if w != 0.0 and not inside and c != g}
+        waiting[g] = len(deps)
+        for d in deps:
+            users[d].append(g)
+    ready = [g for g, k in waiting.items() if k == 0]
+    solved = {}
+    while ready:
+        g = ready.pop()
+        acc, self_weight = {}, 0.0
+        for c, w, inside in rows[g]:
+            if w == 0.0:
+                continue
+            if inside:
+                acc[c] = acc.get(c, 0.0) + w
+            elif c == g:
+                self_weight += w
+            else:
+                for k, x in solved[c].items():
+                    acc[k] = acc.get(k, 0.0) + w * x
+        scale = 1.0 - self_weight
+        solved[g] = {k: x / scale for k, x in acc.items() if x != 0.0}
+        for user in users[g]:
+            waiting[user] -= 1
+            if waiting[user] == 0:
+                ready.append(user)
+    if len(solved) < len(rows):
+        raise ValueError("the ghost-ghost coupling has a cycle; substitution cannot solve it")
+    return solved
 
 
 class DiskGrid:
@@ -129,41 +211,14 @@ class DiskGrid:
                         nxt.append((ci, cj))
             pending = nxt
         self.ghost_nodes = sorted(rows)
-        gindex = {g: k for k, g in enumerate(self.ghost_nodes)}
-        n_in = int(self.inside.sum())
-        in_flat = np.flatnonzero(self.inside.ravel())
-        in_index = {f: k for k, f in enumerate(in_flat)}
-        self.inside_flat = in_flat
-
-        agi_r, agi_c, agi_v = [], [], []
-        agg_r, agg_c, agg_v = [], [], []
-        for k, g in enumerate(self.ghost_nodes):
-            corners, weights = rows[g]
-            for (ci, cj), w in zip(corners, weights):
-                if w == 0.0:
-                    continue
-                if self.inside[ci, cj]:
-                    agi_r.append(k)
-                    agi_c.append(in_index[ci * m + cj])
-                    agi_v.append(w)
-                else:
-                    agg_r.append(k)
-                    agg_c.append(gindex[(ci, cj)])
-                    agg_v.append(w)
-        n_g = len(self.ghost_nodes)
-        A_gi = sp.csr_matrix((agi_v, (agi_r, agi_c)), shape=(n_g, n_in))
-        A_gg = sp.csr_matrix((agg_v, (agg_r, agg_c)), shape=(n_g, n_g))
-        lu = spla.splu(sp.csc_matrix(sp.eye(n_g) - A_gg))
-        # solve only for the inside nodes some mirror cell touches (no dense
-        # n_ghost x n_inside temporary), 16 columns at a time: one solve with
-        # all of them can take threaded BLAS paths, which stall for up to a
-        # second when other processes keep the cores busy
-        cols = np.unique(A_gi.indices)
-        B = A_gi[:, cols].toarray()
-        X = np.hstack([lu.solve(B[:, i:i + 16]) for i in range(0, B.shape[1], 16)])
-        r, c = np.nonzero(X)
-        self.ghost_operator = sp.csr_matrix((X[r, c], (r, cols[c])), shape=(n_g, n_in))
         self.ghost_flat = np.array([i * m + j for i, j in self.ghost_nodes], dtype=int)
+        taps = {}
+        for (i, j) in self.ghost_nodes:
+            corners, weights = rows[(i, j)]
+            taps[i * m + j] = [(ci * m + cj, w, bool(self.inside[ci, cj]))
+                               for (ci, cj), w in zip(corners, weights)]
+        solved = _substitute(taps)
+        self.ghost_operator = CSR.from_rows([solved[g] for g in self.ghost_flat])
 
     def fill_ghosts(self, u: np.ndarray) -> np.ndarray:
         """Return a copy of u with ghost entries set by mirror reflection.
@@ -171,8 +226,8 @@ class DiskGrid:
         u may stack several fields along leading axes.
         """
         out = u.copy()
-        for row in out.reshape(-1, out.shape[-2] * out.shape[-1]):
-            row[self.ghost_flat] = self.ghost_operator @ row[self.inside_flat]
+        flat = out.reshape(out.shape[:-2] + (-1,))
+        flat[..., self.ghost_flat] = self.ghost_operator @ flat
         return out
 
     # -- quadrature and monitor geometry ------------------------------------
@@ -223,22 +278,22 @@ class DiskGrid:
         self.ring_sampler = self._bilinear_operator(
             (radii * np.cos(self.ring_angles)).ravel(), (radii * np.sin(self.ring_angles)).ravel())
 
-    def _bilinear_operator(self, xs, ys) -> sp.csr_matrix:
+    def _bilinear_operator(self, xs, ys) -> CSR:
         mshape = self.X.shape[0]
         fi = (np.asarray(xs) - self.coord[0]) / self.h
         fj = (np.asarray(ys) - self.coord[0]) / self.h
         i0 = np.clip(np.floor(fi).astype(int), 0, mshape - 2)
         j0 = np.clip(np.floor(fj).astype(int), 0, mshape - 2)
         tx, ty = fi - i0, fj - j0
-        rows = np.repeat(np.arange(xs.size), 4)
+        # the 4 taps of each row in increasing column order
         cols = np.stack([
-            i0 * mshape + j0, (i0 + 1) * mshape + j0,
-            i0 * mshape + j0 + 1, (i0 + 1) * mshape + j0 + 1,
+            i0 * mshape + j0, i0 * mshape + j0 + 1,
+            (i0 + 1) * mshape + j0, (i0 + 1) * mshape + j0 + 1,
         ], axis=-1).ravel()
         vals = np.stack([
-            (1 - tx) * (1 - ty), tx * (1 - ty), (1 - tx) * ty, tx * ty,
+            (1 - tx) * (1 - ty), (1 - tx) * ty, tx * (1 - ty), tx * ty,
         ], axis=-1).ravel()
-        return sp.csr_matrix((vals, (rows, cols)), shape=(xs.size, mshape * mshape))
+        return CSR(4 * np.arange(xs.size + 1), cols, vals)
 
     @staticmethod
     def _erode(mask: np.ndarray) -> np.ndarray:

@@ -316,13 +316,14 @@ def spacelike_margin(state: FlowState) -> float:
     return float(1.0 - (du * du).max())
 
 
-def laplace_beltrami(state: FlowState, f: np.ndarray) -> np.ndarray:
+def laplace_beltrami(state: FlowState, f: np.ndarray, g: GeometryFields) -> np.ndarray:
     """Divergence-form intrinsic Laplacian of a nodal field on the state.
 
-    (1/sqrt(det g)) D_i(sqrt(det g) g^{ij} D_j f) with midpoint fluxes.
-    Boundary entries are NaN; for disk2d only the deep-interior mask is
-    filled (all stencil nodes strictly inside).  f may stack several fields
-    ahead of the state's own axes; they share one metric evaluation.
+    (1/sqrt(det g)) D_i(sqrt(det g) g^{ij} D_j f) with midpoint fluxes; the
+    slope of u comes from g.du, g being the state's GeometryFields.  Boundary
+    entries are NaN; for disk2d only the deep-interior mask is filled (all
+    stencil nodes strictly inside).  f may stack several fields ahead of the
+    state's own axes; they share one metric evaluation.
     """
     u = state.u
     if state.grid.kind == "curve1d":
@@ -330,9 +331,8 @@ def laplace_beltrami(state: FlowState, f: np.ndarray) -> np.ndarray:
         dum = np.diff(u) / h
         a_mid = 1.0 / np.sqrt(1.0 - dum * dum)      # sqrt(g) g^{xx} at midpoints
         flux = a_mid * np.diff(f) / h
-        ux = d1(u, h)
         out = np.full_like(f, np.nan)
-        out[..., 1:-1] = (flux[..., 1:] - flux[..., :-1]) / (h * np.sqrt(1.0 - ux[..., 1:-1] ** 2))
+        out[..., 1:-1] = (flux[..., 1:] - flux[..., :-1]) / (h * np.sqrt(1.0 - g.du[..., 1:-1] ** 2))
         return out
     if state.grid.kind == "radial2d":
         h = state.spacing()
@@ -341,18 +341,16 @@ def laplace_beltrami(state: FlowState, f: np.ndarray) -> np.ndarray:
         dum = np.diff(u) / h
         a_mid = rho_mid / np.sqrt(1.0 - dum * dum)  # sqrt(G) g^{rr} at midpoints
         flux = a_mid * np.diff(f) / h
-        ur = _slope_1d(state)
         out = np.full_like(f, np.nan)
-        sg = rho * np.sqrt(1.0 - ur * ur)
+        sg = rho * np.sqrt(1.0 - g.du * g.du)
         out[..., 1:-1] = (flux[..., 1:] - flux[..., :-1]) / (h * sg[..., 1:-1])
         # axis cell: (1/(rho sqrt(g))) d_rho(rho f_rho/sqrt(g)) -> 2 f_rr at 0
         out[..., :1] = 4.0 * (f[..., 1:2] - f[..., :1]) / (h * h * np.sqrt(1.0 - dum[..., :1] ** 2))
         return out
     grid = disk_grid(state.grid.n, state.grid.radius)
     h = grid.h
-    uf = grid.fill_ghosts(u)
     # midpoint metric coefficients in each direction
-    ux, uy = disk_gradient(uf, h, padded=True)
+    ux, uy = g.du[..., 0], g.du[..., 1]
     du2 = ux * ux + uy * uy
     m = np.maximum(1.0 - du2, 1e-12)
     sg = np.sqrt(m)                                  # sqrt(det g) = 1/v_hat

@@ -192,7 +192,7 @@ def _block_terms(states: list, profile):
     x, grad, rhs_v, mask_H, mask_v = _kind_terms(st, g, F, profile)
     du = np.moveaxis(g.du.reshape(g.H.shape + (-1,)), -1, 0)
     masks = np.stack([np.broadcast_to(m, g.H.shape) for m in (mask_H, mask_v)])
-    center = (g.H * g.v_hat * du, grad, laplace_beltrami(st, F),
+    center = (g.H * g.v_hat * du, grad, laplace_beltrami(st, F, g),
               np.stack([-(g.H * g.normA2), rhs_v]), masks)
     return (st.t, x, F), center
 
@@ -451,7 +451,7 @@ def stability_certificate(state: FlowState, profile, center, epsilon: float = 1e
     else:
         radius = float(sq_in.max()) + max(epsilon, 0.1)
     phi = radius - sq
-    lap_phi = laplace_beltrami(state, phi)
+    lap_phi = laplace_beltrami(state, phi, g)
     interior = np.isfinite(lap_phi)
     lap_identity = float(np.abs(lap_phi[interior] + 2.0 * n_dim).max())
     interior_margin = float(np.min(-(lap_phi[interior] - phi[interior] * g.normA2[interior])))

@@ -39,7 +39,7 @@ def disk_state(u_of_xy, n, radius=1.0, t=0.0):
 
 
 def test_flat_disk_geometry():
-    # nonzero constant: ghost fill exact up to LU roundoff only
+    # nonzero constant: ghost fill exact up to substitution roundoff only
     st = disk_state(lambda x, y: 0.7 + 0.0 * x, 64)
     g = geometry(st, cylinder(1.0))
     ins = g.mask
@@ -159,7 +159,7 @@ def test_laplace_beltrami_flat_plane_quadratic():
     # on a flat radial graph, Delta(R - rho^2) = -4 exactly (n = 2)
     st = radial_state(lambda r: 0.0 * r + 1.0, 2.0, 101)
     phi = 10.0 - st.coords() ** 2
-    lap = laplace_beltrami(st, phi)
+    lap = laplace_beltrami(st, phi, geometry(st, None))
     np.testing.assert_allclose(lap[:-1], -4.0, atol=1e-9)
 
 
@@ -167,7 +167,7 @@ def test_laplace_beltrami_disk_quadratic():
     st = disk_state(lambda x, y: 0.0 * x, 64)
     dg = disk_grid(64, 1.0)
     phi = 10.0 - (dg.X**2 + dg.Y**2)
-    lap = laplace_beltrami(st, phi)
+    lap = laplace_beltrami(st, phi, geometry(st, None))
     deep = dg.deep
     np.testing.assert_allclose(lap[deep], -4.0, atol=1e-9)
 
@@ -177,7 +177,7 @@ def test_laplace_beltrami_curve_matches_closed_form():
     st = curve_state(lambda x: np.log(np.cosh(x)), -1.0, 1.0, 801)
     x = st.coords()
     H = np.cosh(x)
-    lap = laplace_beltrami(st, H)
+    lap = laplace_beltrami(st, H, geometry(st, None))
     exact = np.cosh(x) * (np.sinh(x) ** 2 + np.cosh(x) ** 2)
     err = np.abs(lap[5:-5] - exact[5:-5]).max()
     assert err < 5e-4

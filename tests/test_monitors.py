@@ -326,7 +326,7 @@ def test_ambient_laplacian_identity_refines_on_curved_state():
         st = FlowState(grid, 0.0, u, 1.2)
         g = geometry(st, None)
         phi = 30.0 - (rho**2 - u**2)
-        lap = laplace_beltrami(st, phi)
+        lap = laplace_beltrami(st, phi, g)
         pairing = rho * g.nu[:, 0] - u * g.nu[:, 1]
         target = -4.0 - 2.0 * g.H * pairing
         err = np.abs(lap - target)[1:-1].max()
