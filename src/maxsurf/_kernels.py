@@ -13,7 +13,12 @@ source is compiled with the system C compiler (``$CC``, else ``cc``) and
 to the scalar code: ``-O3`` vectorises loops without reordering any
 floating-point operation, ``-fno-math-errno`` only spares ``sqrt`` (correctly
 rounded either way) its errno check, which otherwise blocks vectorising the
-disk's node loop, and ``-ffp-contract=off`` forbids fused multiply-adds; never
+disk's node loop, and ``-ffp-contract=off`` forbids fused multiply-adds;
+``-fopenmp-simd`` honours ``#pragma omp simd`` alone (no OpenMP runtime, no
+threads), whose declared min/max reductions in the disk's node loop take the
+record's least margin, sup |H| and range of u: an extreme is one value in any
+order, and a step where a NaN, an inf or a signed zero could tell the orders
+apart takes them by the node-order walk instead (see ``_step.c``).  Never
 ``-ffast-math``, and no ``-march``, as the cache key holds only the machine
 type.  The shared object is cached beside this module in
 ``__pycache__``, or in a per-user temporary directory when that is not
@@ -39,7 +44,7 @@ import tempfile
 import numpy as np
 
 SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_step.c")
-CFLAGS = ("-O3", "-fno-math-errno", "-ffp-contract=off", "-fPIC", "-shared")
+CFLAGS = ("-O3", "-fno-math-errno", "-ffp-contract=off", "-fopenmp-simd", "-fPIC", "-shared")
 LDLIBS = ("-lm",)
 COMPILE_TIMEOUT_S = 120
 

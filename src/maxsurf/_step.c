@@ -8,14 +8,27 @@
  * projection, per-step 17-column record, snapshots at a stride, and guard,
  * convergence and t_end exits.  Floating-point expressions keep the
  * reference's order of evaluation, and the file is compiled with
- * -O3 -fno-math-errno -ffp-contract=off, never fast-math: -O3 vectorises
- * loops but reorders no floating-point operation, each lane doing what the
- * scalar loop did; -fno-math-errno only lets sqrt, correctly rounded either
- * way, be the instruction (without it no loop calling sqrt vectorises); no
- * contraction into fused multiply-adds.  So the states follow the reference
- * to a few ulps (disk2d states, whose update calls no profile function,
- * exactly).  The integrals (volume, int H^2 dV) are summed pairwise, as
- * numpy sums the reference's.
+ * -O3 -fno-math-errno -ffp-contract=off -fopenmp-simd, never fast-math: -O3
+ * vectorises loops but reorders no floating-point operation, each lane doing
+ * what the scalar loop did; -fno-math-errno only lets sqrt, correctly rounded
+ * either way, be the instruction (without it no loop calling sqrt
+ * vectorises); no contraction into fused multiply-adds; -fopenmp-simd only
+ * honours `#pragma omp simd` (no OpenMP runtime, no threads), whose declared
+ * min/max reductions are the one place an order changes (see below).  So the
+ * states follow the reference to a few ulps (disk2d states, whose update
+ * calls no profile function, exactly).  The integrals (volume, int H^2 dV)
+ * are summed pairwise, as numpy sums the reference's.
+ *
+ * The record's sups and range of u are node-order walks (take_sups: the first
+ * NaN sticks, a tie keeps the earlier value), with two exceptions.  sup v_hat
+ * is 1/sqrt(m_min) on every kind: v_hat = 1/sqrt(m) node by node, and
+ * correctly rounded sqrt and division are monotone, so the largest v_hat is
+ * that of the least margin bit for bit, NaN and inf included.  On the disk
+ * the row kernel takes the least margin, sup |H| and the range of u as simd
+ * reductions, in whatever order its lanes run.  Without a NaN, an inf or a
+ * tie of +0.0 and -0.0 the extreme of a set is one value whatever the order;
+ * a step where a NaN or an inf entered (a check sum says so) or where u's
+ * range ends on a zero takes the sups and m_min by the node-order walk.
  *
  * As in flow.py, each kind supplies only what differs (see KINDS): its
  * evaluation (the rate with the moving grid's advection term, and the
@@ -176,6 +189,12 @@ typedef struct {
     double v, vh, H, umin, umax;
 } Sups;
 
+/* disk2d_row's reductions over a run: the least margin, sup |H|, the range
+ * of u, and a sum that is nonzero exactly when a NaN or an inf entered */
+typedef struct {
+    double m, H, umin, umax, bad;
+} Run;
+
 /* one record row, in the order of flow.RECORD_COLUMNS */
 static void store_record(double *r, double t, Sups s, double vol, double ih2,
                          double blo, double bhi, Block b)
@@ -248,24 +267,26 @@ typedef struct {
     double vol, ih2;                 /* the record's sums of dV and H^2 dV */
     const int64_t *span_lo, *span_hi;   /* the record's nodes: span_lo[j] <= i < span_hi[j], */
     int64_t n_spans;                    /* [0, n) on a line, the disk's row runs */
-    double *udot, *unew;             /* du/dt with advection, the Euler update */
+    double *udot, *unew;             /* du/dt with advection, the Euler update
+                                        (disk2d: u itself, which the projection keeps) */
     double *uf;                      /* disk2d: u with its ghost values */
     double *sum_dV, *sum_H2dV;       /* summands of vol, ih2 (disk2d: the N x N core) */
     double b[2];                     /* (x_l, x_r), or (rho_b, rho_b) */
     double bdot[2], bnew[2];         /* boundary velocity, the Euler update */
     double h, m_min;
+    Sups sup;                        /* the record's sups; sup.vh is 1/sqrt(m_min) */
     double r_end[2];                 /* rhs at the ends from the one-sided stencil */
     double ds[2];                    /* s'(|x|) at both ends, or f'(u_b) at the rim */
 } Step;
 
-/* the record's Sups over the spans, in node order */
+/* the record's Sups over the spans, in node order, but for sup v_hat (which
+ * maxsurf_run takes from m_min) */
 static Sups take_sups(const Step *S)
 {
-    Sups s = {-INFINITY, -INFINITY, -INFINITY, INFINITY, -INFINITY};
+    Sups s = {-INFINITY, NAN, -INFINITY, INFINITY, -INFINITY};
     for (int64_t j = 0; j < S->n_spans; ++j)
         for (int64_t i = S->span_lo[j]; i < S->span_hi[j]; ++i) {
             TAKE_MAX(s.v, S->v[i]);
-            TAKE_MAX(s.vh, S->vh[i]);
             TAKE_MAX(s.H, fabs(S->H[i]));
             TAKE_MIN(s.umin, S->u[i]);
             TAKE_MAX(s.umax, S->u[i]);
@@ -358,6 +379,7 @@ static void line_record(Step *S)
     }
     S->vol = pairwise_sum(S->dV, n);
     S->ih2 = pairwise_sum(S->sum_H2dV, n);
+    S->sup = take_sups(S);
 }
 
 /* Boundary identity data at one boundary point (flow._boundary_block): rim
@@ -554,13 +576,18 @@ static inline void disk_gradient(const double *f, int64_t i, int64_t m, double t
 /* flow._disk2d_eval and _disk2d_rate, and _disk2d_record's per-node fields
  * and summands of vol and int H^2 dV, over one run of len inside nodes: each
  * pointer is at the run's first node (sdV and sH2dV at its place in the
- * N x N core).  Free of branches, so the compiler vectorises it. */
-static void disk2d_row(int64_t len, int64_t m, double h, const double *restrict f,
-                       const double *restrict area, double *restrict mm, double *restrict vh,
-                       double *restrict H, double *restrict v, double *restrict udot,
-                       double *restrict sdV, double *restrict sH2dV)
+ * N x N core).  Free of branches, so the compiler vectorises it; the loop is
+ * bound by division throughput, and its reductions run in otherwise idle
+ * ports.  (m - m) + (|H| - |H|) + (u - u) is 0, or NaN once a NaN or an inf
+ * entered, in any order of summation. */
+static Run disk2d_row(int64_t len, int64_t m, double h, const double *restrict f,
+                      const double *restrict area, double *restrict mm, double *restrict vh,
+                      double *restrict H, double *restrict v, double *restrict udot,
+                      double *restrict sdV, double *restrict sH2dV)
 {
     const double two_h = 2.0 * h, h2 = h * h, four_h2 = 4.0 * h * h;
+    double m_lo = INFINITY, H_hi = -INFINITY, u_lo = INFINITY, u_hi = -INFINITY, bad = 0.0;
+#pragma omp simd reduction(min: m_lo, u_lo) reduction(max: H_hi, u_hi) reduction(+: bad)
     for (int64_t i = 0; i < len; ++i) {
         /* geometry.disk_derivatives */
         double c = f[i], xp = f[i + m], xm = f[i - m], yp = f[i + 1], ym = f[i - 1];
@@ -583,7 +610,14 @@ static void disk2d_row(int64_t len, int64_t m, double h, const double *restrict 
         udot[i] = rhs;
         sdV[i] = dV;
         sH2dV[i] = Hi * Hi * dV;
+        double aH = fabs(Hi);
+        m_lo = mi < m_lo ? mi : m_lo;
+        H_hi = aH > H_hi ? aH : H_hi;
+        u_lo = c < u_lo ? c : u_lo;
+        u_hi = c > u_hi ? c : u_hi;
+        bad += (mi - mi) + (aH - aH) + (c - c);
     }
+    return (Run){m_lo, H_hi, u_lo, u_hi, bad};
 }
 
 /* the fields off the inside nodes, which no step changes: udot = 0, and H = 0
@@ -601,7 +635,9 @@ static void disk2d_prepare(Step *S)
 }
 
 /* the disk's evaluation over its row runs (the rest of the box does not move,
- * and disk2d_prepare set its fields) */
+ * and disk2d_prepare set its fields), and the record's sups from the rows'
+ * reductions; sup v is v_hat's on the cylinder, where v is v_hat node for
+ * node, and the v pass's node-order walk on the other tubes */
 static void disk2d_evaluate(Step *S)
 {
     const Disk *D = S->disk;
@@ -617,11 +653,18 @@ static void disk2d_evaluate(Step *S)
         f[D->ghost_node[g]] = sum;
     }
     const double two_h = 2.0 * D->h;
+    Run all = {INFINITY, -INFINITY, INFINITY, -INFINITY, 0.0};
+    double sup_v = -INFINITY;
     for (int64_t x = 1; x < m - 1; ++x) {
         int64_t lo = D->row_lo[x], hi = D->row_hi[x];    /* rows off the pad are never empty */
         int64_t q = (x - 1) * N + (lo - x * m - 1);
-        disk2d_row(hi - lo, m, D->h, f + lo, D->area + lo, S->m + lo, S->vh + lo, S->H + lo,
-                   S->v + lo, S->udot + lo, S->sum_dV + q, S->sum_H2dV + q);
+        Run r = disk2d_row(hi - lo, m, D->h, f + lo, D->area + lo, S->m + lo, S->vh + lo,
+                           S->H + lo, S->v + lo, S->udot + lo, S->sum_dV + q, S->sum_H2dV + q);
+        TAKE_MIN(all.m, r.m);
+        TAKE_MAX(all.H, r.H);
+        TAKE_MIN(all.umin, r.umin);
+        TAKE_MAX(all.umax, r.umax);
+        all.bad += r.bad;
         if (S->code == P_CYLINDER)
             continue;
         for (int64_t i = lo; i < hi; ++i) {
@@ -632,17 +675,27 @@ static void disk2d_evaluate(Step *S)
                 double du_rad = (D->x[i] * ux + D->y[i] * uy) / D->r[i];
                 S->v[i] = S->vh[i] * (1.0 - dfz * du_rad) * (1.0 / sqrt(1.0 - dfz * dfz));
             }
+            TAKE_MAX(sup_v, S->v[i]);
         }
     }
-    double m_min = INFINITY;
-    for (int64_t j = 0; j < S->n_spans; ++j)
-        for (int64_t i = S->span_lo[j]; i < S->span_hi[j]; ++i)
-            TAKE_MIN(m_min, S->m[i]);
+    if (all.bad != 0.0 || all.umin == 0.0 || all.umax == 0.0) {
+        /* a NaN or an inf entered, or u's range ends on a zero that may be
+         * -0.0: the order of the reductions could show, so walk in node order
+         * (m = 1 - |Du|^2 and |H| are never -0.0) */
+        S->sup = take_sups(S);
+        all.m = INFINITY;
+        for (int64_t j = 0; j < S->n_spans; ++j)
+            for (int64_t i = S->span_lo[j]; i < S->span_hi[j]; ++i)
+                TAKE_MIN(all.m, S->m[i]);
+    } else {
+        S->sup = (Sups){S->code == P_CYLINDER ? 1.0 / sqrt(all.m) : sup_v, NAN, all.H,
+                        all.umin, all.umax};
+    }
     /* the integrals as the reference takes them: pairwise over the N x N core */
     S->vol = pairwise_sum(S->sum_dV, N * N);
     S->ih2 = pairwise_sum(S->sum_H2dV, N * N);
     S->h = D->h;
-    S->m_min = m_min;
+    S->m_min = all.m;
     S->bdot[0] = S->bdot[1] = 0.0;
 }
 
@@ -688,11 +741,11 @@ static Block disk2d_rim(const Step *S, double *lo)
     return acc;
 }
 
-/* the disk does not move: the update is the new state */
+/* the disk does not move: the update, written into u itself, is the new state */
 static int disk2d_project(Step *S, double *fail)
 {
+    (void)S;
     (void)fail;
-    memcpy(S->u, S->unew, S->n * sizeof *S->u);
     return 0;
 }
 
@@ -726,7 +779,7 @@ int maxsurf_run(int kind, int64_t n, double *u, double *bnd, double *t_io,
         .disk = disk, .u = u, .ux = work, .m = work + n, .rhs = work + 2 * n,
         .vh = work + 3 * n, .H = work + 4 * n, .v = work + 5 * n, .dV = work + 6 * n,
         .span_lo = disk ? disk->row_lo : whole, .span_hi = disk ? disk->row_hi : whole + 1,
-        .n_spans = disk ? disk->m : 1, .udot = work + 7 * n, .unew = work + 8 * n,
+        .n_spans = disk ? disk->m : 1, .udot = work + 7 * n, .unew = disk ? u : work + 8 * n,
         .uf = work + 9 * n, .sum_dV = work + 10 * n, .sum_H2dV = work + 11 * n,
         .b = {bnd[0], bnd[1]},
     };
@@ -743,7 +796,8 @@ int maxsurf_run(int kind, int64_t n, double *u, double *bnd, double *t_io,
 
         /* the record of the pre-step state (also the trip record): the sups and
          * the range of u over the spans, as flow._pack_record over its mask */
-        Sups sup = take_sups(&S);
+        Sups sup = S.sup;
+        sup.vh = 1.0 / sqrt(S.m_min);
         double blo;
         Block b = K->rim(&S, &blo);
         if (k % stride == 0 || guard)
@@ -765,7 +819,7 @@ int maxsurf_run(int kind, int64_t n, double *u, double *bnd, double *t_io,
             status = ST_DT_UNDERFLOW;
             break;
         }
-        for (int64_t i = 0; i < n; ++i)
+        for (int64_t i = 0; i < n; ++i)    /* the whole box: -0.0 + 0.0 is +0.0, as in numpy */
             S.unew[i] = u[i] + dt * S.udot[i];
         for (int j = 0; j < 2; ++j)
             S.bnew[j] = S.b[j] + dt * S.bdot[j];

@@ -276,6 +276,10 @@ class DiskGrid:
         radii = self.ring_radius - np.arange(3.0)[:, None] * self.ring_delta
         self.ring_sampler = self._bilinear_operator(
             (radii * np.cos(self.ring_angles)).ravel(), (radii * np.sin(self.ring_angles)).ravel())
+        # its first circle alone (4 taps a row), for rim_values
+        ring = self.ring_sampler
+        self._rim_sampler = CSR(ring.indptr[:n_angles + 1], ring.indices[:4 * n_angles],
+                                ring.data[:4 * n_angles])
 
     def _bilinear_operator(self, xs, ys) -> CSR:
         mshape = self.X.shape[0]
@@ -317,7 +321,7 @@ class DiskGrid:
 
     def rim_values(self, w: np.ndarray):
         """Field values on the monitor ring (radius R - 2h)."""
-        return (self.ring_sampler @ w.ravel())[: self.ring_angles.size]
+        return self._rim_sampler @ w.ravel()
 
 
 _CACHE: dict[tuple[int, float], DiskGrid] = {}

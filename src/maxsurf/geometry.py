@@ -89,7 +89,7 @@ class GeometryFields:
     H: np.ndarray
     normA2: np.ndarray
     dV: np.ndarray
-    du: np.ndarray
+    du: np.ndarray                      # u's slope; disk2d: (u_x, u_y) on a leading axis
     volume: float
     mask: Optional[np.ndarray] = None   # disk2d inside mask
     kappa: Optional[tuple] = None       # radial2d principal curvatures
@@ -272,7 +272,7 @@ def _geometry_disk2d(state: FlowState, profile) -> GeometryFields:
     dV = np.where(ins, grid.area_weights / v_hat, 0.0)
     return GeometryFields(
         v_hat=v_hat, v=v, nu=nu, H=H, normA2=normA2, dV=dV,
-        du=np.stack([ux, uy], axis=-1), volume=dV.sum(axis=(-2, -1)), mask=ins,
+        du=np.stack([ux, uy]), volume=dV.sum(axis=(-2, -1)), mask=ins,
     )
 
 
@@ -349,9 +349,7 @@ def laplace_beltrami(state: FlowState, f: np.ndarray, g: GeometryFields) -> np.n
         return out
     grid = disk_grid(state.grid.n, state.grid.radius)
     h = grid.h
-    # the metric at the nodes, from u's central gradient (copied out of g.du's
-    # interleaved layout: the products below run about 3x faster on it)
-    ux, uy = np.moveaxis(g.du, -1, 0).copy()
+    ux, uy = g.du                                    # u's central gradient
     du2 = ux * ux + uy * uy
     m = np.maximum(1.0 - du2, 1e-12)
     sg = np.sqrt(m)                                  # sqrt(det g) = 1/v_hat

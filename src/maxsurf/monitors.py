@@ -189,8 +189,7 @@ def _block_terms(states: list, profile):
     st = _stack(states)
     g = geometry(st, profile)
     F = np.stack([g.H, g.v])
-    x, grad, rhs_v, mask_H, mask_v = _kind_terms(st, g, F, profile)
-    du = np.moveaxis(g.du.reshape(g.H.shape + (-1,)), -1, 0)
+    x, du, grad, rhs_v, mask_H, mask_v = _kind_terms(st, g, F, profile)
     masks = np.stack([np.broadcast_to(m, g.H.shape) for m in (mask_H, mask_v)])
     center = (g.H * g.v_hat * du, grad, laplace_beltrami(st, F, g),
               np.stack([-(g.H * g.normA2), rhs_v]), masks)
@@ -198,32 +197,34 @@ def _block_terms(states: list, profile):
 
 
 def _kind_terms(st: FlowState, g, F: np.ndarray, profile):
-    """What differs per grid kind: node positions, the gradient components of
-    F = (H, v), the v right-hand side, and the nodes each identity is checked on."""
+    """What differs per grid kind: node positions, the slope components of u and
+    the gradient components of F = (H, v) along a leading axis, the v
+    right-hand side, and the nodes each identity is checked on."""
     n = st.grid.n
     if st.grid.kind == "disk2d":
         grid = disk_grid(n, st.grid.radius)
         # drop the rim band where mirror-ghost second derivatives are noisy
         deep = grid.deep & (grid.r < grid.radius - 6.0 * grid.h)
-        grad = np.stack(disk_gradient(grid.fill_ghosts(F), grid.h, padded=True))
+        # read on deep nodes only, whose central stencil reaches no ghost
+        grad = np.stack(disk_gradient(F, grid.h, padded=True))
         # only a constant V (cylinder) is checked: its ambient-derivative terms
         # vanish; elsewhere the v identity is NaN and skipped
         rhs_v = np.full_like(g.v, np.nan)
         if isinstance(profile, RotationalProfile):
             const = np.abs(profile.df(st.u[..., deep])).max(axis=-1) < 1e-14
             rhs_v[const] = -(g.v * g.normA2)[const]
-        return np.zeros_like(st.t), grad, rhs_v, deep, deep
+        return np.zeros_like(st.t), g.du, grad, rhs_v, deep, deep
     h = st.spacing()
     x = st.coords()
     ex = max(5, int(EDGE_FRACTION * n))
     core = np.zeros(n, dtype=bool)
     if st.grid.kind == "curve1d":
         core[ex:-ex] = True
-        return x, d1(F, h)[None], _v_rhs_curve(st, g, profile), core, core
+        return x, g.du[None], d1(F, h)[None], _v_rhs_curve(st, g, profile), core, core
     core[2:-ex] = True   # the axis side is regular for H
     rhs_v = _v_rhs_radial(st, g, profile)
     keep = core & (x > AXIS_EXCLUSION_CELLS * h) & np.isfinite(rhs_v)
-    return x, d1(F, h)[None], rhs_v, core, keep
+    return x, g.du[None], d1(F, h)[None], rhs_v, core, keep
 
 
 def _fold_residuals(res, ext, center, inner: slice, keep: np.ndarray, kax: int):

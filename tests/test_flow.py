@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -376,6 +377,97 @@ def test_fast_kernel_record_propagates_nan_disk2d():
         assert np.array_equal(ref.records[:, :11], fast.records[:, :11], equal_nan=True)
 
 
+def _take_max(acc, x):
+    """_step.c's TAKE_MAX: the first NaN sticks, and a tie keeps acc."""
+    return x if acc == acc and not acc >= x else acc
+
+
+def _take_min(acc, x):
+    return x if acc == acc and not acc <= x else acc
+
+
+def _node_order_sups(state, profile):
+    """(sup v, sup v_hat, sup |H|, min u, max u) of the reference's per-node
+    fields over the inside nodes, walked in node order."""
+    from maxsurf.flow import _KINDS
+
+    kind = _KINDS[state.grid.kind]
+    ev = kind.evaluate(state, profile)
+    u, v, v_hat, H, _, _, _, mask = kind.record(state, profile, ev.h, ev.data)
+    u, v, v_hat, H = ([float(x) for x in a[mask]] for a in (u, v, v_hat, np.abs(H)))
+    return (reduce(_take_max, v, -math.inf), reduce(_take_max, v_hat, -math.inf),
+            reduce(_take_max, H, -math.inf), reduce(_take_min, u, math.inf),
+            reduce(_take_max, u, -math.inf))
+
+
+@needs_step_loop
+@pytest.mark.parametrize("profile", [cylinder(1.0), sine_tube(1.0, 0.1, 3.0)],
+                         ids=["cylinder", "sine_tube"])
+@pytest.mark.parametrize("special", ["nan", "inf", "zero_tie_minus_first", "zero_tie_plus_first"])
+def test_fast_kernel_disk_sups_follow_node_order(profile, special):
+    # a NaN, a +inf or a tie of +0.0 and -0.0 at inside nodes: the C record's
+    # sups and range of u are the node-order walk's, bit for bit
+    st = disk_bump(0.0) if special.startswith("zero") else disk_bump(0.1, base=0.1)
+    grid = disk_grid(st.grid.n, st.grid.radius)
+    flat = np.flatnonzero(grid.inside)
+    u = st.u.ravel()
+    if special == "nan":
+        u[flat[flat.size // 3]] = np.nan
+    elif special == "inf":
+        u[flat[flat.size // 2]] = np.inf
+    else:
+        first, other = (-0.0, 0.0) if special == "zero_tie_minus_first" else (0.0, -0.0)
+        u[flat[0::2]] = first
+        u[flat[1::2]] = other
+    with np.errstate(all="ignore"):
+        fast = _kernels.run_fast(st.copy(), StepControl(max_steps=3), profile, stride=1)
+        # the rows the C loop wrote: an inf trips the guard at once (m = -inf),
+        # the other states reach the step limit, whose row is the reference's
+        c_rows = len(fast.records) - (fast.event is not FlowEvent.GUARD_TRIPPED)
+        assert c_rows == (1 if special == "inf" else 3)
+        for j, state in enumerate(fast.states[:c_rows]):
+            want = _node_order_sups(state, profile)
+            got = fast.records[j, [1, 2, 3, 7, 8]]
+            assert [float(x).hex() for x in got] == [x.hex() for x in want], (j, got, want)
+
+
+@needs_step_loop
+def test_fast_kernel_sup_v_hat_is_that_of_the_least_margin():
+    # on random spacelike states of each kind the record's sup v_hat is
+    # 1/sqrt(m_min) bit for bit, m_min the reference's least margin
+    from maxsurf.flow import _KINDS
+
+    rng = np.random.default_rng(7)
+    p = sine_tube(2.0, 0.5, 1.0)
+    cases = []
+    for _ in range(4):
+        st = translator_state(-1.0 + 0.1 * rng.random(), 41)
+        x = st.coords()
+        u = st.u + rng.uniform(0.07, 0.09) * np.exp(-((x - rng.uniform(-0.1, 0.1)) / 0.1) ** 2)
+        u[1:-1] += 1e-3 * rng.standard_normal(39)
+        cases.append((FlowState(st.grid, st.t, u, st.boundary), trumpet()))
+        grid = GridSpec("radial2d", 41)
+        s = grid.reference()
+        u = math.pi / 2 + rng.uniform(0.01, 0.1) * (1 - s**2) ** 2
+        cases.append((FlowState(grid, 0.0, u + 1e-3 * rng.standard_normal(41) * (1 - s),
+                                float(p.f(math.pi / 2))), p))
+        st = disk_bump(rng.uniform(0.02, 0.2), n=21, base=0.1)
+        noise = 1e-3 * rng.standard_normal(st.u.shape)
+        st.u[:] = np.where(disk_grid(21).inside, st.u + noise, 0.0)
+        cases.append((st, cylinder(1.0) if rng.random() < 0.5 else sine_tube(1.0, 0.1, 3.0)))
+    for state, profile in cases:
+        fast = _kernels.run_fast(state.copy(), StepControl(max_steps=3), profile, stride=1)
+        for j, s in enumerate(fast.states[:-1]):
+            m_min = _KINDS[s.grid.kind].evaluate(s, profile).m_min
+            assert 0.0 < m_min < 1.0
+            if s.grid.kind != "disk2d":
+                # the ends' slopes go through libm's and numpy's own tanh or
+                # cos, which may differ in the last bit: the least margin is inside
+                ux = (s.u[2:] - s.u[:-2]) / (2.0 * s.spacing())
+                assert m_min == (1.0 - ux * ux).min()
+            assert float(fast.records[j, 2]).hex() == (1.0 / math.sqrt(m_min)).hex()
+
+
 @pytest.mark.parametrize("n", [5, 6, 7, 8, 9, 10, 11, 12, 33, 101])
 def test_disk_row_runs_cover_the_inside_nodes(n):
     grid = DiskGrid(n, 0.8)
@@ -503,6 +595,15 @@ def test_step_loop_compiles_without_warnings(tmp_path):
                            "-o", str(tmp_path / "_step.so"), _kernels.SOURCE, *_kernels.LDLIBS],
                           capture_output=True, text=True, timeout=_kernels.COMPILE_TIMEOUT_S)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_step_loop_flags_keep_the_reference_arithmetic():
+    # the flags may vectorise, but never contract, reassociate outside the
+    # declared reductions, assume finite values or tune for the build machine
+    assert "-ffp-contract=off" in _kernels.CFLAGS
+    banned = {"-ffast-math", "-Ofast", "-ffinite-math-only", "-fassociative-math",
+              "-funsafe-math-optimizations", "-fno-signed-zeros"}
+    assert [f for f in _kernels.CFLAGS if f in banned or f.startswith("-march=")] == []
 
 
 def test_built_package_ships_the_step_loop_source(tmp_path):
