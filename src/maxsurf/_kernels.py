@@ -19,8 +19,15 @@ threads), whose declared min/max reductions in the disk's node loop take the
 record's least margin, sup |H| and range of u: an extreme is one value in any
 order, and a step where a NaN, an inf or a signed zero could tell the orders
 apart takes them by the node-order walk instead (see ``_step.c``).  Never
-``-ffast-math``, and no ``-march``, as the cache key holds only the machine
-type.  The shared object is cached beside this module in
+``-ffast-math``, and no ``-march``: the cache key holds only the machine
+type, so a library tuned for one CPU could be loaded on another that lacks
+its instructions.  The disk's row kernel instead carries its own AVX2 clone
+(``target_clones``, on x86-64 with glibc), and the dynamic loader picks the
+clone the running CPU supports, so one cached library serves every x86-64
+machine.  The clones give the same bits: with contraction off, each lane
+of either width runs the same correctly rounded add, multiply, divide and
+sqrt, and only the min/max reductions above run in another order.  The
+shared object is cached beside this module in
 ``__pycache__``, or in a per-user temporary directory when that is not
 writable, under a hash of the source, the compiler and the flags.  Nothing
 is compiled at import.

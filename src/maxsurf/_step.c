@@ -19,6 +19,14 @@
  * calls no profile function, exactly).  The integrals (volume, int H^2 dV)
  * are summed pairwise, as numpy sums the reference's.
  *
+ * No -march either: _kernels.py caches the library under the machine type
+ * alone, so it must run on every CPU of that type.  The disk's row kernel,
+ * the one loop where vector width pays, is cloned for AVX2 instead
+ * (target_clones, on x86-64 with glibc, whose loader picks the clone once).
+ * The clones agree bit for bit: without contraction an AVX2 lane does the
+ * SSE2 lane's correctly rounded add, mul, div and sqrt, and of the loop's
+ * operations only the declared min/max reductions change order.
+ *
  * The record's sups and range of u are node-order walks (take_sups: the first
  * NaN sticks, a tie keeps the earlier value), with two exceptions.  sup v_hat
  * is 1/sqrt(m_min) on every kind: v_hat = 1/sqrt(m) node by node, and
@@ -565,42 +573,50 @@ static int radial2d_project(Step *S, double *fail)
 
 /* -- disk2d: u_t = (delta^ij + vhat^2 D^i u D^j u) D^2_ij u on a fixed disk ---- */
 
-/* geometry.disk_gradient at box node i of f: x runs along the first index */
-static inline void disk_gradient(const double *f, int64_t i, int64_t m, double two_h,
+/* geometry.disk_gradient at box node i of f, inv_2h = 1/(2h): x runs along
+ * the first index */
+static inline void disk_gradient(const double *f, int64_t i, int64_t m, double inv_2h,
                                  double *ux, double *uy)
 {
-    *ux = (f[i + m] - f[i - m]) / two_h;
-    *uy = (f[i + 1] - f[i - 1]) / two_h;
+    *ux = (f[i + m] - f[i - m]) * inv_2h;
+    *uy = (f[i + 1] - f[i - 1]) * inv_2h;
 }
 
 /* flow._disk2d_eval and _disk2d_rate, and _disk2d_record's per-node fields
  * and summands of vol and int H^2 dV, over one run of len inside nodes: each
  * pointer is at the run's first node (sdV and sH2dV at its place in the
- * N x N core).  Free of branches, so the compiler vectorises it; the loop is
- * bound by division throughput, and its reductions run in otherwise idle
- * ports.  (m - m) + (|H| - |H|) + (u - u) is 0, or NaN once a NaN or an inf
- * entered, in any order of summation. */
+ * N x N core).  Free of branches, so the compiler vectorises it.  The
+ * stencils multiply by the reciprocals of their spacings, taken once, and a
+ * node takes one sqrt and one division (v_hat = 1/w; v_hat^2 and dV = area w
+ * are products), so the divider no longer bounds the loop; its reductions
+ * run in otherwise idle ports.  (m - m) + (|H| - |H|) + (u - u) is 0, or NaN
+ * once a NaN or an inf entered, in any order of summation.  Cloned for AVX2
+ * where the loader can choose (see the head of the file). */
+#if defined(__x86_64__) && defined(__GLIBC__)
+__attribute__((target_clones("avx2", "default")))
+#endif
 static Run disk2d_row(int64_t len, int64_t m, double h, const double *restrict f,
                       const double *restrict area, double *restrict mm, double *restrict vh,
                       double *restrict H, double *restrict v, double *restrict udot,
                       double *restrict sdV, double *restrict sH2dV)
 {
-    const double two_h = 2.0 * h, h2 = h * h, four_h2 = 4.0 * h * h;
+    const double inv_2h = 1.0 / (2.0 * h), inv_h2 = 1.0 / (h * h),
+                 inv_4h2 = 1.0 / (4.0 * h * h);
     double m_lo = INFINITY, H_hi = -INFINITY, u_lo = INFINITY, u_hi = -INFINITY, bad = 0.0;
 #pragma omp simd reduction(min: m_lo, u_lo) reduction(max: H_hi, u_hi) reduction(+: bad)
     for (int64_t i = 0; i < len; ++i) {
         /* geometry.disk_derivatives */
         double c = f[i], xp = f[i + m], xm = f[i - m], yp = f[i + 1], ym = f[i - 1];
         double ux, uy;
-        disk_gradient(f, i, m, two_h, &ux, &uy);
-        double uxx = (xp - 2.0 * c + xm) / h2, uyy = (yp - 2.0 * c + ym) / h2;
-        double uxy = (f[i + m + 1] + f[i - m - 1] - f[i + m - 1] - f[i - m + 1]) / four_h2;
+        disk_gradient(f, i, m, inv_2h, &ux, &uy);
+        double uxx = (xp - 2.0 * c + xm) * inv_h2, uyy = (yp - 2.0 * c + ym) * inv_h2;
+        double uxy = (f[i + m + 1] + f[i - m - 1] - f[i + m - 1] - f[i - m + 1]) * inv_4h2;
         double mi = 1.0 - (ux * ux + uy * uy);
-        double vh2 = 1.0 / mi;
-        double rhs = (uxx + uyy) + vh2 * (ux * ux * uxx + 2.0 * ux * uy * uxy + uy * uy * uyy);
         double wi = sqrt(mi);
         double vhi = 1.0 / wi;
-        double Hi = vhi * rhs, dV = area[i] / vhi;
+        double vh2 = vhi * vhi;
+        double rhs = (uxx + uyy) + vh2 * (ux * ux * uxx + 2.0 * ux * uy * uxy + uy * uy * uyy);
+        double Hi = vhi * rhs, dV = area[i] * wi;
         mm[i] = mi;
         vh[i] = vhi;
         H[i] = Hi;
@@ -652,7 +668,7 @@ static void disk2d_evaluate(Step *S)
             sum += D->ghost_val[j] * u[D->ghost_col[j]];
         f[D->ghost_node[g]] = sum;
     }
-    const double two_h = 2.0 * D->h;
+    const double inv_2h = 1.0 / (2.0 * D->h);
     Run all = {INFINITY, -INFINITY, INFINITY, -INFINITY, 0.0};
     double sup_v = -INFINITY;
     for (int64_t x = 1; x < m - 1; ++x) {
@@ -671,7 +687,7 @@ static void disk2d_evaluate(Step *S)
             double dfz = rot_df(S->code, S->prm, u[i]);
             if (dfz != 0.0) {
                 double ux, uy;
-                disk_gradient(f, i, m, two_h, &ux, &uy);
+                disk_gradient(f, i, m, inv_2h, &ux, &uy);
                 double du_rad = (D->x[i] * ux + D->y[i] * uy) / D->r[i];
                 S->v[i] = S->vh[i] * (1.0 - dfz * du_rad) * (1.0 / sqrt(1.0 - dfz * dfz));
             }
@@ -792,7 +808,7 @@ int maxsurf_run(int kind, int64_t n, double *u, double *bnd, double *t_io,
     *nsnap = 0;
     for (int64_t it = 0; it < max_steps; ++it) {
         K->evaluate(&S);
-        int guard = S.m_min < eps_guard;
+        int guard = !(S.m_min >= eps_guard);    /* a NaN margin trips it too */
 
         /* the record of the pre-step state (also the trip record): the sups and
          * the range of u over the spans, as flow._pack_record over its mask */

@@ -270,15 +270,19 @@ def _disk2d_eval(state: FlowState, profile) -> _Eval:
     grid = disk_grid(state.grid.n, state.grid.radius)
     h = grid.h
     ux, uy, uxx, uyy, uxy = disk_derivatives(grid.fill_ghosts(state.u), h)
+    ins_core = grid.inside[1:-1, 1:-1]
     m = 1.0 - (ux * ux + uy * uy)
-    vh2 = 1.0 / m
+    # one sqrt and one division a node, as in _step.c's row kernel
+    w = np.sqrt(np.where(ins_core, m, 1.0))
+    v_hat = 1.0 / w
+    vh2 = v_hat * v_hat
     rhs = (uxx + uyy) + vh2 * (ux * ux * uxx + 2 * ux * uy * uxy + uy * uy * uyy)
-    return _Eval(h, float(m[grid.inside[1:-1, 1:-1]].min()), (grid, ux, uy, m, rhs))
+    return _Eval(h, float(m[ins_core].min()), (grid, ux, uy, w, v_hat, rhs))
 
 
 def _disk2d_rate(state: FlowState, data):
     """du/dt at the nodes inside the disk, zero elsewhere; the rim does not move."""
-    grid, _, _, _, rhs = data
+    grid, *_, rhs = data
     udot = np.zeros_like(state.u)
     udot[1:-1, 1:-1] = np.where(grid.inside[1:-1, 1:-1], rhs, 0.0)
     return udot, None
@@ -289,11 +293,9 @@ def _disk2d_project(state: FlowState, u, boundary, profile):
 
 
 def _disk2d_record(state: FlowState, profile, h, data):
-    grid, ux, uy, m, rhs = data
+    grid, ux, uy, w, v_hat, rhs = data
     u = state.u
     ins_core = grid.inside[1:-1, 1:-1]
-    w = np.sqrt(np.where(ins_core, m, 1.0))
-    v_hat = 1.0 / w
     H = np.where(ins_core, v_hat * rhs, 0.0)
     if isinstance(profile, RotationalProfile):
         dfz, invw = rotational_V_factors(profile, u[1:-1, 1:-1])
@@ -302,7 +304,7 @@ def _disk2d_record(state: FlowState, profile, h, data):
         v = np.where(ins_core, v_hat * (1.0 - dfz * du_rad) * invw, 1.0)
     else:
         v = v_hat
-    dV = np.where(ins_core, grid.area_weights[1:-1, 1:-1] / v_hat, 0.0)
+    dV = np.where(ins_core, grid.area_weights[1:-1, 1:-1] * w, 0.0)
     # boundary identities sampled on the offset monitor ring (clean zone,
     # no ghost values in any sampling cell), with the rim curvature there
     Hf = np.zeros_like(u)
@@ -345,7 +347,7 @@ def step(state: FlowState, ctrl: StepControl, profile,
 def _evaluate(state: FlowState, ctrl: StepControl, profile) -> _Eval:
     """PDE data of a state; raises GuardTrip when its margin is below the guard."""
     ev = _KINDS[state.grid.kind].evaluate(state, profile)
-    if ev.m_min < ctrl.eps_guard:
+    if not (ev.m_min >= ctrl.eps_guard):    # a NaN margin trips it too
         raise GuardTrip(state.t, ev.m_min)
     return ev
 

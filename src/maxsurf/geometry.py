@@ -269,7 +269,7 @@ def _geometry_disk2d(state: FlowState, profile) -> GeometryFields:
         v = np.where(ins, v_hat * (1.0 - dfz * du_rad) * invw, 1.0)
     else:
         v = v_hat.copy()
-    dV = np.where(ins, grid.area_weights / v_hat, 0.0)
+    dV = np.where(ins, grid.area_weights * w, 0.0)
     return GeometryFields(
         v_hat=v_hat, v=v, nu=nu, H=H, normA2=normA2, dV=dV,
         du=np.stack([ux, uy]), volume=dV.sum(axis=(-2, -1)), mask=ins,
@@ -286,19 +286,23 @@ def disk_gradient(f: np.ndarray, h: float, padded: bool = False):
     """Central differences (f_x, f_y) at the nodes f[1:-1, 1:-1] of a disk array.
 
     With padded=True they come in arrays of f's shape, zero on the pad ring.
+    Like every disk stencil, it multiplies by the reciprocal of its spacing,
+    as the compiled loop does.
     """
-    fx = (f[..., 2:, 1:-1] - f[..., :-2, 1:-1]) / (2 * h)
-    fy = (f[..., 1:-1, 2:] - f[..., 1:-1, :-2]) / (2 * h)
+    inv_2h = 1.0 / (2.0 * h)
+    fx = (f[..., 2:, 1:-1] - f[..., :-2, 1:-1]) * inv_2h
+    fy = (f[..., 1:-1, 2:] - f[..., 1:-1, :-2]) * inv_2h
     return (_padded(fx), _padded(fy)) if padded else (fx, fy)
 
 
 def disk_derivatives(f: np.ndarray, h: float, padded: bool = False):
     """(f_x, f_y, f_xx, f_yy, f_xy) by central differences, laid out as disk_gradient."""
     c = f[..., 1:-1, 1:-1]
+    inv_h2, inv_4h2 = 1.0 / (h * h), 1.0 / (4.0 * h * h)
     second = (
-        (f[..., 2:, 1:-1] - 2 * c + f[..., :-2, 1:-1]) / (h * h),
-        (f[..., 1:-1, 2:] - 2 * c + f[..., 1:-1, :-2]) / (h * h),
-        (f[..., 2:, 2:] + f[..., :-2, :-2] - f[..., 2:, :-2] - f[..., :-2, 2:]) / (4 * h * h),
+        (f[..., 2:, 1:-1] - 2 * c + f[..., :-2, 1:-1]) * inv_h2,
+        (f[..., 1:-1, 2:] - 2 * c + f[..., 1:-1, :-2]) * inv_h2,
+        (f[..., 2:, 2:] + f[..., :-2, :-2] - f[..., 2:, :-2] - f[..., :-2, 2:]) * inv_4h2,
     )
     if padded:
         second = tuple(_padded(d) for d in second)

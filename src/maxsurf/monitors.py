@@ -427,10 +427,10 @@ def stability_certificate(state: FlowState, profile, center, epsilon: float = 1e
         sq_bdry = np.array([rho_b**2 - (zb - center[2]) ** 2])
     elif state.grid.kind == "disk2d":
         grid = disk_grid(state.grid.n, state.grid.radius)
-        uf = grid.fill_ghosts(state.u)
-        u_rim = grid.rim_values(uf)
-        du_rim = grid.radial_derivative_at_rim(uf)
-        v_rim = grid.rim_values(grid.fill_ghosts(np.where(grid.inside, g.v, 1.0)))
+        # from N = 6 up the monitor rings sample inside nodes only: no ghost values
+        u_rim = grid.rim_values(state.u)
+        du_rim = grid.radial_derivative_at_rim(state.u)
+        v_rim = grid.rim_values(g.v)
         _, a_vv, a_ww = rim_curvature(profile, u_rim)
         a_nn = normal_curvature(v_rim, a_vv, a_ww)
         ca, sa = np.cos(grid.ring_angles), np.sin(grid.ring_angles)
