@@ -47,6 +47,7 @@ import shlex
 import shutil
 import subprocess
 import tempfile
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -58,7 +59,6 @@ COMPILE_TIMEOUT_S = 120
 # built-in profiles: (code in _step.c, number of params); rotational
 # cylinder(R), pseudosphere(A, B), sine_tube(a, b, w); planar trumpet
 PROFILES = {"cylinder": (0, 1), "pseudosphere": (1, 2), "sine_tube": (2, 3), "trumpet": (10, 0)}
-KINDS = {"curve1d": 0, "radial2d": 1, "disk2d": 2}    # the kind argument of maxsurf_run
 # a chunk's snapshot buffer stays within this many bytes (address space that
 # stride-1 runs would otherwise reserve without touching)
 SNAPSHOT_BUFFER_BYTES = 64 << 20
@@ -115,6 +115,33 @@ def _disk_tables(grid):
                    **{k: a.ctypes.data_as(_F64P) for k, a in f64.items()},
                    **{k: a.ctypes.data_as(_I64P) for k, a in i64.items()})
     return tables, (f64, i64)
+
+
+class _Kind(NamedTuple):
+    code: int              # the kind argument of maxsurf_run
+    planar: bool           # whether the kind's profiles are planar boundaries
+    rim: Optional[str]     # the incidence Newton's variable; None where the rim stays put
+    setup: Callable        # (state0, profile) -> (params, boundary (lo, hi), struct Disk
+                           # or None, the arrays it points into)
+    boundary: Callable     # (lo, hi) -> FlowState.boundary
+
+
+def _disk_setup(state0, profile):
+    from .disk import disk_grid
+
+    dg = disk_grid(state0.grid.n, state0.grid.radius)
+    return (profile.params, (dg.radius, dg.radius), *_disk_tables(dg))
+
+
+KINDS = {
+    # a planar profile's one parameter is planar_V's clamp
+    "curve1d": _Kind(0, True, "x", lambda s, p: ([p.domain[0]], s.boundary, None, None),
+                     lambda lo, hi: (float(lo), float(hi))),
+    "radial2d": _Kind(1, False, "rho",
+                      lambda s, p: (p.params, (s.boundary, s.boundary), None, None),
+                      lambda lo, hi: float(hi)),
+    "disk2d": _Kind(2, False, None, _disk_setup, lambda lo, hi: None),
+}
 
 
 def _compiler() -> list:
@@ -208,7 +235,6 @@ def __getattr__(name):
 
 def run_fast(state0, ctrl, profile, stride):
     """Chunked driver around the compiled loop; mirrors flow._run_python."""
-    from .disk import disk_grid
     from .flow import (
         CHUNK_STEPS, FlowEvent, Trajectory, _newton_failure, _step_underflow, record_state,
     )
@@ -216,33 +242,19 @@ def run_fast(state0, ctrl, profile, stride):
 
     lib = load()[0]
     grid = state0.grid
+    kind = KINDS[grid.kind]
     shape = np.shape(state0.u)
-    curve = grid.kind == "curve1d"
+    s_ref = grid.reference()    # per node, so of u's shape; unread on the disk
     code, n_params = PROFILES[profile.kind]
-    if (shape != ((grid.n + 2,) * 2 if grid.kind == "disk2d" else (grid.n,))
-            or len(profile.params) != n_params
-            or (profile.boundary_type == "planar") != curve):
+    if (shape != s_ref.shape or len(profile.params) != n_params
+            or (profile.boundary_type == "planar") != kind.planar):
         raise ValueError(f"a {grid.kind} state with the {profile.kind} profile "
                          "does not fit the step loop")
-    disk = None
-    if curve:
-        rim, prm, bnd = "x", [profile.domain[0]], state0.boundary    # planar_V's clamp
-    elif grid.kind == "radial2d":
-        rim, prm, bnd = "rho", profile.params, (state0.boundary, state0.boundary)
-    else:
-        dg = disk_grid(grid.n, grid.radius)
-        disk, keep_alive = _disk_tables(dg)    # the arrays disk points into
-        rim, prm, bnd = None, profile.params, (dg.radius, dg.radius)
+    prm, bnd, disk, keep_alive = kind.setup(state0, profile)    # disk points into keep_alive
     prm, bnd = np.array(prm, dtype=float), np.array(bnd, dtype=float)
-
-    def boundary(lo, hi):
-        if curve:
-            return (float(lo), float(hi))
-        return float(hi) if disk is None else None    # the disk's rim does not move
 
     u = np.array(state0.u, dtype=float)
     n = u.size
-    s_ref = grid.reference() if disk is None else np.zeros(1)    # unread on the disk
     t = np.array([state0.t], dtype=float)
     k = np.zeros(1, dtype=np.int64)
     nrec, nsnap = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
@@ -260,7 +272,7 @@ def run_fast(state0, ctrl, profile, stride):
         snap_t = np.empty(max_snaps)
         snap_b = np.empty((max_snaps, 2))
         snap_k = np.empty(max_snaps, dtype=np.int64)
-        status = lib.maxsurf_run(KINDS[grid.kind], n, u, bnd, t, s_ref, code, prm, disk,
+        status = lib.maxsurf_run(kind.code, n, u, bnd, t, s_ref, code, prm, disk,
                                  ctrl.cfl, ctrl.eps_guard, ctrl.h_stop,
                                  ctrl.t_end if has_t_end else 0.0, int(has_t_end),
                                  chunk, stride, k, rec, nrec, snaps, snap_t, snap_b, snap_k,
@@ -272,12 +284,12 @@ def run_fast(state0, ctrl, profile, stride):
         records.append(rec)
         for j in range(int(nsnap[0])):
             states.append(FlowState(grid, float(snap_t[j]), snaps[j].reshape(shape),
-                                    boundary(snap_b[j, 0], snap_b[j, 1])))
+                                    kind.boundary(snap_b[j, 0], snap_b[j, 1])))
             state_steps.append(int(snap_k[j]))
         if status == _STATUS_DT_UNDERFLOW:
             raise _step_underflow(fail[0], fail[1])
         if status == _STATUS_NEWTON:
-            raise _newton_failure(rim, fail[0], fail[1])
+            raise _newton_failure(kind.rim, fail[0], fail[1])
         if status == _STATUS_GUARD:
             event, event_time = FlowEvent.GUARD_TRIPPED, float(t[0])
             break
@@ -290,7 +302,7 @@ def run_fast(state0, ctrl, profile, stride):
         if k[0] >= ctrl.max_steps:
             event, event_time = FlowEvent.STEP_LIMIT, float(t[0])
             break
-    final = FlowState(grid, float(t[0]), u, boundary(bnd[0], bnd[1]))
+    final = FlowState(grid, float(t[0]), u, kind.boundary(bnd[0], bnd[1]))
     if event is not FlowEvent.GUARD_TRIPPED:
         records.append(record_state(final, ctrl, profile)[None, :])
     if not states or state_steps[-1] != k[0] or states[-1].t != final.t:

@@ -603,8 +603,7 @@ def comparison_pair_run(state_a: FlowState, state_b: FlowState, ctrl: StepContro
     if np.any(state_b.u < state_a.u - 1e-12):
         raise ValueError("initial data must be ordered: u_A <= u_B nodewise")
     a, b = state_a.copy(), state_b.copy()
-    nodes = (slice(None) if a.grid.kind != "disk2d"
-             else disk_grid(a.grid.n, a.grid.radius).inside)
+    nodes = a.grid.real_nodes()
     rec_a, rec_b, gaps = [], [], []
     states_a, states_b, state_steps = [], [], []
     event, event_time = FlowEvent.STEP_LIMIT, a.t

@@ -7,7 +7,16 @@ A state is a graph height u over a (possibly moving) grid.  Three grid kinds:
 * radial2d - a rotationally symmetric graph t = u(rho) in R^3_1 over
              [0, rho_b], rim on a rotational tube; reference s in [0, 1].
 * disk2d   - a general graph t = u(x, y) over a fixed disk (vertical
-             cylinder tube), cell-centered Cartesian nodes.
+             cylinder tube), cell-centered Cartesian nodes; reference
+             coordinate r/R, physical coordinate r.
+
+Each kind's facts live in one table, ``_KINDS`` at the end of this module:
+its geometry evaluator and Laplace-Beltrami operator, |Du|^2 for the
+spacelike margin, its reference and physical node coordinates, its spacing,
+its real nodes and the fewest nodes per axis it takes.  GridSpec, FlowState
+and the public functions look the kind up there and nowhere branch on its
+name.  flow, monitors and _kernels each keep one table of their own for the
+numerics they add (the step, the monitors' terms, the C loop's arguments).
 
 The geometry evaluator is an observer: second-order central stencils inside,
 one-sided second-order at boundaries, no boundary condition assumed.  With
@@ -19,7 +28,7 @@ u = log cosh x + t has H = v_hat = cosh x and interior update g^xx u_xx = 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -32,22 +41,25 @@ class SpacelikeError(RuntimeError):
 
 @dataclass(frozen=True)
 class GridSpec:
-    kind: str                  # "curve1d" | "radial2d" | "disk2d"
+    kind: str                  # a key of _KINDS: "curve1d" | "radial2d" | "disk2d"
     n: int                     # nodes per axis
     radius: float = 1.0        # disk2d only
 
     def __post_init__(self):
-        if self.kind not in ("curve1d", "radial2d", "disk2d"):
+        if self.kind not in _KINDS:
             raise ValueError(f"unknown grid kind {self.kind!r}")
-        if self.n < 5:
-            raise ValueError("resolution must be >= 5 nodes per axis")
+        if self.n < _KINDS[self.kind].min_n:
+            raise ValueError(f"a {self.kind} grid needs at least "
+                             f"{_KINDS[self.kind].min_n} nodes per axis")
 
     def reference(self) -> np.ndarray:
-        if self.kind == "curve1d":
-            return np.linspace(-1.0, 1.0, self.n)
-        if self.kind == "radial2d":
-            return np.linspace(0.0, 1.0, self.n)
-        raise ValueError("disk2d has no 1d reference coordinate")
+        """The reference coordinate per node: s on the line kinds, r/R on the disk."""
+        return _KINDS[self.kind].reference(self)
+
+    def real_nodes(self):
+        """An index of a node array that picks the real nodes (not the disk's
+        pad or ghosts), in the order final_profile.csv lists them."""
+        return _KINDS[self.kind].real_nodes(self)
 
 
 @dataclass
@@ -59,21 +71,11 @@ class FlowState:
     boundary: object = None
 
     def coords(self) -> np.ndarray:
-        """Physical node coordinates (1d kinds)."""
-        if self.grid.kind == "curve1d":
-            xl, xr = self.boundary
-            return 0.5 * (xl + xr) + self.grid.reference() * 0.5 * (xr - xl)
-        if self.grid.kind == "radial2d":
-            return self.grid.reference() * self.boundary
-        raise ValueError("disk2d nodes are 2d; use disk_grid coordinates")
+        """Physical node coordinates: x, rho, or the disk's node radius r."""
+        return _KINDS[self.grid.kind].coords(self)
 
     def spacing(self) -> float:
-        if self.grid.kind == "curve1d":
-            xl, xr = self.boundary
-            return (xr - xl) / (self.grid.n - 1)
-        if self.grid.kind == "radial2d":
-            return self.boundary / (self.grid.n - 1)
-        return disk_grid(self.grid.n, self.grid.radius).h
+        return _KINDS[self.grid.kind].spacing(self)
 
     def copy(self) -> "FlowState":
         return FlowState(self.grid, self.t, self.u.copy(), self.boundary)
@@ -109,14 +111,6 @@ def d1(u: np.ndarray, h) -> np.ndarray:
     out[..., :1] = (-3.0 * u[..., :1] + 4.0 * u[..., 1:2] - u[..., 2:3]) / (2.0 * h)
     out[..., -1:] = (3.0 * u[..., -1:] - 4.0 * u[..., -2:-1] + u[..., -3:-2]) / (2.0 * h)
     return out
-
-
-def _slope_1d(state: FlowState) -> np.ndarray:
-    """d1 of u over a 1d kind's grid, zero on the axis for radial2d (symmetry)."""
-    du = d1(state.u, state.spacing())
-    if state.grid.kind == "radial2d":
-        du[..., 0] = 0.0
-    return du
 
 
 def d2(u: np.ndarray, h) -> np.ndarray:
@@ -169,12 +163,7 @@ def geometry(state: FlowState, profile) -> GeometryFields:
     In the flat ambient chart (psi = 1, ghat = delta, V_hat = e_t); the V
     field comes from the profile's extension.
     """
-    kind = state.grid.kind
-    if kind == "curve1d":
-        return _geometry_curve1d(state, profile)
-    if kind == "radial2d":
-        return _geometry_radial2d(state, profile)
-    return _geometry_disk2d(state, profile)
+    return _KINDS[state.grid.kind].geometry(state, profile)
 
 
 def _geometry_curve1d(state: FlowState, profile) -> GeometryFields:
@@ -207,7 +196,7 @@ def _geometry_radial2d(state: FlowState, profile) -> GeometryFields:
     u = state.u
     h = state.spacing()
     rho = state.coords()
-    ur = _slope_1d(state)
+    ur = _radial2d_slope(state)
     urr = d2(u, h)
     urr[..., :1] = 2.0 * (u[..., 1:2] - u[..., :1]) / (h * h)
     m = 1.0 - ur * ur
@@ -311,13 +300,7 @@ def disk_derivatives(f: np.ndarray, h: float, padded: bool = False):
 
 def spacelike_margin(state: FlowState) -> float:
     """min over nodes of 1 - psi^2 |Du|^2_ghat (flat ambient chart)."""
-    if state.grid.kind == "disk2d":
-        grid = disk_grid(state.grid.n, state.grid.radius)
-        ux, uy = disk_gradient(grid.fill_ghosts(state.u), grid.h)
-        du2 = ux * ux + uy * uy
-        return float(1.0 - du2[grid.inside[1:-1, 1:-1]].max())
-    du = _slope_1d(state)
-    return float(1.0 - (du * du).max())
+    return float(1.0 - _KINDS[state.grid.kind].du2(state).max())
 
 
 def laplace_beltrami(state: FlowState, f: np.ndarray, g: GeometryFields) -> np.ndarray:
@@ -329,28 +312,37 @@ def laplace_beltrami(state: FlowState, f: np.ndarray, g: GeometryFields) -> np.n
     stencil nodes strictly inside).  f may stack several fields ahead of the
     state's own axes; they share one metric evaluation.
     """
+    return _KINDS[state.grid.kind].laplace_beltrami(state, f, g)
+
+
+def _curve1d_laplace_beltrami(state: FlowState, f: np.ndarray, g: GeometryFields) -> np.ndarray:
     u = state.u
-    if state.grid.kind == "curve1d":
-        h = state.spacing()
-        dum = np.diff(u) / h
-        a_mid = 1.0 / np.sqrt(1.0 - dum * dum)      # sqrt(g) g^{xx} at midpoints
-        flux = a_mid * np.diff(f) / h
-        out = np.full_like(f, np.nan)
-        out[..., 1:-1] = (flux[..., 1:] - flux[..., :-1]) / (h * np.sqrt(1.0 - g.du[..., 1:-1] ** 2))
-        return out
-    if state.grid.kind == "radial2d":
-        h = state.spacing()
-        rho = state.coords()
-        rho_mid = 0.5 * (rho[..., 1:] + rho[..., :-1])
-        dum = np.diff(u) / h
-        a_mid = rho_mid / np.sqrt(1.0 - dum * dum)  # sqrt(G) g^{rr} at midpoints
-        flux = a_mid * np.diff(f) / h
-        out = np.full_like(f, np.nan)
-        sg = rho * np.sqrt(1.0 - g.du * g.du)
-        out[..., 1:-1] = (flux[..., 1:] - flux[..., :-1]) / (h * sg[..., 1:-1])
-        # axis cell: (1/(rho sqrt(g))) d_rho(rho f_rho/sqrt(g)) -> 2 f_rr at 0
-        out[..., :1] = 4.0 * (f[..., 1:2] - f[..., :1]) / (h * h * np.sqrt(1.0 - dum[..., :1] ** 2))
-        return out
+    h = state.spacing()
+    dum = np.diff(u) / h
+    a_mid = 1.0 / np.sqrt(1.0 - dum * dum)      # sqrt(g) g^{xx} at midpoints
+    flux = a_mid * np.diff(f) / h
+    out = np.full_like(f, np.nan)
+    out[..., 1:-1] = (flux[..., 1:] - flux[..., :-1]) / (h * np.sqrt(1.0 - g.du[..., 1:-1] ** 2))
+    return out
+
+
+def _radial2d_laplace_beltrami(state: FlowState, f: np.ndarray, g: GeometryFields) -> np.ndarray:
+    u = state.u
+    h = state.spacing()
+    rho = state.coords()
+    rho_mid = 0.5 * (rho[..., 1:] + rho[..., :-1])
+    dum = np.diff(u) / h
+    a_mid = rho_mid / np.sqrt(1.0 - dum * dum)  # sqrt(G) g^{rr} at midpoints
+    flux = a_mid * np.diff(f) / h
+    out = np.full_like(f, np.nan)
+    sg = rho * np.sqrt(1.0 - g.du * g.du)
+    out[..., 1:-1] = (flux[..., 1:] - flux[..., :-1]) / (h * sg[..., 1:-1])
+    # axis cell: (1/(rho sqrt(g))) d_rho(rho f_rho/sqrt(g)) -> 2 f_rr at 0
+    out[..., :1] = 4.0 * (f[..., 1:2] - f[..., :1]) / (h * h * np.sqrt(1.0 - dum[..., :1] ** 2))
+    return out
+
+
+def _disk2d_laplace_beltrami(state: FlowState, f: np.ndarray, g: GeometryFields) -> np.ndarray:
     grid = disk_grid(state.grid.n, state.grid.radius)
     h = grid.h
     ux, uy = g.du                                    # u's central gradient
@@ -368,3 +360,65 @@ def laplace_beltrami(state: FlowState, f: np.ndarray, g: GeometryFields) -> np.n
     div[..., 1:-1, 1:-1] = ((Fx[..., 2:, 1:-1] - Fx[..., :-2, 1:-1])
                             + (Fy[..., 1:-1, 2:] - Fy[..., 1:-1, :-2])) / (2 * h)
     return np.where(grid.deep, div / sg, np.nan)
+
+
+# -- the grid kinds ----------------------------------------------------------
+
+
+def _curve1d_coords(state: FlowState) -> np.ndarray:
+    xl, xr = state.boundary
+    return 0.5 * (xl + xr) + state.grid.reference() * 0.5 * (xr - xl)
+
+
+def _radial2d_slope(state: FlowState) -> np.ndarray:
+    """d1 of u, zero on the axis (symmetry)."""
+    du = d1(state.u, state.spacing())
+    du[..., 0] = 0.0
+    return du
+
+
+def _disk2d_real_nodes(grid: GridSpec) -> tuple:
+    """The nodes inside the disk by radius, then angle, as (rows, columns)."""
+    dg = disk_grid(grid.n, grid.radius)
+    ins = dg.inside
+    order = np.lexsort((np.arctan2(dg.Y[ins], dg.X[ins]), dg.r[ins]))
+    return tuple(a[order] for a in np.nonzero(ins))
+
+
+def _disk2d_du2(state: FlowState) -> np.ndarray:
+    grid = disk_grid(state.grid.n, state.grid.radius)
+    ux, uy = disk_gradient(grid.fill_ghosts(state.u), grid.h)
+    return (ux * ux + uy * uy)[grid.inside[1:-1, 1:-1]]
+
+
+class _Kind(NamedTuple):
+    geometry: Callable           # (state, profile) -> GeometryFields
+    laplace_beltrami: Callable   # (state, f, g) -> the intrinsic Laplacian of f
+    du2: Callable                # state -> |Du|^2 at the real nodes
+    reference: Callable          # grid -> the reference coordinate per node
+    coords: Callable             # state -> the physical coordinate per node
+    spacing: Callable            # state -> the node spacing
+    real_nodes: Callable         # grid -> the index of GridSpec.real_nodes
+    min_n: int                   # the fewest nodes per axis
+
+
+_KINDS = {
+    "curve1d": _Kind(_geometry_curve1d, _curve1d_laplace_beltrami,
+                     lambda state: d1(state.u, state.spacing()) ** 2,
+                     lambda grid: np.linspace(-1.0, 1.0, grid.n), _curve1d_coords,
+                     lambda state: (state.boundary[1] - state.boundary[0]) / (state.grid.n - 1),
+                     lambda grid: slice(None), 5),
+    "radial2d": _Kind(_geometry_radial2d, _radial2d_laplace_beltrami,
+                      lambda state: _radial2d_slope(state) ** 2,
+                      lambda grid: np.linspace(0.0, 1.0, grid.n),
+                      lambda state: state.grid.reference() * state.boundary,
+                      lambda state: state.boundary / (state.grid.n - 1),
+                      lambda grid: slice(None), 5),
+    # from N = 6 the rim monitor circles sample inside nodes only (disk.DiskGrid
+    # builds N = 5 too, for its own tests)
+    "disk2d": _Kind(_geometry_disk2d, _disk2d_laplace_beltrami, _disk2d_du2,
+                    lambda grid: disk_grid(grid.n, grid.radius).r / grid.radius,
+                    lambda state: disk_grid(state.grid.n, state.grid.radius).r,
+                    lambda state: disk_grid(state.grid.n, state.grid.radius).h,
+                    _disk2d_real_nodes, 6),
+}

@@ -21,13 +21,19 @@ material points with coordinate velocity H v_hat Du).
 The evolution residuals are evaluated over blocks of consecutive states
 stacked along a leading axis, with one geometry per state: rates, drifts,
 Laplacians and right-hand sides are array operations over a block.
+
+What differs per grid kind -- the residual terms and the certificate's
+boundary data and Minkowski square -- sits in this module's one table,
+``_KINDS``.  It cannot join geometry's table: modules import in the order
+geometry -> flow -> monitors -> runner, and these terms need geometry's
+evaluators and flow's trajectories.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -153,7 +159,8 @@ def evolution_residuals(traj: Trajectory, profile, skip_fraction: float = 0.5) -
     """
     centers = _consecutive_triples(traj)
     if not centers:
-        raise ValueError("evolution residuals need stride-1 stored states")
+        raise ValueError("evolution residuals need three consecutive stride-1 states, and the "
+                         f"trajectory's {len(traj.states)} stored states hold none")
     start = int(skip_fraction * len(centers))
     centers = centers[start:] or centers[-1:]
     wanted = set(centers)
@@ -189,42 +196,52 @@ def _block_terms(states: list, profile):
     st = _stack(states)
     g = geometry(st, profile)
     F = np.stack([g.H, g.v])
-    x, du, grad, rhs_v, mask_H, mask_v = _kind_terms(st, g, F, profile)
+    x, du, grad, rhs_v, mask_H, mask_v = _KINDS[st.grid.kind].terms(st, g, F, profile)
     masks = np.stack([np.broadcast_to(m, g.H.shape) for m in (mask_H, mask_v)])
     center = (g.H * g.v_hat * du, grad, laplace_beltrami(st, F, g),
               np.stack([-(g.H * g.normA2), rhs_v]), masks)
     return (st.t, x, F), center
 
 
-def _kind_terms(st: FlowState, g, F: np.ndarray, profile):
-    """What differs per grid kind: node positions, the slope components of u and
-    the gradient components of F = (H, v) along a leading axis, the v
-    right-hand side, and the nodes each identity is checked on."""
-    n = st.grid.n
-    if st.grid.kind == "disk2d":
-        grid = disk_grid(n, st.grid.radius)
-        # drop the rim band where mirror-ghost second derivatives are noisy
-        deep = grid.deep & (grid.r < grid.radius - 6.0 * grid.h)
-        # read on deep nodes only, whose central stencil reaches no ghost
-        grad = np.stack(disk_gradient(F, grid.h, padded=True))
-        # only a constant V (cylinder) is checked: its ambient-derivative terms
-        # vanish; elsewhere the v identity is NaN and skipped
-        rhs_v = np.full_like(g.v, np.nan)
-        if isinstance(profile, RotationalProfile):
-            const = np.abs(profile.df(st.u[..., deep])).max(axis=-1) < 1e-14
-            rhs_v[const] = -(g.v * g.normA2)[const]
-        return np.zeros_like(st.t), g.du, grad, rhs_v, deep, deep
+def _curve1d_terms(st: FlowState, g, F: np.ndarray, profile):
+    core = _core(st.grid.n)
+    return (st.coords(), g.du[None], d1(F, st.spacing())[None], _v_rhs_curve(st, g, profile),
+            core, core)
+
+
+def _radial2d_terms(st: FlowState, g, F: np.ndarray, profile):
     h = st.spacing()
     x = st.coords()
-    ex = max(5, int(EDGE_FRACTION * n))
-    core = np.zeros(n, dtype=bool)
-    if st.grid.kind == "curve1d":
-        core[ex:-ex] = True
-        return x, g.du[None], d1(F, h)[None], _v_rhs_curve(st, g, profile), core, core
-    core[2:-ex] = True   # the axis side is regular for H
+    core = _core(st.grid.n, 2)   # the axis side is regular for H
     rhs_v = _v_rhs_radial(st, g, profile)
     keep = core & (x > AXIS_EXCLUSION_CELLS * h) & np.isfinite(rhs_v)
     return x, g.du[None], d1(F, h)[None], rhs_v, core, keep
+
+
+def _core(n: int, lo: Optional[int] = None) -> np.ndarray:
+    """The nodes an edge fraction inside each end, or from node lo on."""
+    ex = max(5, int(EDGE_FRACTION * n))
+    core = np.zeros(n, dtype=bool)
+    core[ex if lo is None else lo:-ex] = True
+    return core
+
+
+def _disk2d_terms(st: FlowState, g, F: np.ndarray, profile):
+    grid = disk_grid(st.grid.n, st.grid.radius)
+    # drop the rim band where mirror-ghost second derivatives are noisy
+    deep = grid.deep & (grid.r < grid.radius - 6.0 * grid.h)
+    if not deep.any():
+        raise ValueError(f"evolution residuals need a disk of N >= 13: at N = {st.grid.n} "
+                         "no deep-interior node lies 6h inside the rim")
+    # read on deep nodes only, whose central stencil reaches no ghost
+    grad = np.stack(disk_gradient(F, grid.h, padded=True))
+    # only a constant V (cylinder) is checked: its ambient-derivative terms
+    # vanish; elsewhere the v identity is NaN and skipped
+    rhs_v = np.full_like(g.v, np.nan)
+    if isinstance(profile, RotationalProfile):
+        const = np.abs(profile.df(st.u[..., deep])).max(axis=-1) < 1e-14
+        rhs_v[const] = -(g.v * g.normA2)[const]
+    return np.zeros_like(st.t), g.du, grad, rhs_v, deep, deep
 
 
 def _fold_residuals(res, ext, center, inner: slice, keep: np.ndarray, kax: int):
@@ -384,17 +401,46 @@ class StabilityCertificate:
     reason: str = ""
 
 
-def _minkowski_square_from_center(state: FlowState, center: np.ndarray):
-    """|x - a|^2 per node for the graph points of a radial2d or disk2d state."""
-    if state.grid.kind == "radial2d":
-        rho = state.coords()
-        ax = math.hypot(center[0], center[1])
-        if ax > 1e-12:
-            raise ValueError("radial states need the center on the rotation axis")
-        return rho**2 - (state.u - center[2]) ** 2
+def _no_certificate(state: FlowState, g, profile, center):
+    raise ValueError("stability certificates are built for the 2d kinds")
+
+
+def _radial2d_certificate(state: FlowState, g, profile, center):
+    if math.hypot(center[0], center[1]) > 1e-12:
+        raise ValueError("radial states need the center on the rotation axis")
+    zb = float(state.u[-1])
+    bc = profile_curvature(profile, zb)
+    ur = float(g.du[-1])
+    w = math.sqrt(1.0 - ur * ur)
+    vb = float(g.v[-1])
+    a_nn = np.array([normal_curvature(vb, bc.A_VV, bc.A_WW[0])])
+    rho_b = float(state.boundary)
+    pairing = np.array([(rho_b - (zb - center[2]) * ur) / w])
+    sq_bdry = np.array([rho_b**2 - (zb - center[2]) ** 2])
+    return a_nn, pairing, sq_bdry, state.coords() ** 2 - (state.u - center[2]) ** 2
+
+
+def _disk2d_certificate(state: FlowState, g, profile, center):
     grid = disk_grid(state.grid.n, state.grid.radius)
-    return ((grid.X - center[0]) ** 2 + (grid.Y - center[1]) ** 2
-            - (state.u - center[2]) ** 2)
+    if not grid.deep.any():
+        raise ValueError(f"a disk of N = {state.grid.n} has no deep-interior node to check "
+                         "the certificate on (it needs N >= 7)")
+    # from N = 6 up the monitor rings sample inside nodes only: no ghost values
+    u_rim = grid.rim_values(state.u)
+    du_rim = grid.radial_derivative_at_rim(state.u)
+    v_rim = grid.rim_values(g.v)
+    _, a_vv, a_ww = rim_curvature(profile, u_rim)
+    a_nn = normal_curvature(v_rim, a_vv, a_ww)
+    ca, sa = np.cos(grid.ring_angles), np.sin(grid.ring_angles)
+    R0 = grid.radius
+    wsl = np.sqrt(np.maximum(1.0 - du_rim**2, 1e-14))
+    pairing = ((R0 * ca - center[0]) * ca + (R0 * sa - center[1]) * sa
+               - (u_rim - center[2]) * du_rim) / wsl
+    sq_bdry = ((R0 * ca - center[0]) ** 2 + (R0 * sa - center[1]) ** 2
+               - (u_rim - center[2]) ** 2)
+    sq = ((grid.X - center[0]) ** 2 + (grid.Y - center[1]) ** 2
+          - (state.u - center[2]) ** 2)
+    return a_nn, pairing, sq_bdry, sq
 
 
 def stability_certificate(state: FlowState, profile, center, epsilon: float = 1e-2,
@@ -408,43 +454,13 @@ def stability_certificate(state: FlowState, profile, center, epsilon: float = 1e
     """
     center = np.asarray(center, dtype=float)
     g = geometry(state, profile)
-    ins = g.mask if g.mask is not None else slice(None)
+    ins = state.grid.real_nodes()
     sup_H = float(np.abs(g.H[ins]).max())
     if sup_H > maximal_tol:
         raise ValueError(f"state is not approximately maximal (sup|H| = {sup_H:.2e})")
-    n_dim = 2    # both kinds below are surfaces; curve1d raises
-
-    # boundary data: A^Sig(nu,nu), mu pairing <x-a, mu>
-    if state.grid.kind == "radial2d":
-        zb = float(state.u[-1])
-        bc = profile_curvature(profile, zb)
-        ur = float(g.du[-1])
-        w = math.sqrt(1.0 - ur * ur)
-        vb = float(g.v[-1])
-        a_nn = np.array([normal_curvature(vb, bc.A_VV, bc.A_WW[0])])
-        rho_b = float(state.boundary)
-        pairing = np.array([(rho_b - (zb - center[2]) * ur) / w])
-        sq_bdry = np.array([rho_b**2 - (zb - center[2]) ** 2])
-    elif state.grid.kind == "disk2d":
-        grid = disk_grid(state.grid.n, state.grid.radius)
-        # from N = 6 up the monitor rings sample inside nodes only: no ghost values
-        u_rim = grid.rim_values(state.u)
-        du_rim = grid.radial_derivative_at_rim(state.u)
-        v_rim = grid.rim_values(g.v)
-        _, a_vv, a_ww = rim_curvature(profile, u_rim)
-        a_nn = normal_curvature(v_rim, a_vv, a_ww)
-        ca, sa = np.cos(grid.ring_angles), np.sin(grid.ring_angles)
-        R0 = grid.radius
-        wsl = np.sqrt(np.maximum(1.0 - du_rim**2, 1e-14))
-        pairing = ((R0 * ca - center[0]) * ca + (R0 * sa - center[1]) * sa
-                   - (u_rim - center[2]) * du_rim) / wsl
-        sq_bdry = ((R0 * ca - center[0]) ** 2 + (R0 * sa - center[1]) ** 2
-                   - (u_rim - center[2]) ** 2)
-    else:
-        raise ValueError("stability certificates are built for the 2d kinds")
-
+    n_dim = 2    # both kinds with a certificate are surfaces
+    a_nn, pairing, sq_bdry, sq = _KINDS[state.grid.kind].certificate(state, g, profile, center)
     hypothesis_ok = bool(np.min(a_nn) > 1e-10)
-    sq = _minkowski_square_from_center(state, center)
     sq_in = sq[ins]
     if hypothesis_ok:
         need_bdry = float(np.max(sq_bdry + 2.0 * pairing / a_nn))
@@ -467,6 +483,23 @@ def stability_certificate(state: FlowState, profile, center, epsilon: float = 1e
         laplace_identity_max=lap_identity, hypothesis_ok=hypothesis_ok,
         ok=ok, reason=reason,
     )
+
+
+class _Kind(NamedTuple):
+    # (st, g, F, profile) -> node positions, the slope components of u and the
+    # gradient components of F = (H, v) along a leading axis, the v right-hand
+    # side, and the nodes each identity is checked on
+    terms: Callable
+    # (state, g, profile, center) -> A^Sig(nu,nu), <x-a, mu> and |x-a|^2 at the
+    # boundary points, and |x-a|^2 per node
+    certificate: Callable
+
+
+_KINDS = {
+    "curve1d": _Kind(_curve1d_terms, _no_certificate),
+    "radial2d": _Kind(_radial2d_terms, _radial2d_certificate),
+    "disk2d": _Kind(_disk2d_terms, _disk2d_certificate),
+}
 
 
 def refinement_orders(values: list, factor: float = 2.0) -> list:

@@ -26,7 +26,6 @@ from typing import Optional
 import numpy as np
 
 from .config import ConfigError, ScenarioConfig, parse_config
-from .disk import disk_grid
 from .flow import RECORD_COLUMNS, FlowError, FlowEvent, StepControl, Trajectory, run
 from .geometry import geometry
 from .monitors import (
@@ -101,16 +100,9 @@ def write_timeseries(path: str, traj: Trajectory) -> None:
 
 def write_profile(path: str, scenario: Scenario, state) -> None:
     g = geometry(state, scenario.profile)
-    if state.grid.kind == "disk2d":
-        grid = disk_grid(state.grid.n, state.grid.radius)
-        ins = grid.inside
-        order = np.lexsort((np.arctan2(grid.Y[ins], grid.X[ins]), grid.r[ins]))
-        at = np.flatnonzero(ins)[order]
-        fields = (grid.r / grid.radius, grid.r, state.u, g.H, g.v, g.v_hat, g.normA2, g.dV)
-        rows = np.column_stack([a.ravel()[at] for a in fields])
-    else:
-        rows = np.column_stack([state.grid.reference(), state.coords(), state.u, g.H, g.v,
-                                g.v_hat, g.normA2, g.dV])
+    at = state.grid.real_nodes()
+    rows = np.column_stack([a[at] for a in (state.grid.reference(), state.coords(), state.u,
+                                            g.H, g.v, g.v_hat, g.normA2, g.dV)])
     with open(path, "w", newline="\n") as f:
         f.write("s,physical_coord,u,H,v,v_hat,normA2,dV\n")
         _write_rows(f, rows)
@@ -195,9 +187,12 @@ def run_scenario(cfg: ScenarioConfig, write: bool = True):
         summary["h_vs_v_p"] = est["h_vs_v_fit"]["p"]
         summary["p_best_fit"] = est["p_best_fit"]
     if cfg.monitor_evolution and cfg.snapshot_stride == 1:
-        res = evolution_residuals(traj, scenario.profile)
-        summary["res_H"] = res["res_H"]
-        summary["res_v"] = res["res_v"]
+        try:
+            res = evolution_residuals(traj, scenario.profile)
+            summary["res_H"] = res["res_H"]
+            summary["res_v"] = res["res_v"]
+        except ValueError as exc:
+            summary["evolution_error"] = str(exc)
     if cfg.certificate:
         z_ref = cfg.certificate_z if cfg.certificate_z is not None else scenario.plane_z
         if z_ref is None:
@@ -243,13 +238,8 @@ def _study_error(scenario: Scenario, traj: Optional[Trajectory]) -> float:
         return float(np.abs(g.H).max())
     err = 0.0
     for s in traj.states:
-        if s.grid.kind == "disk2d":
-            grid = disk_grid(s.grid.n, s.grid.radius)
-            vals = exact.u(grid.r[grid.inside], s.t)
-            err = max(err, float(np.abs(s.u[grid.inside] - vals).max()))
-        else:
-            x = s.coords()
-            err = max(err, float(np.abs(s.u - exact.u(x, s.t)).max()))
+        at = s.grid.real_nodes()
+        err = max(err, float(np.abs(s.u[at] - exact.u(s.coords()[at], s.t)).max()))
     return err
 
 

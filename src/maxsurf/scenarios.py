@@ -56,6 +56,13 @@ def _resolve_plane_z(profile, which) -> float:
     raise ConfigError(f"unknown plane anchor {which!r}")
 
 
+def _grid(kind: str, n: int, radius: float = 1.0) -> GridSpec:
+    try:
+        return GridSpec(kind, n, radius)
+    except ValueError as exc:       # too few nodes for the kind
+        raise ConfigError(str(exc)) from exc
+
+
 def build_scenario(cfg: ScenarioConfig) -> Scenario:
     """The scenario of a config; ConfigError when its first time step underflows."""
     scenario = _build(cfg)
@@ -76,7 +83,7 @@ def _build(cfg: ScenarioConfig) -> Scenario:
         if cfg.t0 >= 0:
             raise ConfigError("the translating solution needs t0 < 0")
         xb = grim_reaper_boundary(cfg.t0)
-        grid = GridSpec("curve1d", n)
+        grid = _grid("curve1d", n)
         x = grid.reference() * xb
         u0 = np.log(np.cosh(x)) + cfg.t0
         state = FlowState(grid, cfg.t0, u0, (-xb, xb))
@@ -84,7 +91,7 @@ def _build(cfg: ScenarioConfig) -> Scenario:
 
     if cfg.scenario == "cylinder_disk":
         radius = profile.params[0]
-        grid = GridSpec("disk2d", n, radius)
+        grid = _grid("disk2d", n, radius)
         dg = disk_grid(n, radius)
         rho2 = (dg.X**2 + dg.Y**2) / radius**2
         if name == "constant":
@@ -105,7 +112,7 @@ def _build(cfg: ScenarioConfig) -> Scenario:
     if cfg.scenario == "sine_tube":
         if profile.boundary_type != "rotational":
             raise ConfigError("sine_tube needs a rotational profile")
-        grid = GridSpec("radial2d", n)
+        grid = _grid("radial2d", n)
         s_ref = grid.reference()
         if name == "plane":
             z = _resolve_plane_z(profile, args[0] if args else "widest")
@@ -136,7 +143,7 @@ def _build(cfg: ScenarioConfig) -> Scenario:
         raise ConfigError("pseudosphere_leaf supports initial = leaf(z)")
     z0 = float(args[0]) if args else 1.0
     leaf = cmc_leaf_through(profile, z0)
-    grid = GridSpec("radial2d", n)
+    grid = _grid("radial2d", n)
     rb = float(profile.f(z0))
     rho = grid.reference() * rb
     u0 = np.asarray(leaf_time(profile, rho, z0), dtype=float)

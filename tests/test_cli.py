@@ -8,7 +8,7 @@ from maxsurf.cli import main
 from maxsurf.disk import disk_grid
 from maxsurf.flow import RECORD_COLUMNS, FlowError, FlowEvent, Trajectory
 from maxsurf.geometry import FlowState, GridSpec, geometry
-from maxsurf.profiles import cylinder
+from maxsurf.profiles import cylinder, sine_tube, trumpet
 from maxsurf.scenarios import Scenario
 
 
@@ -52,6 +52,11 @@ def test_run_exit_3_config_error(tmp_path, out_root, capsys):
     cfg = write(tmp_path, "bad.cfg", "scenario = grim_reaper\ncfl = 0.9\n")
     assert main(["run", cfg]) == 3
     assert "config error" in capsys.readouterr().err
+    # on a disk of N = 5 the rim monitor circles would reach across the disk
+    cfg = write(tmp_path, "coarse.cfg", "scenario = cylinder_disk\nnodes = 5\n")
+    assert main(["run", cfg]) == 3
+    err = capsys.readouterr().err
+    assert err == "config error: a disk2d grid needs at least 6 nodes per axis\n"
 
 
 @pytest.mark.parametrize("times", ["t0 = -1\nt_end = -2", "t_end = nan", "h_stop = nan"])
@@ -100,6 +105,23 @@ def test_run_static_leaf_takes_no_step(out_root):
                        "h_vs_v_C2", "h_vs_v_p", "h_sup_monotone", "boundary_Asig_min"}
 
 
+@pytest.mark.parametrize("case, cause", [
+    # the residual band 6h inside the rim holds no node below N = 13
+    ("nodes = 12\ninitial = bump(0.05)\nt_end = 0.01", "need a disk of N >= 13"),
+    # converged at step 0: two stored states, no stride-1 triple
+    ("nodes = 17\ninitial = constant(0)\nh_stop = 1e-6", "three consecutive stride-1 states"),
+])
+def test_run_reports_an_evolution_monitor_error(tmp_path, out_root, capsys, case, cause):
+    cfg = write(tmp_path, "evo.cfg", f"scenario = cylinder_disk\n{case}\nsnapshot_stride = 1\n"
+                "monitor_evolution = true\nout_dir = evo\n")
+    assert main(["run", cfg]) == 0
+    assert capsys.readouterr().err == ""
+    summary = (out_root / "evo" / "monitor_summary.txt").read_text().splitlines()
+    errors = [line for line in summary if line.startswith("evolution_error = ")]
+    assert len(errors) == 1 and cause in errors[0]
+    assert not [line for line in summary if line.startswith(("res_H", "res_v"))]
+
+
 def test_run_exit_4_condition_failure(tmp_path, out_root):
     cfg = write(tmp_path, "cond.cfg",
                 "scenario = grim_reaper\nnodes = 51\nrequire_conditions = true\n"
@@ -132,6 +154,18 @@ def test_converge_saturated_on_plane(tmp_path, out_root, capsys):
                 "t_end = 0\nout_dir = plane\n")
     assert main(["converge", cfg, "--levels", "2"]) == 0
     assert "saturated" in capsys.readouterr().out
+
+
+def test_converge_dynamic_disk(tmp_path, out_root, capsys):
+    # a constant disk stays put: both levels' errors are roundoff
+    cfg = write(tmp_path, "disk.cfg",
+                "scenario = cylinder_disk\nnodes = 17\ninitial = constant(0.2)\n"
+                "t_end = 0.01\nout_dir = disk\n")
+    assert main(["converge", cfg, "--levels", "2"]) == 0
+    assert "saturated" in capsys.readouterr().out
+    assert (out_root / "disk" / "convergence.csv").read_text().splitlines() == [
+        "nodes,max_error,order", "17,2.7755575615628914e-17,",
+        "33,2.7755575615628914e-17,saturated"]
 
 
 def test_batch_command(tmp_path, out_root, capsys):
@@ -181,19 +215,38 @@ def test_timeseries_writer_matches_per_value_format(tmp_path):
     assert path.read_bytes() == expected.encode()
 
 
-def test_profile_writer_matches_per_value_format(tmp_path, monkeypatch):
+def profile_writer_case(kind):
+    """A state of the kind, its profile, and its final_profile columns and row order."""
+    if kind == "disk2d":
+        dg = disk_grid(33, 1.0)
+        u = np.where(dg.inside, 0.05 * (1 - dg.X**2 - dg.Y**2) ** 2, 0.0)
+        st = FlowState(GridSpec("disk2d", 33), 0.0, u, None)
+        g = geometry(st, cylinder(1.0))
+        ins = dg.inside
+        r = dg.r[ins]
+        cols = [r / dg.radius, r, u[ins], g.H[ins], g.v[ins], g.v_hat[ins], g.normA2[ins],
+                g.dV[ins]]
+        return st, cylinder(1.0), cols, np.lexsort((np.arctan2(dg.Y[ins], dg.X[ins]), r))
+    grid = GridSpec(kind, 251)
+    if kind == "curve1d":
+        profile, bnd = trumpet(), (-0.5, 0.5)
+        u = np.log(np.cosh(0.5 * grid.reference())) - 1.0
+    else:
+        profile = sine_tube(2.0, 0.5, 1.0)
+        u = np.pi / 2 + 0.05 * (1 - grid.reference() ** 2) ** 2
+        bnd = float(profile.f(np.pi / 2))
+    st = FlowState(grid, -1.0, u, bnd)
+    g = geometry(st, profile)
+    cols = [grid.reference(), st.coords(), u, g.H, g.v, g.v_hat, g.normA2, g.dV]
+    return st, profile, cols, np.arange(251)
+
+
+@pytest.mark.parametrize("kind", ["curve1d", "radial2d", "disk2d"])
+def test_profile_writer_matches_per_value_format(tmp_path, monkeypatch, kind):
     monkeypatch.setattr(runner, "CSV_BLOCK_ROWS", 100)   # several blocks, a partial last one
-    dg = disk_grid(33, 1.0)
-    u = np.where(dg.inside, 0.05 * (1 - dg.X**2 - dg.Y**2) ** 2, 0.0)
-    st = FlowState(GridSpec("disk2d", 33), 0.0, u, None)
-    scenario = Scenario("disk", cylinder(1.0), st, None)
+    st, profile, cols, order = profile_writer_case(kind)
     path = tmp_path / "final_profile.csv"
-    runner.write_profile(str(path), scenario, st)
-    g = geometry(st, cylinder(1.0))
-    ins = dg.inside
-    r = dg.r[ins]
-    cols = [r / dg.radius, r, u[ins], g.H[ins], g.v[ins], g.v_hat[ins], g.normA2[ins], g.dV[ins]]
-    order = np.lexsort((np.arctan2(dg.Y[ins], dg.X[ins]), r))
+    runner.write_profile(str(path), Scenario(kind, profile, st, None), st)
     expected = "s,physical_coord,u,H,v,v_hat,normA2,dV\n" + per_value_csv(
         [[c[k] for c in cols] for k in order])
     assert len(order) % 100 != 0

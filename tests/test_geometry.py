@@ -1,8 +1,12 @@
+import ast
+import glob
 import math
+import os
 
 import numpy as np
 import pytest
 
+import maxsurf
 from maxsurf.analytic import grim_reaper, hyperbolic_plane, hyperbolic_plane_mean_curvature
 from maxsurf.disk import disk_grid
 from maxsurf.geometry import (
@@ -181,3 +185,23 @@ def test_laplace_beltrami_curve_matches_closed_form():
     exact = np.cosh(x) * (np.sinh(x) ** 2 + np.cosh(x) ** 2)
     err = np.abs(lap[5:-5] - exact[5:-5]).max()
     assert err < 5e-4
+
+
+def test_no_module_compares_grid_kind_names():
+    # each module that keeps per-kind numerics looks the kind up in its one
+    # table (geometry, flow, monitors, _kernels); none branches on a kind's name
+    kinds = {"curve1d", "radial2d", "disk2d"}
+    package = os.path.dirname(os.path.abspath(maxsurf.__file__))
+    found = []
+    for path in sorted(glob.glob(os.path.join(package, "*.py"))):
+        with open(path) as f:
+            tree = ast.parse(f.read(), path)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Compare):
+                continue
+            for operand in (node.left, *node.comparators):
+                items = (operand.elts if isinstance(operand, (ast.Tuple, ast.List, ast.Set))
+                         else [operand])
+                found += [f"{os.path.basename(path)}:{node.lineno}" for e in items
+                          if isinstance(e, ast.Constant) and e.value in kinds]
+    assert found == []

@@ -337,6 +337,15 @@ def test_ambient_laplacian_identity_refines_on_curved_state():
     assert min(orders) >= 1.6
 
 
+def test_certificate_on_a_disk_without_deep_nodes():
+    # at N = 6 no node has its whole stencil inside the disk
+    dg = disk_grid(6, 1.0)
+    st = FlowState(GridSpec("disk2d", 6), 0.0, np.where(dg.inside, 0.3, 0.0), None)
+    with pytest.raises(ValueError, match="no deep-interior node") as info:
+        stability_certificate(st, cylinder(1.0), center=(0.0, 0.0, 0.3))
+    assert "\n" not in str(info.value)
+
+
 def test_certificate_disk_interior_identity():
     # constant graph on the disk: Lap(R - |x-a|^2) = -4 at interior nodes
     dg = disk_grid(65, 1.0)
