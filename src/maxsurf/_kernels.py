@@ -1,4 +1,5 @@
-"""Compiled Euler stepping loop for the scenarios on built-in profiles.
+"""Compiled Euler stepping loop for the scenarios on built-in profiles, and
+the CSV row formatter of the run outputs.
 
 ``_step.c`` translates the numpy reference engine in flow.py operation for
 operation (same stencils, ghost fill, projection, per-step records,
@@ -32,9 +33,19 @@ shared object is cached beside this module in
 writable, under a hash of the source, the compiler and the flags.  Nothing
 is compiled at import.
 
+The library's second entry point, ``maxsurf_format_rows`` (``format_rows``
+here), writes blocks of CSV rows for ``runner``.  Its bytes equal Python's
+``format(v, ".17g")``: the 17 significant digits of x = m 2^e are
+m 5^p 2^(p+e), or m 2^e / 10^-p, rounded half to even in exact 128-bit
+integers, the decade being fixed on the truncated quotient; outside that
+range (below about 1e-16, from 2^128 on, or without a 128-bit integer type)
+glibc's ``snprintf``, which rounds correctly, writes the value, and NaN is
+``nan`` whatever its sign, as in Python.
+
 ``available`` (read lazily) says whether the library could be built and
-loaded; when it could not, ``reason`` holds a one-line explanation and
-``flow.run`` stays on the numpy engine.
+loaded; when it could not, ``reason`` holds a one-line explanation,
+``flow.run`` stays on the numpy engine and ``runner`` formats its CSV
+rows with Python's ``%``.
 """
 
 from __future__ import annotations
@@ -64,6 +75,8 @@ PROFILES = {"cylinder": (0, 1), "pseudosphere": (1, 2), "sine_tube": (2, 3), "tr
 SNAPSHOT_BUFFER_BYTES = 64 << 20
 
 NREC = 17
+# the longest %.17g value, "-2.2250738585072014e-308", and its separator
+CSV_VALUE_BYTES = 25
 (_STATUS_CHUNK, _STATUS_GUARD, _STATUS_CONV, _STATUS_TEND, _STATUS_DT_UNDERFLOW,
  _STATUS_NEWTON) = range(6)
 
@@ -71,7 +84,7 @@ _loaded = None      # (library or None, reason or None) after the first attempt
 
 
 class BuildError(RuntimeError):
-    """The step library could not be compiled or loaded."""
+    """The library could not be compiled or loaded."""
 
 
 _F64P, _I64P = ctypes.POINTER(ctypes.c_double), ctypes.POINTER(ctypes.c_int64)
@@ -209,6 +222,9 @@ def _load_library(path: str):
         f64, f64,                                          # fail, work
     ]
     lib.maxsurf_run.restype = ctypes.c_int
+    lib.maxsurf_format_rows.argtypes = [f64, ctypes.c_int64, ctypes.c_int64,
+                                        np.ctypeslib.ndpointer(dtype=np.uint8, flags="C_CONTIGUOUS")]
+    lib.maxsurf_format_rows.restype = ctypes.c_int64
     return lib
 
 
@@ -221,7 +237,7 @@ def load():
         except (BuildError, OSError, ValueError, AttributeError,
                 subprocess.SubprocessError) as exc:
             reason = " ".join(str(exc).split()) or type(exc).__name__
-            _loaded = (None, f"C step loop unavailable: {reason}")
+            _loaded = (None, f"C library (step loop, CSV formatter) unavailable: {reason}")
     return _loaded
 
 
@@ -231,6 +247,17 @@ def __getattr__(name):
     if name == "reason":
         return load()[1]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def format_rows(rows: np.ndarray, out: np.ndarray) -> int:
+    """Write the rows of a 2-d float array into the uint8 buffer out as CSV
+    lines of %.17g values, byte for byte as Python formats them; returns the
+    number of bytes written.  Needs the library (see ``available``)."""
+    rows = np.ascontiguousarray(rows, dtype=np.float64)
+    if rows.ndim != 2 or out.size < rows.size * CSV_VALUE_BYTES:
+        raise ValueError(f"{rows.size} values need a 2-d array and "
+                         f"{rows.size * CSV_VALUE_BYTES} bytes of buffer, got {out.size}")
+    return load()[0].maxsurf_format_rows(rows, rows.shape[0], rows.shape[1], out)
 
 
 def run_fast(state0, ctrl, profile, stride):

@@ -67,8 +67,15 @@
  *   work[12*n]                      scratch
  *
  * and returns one of the ST_* codes.
+ *
+ * The file also holds the run outputs' CSV formatter, maxsurf_format_rows
+ * (see the end of the file), which writes rows of doubles byte for byte as
+ * Python's format(v, ".17g") does: the 17 digits are exact 128-bit integer
+ * quotients rounded half to even, and the values outside that range go to
+ * snprintf, which glibc rounds correctly.
  */
 #include <math.h>
+#include <stdio.h>
 #include <stdint.h>
 #include <string.h>
 
@@ -860,4 +867,180 @@ int maxsurf_run(int kind, int64_t n, double *u, double *bnd, double *t_io,
     bnd[1] = S.b[1];
     *k_io = k;
     return status;
+}
+
+/* -- CSV rows (runner._write_rows) ------------------------------------------- */
+
+/* The longest value, "-2.2250738585072014e-308", and its separator; mirrored
+ * in _kernels.CSV_VALUE_BYTES. */
+#define CSV_VALUE_BYTES 25
+
+#ifdef __SIZEOF_INT128__
+typedef unsigned __int128 u128;
+
+static const uint64_t POW5[28] = {
+    1u, 5u, 25u, 125u, 625u, 3125u, 15625u, 78125u, 390625u, 1953125u, 9765625u,
+    48828125u, 244140625u, 1220703125u, 6103515625ull, 30517578125ull,
+    152587890625ull, 762939453125ull, 3814697265625ull, 19073486328125ull,
+    95367431640625ull, 476837158203125ull, 2384185791015625ull,
+    11920928955078125ull, 59604644775390625ull, 298023223876953125ull,
+    1490116119384765625ull, 7450580596923828125ull,
+};
+
+/* 5^p for 0 <= p <= 54 */
+static u128 pow5(int p)
+{
+    return p < 28 ? (u128)POW5[p] : (u128)POW5[27] * POW5[p - 27];
+}
+
+#define E16 10000000000000000ull
+#define E17 100000000000000000ull
+
+/* The 17 significant digits of a finite x > 0, correctly rounded half to
+ * even, as q in [10^16, 10^17) with x ~ q 10^(k-16).  With x = m 2^e exactly,
+ * x 10^p (p = 16 - k) is m 5^p 2^(p+e), or m 2^e / 10^-p for p < 0, and is
+ * taken in exact 128-bit integers; the decade k is tested on the truncated
+ * quotient, before rounding, so that a value just below a power of ten keeps
+ * its 17 nines.  Returns 0 where the products leave 128 bits: below about
+ * 1e-16 and from 2^128 (about 3.4e38) on. */
+static int digits17(double x, uint64_t *q_out, int *k_out)
+{
+    uint64_t bits;
+    memcpy(&bits, &x, sizeof bits);
+    int biased = (int)(bits >> 52);
+    if (biased == 0)                       /* subnormal, far below 1e-16 */
+        return 0;
+    uint64_t m = (bits & ((1ull << 52) - 1)) | (1ull << 52);
+    int e = biased - 1075;
+    /* x lies in [2^(e+52), 2^(e+53)): floor(log10 x) is this or one more */
+    int k = (int)floor((e + 52) * 0.30102999566398120);
+    for (int pass = 0; pass < 2; ++pass, ++k) {
+        int p = 16 - k;
+        u128 q;
+        int up;
+        if (p >= 0) {
+            if (p > 32)                    /* m 5^p would leave 128 bits */
+                continue;
+            u128 n = (u128)m * pow5(p);
+            int s = -(e + p);
+            if (s <= 0) {
+                q = n << -s;
+                up = 0;
+            } else {
+                if (s >= 128)
+                    return 0;
+                q = n >> s;
+                u128 rem = n - (q << s), half = (u128)1 << (s - 1);
+                up = rem > half || (rem == half && (q & 1));
+            }
+        } else {
+            if (e < 0 || e > 128 - 53 || -p > 22)
+                return 0;
+            u128 n = (u128)m << e, d = pow5(-p) << -p;
+            q = n / d;
+            u128 rem2 = 2 * (n - q * d);
+            up = rem2 > d || (rem2 == d && (q & 1));
+        }
+        if (q >= E17)                      /* the decade is k + 1 */
+            continue;
+        if (q < E16)
+            return 0;
+        q += up;
+        if (q == E17) {                    /* rounded up into the next decade */
+            q = E16;
+            k += 1;
+        }
+        *q_out = (uint64_t)q;
+        *k_out = k;
+        return 1;
+    }
+    return 0;
+}
+#else
+static int digits17(double x, uint64_t *q_out, int *k_out)
+{
+    (void)x, (void)q_out, (void)k_out;
+    return 0;
+}
+#endif
+
+/* x as Python's format(x, ".17g") writes it; returns the number of bytes.
+ * The exponent form is taken for a decade below -4 or from 17 on, with at
+ * least two exponent digits, and trailing zeros are dropped, as %g does.
+ * Outside digits17's range glibc's snprintf, which rounds correctly, writes
+ * the digits; NaN is "nan" whatever its sign, where glibc writes "-nan". */
+static int format_g17(double x, char *out)
+{
+    char *o = out;
+    if (x != x) {
+        memcpy(o, "nan", 3);
+        return 3;
+    }
+    if (signbit(x)) {
+        *o++ = '-';
+        x = -x;
+    }
+    if (isinf(x)) {
+        memcpy(o, "inf", 3);
+        return (int)(o - out) + 3;
+    }
+    if (x == 0.0) {
+        *o++ = '0';
+        return (int)(o - out);
+    }
+    uint64_t q;
+    int k;
+    if (!digits17(x, &q, &k))
+        return (int)(o - out) + snprintf(o, CSV_VALUE_BYTES - 1, "%.17g", x);
+    char d[17];
+    for (int i = 16; i >= 0; --i) {
+        d[i] = (char)('0' + q % 10);
+        q /= 10;
+    }
+    int nd = 17;
+    while (nd > 1 && d[nd - 1] == '0')
+        --nd;
+    if (k < -4 || k >= 17) {
+        *o++ = d[0];
+        if (nd > 1) {
+            *o++ = '.';
+            memcpy(o, d + 1, nd - 1);
+            o += nd - 1;
+        }
+        *o++ = 'e';
+        *o++ = k < 0 ? '-' : '+';
+        int a = k < 0 ? -k : k;
+        if (a >= 100)
+            *o++ = (char)('0' + a / 100);
+        *o++ = (char)('0' + a / 10 % 10);
+        *o++ = (char)('0' + a % 10);
+    } else if (k >= 0) {
+        memcpy(o, d, k + 1);
+        o += k + 1;
+        if (nd > k + 1) {
+            *o++ = '.';
+            memcpy(o, d + k + 1, nd - k - 1);
+            o += nd - k - 1;
+        }
+    } else {
+        memcpy(o, "0.0000", 1 - k);        /* "0." and -k - 1 zeros */
+        o += 1 - k;
+        memcpy(o, d, nd);
+        o += nd;
+    }
+    return (int)(o - out);
+}
+
+/* rows[n_rows * n_cols], row-major, as CSV lines: values as format_g17 writes
+ * them, joined by commas, each row ended by a newline.  out holds at least
+ * CSV_VALUE_BYTES per value; returns the number of bytes written. */
+int64_t maxsurf_format_rows(const double *rows, int64_t n_rows, int64_t n_cols, char *out)
+{
+    char *o = out;
+    for (int64_t i = 0; i < n_rows; ++i)
+        for (int64_t j = 0; j < n_cols; ++j) {
+            o += format_g17(rows[i * n_cols + j], o);
+            *o++ = j + 1 < n_cols ? ',' : '\n';
+        }
+    return o - out;
 }

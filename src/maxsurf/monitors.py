@@ -205,6 +205,9 @@ def _block_terms(states: list, profile):
 
 def _curve1d_terms(st: FlowState, g, F: np.ndarray, profile):
     core = _core(st.grid.n)
+    if not core.any():
+        raise ValueError(f"evolution residuals need a curve of N >= 11: at N = {st.grid.n} "
+                         "no node lies 5 nodes inside both ends")
     return (st.coords(), g.du[None], d1(F, st.spacing())[None], _v_rhs_curve(st, g, profile),
             core, core)
 
@@ -213,8 +216,13 @@ def _radial2d_terms(st: FlowState, g, F: np.ndarray, profile):
     h = st.spacing()
     x = st.coords()
     core = _core(st.grid.n, 2)   # the axis side is regular for H
+    keep = core & (x > AXIS_EXCLUSION_CELLS * h)
+    if not keep.any():
+        raise ValueError(f"evolution residuals need a radial grid of N >= 10: at N = {st.grid.n} "
+                         f"no node lies {AXIS_EXCLUSION_CELLS}h off the axis and 5 nodes "
+                         "inside the rim")
     rhs_v = _v_rhs_radial(st, g, profile)
-    keep = core & (x > AXIS_EXCLUSION_CELLS * h) & np.isfinite(rhs_v)
+    keep = keep & np.isfinite(rhs_v)
     return x, g.du[None], d1(F, h)[None], rhs_v, core, keep
 
 

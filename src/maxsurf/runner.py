@@ -80,21 +80,35 @@ def _ctrl_from(cfg: ScenarioConfig) -> StepControl:
 
 
 # rows formatted per block: 8,192-row blocks raised the benchmark translator
-# job's peak RSS from 72.6 to 78.9 MB; 1,024 and 256 rows left it at 72.5-72.7
+# job's peak RSS from 72.6 to 78.9 MB on the % path; 1,024 and 256 rows left
+# it at 72.5-72.7.  The compiled path formats a block into one buffer of
+# CSV_VALUE_BYTES per value, reused for every block: 435 kB for the 17
+# record columns, so its peak RSS does not grow with the run's length.
 CSV_BLOCK_ROWS = 1024
 
 
 def _write_rows(f, rows: np.ndarray) -> None:
-    """CSV lines of %.17g values, one % per block of rows over a prebuilt row format."""
-    row_fmt = ",".join(["%.17g"] * rows.shape[1]) + "\n"
-    for a in range(0, rows.shape[0], CSV_BLOCK_ROWS):
-        block = rows[a:a + CSV_BLOCK_ROWS]
-        f.write((row_fmt * block.shape[0]) % tuple(block.ravel().tolist()))
+    """CSV lines of %.17g values, a block of rows at a time, to a binary file:
+    by the compiled library when it loads, else by one % per block over a
+    prebuilt row format.  Both give the bytes of format(v, ".17g")."""
+    from . import _kernels
+
+    blocks = range(0, rows.shape[0], CSV_BLOCK_ROWS)
+    if not _kernels.available:
+        row_fmt = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+        for a in blocks:
+            block = rows[a:a + CSV_BLOCK_ROWS]
+            f.write(((row_fmt * block.shape[0]) % tuple(block.ravel().tolist())).encode())
+        return
+    buf = np.empty(min(rows.shape[0], CSV_BLOCK_ROWS) * rows.shape[1] * _kernels.CSV_VALUE_BYTES,
+                   dtype=np.uint8)
+    for a in blocks:
+        f.write(buf[:_kernels.format_rows(rows[a:a + CSV_BLOCK_ROWS], buf)])
 
 
 def write_timeseries(path: str, traj: Trajectory) -> None:
-    with open(path, "w", newline="\n") as f:
-        f.write(",".join(RECORD_COLUMNS) + "\n")
+    with open(path, "wb") as f:
+        f.write((",".join(RECORD_COLUMNS) + "\n").encode())
         _write_rows(f, traj.records)
 
 
@@ -103,8 +117,8 @@ def write_profile(path: str, scenario: Scenario, state) -> None:
     at = state.grid.real_nodes()
     rows = np.column_stack([a[at] for a in (state.grid.reference(), state.coords(), state.u,
                                             g.H, g.v, g.v_hat, g.normA2, g.dV)])
-    with open(path, "w", newline="\n") as f:
-        f.write("s,physical_coord,u,H,v,v_hat,normA2,dV\n")
+    with open(path, "wb") as f:
+        f.write(b"s,physical_coord,u,H,v,v_hat,normA2,dV\n")
         _write_rows(f, rows)
 
 

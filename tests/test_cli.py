@@ -1,15 +1,18 @@
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hs
 
-from maxsurf import runner
+from maxsurf import _kernels, runner
 from maxsurf.cli import main
+from maxsurf.config import parse_config
 from maxsurf.disk import disk_grid
-from maxsurf.flow import RECORD_COLUMNS, FlowError, FlowEvent, Trajectory
+from maxsurf.flow import RECORD_COLUMNS, FlowError, FlowEvent, Trajectory, run
 from maxsurf.geometry import FlowState, GridSpec, geometry
 from maxsurf.profiles import cylinder, sine_tube, trumpet
-from maxsurf.scenarios import Scenario
+from maxsurf.scenarios import Scenario, build_scenario
 
 
 def write(tmp_path, name, text):
@@ -122,6 +125,27 @@ def test_run_reports_an_evolution_monitor_error(tmp_path, out_root, capsys, case
     assert not [line for line in summary if line.startswith(("res_H", "res_v"))]
 
 
+@pytest.mark.parametrize("case, cause", [
+    ("scenario = grim_reaper\nnodes = 9\nt0 = -1.0\nt_end = -0.99",
+     "need a curve of N >= 11: at N = 9"),
+    ("scenario = sine_tube\nnodes = 7\ninitial = plane_bump(widest, 0.05)\nmax_steps = 6",
+     "need a radial grid of N >= 10: at N = 7"),
+    # the H core holds nodes 2 and 3, the v band off the axis none
+    ("scenario = sine_tube\nnodes = 9\ninitial = plane_bump(widest, 0.05)\nmax_steps = 6",
+     "need a radial grid of N >= 10: at N = 9"),
+], ids=["curve1d", "radial2d", "radial2d-axis-band"])
+def test_run_reports_an_empty_evolution_core(tmp_path, out_root, capsys, case, cause):
+    # a core of no node would read res_H = res_v = 0, checked nowhere
+    cfg = write(tmp_path, "core.cfg", f"{case}\nsnapshot_stride = 1\nmonitor_evolution = true\n"
+                "out_dir = core\n")
+    assert main(["run", cfg]) == 0
+    assert capsys.readouterr().err == ""
+    summary = (out_root / "core" / "monitor_summary.txt").read_text().splitlines()
+    errors = [line for line in summary if line.startswith("evolution_error = ")]
+    assert len(errors) == 1 and cause in errors[0]
+    assert not [line for line in summary if line.startswith(("res_H", "res_v"))]
+
+
 def test_run_exit_4_condition_failure(tmp_path, out_root):
     cfg = write(tmp_path, "cond.cfg",
                 "scenario = grim_reaper\nnodes = 51\nrequire_conditions = true\n"
@@ -196,7 +220,26 @@ def test_deterministic_outputs(tmp_path, out_root):
 
 def per_value_csv(rows):
     """The writers' byte format, one format() call per value."""
-    return "".join(",".join(format(v, ".17g") for v in row) + "\n" for row in rows)
+    return "".join(",".join(format(v, ".17g") for v in row) + "\n"
+                   for row in np.asarray(rows, dtype=float).tolist())
+
+
+def format_sweep(ulps):
+    """Doubles where %.17g is hardest to get right, in a fixed order: each power
+    of ten and of two with ulps neighbours on either side, in both signs, NaN
+    with its sign bit set, subnormals, and the values just under 1e-16, 1e17
+    and 1e-4."""
+    powers = np.concatenate([[float(f"1e{e}") for e in range(-323, 309)],
+                             np.ldexp(1.0, np.arange(-1074, 1024))])
+    near, lo, hi = [powers], powers, powers
+    for _ in range(ulps):
+        lo, hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+        near += [lo, hi]
+    subnormal = np.concatenate([np.arange(1, 1025) * 5e-324,
+                                np.nextafter([2.2250738585072014e-308], 0.0),
+                                np.random.default_rng(5).integers(1, 2**52, 256).view(np.float64)])
+    values = np.concatenate([*near, subnormal, np.nextafter([1e-16, 1e17, 1e-4], 0.0)])
+    return np.concatenate([values, -values, [np.copysign(np.nan, -1.0)]])
 
 
 def test_timeseries_writer_matches_per_value_format(tmp_path):
@@ -208,6 +251,9 @@ def test_timeseries_writer_matches_per_value_format(tmp_path):
     for k, v in enumerate(special):
         rows[(k * 997) % n_rows, k % rows.shape[1]] = v
     rows[-1, :len(special)] = special
+    sweep = format_sweep(64)
+    sweep = np.concatenate([sweep, np.zeros(-sweep.size % rows.shape[1])])
+    rows = np.concatenate([rows, sweep.reshape(-1, rows.shape[1])])
     traj = Trajectory(rows, [], [], FlowEvent.STEP_LIMIT, 0.0, GridSpec("curve1d", 5))
     path = tmp_path / "timeseries.csv"
     runner.write_timeseries(str(path), traj)
@@ -215,8 +261,34 @@ def test_timeseries_writer_matches_per_value_format(tmp_path):
     assert path.read_bytes() == expected.encode()
 
 
+needs_library = pytest.mark.skipif(
+    not _kernels.available, reason=f"compiled library not built: {_kernels.reason}")
+
+
+@needs_library
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(row=hs.lists(hs.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=17))
+def test_library_formats_values_as_python_does(row):
+    buf = np.empty(len(row) * _kernels.CSV_VALUE_BYTES, dtype=np.uint8)
+    n = _kernels.format_rows(np.array([row]), buf)
+    assert buf[:n].tobytes() == per_value_csv([row]).encode()
+
+
+@needs_library
+def test_library_format_rejects_a_short_buffer():
+    with pytest.raises(ValueError, match="6 values need"):
+        _kernels.format_rows(np.zeros((2, 3)), np.empty(6 * _kernels.CSV_VALUE_BYTES - 1, np.uint8))
+
+
 def profile_writer_case(kind):
     """A state of the kind, its profile, and its final_profile columns and row order."""
+    if kind == "sweep":     # format_sweep's values as the geometry's five fields
+        values = format_sweep(16)
+        n = -(-values.size // 5)
+        grid = GridSpec("curve1d", n)
+        st = FlowState(grid, -1.0, np.log(np.cosh(0.5 * grid.reference())) - 1.0, (-0.5, 0.5))
+        fields = list(np.resize(values, (5, n)))
+        return st, trumpet(), [grid.reference(), st.coords(), st.u, *fields], np.arange(n)
     if kind == "disk2d":
         dg = disk_grid(33, 1.0)
         u = np.where(dg.inside, 0.05 * (1 - dg.X**2 - dg.Y**2) ** 2, 0.0)
@@ -241,13 +313,46 @@ def profile_writer_case(kind):
     return st, profile, cols, np.arange(251)
 
 
-@pytest.mark.parametrize("kind", ["curve1d", "radial2d", "disk2d"])
+@pytest.mark.parametrize("kind", ["curve1d", "radial2d", "disk2d", "sweep"])
 def test_profile_writer_matches_per_value_format(tmp_path, monkeypatch, kind):
     monkeypatch.setattr(runner, "CSV_BLOCK_ROWS", 100)   # several blocks, a partial last one
     st, profile, cols, order = profile_writer_case(kind)
+    if kind == "sweep":
+        fields = dict(zip(("H", "v", "v_hat", "normA2", "dV"), cols[3:]))
+        monkeypatch.setattr(runner, "geometry", lambda state, profile: SimpleNamespace(**fields))
     path = tmp_path / "final_profile.csv"
-    runner.write_profile(str(path), Scenario(kind, profile, st, None), st)
+    runner.write_profile(str(path), Scenario(st.grid.kind, profile, st, None), st)
     expected = "s,physical_coord,u,H,v,v_hat,normA2,dV\n" + per_value_csv(
         [[c[k] for c in cols] for k in order])
     assert len(order) % 100 != 0
     assert path.read_bytes() == expected.encode()
+
+
+@needs_library
+def test_writers_give_the_same_bytes_without_the_library(tmp_path, monkeypatch):
+    # the % path, taken when the library cannot load, writes the bytes of the C path
+    runs = []
+    for text in ("scenario = grim_reaper\nnodes = 51\nt0 = -1.0\nt_end = -0.99",
+                 "scenario = sine_tube\nnodes = 51\ninitial = plane_bump(widest, 0.05)\n"
+                 "max_steps = 300",
+                 "scenario = cylinder_disk\nnodes = 33\ninitial = bump(0.05)\nmax_steps = 300"):
+        cfg = parse_config(text + "\n")
+        scenario = build_scenario(cfg)
+        runs.append((scenario, run(scenario.state0, runner._ctrl_from(cfg), scenario.profile)))
+
+    def written():
+        out = []
+        for scenario, traj in runs:
+            runner.write_timeseries(str(tmp_path / "timeseries.csv"), traj)
+            runner.write_profile(str(tmp_path / "final_profile.csv"), scenario, traj.states[-1])
+            out += [(tmp_path / name).read_bytes() for name in ("timeseries.csv",
+                                                                 "final_profile.csv")]
+        return out
+
+    first = written()
+    broken = tmp_path / "_step.c"
+    broken.write_text("this is not C\n")
+    monkeypatch.setattr(_kernels, "SOURCE", str(broken))
+    monkeypatch.setattr(_kernels, "_loaded", None)
+    assert not _kernels.available
+    assert written() == first
