@@ -3,12 +3,12 @@ the CSV row formatter of the run outputs.
 
 ``_step.c`` translates the numpy reference engine in flow.py operation for
 operation (same stencils, ghost fill, projection, per-step records,
-snapshots and exits) for the curve1d, radial2d and disk2d kinds on the
-built-in profiles, with one stepping loop over a per-kind table, as flow.py
-has; its one entry point ``maxsurf_run`` takes the kind as its first
-argument, and for disk2d the disk grid's tables (each box row's run of
-inside nodes, node geometry, quadrature weights, ghost operator and ring
-sampler) in one struct.  Tests compare the two engines.  On first use the
+snapshots and exits) for the curve1d and radial2d kinds on the built-in
+profiles and for disk2d on the cylinder, with one stepping loop over a
+per-kind table, as flow.py has; its one entry point ``maxsurf_run`` takes
+the kind as its first argument, and for disk2d the disk grid's tables
+(each box row's run of inside nodes, quadrature weights, ghost operator and
+ring sampler) in one struct.  Tests compare the two engines.  On first use the
 source is compiled with the system C compiler (``$CC``, else ``cc``) and
 ``CFLAGS``, and loaded through ctypes.  The flags keep results bit-identical
 to the scalar code: ``-O3`` vectorises loops without reordering any
@@ -95,8 +95,7 @@ class _Disk(ctypes.Structure):
 
     _fields_ = [
         ("m", ctypes.c_int64), ("h", ctypes.c_double), ("radius", ctypes.c_double),
-        ("row_lo", _I64P), ("row_hi", _I64P),
-        ("x", _F64P), ("y", _F64P), ("r", _F64P), ("area", _F64P),
+        ("row_lo", _I64P), ("row_hi", _I64P), ("area", _F64P),
         ("n_ghost", ctypes.c_int64), ("ghost_node", _I64P), ("ghost_ptr", _I64P),
         ("ghost_col", _I64P), ("ghost_val", _F64P),
         ("n_angles", ctypes.c_int64), ("ring_col", _I64P), ("ring_val", _F64P),
@@ -118,7 +117,6 @@ def _disk_tables(grid):
         raise ValueError("the inside nodes of each box row must form one run")
     row_lo = cols * m + first
     f64 = {name: np.ascontiguousarray(a, dtype=np.float64) for name, a in (
-        ("x", grid.X), ("y", grid.Y), ("r", np.maximum(grid.r, 1e-300)),
         ("area", grid.area_weights), ("ghost_val", G.data), ("ring_val", ring.data))}
     i64 = {name: np.ascontiguousarray(a, dtype=np.int64) for name, a in (
         ("row_lo", row_lo), ("row_hi", row_lo + count), ("ghost_node", grid.ghost_flat),
@@ -132,7 +130,6 @@ def _disk_tables(grid):
 
 class _Kind(NamedTuple):
     code: int              # the kind argument of maxsurf_run
-    planar: bool           # whether the kind's profiles are planar boundaries
     rim: Optional[str]     # the incidence Newton's variable; None where the rim stays put
     setup: Callable        # (state0, profile) -> (params, boundary (lo, hi), struct Disk
                            # or None, the arrays it points into)
@@ -143,17 +140,17 @@ def _disk_setup(state0, profile):
     from .disk import disk_grid
 
     dg = disk_grid(state0.grid.n, state0.grid.radius)
-    return (profile.params, (dg.radius, dg.radius), *_disk_tables(dg))
+    return ((), (dg.radius, dg.radius), *_disk_tables(dg))    # the disk reads no profile
 
 
 KINDS = {
     # a planar profile's one parameter is planar_V's clamp
-    "curve1d": _Kind(0, True, "x", lambda s, p: ([p.domain[0]], s.boundary, None, None),
+    "curve1d": _Kind(0, "x", lambda s, p: ([p.domain[0]], s.boundary, None, None),
                      lambda lo, hi: (float(lo), float(hi))),
-    "radial2d": _Kind(1, False, "rho",
+    "radial2d": _Kind(1, "rho",
                       lambda s, p: (p.params, (s.boundary, s.boundary), None, None),
                       lambda lo, hi: float(hi)),
-    "disk2d": _Kind(2, False, None, _disk_setup, lambda lo, hi: None),
+    "disk2d": _Kind(2, None, _disk_setup, lambda lo, hi: None),
 }
 
 
@@ -263,7 +260,8 @@ def format_rows(rows: np.ndarray, out: np.ndarray) -> int:
 def run_fast(state0, ctrl, profile, stride):
     """Chunked driver around the compiled loop; mirrors flow._run_python."""
     from .flow import (
-        CHUNK_STEPS, FlowEvent, Trajectory, _newton_failure, _step_underflow, record_state,
+        CHUNK_STEPS, FlowEvent, Trajectory, _check_profile, _newton_failure, _step_underflow,
+        record_state,
     )
     from .geometry import FlowState
 
@@ -272,9 +270,9 @@ def run_fast(state0, ctrl, profile, stride):
     kind = KINDS[grid.kind]
     shape = np.shape(state0.u)
     s_ref = grid.reference()    # per node, so of u's shape; unread on the disk
+    _check_profile(state0, profile)
     code, n_params = PROFILES[profile.kind]
-    if (shape != s_ref.shape or len(profile.params) != n_params
-            or (profile.boundary_type == "planar") != kind.planar):
+    if shape != s_ref.shape or len(profile.params) != n_params:
         raise ValueError(f"a {grid.kind} state with the {profile.kind} profile "
                          "does not fit the step loop")
     prm, bnd, disk, keep_alive = kind.setup(state0, profile)    # disk points into keep_alive

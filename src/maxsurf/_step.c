@@ -1,7 +1,9 @@
 /*
  * Explicit Euler stepping loop for the three grid kinds on the built-in
- * profiles: curve1d (trumpet), radial2d and disk2d (cylinder, pseudosphere,
- * sine_tube).
+ * profiles: curve1d (trumpet), radial2d (cylinder, pseudosphere, sine_tube)
+ * and disk2d (the cylinder of the disk's radius, whose du/drho = 0 on the
+ * fixed rim is the condition the disk imposes; the disk path calls no
+ * profile function).
  *
  * This is a translation of the numpy reference engine in flow.py, operation
  * for operation: the same stencils, ghost fill, time step bound, incidence
@@ -252,7 +254,7 @@ typedef struct {
     int64_t m;                       /* nodes per box side, N + 2 */
     double h, radius;
     const int64_t *row_lo, *row_hi;  /* [m] row x's inside nodes: row_lo[x] <= i < row_hi[x] */
-    const double *x, *y, *r, *area;  /* [m*m] coordinates, max(|node|, 1e-300), weights */
+    const double *area;              /* [m*m] quadrature weights */
     /* the ghost operator G in CSR form: ghost node ghost_node[g] takes the sum
      * of ghost_val[j] u[ghost_col[j]] over ghost_ptr[g] <= j < ghost_ptr[g+1],
      * the columns being inside nodes */
@@ -627,9 +629,7 @@ static Run disk2d_row(int64_t len, int64_t m, double h, const double *restrict f
         mm[i] = mi;
         vh[i] = vhi;
         H[i] = Hi;
-        /* where f' = 0 (the cylinder) the reference's v_hat (1 - 0 u_rho) / 1 is
-         * v_hat itself: u_rho is finite wherever v_hat is */
-        v[i] = vhi;
+        v[i] = vhi;                  /* V = e_t on the cylinder */
         udot[i] = rhs;
         sdV[i] = dV;
         sH2dV[i] = Hi * Hi * dV;
@@ -659,8 +659,7 @@ static void disk2d_prepare(Step *S)
 
 /* the disk's evaluation over its row runs (the rest of the box does not move,
  * and disk2d_prepare set its fields), and the record's sups from the rows'
- * reductions; sup v is v_hat's on the cylinder, where v is v_hat node for
- * node, and the v pass's node-order walk on the other tubes */
+ * reductions; sup v is sup v_hat, v being v_hat node for node */
 static void disk2d_evaluate(Step *S)
 {
     const Disk *D = S->disk;
@@ -675,9 +674,7 @@ static void disk2d_evaluate(Step *S)
             sum += D->ghost_val[j] * u[D->ghost_col[j]];
         f[D->ghost_node[g]] = sum;
     }
-    const double inv_2h = 1.0 / (2.0 * D->h);
     Run all = {INFINITY, -INFINITY, INFINITY, -INFINITY, 0.0};
-    double sup_v = -INFINITY;
     for (int64_t x = 1; x < m - 1; ++x) {
         int64_t lo = D->row_lo[x], hi = D->row_hi[x];    /* rows off the pad are never empty */
         int64_t q = (x - 1) * N + (lo - x * m - 1);
@@ -688,18 +685,6 @@ static void disk2d_evaluate(Step *S)
         TAKE_MIN(all.umin, r.umin);
         TAKE_MAX(all.umax, r.umax);
         all.bad += r.bad;
-        if (S->code == P_CYLINDER)
-            continue;
-        for (int64_t i = lo; i < hi; ++i) {
-            double dfz = rot_df(S->code, S->prm, u[i]);
-            if (dfz != 0.0) {
-                double ux, uy;
-                disk_gradient(f, i, m, inv_2h, &ux, &uy);
-                double du_rad = (D->x[i] * ux + D->y[i] * uy) / D->r[i];
-                S->v[i] = S->vh[i] * (1.0 - dfz * du_rad) * (1.0 / sqrt(1.0 - dfz * dfz));
-            }
-            TAKE_MAX(sup_v, S->v[i]);
-        }
     }
     if (all.bad != 0.0 || all.umin == 0.0 || all.umax == 0.0) {
         /* a NaN or an inf entered, or u's range ends on a zero that may be
@@ -711,8 +696,7 @@ static void disk2d_evaluate(Step *S)
             for (int64_t i = S->span_lo[j]; i < S->span_hi[j]; ++i)
                 TAKE_MIN(all.m, S->m[i]);
     } else {
-        S->sup = (Sups){S->code == P_CYLINDER ? 1.0 / sqrt(all.m) : sup_v, NAN, all.H,
-                        all.umin, all.umax};
+        S->sup = (Sups){1.0 / sqrt(all.m), NAN, all.H, all.umin, all.umax};
     }
     /* the integrals as the reference takes them: pairwise over the N x N core */
     S->vol = pairwise_sum(S->sum_dV, N * N);
@@ -734,13 +718,14 @@ static double ring_sample(const Disk *D, int64_t row, const double *w, int squar
 }
 
 /* the boundary identities on the monitor ring (disk.rim_values and
- * radial_derivative_at_rim of u, H, v and H^2), with the tube's curvature at
- * the ring height (profiles.rim_curvature) */
+ * radial_derivative_at_rim of H, v and H^2), with the cylinder's curvatures
+ * A(V,V) = -f''/(1-f'^2)^(3/2) = -0.0 and A(W,W) = 1/(f sqrt(1-f'^2)) = 1/R,
+ * and 1/sqrt(1-f'^2) = 1 */
 static Block disk2d_rim(const Step *S, double *lo)
 {
     const Disk *D = S->disk;
     const int64_t na = D->n_angles;
-    const double two_delta = 2.0 * D->ring_delta;
+    const double two_delta = 2.0 * D->ring_delta, a_vv = -0.0, a_ww = 1.0 / D->radius;
     Block acc = {0};
     for (int64_t a = 0; a < na; ++a) {
         double Hk[3], vk[3], H2k[3];
@@ -749,15 +734,10 @@ static Block disk2d_rim(const Step *S, double *lo)
             vk[k] = ring_sample(D, k * na + a, S->v, 0);
             H2k[k] = ring_sample(D, k * na + a, S->H, 1);
         }
-        double z = ring_sample(D, a, S->u, 0);
-        double dfz = rot_df(S->code, S->prm, z);
-        double w = sqrt(1.0 - dfz * dfz);
-        double a_vv = -rot_d2f(S->code, S->prm, z) / pow(w, THREE);
-        double a_ww = 1.0 / (rot_f(S->code, S->prm, z) * w);
         double dH = (3.0 * Hk[0] - 4.0 * Hk[1] + Hk[2]) / two_delta;
         double dv = (3.0 * vk[0] - 4.0 * vk[1] + vk[2]) / two_delta;
         double dH2 = (3.0 * H2k[0] - 4.0 * H2k[1] + H2k[2]) / two_delta;
-        Block b = identity_block(Hk[0], vk[0], dH, dv, dH2, dv, 1.0 / w, a_vv, a_ww);
+        Block b = identity_block(Hk[0], vk[0], dH, dv, dH2, dv, 1.0, a_vv, a_ww);
         acc = a == 0 ? b : merge_blocks(acc, b);
     }
     *lo = D->radius;

@@ -35,10 +35,16 @@ def grim_reaper() -> AnalyticSolution:
 
 
 def grim_reaper_boundary(t: float) -> float:
-    """Exact half-width x_b(t) = artanh(e^t) of the translating solution, t < 0."""
-    if t >= 0:
-        raise ValueError("the translating solution has a boundary only for t < 0")
-    return math.atanh(math.exp(t))
+    """Exact half-width x_b(t) = artanh(e^t) of the translating solution, t < 0.
+
+    ValueError where the half-width is not a positive finite number: for
+    t >= 0, and where e^t rounds to 1 (t > -5.6e-17) or to 0 (t < -745.1).
+    """
+    e = math.exp(t) if t < 0 else 1.0
+    if not 0.0 < e < 1.0:
+        raise ValueError("the translating solution's half-width artanh(e^t) is positive and "
+                         f"finite only where 0 < e^t < 1, not at t = {t}")
+    return math.atanh(e)
 
 
 def grim_reaper_sup_vhat(t: float) -> float:
@@ -81,22 +87,30 @@ def hyperbolic_plane(R: float, J: float = 0.0, sign: int = 1) -> AnalyticSolutio
     )
 
 
-def hyperbolic_plane_mean_curvature(R: float, rho) -> np.ndarray:
-    """Exact |H| = 2/R of the hyperboloid, via the graph formulas (n = 2).
+def radial_graph_mean_curvature(rho, u_r, u_rr):
+    """Mean curvature (n = 2) of a rotationally symmetric graph t = u(rho)
+    from its radial derivatives:
 
-    Assembled from u_rho = rho/sqrt(R^2+rho^2) and u_rhorho through the
-    same two-term expression the discrete geometry uses, so a symbolic
-    cancellation check rather than the constant 2/R directly.
+        H = u_rr / (1 - u_r^2)^(3/2) + (u_r / rho) / sqrt(1 - u_r^2),
+
+    the second quotient's axis limit u_r / rho -> u_rr taken at rho = 0.
+    """
+    m = 1.0 - u_r * u_r
+    angular = np.where(rho > 0, u_r / np.maximum(rho, 1e-300), u_rr) / np.sqrt(m)
+    return u_rr / m**1.5 + angular
+
+
+def hyperbolic_plane_mean_curvature(R: float, rho) -> np.ndarray:
+    """Exact |H| = 2/R of the hyperboloid, via the graph formula (n = 2).
+
+    Assembled from u_rho = rho/sqrt(R^2+rho^2) and u_rhorho through
+    radial_graph_mean_curvature, so a symbolic cancellation check rather
+    than the constant 2/R directly.
     """
     rho = np.asarray(rho, dtype=float)
     R = float(R)
     s = np.sqrt(R * R + rho**2)
-    ur = rho / s
-    urr = R * R / s**3
-    m = 1.0 - ur**2
-    # axis limit of u_rho/rho is u_rhorho
-    angular = np.where(rho > 0, ur / np.maximum(rho, 1e-300), urr) / np.sqrt(m)
-    return urr / m**1.5 + angular
+    return radial_graph_mean_curvature(rho, rho / s, R * R / s**3)
 
 
 def cylinder_disk_constant(c: float) -> AnalyticSolution:

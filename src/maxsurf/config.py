@@ -4,7 +4,8 @@ Lines starting with `#` (or blank) are ignored.  Unknown keys are errors so
 configs stay diff-checkable; parse(serialize(cfg)) round-trips exactly.
 
 Key table (defaults in parentheses; "scenario default" varies per scenario;
-t0, t_end, h_stop and certificate_z must be finite numbers):
+t0, t_end, h_stop and certificate_z must be finite numbers, as must the
+numeric arguments of profile and initial):
 
     scenario            grim_reaper | cylinder_disk | sine_tube | pseudosphere_leaf
     profile             profile spec, e.g. sine_tube(2, 0.5, 1)   (scenario default)
@@ -28,15 +29,30 @@ t0, t_end, h_stop and certificate_z must be finite numbers):
     certificate         build a stability certificate at the end  (false)
     certificate_z       certificate center height on the axis     (initial plane)
 
+Profile specs (trailing parameters may be left out for their defaults):
+
+    cylinder(R)             the vertical cylinder of radius R (1)
+    pseudosphere(A, B)      f = sqrt(A^2 + (z+B)^2)            (1, 0)
+    sine_tube(a, b, w)      f = a + b sin(w z)                 (2, 0.5, 1)
+    trumpet                 the planar boundary y = log sinh |x|
+
+grim_reaper takes the planar trumpet; sine_tube and pseudosphere_leaf take
+any rotational profile; cylinder_disk takes cylinder(R) alone, R being the
+disk's radius: its grid imposes du/drho = 0 on a fixed rim, which is the
+perpendicularity condition of that cylinder and of no other tube.
+
 Initial-data selectors:
 
     translator              the exact translating solution at t0 (grim_reaper)
-    constant(c)             u = c
-    bump(amp)               u = amp (1 - (rho/rho_b)^2)^2
-    plane(widest|thinnest|z)
-    plane_bump(which, amp)  plane plus amp (1 - (rho/rho_b)^2)^2
-    leaf(z)                 the CMC leaf through anchor z (pseudosphere_leaf)
-    nodes(v0, v1, ...)      explicit node values
+    constant(c)             u = c                                (cylinder_disk)
+    bump(amp)               u = amp (1 - (rho/rho_b)^2)^2        (cylinder_disk)
+    plane(widest|thinnest|z)                                     (sine_tube)
+    plane_bump(which, amp)  plane plus amp (1 - (rho/rho_b)^2)^2 (sine_tube)
+    leaf(z)                 the CMC leaf through anchor z        (pseudosphere_leaf)
+    nodes(v0, v1, ...)      explicit node values                 (sine_tube)
+
+A selector takes at most the arguments shown, and the initial data must be
+spacelike (|Du| < 1 at every node).
 """
 
 from __future__ import annotations
@@ -151,9 +167,13 @@ def _parse_selector(text: str) -> tuple:
         for tok in body.split(","):
             tok = tok.strip()
             try:
-                args.append(float(tok))
+                value = float(tok)
             except ValueError:
-                args.append(tok)
+                args.append(tok)        # a name, such as plane(widest)
+                continue
+            if not math.isfinite(value):
+                raise ConfigError(f"selector argument {tok!r} in {text!r} is not a finite number")
+            args.append(value)
     return (name.strip(), tuple(args))
 
 

@@ -35,9 +35,7 @@ from .disk import disk_grid
 from .geometry import (
     FlowState, GridSpec, disk_derivatives, planar_V, rotational_V_factors, trapezoid_weights,
 )
-from .profiles import (
-    RotationalProfile, normal_curvature, planar_boundary_data, profile_curvature, rim_curvature,
-)
+from .profiles import normal_curvature, planar_boundary_data, profile_curvature
 
 CHUNK_STEPS = 65536
 
@@ -277,7 +275,7 @@ def _disk2d_eval(state: FlowState, profile) -> _Eval:
     v_hat = 1.0 / w
     vh2 = v_hat * v_hat
     rhs = (uxx + uyy) + vh2 * (ux * ux * uxx + 2 * ux * uy * uxy + uy * uy * uyy)
-    return _Eval(h, float(m[ins_core].min()), (grid, ux, uy, w, v_hat, rhs))
+    return _Eval(h, float(m[ins_core].min()), (grid, w, v_hat, rhs))
 
 
 def _disk2d_rate(state: FlowState, data):
@@ -293,31 +291,24 @@ def _disk2d_project(state: FlowState, u, boundary, profile):
 
 
 def _disk2d_record(state: FlowState, profile, h, data):
-    grid, ux, uy, w, v_hat, rhs = data
+    grid, w, v_hat, rhs = data
     u = state.u
     ins_core = grid.inside[1:-1, 1:-1]
     H = np.where(ins_core, v_hat * rhs, 0.0)
-    if isinstance(profile, RotationalProfile):
-        dfz, invw = rotational_V_factors(profile, u[1:-1, 1:-1])
-        rsafe = np.maximum(grid.r[1:-1, 1:-1], 1e-300)
-        du_rad = (grid.X[1:-1, 1:-1] * ux + grid.Y[1:-1, 1:-1] * uy) / rsafe
-        v = np.where(ins_core, v_hat * (1.0 - dfz * du_rad) * invw, 1.0)
-    else:
-        v = v_hat
     dV = np.where(ins_core, grid.area_weights[1:-1, 1:-1] * w, 0.0)
     # boundary identities sampled on the offset monitor ring (clean zone,
-    # no ghost values in any sampling cell), with the rim curvature there
+    # no ghost values in any sampling cell); on the cylinder V = e_t, so v is
+    # v_hat, and A(V,V) = -0.0, A(W,W) = 1/R and 1/sqrt(1 - f'^2) = 1
     Hf = np.zeros_like(u)
     Hf[1:-1, 1:-1] = H
     vf = np.ones_like(u)
-    vf[1:-1, 1:-1] = v
-    inv_w, a_vv, a_ww = rim_curvature(profile, grid.rim_values(u))
+    vf[1:-1, 1:-1] = v_hat
     block = _boundary_block(
         grid.rim_values(Hf), grid.rim_values(vf), grid.radial_derivative_at_rim(Hf),
         grid.radial_derivative_at_rim(vf), grid.radial_derivative_at_rim(Hf * Hf),
-        inv_w, a_vv, a_ww,
+        1.0, -0.0, 1.0 / grid.radius,
     )
-    return u[1:-1, 1:-1], v, v_hat, H, dV, (grid.radius, grid.radius), block, ins_core
+    return u[1:-1, 1:-1], v_hat, v_hat, H, dV, (grid.radius, grid.radius), block, ins_core
 
 
 class _Kind(NamedTuple):
@@ -326,13 +317,30 @@ class _Kind(NamedTuple):
     project: Callable    # (state, u, boundary, profile) -> (u, boundary), rim back on the tube
     record: Callable     # (state, profile, h, data) -> the fields of _pack_record
     dim_factor: float    # the dt bound is cfl h^2 m_min / dim_factor
+    takes: Callable      # (grid, profile) -> whether the profile is the boundary the kind imposes
+    boundary: str        # that boundary, for _check_profile's error ({radius}: the grid's)
 
 
 _KINDS = {
-    "curve1d": _Kind(_curve1d_eval, _curve1d_rate, _curve1d_project, _curve1d_record, 1.0),
-    "radial2d": _Kind(_radial2d_eval, _radial2d_rate, _radial2d_project, _radial2d_record, 2.0),
-    "disk2d": _Kind(_disk2d_eval, _disk2d_rate, _disk2d_project, _disk2d_record, 2.0),
+    "curve1d": _Kind(_curve1d_eval, _curve1d_rate, _curve1d_project, _curve1d_record, 1.0,
+                     lambda grid, p: p.boundary_type == "planar", "a planar boundary"),
+    "radial2d": _Kind(_radial2d_eval, _radial2d_rate, _radial2d_project, _radial2d_record, 2.0,
+                      lambda grid, p: p.boundary_type == "rotational", "a rotational tube"),
+    # du/drho = 0 on the fixed rim is the perpendicularity condition of the
+    # vertical cylinder through it and of no other tube
+    "disk2d": _Kind(_disk2d_eval, _disk2d_rate, _disk2d_project, _disk2d_record, 2.0,
+                    lambda grid, p: p.kind == "cylinder" and p.params == (grid.radius,),
+                    "cylinder({radius}), the tube of its rim condition du/drho = 0"),
 }
+
+
+def _check_profile(state: FlowState, profile) -> None:
+    """ValueError unless the profile is the boundary the state's grid kind imposes."""
+    kind = _KINDS[state.grid.kind]
+    if not kind.takes(state.grid, profile):
+        spec = f"{profile.kind}({', '.join(map(repr, profile.params))})"
+        raise ValueError(f"a {state.grid.kind} state needs "
+                         f"{kind.boundary.format(radius=state.grid.radius)}, not {spec}")
 
 
 # -- the step skeleton -------------------------------------------------------------
@@ -341,6 +349,7 @@ _KINDS = {
 def step(state: FlowState, ctrl: StepControl, profile,
          dt: Optional[float] = None) -> FlowState:
     """Advance one explicit step; raises GuardTrip / FlowError on failure."""
+    _check_profile(state, profile)
     return _advance(state, ctrl, profile, _evaluate(state, ctrl, profile), dt)
 
 
@@ -393,10 +402,16 @@ def _underflows(dt: float, t: float) -> bool:
     return dt < 1e-16 * max(1.0, abs(t))
 
 
-def first_step_underflows(state: FlowState, profile, cfl: float) -> bool:
-    """Whether the dt bound of a spacelike start state underflows against its time."""
-    dt = _dt_bound(state, _KINDS[state.grid.kind].evaluate(state, profile), cfl)
-    return 0.0 < dt and _underflows(dt, state.t)   # not spacelike: the guard trips first
+def start_error(state: FlowState, profile, cfl: float) -> Optional[str]:
+    """Why a start state could take no step, or None: its least margin is not
+    positive (or NaN), or its dt bound underflows against its time."""
+    with np.errstate(all="ignore"):
+        ev = _KINDS[state.grid.kind].evaluate(state, profile)
+    if not ev.m_min > 0.0:
+        return f"the initial data are not spacelike: their least margin is {ev.m_min:.3g}"
+    if _underflows(_dt_bound(state, ev, cfl), state.t):
+        return f"|t0| = {abs(state.t)} is too large: the first time step underflows"
+    return None
 
 
 def _newton(phi: Callable, dphi: Callable, x0: float, rim: str) -> float:
@@ -531,9 +546,12 @@ def run(state0: FlowState, ctrl: StepControl, profile, stride: int = 100) -> Tra
     step loop of ``_kernels`` when that library can be built; RK2 runs,
     custom profiles, and every run when it cannot, take the numpy reference
     engine.  A state already at t_end takes no step: its trajectory is itself.
+    A profile that is not the boundary the grid kind imposes (see
+    ``_check_profile``) is a ValueError, before any step.
     """
     if stride < 1:
         raise ValueError("stride must be a positive number of steps")
+    _check_profile(state0, profile)
     if _t_end_reached(state0.t, ctrl.t_end):
         state = state0.copy()
         return Trajectory(record_state(state, ctrl, profile)[None, :], [state], [0],
@@ -591,15 +609,11 @@ def _run_python(state0: FlowState, ctrl: StepControl, profile, stride: int) -> T
 
 
 def comparison_pair_run(state_a: FlowState, state_b: FlowState, ctrl: StepControl,
-                        profile, motion_law_b: Optional[Callable] = None,
-                        stride: int = 100):
-    """Co-evolve an ordered pair with a common time step; track min(u_B - u_A).
-
-    B may follow a user-supplied motion law (a comparison solution with
-    inequalities) instead of the flow itself.
-    """
+                        profile, stride: int = 100):
+    """Co-evolve an ordered pair with a common time step; track min(u_B - u_A)."""
     if state_a.grid != state_b.grid:
         raise ValueError("comparison pair needs a common grid")
+    _check_profile(state_a, profile)
     if np.any(state_b.u < state_a.u - 1e-12):
         raise ValueError("initial data must be ordered: u_A <= u_B nodewise")
     a, b = state_a.copy(), state_b.copy()
@@ -616,20 +630,12 @@ def comparison_pair_run(state_a: FlowState, state_b: FlowState, ctrl: StepContro
             state_steps.append(k)
         try:
             ev_a = _evaluate(a, ctrl, profile)
-            dt = _dt_bound(a, ev_a, ctrl.cfl)
-            if motion_law_b is None:
-                ev_b = _evaluate(b, ctrl, profile)
-                dt = min(dt, _dt_bound(b, ev_b, ctrl.cfl))
+            ev_b = _evaluate(b, ctrl, profile)
+            dt = min(_dt_bound(a, ev_a, ctrl.cfl), _dt_bound(b, ev_b, ctrl.cfl))
             ra = _record(a, profile, ev_a)
             a2 = _advance(a, ctrl, profile, ev_a, dt)
-            if motion_law_b is None:
-                rb = _record(b, profile, ev_b)
-                b2 = _advance(b, ctrl, profile, ev_b, dt)
-            else:
-                udot, bdot = motion_law_b(b)
-                b2 = FlowState(b.grid, b.t + dt, b.u + dt * udot,
-                               _advance_boundary(b.boundary, bdot, dt))
-                rb = record_state(b, ctrl, profile)
+            rb = _record(b, profile, ev_b)
+            b2 = _advance(b, ctrl, profile, ev_b, dt)
         except GuardTrip as trip:
             event, event_time = FlowEvent.GUARD_TRIPPED, trip.t
             break

@@ -6,8 +6,10 @@ A state is a graph height u over a (possibly moving) grid.  Three grid kinds:
              planar boundary; reference coordinate s in [-1, 1].
 * radial2d - a rotationally symmetric graph t = u(rho) in R^3_1 over
              [0, rho_b], rim on a rotational tube; reference s in [0, 1].
-* disk2d   - a general graph t = u(x, y) over a fixed disk (vertical
-             cylinder tube), cell-centered Cartesian nodes; reference
+* disk2d   - a general graph t = u(x, y) over a fixed disk inside the
+             vertical cylinder of its radius, the one tube whose condition
+             du/drho = 0 on a fixed rim the kind imposes (so V = e_t and
+             v = v_hat); cell-centered Cartesian nodes; reference
              coordinate r/R, physical coordinate r.
 
 Each kind's facts live in one table, ``_KINDS`` at the end of this module:
@@ -35,7 +37,7 @@ import numpy as np
 from .disk import disk_grid
 from .profiles import PlanarBoundary, RotationalProfile
 
-class SpacelikeError(RuntimeError):
+class SpacelikeError(ValueError):
     """Raised when a state violates the strict spacelike guard."""
 
 
@@ -251,13 +253,7 @@ def _geometry_disk2d(state: FlowState, profile) -> GeometryFields:
     m22 = a12 * uxy + a22 * uyy
     normA2 = np.where(ins, vh2 * (m11 * m11 + 2.0 * m12 * m21 + m22 * m22), 0.0)
     nu = np.stack([ux * v_hat, uy * v_hat, v_hat], axis=-1)
-    if profile is not None and isinstance(profile, RotationalProfile):
-        dfz, invw = rotational_V_factors(profile, state.u)
-        rsafe = np.maximum(grid.r, 1e-300)
-        du_rad = (grid.X * ux + grid.Y * uy) / rsafe
-        v = np.where(ins, v_hat * (1.0 - dfz * du_rad) * invw, 1.0)
-    else:
-        v = v_hat.copy()
+    v = v_hat.copy()        # V = e_t on the cylinder, the disk's one tube
     dV = np.where(ins, grid.area_weights * w, 0.0)
     return GeometryFields(
         v_hat=v_hat, v=v, nu=nu, H=H, normA2=normA2, dV=dV,

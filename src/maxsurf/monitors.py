@@ -42,9 +42,7 @@ from .flow import Trajectory
 from .geometry import (
     FlowState, d1, disk_gradient, geometry, laplace_beltrami, rotational_V_factors,
 )
-from .profiles import (
-    PlanarBoundary, RotationalProfile, normal_curvature, profile_curvature, rim_curvature,
-)
+from .profiles import PlanarBoundary, RotationalProfile, normal_curvature, profile_curvature
 
 AXIS_EXCLUSION_CELLS = 3
 EDGE_FRACTION = 0.05   # interior = compactly inside: drop a 5% margin per side
@@ -243,13 +241,8 @@ def _disk2d_terms(st: FlowState, g, F: np.ndarray, profile):
                          "no deep-interior node lies 6h inside the rim")
     # read on deep nodes only, whose central stencil reaches no ghost
     grad = np.stack(disk_gradient(F, grid.h, padded=True))
-    # only a constant V (cylinder) is checked: its ambient-derivative terms
-    # vanish; elsewhere the v identity is NaN and skipped
-    rhs_v = np.full_like(g.v, np.nan)
-    if isinstance(profile, RotationalProfile):
-        const = np.abs(profile.df(st.u[..., deep])).max(axis=-1) < 1e-14
-        rhs_v[const] = -(g.v * g.normA2)[const]
-    return np.zeros_like(st.t), g.du, grad, rhs_v, deep, deep
+    # V = e_t on the cylinder: the ambient-derivative terms of the v identity vanish
+    return np.zeros_like(st.t), g.du, grad, -(g.v * g.normA2), deep, deep
 
 
 def _fold_residuals(res, ext, center, inner: slice, keep: np.ndarray, kax: int):
@@ -437,8 +430,7 @@ def _disk2d_certificate(state: FlowState, g, profile, center):
     u_rim = grid.rim_values(state.u)
     du_rim = grid.radial_derivative_at_rim(state.u)
     v_rim = grid.rim_values(g.v)
-    _, a_vv, a_ww = rim_curvature(profile, u_rim)
-    a_nn = normal_curvature(v_rim, a_vv, a_ww)
+    a_nn = normal_curvature(v_rim, -0.0, 1.0 / grid.radius)   # the cylinder's A(V,V), A(W,W)
     ca, sa = np.cos(grid.ring_angles), np.sin(grid.ring_angles)
     R0 = grid.radius
     wsl = np.sqrt(np.maximum(1.0 - du_rim**2, 1e-14))

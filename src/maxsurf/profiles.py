@@ -27,6 +27,7 @@ from typing import Callable
 
 import numpy as np
 
+from .analytic import radial_graph_mean_curvature
 from .lorentz import minkowski_inner
 
 __all__ = [
@@ -36,7 +37,6 @@ __all__ = [
     "CmcLeaf",
     "ProfileError",
     "profile_curvature",
-    "rim_curvature",
     "normal_curvature",
     "planar_boundary_data",
     "check_condition_curvature",
@@ -154,15 +154,6 @@ def profile_curvature(p: RotationalProfile, z: float) -> BoundaryCurvature:
     a_vv = -d2fz / w**3
     a_ww = 1.0 / (fz * w)
     return BoundaryCurvature(mu=mu, V=V, W=[W], A_VV=a_vv, A_WW=[a_ww])
-
-
-def rim_curvature(p: RotationalProfile, z):
-    """(1/sqrt(1-f'^2), A(V,V), A(W,W)) of the tube at heights z, vectorized."""
-    fz = np.asarray(p.f(z), dtype=float)
-    dfz = np.asarray(p.df(z), dtype=float)
-    d2fz = np.asarray(p.d2f(z), dtype=float)
-    w = np.sqrt(1.0 - dfz**2)
-    return 1.0 / w, -d2fz / w**3, 1.0 / (fz * w)
 
 
 def normal_curvature(v, a_vv, a_ww):
@@ -300,16 +291,14 @@ def leaf_time_slope2(p: RotationalProfile, rho, z: float):
 def leaf_mean_curvature(p: RotationalProfile, rho, z: float):
     """Mean curvature of the leaf (n = 2 convention), |H| = 2/R identically.
 
-    Assembled through the graph formulas from the analytic leaf derivatives,
-    so it doubles as an exactness check of the closed forms.
+    Assembled through the graph formula (analytic.radial_graph_mean_curvature)
+    from the analytic leaf derivatives, so it doubles as an exactness check
+    of the closed forms.
     """
     rho = np.asarray(rho, dtype=float)
-    tr = leaf_time_slope(p, rho, z)
-    trr = leaf_time_slope2(p, rho, z)
-    m = 1.0 - tr * tr
     with np.errstate(divide="ignore", invalid="ignore"):
-        angular = np.where(rho > 0, tr / np.maximum(rho, 1e-300), trr) / np.sqrt(m)
-    return trr / m**1.5 + angular
+        return radial_graph_mean_curvature(rho, leaf_time_slope(p, rho, z),
+                                           leaf_time_slope2(p, rho, z))
 
 
 def leaf_time_anchor_rate(p: RotationalProfile, rho, z: float):
@@ -391,31 +380,47 @@ def trumpet(domain=(1e-8, 12.0)) -> PlanarBoundary:
     )
 
 
+# each built-in and the most numeric parameters its spec may give
 _BUILTINS = {
-    "cylinder": cylinder,
-    "pseudosphere": pseudosphere,
-    "sine_tube": sine_tube,
-    "trumpet": trumpet,
+    "cylinder": (cylinder, 1),
+    "pseudosphere": (pseudosphere, 2),
+    "sine_tube": (sine_tube, 3),
+    "trumpet": (trumpet, 0),
 }
 
 
 def profile_from_spec(text: str):
-    """Parse a profile spec like ``pseudosphere(1, 0)`` or ``cylinder``."""
+    """Parse a profile spec like ``pseudosphere(1, 0)`` or ``cylinder``.
+
+    ProfileError for an unknown name, more parameters than the profile takes,
+    a parameter that is not a finite number, or parameters it rejects.
+    """
     text = text.strip()
     if "(" in text:
         name, _, rest = text.partition("(")
         if not rest.endswith(")"):
-            raise ValueError(f"malformed profile spec {text!r}")
-        args_txt = rest[:-1].strip()
-        args = [float(tok) for tok in args_txt.split(",") if tok.strip()] if args_txt else []
+            raise ProfileError(f"malformed profile spec {text!r}")
+        tokens = [tok.strip() for tok in rest[:-1].split(",") if tok.strip()]
     else:
-        name, args = text, []
+        name, tokens = text, []
     name = name.strip()
     if name not in _BUILTINS:
-        raise ValueError(
+        raise ProfileError(
             f"unknown profile {name!r} (built-ins: {', '.join(sorted(_BUILTINS))})"
         )
-    return _BUILTINS[name](*args)
+    build, most = _BUILTINS[name]
+    if len(tokens) > most:
+        raise ProfileError(f"too many parameters in {text!r}: {name} takes at most {most}")
+    args = []
+    for tok in tokens:
+        try:
+            value = float(tok)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise ProfileError(f"profile parameter {tok!r} in {text!r} is not a finite number")
+        args.append(value)
+    return build(*args)
 
 
 def boundary_frame_orthonormal(bc: BoundaryCurvature, tol: float = 1e-12) -> bool:

@@ -25,9 +25,10 @@ from typing import Optional
 
 import numpy as np
 
+from .analytic import radial_graph_mean_curvature
 from .config import ConfigError, ScenarioConfig, parse_config
 from .flow import RECORD_COLUMNS, FlowError, FlowEvent, StepControl, Trajectory, run
-from .geometry import geometry
+from .geometry import SpacelikeError, geometry
 from .monitors import (
     boundary_identities,
     estimate_monitors,
@@ -113,10 +114,17 @@ def write_timeseries(path: str, traj: Trajectory) -> None:
 
 
 def write_profile(path: str, scenario: Scenario, state) -> None:
-    g = geometry(state, scenario.profile)
+    """The final state's nodes and geometry; the geometry columns are NaN where
+    the observer's stencils find the state not spacelike (a one-sided end slope
+    |u_x| >= 1 on a coarse grid, where the flow's imposed slope is below 1)."""
+    try:
+        g = geometry(state, scenario.profile)
+        fields = (g.H, g.v, g.v_hat, g.normA2, g.dV)
+    except SpacelikeError:
+        fields = (np.full(np.shape(state.u), np.nan),) * 5
     at = state.grid.real_nodes()
     rows = np.column_stack([a[at] for a in (state.grid.reference(), state.coords(), state.u,
-                                            g.H, g.v, g.v_hat, g.normA2, g.dV)])
+                                            *fields)])
     with open(path, "wb") as f:
         f.write(b"s,physical_coord,u,H,v,v_hat,normA2,dV\n")
         _write_rows(f, rows)
@@ -243,13 +251,11 @@ def _study_error(scenario: Scenario, traj: Optional[Trajectory]) -> float:
     exact = scenario.exact
     if traj is None:
         # static geometry check, no stepping: mean curvature versus closed form
+        # (0 on a plane or a constant)
         g = geometry(scenario.state0, scenario.profile)
-        if exact.name == "hyperbolic_plane":
-            rho = scenario.state0.coords()
-            H_exact = np.abs(exact.d2u(rho, 0.0) / (1 - exact.du(rho, 0.0) ** 2) ** 1.5
-                             + np.where(rho > 0, exact.du(rho, 0.0) / np.maximum(rho, 1e-300), exact.d2u(rho, 0.0)) / np.sqrt(1 - exact.du(rho, 0.0) ** 2))
-            return float(np.abs(np.abs(g.H) - H_exact).max())
-        return float(np.abs(g.H).max())
+        rho = scenario.state0.coords()
+        H_exact = radial_graph_mean_curvature(rho, exact.du(rho, 0.0), exact.d2u(rho, 0.0))
+        return float(np.abs(np.abs(g.H) - np.abs(H_exact)).max())
     err = 0.0
     for s in traj.states:
         at = s.grid.real_nodes()

@@ -28,9 +28,9 @@ from .analytic import (
 )
 from .config import ConfigError, ScenarioConfig
 from .disk import disk_grid
-from .flow import first_step_underflows
+from .flow import start_error
 from .geometry import FlowState, GridSpec
-from .profiles import cmc_leaf_through, leaf_time, profile_from_spec
+from .profiles import ProfileError, cmc_leaf_through, leaf_time, profile_from_spec
 
 
 @dataclass
@@ -56,6 +56,20 @@ def _resolve_plane_z(profile, which) -> float:
     raise ConfigError(f"unknown plane anchor {which!r}")
 
 
+def _args(cfg: ScenarioConfig, *defaults) -> list:
+    """The initial selector's arguments, the missing trailing ones taken from
+    defaults; where a default is a number, so must the argument be."""
+    name, args = cfg.initial
+    if len(args) > len(defaults):
+        raise ConfigError(f"too many arguments in initial = {name}: it takes at most "
+                          f"{len(defaults)}")
+    out = list(args) + list(defaults[len(args):])
+    for value, default in zip(out, defaults):
+        if isinstance(default, float) and not isinstance(value, float):
+            raise ConfigError(f"initial = {name}: argument {value!r} is not a number")
+    return out
+
+
 def _grid(kind: str, n: int, radius: float = 1.0) -> GridSpec:
     try:
         return GridSpec(kind, n, radius)
@@ -64,15 +78,20 @@ def _grid(kind: str, n: int, radius: float = 1.0) -> GridSpec:
 
 
 def build_scenario(cfg: ScenarioConfig) -> Scenario:
-    """The scenario of a config; ConfigError when its first time step underflows."""
+    """The scenario of a config; ConfigError when its initial data are not
+    spacelike or its first time step underflows."""
     scenario = _build(cfg)
-    if first_step_underflows(scenario.state0, scenario.profile, cfg.cfl):
-        raise ConfigError(f"|t0| = {abs(cfg.t0)} is too large: the first time step underflows")
+    error = start_error(scenario.state0, scenario.profile, cfg.cfl)
+    if error:
+        raise ConfigError(error)
     return scenario
 
 
 def _build(cfg: ScenarioConfig) -> Scenario:
-    profile = profile_from_spec(cfg.profile)
+    try:
+        profile = profile_from_spec(cfg.profile)
+    except ProfileError as exc:
+        raise ConfigError(str(exc)) from exc
     name, args = cfg.initial
     n = cfg.nodes
     if cfg.scenario == "grim_reaper":
@@ -80,9 +99,11 @@ def _build(cfg: ScenarioConfig) -> Scenario:
             raise ConfigError("grim_reaper needs a planar boundary profile")
         if name != "translator":
             raise ConfigError("grim_reaper supports initial = translator")
-        if cfg.t0 >= 0:
-            raise ConfigError("the translating solution needs t0 < 0")
-        xb = grim_reaper_boundary(cfg.t0)
+        _args(cfg)                  # the translator takes no argument
+        try:
+            xb = grim_reaper_boundary(cfg.t0)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         grid = _grid("curve1d", n)
         x = grid.reference() * xb
         u0 = np.log(np.cosh(x)) + cfg.t0
@@ -90,17 +111,21 @@ def _build(cfg: ScenarioConfig) -> Scenario:
         return Scenario(cfg.scenario, profile, state, grim_reaper())
 
     if cfg.scenario == "cylinder_disk":
+        # the disk's du/drho = 0 on a fixed rim is the cylinder's condition alone
+        if profile.kind != "cylinder":
+            raise ConfigError(f"cylinder_disk takes the cylinder(R) profile alone, "
+                              f"not {cfg.profile}")
         radius = profile.params[0]
         grid = _grid("disk2d", n, radius)
         dg = disk_grid(n, radius)
         rho2 = (dg.X**2 + dg.Y**2) / radius**2
         if name == "constant":
-            c = args[0] if args else 0.0
-            u0 = np.where(dg.inside, float(c), 0.0)
-            exact = cylinder_disk_constant(float(c))
+            (c,) = _args(cfg, 0.0)
+            u0 = np.where(dg.inside, c, 0.0)
+            exact = cylinder_disk_constant(c)
         elif name == "bump":
-            amp = args[0] if args else 0.1
-            u0 = np.where(dg.inside, float(amp) * (1.0 - rho2) ** 2, 0.0)
+            (amp,) = _args(cfg, 0.1)
+            u0 = np.where(dg.inside, amp * (1.0 - rho2) ** 2, 0.0)
             exact = None
         elif name == "nodes":
             raise ConfigError("node lists are supported for sine_tube (radial) grids")
@@ -115,20 +140,21 @@ def _build(cfg: ScenarioConfig) -> Scenario:
         grid = _grid("radial2d", n)
         s_ref = grid.reference()
         if name == "plane":
-            z = _resolve_plane_z(profile, args[0] if args else "widest")
+            (which,) = _args(cfg, "widest")
+            z = _resolve_plane_z(profile, which)
             u0 = np.full(n, z)
             rb = float(profile.f(z))
             return Scenario(cfg.scenario, profile, FlowState(grid, cfg.t0, u0, rb),
                             plane(z), plane_z=z)
         if name == "plane_bump":
-            z = _resolve_plane_z(profile, args[0] if args else "widest")
-            amp = float(args[1]) if len(args) > 1 else 0.05
+            which, amp = _args(cfg, "widest", 0.05)
+            z = _resolve_plane_z(profile, which)
             u0 = z + amp * (1.0 - s_ref**2) ** 2
             rb = float(profile.f(z))       # bump vanishes at the rim
             return Scenario(cfg.scenario, profile, FlowState(grid, cfg.t0, u0, rb),
                             None, plane_z=z)
         if name == "nodes":
-            u0 = np.asarray(args, dtype=float)
+            u0 = np.asarray(_args(cfg, *[0.0] * len(args)), dtype=float)   # numbers, any count
             if u0.size != n:
                 raise ConfigError(f"nodes list has {u0.size} entries, grid needs {n}")
             rb = float(profile.f(u0[-1]))
@@ -141,7 +167,7 @@ def _build(cfg: ScenarioConfig) -> Scenario:
         raise ConfigError("pseudosphere_leaf needs a rotational profile")
     if name != "leaf":
         raise ConfigError("pseudosphere_leaf supports initial = leaf(z)")
-    z0 = float(args[0]) if args else 1.0
+    (z0,) = _args(cfg, 1.0)
     leaf = cmc_leaf_through(profile, z0)
     grid = _grid("radial2d", n)
     rb = float(profile.f(z0))

@@ -362,8 +362,7 @@ def test_ac9_avoidance():
     rb = float(p.f(z0))
     st_p = FlowState(rgrid, 0.0, np.full(101, z0), rb)
     st_q = FlowState(rgrid, 0.0, z0 + 0.05 * (1 - s_ref**2) ** 2, rb)
-    out3 = comparison_pair_run(st_p, st_q, StepControl(cfl=0.4, t_end=2.0), p,
-                               motion_law_b=None)
+    out3 = comparison_pair_run(st_p, st_q, StepControl(cfl=0.4, t_end=2.0), p)
     gaps3 = out3["min_gap"]
     checks.append(("sine plane pair", float(gaps3.min()), bool(np.all(gaps3[1:] > 0))))
 

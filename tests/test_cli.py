@@ -1,4 +1,7 @@
+import contextlib
+import io
 import os
+import tempfile
 from types import SimpleNamespace
 
 import numpy as np
@@ -68,6 +71,136 @@ def test_run_exit_3_on_bad_times(tmp_path, out_root, capsys, times):
     assert main(["run", cfg]) == 3
     err = capsys.readouterr().err
     assert err.startswith("config error") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("case", [
+    "scenario = sine_tube\nprofile = foo",
+    "scenario = sine_tube\nprofile = cylinder(1, 2)",
+    "scenario = grim_reaper\nprofile = trumpet(3)",
+    "scenario = cylinder_disk\nprofile = cylinder(-1)",
+    "scenario = cylinder_disk\nprofile = cylinder(nan)",
+    "scenario = cylinder_disk\nprofile = cylinder(inf)",
+    "scenario = sine_tube\nprofile = sine_tube(2, 0.5, nan)",
+    "scenario = sine_tube\nprofile = sine_tube(2, abc)",
+    "scenario = cylinder_disk\ninitial = bump(abc)",
+    "scenario = pseudosphere_leaf\ninitial = leaf(abc)",
+    "scenario = sine_tube\ninitial = plane_bump(widest, abc)",
+    "scenario = sine_tube\ninitial = plane(inf)",
+    "scenario = cylinder_disk\ninitial = constant(nan)",
+    "scenario = cylinder_disk\ninitial = bump(0.1, 0.2)",
+    "scenario = cylinder_disk\ninitial = bump(1.0)",
+    "scenario = grim_reaper\nt0 = -1e-20\nt_end = 0",
+    "scenario = grim_reaper\nt0 = -1000",
+    # the disk's rim condition du/drho = 0 is the cylinder's alone
+    "scenario = cylinder_disk\nprofile = trumpet",
+    "scenario = cylinder_disk\nprofile = pseudosphere(1, 0)",
+])
+def test_run_exit_3_on_bad_profiles_and_initial_data(tmp_path, out_root, capsys, case):
+    cfg = write(tmp_path, "bad.cfg", f"{case}\nnodes = 21\nmax_steps = 5\n")
+    assert main(["run", cfg]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1, err
+
+
+def run_config(keys: dict):
+    """(exit code, stderr) of ``maxsurf run`` on a config of these keys, None
+    values left out, with its outputs in a temporary directory."""
+    with tempfile.TemporaryDirectory() as out:
+        path = os.path.join(out, "run.cfg")
+        with open(path, "w") as f:
+            f.write("".join(f"{k} = {v}\n" for k, v in keys.items() if v is not None)
+                    + f"out_dir = {os.path.join(out, 'o')}\n")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["run", path])
+    return code, err.getvalue()
+
+
+def assert_documented_ending(keys):
+    # an exit code in 0-4 and at most one line on stderr; an exception out
+    # of main fails the test with its traceback
+    code, err = run_config(keys)
+    assert 0 <= code <= 4, keys
+    assert "Traceback" not in err and err.count("\n") <= 1, (keys, err)
+
+
+# each scenario's own profile specs and initial selectors, and the other keys
+# of the documented key space (config.py) with values that hold for every scenario
+SCENARIO_PROFILES = {
+    "grim_reaper": [None, "trumpet"],
+    "cylinder_disk": [None, "cylinder", "cylinder(0.8)"],
+    "sine_tube": [None, "sine_tube(1, 0.1, 3)", "sine_tube(2, 0.99, 1)", "pseudosphere(1, 0.5)",
+                  "cylinder(0.8)"],
+    "pseudosphere_leaf": [None, "pseudosphere(2, 1)", "sine_tube(2, 0.5, 1)", "cylinder"],
+}
+SCENARIO_INITIALS = {
+    "grim_reaper": [None, "translator"],
+    "cylinder_disk": [None, "constant(0.2)", "bump(0.05)", "bump(0.5)", "bump(0.7)"],
+    "sine_tube": [None, "plane(widest)", "plane(thinnest)", "plane(0.5)",
+                  "plane_bump(widest, 0.05)", "plane_bump(0.5, 0.5)",
+                  "nodes(0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1)"],
+    "pseudosphere_leaf": [None, "leaf(1.0)", "leaf(0)", "leaf(2.5)"],
+}
+KEY_SPACE = {
+    "nodes": [6, 7, 9, 13, 21],
+    "t0": [None, -1.0, -0.5],
+    "t_end": [None, "none", 0.01, 0.5],
+    "max_steps": [1, 7, 30],
+    "h_stop": [None, 0, 1e-3, 0.1],
+    "cfl": [None, 0.1, 0.5],
+    "eps_guard": [None, 0.5, 0.9],
+    "integrator": [None, "rk2"],
+    "snapshot_stride": [None, 1, 3],
+    "require_conditions": [None, "true"],
+    "condition_samples": [2, 11],
+    "monitor_volume": [None, "false"],
+    "monitor_boundary": [None, "false"],
+    "monitor_estimates": [None, "false"],
+    "monitor_evolution": [None, "true"],
+    "certificate": [None, "true"],
+    "certificate_z": [None, 0.5],
+}
+BAD_PROFILES = ["foo", "cylinder(1, 2)", "trumpet(3)", "cylinder(-1)", "cylinder(nan)",
+                "cylinder(inf)", "sine_tube(2, 0.5, nan)", "cylinder(abc)", "sine_tube(2, 0.5"]
+PROFILES = sorted({p for ps in SCENARIO_PROFILES.values() for p in ps if p}) + BAD_PROFILES
+# one flaw a config may hold: a bad value, or another scenario's profile or selector
+FLAWS = ([("profile", p) for p in PROFILES]
+         + [("initial", i) for i in sorted({i for c in SCENARIO_INITIALS.values() for i in c
+                                             if i})]
+         + [("initial", i) for i in ["translator(1)", "plane(north)", "nodes(widest)", "moebius",
+                                     "bump(", "constant(nan)", "plane(inf)", "bump(abc)",
+                                     "leaf(abc)", "plane_bump(widest, abc)", "bump(0.1, 0.2)",
+                                     "bump(1.0)"]]
+         + [("nodes", 5), ("t0", -1e-20), ("t0", -1000), ("t0", 0), ("t0", 0.5), ("t0", 1e20),
+            ("t_end", 0), ("t_end", -0.9)])
+
+
+@pytest.mark.parametrize("profile", PROFILES)
+@pytest.mark.parametrize("scenario", sorted(SCENARIO_PROFILES))
+def test_every_scenario_and_profile_ends_in_a_documented_exit_code(scenario, profile):
+    assert_documented_ending({"scenario": scenario, "profile": profile, "nodes": 13,
+                              "max_steps": 7, "snapshot_stride": 1, "monitor_evolution": "true",
+                              "certificate": "true", "condition_samples": 11})
+
+
+@hs.composite
+def configs(draw):
+    """A config of one scenario's own values, with at most one flaw."""
+    scenario = draw(hs.sampled_from(sorted(SCENARIO_PROFILES)))
+    keys = {"scenario": scenario,
+            "profile": draw(hs.sampled_from(SCENARIO_PROFILES[scenario])),
+            "initial": draw(hs.sampled_from(SCENARIO_INITIALS[scenario])),
+            **{k: draw(hs.sampled_from(v)) for k, v in KEY_SPACE.items()}}
+    flaw = draw(hs.none() | hs.sampled_from(FLAWS))
+    if flaw is not None:
+        keys[flaw[0]] = flaw[1]
+    return keys
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(keys=configs())
+def test_generated_configs_end_in_a_documented_exit_code(keys):
+    assert_documented_ending(keys)
 
 
 def test_run_exit_3_when_the_first_step_underflows(tmp_path, out_root, capsys):
@@ -144,6 +277,23 @@ def test_run_reports_an_empty_evolution_core(tmp_path, out_root, capsys, case, c
     errors = [line for line in summary if line.startswith("evolution_error = ")]
     assert len(errors) == 1 and cause in errors[0]
     assert not [line for line in summary if line.startswith(("res_H", "res_v"))]
+
+
+def test_run_on_a_final_state_the_geometry_rejects(tmp_path, out_root, capsys):
+    # a coarse translator near blow-up: the flow's guard, with the boundary's
+    # slope imposed at the ends, lets it run to the step limit, while the
+    # geometry's one-sided end stencils find |u_x| >= 1 there; the run still
+    # writes its outputs, with NaN geometry, and reports no certificate
+    cfg = write(tmp_path, "coarse.cfg",
+                "scenario = grim_reaper\nnodes = 7\nt0 = -0.5\nt_end = none\nmax_steps = 30\n"
+                "integrator = rk2\ncertificate = true\ncertificate_z = 0.5\nout_dir = coarse\n")
+    assert main(["run", cfg]) == 0
+    assert capsys.readouterr().err == ""
+    summary = (out_root / "coarse" / "monitor_summary.txt").read_text().splitlines()
+    assert "event = step_limit" in summary
+    assert "certificate_error = graph is not strictly spacelike" in summary
+    rows = (out_root / "coarse" / "final_profile.csv").read_text().splitlines()[1:]
+    assert len(rows) == 7 and all(r.endswith(",nan,nan,nan,nan,nan") for r in rows)
 
 
 def test_run_exit_4_condition_failure(tmp_path, out_root):

@@ -16,7 +16,7 @@ from maxsurf.monitors import (
     stability_certificate,
     volume_identity,
 )
-from maxsurf.profiles import cylinder, pseudosphere, sine_tube, trumpet
+from maxsurf.profiles import cylinder, sine_tube, trumpet
 
 
 def translator_traj(n, t_end=-0.98, stride=1, max_steps=5_000_000):
@@ -28,13 +28,12 @@ def translator_traj(n, t_end=-0.98, stride=1, max_steps=5_000_000):
     return _run_python(st, ctrl, trumpet(), stride=stride)
 
 
-def disk_traj(n, t_end=0.06, amp=0.1, stride=1, h_stop=0.0, max_steps=5_000_000,
-              profile=None):
+def disk_traj(n, t_end=0.06, amp=0.1, stride=1, h_stop=0.0, max_steps=5_000_000):
     dg = disk_grid(n, 1.0)
     u0 = np.where(dg.inside, amp * (1 - (dg.X**2 + dg.Y**2)) ** 2, 0.0)
     st = FlowState(GridSpec("disk2d", n), 0.0, u0, None)
     ctrl = StepControl(cfl=0.4, t_end=t_end, h_stop=h_stop, max_steps=max_steps)
-    return run(st, ctrl, profile or cylinder(1.0), stride=stride)
+    return run(st, ctrl, cylinder(1.0), stride=stride)
 
 
 def sine_tube_bump_traj(n, t_end=0.02):
@@ -117,8 +116,6 @@ RESIDUAL_PINS = {
                                 "res_v": 1.2497681406634879e-05, "triples": 13},
     "disk2d_bump": {"res_H": 0.13646678277467225, "res_v": 0.007896377571038615,
                     "triples": 41},
-    # per-triple res_v is NaN (V not constant); the running max stays at 0.0
-    "disk2d_pseudosphere_bump": {"res_H": 0.27161857188694205, "res_v": 0.0, "triples": 7},
     "one_triple": {"res_H": 0.00035343576306368085, "res_v": 4.73781732987897e-09,
                    "triples": 1},
 }
@@ -130,8 +127,6 @@ def residual_inputs():
         "curve1d_translator": (translator_traj(51), trumpet()),
         "radial2d_sine_tube_bump": (sine_tube_bump_traj(41), sine_tube(2.0, 0.5, 1.0)),
         "disk2d_bump": (disk_traj(33), cylinder(1.0)),
-        "disk2d_pseudosphere_bump": (disk_traj(33, t_end=0.01, profile=pseudosphere()),
-                                     pseudosphere()),
         "one_triple": (translator_traj(51, max_steps=2), trumpet()),
     }
 
