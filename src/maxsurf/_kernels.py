@@ -260,7 +260,7 @@ def format_rows(rows: np.ndarray, out: np.ndarray) -> int:
 def run_fast(state0, ctrl, profile, stride):
     """Chunked driver around the compiled loop; mirrors flow._run_python."""
     from .flow import (
-        CHUNK_STEPS, FlowEvent, Trajectory, _check_profile, _newton_failure, _step_underflow,
+        CHUNK_STEPS, FlowEvent, Trajectory, check_profile, _newton_failure, _step_underflow,
         record_state,
     )
     from .geometry import FlowState
@@ -270,7 +270,7 @@ def run_fast(state0, ctrl, profile, stride):
     kind = KINDS[grid.kind]
     shape = np.shape(state0.u)
     s_ref = grid.reference()    # per node, so of u's shape; unread on the disk
-    _check_profile(state0, profile)
+    check_profile(grid, profile)
     code, n_params = PROFILES[profile.kind]
     if shape != s_ref.shape or len(profile.params) != n_params:
         raise ValueError(f"a {grid.kind} state with the {profile.kind} profile "

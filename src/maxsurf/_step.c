@@ -128,6 +128,17 @@ static double rot_df(int code, const double *p, double z)
     return p[1] * p[2] * cos(p[2] * z);
 }
 
+/* rot_df as profile.df evaluates it over an array (the radial record's v
+ * pass): numpy's array power takes (z+B)**2 as x*x, not as pow */
+static double rot_df_array(int code, const double *p, double z)
+{
+    if (code == P_PSEUDOSPHERE) {
+        double zb = z + p[1];
+        return zb / sqrt(p[0] * p[0] + zb * zb);
+    }
+    return rot_df(code, p, z);
+}
+
 static double rot_d2f(int code, const double *p, double z)
 {
     if (code == P_CYLINDER)
@@ -311,8 +322,8 @@ static Sups take_sups(const Step *S)
     return s;
 }
 
-/* u_x, the margin and u_xx / margin on spacing h: central differences
- * inside, the given slopes at the ends; sets h and the least margin */
+/* u_x, the margin and u_xx / margin on spacing h (flow._line_eval): central
+ * differences inside, the given slopes at the ends; sets h and the least margin */
 static void stencil(Step *S, double h, double slope_lo, double slope_hi)
 {
     const int64_t n = S->n;
@@ -377,7 +388,7 @@ static double pairwise_sum(const double *a, int64_t n)
     return pairwise_sum(a, n2) + pairwise_sum(a + n2, n - n2);
 }
 
-/* the record fields of a line grid (flow._curve1d_record, _radial2d_record):
+/* the record fields of a line grid (flow._line_record):
  * w = sqrt(m), v_hat = 1/w, H = v_hat rhs with the one-sided ends, v = (v w)/w
  * and dV = (dV per unit w h) w h, with half cells at the ends */
 static void line_record(Step *S)
@@ -531,7 +542,7 @@ static void radial2d_evaluate(Step *S)
     S->bdot[0] = S->bdot[1] = rdot;
 
     for (int64_t i = 0; i < n; ++i) {
-        double dfz = rot_df(S->code, S->prm, u[i]);
+        double dfz = rot_df_array(S->code, S->prm, u[i]);
         double rho = i == n - 1 ? rb : (double)i * h;
         S->v[i] = (1.0 - dfz * S->ux[i]) * (1.0 / sqrt(1.0 - dfz * dfz));
         S->dV[i] = twopi * rho;

@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import ConfigError, parse_config
+from .config import ConfigError, read_config
 from .flow import FlowError
 from .runner import (
     EXIT_BREAKDOWN,
@@ -23,14 +23,6 @@ from .runner import (
     run_batch,
     run_scenario,
 )
-
-
-def _load(path: str):
-    try:
-        with open(path) as f:
-            return parse_config(f.read())
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
 
 
 def main(argv=None) -> int:
@@ -51,17 +43,17 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "run":
-            report, _ = run_scenario(_load(args.config))
+            report, _ = run_scenario(read_config(args.config))
             print(f"event = {report.event.value if report.event else 'condition_check'}")
             print(f"outputs in {report.out_dir}")
             return report.code
         if args.command == "check-boundary":
-            report = check_boundary(_load(args.config))
+            report = check_boundary(read_config(args.config))
             for key in sorted(report.summary):
                 print(f"{key} = {report.summary[key]}")
             return report.code
         if args.command == "converge":
-            rows = convergence_study(_load(args.config), args.levels)
+            rows = convergence_study(read_config(args.config), args.levels)
             print("nodes, max_error, order")
             for nodes_k, err, order in rows:
                 otxt = "" if order is None else (

@@ -41,18 +41,30 @@ any rotational profile; cylinder_disk takes cylinder(R) alone, R being the
 disk's radius: its grid imposes du/drho = 0 on a fixed rim, which is the
 perpendicularity condition of that cylinder and of no other tube.
 
-Initial-data selectors:
+Initial-data selectors, per scenario (defaults in parentheses):
 
-    translator              the exact translating solution at t0 (grim_reaper)
-    constant(c)             u = c                                (cylinder_disk)
-    bump(amp)               u = amp (1 - (rho/rho_b)^2)^2        (cylinder_disk)
-    plane(widest|thinnest|z)                                     (sine_tube)
-    plane_bump(which, amp)  plane plus amp (1 - (rho/rho_b)^2)^2 (sine_tube)
-    leaf(z)                 the CMC leaf through anchor z        (pseudosphere_leaf)
-    nodes(v0, v1, ...)      explicit node values                 (sine_tube)
+    grim_reaper
+      translator              the exact translating solution at t0; its rim
+                              artanh(e^t0) must lie in the trumpet's domain
+    cylinder_disk
+      constant(c)             u = c                                   (0)
+      bump(amp)               u = amp (1 - (rho/rho_b)^2)^2           (0.1)
+    sine_tube
+      plane(which)            the plane t = z at which = widest, thinnest
+                              or a height z                           (widest)
+      plane_bump(which, amp)  plane plus amp (1 - (rho/rho_b)^2)^2    (widest, 0.05)
+      nodes(v0, v1, ...)      explicit node values, one per node
+    pseudosphere_leaf
+      leaf(z)                 the CMC leaf through anchor z           (1)
 
 A selector takes at most the arguments shown, and the initial data must be
 spacelike (|Du| < 1 at every node).
+
+Every invalid config is a ConfigError, printed as one line `config error:
+...` (exit 3).  A selector of another scenario reads `<scenario> does not
+support initial = <name> (it takes <its selectors>)`; a profile its grid kind
+does not take reads `<scenario>: a <kind> state needs <boundary>, not
+<profile>`.
 """
 
 from __future__ import annotations
@@ -60,8 +72,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 from typing import Optional, Tuple
-
-SCENARIOS = ("grim_reaper", "cylinder_disk", "sine_tube", "pseudosphere_leaf")
 
 _SCENARIO_DEFAULTS = {
     "grim_reaper": {"profile": "trumpet", "t0": -1.0, "t_end": -0.3,
@@ -73,6 +83,7 @@ _SCENARIO_DEFAULTS = {
     "pseudosphere_leaf": {"profile": "pseudosphere(1, 0)", "t0": 0.0, "t_end": 0.0,
                           "initial": ("leaf", (1.0,))},
 }
+SCENARIOS = tuple(_SCENARIO_DEFAULTS)
 
 
 class ConfigError(ValueError):
@@ -226,6 +237,22 @@ def parse_config(text: str) -> ScenarioConfig:
     cfg = ScenarioConfig(**values)
     cfg._explicit = explicit
     return cfg.validated()
+
+
+def read_config(path: str) -> ScenarioConfig:
+    """Parse and validate the config file at path: ConfigError when it cannot
+    be read (missing, a directory, unreadable) or is not UTF-8 text."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
+    except FileNotFoundError as exc:
+        raise ConfigError(f"config file not found: {path}") from exc
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8 text: {exc.reason} at byte "
+                          f"{exc.start}") from exc
+    return parse_config(text)
 
 
 def serialize(cfg: ScenarioConfig) -> str:

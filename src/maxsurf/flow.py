@@ -20,7 +20,8 @@ trajectory event rather than an exception from `run`.
 
 Each grid kind supplies only what differs (an evaluation, a rate, a
 projection back onto the boundary and its record fields, see ``_KINDS``);
-one step skeleton and one record packer serve all three.
+one step skeleton and one record packer serve all three.  The line kinds
+share one stencil, record body and end block, as in ``_step.c``.
 """
 
 from __future__ import annotations
@@ -113,34 +114,60 @@ class _Eval(NamedTuple):
     data: tuple
 
 
+# -- the line kinds: one stencil, one record body -------------------------------
+
+
+def _line_eval(u, h, slope_lo, slope_hi):
+    """u_x, u_xx, 1 - u_x^2 and the (low, high) one-sided end u_xx of a line
+    grid with the slopes du/dx imposed at its ends.  The ends' u_xx takes the
+    ghost (mirror-slope) form, which keeps the interior stencil's stability
+    bound; the one-sided form gives the boundary speeds and the recorded H.
+    """
+    ux = np.empty_like(u)
+    ux[1:-1] = (u[2:] - u[:-2]) / (2.0 * h)
+    ux[0] = slope_lo
+    ux[-1] = slope_hi
+    uxx = np.empty_like(u)
+    uxx[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / (h * h)
+    # the high end is the low end of the reversed grid, whose slope is -du/dx
+    (uxx[0], lo2), (uxx[-1], hi2) = _end_uxx(u, h, slope_lo), _end_uxx(u[::-1], h, -slope_hi)
+    return ux, uxx, 1.0 - ux * ux, (lo2, hi2)
+
+
+def _end_uxx(u, h, slope):
+    """(ghost form, one-sided form) of u_xx at u[0], whose slope is imposed."""
+    return ((2.0 * u[1] - 2.0 * u[0] - 2.0 * h * slope) / (h * h),
+            (-3.5 * u[0] + 4.0 * u[1] - 0.5 * u[2] - 3.0 * h * slope) / (h * h))
+
+
+def _line_record(u, h, m, rhs, rhs_ends, vw, unit, bounds, ends):
+    """_pack_record's fields of a line grid: w = sqrt(m), v_hat = 1/w, H with
+    rhs_ends at the ends, v = vw/w, dV = unit w trapezoid, and _end_block at
+    each (hi, A_VV, A_WW) of ends."""
+    w = np.sqrt(m)
+    v_hat = 1.0 / w
+    H = v_hat * rhs
+    H[0] = v_hat[0] * rhs_ends[0]
+    H[-1] = v_hat[-1] * rhs_ends[1]
+    v = vw / w
+    dV = unit * w * trapezoid_weights(u.size, h)
+    blocks = [_end_block(H, v, w, h, hi, a_vv, a_ww) for hi, a_vv, a_ww in ends]
+    return u, v, v_hat, H, dV, bounds, tuple(zip(*blocks))
+
+
 # -- curve1d: both ends on a planar boundary ------------------------------------
 
 
 def _curve1d_eval(state: FlowState, profile) -> _Eval:
     """PDE data on the current grid: derivatives, margins, boundary rates."""
     u, (xl, xr) = state.u, state.boundary
-    n = u.size
-    h = (xr - xl) / (n - 1)
+    h = (xr - xl) / (u.size - 1)
     dsR = float(profile.ds(xr))
     dsL = float(profile.ds(abs(xl)))
-    slope_r = 1.0 / dsR
-    slope_l = -1.0 / dsL
-    ux = np.empty_like(u)
-    ux[1:-1] = (u[2:] - u[:-2]) / (2.0 * h)
-    ux[0] = slope_l
-    ux[-1] = slope_r
-    uxx = np.empty_like(u)
-    uxx[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / (h * h)
-    # ghost (mirror-slope) form for the update: keeps the explicit stability
-    # bound of the interior stencil
-    uxx[0] = (2.0 * u[1] - 2.0 * u[0] - 2.0 * h * slope_l) / (h * h)
-    uxx[-1] = (2.0 * u[-2] - 2.0 * u[-1] + 2.0 * h * slope_r) / (h * h)
-    m = 1.0 - ux * ux
+    ux, uxx, m, (uxx_l2, uxx_r2) = _line_eval(u, h, -1.0 / dsL, 1.0 / dsR)
     rhs = uxx / m
-    # boundary speeds from the second-order one-sided second derivative
-    # (the rim values themselves are projected back onto the boundary curve)
-    uxx_l2 = (-3.5 * u[0] + 4.0 * u[1] - 0.5 * u[2] - 3.0 * h * slope_l) / (h * h)
-    uxx_r2 = (-3.5 * u[-1] + 4.0 * u[-2] - 0.5 * u[-3] + 3.0 * h * slope_r) / (h * h)
+    # boundary speeds from the one-sided end u_xx (the rim values themselves
+    # are projected back onto the boundary curve)
     rhs2 = (uxx_l2 / m[0], uxx_r2 / m[-1])
     xdot_r = rhs2[1] * dsR / (dsR * dsR - 1.0)
     xdot_l = -rhs2[0] * dsL / (dsL * dsL - 1.0)
@@ -176,18 +203,10 @@ def _curve1d_project(state: FlowState, u, boundary, profile):
 def _curve1d_record(state: FlowState, profile, h, data):
     ux, m, rhs, _, rhs2 = data
     u, (xl, xr) = state.u, state.boundary
-    w = np.sqrt(m)
-    v_hat = 1.0 / w
-    H = v_hat * rhs
-    # end values from the second-order one-sided stencil (records only)
-    H[0] = v_hat[0] * rhs2[0]
-    H[-1] = v_hat[-1] * rhs2[1]
     Vx, Vt = planar_V(profile, state.coords())
-    v = (Vt - Vx * ux) / w
-    dV = w * trapezoid_weights(u.size, h)
-    ends = [_end_block(H, v, w, h, side, planar_boundary_data(profile, xb).A_VV, 0.0)
-            for side, xb in (("lo", xl), ("hi", xr))]
-    return u, v, v_hat, H, dV, (xl, xr), tuple(zip(*ends))
+    ends = [(hi, planar_boundary_data(profile, xb).A_VV, 0.0)
+            for hi, xb in ((False, xl), (True, xr))]
+    return _line_record(u, h, m, rhs, rhs2, Vt - Vx * ux, 1.0, (xl, xr), ends)
 
 
 # -- radial2d: rim on a rotational tube -----------------------------------------
@@ -199,23 +218,14 @@ def _radial2d_eval(state: FlowState, profile) -> _Eval:
     h = rho_b / (n - 1)
     rho = np.linspace(0.0, rho_b, n)
     dfb = float(profile.df(u[-1]))
-    slope_b = dfb
-    ux = np.empty_like(u)
-    ux[1:-1] = (u[2:] - u[:-2]) / (2.0 * h)
-    ux[0] = 0.0
-    ux[-1] = slope_b
-    uxx = np.empty_like(u)
-    uxx[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / (h * h)
-    uxx[0] = 2.0 * (u[1] - u[0]) / (h * h)     # even extension across the axis
-    uxx[-1] = (2.0 * u[-2] - 2.0 * u[-1] + 2.0 * h * slope_b) / (h * h)
-    m = 1.0 - ux * ux
+    # slope 0 on the axis: the ghost form there is the even extension 2 (u_1 - u_0) / h^2
+    ux, uxx, m, (_, uxx_b2) = _line_eval(u, h, 0.0, dfb)
     rhs = np.empty_like(u)
     rhs[1:] = uxx[1:] / m[1:] + ux[1:] / rho[1:]
     rhs[0] = uxx[0] * (1.0 / m[0] + 1.0)
-    uxx_b2 = (-3.5 * u[-1] + 4.0 * u[-2] - 0.5 * u[-3] + 3.0 * h * slope_b) / (h * h)
     rhs_b2 = uxx_b2 / m[-1] + ux[-1] / rho[-1]
     rdot = dfb * rhs_b2 / (1.0 - dfb * dfb)
-    return _Eval(h, float(m.min()), (rho, ux, m, rhs, rdot, rhs_b2))
+    return _Eval(h, float(m.min()), (rho, ux, m, rhs, rdot, (rhs[0], rhs_b2)))
 
 
 def _radial2d_rate(state: FlowState, data):
@@ -247,18 +257,12 @@ def _radial2d_project(state: FlowState, u, rb, profile):
 
 
 def _radial2d_record(state: FlowState, profile, h, data):
-    rho, ux, m, rhs, _, rhs_b2 = data
+    rho, ux, m, rhs, _, rhs_ends = data
     u = state.u
-    w = np.sqrt(m)
-    v_hat = 1.0 / w
-    H = v_hat * rhs
-    H[-1] = v_hat[-1] * rhs_b2
     dfz, invw = rotational_V_factors(profile, u)
-    v = (1.0 - dfz * ux) * invw / w
-    dV = 2.0 * np.pi * rho * w * trapezoid_weights(u.size, h)
     bc = profile_curvature(profile, float(u[-1]))
-    block = _end_block(H, v, w, h, "hi", bc.A_VV, bc.A_WW[0])
-    return u, v, v_hat, H, dV, (0.0, state.boundary), tuple(zip(block))
+    return _line_record(u, h, m, rhs, rhs_ends, (1.0 - dfz * ux) * invw, 2.0 * np.pi * rho,
+                        (0.0, state.boundary), [(True, bc.A_VV, bc.A_WW[0])])
 
 
 # -- disk2d: fixed disk inside a vertical cylinder --------------------------------
@@ -318,7 +322,7 @@ class _Kind(NamedTuple):
     record: Callable     # (state, profile, h, data) -> the fields of _pack_record
     dim_factor: float    # the dt bound is cfl h^2 m_min / dim_factor
     takes: Callable      # (grid, profile) -> whether the profile is the boundary the kind imposes
-    boundary: str        # that boundary, for _check_profile's error ({radius}: the grid's)
+    boundary: str        # that boundary, for check_profile's error ({radius}: the grid's)
 
 
 _KINDS = {
@@ -334,13 +338,13 @@ _KINDS = {
 }
 
 
-def _check_profile(state: FlowState, profile) -> None:
-    """ValueError unless the profile is the boundary the state's grid kind imposes."""
-    kind = _KINDS[state.grid.kind]
-    if not kind.takes(state.grid, profile):
+def check_profile(grid: GridSpec, profile) -> None:
+    """ValueError unless the profile is the boundary the grid's kind imposes."""
+    kind = _KINDS[grid.kind]
+    if not kind.takes(grid, profile):
         spec = f"{profile.kind}({', '.join(map(repr, profile.params))})"
-        raise ValueError(f"a {state.grid.kind} state needs "
-                         f"{kind.boundary.format(radius=state.grid.radius)}, not {spec}")
+        raise ValueError(f"a {grid.kind} state needs "
+                         f"{kind.boundary.format(radius=grid.radius)}, not {spec}")
 
 
 # -- the step skeleton -------------------------------------------------------------
@@ -349,7 +353,7 @@ def _check_profile(state: FlowState, profile) -> None:
 def step(state: FlowState, ctrl: StepControl, profile,
          dt: Optional[float] = None) -> FlowState:
     """Advance one explicit step; raises GuardTrip / FlowError on failure."""
-    _check_profile(state, profile)
+    check_profile(state.grid, profile)
     return _advance(state, ctrl, profile, _evaluate(state, ctrl, profile), dt)
 
 
@@ -486,39 +490,22 @@ def _boundary_block(H_b, v_b, dH, dv, dH2, inv_w, a_vv, a_ww, grad_v_2pt=None):
     return res_H, res_v, gv, h2_ineq, a_nn
 
 
-def _end_block(H, v, w, h, side, a_vv, a_ww):
-    """_boundary_block at one end of a 1d grid."""
-    idx = 0 if side == "lo" else -1
-    H_b, dH = _rim_extrapolated(H, h, side)
-    _, dH2 = _rim_extrapolated(H * H, h, side)
-    dv = _one_sided_end(v, h, side)
-    # sign-exact first-order difference: v attains its minimum 1 at the rim
-    dv2pt = (v[0] - v[1]) / h if side == "lo" else (v[-1] - v[-2]) / h
-    return _boundary_block(float(H_b), float(v[idx]), dH, dv, dH2, 1.0 / float(w[idx]),
-                           a_vv, a_ww, grad_v_2pt=float(dv2pt))
-
-
-def _one_sided_end(arr, h, side):
-    if side == "hi":
-        return (3.0 * arr[-1] - 4.0 * arr[-2] + arr[-3]) / (2.0 * h)
-    return -(3.0 * arr[0] - 4.0 * arr[1] + arr[2]) / (2.0 * h)
-
-
-def _rim_extrapolated(arr, h, side):
-    """(value, outward derivative) at the rim from the three nodes inside it.
-
-    Quadratic fit through the first fully-centered nodes; the rim node itself
-    is skipped because second-derivative quantities carry the moving-boundary
-    error layer there.
+def _end_block(H, v, w, h, hi, a_vv, a_ww):
+    """_boundary_block at the low end of a 1d grid, or at the high end (hi)
+    read as the low end of the reversed arrays.  H and H^2 at the rim and their
+    outward derivatives come from the quadratic through the three nodes inside
+    it: the rim node carries the moving-boundary error layer of second
+    derivatives.  v's one-sided derivative is taken along +x at the low end, as
+    in _step.c; the recorded grad v is the sign-exact 2-point difference.
     """
-    if side == "hi":
-        f1, f2, f3 = arr[-2], arr[-3], arr[-4]
-    else:
-        f1, f2, f3 = arr[1], arr[2], arr[3]
-    val = 3.0 * f1 - 3.0 * f2 + f3
-    # outward = against the inward-distance variable, on either side
-    dval = (2.5 * f1 - 4.0 * f2 + 1.5 * f3) / h
-    return val, dval
+    if hi:
+        H, v, w = H[::-1], v[::-1], w[::-1]
+    f1, f2, f3 = H[1], H[2], H[3]
+    dv = (3.0 * v[0] - 4.0 * v[1] + v[2]) / (2.0 * h)
+    return _boundary_block(float(3.0 * f1 - 3.0 * f2 + f3), float(v[0]),
+                           (2.5 * f1 - 4.0 * f2 + 1.5 * f3) / h, dv if hi else -dv,
+                           (2.5 * (f1 * f1) - 4.0 * (f2 * f2) + 1.5 * (f3 * f3)) / h,
+                           1.0 / float(w[0]), a_vv, a_ww, grad_v_2pt=float((v[0] - v[1]) / h))
 
 
 def _record(state: FlowState, profile, ev: _Eval) -> np.ndarray:
@@ -547,11 +534,11 @@ def run(state0: FlowState, ctrl: StepControl, profile, stride: int = 100) -> Tra
     custom profiles, and every run when it cannot, take the numpy reference
     engine.  A state already at t_end takes no step: its trajectory is itself.
     A profile that is not the boundary the grid kind imposes (see
-    ``_check_profile``) is a ValueError, before any step.
+    ``check_profile``) is a ValueError, before any step.
     """
     if stride < 1:
         raise ValueError("stride must be a positive number of steps")
-    _check_profile(state0, profile)
+    check_profile(state0.grid, profile)
     if _t_end_reached(state0.t, ctrl.t_end):
         state = state0.copy()
         return Trajectory(record_state(state, ctrl, profile)[None, :], [state], [0],
@@ -613,7 +600,7 @@ def comparison_pair_run(state_a: FlowState, state_b: FlowState, ctrl: StepContro
     """Co-evolve an ordered pair with a common time step; track min(u_B - u_A)."""
     if state_a.grid != state_b.grid:
         raise ValueError("comparison pair needs a common grid")
-    _check_profile(state_a, profile)
+    check_profile(state_a.grid, profile)
     if np.any(state_b.u < state_a.u - 1e-12):
         raise ValueError("initial data must be ordered: u_A <= u_B nodewise")
     a, b = state_a.copy(), state_b.copy()

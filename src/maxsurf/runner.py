@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .analytic import radial_graph_mean_curvature
-from .config import ConfigError, ScenarioConfig, parse_config
+from .config import ConfigError, ScenarioConfig, read_config
 from .flow import RECORD_COLUMNS, FlowError, FlowEvent, StepControl, Trajectory, run
 from .geometry import SpacelikeError, geometry
 from .monitors import (
@@ -271,6 +271,8 @@ def convergence_study(cfg: ScenarioConfig, levels: int, write: bool = True) -> l
     """
     from dataclasses import replace
 
+    if levels < 1:
+        raise ConfigError(f"a convergence study needs at least 1 level, not {levels}")
     rows = []
     errors = []
     for k in range(levels):
@@ -308,9 +310,7 @@ def convergence_study(cfg: ScenarioConfig, levels: int, write: bool = True) -> l
 def _batch_worker(path: str) -> tuple:
     """(path, exit code) of one run; a bad file does not stop the others."""
     try:
-        with open(path) as f:
-            cfg = parse_config(f.read())
-        report, _ = run_scenario(cfg)
+        report, _ = run_scenario(read_config(path))
     except ConfigError as exc:
         print(f"{path}: config error: {exc}", file=sys.stderr)
         return path, EXIT_CONFIG
@@ -321,14 +321,22 @@ def _batch_worker(path: str) -> tuple:
 
 
 def run_batch(directory: str, max_workers: Optional[int] = None) -> dict:
-    """Run every *.cfg in a directory concurrently (one process per run)."""
-    paths = sorted(
-        os.path.join(directory, p) for p in os.listdir(directory) if p.endswith(".cfg")
-    )
+    """Run every *.cfg in a directory concurrently (one process per run, at
+    most max_workers, >= 1, at once; by default one per CPU)."""
+    if max_workers is not None and max_workers < 1:
+        raise ConfigError(f"the worker count must be >= 1, not {max_workers}")
+    try:
+        names = os.listdir(directory)
+    except OSError as exc:
+        raise ConfigError(f"cannot list batch directory {directory}: "
+                          f"{exc.strerror or exc}") from exc
+    paths = sorted(os.path.join(directory, p) for p in names if p.endswith(".cfg"))
     if not paths:
         raise ConfigError(f"no .cfg files in {directory}")
     results = {}
-    with ProcessPoolExecutor(max_workers=max_workers) as pool:
+    # no more workers than files: a fork pool starts all its workers at once
+    workers = min(max_workers or os.cpu_count() or 1, len(paths))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         for path, code in pool.map(_batch_worker, paths):
             results[path] = code
     return results

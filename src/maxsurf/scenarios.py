@@ -8,13 +8,17 @@ sine_tube          rotational tube f = a + b sin(w z) (radial2d); stable and
                    unstable tangent planes at the radius extrema.
 pseudosphere_leaf  a CMC leaf inside the pseudo-sphere tube (radial2d);
                    static geometry checks against |H| = 2/R.
+
+Each scenario is one entry of ``_SCENARIOS``; ``build_scenario`` builds its
+grid, asks the kind whether it takes the profile (``flow.check_profile``) and
+calls the selector's builder.  Nothing branches on a scenario or selector name.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -28,9 +32,9 @@ from .analytic import (
 )
 from .config import ConfigError, ScenarioConfig
 from .disk import disk_grid
-from .flow import start_error
+from .flow import check_profile, start_error
 from .geometry import FlowState, GridSpec
-from .profiles import ProfileError, cmc_leaf_through, leaf_time, profile_from_spec
+from .profiles import cmc_leaf_through, leaf_time, profile_from_spec
 
 
 @dataclass
@@ -42,24 +46,101 @@ class Scenario:
     plane_z: Optional[float] = None      # reference plane height, if any
 
 
+# named plane heights in quarter periods pi / (2 w) of the sine tube a + b sin(w z)
+_PLANE_ANCHORS = {"sine_tube": {"widest": 1.0, "thinnest": 3.0}}
+
+
 def _resolve_plane_z(profile, which) -> float:
     """Map widest/thinnest to anchor heights of a sine tube, or pass floats."""
     if isinstance(which, float):
         return which
-    if profile.kind != "sine_tube":
+    anchors = _PLANE_ANCHORS.get(profile.kind)
+    if anchors is None:
         raise ConfigError("named plane anchors need the sine_tube profile")
-    a, b, omega = profile.params
-    if which == "widest":
-        return math.pi / (2.0 * omega)
-    if which == "thinnest":
-        return 3.0 * math.pi / (2.0 * omega)
-    raise ConfigError(f"unknown plane anchor {which!r}")
+    if which not in anchors:
+        raise ConfigError(f"unknown plane anchor {which!r}")
+    return anchors[which] * math.pi / (2.0 * profile.params[2])
 
 
-def _args(cfg: ScenarioConfig, *defaults) -> list:
-    """The initial selector's arguments, the missing trailing ones taken from
-    defaults; where a default is a number, so must the argument be."""
-    name, args = cfg.initial
+def _translator(cfg, profile, grid):
+    """The exact translating solution at t0; its rim must lie in the domain."""
+    try:
+        xb = grim_reaper_boundary(cfg.t0)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    lo, hi = profile.domain
+    if not lo <= xb <= hi:
+        raise ConfigError(f"the translator's half-width artanh(e^t0) = {xb:.6g} at t0 = "
+                          f"{cfg.t0} lies outside the boundary's domain [{lo:g}, {hi:g}]")
+    x = grid.reference() * xb
+    return np.log(np.cosh(x)) + cfg.t0, (-xb, xb), grim_reaper(), None
+
+
+def _constant(cfg, profile, grid, c):
+    dg = disk_grid(grid.n, grid.radius)
+    return np.where(dg.inside, c, 0.0), None, cylinder_disk_constant(c), None
+
+
+def _bump(cfg, profile, grid, amp):
+    dg = disk_grid(grid.n, grid.radius)
+    rho2 = (dg.X**2 + dg.Y**2) / grid.radius**2
+    return np.where(dg.inside, amp * (1.0 - rho2) ** 2, 0.0), None, None, None
+
+
+def _plane(cfg, profile, grid, which):
+    z = _resolve_plane_z(profile, which)
+    return np.full(grid.n, z), float(profile.f(z)), plane(z), z
+
+
+def _plane_bump(cfg, profile, grid, which, amp):
+    z = _resolve_plane_z(profile, which)
+    u0 = z + amp * (1.0 - grid.reference()**2) ** 2
+    return u0, float(profile.f(z)), None, z          # the bump vanishes at the rim
+
+
+def _nodes(cfg, profile, grid, *values):
+    u0 = np.asarray(values, dtype=float)
+    if u0.size != grid.n:
+        raise ConfigError(f"nodes list has {u0.size} entries, grid needs {grid.n}")
+    return u0, float(profile.f(u0[-1])), None, None
+
+
+def _leaf(cfg, profile, grid, z0):
+    leaf = cmc_leaf_through(profile, z0)
+    rb = float(profile.f(z0))
+    u0 = np.asarray(leaf_time(profile, grid.reference() * rb, z0), dtype=float)
+    if leaf.kind == "hyperbolic_plane":
+        return u0, rb, hyperbolic_plane(leaf.R, leaf.J, leaf.sign), None
+    return u0, rb, plane(z0), z0
+
+
+class _Spec(NamedTuple):
+    kind: str            # the grid kind
+    # selector -> (builder, default arguments; None: any count of numbers); a
+    # builder maps (cfg, profile, grid, *arguments) to (u0, boundary, exact
+    # solution or None, plane height or None)
+    initials: dict
+    radius: Callable = lambda profile: 1.0     # the grid's radius
+
+
+_SCENARIOS = {
+    "grim_reaper": _Spec("curve1d", {"translator": (_translator, ())}),
+    # the disk's radius is the cylinder's; the kind refuses any other profile
+    "cylinder_disk": _Spec("disk2d", {"constant": (_constant, (0.0,)), "bump": (_bump, (0.1,))},
+                           lambda p: p.params[0] if p.kind == "cylinder" else 1.0),
+    "sine_tube": _Spec("radial2d", {"plane": (_plane, ("widest",)),
+                                    "plane_bump": (_plane_bump, ("widest", 0.05)),
+                                    "nodes": (_nodes, None)}),
+    "pseudosphere_leaf": _Spec("radial2d", {"leaf": (_leaf, (1.0,))}),
+}
+
+
+def _args(name: str, args: tuple, defaults: Optional[tuple]) -> list:
+    """The selector's arguments, the missing trailing ones taken from defaults
+    (None: any count of numbers); where a default is a number, so must the
+    argument be."""
+    if defaults is None:
+        defaults = (0.0,) * len(args)
     if len(args) > len(defaults):
         raise ConfigError(f"too many arguments in initial = {name}: it takes at most "
                           f"{len(defaults)}")
@@ -70,112 +151,29 @@ def _args(cfg: ScenarioConfig, *defaults) -> list:
     return out
 
 
-def _grid(kind: str, n: int, radius: float = 1.0) -> GridSpec:
-    try:
-        return GridSpec(kind, n, radius)
-    except ValueError as exc:       # too few nodes for the kind
-        raise ConfigError(str(exc)) from exc
-
-
 def build_scenario(cfg: ScenarioConfig) -> Scenario:
-    """The scenario of a config; ConfigError when its initial data are not
-    spacelike or its first time step underflows."""
-    scenario = _build(cfg)
-    error = start_error(scenario.state0, scenario.profile, cfg.cfl)
+    """The scenario of a config; ConfigError when its profile is not the
+    boundary its grid kind imposes, its selector is not one of its own, its
+    initial data are not spacelike or their first time step underflows."""
+    spec = _SCENARIOS[cfg.scenario]
+    try:
+        profile = profile_from_spec(cfg.profile)
+        grid = GridSpec(spec.kind, cfg.nodes, spec.radius(profile))
+    except ValueError as exc:       # a bad profile spec, or too few nodes for the kind
+        raise ConfigError(str(exc)) from exc
+    try:
+        check_profile(grid, profile)
+    except ValueError as exc:
+        raise ConfigError(f"{cfg.scenario}: {exc}") from exc
+    name, args = cfg.initial
+    if name not in spec.initials:
+        raise ConfigError(f"{cfg.scenario} does not support initial = {name} "
+                          f"(it takes {', '.join(spec.initials)})")
+    build, defaults = spec.initials[name]
+    u0, boundary, exact, plane_z = build(cfg, profile, grid, *_args(name, args, defaults))
+    scenario = Scenario(cfg.scenario, profile, FlowState(grid, cfg.t0, u0, boundary), exact,
+                        plane_z)
+    error = start_error(scenario.state0, profile, cfg.cfl)
     if error:
         raise ConfigError(error)
     return scenario
-
-
-def _build(cfg: ScenarioConfig) -> Scenario:
-    try:
-        profile = profile_from_spec(cfg.profile)
-    except ProfileError as exc:
-        raise ConfigError(str(exc)) from exc
-    name, args = cfg.initial
-    n = cfg.nodes
-    if cfg.scenario == "grim_reaper":
-        if profile.boundary_type != "planar":
-            raise ConfigError("grim_reaper needs a planar boundary profile")
-        if name != "translator":
-            raise ConfigError("grim_reaper supports initial = translator")
-        _args(cfg)                  # the translator takes no argument
-        try:
-            xb = grim_reaper_boundary(cfg.t0)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        grid = _grid("curve1d", n)
-        x = grid.reference() * xb
-        u0 = np.log(np.cosh(x)) + cfg.t0
-        state = FlowState(grid, cfg.t0, u0, (-xb, xb))
-        return Scenario(cfg.scenario, profile, state, grim_reaper())
-
-    if cfg.scenario == "cylinder_disk":
-        # the disk's du/drho = 0 on a fixed rim is the cylinder's condition alone
-        if profile.kind != "cylinder":
-            raise ConfigError(f"cylinder_disk takes the cylinder(R) profile alone, "
-                              f"not {cfg.profile}")
-        radius = profile.params[0]
-        grid = _grid("disk2d", n, radius)
-        dg = disk_grid(n, radius)
-        rho2 = (dg.X**2 + dg.Y**2) / radius**2
-        if name == "constant":
-            (c,) = _args(cfg, 0.0)
-            u0 = np.where(dg.inside, c, 0.0)
-            exact = cylinder_disk_constant(c)
-        elif name == "bump":
-            (amp,) = _args(cfg, 0.1)
-            u0 = np.where(dg.inside, amp * (1.0 - rho2) ** 2, 0.0)
-            exact = None
-        elif name == "nodes":
-            raise ConfigError("node lists are supported for sine_tube (radial) grids")
-        else:
-            raise ConfigError(f"cylinder_disk does not support initial = {name}")
-        state = FlowState(grid, cfg.t0, u0, None)
-        return Scenario(cfg.scenario, profile, state, exact, plane_z=None)
-
-    if cfg.scenario == "sine_tube":
-        if profile.boundary_type != "rotational":
-            raise ConfigError("sine_tube needs a rotational profile")
-        grid = _grid("radial2d", n)
-        s_ref = grid.reference()
-        if name == "plane":
-            (which,) = _args(cfg, "widest")
-            z = _resolve_plane_z(profile, which)
-            u0 = np.full(n, z)
-            rb = float(profile.f(z))
-            return Scenario(cfg.scenario, profile, FlowState(grid, cfg.t0, u0, rb),
-                            plane(z), plane_z=z)
-        if name == "plane_bump":
-            which, amp = _args(cfg, "widest", 0.05)
-            z = _resolve_plane_z(profile, which)
-            u0 = z + amp * (1.0 - s_ref**2) ** 2
-            rb = float(profile.f(z))       # bump vanishes at the rim
-            return Scenario(cfg.scenario, profile, FlowState(grid, cfg.t0, u0, rb),
-                            None, plane_z=z)
-        if name == "nodes":
-            u0 = np.asarray(_args(cfg, *[0.0] * len(args)), dtype=float)   # numbers, any count
-            if u0.size != n:
-                raise ConfigError(f"nodes list has {u0.size} entries, grid needs {n}")
-            rb = float(profile.f(u0[-1]))
-            return Scenario(cfg.scenario, profile, FlowState(grid, cfg.t0, u0, rb),
-                            None)
-        raise ConfigError(f"sine_tube does not support initial = {name}")
-
-    # pseudosphere_leaf
-    if profile.boundary_type != "rotational":
-        raise ConfigError("pseudosphere_leaf needs a rotational profile")
-    if name != "leaf":
-        raise ConfigError("pseudosphere_leaf supports initial = leaf(z)")
-    (z0,) = _args(cfg, 1.0)
-    leaf = cmc_leaf_through(profile, z0)
-    grid = _grid("radial2d", n)
-    rb = float(profile.f(z0))
-    rho = grid.reference() * rb
-    u0 = np.asarray(leaf_time(profile, rho, z0), dtype=float)
-    if leaf.kind == "hyperbolic_plane":
-        exact = hyperbolic_plane(leaf.R, leaf.J, leaf.sign)
-    else:
-        exact = plane(z0)
-    return Scenario(cfg.scenario, profile, FlowState(grid, cfg.t0, u0, rb), exact,
-                    plane_z=z0 if leaf.kind == "plane" else None)

@@ -102,6 +102,69 @@ def test_run_exit_3_on_bad_profiles_and_initial_data(tmp_path, out_root, capsys,
     assert err.startswith("config error: ") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("case, message", [
+    ("scenario = cylinder_disk\ninitial = nodes(1, 2)",
+     "cylinder_disk does not support initial = nodes (it takes constant, bump)"),
+    ("scenario = pseudosphere_leaf\ninitial = plane(widest)",
+     "pseudosphere_leaf does not support initial = plane (it takes leaf)"),
+    ("scenario = grim_reaper\nprofile = cylinder(1)",
+     "grim_reaper: a curve1d state needs a planar boundary, not cylinder(1.0)"),
+    ("scenario = sine_tube\nprofile = trumpet",
+     "sine_tube: a radial2d state needs a rotational tube, not trumpet()"),
+    ("scenario = cylinder_disk\nprofile = pseudosphere(1, 0)",
+     "cylinder_disk: a disk2d state needs cylinder(1.0), the tube of its rim condition "
+     "du/drho = 0, not pseudosphere(1.0, 0.0)"),
+])
+def test_run_exit_3_on_a_selector_or_profile_of_another_scenario(tmp_path, out_root, capsys,
+                                                                 case, message):
+    cfg = write(tmp_path, "bad.cfg", f"{case}\nnodes = 21\n")
+    assert main(["run", cfg]) == 3
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize("t_end", ["0.5", "0"])
+def test_run_exit_3_on_a_translator_rim_outside_the_trumpet(tmp_path, out_root, capsys, t_end):
+    # t0 = -1e-15 puts the rim at artanh(e^t0) = 17.6, past the trumpet's
+    # domain (1e-8, 12), where its s' is 1 + 1e-15
+    cfg = write(tmp_path, "far.cfg", f"scenario = grim_reaper\nt0 = -1e-15\nt_end = {t_end}\n")
+    assert main(["run", cfg]) == 3
+    assert capsys.readouterr().err == (
+        "config error: the translator's half-width artanh(e^t0) = 17.6164 at t0 = -1e-15 "
+        "lies outside the boundary's domain [1e-08, 12]\n")
+
+
+def test_unreadable_inputs_exit_3_with_one_line(tmp_path, out_root, capsys):
+    latin = tmp_path / "latin.cfg"
+    latin.write_bytes(b"scenario = sine_tube\n# \xff\n")
+    ok = write(tmp_path, "ok.cfg", "scenario = sine_tube\nnodes = 21\nout_dir = ok\n")
+    for argv in (["run", str(tmp_path)], ["run", str(latin)],
+                 ["run", str(tmp_path / "missing.cfg")], ["batch", str(tmp_path / "missing")],
+                 ["batch", str(latin)], ["batch", str(tmp_path), "--workers", "0"],
+                 ["converge", ok, "--levels", "0"], ["converge", ok, "--levels", "-1"]):
+        assert main(argv) == 3, argv
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1, (argv, err)
+    assert not (out_root / "ok").exists()
+
+
+def test_batch_gives_an_unreadable_file_exit_3_and_runs_the_others(tmp_path, out_root, capsys):
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    (batch / "dir.cfg").mkdir()
+    (batch / "latin.cfg").write_bytes(b"scenario = sine_tube\n# \xff\n")
+    (batch / "ok.cfg").write_text("scenario = sine_tube\nnodes = 21\nt_end = 0.01\n"
+                                  "out_dir = batch_ok\n")
+    assert main(["batch", str(batch), "--workers", "1"]) == 3
+    assert capsys.readouterr().out.splitlines() == [
+        f"{batch / name}: exit {code}" for name, code in
+        (("dir.cfg", 3), ("latin.cfg", 3), ("ok.cfg", 0))]
+    assert (out_root / "batch_ok" / "timeseries.csv").exists()
+    for name in ("dir.cfg", "latin.cfg"):
+        assert runner._batch_worker(str(batch / name)) == (str(batch / name), 3)
+        err = capsys.readouterr().err
+        assert err.startswith(f"{batch / name}: config error: ") and err.count("\n") == 1
+
+
 def run_config(keys: dict):
     """(exit code, stderr) of ``maxsurf run`` on a config of these keys, None
     values left out, with its outputs in a temporary directory."""

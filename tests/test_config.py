@@ -3,8 +3,8 @@ import os
 
 import pytest
 
-from maxsurf.config import ConfigError, parse_config, serialize
-from maxsurf.scenarios import build_scenario
+from maxsurf.config import _SCENARIO_DEFAULTS, SCENARIOS, ConfigError, parse_config, serialize
+from maxsurf.scenarios import _SCENARIOS, build_scenario
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -78,3 +78,11 @@ def test_shipped_configs_parse():
             cfg = parse_config(f.read())
         assert parse_config(serialize(cfg)) == cfg
         build_scenario(cfg)
+
+
+def test_every_scenario_is_one_table_entry_with_its_default_selector():
+    assert tuple(_SCENARIOS) == SCENARIOS
+    for name in SCENARIOS:
+        assert _SCENARIO_DEFAULTS[name]["initial"][0] in _SCENARIOS[name].initials
+        scenario = build_scenario(parse_config(f"scenario = {name}\nnodes = 21\n"))
+        assert scenario.state0.grid.kind == _SCENARIOS[name].kind

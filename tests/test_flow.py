@@ -7,7 +7,7 @@ from functools import reduce
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as hs
+from hypothesis import example, given, settings, strategies as hs
 
 from maxsurf import _kernels
 from maxsurf.analytic import grim_reaper_boundary
@@ -17,6 +17,7 @@ from maxsurf.flow import (
     FlowEvent,
     GuardTrip,
     StepControl,
+    _end_block,
     _run_python,
     comparison_pair_run,
     record_state,
@@ -387,6 +388,44 @@ def test_engines_agree_on_random_disk_states(n, base, steps, bumps):
 
 
 @needs_step_loop
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+# a pseudosphere node where pow(z + B, 2) and (z + B)^2 differ in the last bit
+@example(n=9, base=1 / 3, steps=3, profile=pseudosphere(0.5, 1 / 3),
+         coeffs=[-0.6901071997242987, -0.6760692237033132])
+@given(n=hs.integers(9, 121), base=hs.floats(-1.0, 1.0), steps=hs.integers(3, 5),
+       profile=hs.one_of(hs.builds(cylinder, hs.floats(0.5, 2.0)),
+                         hs.builds(sine_tube, hs.floats(1.0, 2.5), hs.floats(-0.9, 0.9),
+                                   hs.floats(0.3, 1.0)),
+                         hs.builds(pseudosphere, hs.floats(0.5, 2.0), hs.floats(-1.0, 1.0))),
+       coeffs=hs.lists(hs.floats(-1.0, 1.0), min_size=1, max_size=4))
+def test_engines_agree_on_random_radial_states(n, base, steps, profile, coeffs):
+    # even polynomials in s = rho/rho_b that vanish at the rim, scaled to a
+    # least margin of 0.3, with the rim on the tube: pinned on a cylinder, by
+    # the incidence Newton on a sine tube or a pseudosphere; the states, the
+    # rim radii and all 17 record columns agree bit for bit
+    grid = GridSpec("radial2d", n)
+    s = grid.reference()
+    shape = sum(c * (s ** (2 * k + 2) - 1.0) for k, c in enumerate(coeffs))
+    rb = float(profile.f(base))
+    steepest = 1.0 - spacelike_margin(FlowState(grid, 0.0, base + shape, rb))
+    scale = min(1.0, math.sqrt(0.7 / steepest)) if steepest > 0.0 else 1.0
+    state = FlowState(grid, 0.0, base + scale * shape, rb)
+    assert spacelike_margin(state) > 0.29
+    ctrl = StepControl(max_steps=steps)
+    with np.errstate(invalid="ignore"):     # a guard trip's record: sqrt of a negative margin
+        ref = _run_python(state.copy(), ctrl, profile, stride=1)
+        fast = _kernels.run_fast(state.copy(), ctrl, profile, stride=1)
+    assert fast.event is ref.event and fast.event_time == ref.event_time
+    assert fast.state_steps == ref.state_steps
+    assert all(a.u.tobytes() == b.u.tobytes() and a.t == b.t and
+               np.float64(a.boundary).tobytes() == np.float64(b.boundary).tobytes()
+               for a, b in zip(ref.states, fast.states))
+    # a guard trip's record holds NaN, whose sign bit the engines need not share
+    nan_as_one = [np.where(np.isnan(r), np.nan, r).tobytes() for r in (ref.records, fast.records)]
+    assert nan_as_one[0] == nan_as_one[1]
+
+
+@needs_step_loop
 def test_fast_kernel_record_propagates_nan_disk2d():
     # a negative margin (amplitude 1.0) trips the guard at step 0; the sups and
     # the integrals of the trip record are NaN in both engines, the range of u
@@ -670,6 +709,22 @@ def test_disk_takes_the_cylinder_of_its_radius_alone(monkeypatch, profile, engin
     if engine == "c":
         with pytest.raises(ValueError, match="disk2d state needs"):
             _kernels.run_fast(disk, ctrl, profile, 1)
+
+
+def test_end_block_reads_the_high_end_on_reversed_arrays():
+    # the low end of the reversed arrays is the high end, bit for bit, but for
+    # the sign of v's one-sided derivative: res_v sees it unless v = 1 at the rim
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        H, v, w = rng.standard_normal(9), rng.uniform(1.0, 3.0, 9), rng.uniform(0.2, 1.0, 9)
+        a_vv, a_ww, h = rng.standard_normal(), rng.standard_normal(), rng.uniform(0.01, 1.0)
+        for v_rim, same in ((v[-1], (0, 2, 3, 4)), (1.0, (0, 1, 2, 3, 4))):
+            v[-1] = v_rim
+            hi = _end_block(H, v, w, h, True, a_vv, a_ww)
+            lo = _end_block(H[::-1].copy(), v[::-1].copy(), w[::-1].copy(), h, False, a_vv, a_ww)
+            assert [np.float64(hi[k]).tobytes() for k in same] == \
+                [np.float64(lo[k]).tobytes() for k in same]
+        assert hi[1] > 0.0          # res_v = |dv / w| at v = 1: equal, and not as 0 = 0
 
 
 def test_line_kinds_take_their_boundary_type():

@@ -8,6 +8,7 @@ import pytest
 
 import maxsurf
 from maxsurf.analytic import grim_reaper, hyperbolic_plane, hyperbolic_plane_mean_curvature
+from maxsurf.config import SCENARIOS
 from maxsurf.disk import disk_grid
 from maxsurf.geometry import (
     FlowState,
@@ -18,6 +19,7 @@ from maxsurf.geometry import (
 )
 from maxsurf.lorentz import minkowski_inner
 from maxsurf.profiles import cylinder, sine_tube, trumpet
+from maxsurf.scenarios import _SCENARIOS
 
 
 def curve_state(u_of_x, xl, xr, n, t=0.0):
@@ -187,10 +189,8 @@ def test_laplace_beltrami_curve_matches_closed_form():
     assert err < 5e-4
 
 
-def test_no_module_compares_grid_kind_names():
-    # each module that keeps per-kind numerics looks the kind up in its one
-    # table (geometry, flow, monitors, _kernels); none branches on a kind's name
-    kinds = {"curve1d", "radial2d", "disk2d"}
+def compared_constants(names) -> list:
+    """(module, line) of each comparison in the package against one of names."""
     package = os.path.dirname(os.path.abspath(maxsurf.__file__))
     found = []
     for path in sorted(glob.glob(os.path.join(package, "*.py"))):
@@ -202,6 +202,21 @@ def test_no_module_compares_grid_kind_names():
             for operand in (node.left, *node.comparators):
                 items = (operand.elts if isinstance(operand, (ast.Tuple, ast.List, ast.Set))
                          else [operand])
-                found += [f"{os.path.basename(path)}:{node.lineno}" for e in items
-                          if isinstance(e, ast.Constant) and e.value in kinds]
-    assert found == []
+                found += [(os.path.basename(path), node.lineno) for e in items
+                          if isinstance(e, ast.Constant) and e.value in names]
+    return found
+
+
+def test_no_module_compares_grid_kind_names():
+    # each module that keeps per-kind numerics looks the kind up in its one
+    # table (geometry, flow, monitors, _kernels); none branches on a kind's name
+    assert compared_constants({"curve1d", "radial2d", "disk2d"}) == []
+
+
+def test_no_module_compares_scenario_selector_or_end_names():
+    # a scenario is an entry of scenarios._SCENARIOS and its selectors are keys
+    # of that entry; flow's line kinds read the high end on reversed arrays
+    assert compared_constants(set(SCENARIOS)) == []
+    selectors = {name for spec in _SCENARIOS.values() for name in spec.initials}
+    assert [f for f in compared_constants(selectors) if f[0] == "scenarios.py"] == []
+    assert [f for f in compared_constants({"lo", "hi"}) if f[0] == "flow.py"] == []
