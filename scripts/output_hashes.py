@@ -13,12 +13,13 @@ tests/data/output_hashes.txt, which a change that moves an output regenerates
 so that the file's diff names the outputs that moved.  --check FILE instead
 compares the files under OUT with FILE's lines, prints each file that moved,
 is missing or is new, and exits 1 if there is one.  A fingerprint that differs
-from FILE's is reported, and the hashes are compared all the same (the two
-engines and CSV formatters write the same bytes).  --numpy runs with the C
-library switched off, so the numpy reference engine and the % CSV formatter
-write every file.  --fast runs only FAST_CONFIGS, the configs that finish in
-about a second each, and the convergence study; --check then compares the
-files those runs write.
+from FILE's is reported, and the hashes are compared all the same.  --numpy
+runs with the C library switched off, so the numpy reference engine and the %
+CSV formatter write every file; its curve1d outputs differ from the library's
+in the last bits (the engines form the trumpet's s' and V field in different
+ways), so compare a --numpy run with a --numpy list.  --fast runs only FAST_CONFIGS, the configs that finish in about
+a second each, and the convergence study; --check then compares the files
+those runs write.
 """
 
 import argparse

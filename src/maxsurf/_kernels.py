@@ -1,9 +1,10 @@
 """Compiled Euler stepping loop for the scenarios on built-in profiles, and
 the CSV row formatter of the run outputs.
 
-``_step.c`` translates the numpy reference engine in flow.py operation for
-operation (same stencils, ghost fill, projection, per-step records,
-snapshots and exits) for the curve1d and radial2d kinds on the built-in
+``_step.c`` translates the numpy reference engine (flow.py's step over
+geometry.py's per-kind evaluation) operation for operation (same stencils,
+ghost fill, projection, per-step records, snapshots and exits) for the
+curve1d and radial2d kinds on the built-in
 profiles and for disk2d on the cylinder, with one stepping loop over a
 per-kind table, as flow.py has; its one entry point ``maxsurf_run`` takes
 the kind as its first argument, and for disk2d the disk grid's tables

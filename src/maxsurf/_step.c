@@ -322,8 +322,9 @@ static Sups take_sups(const Step *S)
     return s;
 }
 
-/* u_x, the margin and u_xx / margin on spacing h (flow._line_eval): central
- * differences inside, the given slopes at the ends; sets h and the least margin */
+/* u_x, the margin and u_xx / margin on spacing h (geometry._line_derivatives):
+ * central differences inside, the given slopes at the ends; sets h and the
+ * least margin */
 static void stencil(Step *S, double h, double slope_lo, double slope_hi)
 {
     const int64_t n = S->n;
@@ -388,7 +389,7 @@ static double pairwise_sum(const double *a, int64_t n)
     return pairwise_sum(a, n2) + pairwise_sum(a + n2, n - n2);
 }
 
-/* the record fields of a line grid (flow._line_record):
+/* the record fields of a line grid (geometry._line_evaluation):
  * w = sqrt(m), v_hat = 1/w, H = v_hat rhs with the one-sided ends, v = (v w)/w
  * and dV = (dV per unit w h) w h, with half cells at the ends */
 static void line_record(Step *S)
@@ -445,7 +446,7 @@ static Block boundary_block(const Step *S, int hi, double a_vv, double a_ww)
 
 /* -- curve1d: u_t = u_xx / (1 - u_x^2) on [x_l(t), x_r(t)] -------------------- */
 
-/* flow._curve1d_eval and _curve1d_rate, and the record's fields */
+/* geometry._curve1d_evaluate and flow._curve1d_rate */
 static void curve1d_evaluate(Step *S)
 {
     const int64_t n = S->n;
@@ -523,7 +524,7 @@ static int curve1d_project(Step *S, double *fail)
 
 /* -- radial2d: u_t = u_rr / (1 - u_r^2) + u_r / rho on [0, rho_b(t)] ----------- */
 
-/* flow._radial2d_eval and _radial2d_rate, and the record's fields */
+/* geometry._radial2d_evaluate and flow._radial2d_rate */
 static void radial2d_evaluate(Step *S)
 {
     const int64_t n = S->n;
@@ -533,7 +534,8 @@ static void radial2d_evaluate(Step *S)
     stencil(S, h, 0.0, dfb);
     for (int64_t i = 1; i < n - 1; ++i)              /* the u_r / rho term */
         S->rhs[i] += S->ux[i] / ((double)i * h);
-    S->rhs[0] = 2.0 * (u[1] - u[0]) / (h * h) * (1.0 / S->m[0] + 1.0);   /* even across the axis */
+    /* even across the axis; m[0] = 1, so this is the reference's u_rr / m + u_rr */
+    S->rhs[0] = 2.0 * (u[1] - u[0]) / (h * h) * (1.0 / S->m[0] + 1.0);
     S->rhs[n - 1] = ghost_uxx(u, n - 1, -1, h, dfb) / S->m[n - 1] + dfb / rb;
     S->r_end[0] = S->rhs[0];
     S->r_end[1] = one_sided_uxx(u, n - 1, -1, h, dfb) / S->m[n - 1] + dfb / rb;
@@ -602,8 +604,8 @@ static inline void disk_gradient(const double *f, int64_t i, int64_t m, double i
     *uy = (f[i + 1] - f[i - 1]) * inv_2h;
 }
 
-/* flow._disk2d_eval and _disk2d_rate, and _disk2d_record's per-node fields
- * and summands of vol and int H^2 dV, over one run of len inside nodes: each
+/* geometry._disk2d_evaluate and flow._disk2d_rate, with the record's
+ * summands of vol and int H^2 dV, over one run of len inside nodes: each
  * pointer is at the run's first node (sdV and sH2dV at its place in the
  * N x N core).  Free of branches, so the compiler vectorises it.  The
  * stencils multiply by the reciprocals of their spacings, taken once, and a

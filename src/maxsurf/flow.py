@@ -18,10 +18,13 @@ bound dt = cfl * h^2 * min(1 - |Du|^2) (halved for the 2d kinds).  A tripped
 spacelike guard is a successful detection of gradient blow-up, reported as a
 trajectory event rather than an exception from `run`.
 
-Each grid kind supplies only what differs (an evaluation, a rate, a
-projection back onto the boundary and its record fields, see ``_KINDS``);
-one step skeleton and one record packer serve all three.  The line kinds
-share one stencil, record body and end block, as in ``_step.c``.
+A state's slope, margin, H and the other node fields come from its kind's
+evaluation in ``geometry`` (``evaluate``), the one the observer
+``geometry.geometry`` reads too.  Each grid kind here supplies only
+what the step adds (a rate with the boundary's speeds, a projection back
+onto the boundary and the record's boundary blocks, see ``_KINDS``); one
+step skeleton and one record packer serve all three.  The line kinds share
+one record body and end block, as in ``_step.c``.
 """
 
 from __future__ import annotations
@@ -32,10 +35,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .disk import disk_grid
-from .geometry import (
-    FlowState, GridSpec, disk_derivatives, planar_V, rotational_V_factors, trapezoid_weights,
-)
+from .geometry import Evaluation, FlowState, GridSpec, evaluate
 from .profiles import normal_curvature, planar_boundary_data, profile_curvature
 
 CHUNK_STEPS = 65536
@@ -106,79 +106,27 @@ class Trajectory:
         return self.series("t")
 
 
-class _Eval(NamedTuple):
-    """PDE data of one state: spacing, spacelike margin, kind-specific fields."""
-
-    h: float
-    m_min: float
-    data: tuple
+# -- the line kinds: one record body -----------------------------------------------
 
 
-# -- the line kinds: one stencil, one record body -------------------------------
-
-
-def _line_eval(u, h, slope_lo, slope_hi):
-    """u_x, u_xx, 1 - u_x^2 and the (low, high) one-sided end u_xx of a line
-    grid with the slopes du/dx imposed at its ends.  The ends' u_xx takes the
-    ghost (mirror-slope) form, which keeps the interior stencil's stability
-    bound; the one-sided form gives the boundary speeds and the recorded H.
-    """
-    ux = np.empty_like(u)
-    ux[1:-1] = (u[2:] - u[:-2]) / (2.0 * h)
-    ux[0] = slope_lo
-    ux[-1] = slope_hi
-    uxx = np.empty_like(u)
-    uxx[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / (h * h)
-    # the high end is the low end of the reversed grid, whose slope is -du/dx
-    (uxx[0], lo2), (uxx[-1], hi2) = _end_uxx(u, h, slope_lo), _end_uxx(u[::-1], h, -slope_hi)
-    return ux, uxx, 1.0 - ux * ux, (lo2, hi2)
-
-
-def _end_uxx(u, h, slope):
-    """(ghost form, one-sided form) of u_xx at u[0], whose slope is imposed."""
-    return ((2.0 * u[1] - 2.0 * u[0] - 2.0 * h * slope) / (h * h),
-            (-3.5 * u[0] + 4.0 * u[1] - 0.5 * u[2] - 3.0 * h * slope) / (h * h))
-
-
-def _line_record(u, h, m, rhs, rhs_ends, vw, unit, bounds, ends):
-    """_pack_record's fields of a line grid: w = sqrt(m), v_hat = 1/w, H with
-    rhs_ends at the ends, v = vw/w, dV = unit w trapezoid, and _end_block at
-    each (hi, A_VV, A_WW) of ends."""
-    w = np.sqrt(m)
-    v_hat = 1.0 / w
-    H = v_hat * rhs
-    H[0] = v_hat[0] * rhs_ends[0]
-    H[-1] = v_hat[-1] * rhs_ends[1]
-    v = vw / w
-    dV = unit * w * trapezoid_weights(u.size, h)
-    blocks = [_end_block(H, v, w, h, hi, a_vv, a_ww) for hi, a_vv, a_ww in ends]
-    return u, v, v_hat, H, dV, bounds, tuple(zip(*blocks))
+def _line_record(state: FlowState, ev: Evaluation, bounds, ends):
+    """_pack_record's fields of a line grid, with _end_block at each
+    (hi, A_VV, A_WW) of ends."""
+    blocks = [_end_block(ev.H, ev.v, ev.v_hat, ev.h, hi, a_vv, a_ww) for hi, a_vv, a_ww in ends]
+    return state.u, ev.v, ev.v_hat, ev.H, ev.dV, bounds, tuple(zip(*blocks))
 
 
 # -- curve1d: both ends on a planar boundary ------------------------------------
 
 
-def _curve1d_eval(state: FlowState, profile) -> _Eval:
-    """PDE data on the current grid: derivatives, margins, boundary rates."""
-    u, (xl, xr) = state.u, state.boundary
-    h = (xr - xl) / (u.size - 1)
-    dsR = float(profile.ds(xr))
-    dsL = float(profile.ds(abs(xl)))
-    ux, uxx, m, (uxx_l2, uxx_r2) = _line_eval(u, h, -1.0 / dsL, 1.0 / dsR)
-    rhs = uxx / m
-    # boundary speeds from the one-sided end u_xx (the rim values themselves
-    # are projected back onto the boundary curve)
-    rhs2 = (uxx_l2 / m[0], uxx_r2 / m[-1])
-    xdot_r = rhs2[1] * dsR / (dsR * dsR - 1.0)
-    xdot_l = -rhs2[0] * dsL / (dsL * dsL - 1.0)
-    return _Eval(h, float(m.min()), (ux, m, rhs, np.array([xdot_l, xdot_r]), rhs2))
-
-
-def _curve1d_rate(state: FlowState, data):
-    ux, _, rhs, xdot, _ = data
-    xdot_l, xdot_r = xdot
+def _curve1d_rate(state: FlowState, ev: Evaluation):
+    """u_t with the node drift, and the ends' speeds from the one-sided end
+    u_xx (the rim values themselves are projected back onto the boundary curve)."""
+    ((rhs_l2,), (rhs_r2,)), (dsL, dsR) = ev.data
+    xdot_r = rhs_r2 * dsR / (dsR * dsR - 1.0)
+    xdot_l = -rhs_l2 * dsL / (dsL * dsL - 1.0)
     w = 0.5 * (xdot_l + xdot_r) + state.grid.reference() * 0.5 * (xdot_r - xdot_l)
-    return rhs + w * ux, xdot
+    return ev.rhs + w * ev.du, np.array([xdot_l, xdot_r])
 
 
 def _curve1d_project(state: FlowState, u, boundary, profile):
@@ -200,37 +148,21 @@ def _curve1d_project(state: FlowState, u, boundary, profile):
     return u, (xl_p, xr_p)
 
 
-def _curve1d_record(state: FlowState, profile, h, data):
-    ux, m, rhs, _, rhs2 = data
-    u, (xl, xr) = state.u, state.boundary
-    Vx, Vt = planar_V(profile, state.coords())
-    ends = [(hi, planar_boundary_data(profile, xb).A_VV, 0.0)
-            for hi, xb in ((False, xl), (True, xr))]
-    return _line_record(u, h, m, rhs, rhs2, Vt - Vx * ux, 1.0, (xl, xr), ends)
+def _curve1d_record(state: FlowState, profile, ev: Evaluation):
+    xl, xr = state.boundary
+    return _line_record(state, ev, (xl, xr),
+                        [(hi, planar_boundary_data(profile, xb).A_VV, 0.0)
+                         for hi, xb in ((False, xl), (True, xr))])
 
 
 # -- radial2d: rim on a rotational tube -----------------------------------------
 
 
-def _radial2d_eval(state: FlowState, profile) -> _Eval:
-    u, rho_b = state.u, state.boundary
-    n = u.size
-    h = rho_b / (n - 1)
-    rho = np.linspace(0.0, rho_b, n)
-    dfb = float(profile.df(u[-1]))
-    # slope 0 on the axis: the ghost form there is the even extension 2 (u_1 - u_0) / h^2
-    ux, uxx, m, (_, uxx_b2) = _line_eval(u, h, 0.0, dfb)
-    rhs = np.empty_like(u)
-    rhs[1:] = uxx[1:] / m[1:] + ux[1:] / rho[1:]
-    rhs[0] = uxx[0] * (1.0 / m[0] + 1.0)
-    rhs_b2 = uxx_b2 / m[-1] + ux[-1] / rho[-1]
+def _radial2d_rate(state: FlowState, ev: Evaluation):
+    """u_t with the node drift, and the rim's speed from the one-sided rim u_rr."""
+    (dfb,), (rhs_b2,), _ = ev.data
     rdot = dfb * rhs_b2 / (1.0 - dfb * dfb)
-    return _Eval(h, float(m.min()), (rho, ux, m, rhs, rdot, (rhs[0], rhs_b2)))
-
-
-def _radial2d_rate(state: FlowState, data):
-    _, ux, _, rhs, rdot, _ = data
-    return rhs + state.grid.reference() * rdot * ux, rdot
+    return ev.rhs + state.grid.reference() * rdot * ev.du, rdot
 
 
 def _radial2d_project(state: FlowState, u, rb, profile):
@@ -256,37 +188,19 @@ def _radial2d_project(state: FlowState, u, rb, profile):
     return u, rb_p
 
 
-def _radial2d_record(state: FlowState, profile, h, data):
-    rho, ux, m, rhs, _, rhs_ends = data
-    u = state.u
-    dfz, invw = rotational_V_factors(profile, u)
-    bc = profile_curvature(profile, float(u[-1]))
-    return _line_record(u, h, m, rhs, rhs_ends, (1.0 - dfz * ux) * invw, 2.0 * np.pi * rho,
-                        (0.0, state.boundary), [(True, bc.A_VV, bc.A_WW[0])])
+def _radial2d_record(state: FlowState, profile, ev: Evaluation):
+    bc = profile_curvature(profile, float(state.u[-1]))
+    return _line_record(state, ev, (0.0, state.boundary), [(True, bc.A_VV, bc.A_WW[0])])
 
 
 # -- disk2d: fixed disk inside a vertical cylinder --------------------------------
 
 
-def _disk2d_eval(state: FlowState, profile) -> _Eval:
-    grid = disk_grid(state.grid.n, state.grid.radius)
-    h = grid.h
-    ux, uy, uxx, uyy, uxy = disk_derivatives(grid.fill_ghosts(state.u), h)
-    ins_core = grid.inside[1:-1, 1:-1]
-    m = 1.0 - (ux * ux + uy * uy)
-    # one sqrt and one division a node, as in _step.c's row kernel
-    w = np.sqrt(np.where(ins_core, m, 1.0))
-    v_hat = 1.0 / w
-    vh2 = v_hat * v_hat
-    rhs = (uxx + uyy) + vh2 * (ux * ux * uxx + 2 * ux * uy * uxy + uy * uy * uyy)
-    return _Eval(h, float(m[ins_core].min()), (grid, w, v_hat, rhs))
-
-
-def _disk2d_rate(state: FlowState, data):
+def _disk2d_rate(state: FlowState, ev: Evaluation):
     """du/dt at the nodes inside the disk, zero elsewhere; the rim does not move."""
-    grid, *_, rhs = data
+    grid = ev.data[0]
     udot = np.zeros_like(state.u)
-    udot[1:-1, 1:-1] = np.where(grid.inside[1:-1, 1:-1], rhs, 0.0)
+    udot[1:-1, 1:-1] = np.where(grid.inside[1:-1, 1:-1], ev.rhs, 0.0)
     return udot, None
 
 
@@ -294,45 +208,42 @@ def _disk2d_project(state: FlowState, u, boundary, profile):
     return u, boundary
 
 
-def _disk2d_record(state: FlowState, profile, h, data):
-    grid, w, v_hat, rhs = data
+def _disk2d_record(state: FlowState, profile, ev: Evaluation):
+    grid = ev.data[0]
     u = state.u
-    ins_core = grid.inside[1:-1, 1:-1]
-    H = np.where(ins_core, v_hat * rhs, 0.0)
-    dV = np.where(ins_core, grid.area_weights[1:-1, 1:-1] * w, 0.0)
     # boundary identities sampled on the offset monitor ring (clean zone,
     # no ghost values in any sampling cell); on the cylinder V = e_t, so v is
     # v_hat, and A(V,V) = -0.0, A(W,W) = 1/R and 1/sqrt(1 - f'^2) = 1
     Hf = np.zeros_like(u)
-    Hf[1:-1, 1:-1] = H
+    Hf[1:-1, 1:-1] = ev.H
     vf = np.ones_like(u)
-    vf[1:-1, 1:-1] = v_hat
+    vf[1:-1, 1:-1] = ev.v_hat
     block = _boundary_block(
         grid.rim_values(Hf), grid.rim_values(vf), grid.radial_derivative_at_rim(Hf),
         grid.radial_derivative_at_rim(vf), grid.radial_derivative_at_rim(Hf * Hf),
         1.0, -0.0, 1.0 / grid.radius,
     )
-    return u[1:-1, 1:-1], v_hat, v_hat, H, dV, (grid.radius, grid.radius), block, ins_core
+    return (u[1:-1, 1:-1], ev.v_hat, ev.v_hat, ev.H, ev.dV, (grid.radius, grid.radius), block,
+            grid.inside[1:-1, 1:-1])
 
 
 class _Kind(NamedTuple):
-    evaluate: Callable   # (state, profile) -> _Eval
-    rate: Callable       # (state, data) -> (du/dt, boundary velocity)
+    rate: Callable       # (state, Evaluation) -> (du/dt, boundary velocity)
     project: Callable    # (state, u, boundary, profile) -> (u, boundary), rim back on the tube
-    record: Callable     # (state, profile, h, data) -> the fields of _pack_record
+    record: Callable     # (state, profile, Evaluation) -> the fields of _pack_record
     dim_factor: float    # the dt bound is cfl h^2 m_min / dim_factor
     takes: Callable      # (grid, profile) -> whether the profile is the boundary the kind imposes
     boundary: str        # that boundary, for check_profile's error ({radius}: the grid's)
 
 
 _KINDS = {
-    "curve1d": _Kind(_curve1d_eval, _curve1d_rate, _curve1d_project, _curve1d_record, 1.0,
+    "curve1d": _Kind(_curve1d_rate, _curve1d_project, _curve1d_record, 1.0,
                      lambda grid, p: p.boundary_type == "planar", "a planar boundary"),
-    "radial2d": _Kind(_radial2d_eval, _radial2d_rate, _radial2d_project, _radial2d_record, 2.0,
+    "radial2d": _Kind(_radial2d_rate, _radial2d_project, _radial2d_record, 2.0,
                       lambda grid, p: p.boundary_type == "rotational", "a rotational tube"),
     # du/drho = 0 on the fixed rim is the perpendicularity condition of the
     # vertical cylinder through it and of no other tube
-    "disk2d": _Kind(_disk2d_eval, _disk2d_rate, _disk2d_project, _disk2d_record, 2.0,
+    "disk2d": _Kind(_disk2d_rate, _disk2d_project, _disk2d_record, 2.0,
                     lambda grid, p: p.kind == "cylinder" and p.params == (grid.radius,),
                     "cylinder({radius}), the tube of its rim condition du/drho = 0"),
 }
@@ -357,28 +268,28 @@ def step(state: FlowState, ctrl: StepControl, profile,
     return _advance(state, ctrl, profile, _evaluate(state, ctrl, profile), dt)
 
 
-def _evaluate(state: FlowState, ctrl: StepControl, profile) -> _Eval:
+def _evaluate(state: FlowState, ctrl: StepControl, profile) -> Evaluation:
     """PDE data of a state; raises GuardTrip when its margin is below the guard."""
-    ev = _KINDS[state.grid.kind].evaluate(state, profile)
+    ev = evaluate(state, profile)
     if not (ev.m_min >= ctrl.eps_guard):    # a NaN margin trips it too
         raise GuardTrip(state.t, ev.m_min)
     return ev
 
 
-def _dt_bound(state: FlowState, ev: _Eval, cfl: float) -> float:
+def _dt_bound(state: FlowState, ev: Evaluation, cfl: float) -> float:
     return cfl * ev.h * ev.h * ev.m_min / _KINDS[state.grid.kind].dim_factor
 
 
-def _advance(state: FlowState, ctrl: StepControl, profile, ev: _Eval,
+def _advance(state: FlowState, ctrl: StepControl, profile, ev: Evaluation,
              dt: Optional[float] = None) -> FlowState:
     """The next state from an evaluated state."""
     kind = _KINDS[state.grid.kind]
     dt = _clip_dt(_dt_bound(state, ev, ctrl.cfl) if dt is None else dt, state.t, ctrl.t_end)
-    udot, bdot = kind.rate(state, ev.data)
+    udot, bdot = kind.rate(state, ev)
     u, boundary = state.u + dt * udot, _advance_boundary(state.boundary, bdot, dt)
     if ctrl.integrator == "rk2":
         ev1 = _evaluate(FlowState(state.grid, state.t, u, boundary), ctrl, profile)
-        udot1, bdot1 = kind.rate(state, ev1.data)
+        udot1, bdot1 = kind.rate(state, ev1)
         half = 0.5 * dt
         u = state.u + half * (udot + udot1)
         boundary = _advance_boundary(state.boundary, None if bdot is None else bdot + bdot1, half)
@@ -410,7 +321,7 @@ def start_error(state: FlowState, profile, cfl: float) -> Optional[str]:
     """Why a start state could take no step, or None: its least margin is not
     positive (or NaN), or its dt bound underflows against its time."""
     with np.errstate(all="ignore"):
-        ev = _KINDS[state.grid.kind].evaluate(state, profile)
+        ev = evaluate(state, profile)
     if not ev.m_min > 0.0:
         return f"the initial data are not spacelike: their least margin is {ev.m_min:.3g}"
     if _underflows(_dt_bound(state, ev, cfl), state.t):
@@ -490,7 +401,7 @@ def _boundary_block(H_b, v_b, dH, dv, dH2, inv_w, a_vv, a_ww, grad_v_2pt=None):
     return res_H, res_v, gv, h2_ineq, a_nn
 
 
-def _end_block(H, v, w, h, hi, a_vv, a_ww):
+def _end_block(H, v, v_hat, h, hi, a_vv, a_ww):
     """_boundary_block at the low end of a 1d grid, or at the high end (hi)
     read as the low end of the reversed arrays.  H and H^2 at the rim and their
     outward derivatives come from the quadratic through the three nodes inside
@@ -499,18 +410,18 @@ def _end_block(H, v, w, h, hi, a_vv, a_ww):
     in _step.c; the recorded grad v is the sign-exact 2-point difference.
     """
     if hi:
-        H, v, w = H[::-1], v[::-1], w[::-1]
+        H, v, v_hat = H[::-1], v[::-1], v_hat[::-1]
     f1, f2, f3 = H[1], H[2], H[3]
     dv = (3.0 * v[0] - 4.0 * v[1] + v[2]) / (2.0 * h)
     return _boundary_block(float(3.0 * f1 - 3.0 * f2 + f3), float(v[0]),
                            (2.5 * f1 - 4.0 * f2 + 1.5 * f3) / h, dv if hi else -dv,
                            (2.5 * (f1 * f1) - 4.0 * (f2 * f2) + 1.5 * (f3 * f3)) / h,
-                           1.0 / float(w[0]), a_vv, a_ww, grad_v_2pt=float((v[0] - v[1]) / h))
+                           float(v_hat[0]), a_vv, a_ww, grad_v_2pt=float((v[0] - v[1]) / h))
 
 
-def _record(state: FlowState, profile, ev: _Eval) -> np.ndarray:
+def _record(state: FlowState, profile, ev: Evaluation) -> np.ndarray:
     """The record row of an evaluated state."""
-    return _pack_record(state.t, *_KINDS[state.grid.kind].record(state, profile, ev.h, ev.data))
+    return _pack_record(state.t, *_KINDS[state.grid.kind].record(state, profile, ev))
 
 
 def record_state(state: FlowState, ctrl: StepControl, profile) -> np.ndarray:
@@ -520,7 +431,7 @@ def record_state(state: FlowState, ctrl: StepControl, profile) -> np.ndarray:
     ``record_state`` take the same three positional arguments, which is how
     the benchmark's trace replay (perfbench/tracing.py) calls both.
     """
-    return _record(state, profile, _KINDS[state.grid.kind].evaluate(state, profile))
+    return _record(state, profile, evaluate(state, profile))
 
 
 # -- trajectory drivers ---------------------------------------------------------
@@ -534,11 +445,12 @@ def run(state0: FlowState, ctrl: StepControl, profile, stride: int = 100) -> Tra
     custom profiles, and every run when it cannot, take the numpy reference
     engine.  A state already at t_end takes no step: its trajectory is itself.
     A profile that is not the boundary the grid kind imposes (see
-    ``check_profile``) is a ValueError, before any step.
+    ``check_profile``), and a start no step could be taken from (see
+    ``start_error``), are a ValueError, before any step.
     """
     if stride < 1:
         raise ValueError("stride must be a positive number of steps")
-    check_profile(state0.grid, profile)
+    _check_start(state0, ctrl, profile)
     if _t_end_reached(state0.t, ctrl.t_end):
         state = state0.copy()
         return Trajectory(record_state(state, ctrl, profile)[None, :], [state], [0],
@@ -549,6 +461,15 @@ def run(state0: FlowState, ctrl: StepControl, profile, stride: int = 100) -> Tra
         if _kernels.available and profile.kind in _kernels.PROFILES:
             return _kernels.run_fast(state0, ctrl, profile, stride)
     return _run_python(state0, ctrl, profile, stride)
+
+
+def _check_start(state: FlowState, ctrl: StepControl, profile) -> None:
+    """ValueError, with its one-line reason, unless the profile is the kind's
+    boundary and a step could be taken from the state."""
+    check_profile(state.grid, profile)
+    error = start_error(state, profile, ctrl.cfl)
+    if error:
+        raise ValueError(error)
 
 
 def _t_end_reached(t: float, t_end: Optional[float]) -> bool:
@@ -597,10 +518,15 @@ def _run_python(state0: FlowState, ctrl: StepControl, profile, stride: int) -> T
 
 def comparison_pair_run(state_a: FlowState, state_b: FlowState, ctrl: StepControl,
                         profile, stride: int = 100):
-    """Co-evolve an ordered pair with a common time step; track min(u_B - u_A)."""
+    """Co-evolve an ordered pair with a common time step; track min(u_B - u_A).
+
+    The starts are checked as ``run`` checks its one; a guard trip before the
+    first step leaves trajectories without records.
+    """
     if state_a.grid != state_b.grid:
         raise ValueError("comparison pair needs a common grid")
-    check_profile(state_a.grid, profile)
+    _check_start(state_a, ctrl, profile)
+    _check_start(state_b, ctrl, profile)
     if np.any(state_b.u < state_a.u - 1e-12):
         raise ValueError("initial data must be ordered: u_A <= u_B nodewise")
     a, b = state_a.copy(), state_b.copy()
@@ -636,7 +562,8 @@ def comparison_pair_run(state_a: FlowState, state_b: FlowState, ctrl: StepContro
         if k >= ctrl.max_steps:
             event_time = a.t
             break
-    traj_a = Trajectory(np.asarray(rec_a), states_a, state_steps, event, event_time, a.grid)
-    traj_b = Trajectory(np.asarray(rec_b), states_b, state_steps, event, event_time, b.grid)
+    rows = (-1, len(RECORD_COLUMNS))     # (0, 17) when the guard trips at once
+    traj_a = Trajectory(np.reshape(rec_a, rows), states_a, state_steps, event, event_time, a.grid)
+    traj_b = Trajectory(np.reshape(rec_b, rows), states_b, state_steps, event, event_time, b.grid)
     traj_a.records[:, _COL["min_gap"]] = np.asarray(gaps[: len(rec_a)])
     return {"traj_a": traj_a, "traj_b": traj_b, "min_gap": np.asarray(gaps)}

@@ -13,18 +13,25 @@ A state is a graph height u over a (possibly moving) grid.  Three grid kinds:
              coordinate r/R, physical coordinate r.
 
 Each kind's facts live in one table, ``_KINDS`` at the end of this module:
-its geometry evaluator and Laplace-Beltrami operator, |Du|^2 for the
-spacelike margin, its reference and physical node coordinates, its spacing,
-its real nodes and the fewest nodes per axis it takes.  GridSpec, FlowState
-and the public functions look the kind up there and nowhere branch on its
-name.  flow, monitors and _kernels each keep one table of their own for the
-numerics they add (the step, the monitors' terms, the C loop's arguments).
+its evaluation and observer, its Laplace-Beltrami operator, its reference and
+physical node coordinates, its spacing, its real nodes and the fewest nodes
+per axis it takes.  GridSpec, FlowState and the public functions look the
+kind up there and nowhere branch on its name.  flow, monitors and _kernels
+each keep one table of their own for the numerics they add (the step, the
+monitors' terms, the C loop's arguments).
 
-The geometry evaluator is an observer: second-order central stencils inside,
-one-sided second-order at boundaries, no boundary condition assumed.  With
-the future-pointing unit normal nu and h_ij = -<d2F, nu>, the mean curvature
-of an upward-convex graph is positive; the translating benchmark
-u = log cosh x + t has H = v_hat = cosh x and interior update g^xx u_xx = 1.
+A kind's evaluation (``evaluate``) is the one place its slope, metric and
+mean curvature are formed.  The flow's step and record read it, and so does
+the observer ``geometry``, which adds the normal and |A|^2, so the observer
+sees the state the flow's guard saw.  Central differences inside; the line
+kinds impose at their ends the slope the state's boundary takes there
+(-+1/s' on the planar boundary, f'(u_b) at the radial rim, 0 on the axis),
+the disk its mirror-point ghosts.  A line end's u_xx takes the ghost
+(mirror-slope) form in the step's rate and the one-sided second-order form
+in H.  With the future-pointing unit normal nu and h_ij = -<d2F, nu>, the
+mean curvature of an upward-convex graph is positive; the translating
+benchmark u = log cosh x + t has H = v_hat = cosh x and interior update
+g^xx u_xx = 1.
 """
 
 from __future__ import annotations
@@ -85,7 +92,7 @@ class FlowState:
 
 @dataclass
 class GeometryFields:
-    """Per-node geometric data plus the global volume."""
+    """Per-node geometric data of a state."""
 
     v_hat: np.ndarray
     v: np.ndarray
@@ -94,9 +101,25 @@ class GeometryFields:
     normA2: np.ndarray
     dV: np.ndarray
     du: np.ndarray                      # u's slope; disk2d: (u_x, u_y) on a leading axis
-    volume: float
-    mask: Optional[np.ndarray] = None   # disk2d inside mask
     kappa: Optional[tuple] = None       # radial2d principal curvatures
+
+
+class Evaluation(NamedTuple):
+    """A kind's evaluation of a state, or of a stack of states along leading
+    axes: what the flow's step and record and the observer read."""
+
+    h: object              # the node spacing; (K, 1) over a stack of line states
+    m_min: float           # least 1 - |Du|^2 over the real nodes: the flow's guard
+    du: object             # u's slope, the boundary's at a line grid's ends; disk2d (u_x, u_y)
+    rhs: np.ndarray        # H / v_hat: the step's u_t on a fixed grid (ghost-form line ends)
+    v_hat: np.ndarray      # 1 / sqrt(1 - |Du|^2)
+    H: np.ndarray          # v_hat rhs, with the one-sided u_xx at a line grid's ends
+    v: np.ndarray          # -<nu, V> with the profile's V field
+    dV: np.ndarray         # the volume element times the quadrature weight
+    data: tuple            # the kind's own: curve1d (the (low, high) ends' one-sided
+                           # rhs, (s'(|x_l|), s'(x_r))); radial2d (f'(u_b), the rim's
+                           # one-sided rhs, u_r / rho); disk2d (grid, v_hat^2,
+                           # (u_xx, u_yy, u_xy)); line ends as length-1 slices
 
 
 # -- one-dimensional stencils -------------------------------------------------
@@ -112,16 +135,6 @@ def d1(u: np.ndarray, h) -> np.ndarray:
     out[..., 1:-1] = (u[..., 2:] - u[..., :-2]) / (2.0 * h)
     out[..., :1] = (-3.0 * u[..., :1] + 4.0 * u[..., 1:2] - u[..., 2:3]) / (2.0 * h)
     out[..., -1:] = (3.0 * u[..., -1:] - 4.0 * u[..., -2:-1] + u[..., -3:-2]) / (2.0 * h)
-    return out
-
-
-def d2(u: np.ndarray, h) -> np.ndarray:
-    out = np.empty_like(u)
-    out[..., 1:-1] = (u[..., 2:] - 2.0 * u[..., 1:-1] + u[..., :-2]) / (h * h)
-    out[..., :1] = (2.0 * u[..., :1] - 5.0 * u[..., 1:2] + 4.0 * u[..., 2:3]
-                    - u[..., 3:4]) / (h * h)
-    out[..., -1:] = (2.0 * u[..., -1:] - 5.0 * u[..., -2:-1] + 4.0 * u[..., -3:-2]
-                     - u[..., -4:-3]) / (h * h)
     return out
 
 
@@ -156,93 +169,134 @@ def rotational_V_factors(profile: RotationalProfile, z):
     return dfz, 1.0 / np.sqrt(1.0 - dfz * dfz)
 
 
-# -- geometry evaluators ------------------------------------------------------
+# -- the evaluation and the observer --------------------------------------------
+
+
+def evaluate(state: FlowState, profile) -> Evaluation:
+    """The kind's evaluation of a state, with the boundary's slope imposed at a
+    line grid's ends; no guard applies."""
+    return _KINDS[state.grid.kind].evaluate(state, profile)
+
+
+def spacelike_margin(state: FlowState, profile) -> float:
+    """The least 1 - |Du|^2 over the real nodes that the flow's guard compares."""
+    with np.errstate(all="ignore"):
+        return evaluate(state, profile).m_min
 
 
 def geometry(state: FlowState, profile) -> GeometryFields:
-    """Metric, gradient functions, normal, curvature and volume of a state.
+    """Metric, gradient functions, normal and curvature of a state, or of a
+    stack of states along leading axes, from the kind's evaluation.
 
     In the flat ambient chart (psi = 1, ghat = delta, V_hat = e_t); the V
-    field comes from the profile's extension.
+    field comes from the profile's extension.  SpacelikeError where the
+    flow's margin is not positive (or NaN).
     """
-    return _KINDS[state.grid.kind].geometry(state, profile)
+    kind = _KINDS[state.grid.kind]
+    with np.errstate(all="ignore"):
+        ev = kind.evaluate(state, profile)
+    if not ev.m_min > 0.0:
+        raise SpacelikeError(f"graph is not strictly spacelike (least margin {ev.m_min:.3g})")
+    return kind.observe(ev)
 
 
-def _geometry_curve1d(state: FlowState, profile) -> GeometryFields:
-    u = state.u
-    h = state.spacing()
-    x = state.coords()
-    ux = d1(u, h)
-    uxx = d2(u, h)
-    m = 1.0 - ux * ux
-    if np.any(m <= 0) or not np.all(np.isfinite(uxx)):
-        raise SpacelikeError("graph is not strictly spacelike")
+def _line_derivatives(u, h, slope_lo, slope_hi):
+    """u_x, u_xx, 1 - u_x^2 and the (low, high) one-sided end u_xx of a line
+    grid with the slopes du/dx imposed at its ends.  The ends' u_xx takes the
+    ghost (mirror-slope) form, which keeps the interior stencil's stability
+    bound; the one-sided form gives the boundary speeds and H.
+    """
+    ux = np.empty_like(u)
+    ux[..., 1:-1] = (u[..., 2:] - u[..., :-2]) / (2.0 * h)
+    ux[..., :1] = slope_lo
+    ux[..., -1:] = slope_hi
+    uxx = np.empty_like(u)
+    uxx[..., 1:-1] = (u[..., 2:] - 2.0 * u[..., 1:-1] + u[..., :-2]) / (h * h)
+    # the high end is the low end of the reversed grid, whose slope is -du/dx
+    (uxx[..., :1], lo2), (uxx[..., -1:], hi2) = (_end_uxx(u, h, slope_lo),
+                                                 _end_uxx(u[..., ::-1], h, -slope_hi))
+    return ux, uxx, 1.0 - ux * ux, (lo2, hi2)
+
+
+def _end_uxx(u, h, slope):
+    """(ghost form, one-sided form) of u_xx at u[..., :1], whose slope is imposed."""
+    u0, u1, u2 = u[..., :1], u[..., 1:2], u[..., 2:3]
+    return ((2.0 * u1 - 2.0 * u0 - 2.0 * h * slope) / (h * h),
+            (-3.5 * u0 + 4.0 * u1 - 0.5 * u2 - 3.0 * h * slope) / (h * h))
+
+
+def _line_evaluation(h, ux, m, rhs, ends, vw, unit, data) -> Evaluation:
+    """A line grid's evaluation: w = sqrt(m), v_hat = 1/w, H = v_hat rhs with
+    the ends' one-sided rhs, v = vw/w and dV = unit w trapezoid."""
     w = np.sqrt(m)
     v_hat = 1.0 / w
-    nu = np.stack([ux / w, 1.0 / w], axis=-1)
-    H = uxx / (m * w)
-    normA2 = H * H
-    if profile is not None and isinstance(profile, PlanarBoundary):
-        Vx, Vt = planar_V(profile, x)
-        v = (Vt - Vx * ux) / w
-    else:
-        v = v_hat.copy()
-    dV = w * trapezoid_weights(u.shape[-1], h)
-    return GeometryFields(
-        v_hat=v_hat, v=v, nu=nu, H=H, normA2=normA2, dV=dV,
-        du=ux, volume=dV.sum(axis=-1),
-    )
+    H = v_hat * rhs
+    H[..., :1] = v_hat[..., :1] * ends[0]
+    H[..., -1:] = v_hat[..., -1:] * ends[1]
+    return Evaluation(h, float(m.min()), ux, rhs, v_hat, H, vw / w,
+                      unit * w * trapezoid_weights(m.shape[-1], h), data)
 
 
-def _geometry_radial2d(state: FlowState, profile) -> GeometryFields:
-    u = state.u
-    h = state.spacing()
-    rho = state.coords()
-    ur = _radial2d_slope(state)
-    urr = d2(u, h)
-    urr[..., :1] = 2.0 * (u[..., 1:2] - u[..., :1]) / (h * h)
-    m = 1.0 - ur * ur
-    if np.any(m <= 0) or not np.all(np.isfinite(urr)):
-        raise SpacelikeError("graph is not strictly spacelike")
-    w = np.sqrt(m)
-    v_hat = 1.0 / w
-    nu = np.stack([ur / w, 1.0 / w], axis=-1)   # (nu_radial, nu_t)
-    kappa1 = urr / (m * w)
-    kappa2 = np.empty_like(u)
-    kappa2[..., 1:] = ur[..., 1:] / (rho[..., 1:] * w[..., 1:])
-    kappa2[..., :1] = urr[..., :1] / w[..., :1]   # L'Hopital at the axis
-    H = kappa1 + kappa2
-    normA2 = kappa1**2 + kappa2**2
-    if profile is not None and isinstance(profile, RotationalProfile):
-        dfz, invw = rotational_V_factors(profile, u)
-        v = (1.0 - dfz * ur) * invw / w
-    else:
-        v = v_hat.copy()
-    dV = 2.0 * np.pi * rho * w * trapezoid_weights(u.shape[-1], h)
-    return GeometryFields(
-        v_hat=v_hat, v=v, nu=nu, H=H, normA2=normA2, dV=dV,
-        du=ur, volume=dV.sum(axis=-1),
-        kappa=(kappa1, kappa2),
-    )
+def _curve1d_evaluate(state: FlowState, profile) -> Evaluation:
+    (xl, xr), h = state.boundary, state.spacing()
+    dsL, dsR = profile.ds(abs(xl)), profile.ds(xr)
+    ux, uxx, m, (lo2, hi2) = _line_derivatives(state.u, h, -1.0 / dsL, 1.0 / dsR)
+    ends = (lo2 / m[..., :1], hi2 / m[..., -1:])
+    Vx, Vt = planar_V(profile, state.coords())
+    return _line_evaluation(h, ux, m, uxx / m, ends, Vt - Vx * ux, 1.0, (ends, (dsL, dsR)))
 
 
-def _geometry_disk2d(state: FlowState, profile) -> GeometryFields:
+def _curve1d_observe(ev: Evaluation) -> GeometryFields:
+    """nu = v_hat (u_x, 1), components (x or rho, t) on a trailing axis."""
+    return GeometryFields(v_hat=ev.v_hat, v=ev.v, nu=np.stack([ev.du * ev.v_hat, ev.v_hat], -1),
+                          H=ev.H, normA2=ev.H * ev.H, dV=ev.dV, du=ev.du)
+
+
+def _radial2d_evaluate(state: FlowState, profile) -> Evaluation:
+    u, h, rho = state.u, state.spacing(), state.coords()
+    dfb = np.asarray(profile.df(u[..., -1]))[..., None]
+    # slope 0 on the axis: the ghost form there is the even extension 2 (u_1 - u_0) / h^2
+    ux, uxx, m, (_, rim2) = _line_derivatives(u, h, 0.0, dfb)
+    k2 = np.empty_like(u)             # u_r / rho = kappa_2 / v_hat; u_rr on the axis
+    k2[..., 1:] = ux[..., 1:] / rho[..., 1:]
+    k2[..., :1] = uxx[..., :1]
+    # on the axis m = 1, so rhs there is 2 u_rr, as _step.c's u_rr (1/m + 1)
+    rhs = uxx / m + k2
+    rim = rim2 / m[..., -1:] + k2[..., -1:]
+    dfz, invw = rotational_V_factors(profile, u)
+    return _line_evaluation(h, ux, m, rhs, (rhs[..., :1], rim), (1.0 - dfz * ux) * invw,
+                            2.0 * np.pi * rho, (dfb, rim, k2))
+
+
+def _radial2d_observe(ev: Evaluation) -> GeometryFields:
+    g = _curve1d_observe(ev)
+    kappa2 = ev.v_hat * ev.data[2]
+    kappa1 = ev.H - kappa2
+    g.normA2, g.kappa = kappa1**2 + kappa2**2, (kappa1, kappa2)
+    return g
+
+
+def _disk2d_evaluate(state: FlowState, profile) -> Evaluation:
     grid = disk_grid(state.grid.n, state.grid.radius)
-    h = grid.h
-    uf = grid.fill_ghosts(state.u)
-    ux, uy, uxx, uyy, uxy = disk_derivatives(uf, h, padded=True)
-    ins = grid.inside
-    du2 = ux * ux + uy * uy
-    m = 1.0 - du2
-    if np.any((m <= 0) & ins):
-        raise SpacelikeError("graph is not strictly spacelike")
-    m_safe = np.where(ins, m, 1.0)
-    w = np.sqrt(m_safe)
-    v_hat = np.where(ins, 1.0 / w, 1.0)
+    ux, uy, uxx, uyy, uxy = disk_derivatives(grid.fill_ghosts(state.u), grid.h)
+    ins = grid.inside[1:-1, 1:-1]
+    m = 1.0 - (ux * ux + uy * uy)
+    # one sqrt and one division a node, as in _step.c's row kernel
+    w = np.sqrt(np.where(ins, m, 1.0))
+    v_hat = 1.0 / w
     vh2 = v_hat * v_hat
-    lap = uxx + uyy
-    quad = ux * ux * uxx + 2.0 * ux * uy * uxy + uy * uy * uyy
-    H = np.where(ins, v_hat * (lap + vh2 * quad), 0.0)
+    rhs = (uxx + uyy) + vh2 * (ux * ux * uxx + 2 * ux * uy * uxy + uy * uy * uyy)
+    H = np.where(ins, v_hat * rhs, 0.0)
+    dV = np.where(ins, grid.area_weights[1:-1, 1:-1] * w, 0.0)
+    # V = e_t on the cylinder, the disk's one tube: v = v_hat
+    return Evaluation(grid.h, float(m[..., ins].min()), (ux, uy), rhs, v_hat, H, v_hat, dV,
+                      (grid, vh2, (uxx, uyy, uxy)))
+
+
+def _disk2d_observe(ev: Evaluation) -> GeometryFields:
+    """The fields on the whole box, zero on its pad ring."""
+    grid, vh2, (uxx, uyy, uxy) = ev.data
+    ux, uy = ev.du
     # |A|^2 = tr((g^{-1} h)^2), g^{-1} = delta + vh^2 Du Du, h_ij = v_hat u_ij
     a11 = 1.0 + vh2 * ux * ux
     a12 = vh2 * ux * uy
@@ -251,14 +305,11 @@ def _geometry_disk2d(state: FlowState, profile) -> GeometryFields:
     m12 = a11 * uxy + a12 * uyy
     m21 = a12 * uxx + a22 * uxy
     m22 = a12 * uxy + a22 * uyy
-    normA2 = np.where(ins, vh2 * (m11 * m11 + 2.0 * m12 * m21 + m22 * m22), 0.0)
-    nu = np.stack([ux * v_hat, uy * v_hat, v_hat], axis=-1)
-    v = v_hat.copy()        # V = e_t on the cylinder, the disk's one tube
-    dV = np.where(ins, grid.area_weights * w, 0.0)
-    return GeometryFields(
-        v_hat=v_hat, v=v, nu=nu, H=H, normA2=normA2, dV=dV,
-        du=np.stack([ux, uy]), volume=dV.sum(axis=(-2, -1)), mask=ins,
-    )
+    normA2 = np.where(grid.inside[1:-1, 1:-1],
+                      vh2 * (m11 * m11 + 2.0 * m12 * m21 + m22 * m22), 0.0)
+    du, vh = _padded(np.stack([ux, uy])), _padded(ev.v_hat)
+    return GeometryFields(v_hat=vh, v=vh, nu=np.stack([du[0] * vh, du[1] * vh, vh], axis=-1),
+                          H=_padded(ev.H), normA2=_padded(normA2), dV=_padded(ev.dV), du=du)
 
 
 def _padded(core: np.ndarray) -> np.ndarray:
@@ -280,23 +331,14 @@ def disk_gradient(f: np.ndarray, h: float, padded: bool = False):
     return (_padded(fx), _padded(fy)) if padded else (fx, fy)
 
 
-def disk_derivatives(f: np.ndarray, h: float, padded: bool = False):
-    """(f_x, f_y, f_xx, f_yy, f_xy) by central differences, laid out as disk_gradient."""
+def disk_derivatives(f: np.ndarray, h: float):
+    """(f_x, f_y, f_xx, f_yy, f_xy) by central differences at the nodes f[1:-1, 1:-1]."""
     c = f[..., 1:-1, 1:-1]
     inv_h2, inv_4h2 = 1.0 / (h * h), 1.0 / (4.0 * h * h)
-    second = (
-        (f[..., 2:, 1:-1] - 2 * c + f[..., :-2, 1:-1]) * inv_h2,
-        (f[..., 1:-1, 2:] - 2 * c + f[..., 1:-1, :-2]) * inv_h2,
-        (f[..., 2:, 2:] + f[..., :-2, :-2] - f[..., 2:, :-2] - f[..., :-2, 2:]) * inv_4h2,
-    )
-    if padded:
-        second = tuple(_padded(d) for d in second)
-    return (*disk_gradient(f, h, padded), *second)
-
-
-def spacelike_margin(state: FlowState) -> float:
-    """min over nodes of 1 - psi^2 |Du|^2_ghat (flat ambient chart)."""
-    return float(1.0 - _KINDS[state.grid.kind].du2(state).max())
+    return (*disk_gradient(f, h),
+            (f[..., 2:, 1:-1] - 2 * c + f[..., :-2, 1:-1]) * inv_h2,
+            (f[..., 1:-1, 2:] - 2 * c + f[..., 1:-1, :-2]) * inv_h2,
+            (f[..., 2:, 2:] + f[..., :-2, :-2] - f[..., 2:, :-2] - f[..., :-2, 2:]) * inv_4h2)
 
 
 def laplace_beltrami(state: FlowState, f: np.ndarray, g: GeometryFields) -> np.ndarray:
@@ -318,7 +360,7 @@ def _curve1d_laplace_beltrami(state: FlowState, f: np.ndarray, g: GeometryFields
     a_mid = 1.0 / np.sqrt(1.0 - dum * dum)      # sqrt(g) g^{xx} at midpoints
     flux = a_mid * np.diff(f) / h
     out = np.full_like(f, np.nan)
-    out[..., 1:-1] = (flux[..., 1:] - flux[..., :-1]) / (h * np.sqrt(1.0 - g.du[..., 1:-1] ** 2))
+    out[..., 1:-1] = (flux[..., 1:] - flux[..., :-1]) * g.v_hat[..., 1:-1] / h
     return out
 
 
@@ -331,8 +373,7 @@ def _radial2d_laplace_beltrami(state: FlowState, f: np.ndarray, g: GeometryField
     a_mid = rho_mid / np.sqrt(1.0 - dum * dum)  # sqrt(G) g^{rr} at midpoints
     flux = a_mid * np.diff(f) / h
     out = np.full_like(f, np.nan)
-    sg = rho * np.sqrt(1.0 - g.du * g.du)
-    out[..., 1:-1] = (flux[..., 1:] - flux[..., :-1]) / (h * sg[..., 1:-1])
+    out[..., 1:-1] = (flux[..., 1:] - flux[..., :-1]) * g.v_hat[..., 1:-1] / (h * rho[..., 1:-1])
     # axis cell: (1/(rho sqrt(g))) d_rho(rho f_rho/sqrt(g)) -> 2 f_rr at 0
     out[..., :1] = 4.0 * (f[..., 1:2] - f[..., :1]) / (h * h * np.sqrt(1.0 - dum[..., :1] ** 2))
     return out
@@ -366,11 +407,11 @@ def _curve1d_coords(state: FlowState) -> np.ndarray:
     return 0.5 * (xl + xr) + state.grid.reference() * 0.5 * (xr - xl)
 
 
-def _radial2d_slope(state: FlowState) -> np.ndarray:
-    """d1 of u, zero on the axis (symmetry)."""
-    du = d1(state.u, state.spacing())
-    du[..., 0] = 0.0
-    return du
+def _radial2d_coords(state: FlowState) -> np.ndarray:
+    """k h and, at the rim, rho_b: the bits of np.linspace(0, rho_b, n) and _step.c."""
+    rho = np.arange(state.grid.n) * state.spacing()
+    rho[..., -1:] = state.boundary
+    return rho
 
 
 def _disk2d_real_nodes(grid: GridSpec) -> tuple:
@@ -381,16 +422,10 @@ def _disk2d_real_nodes(grid: GridSpec) -> tuple:
     return tuple(a[order] for a in np.nonzero(ins))
 
 
-def _disk2d_du2(state: FlowState) -> np.ndarray:
-    grid = disk_grid(state.grid.n, state.grid.radius)
-    ux, uy = disk_gradient(grid.fill_ghosts(state.u), grid.h)
-    return (ux * ux + uy * uy)[grid.inside[1:-1, 1:-1]]
-
-
 class _Kind(NamedTuple):
-    geometry: Callable           # (state, profile) -> GeometryFields
+    evaluate: Callable           # (state, profile) -> Evaluation
+    observe: Callable            # Evaluation -> GeometryFields
     laplace_beltrami: Callable   # (state, f, g) -> the intrinsic Laplacian of f
-    du2: Callable                # state -> |Du|^2 at the real nodes
     reference: Callable          # grid -> the reference coordinate per node
     coords: Callable             # state -> the physical coordinate per node
     spacing: Callable            # state -> the node spacing
@@ -399,20 +434,20 @@ class _Kind(NamedTuple):
 
 
 _KINDS = {
-    "curve1d": _Kind(_geometry_curve1d, _curve1d_laplace_beltrami,
-                     lambda state: d1(state.u, state.spacing()) ** 2,
+    "curve1d": _Kind(_curve1d_evaluate, _curve1d_observe,
+                     _curve1d_laplace_beltrami,
                      lambda grid: np.linspace(-1.0, 1.0, grid.n), _curve1d_coords,
                      lambda state: (state.boundary[1] - state.boundary[0]) / (state.grid.n - 1),
                      lambda grid: slice(None), 5),
-    "radial2d": _Kind(_geometry_radial2d, _radial2d_laplace_beltrami,
-                      lambda state: _radial2d_slope(state) ** 2,
-                      lambda grid: np.linspace(0.0, 1.0, grid.n),
-                      lambda state: state.grid.reference() * state.boundary,
+    "radial2d": _Kind(_radial2d_evaluate, _radial2d_observe,
+                      _radial2d_laplace_beltrami,
+                      lambda grid: np.linspace(0.0, 1.0, grid.n), _radial2d_coords,
                       lambda state: state.boundary / (state.grid.n - 1),
                       lambda grid: slice(None), 5),
     # from N = 6 the rim monitor circles sample inside nodes only (disk.DiskGrid
     # builds N = 5 too, for its own tests)
-    "disk2d": _Kind(_geometry_disk2d, _disk2d_laplace_beltrami, _disk2d_du2,
+    "disk2d": _Kind(_disk2d_evaluate, _disk2d_observe,
+                    _disk2d_laplace_beltrami,
                     lambda grid: disk_grid(grid.n, grid.radius).r / grid.radius,
                     lambda state: disk_grid(state.grid.n, state.grid.radius).r,
                     lambda state: disk_grid(state.grid.n, state.grid.radius).h,

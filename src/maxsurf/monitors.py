@@ -263,22 +263,18 @@ def _fold_residuals(res, ext, center, inner: slice, keep: np.ndarray, kax: int):
     return np.fmax(res, np.fmax.reduce(rows, axis=-1, initial=0.0))
 
 
+def _ip(a_0, a_t, b_0, b_t):
+    """Minkowski pairing of (space, t)-component pairs."""
+    return a_0 * b_0 - a_t * b_t
+
+
 def _v_rhs_curve(s0: FlowState, g0, profile: PlanarBoundary):
     """-v|A|^2 + 2 g^xx A((DV)^T, x) + g^xx <D^2 V, nu> for the planar extension."""
-    x = s0.coords()
-    ux = g0.du
-    m = 1.0 - ux * ux
-    dV, d2V = _planar_V_derivs(profile, x)
-    # Minkowski pairing of (x, t)-component pairs
-    def ip(a_x, a_t, b_x, b_t):
-        return a_x * b_x - a_t * b_t
-
-    nu_x, nu_t = g0.nu[..., 0], g0.nu[..., 1]
-    hess_term = (1.0 / m) * ip(d2V[..., 0], d2V[..., 1], nu_x, nu_t)
-    # tangential projection coefficient of DV along the tangent (1, u_x)
-    c = (1.0 / m) * ip(dV[..., 0], dV[..., 1], np.ones_like(ux), ux)
-    h_xx = g0.H * m  # h_xx = H g_xx in one dimension
-    a_term = 2.0 * (1.0 / m) * c * h_xx
+    dV, d2V = _planar_V_derivs(profile, s0.coords())
+    g_xx = g0.v_hat * g0.v_hat            # g^xx = v_hat^2
+    hess_term = g_xx * _ip(d2V[..., 0], d2V[..., 1], g0.nu[..., 0], g0.nu[..., 1])
+    # 2 g^xx A(DV^T, x) = 2 g^xx g^xx h_xx <DV, (1, u_x)>, with h_xx = H / g^xx
+    a_term = 2.0 * g_xx * g0.H * _ip(dV[..., 0], dV[..., 1], 1.0, g0.du)
     return -g0.v * g0.normA2 + a_term + hess_term
 
 
@@ -287,7 +283,7 @@ def _v_rhs_radial(s0: FlowState, g0, profile: RotationalProfile):
     rho = s0.coords()
     u = s0.u
     ux = g0.du
-    m = 1.0 - ux * ux
+    g_rr = g0.v_hat * g0.v_hat            # g^rr = v_hat^2
     kappa1, kappa2 = g0.kappa
     c, dz_mu, d2z_mu, d2z_V = _rotational_V_data(profile, u)
     df, invw = rotational_V_factors(profile, u)
@@ -295,24 +291,15 @@ def _v_rhs_radial(s0: FlowState, g0, profile: RotationalProfile):
     mu_r, mu_3 = invw, df * invw
     V_r, V_3 = df * invw, invw
     nu_r, nu_3 = g0.nu[..., 0], g0.nu[..., 1]
-
-    def ip(a_r, a_3, b_r, b_3):
-        return a_r * b_r - a_3 * b_3
-
     # Hessian contraction: g^rr u_r^2 d2z V + g^theta-theta (theta,theta) part
-    hess_rr = (ux * ux / m) * (d2z_mu * ip(mu_r, mu_3, nu_r, nu_3)
-                               + d2z_V * ip(V_r, V_3, nu_r, nu_3))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        hess_tt = -c * ip(np.ones_like(u), 0.0 * u, nu_r, nu_3) / rho**2
-    hess = hess_rr + hess_tt
+    hess_rr = (ux * ux * g_rr) * (d2z_mu * _ip(mu_r, mu_3, nu_r, nu_3)
+                                  + d2z_V * _ip(V_r, V_3, nu_r, nu_3))
     # A-terms: radial leg DV_rho = u_r dz_mu mu_ext, angular leg c/rho * T_theta
-    X_r = ux * dz_mu * mu_r
-    X_3 = ux * dz_mu * mu_3
-    c_rho = ip(X_r, X_3, np.ones_like(u), ux) / m
-    a_rad = 2.0 * c_rho * kappa1
-    with np.errstate(divide="ignore", invalid="ignore"):
+    a_rad = 2.0 * (ux * dz_mu * _ip(mu_r, mu_3, 1.0, ux) * g_rr) * kappa1
+    with np.errstate(divide="ignore", invalid="ignore"):    # the axis
+        hess_tt = -c * nu_r / rho**2
         a_ang = 2.0 * c * kappa2 / rho
-    return -g0.v * g0.normA2 + a_rad + a_ang + hess
+    return -g0.v * g0.normA2 + a_rad + a_ang + (hess_rr + hess_tt)
 
 
 # -- boundary identities ----------------------------------------------------------
@@ -411,12 +398,10 @@ def _radial2d_certificate(state: FlowState, g, profile, center):
         raise ValueError("radial states need the center on the rotation axis")
     zb = float(state.u[-1])
     bc = profile_curvature(profile, zb)
-    ur = float(g.du[-1])
-    w = math.sqrt(1.0 - ur * ur)
-    vb = float(g.v[-1])
-    a_nn = np.array([normal_curvature(vb, bc.A_VV, bc.A_WW[0])])
+    ur = float(g.du[-1])            # the tube's slope f'(zb), the flow's imposed one
+    a_nn = np.array([normal_curvature(float(g.v[-1]), bc.A_VV, bc.A_WW[0])])
     rho_b = float(state.boundary)
-    pairing = np.array([(rho_b - (zb - center[2]) * ur) / w])
+    pairing = np.array([(rho_b - (zb - center[2]) * ur) * float(g.v_hat[-1])])
     sq_bdry = np.array([rho_b**2 - (zb - center[2]) ** 2])
     return a_nn, pairing, sq_bdry, state.coords() ** 2 - (state.u - center[2]) ** 2
 
@@ -454,12 +439,12 @@ def stability_certificate(state: FlowState, profile, center, epsilon: float = 1e
     """
     center = np.asarray(center, dtype=float)
     g = geometry(state, profile)
+    a_nn, pairing, sq_bdry, sq = _KINDS[state.grid.kind].certificate(state, g, profile, center)
     ins = state.grid.real_nodes()
     sup_H = float(np.abs(g.H[ins]).max())
     if sup_H > maximal_tol:
         raise ValueError(f"state is not approximately maximal (sup|H| = {sup_H:.2e})")
     n_dim = 2    # both kinds with a certificate are surfaces
-    a_nn, pairing, sq_bdry, sq = _KINDS[state.grid.kind].certificate(state, g, profile, center)
     hypothesis_ok = bool(np.min(a_nn) > 1e-10)
     sq_in = sq[ins]
     if hypothesis_ok:

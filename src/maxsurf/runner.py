@@ -114,9 +114,9 @@ def write_timeseries(path: str, traj: Trajectory) -> None:
 
 
 def write_profile(path: str, scenario: Scenario, state) -> None:
-    """The final state's nodes and geometry; the geometry columns are NaN where
-    the observer's stencils find the state not spacelike (a one-sided end slope
-    |u_x| >= 1 on a coarse grid, where the flow's imposed slope is below 1)."""
+    """The final state's nodes and geometry, from the evaluation the flow's
+    step reads; the geometry columns are NaN where the state is not spacelike
+    (the last state of a guard-tripped run whose least margin is not positive)."""
     try:
         g = geometry(state, scenario.profile)
         fields = (g.H, g.v, g.v_hat, g.normA2, g.dV)

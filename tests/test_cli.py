@@ -165,9 +165,10 @@ def test_batch_gives_an_unreadable_file_exit_3_and_runs_the_others(tmp_path, out
         assert err.startswith(f"{batch / name}: config error: ") and err.count("\n") == 1
 
 
-def run_config(keys: dict):
-    """(exit code, stderr) of ``maxsurf run`` on a config of these keys, None
-    values left out, with its outputs in a temporary directory."""
+def run_config(keys: dict, command=("run",)):
+    """(exit code, stderr) of a maxsurf command (``run`` by default, its
+    options after the config) on a config of these keys, None values left
+    out, with its outputs in a temporary directory."""
     with tempfile.TemporaryDirectory() as out:
         path = os.path.join(out, "run.cfg")
         with open(path, "w") as f:
@@ -175,16 +176,16 @@ def run_config(keys: dict):
                     + f"out_dir = {os.path.join(out, 'o')}\n")
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = main(["run", path])
+            code = main([command[0], path, *command[1:]])
     return code, err.getvalue()
 
 
-def assert_documented_ending(keys):
+def assert_documented_ending(keys, command=("run",)):
     # an exit code in 0-4 and at most one line on stderr; an exception out
     # of main fails the test with its traceback
-    code, err = run_config(keys)
-    assert 0 <= code <= 4, keys
-    assert "Traceback" not in err and err.count("\n") <= 1, (keys, err)
+    code, err = run_config(keys, command)
+    assert 0 <= code <= 4, (command, keys)
+    assert "Traceback" not in err and err.count("\n") <= 1, (command, keys, err)
 
 
 # each scenario's own profile specs and initial selectors, and the other keys
@@ -263,7 +264,8 @@ def configs(draw):
 @settings(max_examples=150, derandomize=True, deadline=None, database=None)
 @given(keys=configs())
 def test_generated_configs_end_in_a_documented_exit_code(keys):
-    assert_documented_ending(keys)
+    for command in (("run",), ("converge", "--levels", "2"), ("check-boundary",)):
+        assert_documented_ending(keys, command)
 
 
 def test_run_exit_3_when_the_first_step_underflows(tmp_path, out_root, capsys):
@@ -342,11 +344,10 @@ def test_run_reports_an_empty_evolution_core(tmp_path, out_root, capsys, case, c
     assert not [line for line in summary if line.startswith(("res_H", "res_v"))]
 
 
-def test_run_on_a_final_state_the_geometry_rejects(tmp_path, out_root, capsys):
-    # a coarse translator near blow-up: the flow's guard, with the boundary's
-    # slope imposed at the ends, lets it run to the step limit, while the
-    # geometry's one-sided end stencils find |u_x| >= 1 there; the run still
-    # writes its outputs, with NaN geometry, and reports no certificate
+def test_run_writes_the_geometry_of_a_coarse_final_state(tmp_path, out_root, capsys):
+    # a coarse translator near blow-up: one-sided end stencils found |u_x| >= 1
+    # on the final state the flow's guard accepted; the observer reads the
+    # boundary's slope at the ends, as the flow does, and sees that state
     cfg = write(tmp_path, "coarse.cfg",
                 "scenario = grim_reaper\nnodes = 7\nt0 = -0.5\nt_end = none\nmax_steps = 30\n"
                 "integrator = rk2\ncertificate = true\ncertificate_z = 0.5\nout_dir = coarse\n")
@@ -354,9 +355,11 @@ def test_run_on_a_final_state_the_geometry_rejects(tmp_path, out_root, capsys):
     assert capsys.readouterr().err == ""
     summary = (out_root / "coarse" / "monitor_summary.txt").read_text().splitlines()
     assert "event = step_limit" in summary
-    assert "certificate_error = graph is not strictly spacelike" in summary
+    assert "certificate_error = stability certificates are built for the 2d kinds" in summary
     rows = (out_root / "coarse" / "final_profile.csv").read_text().splitlines()[1:]
-    assert len(rows) == 7 and all(r.endswith(",nan,nan,nan,nan,nan") for r in rows)
+    values = np.array([[float(x) for x in r.split(",")] for r in rows])
+    assert values.shape == (7, 8) and np.isfinite(values).all()
+    assert (values[:, 5] >= 1.0).all()      # v_hat
 
 
 def test_run_exit_4_condition_failure(tmp_path, out_root):

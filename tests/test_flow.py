@@ -16,6 +16,7 @@ from maxsurf.flow import (
     FlowError,
     FlowEvent,
     GuardTrip,
+    RECORD_COLUMNS,
     StepControl,
     _end_block,
     _run_python,
@@ -24,7 +25,7 @@ from maxsurf.flow import (
     run,
     step,
 )
-from maxsurf.geometry import FlowState, GridSpec, spacelike_margin
+from maxsurf.geometry import FlowState, GridSpec, d1, evaluate, spacelike_margin
 from maxsurf.monitors import _consecutive_triples
 from maxsurf.profiles import cylinder, pseudosphere, sine_tube, trumpet
 
@@ -241,6 +242,33 @@ def test_comparison_pair_reports_a_guard_trip():
     assert np.abs(out["min_gap"]).max() == 0.0
 
 
+def test_comparison_pair_trips_before_the_first_step():
+    # a spacelike pair whose margin is below the guard: no step, no record
+    st = translator_state(-1.0, 21)
+    out = comparison_pair_run(st, st.copy(), StepControl(eps_guard=0.99), trumpet())
+    for traj in (out["traj_a"], out["traj_b"]):
+        assert traj.event is FlowEvent.GUARD_TRIPPED and traj.event_time == st.t
+        assert traj.records.shape == (0, len(RECORD_COLUMNS))
+        assert traj.series("min_gap").size == 0
+    assert out["min_gap"].tolist() == [0.0]
+
+
+@pytest.mark.parametrize("engine", ["library", "numpy"])
+def test_run_and_pair_reject_a_start_that_is_not_spacelike(monkeypatch, engine):
+    # start_error's reason, before any step, as a config's start gets it
+    if engine == "numpy":
+        monkeypatch.setattr(_kernels, "_loaded", (None, "forced off"))
+    st = translator_state(-1.0, 21)
+    bad = FlowState(st.grid, st.t, 1.2 * st.coords(), st.boundary)
+    message = "the initial data are not spacelike: their least margin is -0.44"
+    with pytest.raises(ValueError, match=message):
+        run(bad, StepControl(), trumpet())
+    with pytest.raises(ValueError, match=message):
+        comparison_pair_run(st, bad, StepControl(), trumpet())
+    # a spacelike start below the guard's margin still trips it
+    assert run(st, StepControl(eps_guard=0.99), trumpet()).event is FlowEvent.GUARD_TRIPPED
+
+
 def test_comparison_pair_reports_the_time_reached_at_the_step_limit():
     # a pair of equal states steps as one run: same event time, not the start time
     p = sine_tube(2.0, 0.5, 1.0)
@@ -373,10 +401,10 @@ def test_engines_agree_on_random_disk_states(n, base, steps, bumps):
     shape = sum(a * np.exp(-((dg.X - cx) ** 2 + (dg.Y - cy) ** 2) / s**2)
                 for a, cx, cy, s in bumps)
     grid = GridSpec("disk2d", n)
-    steepest = 1.0 - spacelike_margin(FlowState(grid, 0.0, shape, None))
+    steepest = 1.0 - spacelike_margin(FlowState(grid, 0.0, shape, None), cylinder(1.0))
     scale = min(1.0, math.sqrt(0.7 / steepest)) if steepest > 0.0 else 1.0
     state = FlowState(grid, 0.0, np.where(dg.inside, base + scale * shape, 0.0), None)
-    assert spacelike_margin(state) > 0.29
+    assert spacelike_margin(state, cylinder(1.0)) > 0.29
     ctrl = StepControl(max_steps=steps)
     ref = _run_python(state.copy(), ctrl, cylinder(1.0), stride=1)
     fast = _kernels.run_fast(state.copy(), ctrl, cylinder(1.0), stride=1)
@@ -400,17 +428,20 @@ def test_engines_agree_on_random_disk_states(n, base, steps, bumps):
        coeffs=hs.lists(hs.floats(-1.0, 1.0), min_size=1, max_size=4))
 def test_engines_agree_on_random_radial_states(n, base, steps, profile, coeffs):
     # even polynomials in s = rho/rho_b that vanish at the rim, scaled to a
-    # least margin of 0.3, with the rim on the tube: pinned on a cylinder, by
-    # the incidence Newton on a sine tube or a pseudosphere; the states, the
-    # rim radii and all 17 record columns agree bit for bit
+    # least margin of 0.3 (the rim's is the tube's slope's), with the rim on
+    # the tube: pinned on a cylinder, by the incidence Newton on a sine tube or
+    # a pseudosphere; the states, the rim radii and all 17 record columns
+    # agree bit for bit
     grid = GridSpec("radial2d", n)
     s = grid.reference()
     shape = sum(c * (s ** (2 * k + 2) - 1.0) for k, c in enumerate(coeffs))
     rb = float(profile.f(base))
-    steepest = 1.0 - spacelike_margin(FlowState(grid, 0.0, base + shape, rb))
+    slope = d1(base + shape, rb / (n - 1))[1:]     # 0 on the axis
+    steepest = float((slope * slope).max())
     scale = min(1.0, math.sqrt(0.7 / steepest)) if steepest > 0.0 else 1.0
     state = FlowState(grid, 0.0, base + scale * shape, rb)
-    assert spacelike_margin(state) > 0.29
+    rim = 1.0 - float(profile.df(base)) ** 2
+    assert spacelike_margin(state, profile) > min(0.29, rim - 1e-12)
     ctrl = StepControl(max_steps=steps)
     with np.errstate(invalid="ignore"):     # a guard trip's record: sqrt of a negative margin
         ref = _run_python(state.copy(), ctrl, profile, stride=1)
@@ -457,9 +488,8 @@ def _node_order_sups(state, profile):
     fields over the inside nodes, walked in node order."""
     from maxsurf.flow import _KINDS
 
-    kind = _KINDS[state.grid.kind]
-    ev = kind.evaluate(state, profile)
-    u, v, v_hat, H, _, _, _, mask = kind.record(state, profile, ev.h, ev.data)
+    ev = evaluate(state, profile)
+    u, v, v_hat, H, _, _, _, mask = _KINDS[state.grid.kind].record(state, profile, ev)
     u, v, v_hat, H = ([float(x) for x in a[mask]] for a in (u, v, v_hat, np.abs(H)))
     return (reduce(_take_max, v, -math.inf), reduce(_take_max, v_hat, -math.inf),
             reduce(_take_max, H, -math.inf), reduce(_take_min, u, math.inf),
@@ -501,8 +531,6 @@ def test_fast_kernel_disk_sups_follow_node_order(profile, special):
 def test_fast_kernel_sup_v_hat_is_that_of_the_least_margin():
     # on random spacelike states of each kind the record's sup v_hat is
     # 1/sqrt(m_min) bit for bit, m_min the reference's least margin
-    from maxsurf.flow import _KINDS
-
     rng = np.random.default_rng(7)
     p = sine_tube(2.0, 0.5, 1.0)
     cases = []
@@ -524,7 +552,7 @@ def test_fast_kernel_sup_v_hat_is_that_of_the_least_margin():
     for state, profile in cases:
         fast = _kernels.run_fast(state.copy(), StepControl(max_steps=3), profile, stride=1)
         for j, s in enumerate(fast.states[:-1]):
-            m_min = _KINDS[s.grid.kind].evaluate(s, profile).m_min
+            m_min = spacelike_margin(s, profile)
             assert 0.0 < m_min < 1.0
             if s.grid.kind != "disk2d":
                 # the ends' slopes go through libm's and numpy's own tanh or
@@ -716,15 +744,16 @@ def test_end_block_reads_the_high_end_on_reversed_arrays():
     # the sign of v's one-sided derivative: res_v sees it unless v = 1 at the rim
     rng = np.random.default_rng(11)
     for _ in range(20):
-        H, v, w = rng.standard_normal(9), rng.uniform(1.0, 3.0, 9), rng.uniform(0.2, 1.0, 9)
+        H, v, v_hat = rng.standard_normal(9), rng.uniform(1.0, 3.0, 9), rng.uniform(1.0, 5.0, 9)
         a_vv, a_ww, h = rng.standard_normal(), rng.standard_normal(), rng.uniform(0.01, 1.0)
         for v_rim, same in ((v[-1], (0, 2, 3, 4)), (1.0, (0, 1, 2, 3, 4))):
             v[-1] = v_rim
-            hi = _end_block(H, v, w, h, True, a_vv, a_ww)
-            lo = _end_block(H[::-1].copy(), v[::-1].copy(), w[::-1].copy(), h, False, a_vv, a_ww)
+            hi = _end_block(H, v, v_hat, h, True, a_vv, a_ww)
+            lo = _end_block(H[::-1].copy(), v[::-1].copy(), v_hat[::-1].copy(), h, False, a_vv,
+                            a_ww)
             assert [np.float64(hi[k]).tobytes() for k in same] == \
                 [np.float64(lo[k]).tobytes() for k in same]
-        assert hi[1] > 0.0          # res_v = |dv / w| at v = 1: equal, and not as 0 = 0
+        assert hi[1] > 0.0          # res_v = |dv v_hat| at v = 1: equal, and not as 0 = 0
 
 
 def test_line_kinds_take_their_boundary_type():
@@ -781,8 +810,6 @@ def test_trajectory_invariants():
 def test_guard_soundness_of_stored_states():
     # every stored state keeps the spacelike margin, except the terminal
     # snapshot of a guard-tripped run (the detected blow-up state itself)
-    from maxsurf.geometry import spacelike_margin
-
     grid = GridSpec("curve1d", 101)
     t0 = math.log(math.tanh(0.5))
     x = grid.reference() * 0.5
@@ -790,7 +817,7 @@ def test_guard_soundness_of_stored_states():
     ctrl = StepControl(cfl=0.4, t_end=0.5, max_steps=2_000_000, eps_guard=1e-3)
     traj = run(st, ctrl, trumpet(), stride=500)
     assert traj.event is FlowEvent.GUARD_TRIPPED
-    margins = [spacelike_margin(s) for s in traj.states]
+    margins = [spacelike_margin(s, trumpet()) for s in traj.states]
     assert all(m >= ctrl.eps_guard for m in margins[:-1])
 
 

@@ -10,6 +10,7 @@ import maxsurf
 from maxsurf.analytic import grim_reaper, hyperbolic_plane, hyperbolic_plane_mean_curvature
 from maxsurf.config import SCENARIOS
 from maxsurf.disk import disk_grid
+from maxsurf.flow import StepControl, record_state
 from maxsurf.geometry import (
     FlowState,
     GridSpec,
@@ -18,7 +19,7 @@ from maxsurf.geometry import (
     spacelike_margin,
 )
 from maxsurf.lorentz import minkowski_inner
-from maxsurf.profiles import cylinder, sine_tube, trumpet
+from maxsurf.profiles import cylinder, pseudosphere, sine_tube, trumpet
 from maxsurf.scenarios import _SCENARIOS
 
 
@@ -48,10 +49,10 @@ def test_flat_disk_geometry():
     # nonzero constant: ghost fill exact up to substitution roundoff only
     st = disk_state(lambda x, y: 0.7 + 0.0 * x, 64)
     g = geometry(st, cylinder(1.0))
-    ins = g.mask
+    ins = disk_grid(64).inside
     assert np.abs(g.H[ins]).max() <= 1e-11
     assert np.abs(g.v_hat[ins] - 1.0).max() <= 1e-12
-    assert g.volume == pytest.approx(math.pi, abs=1e-12)  # exact cell areas
+    assert g.dV.sum() == pytest.approx(math.pi, abs=1e-12)  # exact cell areas
     # u identically zero is an exact fixed point of every stencil
     st0 = disk_state(lambda x, y: 0.0 * x, 64)
     g0 = geometry(st0, cylinder(1.0))
@@ -61,7 +62,7 @@ def test_flat_disk_geometry():
 def test_disk_quadrature_exact_area():
     for n in (32, 101):
         st = disk_state(lambda x, y: 0.0 * x, n)
-        assert geometry(st, cylinder(1.0)).volume == pytest.approx(math.pi, abs=1e-12)
+        assert geometry(st, cylinder(1.0)).dV.sum() == pytest.approx(math.pi, abs=1e-12)
 
 
 # -- translator closed forms ---------------------------------------------------
@@ -87,13 +88,21 @@ def test_curve_log_cosh_fields():
 # -- hyperboloid (radial) ------------------------------------------------------
 
 
+def hyperboloid_tube(R, rho_b):
+    """The pseudo-sphere that t = sqrt(R^2 + rho^2) meets perpendicularly at
+    rho_b: f(u_b) = rho_b and f'(u_b) = rho_b / u_b, the graph's slope there."""
+    u_b = math.hypot(R, rho_b)
+    return pseudosphere(rho_b * R / u_b, -R * R / u_b)
+
+
 def test_radial_hyperboloid_mean_curvature_order2():
     R = 1.5
     sol = hyperbolic_plane(R)
+    p = hyperboloid_tube(R, 1.2)
     errs = []
     for n in (51, 101, 201):
         st = radial_state(lambda r: sol.u(r, 0.0), 1.2, n)
-        g = geometry(st, None)
+        g = geometry(st, p)
         errs.append(np.abs(g.H - 2.0 / R).max())
     assert errs[0] == pytest.approx(0.0, abs=1e-2)
     order = math.log2(errs[0] / errs[2]) / 2.0
@@ -122,7 +131,7 @@ def test_gradient_functions_at_least_one():
 
 def test_normal_is_unit_and_orthogonal():
     st = curve_state(lambda x: 0.3 * np.sin(x), -1.0, 1.0, 201)
-    g = geometry(st, None)
+    g = geometry(st, trumpet())
     x = st.coords()
     sq = g.nu[:, 0] ** 2 - g.nu[:, 1] ** 2
     np.testing.assert_allclose(sq, -1.0, atol=1e-12)
@@ -133,20 +142,39 @@ def test_normal_is_unit_and_orthogonal():
     assert np.abs(ip[2:-2]).max() <= 5 * h * h
 
 
+@pytest.mark.parametrize("kind", ["curve1d", "radial2d", "disk2d"])
+def test_observer_sees_what_the_flow_records(kind):
+    # one evaluation serves both: the record's sups of v, v_hat and |H| are
+    # the observer's at the real nodes, bit for bit, and so is the margin
+    if kind == "curve1d":
+        p = trumpet()
+        st = curve_state(lambda x: np.log(np.cosh(x)) + 0.01 * np.cos(x), -0.8, 0.8, 41)
+    elif kind == "radial2d":
+        p = sine_tube(2.0, 0.5, 1.0)
+        st = radial_state(lambda r: math.pi / 2 + 0.05 * (1 - (r / 2.5) ** 2) ** 2, 2.5, 41)
+    else:
+        st, p = disk_state(lambda x, y: 0.1 * (1 - (x * x + y * y)) ** 2, 33), cylinder(1.0)
+    g = geometry(st, p)
+    rec = record_state(st, StepControl(), p)
+    at = st.grid.real_nodes()
+    assert [rec[1], rec[2], rec[3]] == [g.v[at].max(), g.v_hat[at].max(), np.abs(g.H[at]).max()]
+    assert rec[2] == 1.0 / math.sqrt(spacelike_margin(st, p))
+
+
 def test_spacelike_margin_and_error():
     st = curve_state(lambda x: 0.999 * x, -1.0, 1.0, 51)
-    assert spacelike_margin(st) < 3e-3
+    assert spacelike_margin(st, trumpet()) < 3e-3
     from maxsurf.geometry import SpacelikeError
 
     with pytest.raises(SpacelikeError):
-        geometry(curve_state(lambda x: 1.2 * x, -1.0, 1.0, 51), None)
+        geometry(curve_state(lambda x: 1.2 * x, -1.0, 1.0, 51), trumpet())
 
 
 def test_remarkablev_equivalence_bound():
     # cylinder: V = e3 = V_hat, so v = v_hat exactly
     st = disk_state(lambda x, y: 0.1 * (1 - (x * x + y * y)) ** 2, 48)
     g = geometry(st, cylinder(1.0))
-    ins = g.mask
+    ins = disk_grid(48).inside
     np.testing.assert_allclose(g.v[ins], g.v_hat[ins], atol=1e-12)
     # sine tube: bounded by 2 C_V with C_V = max boost between V and e_t
     p = sine_tube(2.0, 0.5, 1.0)
@@ -165,7 +193,7 @@ def test_laplace_beltrami_flat_plane_quadratic():
     # on a flat radial graph, Delta(R - rho^2) = -4 exactly (n = 2)
     st = radial_state(lambda r: 0.0 * r + 1.0, 2.0, 101)
     phi = 10.0 - st.coords() ** 2
-    lap = laplace_beltrami(st, phi, geometry(st, None))
+    lap = laplace_beltrami(st, phi, geometry(st, cylinder(2.0)))
     np.testing.assert_allclose(lap[:-1], -4.0, atol=1e-9)
 
 
@@ -173,7 +201,7 @@ def test_laplace_beltrami_disk_quadratic():
     st = disk_state(lambda x, y: 0.0 * x, 64)
     dg = disk_grid(64, 1.0)
     phi = 10.0 - (dg.X**2 + dg.Y**2)
-    lap = laplace_beltrami(st, phi, geometry(st, None))
+    lap = laplace_beltrami(st, phi, geometry(st, cylinder(1.0)))
     deep = dg.deep
     np.testing.assert_allclose(lap[deep], -4.0, atol=1e-9)
 
@@ -183,7 +211,7 @@ def test_laplace_beltrami_curve_matches_closed_form():
     st = curve_state(lambda x: np.log(np.cosh(x)), -1.0, 1.0, 801)
     x = st.coords()
     H = np.cosh(x)
-    lap = laplace_beltrami(st, H, geometry(st, None))
+    lap = laplace_beltrami(st, H, geometry(st, trumpet()))
     exact = np.cosh(x) * (np.sinh(x) ** 2 + np.cosh(x) ** 2)
     err = np.abs(lap[5:-5] - exact[5:-5]).max()
     assert err < 5e-4
