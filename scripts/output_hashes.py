@@ -1,11 +1,12 @@
 """sha256 of every output file of the shipped configs, for byte-identity checks.
 
-    python scripts/output_hashes.py OUT [--numpy] [--fast] [--check FILE]
+    python scripts/output_hashes.py OUT [--numpy] [--check FILE]
 
 Runs `maxsurf run` on each configs/*.cfg and `maxsurf converge --levels 2` on
 configs/ac1_converge.cfg with MAXSURF_OUT=OUT.  Without --check it prints a
-platform fingerprint (numpy, glibc, compiler, whether the C library loaded) as
-`#` lines, then one `sha256 path` line per file under OUT: the format of
+platform fingerprint (machine, numpy and the SIMD targets its loops run on,
+glibc, compiler, whether the C library loaded) as `#` lines, then one
+`sha256 path` line per file under OUT: the format of
 tests/data/output_hashes.txt, which a change that moves an output regenerates
 
     python scripts/output_hashes.py OUT > tests/data/output_hashes.txt
@@ -17,9 +18,7 @@ from FILE's is reported, and the hashes are compared all the same.  --numpy
 runs with the C library switched off, so the numpy reference engine and the %
 CSV formatter write every file; its curve1d outputs differ from the library's
 in the last bits (the engines form the trumpet's s' and V field in different
-ways), so compare a --numpy run with a --numpy list.  --fast runs only FAST_CONFIGS, the configs that finish in about
-a second each, and the convergence study; --check then compares the files
-those runs write.
+ways), so compare a --numpy run with a --numpy list.
 """
 
 import argparse
@@ -40,6 +39,7 @@ import numpy as np  # noqa: E402
 from maxsurf import _kernels, cli  # noqa: E402
 
 HASHES = os.path.join(ROOT, "tests", "data", "output_hashes.txt")
+# the configs that finish in about a second each: tests/test_output_hashes.py runs them
 FAST_CONFIGS = ("ac3_stationary_disk", "ac4_disk_relaxation", "ac6_probe_cylinder",
                 "ac6_probe_translator", "ac8_pseudosphere_leaves", "trumpet_condition")
 
@@ -53,11 +53,23 @@ def _compiler() -> str:
     return (proc.stdout.splitlines() or ["unknown"])[0]
 
 
+def _simd() -> str:
+    """numpy's baseline SIMD targets and the dispatched ones this CPU runs:
+    numpy picks its float64 loops (tanh, sinh, log, ...) by them at run time."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:     # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    dispatched = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+    return " ".join(umath.__cpu_baseline__ + dispatched)
+
+
 def fingerprint() -> list:
     """The `# key: value` lines that name the platform the outputs were written on."""
     libc, version = platform.libc_ver()
     library = "loaded" if _kernels.available else "not loaded"
-    return [f"# numpy: {np.__version__}", f"# libc: {libc} {version}".rstrip(),
+    return [f"# machine: {platform.machine()}", f"# numpy: {np.__version__}",
+            f"# numpy simd: {_simd()}", f"# libc: {libc} {version}".rstrip(),
             f"# compiler: {_compiler()}", f"# library: {library}"]
 
 
@@ -104,16 +116,13 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out")
     parser.add_argument("--numpy", action="store_true", help="switch the C library off")
-    parser.add_argument("--fast", action="store_true", help="run FAST_CONFIGS only")
     parser.add_argument("--check", metavar="FILE", help="compare with a hash file")
     args = parser.parse_args(argv)
     if args.numpy:
         _kernels._loaded = (None, "switched off by --numpy")
     os.environ["MAXSURF_OUT"] = args.out
-    names = FAST_CONFIGS if args.fast else [
-        os.path.splitext(os.path.basename(p))[0]
-        for p in sorted(glob.glob(os.path.join(ROOT, "configs", "*.cfg")))]
-    write_outputs(names)
+    write_outputs([os.path.splitext(os.path.basename(p))[0]
+                   for p in sorted(glob.glob(os.path.join(ROOT, "configs", "*.cfg")))])
     actual = hashes(args.out)
     if args.check is None:
         print("\n".join(fingerprint()))
@@ -124,7 +133,7 @@ def main(argv=None) -> int:
     if head != fingerprint():
         print(f"note: the platform differs from {args.check}'s:", *sorted(
             set(fingerprint()) ^ set(head)), sep="\n  ")
-    diff = compare(expected, actual, every=not args.fast)
+    diff = compare(expected, actual)
     print("\n".join(diff) if diff else f"ok: {len(actual)} files match {args.check}")
     return 1 if diff else 0
 
