@@ -389,7 +389,7 @@ static double pairwise_sum(const double *a, int64_t n)
     return pairwise_sum(a, n2) + pairwise_sum(a + n2, n - n2);
 }
 
-/* the record fields of a line grid (geometry._line_evaluation):
+/* the record fields of a line grid (geometry._line_evaluation, _line_fields):
  * w = sqrt(m), v_hat = 1/w, H = v_hat rhs with the one-sided ends, v = (v w)/w
  * and dV = (dV per unit w h) w h, with half cells at the ends */
 static void line_record(Step *S)

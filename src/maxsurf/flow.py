@@ -18,9 +18,10 @@ bound dt = cfl * h^2 * min(1 - |Du|^2) (halved for the 2d kinds).  A tripped
 spacelike guard is a successful detection of gradient blow-up, reported as a
 trajectory event rather than an exception from `run`.
 
-A state's slope, margin, H and the other node fields come from its kind's
-evaluation in ``geometry`` (``evaluate``), the one the observer
-``geometry.geometry`` reads too.  Each grid kind here supplies only
+A state's slope, margin and H / v_hat come from its kind's evaluation in
+``geometry`` (``evaluate``), and the record's H, v and dV from its node
+fields (``node_fields``), the ones the observer ``geometry.geometry`` reads
+too.  Each grid kind here supplies only
 what the step adds (a rate with the boundary's speeds, a projection back
 onto the boundary and the record's boundary blocks, see ``_KINDS``); one
 step skeleton and one record packer serve all three.  The line kinds share
@@ -35,7 +36,8 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .geometry import Evaluation, FlowState, GridSpec, evaluate
+from .disk import disk_grid
+from .geometry import Evaluation, FlowState, GridSpec, NodeFields, evaluate, node_fields
 from .profiles import normal_curvature, planar_boundary_data, profile_curvature
 
 CHUNK_STEPS = 65536
@@ -109,11 +111,11 @@ class Trajectory:
 # -- the line kinds: one record body -----------------------------------------------
 
 
-def _line_record(state: FlowState, ev: Evaluation, bounds, ends):
+def _line_record(state: FlowState, ev: Evaluation, f: NodeFields, bounds, ends):
     """_pack_record's fields of a line grid, with _end_block at each
     (hi, A_VV, A_WW) of ends."""
-    blocks = [_end_block(ev.H, ev.v, ev.v_hat, ev.h, hi, a_vv, a_ww) for hi, a_vv, a_ww in ends]
-    return state.u, ev.v, ev.v_hat, ev.H, ev.dV, bounds, tuple(zip(*blocks))
+    blocks = [_end_block(f.H, f.v, ev.v_hat, ev.h, hi, a_vv, a_ww) for hi, a_vv, a_ww in ends]
+    return state.u, f.v, ev.v_hat, f.H, f.dV, bounds, tuple(zip(*blocks))
 
 
 # -- curve1d: both ends on a planar boundary ------------------------------------
@@ -122,7 +124,7 @@ def _line_record(state: FlowState, ev: Evaluation, bounds, ends):
 def _curve1d_rate(state: FlowState, ev: Evaluation):
     """u_t with the node drift, and the ends' speeds from the one-sided end
     u_xx (the rim values themselves are projected back onto the boundary curve)."""
-    ((rhs_l2,), (rhs_r2,)), (dsL, dsR) = ev.data
+    (rhs_l2, rhs_r2), (dsL, dsR) = ev.ends, ev.profile_slope
     xdot_r = rhs_r2 * dsR / (dsR * dsR - 1.0)
     xdot_l = -rhs_l2 * dsL / (dsL * dsL - 1.0)
     w = 0.5 * (xdot_l + xdot_r) + state.grid.reference() * 0.5 * (xdot_r - xdot_l)
@@ -148,9 +150,9 @@ def _curve1d_project(state: FlowState, u, boundary, profile):
     return u, (xl_p, xr_p)
 
 
-def _curve1d_record(state: FlowState, profile, ev: Evaluation):
+def _curve1d_record(state: FlowState, profile, ev: Evaluation, f: NodeFields):
     xl, xr = state.boundary
-    return _line_record(state, ev, (xl, xr),
+    return _line_record(state, ev, f, (xl, xr),
                         [(hi, planar_boundary_data(profile, xb).A_VV, 0.0)
                          for hi, xb in ((False, xl), (True, xr))])
 
@@ -160,7 +162,7 @@ def _curve1d_record(state: FlowState, profile, ev: Evaluation):
 
 def _radial2d_rate(state: FlowState, ev: Evaluation):
     """u_t with the node drift, and the rim's speed from the one-sided rim u_rr."""
-    (dfb,), (rhs_b2,), _ = ev.data
+    dfb, rhs_b2 = ev.profile_slope[1], ev.ends[1]
     rdot = dfb * rhs_b2 / (1.0 - dfb * dfb)
     return ev.rhs + state.grid.reference() * rdot * ev.du, rdot
 
@@ -188,9 +190,9 @@ def _radial2d_project(state: FlowState, u, rb, profile):
     return u, rb_p
 
 
-def _radial2d_record(state: FlowState, profile, ev: Evaluation):
+def _radial2d_record(state: FlowState, profile, ev: Evaluation, f: NodeFields):
     bc = profile_curvature(profile, float(state.u[-1]))
-    return _line_record(state, ev, (0.0, state.boundary), [(True, bc.A_VV, bc.A_WW[0])])
+    return _line_record(state, ev, f, (0.0, state.boundary), [(True, bc.A_VV, bc.A_WW[0])])
 
 
 # -- disk2d: fixed disk inside a vertical cylinder --------------------------------
@@ -198,7 +200,7 @@ def _radial2d_record(state: FlowState, profile, ev: Evaluation):
 
 def _disk2d_rate(state: FlowState, ev: Evaluation):
     """du/dt at the nodes inside the disk, zero elsewhere; the rim does not move."""
-    grid = ev.data[0]
+    grid = disk_grid(state.grid.n, state.grid.radius)
     udot = np.zeros_like(state.u)
     udot[1:-1, 1:-1] = np.where(grid.inside[1:-1, 1:-1], ev.rhs, 0.0)
     return udot, None
@@ -208,14 +210,14 @@ def _disk2d_project(state: FlowState, u, boundary, profile):
     return u, boundary
 
 
-def _disk2d_record(state: FlowState, profile, ev: Evaluation):
-    grid = ev.data[0]
+def _disk2d_record(state: FlowState, profile, ev: Evaluation, f: NodeFields):
+    grid = disk_grid(state.grid.n, state.grid.radius)
     u = state.u
     # boundary identities sampled on the offset monitor ring (clean zone,
     # no ghost values in any sampling cell); on the cylinder V = e_t, so v is
     # v_hat, and A(V,V) = -0.0, A(W,W) = 1/R and 1/sqrt(1 - f'^2) = 1
     Hf = np.zeros_like(u)
-    Hf[1:-1, 1:-1] = ev.H
+    Hf[1:-1, 1:-1] = f.H
     vf = np.ones_like(u)
     vf[1:-1, 1:-1] = ev.v_hat
     block = _boundary_block(
@@ -223,14 +225,14 @@ def _disk2d_record(state: FlowState, profile, ev: Evaluation):
         grid.radial_derivative_at_rim(vf), grid.radial_derivative_at_rim(Hf * Hf),
         1.0, -0.0, 1.0 / grid.radius,
     )
-    return (u[1:-1, 1:-1], ev.v_hat, ev.v_hat, ev.H, ev.dV, (grid.radius, grid.radius), block,
+    return (u[1:-1, 1:-1], f.v, ev.v_hat, f.H, f.dV, (grid.radius, grid.radius), block,
             grid.inside[1:-1, 1:-1])
 
 
 class _Kind(NamedTuple):
     rate: Callable       # (state, Evaluation) -> (du/dt, boundary velocity)
     project: Callable    # (state, u, boundary, profile) -> (u, boundary), rim back on the tube
-    record: Callable     # (state, profile, Evaluation) -> the fields of _pack_record
+    record: Callable     # (state, profile, Evaluation, NodeFields) -> the fields of _pack_record
     dim_factor: float    # the dt bound is cfl h^2 m_min / dim_factor
     takes: Callable      # (grid, profile) -> whether the profile is the boundary the kind imposes
     boundary: str        # that boundary, for check_profile's error ({radius}: the grid's)
@@ -421,7 +423,8 @@ def _end_block(H, v, v_hat, h, hi, a_vv, a_ww):
 
 def _record(state: FlowState, profile, ev: Evaluation) -> np.ndarray:
     """The record row of an evaluated state."""
-    return _pack_record(state.t, *_KINDS[state.grid.kind].record(state, profile, ev))
+    return _pack_record(state.t, *_KINDS[state.grid.kind].record(
+        state, profile, ev, node_fields(state, profile, ev)))
 
 
 def record_state(state: FlowState, ctrl: StepControl, profile) -> np.ndarray:

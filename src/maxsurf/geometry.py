@@ -13,18 +13,20 @@ A state is a graph height u over a (possibly moving) grid.  Three grid kinds:
              coordinate r/R, physical coordinate r.
 
 Each kind's facts live in one table, ``_KINDS`` at the end of this module:
-its evaluation and observer, its Laplace-Beltrami operator, its reference and
-physical node coordinates, its spacing, its real nodes and the fewest nodes
-per axis it takes.  GridSpec, FlowState and the public functions look the
-kind up there and nowhere branch on its name.  flow, monitors and _kernels
-each keep one table of their own for the numerics they add (the step, the
-monitors' terms, the C loop's arguments).
+its evaluation, node fields and observer, its Laplace-Beltrami operator, its
+reference and physical node coordinates, its spacing, its real nodes and the
+fewest nodes per axis it takes.  GridSpec, FlowState and the public
+functions look the kind up there and nowhere branch on its name.  flow,
+monitors and _kernels each keep one table of their own for the numerics they
+add (the step, the monitors' terms, the C loop's arguments).
 
-A kind's evaluation (``evaluate``) is the one place its slope, metric and
-mean curvature are formed.  The flow's step and record read it, and so does
-the observer ``geometry``, which adds the normal and |A|^2, so the observer
-sees the state the flow's guard saw.  Central differences inside; the line
-kinds impose at their ends the slope the state's boundary takes there
+A kind's evaluation (``evaluate``: slope, margin, H / v_hat, w and v_hat)
+and its node fields (``node_fields``: H, v and dV) are the one place its
+slope, metric and mean curvature are formed.  The flow's step reads the
+evaluation, its record adds the node fields, and so does the observer
+``geometry``, which adds the normal and |A|^2, so the observer sees the
+state the flow's guard saw.  Central differences inside; the line kinds
+impose at their ends the slope the state's boundary takes there
 (-+1/s' on the planar boundary, f'(u_b) at the radial rim, 0 on the axis),
 the disk its mirror-point ghosts.  A line end's u_xx takes the ghost
 (mirror-slope) form in the step's rate and the one-sided second-order form
@@ -106,20 +108,29 @@ class GeometryFields:
 
 class Evaluation(NamedTuple):
     """A kind's evaluation of a state, or of a stack of states along leading
-    axes: what the flow's step and record and the observer read."""
+    axes: what the flow's step reads, and what ``node_fields`` and the
+    observer build on."""
 
     h: object              # the node spacing; (K, 1) over a stack of line states
     m_min: float           # least 1 - |Du|^2 over the real nodes: the flow's guard
     du: object             # u's slope, the boundary's at a line grid's ends; disk2d (u_x, u_y)
     rhs: np.ndarray        # H / v_hat: the step's u_t on a fixed grid (ghost-form line ends)
-    v_hat: np.ndarray      # 1 / sqrt(1 - |Du|^2)
-    H: np.ndarray          # v_hat rhs, with the one-sided u_xx at a line grid's ends
+    w: np.ndarray          # sqrt(1 - |Du|^2); 1 at the disk's nodes outside it
+    v_hat: np.ndarray      # 1 / w
+    ends: Optional[tuple]  # a line grid's rhs at its (low, high) ends with the one-sided
+                           # u_xx (the axis keeps rhs): the boundary speeds and H
+    profile_slope: Optional[tuple]  # the boundary's slope at a line grid's (low, high)
+                           # ends: curve1d (s'(|x_l|), s'(x_r)), radial2d (None, f'(u_b))
+    second: object         # the observer's second derivatives: radial2d u_r / rho (u_rr on
+                           # the axis); disk2d (u_xx, u_yy, u_xy); curve1d None
+
+
+class NodeFields(NamedTuple):
+    """What the flow's record and the observer add to an evaluation."""
+
+    H: np.ndarray          # v_hat rhs, with the ends' one-sided rhs on a line grid
     v: np.ndarray          # -<nu, V> with the profile's V field
     dV: np.ndarray         # the volume element times the quadrature weight
-    data: tuple            # the kind's own: curve1d (the (low, high) ends' one-sided
-                           # rhs, (s'(|x_l|), s'(x_r))); radial2d (f'(u_b), the rim's
-                           # one-sided rhs, u_r / rho); disk2d (grid, v_hat^2,
-                           # (u_xx, u_yy, u_xy)); line ends as length-1 slices
 
 
 # -- one-dimensional stencils -------------------------------------------------
@@ -127,7 +138,8 @@ class Evaluation(NamedTuple):
 
 # The stencils and kernels below index the node axis last (``...``), so one
 # formula serves one state or a stack of states along leading axes; a stack's
-# spacing h then has shape (K, 1), and end nodes are taken as length-1 slices.
+# spacing h then has shape (K, 1).  Values at a line grid's ends drop the node
+# axis: one per state, numpy scalars for one state.
 
 
 def d1(u: np.ndarray, h) -> np.ndarray:
@@ -178,6 +190,11 @@ def evaluate(state: FlowState, profile) -> Evaluation:
     return _KINDS[state.grid.kind].evaluate(state, profile)
 
 
+def node_fields(state: FlowState, profile, ev: Evaluation) -> NodeFields:
+    """H, v and dV of an evaluated state."""
+    return _KINDS[state.grid.kind].fields(state, profile, ev)
+
+
 def spacelike_margin(state: FlowState, profile) -> float:
     """The least 1 - |Du|^2 over the real nodes that the flow's guard compares."""
     with np.errstate(all="ignore"):
@@ -195,9 +212,10 @@ def geometry(state: FlowState, profile) -> GeometryFields:
     kind = _KINDS[state.grid.kind]
     with np.errstate(all="ignore"):
         ev = kind.evaluate(state, profile)
-    if not ev.m_min > 0.0:
-        raise SpacelikeError(f"graph is not strictly spacelike (least margin {ev.m_min:.3g})")
-    return kind.observe(ev)
+        if not ev.m_min > 0.0:
+            raise SpacelikeError(f"graph is not strictly spacelike (least margin {ev.m_min:.3g})")
+        fields = kind.fields(state, profile, ev)
+    return kind.observe(state, ev, fields)
 
 
 def _line_derivatives(u, h, slope_lo, slope_hi):
@@ -208,53 +226,69 @@ def _line_derivatives(u, h, slope_lo, slope_hi):
     """
     ux = np.empty_like(u)
     ux[..., 1:-1] = (u[..., 2:] - u[..., :-2]) / (2.0 * h)
-    ux[..., :1] = slope_lo
-    ux[..., -1:] = slope_hi
+    ux[..., 0] = slope_lo
+    ux[..., -1] = slope_hi
     uxx = np.empty_like(u)
     uxx[..., 1:-1] = (u[..., 2:] - 2.0 * u[..., 1:-1] + u[..., :-2]) / (h * h)
     # the high end is the low end of the reversed grid, whose slope is -du/dx
-    (uxx[..., :1], lo2), (uxx[..., -1:], hi2) = (_end_uxx(u, h, slope_lo),
-                                                 _end_uxx(u[..., ::-1], h, -slope_hi))
+    h_end = _per_state(h)
+    (uxx[..., 0], lo2), (uxx[..., -1], hi2) = (_end_uxx(u, h_end, slope_lo),
+                                               _end_uxx(u[..., ::-1], h_end, -slope_hi))
     return ux, uxx, 1.0 - ux * ux, (lo2, hi2)
 
 
+def _end(a: np.ndarray, k: int):
+    """a's value at node k of a line grid, per state: a numpy scalar for one state."""
+    return a[..., k][()]
+
+
+def _per_state(a):
+    """A number as it is, or a column over a stack's states as one value per state."""
+    return a[..., 0] if getattr(a, "ndim", 0) else a
+
+
 def _end_uxx(u, h, slope):
-    """(ghost form, one-sided form) of u_xx at u[..., :1], whose slope is imposed."""
-    u0, u1, u2 = u[..., :1], u[..., 1:2], u[..., 2:3]
+    """(ghost form, one-sided form) of u_xx at u[..., 0], whose slope is imposed."""
+    u0, u1, u2 = _end(u, 0), _end(u, 1), _end(u, 2)
     return ((2.0 * u1 - 2.0 * u0 - 2.0 * h * slope) / (h * h),
             (-3.5 * u0 + 4.0 * u1 - 0.5 * u2 - 3.0 * h * slope) / (h * h))
 
 
-def _line_evaluation(h, ux, m, rhs, ends, vw, unit, data) -> Evaluation:
-    """A line grid's evaluation: w = sqrt(m), v_hat = 1/w, H = v_hat rhs with
-    the ends' one-sided rhs, v = vw/w and dV = unit w trapezoid."""
+def _line_evaluation(h, ux, m, rhs, ends, profile_slope, second) -> Evaluation:
     w = np.sqrt(m)
-    v_hat = 1.0 / w
-    H = v_hat * rhs
-    H[..., :1] = v_hat[..., :1] * ends[0]
-    H[..., -1:] = v_hat[..., -1:] * ends[1]
-    return Evaluation(h, float(m.min()), ux, rhs, v_hat, H, vw / w,
-                      unit * w * trapezoid_weights(m.shape[-1], h), data)
+    return Evaluation(h, float(m.min()), ux, rhs, w, 1.0 / w, ends, profile_slope, second)
+
+
+def _line_fields(ev: Evaluation, vw, unit) -> NodeFields:
+    """H = v_hat rhs with the ends' one-sided rhs, v = vw/w and dV = unit w trapezoid."""
+    H = ev.v_hat * ev.rhs
+    H[..., 0] = _end(ev.v_hat, 0) * ev.ends[0]
+    H[..., -1] = _end(ev.v_hat, -1) * ev.ends[1]
+    return NodeFields(H, vw / ev.w, unit * ev.w * trapezoid_weights(ev.w.shape[-1], ev.h))
 
 
 def _curve1d_evaluate(state: FlowState, profile) -> Evaluation:
     (xl, xr), h = state.boundary, state.spacing()
-    dsL, dsR = profile.ds(abs(xl)), profile.ds(xr)
+    dsL, dsR = profile.ds(abs(_per_state(xl))), profile.ds(_per_state(xr))
     ux, uxx, m, (lo2, hi2) = _line_derivatives(state.u, h, -1.0 / dsL, 1.0 / dsR)
-    ends = (lo2 / m[..., :1], hi2 / m[..., -1:])
+    return _line_evaluation(h, ux, m, uxx / m, (lo2 / _end(m, 0), hi2 / _end(m, -1)),
+                            (dsL, dsR), None)
+
+
+def _curve1d_fields(state: FlowState, profile, ev: Evaluation) -> NodeFields:
     Vx, Vt = planar_V(profile, state.coords())
-    return _line_evaluation(h, ux, m, uxx / m, ends, Vt - Vx * ux, 1.0, (ends, (dsL, dsR)))
+    return _line_fields(ev, Vt - Vx * ev.du, 1.0)
 
 
-def _curve1d_observe(ev: Evaluation) -> GeometryFields:
+def _curve1d_observe(state: FlowState, ev: Evaluation, f: NodeFields) -> GeometryFields:
     """nu = v_hat (u_x, 1), components (x or rho, t) on a trailing axis."""
-    return GeometryFields(v_hat=ev.v_hat, v=ev.v, nu=np.stack([ev.du * ev.v_hat, ev.v_hat], -1),
-                          H=ev.H, normA2=ev.H * ev.H, dV=ev.dV, du=ev.du)
+    return GeometryFields(v_hat=ev.v_hat, v=f.v, nu=np.stack([ev.du * ev.v_hat, ev.v_hat], -1),
+                          H=f.H, normA2=f.H * f.H, dV=f.dV, du=ev.du)
 
 
 def _radial2d_evaluate(state: FlowState, profile) -> Evaluation:
     u, h, rho = state.u, state.spacing(), state.coords()
-    dfb = np.asarray(profile.df(u[..., -1]))[..., None]
+    dfb = profile.df(_end(u, -1))
     # slope 0 on the axis: the ghost form there is the even extension 2 (u_1 - u_0) / h^2
     ux, uxx, m, (_, rim2) = _line_derivatives(u, h, 0.0, dfb)
     k2 = np.empty_like(u)             # u_r / rho = kappa_2 / v_hat; u_rr on the axis
@@ -262,16 +296,19 @@ def _radial2d_evaluate(state: FlowState, profile) -> Evaluation:
     k2[..., :1] = uxx[..., :1]
     # on the axis m = 1, so rhs there is 2 u_rr, as _step.c's u_rr (1/m + 1)
     rhs = uxx / m + k2
-    rim = rim2 / m[..., -1:] + k2[..., -1:]
-    dfz, invw = rotational_V_factors(profile, u)
-    return _line_evaluation(h, ux, m, rhs, (rhs[..., :1], rim), (1.0 - dfz * ux) * invw,
-                            2.0 * np.pi * rho, (dfb, rim, k2))
+    return _line_evaluation(h, ux, m, rhs, (_end(rhs, 0), rim2 / _end(m, -1) + _end(k2, -1)),
+                            (None, dfb), k2)
 
 
-def _radial2d_observe(ev: Evaluation) -> GeometryFields:
-    g = _curve1d_observe(ev)
-    kappa2 = ev.v_hat * ev.data[2]
-    kappa1 = ev.H - kappa2
+def _radial2d_fields(state: FlowState, profile, ev: Evaluation) -> NodeFields:
+    dfz, invw = rotational_V_factors(profile, state.u)
+    return _line_fields(ev, (1.0 - dfz * ev.du) * invw, 2.0 * np.pi * state.coords())
+
+
+def _radial2d_observe(state: FlowState, ev: Evaluation, f: NodeFields) -> GeometryFields:
+    g = _curve1d_observe(state, ev, f)
+    kappa2 = ev.v_hat * ev.second
+    kappa1 = f.H - kappa2
     g.normA2, g.kappa = kappa1**2 + kappa2**2, (kappa1, kappa2)
     return g
 
@@ -286,17 +323,25 @@ def _disk2d_evaluate(state: FlowState, profile) -> Evaluation:
     v_hat = 1.0 / w
     vh2 = v_hat * v_hat
     rhs = (uxx + uyy) + vh2 * (ux * ux * uxx + 2 * ux * uy * uxy + uy * uy * uyy)
-    H = np.where(ins, v_hat * rhs, 0.0)
-    dV = np.where(ins, grid.area_weights[1:-1, 1:-1] * w, 0.0)
-    # V = e_t on the cylinder, the disk's one tube: v = v_hat
-    return Evaluation(grid.h, float(m[..., ins].min()), (ux, uy), rhs, v_hat, H, v_hat, dV,
-                      (grid, vh2, (uxx, uyy, uxy)))
+    return Evaluation(grid.h, float(m[..., ins].min()), (ux, uy), rhs, w, v_hat, None, None,
+                      (uxx, uyy, uxy))
 
 
-def _disk2d_observe(ev: Evaluation) -> GeometryFields:
-    """The fields on the whole box, zero on its pad ring."""
-    grid, vh2, (uxx, uyy, uxy) = ev.data
+def _disk2d_fields(state: FlowState, profile, ev: Evaluation) -> NodeFields:
+    """The fields on the box's core, H = 0 and dV = 0 off the disk; V = e_t on
+    the cylinder, the disk's one tube, so v = v_hat."""
+    grid = disk_grid(state.grid.n, state.grid.radius)
+    ins = grid.inside[1:-1, 1:-1]
+    return NodeFields(np.where(ins, ev.v_hat * ev.rhs, 0.0), ev.v_hat,
+                      np.where(ins, grid.area_weights[1:-1, 1:-1] * ev.w, 0.0))
+
+
+def _disk2d_observe(state: FlowState, ev: Evaluation, f: NodeFields) -> GeometryFields:
+    """The fields on the whole box; on its pad ring Du = 0, v_hat = v = 1 and
+    H, |A|^2 and dV are 0."""
+    uxx, uyy, uxy = ev.second
     ux, uy = ev.du
+    vh2 = ev.v_hat * ev.v_hat
     # |A|^2 = tr((g^{-1} h)^2), g^{-1} = delta + vh^2 Du Du, h_ij = v_hat u_ij
     a11 = 1.0 + vh2 * ux * ux
     a12 = vh2 * ux * uy
@@ -305,15 +350,15 @@ def _disk2d_observe(ev: Evaluation) -> GeometryFields:
     m12 = a11 * uxy + a12 * uyy
     m21 = a12 * uxx + a22 * uxy
     m22 = a12 * uxy + a22 * uyy
-    normA2 = np.where(grid.inside[1:-1, 1:-1],
+    normA2 = np.where(disk_grid(state.grid.n, state.grid.radius).inside[1:-1, 1:-1],
                       vh2 * (m11 * m11 + 2.0 * m12 * m21 + m22 * m22), 0.0)
-    du, vh = _padded(np.stack([ux, uy])), _padded(ev.v_hat)
+    du, vh = _padded(np.stack([ux, uy])), _padded(ev.v_hat, 1.0)
     return GeometryFields(v_hat=vh, v=vh, nu=np.stack([du[0] * vh, du[1] * vh, vh], axis=-1),
-                          H=_padded(ev.H), normA2=_padded(normA2), dV=_padded(ev.dV), du=du)
+                          H=_padded(f.H), normA2=_padded(normA2), dV=_padded(f.dV), du=du)
 
 
-def _padded(core: np.ndarray) -> np.ndarray:
-    out = np.zeros(core.shape[:-2] + (core.shape[-2] + 2, core.shape[-1] + 2))
+def _padded(core: np.ndarray, fill: float = 0.0) -> np.ndarray:
+    out = np.full(core.shape[:-2] + (core.shape[-2] + 2, core.shape[-1] + 2), fill)
     out[..., 1:-1, 1:-1] = core
     return out
 
@@ -424,7 +469,8 @@ def _disk2d_real_nodes(grid: GridSpec) -> tuple:
 
 class _Kind(NamedTuple):
     evaluate: Callable           # (state, profile) -> Evaluation
-    observe: Callable            # Evaluation -> GeometryFields
+    fields: Callable             # (state, profile, Evaluation) -> NodeFields
+    observe: Callable            # (state, Evaluation, NodeFields) -> GeometryFields
     laplace_beltrami: Callable   # (state, f, g) -> the intrinsic Laplacian of f
     reference: Callable          # grid -> the reference coordinate per node
     coords: Callable             # state -> the physical coordinate per node
@@ -434,19 +480,19 @@ class _Kind(NamedTuple):
 
 
 _KINDS = {
-    "curve1d": _Kind(_curve1d_evaluate, _curve1d_observe,
+    "curve1d": _Kind(_curve1d_evaluate, _curve1d_fields, _curve1d_observe,
                      _curve1d_laplace_beltrami,
                      lambda grid: np.linspace(-1.0, 1.0, grid.n), _curve1d_coords,
                      lambda state: (state.boundary[1] - state.boundary[0]) / (state.grid.n - 1),
                      lambda grid: slice(None), 5),
-    "radial2d": _Kind(_radial2d_evaluate, _radial2d_observe,
+    "radial2d": _Kind(_radial2d_evaluate, _radial2d_fields, _radial2d_observe,
                       _radial2d_laplace_beltrami,
                       lambda grid: np.linspace(0.0, 1.0, grid.n), _radial2d_coords,
                       lambda state: state.boundary / (state.grid.n - 1),
                       lambda grid: slice(None), 5),
     # from N = 6 the rim monitor circles sample inside nodes only (disk.DiskGrid
     # builds N = 5 too, for its own tests)
-    "disk2d": _Kind(_disk2d_evaluate, _disk2d_observe,
+    "disk2d": _Kind(_disk2d_evaluate, _disk2d_fields, _disk2d_observe,
                     _disk2d_laplace_beltrami,
                     lambda grid: disk_grid(grid.n, grid.radius).r / grid.radius,
                     lambda state: disk_grid(state.grid.n, state.grid.radius).r,

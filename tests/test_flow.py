@@ -25,7 +25,7 @@ from maxsurf.flow import (
     run,
     step,
 )
-from maxsurf.geometry import FlowState, GridSpec, d1, evaluate, spacelike_margin
+from maxsurf.geometry import FlowState, GridSpec, d1, evaluate, node_fields, spacelike_margin
 from maxsurf.monitors import _consecutive_triples
 from maxsurf.profiles import cylinder, pseudosphere, sine_tube, trumpet
 
@@ -489,7 +489,8 @@ def _node_order_sups(state, profile):
     from maxsurf.flow import _KINDS
 
     ev = evaluate(state, profile)
-    u, v, v_hat, H, _, _, _, mask = _KINDS[state.grid.kind].record(state, profile, ev)
+    u, v, v_hat, H, _, _, _, mask = _KINDS[state.grid.kind].record(
+        state, profile, ev, node_fields(state, profile, ev))
     u, v, v_hat, H = ([float(x) for x in a[mask]] for a in (u, v, v_hat, np.abs(H)))
     return (reduce(_take_max, v, -math.inf), reduce(_take_max, v_hat, -math.inf),
             reduce(_take_max, H, -math.inf), reduce(_take_min, u, math.inf),

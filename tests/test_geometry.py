@@ -53,6 +53,11 @@ def test_flat_disk_geometry():
     assert np.abs(g.H[ins]).max() <= 1e-11
     assert np.abs(g.v_hat[ins] - 1.0).max() <= 1e-12
     assert g.dV.sum() == pytest.approx(math.pi, abs=1e-12)  # exact cell areas
+    # over the whole box v_hat = v >= 1; the pad ring holds nu = e_t
+    assert g.v_hat.min() >= 1.0 and np.array_equal(g.v, g.v_hat)
+    pad = np.ones(ins.shape, dtype=bool)
+    pad[1:-1, 1:-1] = False
+    assert np.all(g.nu[pad] == (0.0, 0.0, 1.0))
     # u identically zero is an exact fixed point of every stencil
     st0 = disk_state(lambda x, y: 0.0 * x, 64)
     g0 = geometry(st0, cylinder(1.0))
