@@ -21,11 +21,11 @@ trajectory event rather than an exception from `run`.
 A state's slope, margin and H / v_hat come from its kind's evaluation in
 ``geometry`` (``evaluate``), and the record's H, v and dV from its node
 fields (``node_fields``), the ones the observer ``geometry.geometry`` reads
-too.  Each grid kind here supplies only
-what the step adds (a rate with the boundary's speeds, a projection back
-onto the boundary and the record's boundary blocks, see ``_KINDS``); one
-step skeleton and one record packer serve all three.  The line kinds share
-one record body and end block, as in ``_step.c``.
+too.  Each grid kind here supplies only what the step adds (a rate with the
+boundary's speeds, a projection back onto the boundary and the record's
+boundary blocks, see ``_KINDS``); one step skeleton and one record packer
+serve all three.  The line kinds share one record body and end block, as in
+``_step.c``.
 """
 
 from __future__ import annotations
