@@ -16,9 +16,8 @@ compares the files under OUT with FILE's lines, prints each file that moved,
 is missing or is new, and exits 1 if there is one.  A fingerprint that differs
 from FILE's is reported, and the hashes are compared all the same.  --numpy
 runs with the C library switched off, so the numpy reference engine and the %
-CSV formatter write every file; its curve1d outputs differ from the library's
-in the last bits (the engines form the trumpet's s' and V field in different
-ways), so compare a --numpy run with a --numpy list.
+CSV formatter write every file; on the platform of tests/data/output_hashes.txt
+they write the library's bytes, so a --numpy run checks against the same list.
 """
 
 import argparse

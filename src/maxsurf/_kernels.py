@@ -4,35 +4,45 @@ the CSV row formatter of the run outputs.
 ``_step.c`` translates the numpy reference engine (flow.py's step over
 geometry.py's per-kind evaluation) operation for operation (same stencils,
 ghost fill, projection, per-step records, snapshots and exits) for the
-curve1d and radial2d kinds on the built-in
-profiles and for disk2d on the cylinder, with one stepping loop over a
-per-kind table, as flow.py has; its one entry point ``maxsurf_run`` takes
-the kind as its first argument, and for disk2d the disk grid's tables
-(each box row's run of inside nodes, quadrature weights, ghost operator and
-ring sampler) in one struct.  Tests compare the two engines.  On first use the
-source is compiled with the system C compiler (``$CC``, else ``cc``) and
-``CFLAGS``, and loaded through ctypes.  The flags keep results bit-identical
-to the scalar code: ``-O3`` vectorises loops without reordering any
-floating-point operation, ``-fno-math-errno`` only spares ``sqrt`` (correctly
-rounded either way) its errno check, which otherwise blocks vectorising the
-disk's node loop, and ``-ffp-contract=off`` forbids fused multiply-adds;
-``-fopenmp-simd`` honours ``#pragma omp simd`` alone (no OpenMP runtime, no
-threads), whose declared min/max reductions in the disk's node loop take the
-record's least margin, sup |H| and range of u: an extreme is one value in any
-order, and a step where a NaN, an inf or a signed zero could tell the orders
-apart takes them by the node-order walk instead (see ``_step.c``).  Never
-``-ffast-math``, and no ``-march``: the cache key holds only the machine
-type, so a library tuned for one CPU could be loaded on another that lacks
-its instructions.  The disk's row kernel instead carries its own AVX2 clone
+curve1d and radial2d kinds on the built-in profiles and for disk2d on the
+cylinder, with one stepping loop over a per-kind table, as flow.py has; its
+one entry point ``maxsurf_run`` takes the kind as its first argument, and
+for disk2d the disk grid's tables (each box row's run of inside nodes,
+quadrature weights, ghost operator and ring sampler) in one struct.  Tests
+compare the two engines, bit for bit.
+
+The node loops multiply by the reciprocals of 2h and h^2 taken once a step,
+and take w = sqrt(m) and v_hat = 1/w once a node (rhs = u_xx v_hat^2, v =
+(v w) v_hat), as geometry.py does; a line grid's end nodes are taken outside
+the loops, which hold no branch.  The trumpet's V field (sgn sinh a, cosh a)
+calls no libm function: ``exp_parts`` in ``_step.c`` forms e^a and e^a - 1
+from adds, multiplies and the bits of 2^k, within an ulp of glibc's exp on
+the trumpet's domain, and ``profiles._exp_parts`` does the same operations
+in numpy.
+
+On first use the source is compiled with the system C compiler (``$CC``,
+else ``cc``) and ``CFLAGS``, and loaded through ctypes.  The flags keep
+results bit-identical to the scalar code: ``-O3`` vectorises loops without
+reordering any floating-point operation, ``-fno-math-errno`` only spares
+``sqrt`` (correctly rounded either way) its errno check, which otherwise
+blocks vectorising the node loops, and ``-ffp-contract=off`` forbids fused
+multiply-adds; ``-fopenmp-simd`` honours ``#pragma omp simd`` alone (no
+OpenMP runtime, no threads), whose declared min/max reductions in the node
+loops of every kind take the record's least margin, sup v, sup |H| and range
+of u: an extreme is one value in any order, and a step where a NaN, an inf
+or a signed zero could tell the orders apart takes them by the node-order
+walk instead (see ``_step.c``).  Never ``-ffast-math``, and no ``-march``:
+the cache key holds only the machine type, so a library tuned for one CPU
+could be loaded on another that lacks its instructions.  The disk's row
+kernel and the curve1d node loop instead carry their own AVX2 clones
 (``target_clones``, on x86-64 with glibc), and the dynamic loader picks the
 clone the running CPU supports, so one cached library serves every x86-64
-machine.  The clones give the same bits: with contraction off, each lane
-of either width runs the same correctly rounded add, multiply, divide and
-sqrt, and only the min/max reductions above run in another order.  The
-shared object is cached beside this module in
-``__pycache__``, or in a per-user temporary directory when that is not
-writable, under a hash of the source, the compiler and the flags.  Nothing
-is compiled at import.
+machine.  The clones give the same bits: with contraction off, each lane of
+either width runs the same correctly rounded add, multiply, divide and sqrt,
+and only the min/max reductions above run in another order.  The shared
+object is cached beside this module in ``__pycache__``, or in a per-user
+temporary directory when that is not writable, under a hash of the source,
+the compiler and the flags.  Nothing is compiled at import.
 
 The library's second entry point, ``maxsurf_format_rows`` (``format_rows``
 here), writes blocks of CSV rows for ``runner``.  Its bytes equal Python's
@@ -145,8 +155,8 @@ def _disk_setup(state0, profile):
 
 
 KINDS = {
-    # a planar profile's one parameter is planar_V's clamp
-    "curve1d": _Kind(0, "x", lambda s, p: ([p.domain[0]], s.boundary, None, None),
+    # a planar profile's parameters are its domain, to which its V field clamps |x|
+    "curve1d": _Kind(0, "x", lambda s, p: (p.domain, s.boundary, None, None),
                      lambda lo, hi: (float(lo), float(hi))),
     "radial2d": _Kind(1, "rho",
                       lambda s, p: (p.params, (s.boundary, s.boundary), None, None),
@@ -223,6 +233,11 @@ def _load_library(path: str):
     lib.maxsurf_format_rows.argtypes = [f64, ctypes.c_int64, ctypes.c_int64,
                                         np.ctypeslib.ndpointer(dtype=np.uint8, flags="C_CONTIGUOUS")]
     lib.maxsurf_format_rows.restype = ctypes.c_int64
+    lib.maxsurf_trumpet_V.argtypes = [ctypes.c_int64, f64, ctypes.c_double, ctypes.c_double,
+                                      f64, f64]
+    lib.maxsurf_trumpet_V.restype = None
+    lib.maxsurf_exp_parts.argtypes = [ctypes.c_int64, f64, f64, f64]
+    lib.maxsurf_exp_parts.restype = None
     return lib
 
 

@@ -16,29 +16,44 @@
  * either way, be the instruction (without it no loop calling sqrt
  * vectorises); no contraction into fused multiply-adds; -fopenmp-simd only
  * honours `#pragma omp simd` (no OpenMP runtime, no threads), whose declared
- * min/max reductions are the one place an order changes (see below).  So the
- * states follow the reference to a few ulps (disk2d states, whose update
- * calls no profile function, exactly).  The integrals (volume, int H^2 dV)
- * are summed pairwise, as numpy sums the reference's.
+ * min/max reductions are the one place an order changes (see below).  The
+ * profile functions are libm's in both engines (profiles.py evaluates the
+ * trumpet's s, s' and s'' on a number through math), and the trumpet's V
+ * field is one formula in both, so the states and records follow the
+ * reference bit for bit wherever the tests compare them.  The integrals
+ * (volume, int H^2 dV) are summed pairwise, as numpy sums the reference's.
+ *
+ * The node loops take no division by h: they multiply by the reciprocals of
+ * 2h and h^2, taken once a step, and a node takes one sqrt and one division,
+ * w = sqrt(m) and v_hat = 1/w, so that rhs = u_xx v_hat^2, H = v_hat rhs and
+ * v = (v w) v_hat are products (geometry.py does the same).  A line grid's
+ * two end nodes, whose slope the boundary imposes, are taken outside the
+ * loops, which thus hold no branch.  The trumpet's V field (sgn sinh a,
+ * cosh a) calls no libm function: exp_parts forms e^a and e^a - 1 from adds,
+ * multiplies and the bits of 2^k, within an ulp of glibc's exp on the
+ * trumpet's domain, and a node takes one more division, 1/e^a.
  *
  * No -march either: _kernels.py caches the library under the machine type
- * alone, so it must run on every CPU of that type.  The disk's row kernel,
- * the one loop where vector width pays, is cloned for AVX2 instead
- * (target_clones, on x86-64 with glibc, whose loader picks the clone once).
- * The clones agree bit for bit: without contraction an AVX2 lane does the
- * SSE2 lane's correctly rounded add, mul, div and sqrt, and of the loop's
- * operations only the declared min/max reductions change order.
+ * alone, so it must run on every CPU of that type.  The two loops where
+ * vector width pays, the disk's row kernel and the curve1d node loop with its
+ * exponential, are cloned for AVX2 instead (target_clones, on x86-64 with
+ * glibc, whose loader picks the clone once).  The clones agree bit for bit:
+ * without contraction an AVX2 lane does the SSE2 lane's correctly rounded
+ * add, mul, div and sqrt, and of the loops' operations only the declared
+ * min/max reductions change order.
  *
- * The record's sups and range of u are node-order walks (take_sups: the first
- * NaN sticks, a tie keeps the earlier value), with two exceptions.  sup v_hat
- * is 1/sqrt(m_min) on every kind: v_hat = 1/sqrt(m) node by node, and
- * correctly rounded sqrt and division are monotone, so the largest v_hat is
- * that of the least margin bit for bit, NaN and inf included.  On the disk
- * the row kernel takes the least margin, sup |H| and the range of u as simd
- * reductions, in whatever order its lanes run.  Without a NaN, an inf or a
- * tie of +0.0 and -0.0 the extreme of a set is one value whatever the order;
- * a step where a NaN or an inf entered (a check sum says so) or where u's
- * range ends on a zero takes the sups and m_min by the node-order walk.
+ * The record's least margin, sup v, sup |H| and range of u are simd
+ * reductions, in whatever order the lanes run: the disk's row kernel takes
+ * them, and on the line kinds stencil and line_record, the end nodes being
+ * folded in after their loops.  Without a NaN, an inf or a tie of +0.0 and
+ * -0.0 the extreme of a set is one value whatever the order; a step where a
+ * NaN or an inf entered (a check sum says so) or where u's range ends on a
+ * zero takes them by the node-order walk instead (take_sups and settle_sups:
+ * the first NaN sticks, a tie keeps the earlier value), as numpy's reductions
+ * over the reference's fields do.  sup v_hat is 1/sqrt(m_min) on every kind:
+ * v_hat = 1/sqrt(m) node by node, and correctly rounded sqrt and division
+ * are monotone, so the largest v_hat is that of the least margin bit for
+ * bit, NaN and inf included.
  *
  * As in flow.py, each kind supplies only what differs (see KINDS): its
  * evaluation (the rate with the moving grid's advection term, and the
@@ -68,7 +83,8 @@
  *                                   ST_NEWTON (rim start point, residual)
  *   work[12*n]                      scratch
  *
- * and returns one of the ST_* codes.
+ * and returns one of the ST_* codes.  maxsurf_exp_parts and maxsurf_trumpet_V
+ * evaluate exp_parts and trumpet_V over an array, for the tests.
  *
  * The file also holds the run outputs' CSV formatter, maxsurf_format_rows
  * (see the end of the file), which writes rows of doubles byte for byte as
@@ -153,6 +169,71 @@ static double planar_s(double x) { return log(sinh(x)); }
 static double planar_ds(double x) { return 1.0 / tanh(x); }
 static double planar_d2s(double x) { return -1.0 / pow(sinh(x), TWO); }
 
+/* e^a and e^a - 1 without libm (profiles._exp_parts): a = k ln 2 + r with
+ * k = round(a / ln 2) (adding and subtracting 1.5 2^52 rounds to an integer)
+ * and |r| <= ln(2)/2 by Cody and Waite's two-part ln 2, whose high part times
+ * k is exact; e^r - 1 = r + r^2 q(r), q the Taylor polynomial to degree 11
+ * (degree 13 in all; the remainder is below 0.05 ulp) in Estrin's scheme,
+ * whose short chains of dependent operations overlap; 2^k is the bits
+ * (k + 1023) << 52, k sitting in the low bits of a / ln 2 + 1.5 2^52.  Plain
+ * adds and multiplies, so a loop over it vectorises.  For 0 <= a < 709, where
+ * 2^k is a normal number. */
+static const double LN2_HI = 0x1.62e42feep-1, LN2_LO = 0x1.a39ef35793c76p-33,
+                    INV_LN2 = 0x1.71547652b82fep+0, ROUND_SHIFT = 0x1.8p52;
+/* 1/2!, ..., 1/13!, as Python's 1 / math.factorial(k) rounds them */
+static const double C2 = 1.0 / 2.0, C3 = 1.0 / 6.0, C4 = 1.0 / 24.0, C5 = 1.0 / 120.0,
+                    C6 = 1.0 / 720.0, C7 = 1.0 / 5040.0, C8 = 1.0 / 40320.0,
+                    C9 = 1.0 / 362880.0, C10 = 1.0 / 3628800.0, C11 = 1.0 / 39916800.0,
+                    C12 = 1.0 / 479001600.0, C13 = 1.0 / 6227020800.0;
+
+static inline void exp_parts(double a, double *e, double *em1)
+{
+    double t = a * INV_LN2 + ROUND_SHIFT;
+    double k = t - ROUND_SHIFT;
+    double r = (a - k * LN2_HI) - k * LN2_LO;
+    double r2 = r * r, r4 = r2 * r2, r8 = r4 * r4;
+    double q = ((C2 + C3 * r) + (C4 + C5 * r) * r2) + ((C6 + C7 * r) + (C8 + C9 * r) * r2) * r4 +
+               ((C10 + C11 * r) + (C12 + C13 * r) * r2) * r8;
+    double p = r + r2 * q;
+    uint64_t bits, one = 1023;
+    memcpy(&bits, &t, sizeof bits);
+    bits = (bits + one) << 52;
+    double scale;
+    memcpy(&scale, &bits, sizeof scale);
+    double sp = scale * p;
+    *e = sp + scale;
+    *em1 = sp + (scale - 1.0);
+}
+
+/* the trumpet's V field (profiles._trumpet_V): (sgn(x) sinh a, cosh a) with
+ * a = |x| clamped to the domain [lo, hi], from e = e^a and e - 1 with one
+ * division: sinh a = (e1 + e1/e)/2, cosh a = (e + 1/e)/2, neither cancelling */
+static inline void trumpet_V(double x, double lo, double hi, double *Vx, double *Vt)
+{
+    double a = fabs(x);
+    a = a < lo ? lo : a;          /* numpy's maximum and minimum: a NaN stays */
+    a = a > hi ? hi : a;
+    double e, em1;
+    exp_parts(a, &e, &em1);
+    double ie = 1.0 / e;
+    *Vx = copysign(0.5 * (em1 + em1 * ie), x);
+    *Vt = 0.5 * (e + ie);
+}
+
+/* trumpet_V at x[0..n) with the domain [lo, hi], for the tests */
+void maxsurf_trumpet_V(int64_t n, const double *x, double lo, double hi, double *Vx, double *Vt)
+{
+    for (int64_t i = 0; i < n; ++i)
+        trumpet_V(x[i], lo, hi, Vx + i, Vt + i);
+}
+
+/* exp_parts at a[0..n), for the tests */
+void maxsurf_exp_parts(int64_t n, const double *a, double *e, double *em1)
+{
+    for (int64_t i = 0; i < n; ++i)
+        exp_parts(a[i], e + i, em1 + i);
+}
+
 /* -- the incidence Newton (flow._newton and its two residuals) --------------- */
 
 /* one rim's incidence equation: start point x0, rim height ub, surface slope */
@@ -217,10 +298,10 @@ typedef struct {
     double v, vh, H, umin, umax;
 } Sups;
 
-/* disk2d_row's reductions over a run: the least margin, sup |H|, the range
- * of u, and a sum that is nonzero exactly when a NaN or an inf entered */
+/* the order-free reductions of a step: the least margin, sup v, sup |H|, the
+ * range of u, and a sum that is nonzero exactly when a NaN or an inf entered */
 typedef struct {
-    double m, H, umin, umax, bad;
+    double m, v, H, umin, umax, bad;
 } Run;
 
 /* one record row, in the order of flow.RECORD_COLUMNS */
@@ -289,7 +370,9 @@ typedef struct {
     const double *prm;
     const Disk *disk;
     double *u;
-    double *ux, *m, *rhs;            /* u_x, the margin 1 - u_x^2, du/dt without advection */
+    double *ux, *m, *w, *rhs;        /* u_x, the margin 1 - u_x^2, its sqrt (the line
+                                        kinds; the disk's uf takes its place), du/dt
+                                        without advection */
     double *vh, *H, *v, *dV;         /* record fields; the line kinds first store v w
                                         in v and dV per unit w h (1, or 2 pi rho) in dV */
     double vol, ih2;                 /* the record's sums of dV and H^2 dV */
@@ -301,7 +384,7 @@ typedef struct {
     double *sum_dV, *sum_H2dV;       /* summands of vol, ih2 (disk2d: the N x N core) */
     double b[2];                     /* (x_l, x_r), or (rho_b, rho_b) */
     double bdot[2], bnew[2];         /* boundary velocity, the Euler update */
-    double h, m_min;
+    double h, inv_h2, m_min;
     Sups sup;                        /* the record's sups; sup.vh is 1/sqrt(m_min) */
     double r_end[2];                 /* rhs at the ends from the one-sided stencil */
     double ds[2];                    /* s'(|x|) at both ends, or f'(u_b) at the rim */
@@ -322,45 +405,89 @@ static Sups take_sups(const Step *S)
     return s;
 }
 
-/* u_x, the margin and u_xx / margin on spacing h (geometry._line_derivatives):
- * central differences inside, the given slopes at the ends; sets h and the
- * least margin */
-static void stencil(Step *S, double h, double slope_lo, double slope_hi)
+/* The record's sups and the least margin from a step's order-free
+ * reductions r, or by the node-order walk where the order could show: where
+ * a NaN or an inf entered (r.bad != 0) or u's range ends on a zero that may
+ * be -0.0 (m = 1 - |Du|^2 and |H| are never -0.0; sup v is positive on a
+ * spacelike state, and is checked all the same). */
+static void settle_sups(Step *S, Run r)
+{
+    if (r.bad != 0.0 || r.umin == 0.0 || r.umax == 0.0 || r.v == 0.0) {
+        S->sup = take_sups(S);
+        r.m = INFINITY;
+        for (int64_t j = 0; j < S->n_spans; ++j)
+            for (int64_t i = S->span_lo[j]; i < S->span_hi[j]; ++i)
+                TAKE_MIN(r.m, S->m[i]);
+    } else {
+        S->sup = (Sups){r.v, NAN, r.H, r.umin, r.umax};
+    }
+    S->m_min = r.m;
+}
+
+/* a line grid's node e, whose slope is imposed: u_x, the margin, w and v_hat
+ * there, folded into r's least margin and check sum; returns v_hat^2 */
+static double line_end(Step *S, int64_t e, double slope, Run *r)
+{
+    double me = 1.0 - slope * slope, we = sqrt(me), vhe = 1.0 / we;
+    S->ux[e] = slope;
+    S->m[e] = me;
+    S->w[e] = we;
+    S->vh[e] = vhe;
+    r->m = me < r->m ? me : r->m;
+    r->bad += me - me;
+    return vhe * vhe;
+}
+
+/* u_x, u_xx, the margin, w = sqrt(m), v_hat = 1/w and rhs = u_xx v_hat^2 on
+ * spacing h (geometry._line_derivatives): central differences, multiplied by
+ * the reciprocals of 2h and h^2 taken once, at the inside nodes; the given
+ * slopes at the ends, whose rhs each kind sets.  Sets h and 1/h^2; returns
+ * the least margin and the check sum of the margins (see settle_sups). */
+static Run stencil(Step *S, double h, double slope_lo, double slope_hi)
 {
     const int64_t n = S->n;
-    const double *u = S->u;
-    double h2 = h * h, two_h = 2.0 * h;
-    S->ux[0] = slope_lo;
-    S->ux[n - 1] = slope_hi;
-    S->m[0] = 1.0 - slope_lo * slope_lo;
-    S->m[n - 1] = 1.0 - slope_hi * slope_hi;
-    double m_min = S->m[0];
+    const double *restrict u = S->u;
+    double *restrict ux = S->ux, *restrict m = S->m, *restrict w = S->w,
+           *restrict vh = S->vh, *restrict rhs = S->rhs;
+    const double inv_2h = 1.0 / (2.0 * h), inv_h2 = 1.0 / (h * h);
+    double m_lo = INFINITY, bad = 0.0;
+#pragma omp simd reduction(min: m_lo) reduction(+: bad)
     for (int64_t i = 1; i < n - 1; ++i) {
-        double d = (u[i + 1] - u[i - 1]) / two_h;
-        double dd = (u[i + 1] - 2.0 * u[i] + u[i - 1]) / h2;
+        double d = (u[i + 1] - u[i - 1]) * inv_2h;
+        double dd = (u[i + 1] - 2.0 * u[i] + u[i - 1]) * inv_h2;
         double mi = 1.0 - d * d;
-        S->ux[i] = d;
-        S->m[i] = mi;
-        S->rhs[i] = dd / mi;
-        TAKE_MIN(m_min, mi);
+        double wi = sqrt(mi), vhi = 1.0 / wi;
+        ux[i] = d;
+        m[i] = mi;
+        w[i] = wi;
+        vh[i] = vhi;
+        rhs[i] = dd * (vhi * vhi);
+        m_lo = mi < m_lo ? mi : m_lo;
+        bad += mi - mi;
     }
-    TAKE_MIN(m_min, S->m[n - 1]);
+    Run r = {m_lo, -INFINITY, -INFINITY, INFINITY, -INFINITY, bad};
+    line_end(S, 0, slope_lo, &r);
+    line_end(S, n - 1, slope_hi, &r);
     S->h = h;
-    S->m_min = m_min;
+    S->inv_h2 = inv_h2;
+    return r;
 }
 
 /* u_xx at the end e (inward step d = +-1) with the slope imposed there: the
  * ghost (mirror-slope) form for the update keeps the interior stencil's
  * stability bound; the second-order one-sided form gives the boundary
  * speeds and the recorded H */
-static double ghost_uxx(const double *u, int64_t e, int64_t d, double h, double slope)
+static double ghost_uxx(const Step *S, int64_t e, int64_t d, double slope)
 {
-    return (2.0 * u[e + d] - 2.0 * u[e] - d * (2.0 * h) * slope) / (h * h);
+    const double *u = S->u;
+    return (2.0 * u[e + d] - 2.0 * u[e] - d * (2.0 * S->h) * slope) * S->inv_h2;
 }
 
-static double one_sided_uxx(const double *u, int64_t e, int64_t d, double h, double slope)
+static double one_sided_uxx(const Step *S, int64_t e, int64_t d, double slope)
 {
-    return (-3.5 * u[e] + 4.0 * u[e + d] - 0.5 * u[e + 2 * d] - d * 3.0 * h * slope) / (h * h);
+    const double *u = S->u;
+    return (-3.5 * u[e] + 4.0 * u[e + d] - 0.5 * u[e + 2 * d] - d * 3.0 * S->h * slope) *
+           S->inv_h2;
 }
 
 /* numpy's pairwise summation of a[0..n), the reference's dV.sum() */
@@ -389,26 +516,56 @@ static double pairwise_sum(const double *a, int64_t n)
     return pairwise_sum(a, n2) + pairwise_sum(a + n2, n - n2);
 }
 
-/* the record fields of a line grid (geometry._line_evaluation, _line_fields):
- * w = sqrt(m), v_hat = 1/w, H = v_hat rhs with the one-sided ends, v = (v w)/w
- * and dV = (dV per unit w h) w h, with half cells at the ends */
-static void line_record(Step *S)
+/* H, v and dV at the end e of a line grid (geometry._line_fields), H from
+ * the one-sided rhs, dV over the half cell; folded into the reductions r */
+static void line_end_fields(Step *S, int64_t e, double rhs_e, Run *r)
+{
+    double vhe = S->vh[e], He = vhe * rhs_e, ve = S->v[e] * vhe,
+           dVe = S->dV[e] * S->w[e] * (0.5 * S->h);
+    double aH = fabs(He), c = S->u[e];
+    S->H[e] = He;
+    S->v[e] = ve;
+    S->dV[e] = dVe;
+    S->sum_H2dV[e] = He * He * dVe;
+    r->v = ve > r->v ? ve : r->v;
+    r->H = aH > r->H ? aH : r->H;
+    r->umin = c < r->umin ? c : r->umin;
+    r->umax = c > r->umax ? c : r->umax;
+    r->bad += (ve - ve) + (aH - aH) + (c - c);
+}
+
+/* the record fields of a line grid (geometry._line_fields): H = v_hat rhs,
+ * v = (v w) v_hat and dV = (dV per unit w h) w h at the inside nodes, as simd
+ * reductions, then the ends; the record's sums, and its sups from the
+ * reductions r, which hold stencil's */
+static void line_record(Step *S, Run r)
 {
     const int64_t n = S->n;
-    for (int64_t i = 0; i < n; ++i) {
-        double wi = sqrt(S->m[i]);
-        double vh = 1.0 / wi;
-        double Hi = vh * (i == 0 ? S->r_end[0] : i == n - 1 ? S->r_end[1] : S->rhs[i]);
-        double dV = S->dV[i] * wi * (i == 0 || i == n - 1 ? 0.5 * S->h : S->h);
-        S->vh[i] = vh;
-        S->H[i] = Hi;
-        S->v[i] = S->v[i] / wi;
-        S->dV[i] = dV;
-        S->sum_H2dV[i] = Hi * Hi * dV;
+    const double h = S->h, *restrict u = S->u, *restrict rhs = S->rhs,
+                 *restrict vh = S->vh, *restrict w = S->w;
+    double *restrict H = S->H, *restrict v = S->v, *restrict dV = S->dV,
+           *restrict sH2dV = S->sum_H2dV;
+    double v_hi = r.v, H_hi = r.H, u_lo = r.umin, u_hi = r.umax, bad = r.bad;
+#pragma omp simd reduction(max: v_hi, H_hi, u_hi) reduction(min: u_lo) reduction(+: bad)
+    for (int64_t i = 1; i < n - 1; ++i) {
+        double vhi = vh[i], Hi = vhi * rhs[i], vi = v[i] * vhi, dVi = dV[i] * w[i] * h;
+        double aH = fabs(Hi), c = u[i];
+        H[i] = Hi;
+        v[i] = vi;
+        dV[i] = dVi;
+        sH2dV[i] = Hi * Hi * dVi;
+        v_hi = vi > v_hi ? vi : v_hi;
+        H_hi = aH > H_hi ? aH : H_hi;
+        u_lo = c < u_lo ? c : u_lo;
+        u_hi = c > u_hi ? c : u_hi;
+        bad += (vi - vi) + (aH - aH) + (c - c);
     }
+    r = (Run){r.m, v_hi, H_hi, u_lo, u_hi, bad};
+    line_end_fields(S, 0, S->r_end[0], &r);
+    line_end_fields(S, n - 1, S->r_end[1], &r);
     S->vol = pairwise_sum(S->dV, n);
     S->ih2 = pairwise_sum(S->sum_H2dV, n);
-    S->sup = take_sups(S);
+    settle_sups(S, r);
 }
 
 /* Boundary identity data at one boundary point (flow._boundary_block): rim
@@ -441,23 +598,46 @@ static Block boundary_block(const Step *S, int hi, double a_vv, double a_ww)
     double dH2 = (2.5 * (f1 * f1) - 4.0 * (f2 * f2) + 1.5 * (f3 * f3)) / h;
     double dv = out * ((3.0 * vb - 4.0 * v1 + v2) / (2.0 * h));
     double dv2pt = (vb - v1) / h;
-    return identity_block(H_b, vb, dH, dv, dH2, dv2pt, 1.0 / sqrt(S->m[e]), a_vv, a_ww);
+    return identity_block(H_b, vb, dH, dv, dH2, dv2pt, S->vh[e], a_vv, a_ww);
 }
 
 /* -- curve1d: u_t = u_xx / (1 - u_x^2) on [x_l(t), x_r(t)] -------------------- */
 
-/* geometry._curve1d_evaluate and flow._curve1d_rate */
+/* the V field (the trumpet's on the domain [lo, hi]) and v w, the unit dV
+ * (1), and u_t with the drift of the nodes, which sit at xc + s span/2 and
+ * move at w_mid + s w_half/2 (geometry._curve1d_fields, flow._curve1d_rate).
+ * Free of branches, so the compiler vectorises it; the exponential is most
+ * of its work, so it is cloned for AVX2 as disk2d_row is. */
+#if defined(__x86_64__) && defined(__GLIBC__)
+__attribute__((target_clones("avx2", "default")))
+#endif
+static void curve1d_nodes(int64_t n, double xc, double span, double lo, double hi,
+                          double w_mid, double w_half, const double *restrict s_ref,
+                          const double *restrict ux, const double *restrict rhs,
+                          double *restrict v, double *restrict dV, double *restrict udot)
+{
+    for (int64_t i = 0; i < n; ++i) {
+        double Vx, Vt;
+        trumpet_V(xc + s_ref[i] * 0.5 * span, lo, hi, &Vx, &Vt);
+        v[i] = Vt - Vx * ux[i];
+        dV[i] = 1.0;
+        udot[i] = rhs[i] + (w_mid + s_ref[i] * 0.5 * w_half) * ux[i];
+    }
+}
+
+/* geometry._curve1d_evaluate and flow._curve1d_rate; V is the trumpet's */
 static void curve1d_evaluate(Step *S)
 {
     const int64_t n = S->n;
     double xl = S->b[0], xr = S->b[1], h = (xr - xl) / S->nm1;
     double dsR = planar_ds(xr), dsL = planar_ds(fabs(xl));
     double slope_r = 1.0 / dsR, slope_l = -1.0 / dsL;
-    stencil(S, h, slope_l, slope_r);
-    S->rhs[0] = ghost_uxx(S->u, 0, 1, h, slope_l) / S->m[0];
-    S->rhs[n - 1] = ghost_uxx(S->u, n - 1, -1, h, slope_r) / S->m[n - 1];
-    S->r_end[0] = one_sided_uxx(S->u, 0, 1, h, slope_l) / S->m[0];
-    S->r_end[1] = one_sided_uxx(S->u, n - 1, -1, h, slope_r) / S->m[n - 1];
+    Run r = stencil(S, h, slope_l, slope_r);
+    double vh2_l = S->vh[0] * S->vh[0], vh2_r = S->vh[n - 1] * S->vh[n - 1];
+    S->rhs[0] = ghost_uxx(S, 0, 1, slope_l) * vh2_l;
+    S->rhs[n - 1] = ghost_uxx(S, n - 1, -1, slope_r) * vh2_r;
+    S->r_end[0] = one_sided_uxx(S, 0, 1, slope_l) * vh2_l;
+    S->r_end[1] = one_sided_uxx(S, n - 1, -1, slope_r) * vh2_r;
     S->ds[0] = dsL;
     S->ds[1] = dsR;
     double xdot_r = S->r_end[1] * dsR / (dsR * dsR - 1.0);
@@ -466,26 +646,9 @@ static void curve1d_evaluate(Step *S)
     S->bdot[0] = xdot_l;
     S->bdot[1] = xdot_r;
 
-    const double x_min = S->prm[0];          /* planar_V clamps |x| to the domain */
-    double xc = 0.5 * (xl + xr), span = xr - xl;
-    for (int64_t i = 0; i < n; ++i) {
-        double x = xc + S->s_ref[i] * 0.5 * span;
-        double Vx = 0.0, Vt = 1.0;
-        if (!(fabs(x) < 1e-12)) {
-            /* geometry.planar_V for the trumpet: (sgn, coth a) / sqrt(coth^2 a - 1)
-             * is (sgn sinh a, cosh a) with a = max(|x|, domain start) */
-            double a = fabs(x) > x_min ? fabs(x) : x_min;
-            double e = exp(a), ie = 1.0 / e;
-            Vx = 0.5 * (e - ie);
-            Vt = 0.5 * (e + ie);
-            if (x < 0)
-                Vx = -Vx;
-        }
-        S->v[i] = Vt - Vx * S->ux[i];
-        S->dV[i] = 1.0;
-        S->udot[i] = S->rhs[i] + (w_mid + S->s_ref[i] * 0.5 * w_half) * S->ux[i];
-    }
-    line_record(S);
+    curve1d_nodes(n, 0.5 * (xl + xr), xr - xl, S->prm[0], S->prm[1], w_mid, w_half, S->s_ref,
+                  S->ux, S->rhs, S->v, S->dV, S->udot);
+    line_record(S, r);
 }
 
 static Block curve1d_rim(const Step *S, double *lo)
@@ -497,7 +660,8 @@ static Block curve1d_rim(const Step *S, double *lo)
                         boundary_block(S, 1, planar_d2s(fabs(S->b[1])) / pow(wR, THREE), 0.0));
 }
 
-/* exact incidence at both ends, then transport the interior along */
+/* exact incidence at both ends, then transport the interior along, u_x by
+ * the reciprocal of the new 2h */
 static int curve1d_project(Step *S, double *fail)
 {
     const int64_t n = S->n;
@@ -510,9 +674,9 @@ static int curve1d_project(Step *S, double *fail)
         return 1;
     double d_lo = xl_p - xl_new, d_hi = xr_p - xr_new;
     double shift_mid = 0.5 * (d_lo + xr_p - xr_new), shift_half = d_hi - d_lo;
-    double span_new = xr_new - xl_new;
+    double inv_2h = 1.0 / (2.0 * (xr_new - xl_new) / S->nm1);
     for (int64_t i = 1; i < n - 1; ++i) {
-        double uxn = (unew[i + 1] - unew[i - 1]) / span_new * S->nm1 / 2.0;
+        double uxn = (unew[i + 1] - unew[i - 1]) * inv_2h;
         S->u[i] = unew[i] + (shift_mid + S->s_ref[i] * 0.5 * shift_half) * uxn;
     }
     S->u[0] = planar_s(fabs(xl_p));
@@ -531,26 +695,27 @@ static void radial2d_evaluate(Step *S)
     const double *u = S->u, twopi = 2.0 * M_PI;
     double rb = S->b[1], h = rb / S->nm1;
     double dfb = rot_df(S->code, S->prm, u[n - 1]);
-    stencil(S, h, 0.0, dfb);
+    Run r = stencil(S, h, 0.0, dfb);
     for (int64_t i = 1; i < n - 1; ++i)              /* the u_r / rho term */
         S->rhs[i] += S->ux[i] / ((double)i * h);
-    /* even across the axis; m[0] = 1, so this is the reference's u_rr / m + u_rr */
-    S->rhs[0] = 2.0 * (u[1] - u[0]) / (h * h) * (1.0 / S->m[0] + 1.0);
-    S->rhs[n - 1] = ghost_uxx(u, n - 1, -1, h, dfb) / S->m[n - 1] + dfb / rb;
+    /* even across the axis, where v_hat = 1: the reference's u_rr v_hat^2 + u_rr */
+    double uxx0 = ghost_uxx(S, 0, 1, 0.0), vh2_b = S->vh[n - 1] * S->vh[n - 1];
+    S->rhs[0] = uxx0 * (S->vh[0] * S->vh[0]) + uxx0;
+    S->rhs[n - 1] = ghost_uxx(S, n - 1, -1, dfb) * vh2_b + dfb / rb;
     S->r_end[0] = S->rhs[0];
-    S->r_end[1] = one_sided_uxx(u, n - 1, -1, h, dfb) / S->m[n - 1] + dfb / rb;
+    S->r_end[1] = one_sided_uxx(S, n - 1, -1, dfb) * vh2_b + dfb / rb;
     S->ds[0] = S->ds[1] = dfb;
     double rdot = dfb * S->r_end[1] / (1.0 - dfb * dfb);
     S->bdot[0] = S->bdot[1] = rdot;
 
     for (int64_t i = 0; i < n; ++i) {
         double dfz = rot_df_array(S->code, S->prm, u[i]);
-        double rho = i == n - 1 ? rb : (double)i * h;
         S->v[i] = (1.0 - dfz * S->ux[i]) * (1.0 / sqrt(1.0 - dfz * dfz));
-        S->dV[i] = twopi * rho;
+        S->dV[i] = twopi * ((double)i * h);
         S->udot[i] = S->rhs[i] + S->s_ref[i] * rdot * S->ux[i];
     }
-    line_record(S);
+    S->dV[n - 1] = twopi * rb;                       /* the rim node sits at rho_b */
+    line_record(S, r);
 }
 
 static Block radial2d_rim(const Step *S, double *lo)
@@ -563,7 +728,8 @@ static Block radial2d_rim(const Step *S, double *lo)
     return boundary_block(S, 1, -rot_d2f(S->code, S->prm, zb) / pow(wb, THREE), 1.0 / (fz * wb));
 }
 
-/* rim radius back onto the tube, then transport the interior along */
+/* rim radius back onto the tube, then transport the interior along, u_r by
+ * the reciprocal of the new 2h */
 static int radial2d_project(Step *S, double *fail)
 {
     const int64_t n = S->n;
@@ -582,10 +748,10 @@ static int radial2d_project(Step *S, double *fail)
         du_b = dfbn * (rb_p - rb_new);
     }
     double d_rim = rb_p - rb_new;
-    double dx_new = 2.0 * rb_new / S->nm1;
+    double inv_2h = 1.0 / (2.0 * rb_new / S->nm1);
     S->u[0] = unew[0];
     for (int64_t i = 1; i < n - 1; ++i)
-        S->u[i] = unew[i] + S->s_ref[i] * d_rim * ((unew[i + 1] - unew[i - 1]) / dx_new);
+        S->u[i] = unew[i] + S->s_ref[i] * d_rim * ((unew[i + 1] - unew[i - 1]) * inv_2h);
     double shift_b = S->s_ref[n - 1] * d_rim;
     double ub = unew[n - 1] + shift_b * dfbn;
     S->u[n - 1] = ub + (du_b - shift_b * dfbn);
@@ -653,7 +819,7 @@ static Run disk2d_row(int64_t len, int64_t m, double h, const double *restrict f
         u_hi = c > u_hi ? c : u_hi;
         bad += (mi - mi) + (aH - aH) + (c - c);
     }
-    return (Run){m_lo, H_hi, u_lo, u_hi, bad};
+    return (Run){m_lo, -INFINITY, H_hi, u_lo, u_hi, bad};
 }
 
 /* the fields off the inside nodes, which no step changes: udot = 0, and H = 0
@@ -687,7 +853,7 @@ static void disk2d_evaluate(Step *S)
             sum += D->ghost_val[j] * u[D->ghost_col[j]];
         f[D->ghost_node[g]] = sum;
     }
-    Run all = {INFINITY, -INFINITY, INFINITY, -INFINITY, 0.0};
+    Run all = {INFINITY, -INFINITY, -INFINITY, INFINITY, -INFINITY, 0.0};
     for (int64_t x = 1; x < m - 1; ++x) {
         int64_t lo = D->row_lo[x], hi = D->row_hi[x];    /* rows off the pad are never empty */
         int64_t q = (x - 1) * N + (lo - x * m - 1);
@@ -699,23 +865,12 @@ static void disk2d_evaluate(Step *S)
         TAKE_MAX(all.umax, r.umax);
         all.bad += r.bad;
     }
-    if (all.bad != 0.0 || all.umin == 0.0 || all.umax == 0.0) {
-        /* a NaN or an inf entered, or u's range ends on a zero that may be
-         * -0.0: the order of the reductions could show, so walk in node order
-         * (m = 1 - |Du|^2 and |H| are never -0.0) */
-        S->sup = take_sups(S);
-        all.m = INFINITY;
-        for (int64_t j = 0; j < S->n_spans; ++j)
-            for (int64_t i = S->span_lo[j]; i < S->span_hi[j]; ++i)
-                TAKE_MIN(all.m, S->m[i]);
-    } else {
-        S->sup = (Sups){1.0 / sqrt(all.m), NAN, all.H, all.umin, all.umax};
-    }
+    all.v = 1.0 / sqrt(all.m);        /* v is v_hat node for node */
+    settle_sups(S, all);
     /* the integrals as the reference takes them: pairwise over the N x N core */
     S->vol = pairwise_sum(S->sum_dV, N * N);
     S->ih2 = pairwise_sum(S->sum_H2dV, N * N);
     S->h = D->h;
-    S->m_min = all.m;
     S->bdot[0] = S->bdot[1] = 0.0;
 }
 
@@ -792,7 +947,7 @@ int maxsurf_run(int kind, int64_t n, double *u, double *bnd, double *t_io,
     const int64_t whole[2] = {0, n};
     Step S = {
         .n = n, .nm1 = (double)(n - 1), .s_ref = s_ref, .code = code, .prm = prm,
-        .disk = disk, .u = u, .ux = work, .m = work + n, .rhs = work + 2 * n,
+        .disk = disk, .u = u, .ux = work, .m = work + n, .rhs = work + 2 * n, .w = work + 9 * n,
         .vh = work + 3 * n, .H = work + 4 * n, .v = work + 5 * n, .dV = work + 6 * n,
         .span_lo = disk ? disk->row_lo : whole, .span_hi = disk ? disk->row_hi : whole + 1,
         .n_spans = disk ? disk->m : 1, .udot = work + 7 * n, .unew = disk ? u : work + 8 * n,

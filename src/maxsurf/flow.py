@@ -132,7 +132,8 @@ def _curve1d_rate(state: FlowState, ev: Evaluation):
 
 
 def _curve1d_project(state: FlowState, u, boundary, profile):
-    """Exact incidence at both ends, then transport the interior along."""
+    """Exact incidence at both ends, then transport the interior along (u_x
+    by the reciprocal of the new 2h, as in _step.c)."""
     xl, xr = boundary
     slope_r = 1.0 / float(profile.ds(xr))
     slope_l = -1.0 / float(profile.ds(abs(xl)))
@@ -141,7 +142,7 @@ def _curve1d_project(state: FlowState, u, boundary, profile):
     dshift = (0.5 * (xl_p - xl + xr_p - xr)
               + state.grid.reference() * 0.5 * ((xr_p - xr) - (xl_p - xl)))
     ux = np.empty_like(u)
-    ux[1:-1] = (u[2:] - u[:-2]) / (xr - xl) * (u.size - 1) / 2.0
+    ux[1:-1] = (u[2:] - u[:-2]) * (1.0 / (2.0 * (xr - xl) / (u.size - 1)))
     ux[0] = slope_l
     ux[-1] = slope_r
     u = u + dshift * ux
@@ -168,7 +169,8 @@ def _radial2d_rate(state: FlowState, ev: Evaluation):
 
 
 def _radial2d_project(state: FlowState, u, rb, profile):
-    """Rim radius back onto the tube, then transport the interior along."""
+    """Rim radius back onto the tube, then transport the interior along (u_r
+    by the reciprocal of the new 2h)."""
     ub = u[-1]
     dfb = float(profile.df(ub))
     if abs(dfb) < 1e-13:
@@ -182,7 +184,7 @@ def _radial2d_project(state: FlowState, u, rb, profile):
         du_b = dfb * (rb_p - rb)
     dshift = state.grid.reference() * (rb_p - rb)
     ux = np.empty_like(u)
-    ux[1:-1] = (u[2:] - u[:-2]) / (2.0 * rb / (u.size - 1))
+    ux[1:-1] = (u[2:] - u[:-2]) * (1.0 / (2.0 * rb / (u.size - 1)))
     ux[0] = 0.0
     ux[-1] = dfb
     u = u + dshift * ux

@@ -38,6 +38,7 @@ g^xx u_xx = 1.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
@@ -64,7 +65,8 @@ class GridSpec:
                              f"{_KINDS[self.kind].min_n} nodes per axis")
 
     def reference(self) -> np.ndarray:
-        """The reference coordinate per node: s on the line kinds, r/R on the disk."""
+        """The reference coordinate per node: s on the line kinds, built once
+        per grid and read-only (the flow reads it every step), r/R on the disk."""
         return _KINDS[self.kind].reference(self)
 
     def real_nodes(self):
@@ -162,9 +164,13 @@ def trapezoid_weights(n: int, h) -> np.ndarray:
 def planar_V(profile: PlanarBoundary, x):
     """Branch-consistent timelike field (V_x, V_t) off a planar boundary.
 
-    V = (sign(x), s'(|x|)) / sqrt(s'^2 - 1); smooth across x = 0 whenever
-    s' diverges at the throat (trumpet), otherwise V(0) := e_t by convention.
+    The boundary's own field where it supplies one (the trumpet's is
+    (sgn(x) sinh|x|, cosh x)); otherwise V = (sign(x), s'(|x|)) / sqrt(s'^2 - 1),
+    smooth across x = 0 whenever s' diverges at the throat, and V(0) := e_t by
+    convention.
     """
+    if profile.V is not None:
+        return profile.V(x)
     x = np.asarray(x, dtype=float)
     ax = np.maximum(np.abs(x), profile.domain[0])
     ds = np.asarray(profile.ds(ax), dtype=float)
@@ -218,23 +224,38 @@ def geometry(state: FlowState, profile) -> GeometryFields:
     return kind.observe(state, ev, fields)
 
 
-def _line_derivatives(u, h, slope_lo, slope_hi):
-    """u_x, u_xx, 1 - u_x^2 and the (low, high) one-sided end u_xx of a line
-    grid with the slopes du/dx imposed at its ends.  The ends' u_xx takes the
-    ghost (mirror-slope) form, which keeps the interior stencil's stability
-    bound; the one-sided form gives the boundary speeds and H.
+class _LineDerivatives(NamedTuple):
+    ux: np.ndarray
+    uxx: np.ndarray        # the ends' in the ghost form
+    m: np.ndarray          # 1 - u_x^2
+    w: np.ndarray          # sqrt(m)
+    v_hat: np.ndarray      # 1 / w
+    vh2: np.ndarray        # v_hat^2, which turns u_xx into u_xx / m
+    ends2: tuple           # the (low, high) ends' u_xx in the one-sided form
+
+
+def _line_derivatives(u, h, slope_lo, slope_hi) -> _LineDerivatives:
+    """The derivatives and metric of a line grid with the slopes du/dx imposed
+    at its ends, the stencils multiplying by the reciprocals of 2h and h^2
+    taken once, as _step.c does.  The ends' u_xx takes the ghost
+    (mirror-slope) form, which keeps the interior stencil's stability bound;
+    the one-sided form gives the boundary speeds and H.
     """
+    inv_2h, inv_h2 = 1.0 / (2.0 * h), 1.0 / (h * h)
     ux = np.empty_like(u)
-    ux[..., 1:-1] = (u[..., 2:] - u[..., :-2]) / (2.0 * h)
+    ux[..., 1:-1] = (u[..., 2:] - u[..., :-2]) * inv_2h
     ux[..., 0] = slope_lo
     ux[..., -1] = slope_hi
     uxx = np.empty_like(u)
-    uxx[..., 1:-1] = (u[..., 2:] - 2.0 * u[..., 1:-1] + u[..., :-2]) / (h * h)
+    uxx[..., 1:-1] = (u[..., 2:] - 2.0 * u[..., 1:-1] + u[..., :-2]) * inv_h2
     # the high end is the low end of the reversed grid, whose slope is -du/dx
-    h_end = _per_state(h)
-    (uxx[..., 0], lo2), (uxx[..., -1], hi2) = (_end_uxx(u, h_end, slope_lo),
-                                               _end_uxx(u[..., ::-1], h_end, -slope_hi))
-    return ux, uxx, 1.0 - ux * ux, (lo2, hi2)
+    h_end, inv_end = _per_state(h), _per_state(inv_h2)
+    (uxx[..., 0], lo2), (uxx[..., -1], hi2) = (
+        _end_uxx(u, h_end, inv_end, slope_lo), _end_uxx(u[..., ::-1], h_end, inv_end, -slope_hi))
+    m = 1.0 - ux * ux
+    w = np.sqrt(m)
+    v_hat = 1.0 / w
+    return _LineDerivatives(ux, uxx, m, w, v_hat, v_hat * v_hat, (lo2, hi2))
 
 
 def _end(a: np.ndarray, k: int):
@@ -247,31 +268,31 @@ def _per_state(a):
     return a[..., 0] if getattr(a, "ndim", 0) else a
 
 
-def _end_uxx(u, h, slope):
+def _end_uxx(u, h, inv_h2, slope):
     """(ghost form, one-sided form) of u_xx at u[..., 0], whose slope is imposed."""
     u0, u1, u2 = _end(u, 0), _end(u, 1), _end(u, 2)
-    return ((2.0 * u1 - 2.0 * u0 - 2.0 * h * slope) / (h * h),
-            (-3.5 * u0 + 4.0 * u1 - 0.5 * u2 - 3.0 * h * slope) / (h * h))
+    return ((2.0 * u1 - 2.0 * u0 - 2.0 * h * slope) * inv_h2,
+            (-3.5 * u0 + 4.0 * u1 - 0.5 * u2 - 3.0 * h * slope) * inv_h2)
 
 
-def _line_evaluation(h, ux, m, rhs, ends, profile_slope, second) -> Evaluation:
-    w = np.sqrt(m)
-    return Evaluation(h, float(m.min()), ux, rhs, w, 1.0 / w, ends, profile_slope, second)
+def _line_evaluation(h, d: _LineDerivatives, rhs, ends, profile_slope, second) -> Evaluation:
+    return Evaluation(h, float(d.m.min()), d.ux, rhs, d.w, d.v_hat, ends, profile_slope, second)
 
 
 def _line_fields(ev: Evaluation, vw, unit) -> NodeFields:
-    """H = v_hat rhs with the ends' one-sided rhs, v = vw/w and dV = unit w trapezoid."""
+    """H = v_hat rhs with the ends' one-sided rhs, v = vw v_hat and dV = unit w trapezoid."""
     H = ev.v_hat * ev.rhs
     H[..., 0] = _end(ev.v_hat, 0) * ev.ends[0]
     H[..., -1] = _end(ev.v_hat, -1) * ev.ends[1]
-    return NodeFields(H, vw / ev.w, unit * ev.w * trapezoid_weights(ev.w.shape[-1], ev.h))
+    return NodeFields(H, vw * ev.v_hat, unit * ev.w * trapezoid_weights(ev.w.shape[-1], ev.h))
 
 
 def _curve1d_evaluate(state: FlowState, profile) -> Evaluation:
     (xl, xr), h = state.boundary, state.spacing()
     dsL, dsR = profile.ds(abs(_per_state(xl))), profile.ds(_per_state(xr))
-    ux, uxx, m, (lo2, hi2) = _line_derivatives(state.u, h, -1.0 / dsL, 1.0 / dsR)
-    return _line_evaluation(h, ux, m, uxx / m, (lo2 / _end(m, 0), hi2 / _end(m, -1)),
+    d = _line_derivatives(state.u, h, -1.0 / dsL, 1.0 / dsR)
+    lo2, hi2 = d.ends2
+    return _line_evaluation(h, d, d.uxx * d.vh2, (lo2 * _end(d.vh2, 0), hi2 * _end(d.vh2, -1)),
                             (dsL, dsR), None)
 
 
@@ -290,13 +311,13 @@ def _radial2d_evaluate(state: FlowState, profile) -> Evaluation:
     u, h, rho = state.u, state.spacing(), state.coords()
     dfb = profile.df(_end(u, -1))
     # slope 0 on the axis: the ghost form there is the even extension 2 (u_1 - u_0) / h^2
-    ux, uxx, m, (_, rim2) = _line_derivatives(u, h, 0.0, dfb)
+    d = _line_derivatives(u, h, 0.0, dfb)
     k2 = np.empty_like(u)             # u_r / rho = kappa_2 / v_hat; u_rr on the axis
-    k2[..., 1:] = ux[..., 1:] / rho[..., 1:]
-    k2[..., :1] = uxx[..., :1]
-    # on the axis m = 1, so rhs there is 2 u_rr, as _step.c's u_rr (1/m + 1)
-    rhs = uxx / m + k2
-    return _line_evaluation(h, ux, m, rhs, (_end(rhs, 0), rim2 / _end(m, -1) + _end(k2, -1)),
+    k2[..., 1:] = d.ux[..., 1:] / rho[..., 1:]
+    k2[..., :1] = d.uxx[..., :1]
+    # on the axis v_hat = 1, so rhs there is 2 u_rr
+    rhs = d.uxx * d.vh2 + k2
+    return _line_evaluation(h, d, rhs, (_end(rhs, 0), d.ends2[1] * _end(d.vh2, -1) + _end(k2, -1)),
                             (None, dfb), k2)
 
 
@@ -447,6 +468,14 @@ def _disk2d_laplace_beltrami(state: FlowState, f: np.ndarray, g: GeometryFields)
 # -- the grid kinds ----------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=64)
+def _line_reference(lo: float, n: int) -> np.ndarray:
+    """np.linspace(lo, 1, n), read-only: a line grid's reference coordinate."""
+    ref = np.linspace(lo, 1.0, n)
+    ref.flags.writeable = False
+    return ref
+
+
 def _curve1d_coords(state: FlowState) -> np.ndarray:
     xl, xr = state.boundary
     return 0.5 * (xl + xr) + state.grid.reference() * 0.5 * (xr - xl)
@@ -482,12 +511,12 @@ class _Kind(NamedTuple):
 _KINDS = {
     "curve1d": _Kind(_curve1d_evaluate, _curve1d_fields, _curve1d_observe,
                      _curve1d_laplace_beltrami,
-                     lambda grid: np.linspace(-1.0, 1.0, grid.n), _curve1d_coords,
+                     lambda grid: _line_reference(-1.0, grid.n), _curve1d_coords,
                      lambda state: (state.boundary[1] - state.boundary[0]) / (state.grid.n - 1),
                      lambda grid: slice(None), 5),
     "radial2d": _Kind(_radial2d_evaluate, _radial2d_fields, _radial2d_observe,
                       _radial2d_laplace_beltrami,
-                      lambda grid: np.linspace(0.0, 1.0, grid.n), _radial2d_coords,
+                      lambda grid: _line_reference(0.0, grid.n), _radial2d_coords,
                       lambda state: state.boundary / (state.grid.n - 1),
                       lambda grid: slice(None), 5),
     # from N = 6 the rim monitor circles sample inside nodes only (disk.DiskGrid

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -86,7 +86,12 @@ class RotationalProfile:
 
 @dataclass(frozen=True)
 class PlanarBoundary:
-    """Symmetric planar boundary branches y = s(|x|), x > 0, with |s'| > 1."""
+    """Symmetric planar boundary branches y = s(|x|), x > 0, with |s'| > 1.
+
+    ``V``, when given, is the boundary's own timelike field x -> (V_x, V_t)
+    off the boundary (see geometry.planar_V); without it the field is formed
+    from s'.
+    """
 
     s: Callable
     ds: Callable
@@ -94,6 +99,7 @@ class PlanarBoundary:
     domain: tuple[float, float]
     kind: str = "custom"
     params: tuple = ()
+    V: Optional[Callable] = None
 
     boundary_type = "planar"
 
@@ -368,15 +374,79 @@ def sine_tube(a: float = 2.0, b: float = 0.5, omega: float = 1.0, domain=None) -
     )
 
 
+# e^a by the reduction a = k ln 2 + r, |r| <= ln(2)/2, with Cody and Waite's
+# two-part ln 2 (k ln2_hi is exact) and the Taylor polynomial of e^r - 1 to
+# degree 13 (remainder below 0.05 ulp) in Estrin's scheme; _step.c's
+# exp_parts does the same operations on each number
+_LN2_HI, _LN2_LO = float.fromhex("0x1.62e42feep-1"), float.fromhex("0x1.a39ef35793c76p-33")
+_INV_LN2, _ROUND_SHIFT = float.fromhex("0x1.71547652b82fep+0"), float.fromhex("0x1.8p52")
+_C = {k: 1 / math.factorial(k) for k in range(2, 14)}
+
+
+def _exp_parts(a):
+    """(e^a, e^a - 1) for 0 <= a < 709 from adds and multiplies alone: k =
+    round(a / ln 2) by adding and subtracting 1.5 2^52, in whose low bits k
+    sits, so that 2^k is the bits (k + 1023) << 52; within an ulp of libm's
+    exp on the trumpet's domain."""
+    a = np.asarray(a, dtype=float)
+    t = a * _INV_LN2 + _ROUND_SHIFT
+    k = t - _ROUND_SHIFT
+    r = (a - k * _LN2_HI) - k * _LN2_LO
+    r2 = r * r
+    r4 = r2 * r2
+    c = _C
+    q = ((c[2] + c[3] * r) + (c[4] + c[5] * r) * r2
+         + ((c[6] + c[7] * r) + (c[8] + c[9] * r) * r2) * r4
+         + ((c[10] + c[11] * r) + (c[12] + c[13] * r) * r2) * (r4 * r4))
+    p = r + r2 * q
+    scale = ((t.view(np.uint64) + np.uint64(1023)) << np.uint64(52)).view(np.float64)
+    sp = scale * p
+    return sp + scale, sp + (scale - 1.0)
+
+
+def _trumpet_V(x, lo: float, hi: float):
+    """The trumpet's V field (sgn(x) sinh a, cosh a), a = |x| clamped to the
+    domain [lo, hi]: sinh a = (e1 + e1/e)/2 and cosh a = (e + 1/e)/2 from
+    (e, e1) = _exp_parts(a), neither cancelling; _step.c's trumpet_V."""
+    x = np.asarray(x, dtype=float)
+    e, em1 = _exp_parts(np.minimum(np.maximum(np.abs(x), lo), hi))
+    ie = 1.0 / e
+    return np.copysign(0.5 * (em1 + em1 * ie), x), 0.5 * (e + ie)
+
+
+def _libm_on_numbers(number: Callable, array: Callable) -> Callable:
+    """f through math on a number, so libm's as _step.c calls it, and through
+    numpy on an array, whose loops may differ from libm's in the last bit.
+    Where math raises (log 0, 1/tanh 0, sinh beyond 710) the number takes
+    numpy's IEEE value, an inf or a NaN, as libm returns it."""
+    def f(x):
+        if not isinstance(x, (float, int, np.number)):
+            return array(np.asarray(x, dtype=float))
+        try:
+            return number(float(x))
+        except (ValueError, ZeroDivisionError, OverflowError):
+            with np.errstate(all="ignore"):
+                return float(array(np.float64(x)))
+    return f
+
+
 def trumpet(domain=(1e-8, 12.0)) -> PlanarBoundary:
-    """s = log sinh x: the boundary perpendicular to the translating solution."""
+    """s = log sinh x: the boundary perpendicular to the translating solution.
+
+    Its V field is (sgn(x) sinh|x|, cosh x), with |x| clamped to the domain.
+    """
+    lo, hi = (float(d) for d in domain)
+    if not 0.0 < lo < hi < 709.0:
+        raise ProfileError(f"the trumpet's domain must satisfy 0 < lo < hi < 709, got {domain}")
     return PlanarBoundary(
-        s=lambda x: np.log(np.sinh(np.asarray(x, dtype=float))),
-        ds=lambda x: 1.0 / np.tanh(np.asarray(x, dtype=float)),
-        d2s=lambda x: -1.0 / np.sinh(np.asarray(x, dtype=float)) ** 2,
-        domain=tuple(domain),
+        s=_libm_on_numbers(lambda x: math.log(math.sinh(x)), lambda x: np.log(np.sinh(x))),
+        ds=_libm_on_numbers(lambda x: 1.0 / math.tanh(x), lambda x: 1.0 / np.tanh(x)),
+        d2s=_libm_on_numbers(lambda x: -1.0 / math.sinh(x) ** 2,
+                             lambda x: -1.0 / np.sinh(x) ** 2),
+        domain=(lo, hi),
         kind="trumpet",
         params=(),
+        V=lambda x: _trumpet_V(x, lo, hi),
     )
 
 

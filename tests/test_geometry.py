@@ -42,6 +42,15 @@ def disk_state(u_of_xy, n, radius=1.0, t=0.0):
     return FlowState(grid, t, u, None)
 
 
+def test_line_reference_is_built_once_per_grid_and_read_only():
+    for grid in (GridSpec("curve1d", 51), GridSpec("radial2d", 33)):
+        ref = grid.reference()
+        assert GridSpec(grid.kind, grid.n).reference() is ref
+        assert not ref.flags.writeable
+    assert GridSpec("curve1d", 51).reference().tobytes() == np.linspace(-1.0, 1.0, 51).tobytes()
+    assert GridSpec("radial2d", 33).reference().tobytes() == np.linspace(0.0, 1.0, 33).tobytes()
+
+
 # -- flat disk ---------------------------------------------------------------
 
 

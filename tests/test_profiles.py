@@ -192,6 +192,63 @@ def test_planar_boundary_trumpet():
     assert bc.A_VV == pytest.approx(-math.sinh(x), rel=1e-12)
 
 
+# a dense sweep of the trumpet's domain [1e-8, 12], evenly and in log scale
+EXP_SWEEP = np.concatenate([np.linspace(1e-8, 12.0, 200_001),
+                            np.geomspace(1e-8, 12.0, 100_001)])
+
+
+def _ulps(got, want):
+    return np.abs(got - want) / np.spacing(np.abs(want))
+
+
+def test_exp_parts_within_an_ulp_of_libm():
+    # the trumpet's V field takes e^a and e^a - 1 from adds and multiplies;
+    # e^a is within 1 ulp of math.exp (glibc's) over the domain, e^a - 1
+    # within 2 of math.expm1
+    from maxsurf.profiles import _exp_parts
+
+    e, em1 = _exp_parts(EXP_SWEEP)
+    assert _ulps(e, np.array([math.exp(a) for a in EXP_SWEEP])).max() <= 1.0
+    assert _ulps(em1, np.array([math.expm1(a) for a in EXP_SWEEP])).max() <= 2.0
+
+
+def test_trumpet_V_is_sinh_and_cosh():
+    # V = (sgn(x) sinh|x|, cosh x) to a few ulps over the domain, where the
+    # coth form (sgn, s')/sqrt(s'^2 - 1) cancels: 1.5e-8 at x = 10
+    b = trumpet()
+    for x in (-EXP_SWEEP, EXP_SWEEP):
+        Vx, Vt = b.V(x)
+        assert _ulps(Vx, np.array([math.sinh(a) for a in x])).max() <= 3.0
+        assert _ulps(Vt, np.array([math.cosh(a) for a in x])).max() <= 2.0
+    for x in (5.0, 10.0, 11.9):
+        Vx, Vt = b.V(x)
+        assert float(Vx) == pytest.approx(math.sinh(x), rel=5e-16)
+        assert float(Vt) == pytest.approx(math.cosh(x), rel=5e-16)
+    # |x| is clamped to the domain
+    assert [float(c) for c in b.V(0.0)] == [float(c) for c in b.V(1e-8)]
+    assert [float(c) for c in b.V(-20.0)] == [float(c) for c in b.V(-12.0)]
+
+
+def test_trumpet_functions_take_libm_on_numbers():
+    # numbers go through math, so libm as _step.c calls it, arrays through
+    # numpy; where math raises, the number takes IEEE's inf
+    b = trumpet()
+    x = np.linspace(0.01, 3.0, 2001)
+    assert [b.ds(float(a)) for a in x] == [1.0 / math.tanh(a) for a in x]
+    assert [b.s(float(a)) for a in x] == [math.log(math.sinh(a)) for a in x]
+    assert [b.d2s(float(a)) for a in x] == [-1.0 / math.sinh(a) ** 2 for a in x]
+    np.testing.assert_array_equal(b.ds(x), 1.0 / np.tanh(x))
+    with np.errstate(divide="ignore"):
+        assert (b.ds(0.0), b.s(0.0), b.d2s(0.0), b.s(800.0)) == (math.inf, -math.inf,
+                                                                 -math.inf, math.inf)
+
+
+def test_trumpet_rejects_a_domain_outside_the_exp_range():
+    for domain in ((0.0, 12.0), (2.0, 1.0), (1e-8, 800.0)):
+        with pytest.raises(ProfileError):
+            trumpet(domain)
+
+
 def test_planar_boundary_line():
     import maxsurf.profiles as profiles
 
@@ -208,6 +265,13 @@ def test_planar_boundary_line():
     bc_left = planar_boundary_data(line, -1.0)
     np.testing.assert_allclose(bc_left.V, np.array([-1.0, 2.0]) / math.sqrt(3.0), atol=1e-14)
     np.testing.assert_allclose(bc_left.mu, np.array([-2.0, 1.0]) / math.sqrt(3.0), atol=1e-14)
+    # a boundary without its own V field takes the generic one from s'
+    from maxsurf.geometry import planar_V
+
+    Vx, Vt = planar_V(line, np.array([-1.0, 0.0, 1.0]))
+    np.testing.assert_allclose(Vx, np.array([-1.0, 0.0, 1.0]) / math.sqrt(3.0), atol=1e-15)
+    np.testing.assert_allclose(Vt, np.array([2.0, 1.0, 2.0]) / np.sqrt([3.0, 1.0, 3.0]),
+                               atol=1e-15)
 
 
 def test_planar_boundary_rejects_lightlike():
