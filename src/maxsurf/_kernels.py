@@ -304,8 +304,7 @@ def run_fast(state0, ctrl, profile, stride):
     has_t_end = ctrl.t_end is not None
     records, states, state_steps = [], [], []
     while True:
-        # the reference takes at least one step, whatever max_steps says
-        chunk = max(1, int(min(CHUNK_STEPS, ctrl.max_steps - k[0])))
+        chunk = int(min(CHUNK_STEPS, ctrl.max_steps - k[0]))
         chunk = min(chunk, max(1, SNAPSHOT_BUFFER_BYTES // (8 * n) - 3) * stride)
         rec = np.empty((chunk + 1, NREC))
         max_snaps = chunk // stride + 3

@@ -22,9 +22,6 @@ numeric arguments of profile and initial):
     out_dir             output directory                          (runs/<scenario>)
     require_conditions  check the curvature criterion first       (false)
     condition_samples   sample count for that check, >= 2         (2001)
-    monitor_volume      write the volume identity residual        (true)
-    monitor_boundary    write boundary identity residuals         (true)
-    monitor_estimates   write estimate witnesses                  (true)
     monitor_evolution   write evolution residuals (stride-1 runs) (false)
     certificate         build a stability certificate at the end  (false)
     certificate_z       certificate center height on the axis     (initial plane)
@@ -107,9 +104,6 @@ class ScenarioConfig:
     out_dir: str = ""
     require_conditions: bool = False
     condition_samples: int = 2001
-    monitor_volume: bool = True
-    monitor_boundary: bool = True
-    monitor_estimates: bool = True
     monitor_evolution: bool = False
     certificate: bool = False
     certificate_z: Optional[float] = None
@@ -157,8 +151,7 @@ class ScenarioConfig:
     _explicit: set = field(default_factory=set, repr=False, compare=False)
 
 
-_BOOL_KEYS = {"require_conditions", "monitor_volume", "monitor_boundary",
-              "monitor_estimates", "monitor_evolution", "certificate"}
+_BOOL_KEYS = {"require_conditions", "monitor_evolution", "certificate"}
 _INT_KEYS = {"nodes", "max_steps", "snapshot_stride", "condition_samples"}
 _FLOAT_KEYS = {"t0", "t_end", "h_stop", "cfl", "eps_guard", "certificate_z"}
 _STR_KEYS = {"scenario", "profile", "integrator", "out_dir"}

@@ -31,13 +31,14 @@ serve all three.  The line kinds share one record body and end block, as in
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .disk import disk_grid
-from .geometry import Evaluation, FlowState, GridSpec, NodeFields, evaluate, node_fields
+from .geometry import Evaluation, FlowState, GridSpec, NodeFields, evaluate, line_slope, node_fields
 from .profiles import normal_curvature, planar_boundary_data, profile_curvature
 
 CHUNK_STEPS = 65536
@@ -87,6 +88,12 @@ class StepControl:
             raise ValueError("eps_guard must lie in (0, 1)")
         if self.integrator not in ("euler", "rk2"):
             raise ValueError("integrator must be 'euler' or 'rk2'")
+        if not self.max_steps >= 1:
+            raise ValueError("max_steps must be >= 1")
+        if not 0.0 <= self.h_stop < math.inf:
+            raise ValueError("h_stop must be a finite number >= 0")
+        if self.t_end is not None and not -math.inf < self.t_end < math.inf:
+            raise ValueError("t_end must be None or a finite number")
 
 
 @dataclass
@@ -132,8 +139,8 @@ def _curve1d_rate(state: FlowState, ev: Evaluation):
 
 
 def _curve1d_project(state: FlowState, u, boundary, profile):
-    """Exact incidence at both ends, then transport the interior along (u_x
-    by the reciprocal of the new 2h, as in _step.c)."""
+    """Exact incidence at both ends, then transport the interior along u_x
+    on the new grid."""
     xl, xr = boundary
     slope_r = 1.0 / float(profile.ds(xr))
     slope_l = -1.0 / float(profile.ds(abs(xl)))
@@ -141,11 +148,7 @@ def _curve1d_project(state: FlowState, u, boundary, profile):
     xl_p = _incidence_planar(profile, xl, u[0], slope_l)
     dshift = (0.5 * (xl_p - xl + xr_p - xr)
               + state.grid.reference() * 0.5 * ((xr_p - xr) - (xl_p - xl)))
-    ux = np.empty_like(u)
-    ux[1:-1] = (u[2:] - u[:-2]) * (1.0 / (2.0 * (xr - xl) / (u.size - 1)))
-    ux[0] = slope_l
-    ux[-1] = slope_r
-    u = u + dshift * ux
+    u = u + dshift * line_slope(u, (xr - xl) / (u.size - 1), slope_l, slope_r)
     u[0] = float(profile.s(abs(xl_p)))
     u[-1] = float(profile.s(abs(xr_p)))
     return u, (xl_p, xr_p)
@@ -169,8 +172,8 @@ def _radial2d_rate(state: FlowState, ev: Evaluation):
 
 
 def _radial2d_project(state: FlowState, u, rb, profile):
-    """Rim radius back onto the tube, then transport the interior along (u_r
-    by the reciprocal of the new 2h)."""
+    """Rim radius back onto the tube, then transport the interior along u_r
+    on the new grid."""
     ub = u[-1]
     dfb = float(profile.df(ub))
     if abs(dfb) < 1e-13:
@@ -183,12 +186,8 @@ def _radial2d_project(state: FlowState, u, rb, profile):
                        lambda r: 1.0 - float(profile.df(ub + dfb * (r - rb))) * dfb, rb, "rho")
         du_b = dfb * (rb_p - rb)
     dshift = state.grid.reference() * (rb_p - rb)
-    ux = np.empty_like(u)
-    ux[1:-1] = (u[2:] - u[:-2]) * (1.0 / (2.0 * rb / (u.size - 1)))
-    ux[0] = 0.0
-    ux[-1] = dfb
-    u = u + dshift * ux
-    u[-1] += du_b - dshift[-1] * ux[-1]
+    u = u + dshift * line_slope(u, rb / (u.size - 1), 0.0, dfb)
+    u[-1] += du_b - dshift[-1] * dfb
     return u, rb_p
 
 

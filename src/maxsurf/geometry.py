@@ -22,10 +22,13 @@ add (the step, the monitors' terms, the C loop's arguments).
 
 A kind's evaluation (``evaluate``: slope, margin, H / v_hat, w and v_hat)
 and its node fields (``node_fields``: H, v and dV) are the one place its
-slope, metric and mean curvature are formed.  The flow's step reads the
-evaluation, its record adds the node fields, and so does the observer
-``geometry``, which adds the normal and |A|^2, so the observer sees the
-state the flow's guard saw.  Central differences inside; the line kinds
+slope, metric and mean curvature are formed; the flow's projections take a
+line grid's slope from the same ``line_slope``, and the disk's
+Laplace-Beltrami operator its metric from the evaluation's v_hat.  The flow's
+step reads the evaluation, its record adds the node fields, and so does the
+observer ``geometry``, which adds the normal and |A|^2, so the observer sees
+the state the flow's guard saw.  v reads the boundary's V field: a planar
+boundary's own, the tube's radial extension from f'.  Central differences inside; the line kinds
 impose at their ends the slope the state's boundary takes there
 (-+1/s' on the planar boundary, f'(u_b) at the radial rim, 0 on the axis),
 the disk its mirror-point ghosts.  A line end's u_xx takes the ghost
@@ -45,7 +48,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .disk import disk_grid
-from .profiles import PlanarBoundary, RotationalProfile
+from .profiles import RotationalProfile
 
 class SpacelikeError(ValueError):
     """Raised when a state violates the strict spacelike guard."""
@@ -158,27 +161,7 @@ def trapezoid_weights(n: int, h) -> np.ndarray:
     return w
 
 
-# -- reference V fields -------------------------------------------------------
-
-
-def planar_V(profile: PlanarBoundary, x):
-    """Branch-consistent timelike field (V_x, V_t) off a planar boundary.
-
-    The boundary's own field where it supplies one (the trumpet's is
-    (sgn(x) sinh|x|, cosh x)); otherwise V = (sign(x), s'(|x|)) / sqrt(s'^2 - 1),
-    smooth across x = 0 whenever s' diverges at the throat, and V(0) := e_t by
-    convention.
-    """
-    if profile.V is not None:
-        return profile.V(x)
-    x = np.asarray(x, dtype=float)
-    ax = np.maximum(np.abs(x), profile.domain[0])
-    ds = np.asarray(profile.ds(ax), dtype=float)
-    w = np.sqrt(ds * ds - 1.0)
-    at_axis = np.abs(x) < 1e-12
-    Vx = np.where(at_axis, 0.0, np.sign(x) / w)
-    Vt = np.where(at_axis, 1.0, ds / w)
-    return Vx, Vt
+# -- reference V fields: a planar boundary supplies its own (profile.V) ----------
 
 
 def rotational_V_factors(profile: RotationalProfile, z):
@@ -234,6 +217,16 @@ class _LineDerivatives(NamedTuple):
     ends2: tuple           # the (low, high) ends' u_xx in the one-sided form
 
 
+def line_slope(u, h, slope_lo, slope_hi) -> np.ndarray:
+    """u_x of a line grid: central differences by the reciprocal of 2h, as
+    _step.c takes them, and the slopes imposed at the (low, high) ends."""
+    ux = np.empty_like(u)
+    ux[..., 1:-1] = (u[..., 2:] - u[..., :-2]) * (1.0 / (2.0 * h))
+    ux[..., 0] = slope_lo
+    ux[..., -1] = slope_hi
+    return ux
+
+
 def _line_derivatives(u, h, slope_lo, slope_hi) -> _LineDerivatives:
     """The derivatives and metric of a line grid with the slopes du/dx imposed
     at its ends, the stencils multiplying by the reciprocals of 2h and h^2
@@ -241,11 +234,8 @@ def _line_derivatives(u, h, slope_lo, slope_hi) -> _LineDerivatives:
     (mirror-slope) form, which keeps the interior stencil's stability bound;
     the one-sided form gives the boundary speeds and H.
     """
-    inv_2h, inv_h2 = 1.0 / (2.0 * h), 1.0 / (h * h)
-    ux = np.empty_like(u)
-    ux[..., 1:-1] = (u[..., 2:] - u[..., :-2]) * inv_2h
-    ux[..., 0] = slope_lo
-    ux[..., -1] = slope_hi
+    inv_h2 = 1.0 / (h * h)
+    ux = line_slope(u, h, slope_lo, slope_hi)
     uxx = np.empty_like(u)
     uxx[..., 1:-1] = (u[..., 2:] - 2.0 * u[..., 1:-1] + u[..., :-2]) * inv_h2
     # the high end is the low end of the reversed grid, whose slope is -du/dx
@@ -297,7 +287,7 @@ def _curve1d_evaluate(state: FlowState, profile) -> Evaluation:
 
 
 def _curve1d_fields(state: FlowState, profile, ev: Evaluation) -> NodeFields:
-    Vx, Vt = planar_V(profile, state.coords())
+    Vx, Vt = profile.V(state.coords())
     return _line_fields(ev, Vt - Vx * ev.du, 1.0)
 
 
@@ -449,10 +439,8 @@ def _disk2d_laplace_beltrami(state: FlowState, f: np.ndarray, g: GeometryFields)
     grid = disk_grid(state.grid.n, state.grid.radius)
     h = grid.h
     ux, uy = g.du                                    # u's central gradient
-    du2 = ux * ux + uy * uy
-    m = np.maximum(1.0 - du2, 1e-12)
-    sg = np.sqrt(m)                                  # sqrt(det g) = 1/v_hat
-    vh2 = 1.0 / m
+    sg = 1.0 / g.v_hat                               # sqrt(det g); 1 off the disk
+    vh2 = g.v_hat * g.v_hat
     g11 = 1.0 + vh2 * ux * ux
     g12 = vh2 * ux * uy
     g22 = 1.0 + vh2 * uy * uy

@@ -60,27 +60,8 @@ def volume_identity(traj: Trajectory) -> float:
     return abs(dvol - integral) / max(1.0, abs(dvol))
 
 
-# -- ambient derivatives of the reference V field -------------------------------
-
-
-def _planar_V_derivs(profile: PlanarBoundary, x: np.ndarray, delta: float = 1e-6):
-    """(dV/dx, d2V/dx2) of the planar extension, components (x, t).
-
-    dV/dx is closed form; the second derivative differentiates it numerically
-    (the boundary data carry two derivatives of s only).
-    """
-    def first(xv):
-        xv = np.asarray(xv, dtype=float)
-        ax = np.maximum(np.abs(xv), profile.domain[0])
-        sgn = np.sign(xv)
-        ds = np.asarray(profile.ds(ax), dtype=float)
-        d2s = np.asarray(profile.d2s(ax), dtype=float)
-        W3 = (ds * ds - 1.0) ** 1.5
-        return np.stack([-ds * d2s / W3, -sgn * d2s / W3], axis=-1)
-
-    dV = first(x)
-    d2V = (first(x + delta) - first(x - delta)) / (2.0 * delta)
-    return dV, d2V
+# -- ambient derivatives of the reference V field: a planar boundary supplies
+#    its own (profile.V_derivs), the tube's radial extension has them formed here
 
 
 def _rotational_V_data(profile: RotationalProfile, z: np.ndarray, delta: float = 1e-6):
@@ -269,12 +250,12 @@ def _ip(a_0, a_t, b_0, b_t):
 
 
 def _v_rhs_curve(s0: FlowState, g0, profile: PlanarBoundary):
-    """-v|A|^2 + 2 g^xx A((DV)^T, x) + g^xx <D^2 V, nu> for the planar extension."""
-    dV, d2V = _planar_V_derivs(profile, s0.coords())
+    """-v|A|^2 + 2 g^xx A((DV)^T, x) + g^xx <D^2 V, nu> with the boundary's V field."""
+    (dVx, dVt), (d2Vx, d2Vt) = profile.V_derivs(s0.coords())
     g_xx = g0.v_hat * g0.v_hat            # g^xx = v_hat^2
-    hess_term = g_xx * _ip(d2V[..., 0], d2V[..., 1], g0.nu[..., 0], g0.nu[..., 1])
+    hess_term = g_xx * _ip(d2Vx, d2Vt, g0.nu[..., 0], g0.nu[..., 1])
     # 2 g^xx A(DV^T, x) = 2 g^xx g^xx h_xx <DV, (1, u_x)>, with h_xx = H / g^xx
-    a_term = 2.0 * g_xx * g0.H * _ip(dV[..., 0], dV[..., 1], 1.0, g0.du)
+    a_term = 2.0 * g_xx * g0.H * _ip(dVx, dVt, 1.0, g0.du)
     return -g0.v * g0.normA2 + a_term + hess_term
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -88,18 +88,20 @@ class RotationalProfile:
 class PlanarBoundary:
     """Symmetric planar boundary branches y = s(|x|), x > 0, with |s'| > 1.
 
-    ``V``, when given, is the boundary's own timelike field x -> (V_x, V_t)
-    off the boundary (see geometry.planar_V); without it the field is formed
-    from s'.
+    ``V`` is the boundary's timelike field x -> (V_x, V_t) off the boundary,
+    which the gradient function v = -<nu, V> reads, and ``V_derivs`` its x
+    derivatives x -> ((dV_x, dV_t), (d2V_x, d2V_t)), which the evolution of
+    v reads (see monitors).
     """
 
     s: Callable
     ds: Callable
     d2s: Callable
     domain: tuple[float, float]
+    V: Callable
+    V_derivs: Callable
     kind: str = "custom"
     params: tuple = ()
-    V: Optional[Callable] = None
 
     boundary_type = "planar"
 
@@ -430,10 +432,17 @@ def _libm_on_numbers(number: Callable, array: Callable) -> Callable:
     return f
 
 
+def _trumpet_V_derivs(x, lo: float, hi: float):
+    """(dV, d2V) = ((V_t, V_x), V): sinh and cosh are each other's derivative."""
+    Vx, Vt = _trumpet_V(x, lo, hi)
+    return (Vt, Vx), (Vx, Vt)
+
+
 def trumpet(domain=(1e-8, 12.0)) -> PlanarBoundary:
     """s = log sinh x: the boundary perpendicular to the translating solution.
 
-    Its V field is (sgn(x) sinh|x|, cosh x), with |x| clamped to the domain.
+    Its V field is (sgn(x) sinh|x|, cosh x), with |x| clamped to the domain;
+    its derivatives are read off the same values.
     """
     lo, hi = (float(d) for d in domain)
     if not 0.0 < lo < hi < 709.0:
@@ -447,6 +456,7 @@ def trumpet(domain=(1e-8, 12.0)) -> PlanarBoundary:
         kind="trumpet",
         params=(),
         V=lambda x: _trumpet_V(x, lo, hi),
+        V_derivs=lambda x: _trumpet_V_derivs(x, lo, hi),
     )
 
 

@@ -193,12 +193,10 @@ def run_scenario(cfg: ScenarioConfig, write: bool = True):
     summary["final_sup_H"] = traj.series("sup_H")[-1]
     summary["final_volume"] = traj.series("volume")[-1]
     summary["final_osc_u"] = traj.series("osc_u")[-1]
-    if cfg.monitor_volume and traj.records.shape[0] >= 2:
+    for key, val in boundary_identities(traj, scenario.profile).items():
+        summary[f"boundary_{key}"] = val
+    if traj.records.shape[0] >= 2:     # one record determines no rate and no fit
         summary["volume_identity_residual"] = volume_identity(traj)
-    if cfg.monitor_boundary:
-        for key, val in boundary_identities(traj, scenario.profile).items():
-            summary[f"boundary_{key}"] = val
-    if cfg.monitor_estimates and traj.records.shape[0] >= 2:
         est = estimate_monitors(traj)
         summary["h_sup_monotone"] = est["h_sup_monotone"]
         summary["boundary_Asig_min"] = est["boundary_Asig_min"]

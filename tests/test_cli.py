@@ -217,9 +217,6 @@ KEY_SPACE = {
     "snapshot_stride": [None, 1, 3],
     "require_conditions": [None, "true"],
     "condition_samples": [2, 11],
-    "monitor_volume": [None, "false"],
-    "monitor_boundary": [None, "false"],
-    "monitor_estimates": [None, "false"],
     "monitor_evolution": [None, "true"],
     "certificate": [None, "true"],
     "certificate_z": [None, 0.5],
@@ -236,7 +233,10 @@ FLAWS = ([("profile", p) for p in PROFILES]
                                      "leaf(abc)", "plane_bump(widest, abc)", "bump(0.1, 0.2)",
                                      "bump(1.0)"]]
          + [("nodes", 5), ("t0", -1e-20), ("t0", -1000), ("t0", 0), ("t0", 0.5), ("t0", 1e20),
-            ("t_end", 0), ("t_end", -0.9)])
+            ("t_end", 0), ("t_end", -0.9)]
+         # retired keys: unknown, so exit 3
+         + [("monitor_volume", "true"), ("monitor_boundary", "false"),
+            ("monitor_estimates", "true")])
 
 
 @pytest.mark.parametrize("profile", PROFILES)

@@ -312,6 +312,30 @@ needs_step_loop = pytest.mark.skipif(
     not _kernels.available, reason=f"compiled step loop not built: {_kernels.reason}")
 
 
+@pytest.mark.parametrize("bad", [
+    {"max_steps": 0}, {"max_steps": -3}, {"h_stop": -1.0}, {"h_stop": math.nan},
+    {"h_stop": math.inf}, {"t_end": math.nan}, {"t_end": math.inf}, {"t_end": -math.inf}])
+def test_step_control_rejects_what_the_config_rejects(bad):
+    with pytest.raises(ValueError, match=next(iter(bad))):
+        StepControl(**bad)
+
+
+@pytest.mark.parametrize("driver", [
+    "run", "_run_python", pytest.param("run_fast", marks=needs_step_loop),
+    "comparison_pair_run"])
+def test_a_budget_of_one_step_takes_one_step(driver):
+    st, ctrl, p = translator_state(-1.0, 51), StepControl(max_steps=1), trumpet()
+    if driver == "comparison_pair_run":
+        traj = comparison_pair_run(st, st.copy(), ctrl, p)["traj_a"]
+        steps = traj.records.shape[0]
+    else:
+        engine = {"run": run, "_run_python": _run_python, "run_fast": _kernels.run_fast}
+        traj = engine[driver](st.copy(), ctrl, p, 1)
+        steps = traj.records.shape[0] - 1       # the last record is the final state's
+    assert traj.event is FlowEvent.STEP_LIMIT
+    assert steps == 1 and traj.event_time > st.t
+
+
 @needs_step_loop
 def test_fast_kernel_matches_reference_curve1d():
     st = translator_state(-1.0, 101)

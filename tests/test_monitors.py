@@ -115,15 +115,18 @@ def test_evolution_residuals_disk_refine():
 # when the line stencils took reciprocals, rhs = u_xx v_hat^2 and the
 # trumpet's V became (sinh, cosh) (the translator's states moved by at most
 # 7.8e-16; res_H by 2.1e-10, -7.0e-15 and 5.1e-12, res_v by -1.0e-12,
-# 1.1e-13 and 0)
+# 1.1e-13 and 0); and again when the trumpet supplied its V's derivatives,
+# d2V exact where a difference of the coth form had been (res_v of the
+# translator and one_triple moved by -5.5e-4 and +3.5e-5 relative), and the
+# disk's Laplace-Beltrami took the evaluation's v_hat (disk res_H by +2.6e-14)
 RESIDUAL_PINS = {
-    "curve1d_translator": {"res_H": 0.0003803520606153743, "res_v": 7.003874320384623e-09,
+    "curve1d_translator": {"res_H": 0.0003803520606153743, "res_v": 7.000044495038876e-09,
                            "triples": 119},
     "radial2d_sine_tube_bump": {"res_H": 0.005294952279122056,
                                 "res_v": 1.249768151557508e-05, "triples": 13},
-    "disk2d_bump": {"res_H": 0.13646678277467225, "res_v": 0.007896377571038615,
+    "disk2d_bump": {"res_H": 0.1364667827746758, "res_v": 0.007896377571038615,
                     "triples": 41},
-    "one_triple": {"res_H": 0.000353435769207211, "res_v": 4.73781732987897e-09,
+    "one_triple": {"res_H": 0.000353435769207211, "res_v": 4.737984307421874e-09,
                    "triples": 1},
 }
 

@@ -229,6 +229,29 @@ def test_trumpet_V_is_sinh_and_cosh():
     assert [float(c) for c in b.V(-20.0)] == [float(c) for c in b.V(-12.0)]
 
 
+def test_trumpet_V_derivs_are_its_V():
+    # sinh and cosh are each other's derivative: dV = (V_t, V_x) and d2V = V,
+    # bit for bit, so dV is within the ulps of V's test of cosh and sinh
+    b = trumpet()
+    for x in (-EXP_SWEEP, EXP_SWEEP, np.array([-11.5, -10.0, 10.0, 11.5])):
+        Vx, Vt = b.V(x)
+        (dVx, dVt), (d2Vx, d2Vt) = b.V_derivs(x)
+        assert [a.tobytes() for a in (dVx, dVt, d2Vx, d2Vt)] == [a.tobytes()
+                                                                for a in (Vt, Vx, Vx, Vt)]
+        assert _ulps(dVx, np.array([math.cosh(a) for a in x])).max() <= 2.0
+        assert _ulps(dVt, np.array([math.sinh(a) for a in x])).max() <= 3.0
+    # a centred difference of V agrees with dV to its truncation error
+    # delta^2/6 |d3V| = delta^2/6 |dV|, and its rounding error
+    delta = 1e-3
+    x = np.concatenate([np.linspace(2 * delta, 12.0 - 2 * delta, 1001), [10.0, 11.5]])
+    x = np.concatenate([-x, x])
+    (Vx_p, Vt_p), (Vx_m, Vt_m) = b.V(x + delta), b.V(x - delta)
+    dVx, dVt = b.V_derivs(x)[0]
+    bound = (delta**2 / 6 * 1.01 + 1e-12) * np.cosh(np.abs(x) + delta)
+    assert np.all(np.abs((Vx_p - Vx_m) / (2 * delta) - dVx) <= bound)
+    assert np.all(np.abs((Vt_p - Vt_m) / (2 * delta) - dVt) <= bound)
+
+
 def test_trumpet_functions_take_libm_on_numbers():
     # numbers go through math, so libm as _step.c calls it, arrays through
     # numpy; where math raises, the number takes IEEE's inf
@@ -252,11 +275,14 @@ def test_trumpet_rejects_a_domain_outside_the_exp_range():
 def test_planar_boundary_line():
     import maxsurf.profiles as profiles
 
+    zero = lambda x: 0.0 * np.asarray(x)
     line = profiles.PlanarBoundary(
         s=lambda x: 2.0 * np.asarray(x),
-        ds=lambda x: 2.0 + 0.0 * np.asarray(x),
-        d2s=lambda x: 0.0 * np.asarray(x),
+        ds=lambda x: 2.0 + zero(x),
+        d2s=zero,
         domain=(1e-8, 10.0),
+        V=lambda x: (np.sign(x) / math.sqrt(3.0), 2.0 / math.sqrt(3.0) + zero(x)),
+        V_derivs=lambda x: ((zero(x), zero(x)), (zero(x), zero(x))),
     )
     bc = planar_boundary_data(line, 1.0)
     np.testing.assert_allclose(bc.V, np.array([1.0, 2.0]) / math.sqrt(3.0), atol=1e-14)
@@ -265,23 +291,19 @@ def test_planar_boundary_line():
     bc_left = planar_boundary_data(line, -1.0)
     np.testing.assert_allclose(bc_left.V, np.array([-1.0, 2.0]) / math.sqrt(3.0), atol=1e-14)
     np.testing.assert_allclose(bc_left.mu, np.array([-2.0, 1.0]) / math.sqrt(3.0), atol=1e-14)
-    # a boundary without its own V field takes the generic one from s'
-    from maxsurf.geometry import planar_V
-
-    Vx, Vt = planar_V(line, np.array([-1.0, 0.0, 1.0]))
-    np.testing.assert_allclose(Vx, np.array([-1.0, 0.0, 1.0]) / math.sqrt(3.0), atol=1e-15)
-    np.testing.assert_allclose(Vt, np.array([2.0, 1.0, 2.0]) / np.sqrt([3.0, 1.0, 3.0]),
-                               atol=1e-15)
 
 
 def test_planar_boundary_rejects_lightlike():
     import maxsurf.profiles as profiles
 
+    zero = lambda x: 0.0 * np.asarray(x)
     diag = profiles.PlanarBoundary(
         s=lambda x: np.asarray(x, dtype=float),
-        ds=lambda x: 1.0 + 0.0 * np.asarray(x),
-        d2s=lambda x: 0.0 * np.asarray(x),
+        ds=lambda x: 1.0 + zero(x),
+        d2s=zero,
         domain=(1e-8, 10.0),
+        V=lambda x: (zero(x), 1.0 + zero(x)),
+        V_derivs=lambda x: ((zero(x), zero(x)), (zero(x), zero(x))),
     )
     with pytest.raises(ProfileError):
         planar_boundary_data(diag, 1.0)
