@@ -28,13 +28,13 @@ Laplace-Beltrami operator its metric from the evaluation's v_hat.  The flow's
 step reads the evaluation, its record adds the node fields, and so does the
 observer ``geometry``, which adds the normal and |A|^2, so the observer sees
 the state the flow's guard saw.  v reads the boundary's V field: a planar
-boundary's own, the tube's radial extension from f'.  Central differences inside; the line kinds
-impose at their ends the slope the state's boundary takes there
-(-+1/s' on the planar boundary, f'(u_b) at the radial rim, 0 on the axis),
-the disk its mirror-point ghosts.  A line end's u_xx takes the ghost
-(mirror-slope) form in the step's rate and the one-sided second-order form
-in H.  With the future-pointing unit normal nu and h_ij = -<d2F, nu>, the
-mean curvature of an upward-convex graph is positive; the translating
+boundary's own, the tube's radial extension from f'.  Central differences
+inside; the line kinds impose at their ends the slope the state's boundary
+takes there (-+1/s' on the planar boundary, f'(u_b) at the radial rim, 0 on
+the axis), the disk its mirror-point ghosts.  A line end's u_xx takes the
+ghost (mirror-slope) form in the step's rate and the one-sided second-order
+form in H.  With the future-pointing unit normal nu and h_ij = -<d2F, nu>,
+the mean curvature of an upward-convex graph is positive; the translating
 benchmark u = log cosh x + t has H = v_hat = cosh x and interior update
 g^xx u_xx = 1.
 """
