@@ -201,10 +201,7 @@ def _radial2d_record(state: FlowState, profile, ev: Evaluation, f: NodeFields):
 
 def _disk2d_rate(state: FlowState, ev: Evaluation):
     """du/dt at the nodes inside the disk, zero elsewhere; the rim does not move."""
-    grid = disk_grid(state.grid.n, state.grid.radius)
-    udot = np.zeros_like(state.u)
-    udot[1:-1, 1:-1] = np.where(grid.inside[1:-1, 1:-1], ev.rhs, 0.0)
-    return udot, None
+    return np.where(disk_grid(state.grid.n, state.grid.radius).inside, ev.rhs, 0.0), None
 
 
 def _disk2d_project(state: FlowState, u, boundary, profile):
@@ -213,21 +210,18 @@ def _disk2d_project(state: FlowState, u, boundary, profile):
 
 def _disk2d_record(state: FlowState, profile, ev: Evaluation, f: NodeFields):
     grid = disk_grid(state.grid.n, state.grid.radius)
-    u = state.u
     # boundary identities sampled on the offset monitor ring (clean zone,
     # no ghost values in any sampling cell); on the cylinder V = e_t, so v is
     # v_hat, and A(V,V) = -0.0, A(W,W) = 1/R and 1/sqrt(1 - f'^2) = 1
-    Hf = np.zeros_like(u)
-    Hf[1:-1, 1:-1] = f.H
-    vf = np.ones_like(u)
-    vf[1:-1, 1:-1] = ev.v_hat
     block = _boundary_block(
-        grid.rim_values(Hf), grid.rim_values(vf), grid.radial_derivative_at_rim(Hf),
-        grid.radial_derivative_at_rim(vf), grid.radial_derivative_at_rim(Hf * Hf),
+        grid.rim_values(f.H), grid.rim_values(ev.v_hat), grid.radial_derivative_at_rim(f.H),
+        grid.radial_derivative_at_rim(ev.v_hat), grid.radial_derivative_at_rim(f.H * f.H),
         1.0, -0.0, 1.0 / grid.radius,
     )
-    return (u[1:-1, 1:-1], f.v, ev.v_hat, f.H, f.dV, (grid.radius, grid.radius), block,
-            grid.inside[1:-1, 1:-1])
+    # the integrals sum the N x N core pairwise, as _step.c does
+    core = (..., slice(1, -1), slice(1, -1))
+    return (state.u[core], f.v[core], ev.v_hat[core], f.H[core], np.ascontiguousarray(f.dV[core]),
+            (grid.radius, grid.radius), block, grid.inside[core])
 
 
 class _Kind(NamedTuple):

@@ -108,6 +108,7 @@ class GeometryFields:
     normA2: np.ndarray
     dV: np.ndarray
     du: np.ndarray                      # u's slope; disk2d: (u_x, u_y) on a leading axis
+    ginv: Optional[tuple]               # disk2d: the inverse metric (g^xx, g^xy, g^yy)
     kappa: Optional[tuple] = None       # radial2d principal curvatures
 
 
@@ -294,7 +295,7 @@ def _curve1d_fields(state: FlowState, profile, ev: Evaluation) -> NodeFields:
 def _curve1d_observe(state: FlowState, ev: Evaluation, f: NodeFields) -> GeometryFields:
     """nu = v_hat (u_x, 1), components (x or rho, t) on a trailing axis."""
     return GeometryFields(v_hat=ev.v_hat, v=f.v, nu=np.stack([ev.du * ev.v_hat, ev.v_hat], -1),
-                          H=f.H, normA2=f.H * f.H, dV=f.dV, du=ev.du)
+                          H=f.H, normA2=f.H * f.H, dV=f.dV, du=ev.du, ginv=None)
 
 
 def _radial2d_evaluate(state: FlowState, profile) -> Evaluation:
@@ -326,33 +327,32 @@ def _radial2d_observe(state: FlowState, ev: Evaluation, f: NodeFields) -> Geomet
 
 def _disk2d_evaluate(state: FlowState, profile) -> Evaluation:
     grid = disk_grid(state.grid.n, state.grid.radius)
-    ux, uy, uxx, uyy, uxy = disk_derivatives(grid.fill_ghosts(state.u), grid.h)
-    ins = grid.inside[1:-1, 1:-1]
-    m = 1.0 - (ux * ux + uy * uy)
+    d = disk_derivatives(grid.fill_ghosts(state.u), grid.h)
+    ux, uy, uxx, uyy, uxy = d
+    # 1 - |Du|^2 at the inside nodes, 1 elsewhere; 1 - |Du|^2 <= 1 (or NaN), so
+    # its least value is the least over the inside nodes
+    m = np.where(grid.inside, 1.0 - (ux * ux + uy * uy), 1.0)
     # one sqrt and one division a node, as in _step.c's row kernel
-    w = np.sqrt(np.where(ins, m, 1.0))
+    w = np.sqrt(m)
     v_hat = 1.0 / w
     vh2 = v_hat * v_hat
     rhs = (uxx + uyy) + vh2 * (ux * ux * uxx + 2 * ux * uy * uxy + uy * uy * uyy)
-    return Evaluation(grid.h, float(m[..., ins].min()), (ux, uy), rhs, w, v_hat, None, None,
-                      (uxx, uyy, uxy))
+    return Evaluation(grid.h, float(m.min()), d[:2], rhs, w, v_hat, None, None, d[2:])
 
 
 def _disk2d_fields(state: FlowState, profile, ev: Evaluation) -> NodeFields:
-    """The fields on the box's core, H = 0 and dV = 0 off the disk; V = e_t on
-    the cylinder, the disk's one tube, so v = v_hat."""
+    """H = 0 and dV = 0 off the disk; V = e_t on the cylinder, the disk's one
+    tube, so v = v_hat."""
     grid = disk_grid(state.grid.n, state.grid.radius)
-    ins = grid.inside[1:-1, 1:-1]
-    return NodeFields(np.where(ins, ev.v_hat * ev.rhs, 0.0), ev.v_hat,
-                      np.where(ins, grid.area_weights[1:-1, 1:-1] * ev.w, 0.0))
+    return NodeFields(np.where(grid.inside, ev.v_hat * ev.rhs, 0.0), ev.v_hat,
+                      np.where(grid.inside, grid.area_weights * ev.w, 0.0))
 
 
 def _disk2d_observe(state: FlowState, ev: Evaluation, f: NodeFields) -> GeometryFields:
-    """The fields on the whole box; on its pad ring Du = 0, v_hat = v = 1 and
-    H, |A|^2 and dV are 0."""
+    """|A|^2 (0 off the disk), the normal and the inverse metric."""
     uxx, uyy, uxy = ev.second
     ux, uy = ev.du
-    vh2 = ev.v_hat * ev.v_hat
+    vh, vh2 = ev.v_hat, ev.v_hat * ev.v_hat
     # |A|^2 = tr((g^{-1} h)^2), g^{-1} = delta + vh^2 Du Du, h_ij = v_hat u_ij
     a11 = 1.0 + vh2 * ux * ux
     a12 = vh2 * ux * uy
@@ -361,40 +361,63 @@ def _disk2d_observe(state: FlowState, ev: Evaluation, f: NodeFields) -> Geometry
     m12 = a11 * uxy + a12 * uyy
     m21 = a12 * uxx + a22 * uxy
     m22 = a12 * uxy + a22 * uyy
-    normA2 = np.where(disk_grid(state.grid.n, state.grid.radius).inside[1:-1, 1:-1],
+    normA2 = np.where(disk_grid(state.grid.n, state.grid.radius).inside,
                       vh2 * (m11 * m11 + 2.0 * m12 * m21 + m22 * m22), 0.0)
-    du, vh = _padded(np.stack([ux, uy])), _padded(ev.v_hat, 1.0)
-    return GeometryFields(v_hat=vh, v=vh, nu=np.stack([du[0] * vh, du[1] * vh, vh], axis=-1),
-                          H=_padded(f.H), normA2=_padded(normA2), dV=_padded(f.dV), du=du)
+    return GeometryFields(v_hat=vh, v=vh, nu=np.stack([ux * vh, uy * vh, vh], axis=-1),
+                          H=f.H, normA2=normA2, dV=f.dV, du=ev.du, ginv=(a11, a12, a22))
 
 
-def _padded(core: np.ndarray, fill: float = 0.0) -> np.ndarray:
-    out = np.full(core.shape[:-2] + (core.shape[-2] + 2, core.shape[-1] + 2), fill)
-    out[..., 1:-1, 1:-1] = core
-    return out
+def _box_shifts(f: np.ndarray):
+    """k -> the flattened box f at the span's nodes moved k nodes on: each core
+    node's neighbour (i +- 1, j) is k = +-m, (i, j +- 1) is k = +-1."""
+    m = f.shape[-1]
+    flat = f.reshape(f.shape[:-2] + (m * m,))
+    return lambda k: flat[..., m + 1 + k:m * m - m - 1 + k]
 
 
-def disk_gradient(f: np.ndarray, h: float, padded: bool = False):
-    """Central differences (f_x, f_y) at the nodes f[1:-1, 1:-1] of a disk array.
+def _box(lead: tuple, m: int):
+    """An unset m x m box behind the leading axes lead, and the flat view of its span."""
+    box = np.empty(lead + (m, m))
+    return box, box.reshape(lead + (m * m,))[..., m + 1:m * m - m - 1]
 
-    With padded=True they come in arrays of f's shape, zero on the pad ring.
-    Like every disk stencil, it multiplies by the reciprocal of its spacing,
-    as the compiled loop does.
-    """
+
+def _zero_pad(box: np.ndarray) -> np.ndarray:
+    """box, its span written, with 0 set on its pad ring."""
+    m = box.shape[-1]
+    box[..., ::m - 1, :] = 0.0     # the pad rows
+    box[..., ::m - 1] = 0.0        # the pad columns, into which the +-1 shifts wrap
+    return box
+
+
+def _gradient_spans(f: np.ndarray, h: float, out) -> None:
+    """f_x and f_y into the spans out[0] and out[1], multiplying by the
+    reciprocal of 2h, as every disk stencil does and the compiled loop too."""
+    m, at = f.shape[-1], _box_shifts(f)
     inv_2h = 1.0 / (2.0 * h)
-    fx = (f[..., 2:, 1:-1] - f[..., :-2, 1:-1]) * inv_2h
-    fy = (f[..., 1:-1, 2:] - f[..., 1:-1, :-2]) * inv_2h
-    return (_padded(fx), _padded(fy)) if padded else (fx, fy)
+    np.multiply(at(m) - at(-m), inv_2h, out=out[0])
+    np.multiply(at(1) - at(-1), inv_2h, out=out[1])
 
 
-def disk_derivatives(f: np.ndarray, h: float):
-    """(f_x, f_y, f_xx, f_yy, f_xy) by central differences at the nodes f[1:-1, 1:-1]."""
-    c = f[..., 1:-1, 1:-1]
+def disk_gradient(f: np.ndarray, h: float) -> np.ndarray:
+    """Central differences (f_x, f_y) of a disk box f on a new leading axis, on
+    the box: 0 on its pad ring."""
+    grad, span = _box((2,) + f.shape[:-2], f.shape[-1])
+    _gradient_spans(f, h, span)
+    return _zero_pad(grad)
+
+
+def disk_derivatives(f: np.ndarray, h: float) -> np.ndarray:
+    """(f_x, f_y, f_xx, f_yy, f_xy) of a disk box f by central differences on a
+    new leading axis, on the box: 0 on its pad ring."""
+    m, at = f.shape[-1], _box_shifts(f)
+    c = at(0)
     inv_h2, inv_4h2 = 1.0 / (h * h), 1.0 / (4.0 * h * h)
-    return (*disk_gradient(f, h),
-            (f[..., 2:, 1:-1] - 2 * c + f[..., :-2, 1:-1]) * inv_h2,
-            (f[..., 1:-1, 2:] - 2 * c + f[..., 1:-1, :-2]) * inv_h2,
-            (f[..., 2:, 2:] + f[..., :-2, :-2] - f[..., 2:, :-2] - f[..., :-2, 2:]) * inv_4h2)
+    d, span = _box((5,) + f.shape[:-2], m)
+    _gradient_spans(f, h, span)
+    np.multiply(at(m) - 2 * c + at(-m), inv_h2, out=span[2])
+    np.multiply(at(1) - 2 * c + at(-1), inv_h2, out=span[3])
+    np.multiply(at(m + 1) + at(-m - 1) - at(m - 1) - at(1 - m), inv_4h2, out=span[4])
+    return _zero_pad(d)
 
 
 def laplace_beltrami(state: FlowState, f: np.ndarray, g: GeometryFields) -> np.ndarray:
@@ -436,21 +459,22 @@ def _radial2d_laplace_beltrami(state: FlowState, f: np.ndarray, g: GeometryField
 
 
 def _disk2d_laplace_beltrami(state: FlowState, f: np.ndarray, g: GeometryFields) -> np.ndarray:
+    return disk_divergence(state, disk_gradient(f, state.spacing()), g)
+
+
+def disk_divergence(state: FlowState, grad, g: GeometryFields) -> np.ndarray:
+    """The disk's Laplace-Beltrami operator of a field from its central
+    gradient grad = disk_gradient(f, h), for a caller that holds it:
+    (1/sqrt(det g)) D_i(sqrt(det g) g^{ij} f_j) on the deep nodes, NaN elsewhere."""
     grid = disk_grid(state.grid.n, state.grid.radius)
-    h = grid.h
-    ux, uy = g.du                                    # u's central gradient
+    a11, a12, a22 = g.ginv                           # g^{ij}; delta off the disk
     sg = 1.0 / g.v_hat                               # sqrt(det g); 1 off the disk
-    vh2 = g.v_hat * g.v_hat
-    g11 = 1.0 + vh2 * ux * ux
-    g12 = vh2 * ux * uy
-    g22 = 1.0 + vh2 * uy * uy
-    fx, fy = disk_gradient(f, h, padded=True)
-    Fx = sg * (g11 * fx + g12 * fy)
-    Fy = sg * (g12 * fx + g22 * fy)
-    div = np.zeros_like(Fx)
-    div[..., 1:-1, 1:-1] = ((Fx[..., 2:, 1:-1] - Fx[..., :-2, 1:-1])
-                            + (Fy[..., 1:-1, 2:] - Fy[..., 1:-1, :-2])) / (2 * h)
-    return np.where(grid.deep, div / sg, np.nan)
+    fx, fy = grad
+    Fx, Fy = sg * (a11 * fx + a12 * fy), sg * (a12 * fx + a22 * fy)
+    m, at_x, at_y = fx.shape[-1], _box_shifts(Fx), _box_shifts(Fy)
+    div, span = _box(Fx.shape[:-2], m)
+    np.divide((at_x(m) - at_x(-m)) + (at_y(1) - at_y(-1)), 2 * grid.h, out=span)
+    return np.where(grid.deep, _zero_pad(div) / sg, np.nan)
 
 
 # -- the grid kinds ----------------------------------------------------------

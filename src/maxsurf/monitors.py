@@ -40,7 +40,8 @@ import numpy as np
 from .disk import disk_grid
 from .flow import Trajectory
 from .geometry import (
-    FlowState, d1, disk_gradient, geometry, laplace_beltrami, rotational_V_factors,
+    FlowState, d1, disk_divergence, disk_gradient, geometry, laplace_beltrami,
+    rotational_V_factors,
 )
 from .profiles import PlanarBoundary, RotationalProfile, normal_curvature, profile_curvature
 
@@ -175,10 +176,9 @@ def _block_terms(states: list, profile):
     st = _stack(states)
     g = geometry(st, profile)
     F = np.stack([g.H, g.v])
-    x, du, grad, rhs_v, mask_H, mask_v = _KINDS[st.grid.kind].terms(st, g, F, profile)
+    x, du, grad, lap, rhs_v, mask_H, mask_v = _KINDS[st.grid.kind].terms(st, g, F, profile)
     masks = np.stack([np.broadcast_to(m, g.H.shape) for m in (mask_H, mask_v)])
-    center = (g.H * g.v_hat * du, grad, laplace_beltrami(st, F, g),
-              np.stack([-(g.H * g.normA2), rhs_v]), masks)
+    center = (g.H * g.v_hat * du, grad, lap, np.stack([-(g.H * g.normA2), rhs_v]), masks)
     return (st.t, x, F), center
 
 
@@ -187,8 +187,8 @@ def _curve1d_terms(st: FlowState, g, F: np.ndarray, profile):
     if not core.any():
         raise ValueError(f"evolution residuals need a curve of N >= 11: at N = {st.grid.n} "
                          "no node lies 5 nodes inside both ends")
-    return (st.coords(), g.du[None], d1(F, st.spacing())[None], _v_rhs_curve(st, g, profile),
-            core, core)
+    return (st.coords(), g.du[None], d1(F, st.spacing())[None], laplace_beltrami(st, F, g),
+            _v_rhs_curve(st, g, profile), core, core)
 
 
 def _radial2d_terms(st: FlowState, g, F: np.ndarray, profile):
@@ -202,7 +202,7 @@ def _radial2d_terms(st: FlowState, g, F: np.ndarray, profile):
                          "inside the rim")
     rhs_v = _v_rhs_radial(st, g, profile)
     keep = keep & np.isfinite(rhs_v)
-    return x, g.du[None], d1(F, h)[None], rhs_v, core, keep
+    return x, g.du[None], d1(F, h)[None], laplace_beltrami(st, F, g), rhs_v, core, keep
 
 
 def _core(n: int, lo: Optional[int] = None) -> np.ndarray:
@@ -220,10 +220,12 @@ def _disk2d_terms(st: FlowState, g, F: np.ndarray, profile):
     if not deep.any():
         raise ValueError(f"evolution residuals need a disk of N >= 13: at N = {st.grid.n} "
                          "no deep-interior node lies 6h inside the rim")
-    # read on deep nodes only, whose central stencil reaches no ghost
-    grad = np.stack(disk_gradient(F, grid.h, padded=True))
+    # read on deep nodes only, whose central stencil reaches no ghost; the
+    # Laplacian takes the same gradient
+    grad = disk_gradient(F, grid.h)
     # V = e_t on the cylinder: the ambient-derivative terms of the v identity vanish
-    return np.zeros_like(st.t), g.du, grad, -(g.v * g.normA2), deep, deep
+    return (np.zeros_like(st.t), g.du, grad, disk_divergence(st, grad, g),
+            -(g.v * g.normA2), deep, deep)
 
 
 def _fold_residuals(res, ext, center, inner: slice, keep: np.ndarray, kax: int):
@@ -453,8 +455,8 @@ def stability_certificate(state: FlowState, profile, center, epsilon: float = 1e
 
 class _Kind(NamedTuple):
     # (st, g, F, profile) -> node positions, the slope components of u and the
-    # gradient components of F = (H, v) along a leading axis, the v right-hand
-    # side, and the nodes each identity is checked on
+    # gradient components of F = (H, v) along a leading axis, the Laplacian of
+    # F, the v right-hand side, and the nodes each identity is checked on
     terms: Callable
     # (state, g, profile, center) -> A^Sig(nu,nu), <x-a, mu> and |x-a|^2 at the
     # boundary points, and |x-a|^2 per node
