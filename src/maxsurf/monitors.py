@@ -65,18 +65,18 @@ def volume_identity(traj: Trajectory) -> float:
 #    its own (profile.V_derivs), the tube's radial extension has them formed here
 
 
-def _rotational_V_data(profile: RotationalProfile, z: np.ndarray, delta: float = 1e-6):
-    """Closed-form pieces of the rotational extension at heights z.
+def _rotational_V_data(profile: RotationalProfile, z: np.ndarray):
+    """Closed-form pieces of the rotational extension at heights z, from the
+    profile's f', f'' and f'''.
 
     Returns (c, dzV_mu_coef, d2zV_mu_coef, d2zV_V_coef) where
     c = f'/sqrt(1-f'^2) (the theta-direction strength),
     dz V = dzV_mu_coef * mu_ext, and
-    d2z V = d2zV_mu_coef * mu_ext + d2zV_V_coef * V;  f''' is differenced.
+    d2z V = d2zV_mu_coef * mu_ext + d2zV_V_coef * V.
     """
     df = np.asarray(profile.df(z), dtype=float)
     d2f = np.asarray(profile.d2f(z), dtype=float)
-    d3f = (np.asarray(profile.d2f(z + delta), dtype=float)
-           - np.asarray(profile.d2f(z - delta), dtype=float)) / (2.0 * delta)
+    d3f = np.asarray(profile.d3f(z), dtype=float)
     m = 1.0 - df * df
     c = df / np.sqrt(m)
     dz_mu = d2f / m

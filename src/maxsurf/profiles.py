@@ -61,7 +61,7 @@ class ProfileError(ValueError):
 
 @dataclass(frozen=True)
 class RotationalProfile:
-    """Rotational tube via radius f(z) with analytic f' and f''.
+    """Rotational tube via radius f(z) with analytic f', f'' and f'''.
 
     ``kind``/``params`` identify built-ins so the fast stepping kernels can
     evaluate f inline; user profiles get kind="custom".
@@ -70,6 +70,7 @@ class RotationalProfile:
     f: Callable
     df: Callable
     d2f: Callable
+    d3f: Callable            # read by the v identity's residual (see monitors)
     domain: tuple[float, float]
     kind: str = "custom"
     params: tuple = ()
@@ -335,6 +336,7 @@ def cylinder(radius: float = 1.0, domain=(-5.0, 5.0)) -> RotationalProfile:
         f=lambda z: np.full_like(np.asarray(z, dtype=float), r) if np.ndim(z) else r,
         df=lambda z: np.zeros_like(np.asarray(z, dtype=float)) if np.ndim(z) else 0.0,
         d2f=lambda z: np.zeros_like(np.asarray(z, dtype=float)) if np.ndim(z) else 0.0,
+        d3f=lambda z: np.zeros_like(np.asarray(z, dtype=float)) if np.ndim(z) else 0.0,
         domain=tuple(domain),
         kind="cylinder",
         params=(r,),
@@ -351,6 +353,7 @@ def pseudosphere(A: float = 1.0, B: float = 0.0, domain=(-3.0, 3.0)) -> Rotation
         f=f,
         df=lambda z: (np.asarray(z, dtype=float) + B) / f(z),
         d2f=lambda z: A * A / f(z) ** 3,
+        d3f=lambda z: -3.0 * A * A * (np.asarray(z, dtype=float) + B) / f(z) ** 5,
         domain=tuple(domain),
         kind="pseudosphere",
         params=(A, B),
@@ -370,6 +373,7 @@ def sine_tube(a: float = 2.0, b: float = 0.5, omega: float = 1.0, domain=None) -
         f=lambda z: a + b * np.sin(omega * np.asarray(z, dtype=float)),
         df=lambda z: b * omega * np.cos(omega * np.asarray(z, dtype=float)),
         d2f=lambda z: -b * omega * omega * np.sin(omega * np.asarray(z, dtype=float)),
+        d3f=lambda z: -b * omega**3 * np.cos(omega * np.asarray(z, dtype=float)),
         domain=tuple(domain),
         kind="sine_tube",
         params=(a, b, omega),

@@ -282,6 +282,7 @@ def test_ac7_condition_oracle_equivalence():
             f=lambda z, a=a, b=b, w=w, phi=phi: a + b * np.sin(w * np.asarray(z) + phi),
             df=lambda z, a=a, b=b, w=w, phi=phi: b * w * np.cos(w * np.asarray(z) + phi),
             d2f=lambda z, a=a, b=b, w=w, phi=phi: -b * w * w * np.sin(w * np.asarray(z) + phi),
+            d3f=lambda z, a=a, b=b, w=w, phi=phi: -b * w**3 * np.cos(w * np.asarray(z) + phi),
             domain=(-5.0, 5.0),
         )
         z = float(rng.uniform(-4.0, 4.0))

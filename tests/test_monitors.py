@@ -123,7 +123,7 @@ RESIDUAL_PINS = {
     "curve1d_translator": {"res_H": 0.0003803520606153743, "res_v": 7.000044495038876e-09,
                            "triples": 119},
     "radial2d_sine_tube_bump": {"res_H": 0.005294952279122056,
-                                "res_v": 1.249768151557508e-05, "triples": 13},
+                                "res_v": 1.2497681515645336e-05, "triples": 13},
     "disk2d_bump": {"res_H": 0.1364667827746758, "res_v": 0.007896377571038615,
                     "triples": 41},
     "one_triple": {"res_H": 0.000353435769207211, "res_v": 4.737984307421874e-09,
