@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -321,6 +320,9 @@ def _batch_worker(path: str) -> tuple:
 def run_batch(directory: str, max_workers: Optional[int] = None) -> dict:
     """Run every *.cfg in a directory concurrently (one process per run, at
     most max_workers, >= 1, at once; by default one per CPU)."""
+    # imported here, not with the module: only a batch needs it, and it slows `import maxsurf`
+    from concurrent.futures import ProcessPoolExecutor
+
     if max_workers is not None and max_workers < 1:
         raise ConfigError(f"the worker count must be >= 1, not {max_workers}")
     try:

@@ -1,4 +1,4 @@
-"""What the package imports is what it declares, and scipy stays out."""
+"""What the package imports is what it declares, scipy stays out, and `import maxsurf` stays light."""
 
 import ast
 import os
@@ -58,3 +58,13 @@ def test_a_disk_run_imports_no_scipy():
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "none"
+
+
+def test_importing_the_package_leaves_the_process_pool_unloaded():
+    # only runner.run_batch starts worker processes, and it imports the pool itself
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    code = "import sys, maxsurf; print('concurrent.futures.process' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
