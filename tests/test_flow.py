@@ -574,7 +574,8 @@ def _sups_case(kind, zero):
 
 @needs_step_loop
 @pytest.mark.parametrize("kind", ["curve1d", "radial2d", "disk2d"])
-@pytest.mark.parametrize("special", ["nan", "inf", "zero_tie_minus_first", "zero_tie_plus_first"])
+@pytest.mark.parametrize("special", ["nan", "inf", "zero_tie_minus_first", "zero_tie_plus_first",
+                                     "zero_tie_minus_after_positive"])
 def test_fast_kernel_sups_follow_node_order(kind, special):
     # a NaN, a +inf or a tie of +0.0 and -0.0 at inside nodes: the C record's
     # sups and range of u, simd reductions elsewhere, are the node-order
@@ -585,6 +586,14 @@ def test_fast_kernel_sups_follow_node_order(kind, special):
         u[inside[inside.size // 3]] = np.nan
     elif special == "inf":
         u[inside[inside.size // 2]] = np.inf
+    elif special == "zero_tie_minus_after_positive":
+        # a positive node, then -0.0, then +0.0: a vector lane that starts on
+        # the positive node ends on a +0.0 where the node order takes the
+        # -0.0 (on the disk the alternating ties above land as the node
+        # order does, so only this pattern needs the zero-range fallback)
+        u[inside] = 0.0
+        u[inside[0]] = 1e-9
+        u[inside[1]] = -0.0
     else:
         first, other = (-0.0, 0.0) if special == "zero_tie_minus_first" else (0.0, -0.0)
         u[inside[0::2]] = first

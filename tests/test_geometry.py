@@ -5,6 +5,7 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hs
 
 import maxsurf
 from maxsurf.analytic import grim_reaper, hyperbolic_plane, hyperbolic_plane_mean_curvature
@@ -77,6 +78,93 @@ def test_disk_quadrature_exact_area():
     for n in (32, 101):
         st = disk_state(lambda x, y: 0.0 * x, n)
         assert geometry(st, cylinder(1.0)).dV.sum() == pytest.approx(math.pi, abs=1e-12)
+
+
+def _spacelike_disk_u(n, base, bumps):
+    """Sums of Gaussian bumps on base, scaled to a least margin of 0.3, 0 off the disk."""
+    dg = disk_grid(n)
+    shape = sum(a * np.exp(-((dg.X - cx) ** 2 + (dg.Y - cy) ** 2) / s**2) for a, cx, cy, s in bumps)
+    grid = GridSpec("disk2d", n)
+    steepest = 1.0 - spacelike_margin(FlowState(grid, 0.0, shape, None), cylinder(1.0))
+    scale = min(1.0, math.sqrt(0.7 / steepest)) if steepest > 0.0 else 1.0
+    return np.where(dg.inside, base + scale * shape, 0.0)
+
+
+def _slice_oracle(state, f):
+    """H, |A|^2 and the Laplace-Beltrami operator of f on a disk state (or a
+    stack), by 2-D slices of the box as the disk stencils were first written:
+    the core's fields, padded with their pad-ring values."""
+    dg = disk_grid(state.grid.n, state.grid.radius)
+    u, h = dg.fill_ghosts(state.u), dg.h
+    inv_2h, inv_h2, inv_4h2 = 1.0 / (2.0 * h), 1.0 / (h * h), 1.0 / (4.0 * h * h)
+
+    def grad(a):
+        return ((a[..., 2:, 1:-1] - a[..., :-2, 1:-1]) * inv_2h,
+                (a[..., 1:-1, 2:] - a[..., 1:-1, :-2]) * inv_2h)
+
+    def padded(core, fill=0.0):
+        out = np.full(core.shape[:-2] + (core.shape[-2] + 2, core.shape[-1] + 2), fill)
+        out[..., 1:-1, 1:-1] = core
+        return out
+
+    c = u[..., 1:-1, 1:-1]
+    ux, uy = grad(u)
+    uxx = (u[..., 2:, 1:-1] - 2 * c + u[..., :-2, 1:-1]) * inv_h2
+    uyy = (u[..., 1:-1, 2:] - 2 * c + u[..., 1:-1, :-2]) * inv_h2
+    uxy = (u[..., 2:, 2:] + u[..., :-2, :-2] - u[..., 2:, :-2] - u[..., :-2, 2:]) * inv_4h2
+    ins = dg.inside[1:-1, 1:-1]
+    vh = 1.0 / np.sqrt(np.where(ins, 1.0 - (ux * ux + uy * uy), 1.0))
+    vh2 = vh * vh
+    rhs = (uxx + uyy) + vh2 * (ux * ux * uxx + 2 * ux * uy * uxy + uy * uy * uyy)
+    a11, a12, a22 = 1.0 + vh2 * ux * ux, vh2 * ux * uy, 1.0 + vh2 * uy * uy
+    m11, m12 = a11 * uxx + a12 * uxy, a11 * uxy + a12 * uyy
+    m21, m22 = a12 * uxx + a22 * uxy, a12 * uxy + a22 * uyy
+    H = padded(np.where(ins, vh * rhs, 0.0))
+    normA2 = padded(np.where(ins, vh2 * (m11 * m11 + 2.0 * m12 * m21 + m22 * m22), 0.0))
+    # the metric rebuilt on the box from the padded slope and v_hat
+    UX, UY, VH = padded(ux), padded(uy), padded(vh, 1.0)
+    sg, VH2 = 1.0 / VH, VH * VH
+    g11, g12, g22 = 1.0 + VH2 * UX * UX, VH2 * UX * UY, 1.0 + VH2 * UY * UY
+    fx, fy = (padded(d) for d in grad(f))
+    Fx, Fy = sg * (g11 * fx + g12 * fy), sg * (g12 * fx + g22 * fy)
+    div = np.zeros_like(Fx)
+    div[..., 1:-1, 1:-1] = ((Fx[..., 2:, 1:-1] - Fx[..., :-2, 1:-1])
+                            + (Fy[..., 1:-1, 2:] - Fy[..., 1:-1, :-2])) / (2 * h)
+    return H, normA2, np.where(dg.deep, div / sg, np.nan)
+
+
+_BUMPS = hs.lists(hs.tuples(hs.floats(-1.0, 1.0), hs.floats(-0.5, 0.5), hs.floats(-0.5, 0.5),
+                            hs.floats(0.2, 1.0)), min_size=1, max_size=3)
+
+
+@settings(max_examples=120, derandomize=True, deadline=None, database=None)
+@given(n=hs.integers(6, 40), base=hs.floats(-1.0, 1.0), stack=hs.booleans(),
+       states=hs.lists(_BUMPS, min_size=1, max_size=3))
+def test_disk_fields_live_on_the_box(n, base, stack, states):
+    # one state, or a stack of up to three along a leading axis: the pad ring
+    # holds its documented values, every field is finite on the box, the
+    # Laplacian is NaN exactly off the deep nodes, and H, |A|^2 and the
+    # Laplacian are the 2-D-slice stencils' bit for bit
+    dg = disk_grid(n)
+    us = [_spacelike_disk_u(n, base, bumps) for bumps in (states if stack else states[:1])]
+    u = np.stack(us) if stack else us[0]
+    t = np.zeros((len(us), 1, 1)) if stack else 0.0
+    st = FlowState(GridSpec("disk2d", n), t, u, None)
+    g = geometry(st, cylinder(1.0))
+    pad = np.ones(dg.inside.shape, dtype=bool)
+    pad[1:-1, 1:-1] = False
+    assert np.all(g.v_hat[..., pad] == 1.0) and np.all(g.v[..., pad] == 1.0)
+    for a in (g.H, g.normA2, g.dV, g.du[0], g.du[1]):
+        assert a.shape == u.shape and np.all(a[..., pad] == 0.0)
+    for a in (g.v_hat, g.v, g.nu, g.H, g.normA2, g.dV, g.du, *g.ginv):
+        assert np.all(np.isfinite(a))
+    F = np.stack([g.H, g.v])
+    lap = laplace_beltrami(st, F, g)
+    assert np.array_equal(np.isnan(lap), np.broadcast_to(~dg.deep, lap.shape))
+    H, normA2, lap_oracle = _slice_oracle(st, F)
+    assert g.H.tobytes() == H.tobytes()
+    assert g.normA2.tobytes() == normA2.tobytes()
+    assert lap.tobytes() == lap_oracle.tobytes()
 
 
 # -- translator closed forms ---------------------------------------------------
