@@ -24,19 +24,32 @@ A kind's evaluation (``evaluate``: slope, margin, H / v_hat, w and v_hat)
 and its node fields (``node_fields``: H, v and dV) are the one place its
 slope, metric and mean curvature are formed; the flow's projections take a
 line grid's slope from the same ``line_slope``, and the disk's
-Laplace-Beltrami operator its metric from the evaluation's v_hat.  The flow's
-step reads the evaluation, its record adds the node fields, and so does the
-observer ``geometry``, which adds the normal and |A|^2, so the observer sees
-the state the flow's guard saw.  v reads the boundary's V field: a planar
-boundary's own, the tube's radial extension from f'.  Central differences
-inside; the line kinds impose at their ends the slope the state's boundary
-takes there (-+1/s' on the planar boundary, f'(u_b) at the radial rim, 0 on
-the axis), the disk its mirror-point ghosts.  A line end's u_xx takes the
-ghost (mirror-slope) form in the step's rate and the one-sided second-order
-form in H.  With the future-pointing unit normal nu and h_ij = -<d2F, nu>,
-the mean curvature of an upward-convex graph is positive; the translating
-benchmark u = log cosh x + t has H = v_hat = cosh x and interior update
-g^xx u_xx = 1.
+Laplace-Beltrami operator its metric from the observer.  The flow's step
+reads the evaluation, its record adds the node fields, and so does the
+observer ``geometry``, which adds the normal and |A|^2 (and on the disk the
+inverse metric), so the observer sees the state the flow's guard saw.  v
+reads the boundary's V field: a planar boundary's own, the tube's radial
+extension from f'.  Central differences inside; the line kinds impose at
+their ends the slope the state's boundary takes there (-+1/s' on the planar
+boundary, f'(u_b) at the radial rim, 0 on the axis), the disk its
+mirror-point ghosts.  A line end's u_xx takes the ghost (mirror-slope) form
+in the step's rate and the one-sided second-order form in H.  With the
+future-pointing unit normal nu and h_ij = -<d2F, nu>, the mean curvature of
+an upward-convex graph is positive; the translating benchmark
+u = log cosh x + t has H = v_hat = cosh x and interior update g^xx u_xx = 1.
+
+A disk state is the m x m box of its nodes, m = N + 2: the N x N core and
+one pad ring.  Its fields live on the box too, with their values on the pad
+ring set once: Du = 0, v_hat = v = 1 and H = |A|^2 = dV = 0 (and off the
+disk H = |A|^2 = dV = 0 and v_hat = 1); the Laplace-Beltrami operator is
+NaN off the deep nodes.  The disk stencils read a node's neighbours as
+shifts of the flattened box: node k = i m + j has (i +- 1, j) at k +- m and
+(i, j +- 1) at k +- 1, so each shifted operand is one contiguous slice over
+the span from node (1, 1) to node (m - 2, m - 2), and every operation after
+it runs on contiguous memory.  That span holds the pad columns between the
+core's rows, where a +-1 shift wraps into the next row; the pad ring's
+values overwrite them.  Each node keeps the operations, in their order, of
+the compiled loop's row kernel.
 """
 
 from __future__ import annotations
@@ -119,7 +132,8 @@ class Evaluation(NamedTuple):
 
     h: object              # the node spacing; (K, 1) over a stack of line states
     m_min: float           # least 1 - |Du|^2 over the real nodes: the flow's guard
-    du: object             # u's slope, the boundary's at a line grid's ends; disk2d (u_x, u_y)
+    du: object             # u's slope, the boundary's at a line grid's ends; disk2d
+                           # (u_x, u_y) on a leading axis
     rhs: np.ndarray        # H / v_hat: the step's u_t on a fixed grid (ghost-form line ends)
     w: np.ndarray          # sqrt(1 - |Du|^2); 1 at the disk's nodes outside it
     v_hat: np.ndarray      # 1 / w
@@ -128,7 +142,8 @@ class Evaluation(NamedTuple):
     profile_slope: Optional[tuple]  # the boundary's slope at a line grid's (low, high)
                            # ends: curve1d (s'(|x_l|), s'(x_r)), radial2d (None, f'(u_b))
     second: object         # the observer's second derivatives: radial2d u_r / rho (u_rr on
-                           # the axis); disk2d (u_xx, u_yy, u_xy); curve1d None
+                           # the axis); disk2d (u_xx, u_yy, u_xy) on a leading axis;
+                           # curve1d None
 
 
 class NodeFields(NamedTuple):

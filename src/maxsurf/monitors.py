@@ -20,7 +20,10 @@ material points with coordinate velocity H v_hat Du).
 
 The evolution residuals are evaluated over blocks of consecutive states
 stacked along a leading axis, with one geometry per state: rates, drifts,
-Laplacians and right-hand sides are array operations over a block.
+Laplacians and right-hand sides are array operations over a block.  From
+N = 63 up a disk state fills a block of its own; its terms are operations on
+contiguous boxes (geometry takes the disk stencils as flat shifts of the
+box), and the Laplacian of (H, v) reads the gradient the drift term reads.
 
 What differs per grid kind -- the residual terms and the certificate's
 boundary data and Minkowski square -- sits in this module's one table,
@@ -134,8 +137,9 @@ def evolution_residuals(traj: Trajectory, profile, skip_fraction: float = 0.5) -
     refinement studies must probe the same physical time window.
 
     The window is walked in blocks of states stacked along a leading axis,
-    with one geometry per state; a block's residuals wait for the first
-    state of the next one.  A triple whose residual is NaN is skipped.
+    with one geometry per state and one gradient of (H, v), which the drift
+    and the Laplacian share; a block's residuals wait for the first state
+    of the next one.  A triple whose residual is NaN is skipped.
     """
     centers = _consecutive_triples(traj)
     if not centers:
