@@ -92,8 +92,8 @@ def _spacelike_disk_u(n, base, bumps):
 
 def _slice_oracle(state, f):
     """H, |A|^2 and the Laplace-Beltrami operator of f on a disk state (or a
-    stack), by 2-D slices of the box as the disk stencils were first written:
-    the core's fields, padded with their pad-ring values."""
+    stack) by 2-D slices of the box, each node's operations in geometry's
+    order: the core's fields, padded with their pad-ring values."""
     dg = disk_grid(state.grid.n, state.grid.radius)
     u, h = dg.fill_ghosts(state.u), dg.h
     inv_2h, inv_h2, inv_4h2 = 1.0 / (2.0 * h), 1.0 / (h * h), 1.0 / (4.0 * h * h)
