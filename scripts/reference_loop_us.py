@@ -1,11 +1,11 @@
 """Microseconds per step of the numpy reference loop, flow._run_python.
 
-    python scripts/reference_loop_us.py [--src DIR] [--steps N] [--repeat R]
+    python scripts/reference_loop_us.py [--src DIR]
 
 Times _run_python (Euler, stride 1000) on three fixed starts: a curve1d
 grim reaper translator of N = 201, a radial2d sine tube plane bump of
 N = 101 and a disk2d cylinder bump of N = 101, and prints for each kind the
-least of R runs of N steps, in microseconds per step.  The numpy loop is the
+least of 5 runs of 200 steps, in microseconds per step.  The numpy loop is the
 engine of RK2 runs, comparison pairs and custom profiles; no benchmark
 workload runs it, so this script is how its cost is measured.
 
@@ -20,6 +20,7 @@ import sys
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+STEPS, RUNS = 200, 5
 
 STARTS = {
     "curve1d": "scenario = grim_reaper\nnodes = 201\nt0 = -1.0\n",
@@ -32,8 +33,6 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", default=os.path.join(ROOT, "src"),
                     help="the directory holding the maxsurf package to time")
-    ap.add_argument("--steps", type=int, default=200, help="steps per run")
-    ap.add_argument("--repeat", type=int, default=5, help="runs per kind; the least is printed")
     args = ap.parse_args(argv)
     sys.path.insert(0, os.path.abspath(args.src))
     import maxsurf
@@ -41,13 +40,13 @@ def main(argv=None) -> int:
 
     for kind, text in STARTS.items():
         scenario = maxsurf.build_scenario(maxsurf.parse_config(text))
-        ctrl = maxsurf.StepControl(max_steps=args.steps)
+        ctrl = maxsurf.StepControl(max_steps=STEPS)
         best = float("inf")
-        for _ in range(args.repeat):
+        for _ in range(RUNS):
             t0 = time.perf_counter()
             flow._run_python(scenario.state0, ctrl, scenario.profile, 1000)
             best = min(best, time.perf_counter() - t0)
-        print(f"{kind} {best / args.steps * 1e6:.1f} us/step")
+        print(f"{kind} {best / STEPS * 1e6:.1f} us/step")
     return 0
 
 
