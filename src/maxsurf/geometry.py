@@ -26,13 +26,13 @@ slope, metric and mean curvature are formed; the flow's projections take a
 line grid's slope from the same ``line_slope``, and the disk's
 Laplace-Beltrami operator its metric from the observer.  The flow's step
 reads the evaluation, its record adds the node fields, and so does the
-observer ``geometry``, which adds the normal and |A|^2 (and on the disk the
-inverse metric), so the observer sees the state the flow's guard saw.  v
-reads the boundary's V field: a planar boundary's own, the tube's radial
-extension from f'.  Central differences inside; the line kinds impose at
-their ends the slope the state's boundary takes there (-+1/s' on the planar
-boundary, f'(u_b) at the radial rim, 0 on the axis), the disk its
-mirror-point ghosts.  A line end's u_xx takes the ghost (mirror-slope) form
+observer ``geometry``, which adds |A|^2 (and on the disk the inverse metric)
+and forms the normal and dV when they are first read, so the observer sees
+the state the flow's guard saw.  v reads the boundary's V field: a planar
+boundary's own, the tube's radial extension from f'.  Central differences
+inside; the line kinds impose at their ends the slope the state's boundary
+takes there (-+1/s' on the planar boundary, f'(u_b) at the radial rim, 0 on
+the axis), the disk its mirror-point ghosts.  A line end's u_xx takes the ghost (mirror-slope) form
 in the step's rate and the one-sided second-order form in H.  With the
 future-pointing unit normal nu and h_ij = -<d2F, nu>, the mean curvature of
 an upward-convex graph is positive; the translating benchmark
@@ -112,17 +112,27 @@ class FlowState:
 
 @dataclass
 class GeometryFields:
-    """Per-node geometric data of a state."""
+    """Per-node geometric data of a state; the normal nu and the volume
+    element dV are formed on first read."""
 
     v_hat: np.ndarray
     v: np.ndarray
-    nu: np.ndarray
     H: np.ndarray
     normA2: np.ndarray
-    dV: np.ndarray
     du: np.ndarray                      # u's slope; disk2d: (u_x, u_y) on a leading axis
     ginv: Optional[tuple]               # disk2d: the inverse metric (g^xx, g^xy, g^yy)
+    form_dV: Callable                   # () -> dV, from the evaluation
     kappa: Optional[tuple] = None       # radial2d principal curvatures
+
+    @functools.cached_property
+    def nu(self) -> np.ndarray:
+        """v_hat (Du, 1), components (x or rho[, y], t) on a trailing axis."""
+        slope = self.du if self.du.ndim > self.v_hat.ndim else self.du[None]
+        return np.stack([*(c * self.v_hat for c in slope), self.v_hat], axis=-1)
+
+    @functools.cached_property
+    def dV(self) -> np.ndarray:
+        return self.form_dV()
 
 
 class Evaluation(NamedTuple):
@@ -197,7 +207,8 @@ def evaluate(state: FlowState, profile) -> Evaluation:
 
 def node_fields(state: FlowState, profile, ev: Evaluation) -> NodeFields:
     """H, v and dV of an evaluated state."""
-    return _KINDS[state.grid.kind].fields(state, profile, ev)
+    H, v, form_dV = _KINDS[state.grid.kind].fields(state, profile, ev)
+    return NodeFields(H, v, form_dV())
 
 
 def spacelike_margin(state: FlowState, profile) -> float:
@@ -220,7 +231,7 @@ def geometry(state: FlowState, profile) -> GeometryFields:
         if not ev.m_min > 0.0:
             raise SpacelikeError(f"graph is not strictly spacelike (least margin {ev.m_min:.3g})")
         fields = kind.fields(state, profile, ev)
-    return kind.observe(state, ev, fields)
+    return kind.observe(state, ev, *fields)
 
 
 class _LineDerivatives(NamedTuple):
@@ -285,12 +296,13 @@ def _line_evaluation(h, d: _LineDerivatives, rhs, ends, profile_slope, second) -
     return Evaluation(h, float(d.m.min()), d.ux, rhs, d.w, d.v_hat, ends, profile_slope, second)
 
 
-def _line_fields(ev: Evaluation, vw, unit) -> NodeFields:
-    """H = v_hat rhs with the ends' one-sided rhs, v = vw v_hat and dV = unit w trapezoid."""
+def _line_fields(ev: Evaluation, vw, unit) -> tuple:
+    """H = v_hat rhs with the ends' one-sided rhs, v = vw v_hat, and dV = unit w
+    trapezoid when called."""
     H = ev.v_hat * ev.rhs
     H[..., 0] = _end(ev.v_hat, 0) * ev.ends[0]
     H[..., -1] = _end(ev.v_hat, -1) * ev.ends[1]
-    return NodeFields(H, vw * ev.v_hat, unit * ev.w * trapezoid_weights(ev.w.shape[-1], ev.h))
+    return H, vw * ev.v_hat, lambda: unit * ev.w * trapezoid_weights(ev.w.shape[-1], ev.h)
 
 
 def _curve1d_evaluate(state: FlowState, profile) -> Evaluation:
@@ -302,15 +314,14 @@ def _curve1d_evaluate(state: FlowState, profile) -> Evaluation:
                             (dsL, dsR), None)
 
 
-def _curve1d_fields(state: FlowState, profile, ev: Evaluation) -> NodeFields:
+def _curve1d_fields(state: FlowState, profile, ev: Evaluation) -> tuple:
     Vx, Vt = profile.V(state.coords())
     return _line_fields(ev, Vt - Vx * ev.du, 1.0)
 
 
-def _curve1d_observe(state: FlowState, ev: Evaluation, f: NodeFields) -> GeometryFields:
-    """nu = v_hat (u_x, 1), components (x or rho, t) on a trailing axis."""
-    return GeometryFields(v_hat=ev.v_hat, v=f.v, nu=np.stack([ev.du * ev.v_hat, ev.v_hat], -1),
-                          H=f.H, normA2=f.H * f.H, dV=f.dV, du=ev.du, ginv=None)
+def _curve1d_observe(state: FlowState, ev: Evaluation, H, v, form_dV) -> GeometryFields:
+    return GeometryFields(v_hat=ev.v_hat, v=v, H=H, normA2=H * H, du=ev.du, ginv=None,
+                          form_dV=form_dV)
 
 
 def _radial2d_evaluate(state: FlowState, profile) -> Evaluation:
@@ -327,15 +338,15 @@ def _radial2d_evaluate(state: FlowState, profile) -> Evaluation:
                             (None, dfb), k2)
 
 
-def _radial2d_fields(state: FlowState, profile, ev: Evaluation) -> NodeFields:
+def _radial2d_fields(state: FlowState, profile, ev: Evaluation) -> tuple:
     dfz, invw = rotational_V_factors(profile, state.u)
     return _line_fields(ev, (1.0 - dfz * ev.du) * invw, 2.0 * np.pi * state.coords())
 
 
-def _radial2d_observe(state: FlowState, ev: Evaluation, f: NodeFields) -> GeometryFields:
-    g = _curve1d_observe(state, ev, f)
+def _radial2d_observe(state: FlowState, ev: Evaluation, H, v, form_dV) -> GeometryFields:
+    g = _curve1d_observe(state, ev, H, v, form_dV)
     kappa2 = ev.v_hat * ev.second
-    kappa1 = f.H - kappa2
+    kappa1 = H - kappa2
     g.normA2, g.kappa = kappa1**2 + kappa2**2, (kappa1, kappa2)
     return g
 
@@ -346,40 +357,57 @@ def _disk2d_evaluate(state: FlowState, profile) -> Evaluation:
     ux, uy, uxx, uyy, uxy = d
     # 1 - |Du|^2 at the inside nodes, 1 elsewhere; 1 - |Du|^2 <= 1 (or NaN), so
     # its least value is the least over the inside nodes
-    m = np.where(grid.inside, 1.0 - (ux * ux + uy * uy), 1.0)
+    ux2, uy2 = ux * ux, uy * uy
+    m = _off(1.0 - (ux2 + uy2), grid.inside, 1.0)
     # one sqrt and one division a node, as in _step.c's row kernel
     w = np.sqrt(m)
     v_hat = 1.0 / w
     vh2 = v_hat * v_hat
-    rhs = (uxx + uyy) + vh2 * (ux * ux * uxx + 2 * ux * uy * uxy + uy * uy * uyy)
+    q = _sum_in(ux2 * uxx, 2 * ux * uy * uxy, uy2 * uyy)
+    q *= vh2
+    rhs = _sum_in(uxx + uyy, q)
     return Evaluation(grid.h, float(m.min()), d[:2], rhs, w, v_hat, None, None, d[2:])
 
 
-def _disk2d_fields(state: FlowState, profile, ev: Evaluation) -> NodeFields:
+def _disk2d_fields(state: FlowState, profile, ev: Evaluation) -> tuple:
     """H = 0 and dV = 0 off the disk; V = e_t on the cylinder, the disk's one
     tube, so v = v_hat."""
     grid = disk_grid(state.grid.n, state.grid.radius)
-    return NodeFields(np.where(grid.inside, ev.v_hat * ev.rhs, 0.0), ev.v_hat,
-                      np.where(grid.inside, grid.area_weights * ev.w, 0.0))
+    return (_off(ev.v_hat * ev.rhs, grid.inside, 0.0), ev.v_hat,
+            lambda: _off(grid.area_weights * ev.w, grid.inside, 0.0))
 
 
-def _disk2d_observe(state: FlowState, ev: Evaluation, f: NodeFields) -> GeometryFields:
-    """|A|^2 (0 off the disk), the normal and the inverse metric."""
+def _disk2d_observe(state: FlowState, ev: Evaluation, H, v, form_dV) -> GeometryFields:
+    """|A|^2 (0 off the disk) and the inverse metric."""
     uxx, uyy, uxy = ev.second
     ux, uy = ev.du
     vh, vh2 = ev.v_hat, ev.v_hat * ev.v_hat
     # |A|^2 = tr((g^{-1} h)^2), g^{-1} = delta + vh^2 Du Du, h_ij = v_hat u_ij
-    a11 = 1.0 + vh2 * ux * ux
-    a12 = vh2 * ux * uy
+    vh2_ux = vh2 * ux
+    a11 = 1.0 + vh2_ux * ux
+    a12 = vh2_ux * uy
     a22 = 1.0 + vh2 * uy * uy
-    m11 = a11 * uxx + a12 * uxy
-    m12 = a11 * uxy + a12 * uyy
-    m21 = a12 * uxx + a22 * uxy
-    m22 = a12 * uxy + a22 * uyy
-    normA2 = np.where(disk_grid(state.grid.n, state.grid.radius).inside,
-                      vh2 * (m11 * m11 + 2.0 * m12 * m21 + m22 * m22), 0.0)
-    return GeometryFields(v_hat=vh, v=vh, nu=np.stack([ux * vh, uy * vh, vh], axis=-1),
-                          H=f.H, normA2=normA2, dV=f.dV, du=ev.du, ginv=(a11, a12, a22))
+    m11, m12 = _sum_in(a11 * uxx, a12 * uxy), _sum_in(a11 * uxy, a12 * uyy)
+    m21, m22 = _sum_in(a12 * uxx, a22 * uxy), _sum_in(a12 * uxy, a22 * uyy)
+    normA2 = _sum_in(m11 * m11, 2.0 * m12 * m21, m22 * m22)
+    normA2 *= vh2
+    normA2 = _off(normA2, disk_grid(state.grid.n, state.grid.radius).inside, 0.0)
+    return GeometryFields(v_hat=vh, v=v, H=H, normA2=normA2, du=ev.du, ginv=(a11, a12, a22),
+                          form_dV=form_dV)
+
+
+def _sum_in(a: np.ndarray, *terms) -> np.ndarray:
+    """a + terms[0] + terms[1] + ..., in that order, summed into a, a new array:
+    the disk's sums take no temporary per addition."""
+    for t in terms:
+        a += t
+    return a
+
+
+def _off(a: np.ndarray, mask: np.ndarray, value: float) -> np.ndarray:
+    """np.where(mask, a, value) written into a, a new array."""
+    np.copyto(a, value, where=~mask)
+    return a
 
 
 def _box_shifts(f: np.ndarray):
@@ -485,11 +513,17 @@ def disk_divergence(state: FlowState, grad, g: GeometryFields) -> np.ndarray:
     a11, a12, a22 = g.ginv                           # g^{ij}; delta off the disk
     sg = 1.0 / g.v_hat                               # sqrt(det g); 1 off the disk
     fx, fy = grad
-    Fx, Fy = sg * (a11 * fx + a12 * fy), sg * (a12 * fx + a22 * fy)
+    Fx, Fy = _sum_in(a11 * fx, a12 * fy), _sum_in(a12 * fx, a22 * fy)
+    Fx *= sg                                         # sg g^{ij} f_j
+    Fy *= sg
     m, at_x, at_y = fx.shape[-1], _box_shifts(Fx), _box_shifts(Fy)
     div, span = _box(Fx.shape[:-2], m)
-    np.divide((at_x(m) - at_x(-m)) + (at_y(1) - at_y(-1)), 2 * grid.h, out=span)
-    return np.where(grid.deep, _zero_pad(div) / sg, np.nan)
+    np.subtract(at_x(m), at_x(-m), out=span)
+    span += at_y(1) - at_y(-1)
+    span /= 2 * grid.h
+    _zero_pad(div)
+    div /= sg
+    return _off(div, grid.deep, np.nan)
 
 
 # -- the grid kinds ----------------------------------------------------------
@@ -525,8 +559,8 @@ def _disk2d_real_nodes(grid: GridSpec) -> tuple:
 
 class _Kind(NamedTuple):
     evaluate: Callable           # (state, profile) -> Evaluation
-    fields: Callable             # (state, profile, Evaluation) -> NodeFields
-    observe: Callable            # (state, Evaluation, NodeFields) -> GeometryFields
+    fields: Callable             # (state, profile, Evaluation) -> (H, v, () -> dV)
+    observe: Callable            # (state, Evaluation, H, v, () -> dV) -> GeometryFields
     laplace_beltrami: Callable   # (state, f, g) -> the intrinsic Laplacian of f
     reference: Callable          # grid -> the reference coordinate per node
     coords: Callable             # state -> the physical coordinate per node

@@ -20,10 +20,14 @@ material points with coordinate velocity H v_hat Du).
 
 The evolution residuals are evaluated over blocks of consecutive states
 stacked along a leading axis, with one geometry per state: rates, drifts,
-Laplacians and right-hand sides are array operations over a block.  From
-N = 63 up a disk state fills a block of its own; its terms are operations on
-contiguous boxes (geometry takes the disk stencils as flat shifts of the
-box), and the Laplacian of (H, v) reads the gradient the drift term reads.
+Laplacians and right-hand sides are array operations over a block, and a
+centre's rate reads its neighbours' (t, x, H, v) where their blocks hold
+them.  From N = 63 up a disk state fills a block of its own, so the walk is
+a rolling window of three states; its terms are operations on contiguous
+boxes (geometry takes the disk stencils as flat shifts of the box), the
+Laplacian of (H, v) reads the gradient the drift term reads, and the
+observer's normal and volume element, which no disk term reads, are never
+formed.
 
 What differs per grid kind -- the residual terms and the certificate's
 boundary data and Minkowski square -- sits in this module's one table,
@@ -34,6 +38,7 @@ evaluators and flow's trajectories.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
@@ -50,6 +55,7 @@ from .profiles import PlanarBoundary, RotationalProfile, normal_curvature, profi
 
 AXIS_EXCLUSION_CELLS = 3
 EDGE_FRACTION = 0.05   # interior = compactly inside: drop a 5% margin per side
+SKIP_FRACTION = 0.5    # the residuals skip the first half of the probe window
 
 
 def volume_identity(traj: Trajectory) -> float:
@@ -91,7 +97,7 @@ def _rotational_V_data(profile: RotationalProfile, z: np.ndarray):
 # -- evolution residuals ---------------------------------------------------------
 
 # grid nodes per block of states (each temporary <= 64 KB): the benchmark's
-# stride-1 probes peak at 126 MB with this, at 139 and 157 MB with 4x and 8x
+# identity_probe job peaks at 95 MB with this, at 104 and 117 MB with 4x and 8x
 RESIDUAL_BLOCK_NODES = 8192
 
 
@@ -107,9 +113,11 @@ def _material_rate(f_minus, f_mid, f_plus, t_minus, t_mid, t_plus):
     """Centered derivative on a nonuniform time stencil."""
     dm = t_mid - t_minus
     dp = t_plus - t_mid
-    return (dm * dm * f_plus + (dp * dp - dm * dm) * f_mid - dp * dp * f_minus) / (
-        dp * dm * (dp + dm)
-    )
+    rate = dm * dm * f_plus
+    rate += (dp * dp - dm * dm) * f_mid
+    rate -= dp * dp * f_minus
+    rate /= dp * dm * (dp + dm)
+    return rate
 
 
 def _stack(states: list) -> FlowState:
@@ -121,69 +129,71 @@ def _stack(states: list) -> FlowState:
     return FlowState(s0.grid, t, np.stack([s.u for s in states]), boundary)
 
 
-def _at(a: np.ndarray, k, kax: int) -> np.ndarray:
-    """a[..., k, :, ...] on the state axis kax (counted from the end)."""
-    return a[(..., k) + (slice(None),) * (-kax - 1)]
-
-
-def evolution_residuals(traj: Trajectory, profile, skip_fraction: float = 0.5) -> dict:
+def evolution_residuals(traj: Trajectory, profile) -> dict:
     """Max interior residual of the H and v evolution identities.
 
     Requires stride-1 snapshots (consecutive steps); the first and last
-    snapshots are excluded, as is an initial fraction of the probe window
-    (startup noise from the boundary treatment diffuses inward and decays
-    but refines nowhere).  res_v uses the profile's V extension; nodes in an
-    axis band are excluded where that extension is singular.  Comparable
-    refinement studies must probe the same physical time window.
+    snapshots are excluded, as is an initial fraction SKIP_FRACTION of the
+    probe window (startup noise from the boundary treatment diffuses inward
+    and decays but refines nowhere).  res_v uses the profile's V extension;
+    nodes in an axis band are excluded where that extension is singular.
+    Comparable refinement studies must probe the same physical time window.
 
     The window is walked in blocks of states stacked along a leading axis,
     with one geometry per state and one gradient of (H, v), which the drift
-    and the Laplacian share; a block's residuals wait for the first state
-    of the next one.  A triple whose residual is NaN is skipped.
+    and the Laplacian share.  A centre's rate reads the rate inputs of its
+    neighbours where their blocks hold them, joined only where a run of
+    states crosses a block edge, and a block's terms are freed once no
+    centre reads them.  A triple whose residual is NaN is skipped.
     """
     centers = _consecutive_triples(traj)
     if not centers:
         raise ValueError("evolution residuals need three consecutive stride-1 states, and the "
                          f"trajectory's {len(traj.states)} stored states hold none")
-    start = int(skip_fraction * len(centers))
-    centers = centers[start:] or centers[-1:]
+    centers = centers[int(SKIP_FRACTION * len(centers)):] or centers[-1:]
     wanted = set(centers)
     ids = sorted({j for i in centers for j in (i - 1, i, i + 1)})
     per_block = max(1, RESIDUAL_BLOCK_NODES // traj.states[0].u.size)
-    blocks = [ids[a:a + per_block] for a in range(0, len(ids), per_block)]
     kax = -1 - traj.states[0].u.ndim          # the state axis, ahead of the nodes
+    nodes = (slice(None),) * (-kax - 1)       # a[(..., k) + nodes]: states k of a
+    held = {}                                 # block number -> its terms, while read
 
-    def terms(block):
-        return _block_terms([traj.states[j] for j in block], profile)
+    def run(part: int, lo: int, hi: int) -> list:
+        """The rate inputs (part 0) or centre terms (part 1) at the walk's
+        states lo .. hi - 1: views of one block's, joined across a block edge."""
+        pieces = []
+        for b in range(lo // per_block, (hi - 1) // per_block + 1):
+            if b not in held:
+                block = ids[b * per_block:(b + 1) * per_block]
+                held[b] = _block_terms([traj.states[j] for j in block], profile)
+            k = slice(max(lo - b * per_block, 0), hi - b * per_block)
+            pieces.append([a if a is None else a[(..., k) + nodes] for a in held[b][part]])
+        return [p[0] if len(p) == 1 or p[0] is None else np.concatenate(p, axis=kax)
+                for p in zip(*pieces)]
 
     res = np.zeros(2)
-    before = [[]] * 3                         # the last state of the block before
-    nxt = terms(blocks[0])
-    for k, block in enumerate(blocks):
-        (rate_in, center), nxt = nxt, (terms(blocks[k + 1]) if k + 1 < len(blocks) else None)
-        after = [[_at(a, slice(0, 1), kax)] for a in nxt[0]] if nxt else [[]] * 3
-        # rate inputs (t, x, F) of the block's states and of their neighbours
-        ext = [np.concatenate([*b, a, *c], axis=kax) for a, b, c in zip(rate_in, before, after)]
-        # the block's states with both neighbours in ext, and which are centres
-        offset = len(before[0])
-        inner = slice(1 - offset, ext[0].shape[kax] - 1 - offset)
-        keep = np.array([j in wanted for j in block[inner]], dtype=bool)
-        res = _fold_residuals(res, ext, center, inner, keep, kax)
-        before = [[_at(a, slice(-1, None), kax)] for a in rate_in]
+    for b in range(1 // per_block, (len(ids) - 2) // per_block + 1):
+        # the block's states with both neighbours in the walk
+        lo, hi = max(b * per_block, 1), min((b + 1) * per_block, len(ids) - 1)
+        keep = np.array([ids[j] in wanted for j in range(lo, hi)], dtype=bool)
+        window = [run(0, lo + d, hi + d) for d in (-1, 0, 1)]
+        _fold_residuals(res, window, run(1, lo, hi), keep, kax)
+        held[b][1] = ()                       # read at this block's centres only
+        held.pop(b - 1, None)
     return {"res_H": float(res[0]), "res_v": float(res[1]), "triples": len(centers)}
 
 
-def _block_terms(states: list, profile):
+def _block_terms(states: list, profile) -> list:
     """The pieces of the H and v identities over a block of states: the rate
-    inputs (t, node positions x, F = (H, v)) and the terms read at a centre only
-    (drift H v_hat Du, gradient, Laplacian and right-hand side of F, masks)."""
+    inputs (t, node positions x or None, F = (H, v)) and the terms read at a
+    centre only (the drift H v_hat Du, the gradient and the Laplacian of F,
+    and per identity its right-hand side and the nodes it is checked on)."""
     st = _stack(states)
     g = geometry(st, profile)
     F = np.stack([g.H, g.v])
-    x, du, grad, lap, rhs_v, mask_H, mask_v = _KINDS[st.grid.kind].terms(st, g, F, profile)
-    masks = np.stack([np.broadcast_to(m, g.H.shape) for m in (mask_H, mask_v)])
-    center = (g.H * g.v_hat * du, grad, lap, np.stack([-(g.H * g.normA2), rhs_v]), masks)
-    return (st.t, x, F), center
+    x, du, grad, lap, rhs_v, *masks = _KINDS[st.grid.kind].terms(st, g, F, profile)
+    return [(st.t, x, F), (g.H * g.v_hat * du, grad, lap, -(g.H * g.normA2), rhs_v,
+                           *(np.broadcast_to(m, g.H.shape) for m in masks))]
 
 
 def _curve1d_terms(st: FlowState, g, F: np.ndarray, profile):
@@ -217,37 +227,44 @@ def _core(n: int, lo: Optional[int] = None) -> np.ndarray:
     return core
 
 
-def _disk2d_terms(st: FlowState, g, F: np.ndarray, profile):
-    grid = disk_grid(st.grid.n, st.grid.radius)
-    # drop the rim band where mirror-ghost second derivatives are noisy
+@functools.lru_cache(maxsize=16)
+def _deep_inside(n: int, radius: float) -> np.ndarray:
+    """The disk's deep nodes 6h inside the rim, read-only: the rim band, where
+    mirror-ghost second derivatives are noisy, is dropped."""
+    grid = disk_grid(n, radius)
     deep = grid.deep & (grid.r < grid.radius - 6.0 * grid.h)
+    deep.flags.writeable = False
+    return deep
+
+
+def _disk2d_terms(st: FlowState, g, F: np.ndarray, profile):
+    deep = _deep_inside(st.grid.n, st.grid.radius)
     if not deep.any():
         raise ValueError(f"evolution residuals need a disk of N >= 13: at N = {st.grid.n} "
                          "no deep-interior node lies 6h inside the rim")
     # read on deep nodes only, whose central stencil reaches no ghost; the
     # Laplacian takes the same gradient
-    grad = disk_gradient(F, grid.h)
+    grad = disk_gradient(F, st.spacing())
     # V = e_t on the cylinder: the ambient-derivative terms of the v identity vanish
-    return (np.zeros_like(st.t), g.du, grad, disk_divergence(st, grad, g),
-            -(g.v * g.normA2), deep, deep)
+    return None, g.du, grad, disk_divergence(st, grad, g), -(g.v * g.normA2), deep, deep
 
 
-def _fold_residuals(res, ext, center, inner: slice, keep: np.ndarray, kax: int):
-    """Fold the residuals at the block's states inner, with their neighbours'
-    rate inputs in ext, into the running maxima; keep marks the centres."""
-    t, x, F = ext
-    n = F.shape[kax]
-    m, o, p = slice(0, n - 2), slice(1, n - 1), slice(2, n)
-    rate = _material_rate(_at(F, m, kax), _at(F, o, kax), _at(F, p, kax),
-                          _at(t, m, kax), _at(t, o, kax), _at(t, p, kax))
-    node_vel = (_at(x, p, kax) - _at(x, m, kax)) / (_at(t, p, kax) - _at(t, m, kax))
-    drift, grad, lap, rhs, mask = (_at(a, inner, kax) for a in center)
-    lhs = rate
-    for d_c, g_c in zip(drift - node_vel, grad):
-        lhs = lhs + d_c * g_c
-    r = np.where(mask, np.abs(lhs - lap - rhs), -np.inf)
-    rows = r.max(axis=tuple(range(kax + 1, 0)))[:, keep]
-    return np.fmax(res, np.fmax.reduce(rows, axis=-1, initial=0.0))
+def _fold_residuals(res: np.ndarray, window, center, keep: np.ndarray, kax: int) -> None:
+    """Fold the residuals at a run of states into the running maxima res:
+    window holds the rate inputs (t, x, F) of the states before, at and
+    after them, center their centre terms, and keep marks the centres."""
+    (t_m, x_m, F_m), (t_o, _, F_o), (t_p, x_p, F_p) = window
+    drift, grad, lap = center[:3]
+    if x_m is not None:                       # moving nodes: less their velocity
+        drift = drift - (x_p - x_m) / (t_p - t_m)
+    lhs = _material_rate(F_m, F_o, F_p, t_m, t_o, t_p)
+    for d_c, g_c in zip(drift, grad):
+        lhs += d_c * g_c
+    lhs -= lap
+    for k in range(2):                        # the H and the v identity
+        r = np.abs(np.subtract(lhs[k], center[3 + k], out=lhs[k]), out=lhs[k])
+        r = r.max(axis=tuple(range(kax + 1, 0)), where=center[5 + k], initial=-np.inf)
+        res[k] = np.fmax(res[k], np.fmax.reduce(r[keep], initial=0.0))
 
 
 def _ip(a_0, a_t, b_0, b_t):
@@ -458,9 +475,10 @@ def stability_certificate(state: FlowState, profile, center, epsilon: float = 1e
 
 
 class _Kind(NamedTuple):
-    # (st, g, F, profile) -> node positions, the slope components of u and the
-    # gradient components of F = (H, v) along a leading axis, the Laplacian of
-    # F, the v right-hand side, and the nodes each identity is checked on
+    # (st, g, F, profile) -> node positions (None where they stand still), the
+    # slope components of u and the gradient components of F = (H, v) along a
+    # leading axis, the Laplacian of F, the v right-hand side, and the nodes
+    # each identity is checked on
     terms: Callable
     # (state, g, profile, center) -> A^Sig(nu,nu), <x-a, mu> and |x-a|^2 at the
     # boundary points, and |x-a|^2 per node

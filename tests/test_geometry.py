@@ -15,9 +15,12 @@ from maxsurf.flow import StepControl, record_state
 from maxsurf.geometry import (
     FlowState,
     GridSpec,
+    evaluate,
     geometry,
     laplace_beltrami,
+    node_fields,
     spacelike_margin,
+    trapezoid_weights,
 )
 from maxsurf.lorentz import minkowski_inner
 from maxsurf.profiles import cylinder, pseudosphere, sine_tube, trumpet
@@ -261,6 +264,37 @@ def test_observer_sees_what_the_flow_records(kind):
     at = st.grid.real_nodes()
     assert [rec[1], rec[2], rec[3]] == [g.v[at].max(), g.v_hat[at].max(), np.abs(g.H[at]).max()]
     assert rec[2] == 1.0 / math.sqrt(spacelike_margin(st, p))
+
+
+@pytest.mark.parametrize("kind", ["curve1d", "radial2d", "disk2d"])
+def test_normal_and_volume_element_formed_on_first_read(kind):
+    # nu and dV are formed when first read, once, and equal bit for bit (pad
+    # ring included) the arrays the observer used to form with every state:
+    # nu = v_hat (Du, 1) on a trailing axis, dV = unit w trapezoid on the line
+    # kinds and area w inside the disk (0 elsewhere), and dV is the record's
+    if kind == "curve1d":
+        p = trumpet()
+        st = curve_state(lambda x: np.log(np.cosh(x)) + 0.01 * np.cos(x), -0.8, 0.8, 41)
+    elif kind == "radial2d":
+        p = sine_tube(2.0, 0.5, 1.0)
+        st = radial_state(lambda r: math.pi / 2 + 0.05 * (1 - (r / 2.5) ** 2) ** 2, 2.5, 41)
+    else:
+        st, p = disk_state(lambda x, y: 0.1 * (1 - (x * x + y * y)) ** 2, 33), cylinder(1.0)
+    ev = evaluate(st, p)
+    slope = ev.du if kind == "disk2d" else [ev.du]
+    nu = np.stack([*(c * ev.v_hat for c in slope), ev.v_hat], axis=-1)
+    if kind == "disk2d":
+        dg = disk_grid(st.grid.n)
+        dV = np.where(dg.inside, dg.area_weights * ev.w, 0.0)
+    else:
+        unit = 1.0 if kind == "curve1d" else 2.0 * np.pi * st.coords()
+        dV = unit * ev.w * trapezoid_weights(st.grid.n, ev.h)
+    g = geometry(st, p)
+    assert "nu" not in vars(g) and "dV" not in vars(g)
+    assert g.nu.tobytes() == nu.tobytes() and g.nu.shape == nu.shape
+    assert g.dV.tobytes() == dV.tobytes() and g.dV.shape == dV.shape
+    assert g.nu is g.nu and g.dV is g.dV
+    assert node_fields(st, p, ev).dV.tobytes() == dV.tobytes()
 
 
 def test_spacelike_margin_and_error():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -118,7 +119,10 @@ def test_evolution_residuals_disk_refine():
 # 1.1e-13 and 0); and again when the trumpet supplied its V's derivatives,
 # d2V exact where a difference of the coth form had been (res_v of the
 # translator and one_triple moved by -5.5e-4 and +3.5e-5 relative), and the
-# disk's Laplace-Beltrami took the evaluation's v_hat (disk res_H by +2.6e-14)
+# disk's Laplace-Beltrami took the evaluation's v_hat (disk res_H by +2.6e-14);
+# disk2d_bump_65 (each state a block of its own at the default budget) and
+# curve1d_translator_gap (a window across a missing snapshot) were recorded
+# before the walk read its neighbours' rate inputs in place
 RESIDUAL_PINS = {
     "curve1d_translator": {"res_H": 0.0003803520606153743, "res_v": 7.000044495038876e-09,
                            "triples": 119},
@@ -128,7 +132,17 @@ RESIDUAL_PINS = {
                     "triples": 41},
     "one_triple": {"res_H": 0.000353435769207211, "res_v": 4.737984307421874e-09,
                    "triples": 1},
+    "disk2d_bump_65": {"res_H": 0.034943792208020207, "res_v": 0.0020633741955830565,
+                       "triples": 160},
+    "curve1d_translator_gap": {"res_H": 0.00038062854654419276,
+                               "res_v": 7.065736976503318e-09, "triples": 118},
 }
+
+
+def without_snapshot(traj, k):
+    """traj with its k-th stored state removed: a gap of two steps."""
+    return dataclasses.replace(traj, states=traj.states[:k] + traj.states[k + 1:],
+                               state_steps=traj.state_steps[:k] + traj.state_steps[k + 1:])
 
 
 @pytest.fixture(scope="module")
@@ -138,6 +152,10 @@ def residual_inputs():
         "radial2d_sine_tube_bump": (sine_tube_bump_traj(41), sine_tube(2.0, 0.5, 1.0)),
         "disk2d_bump": (disk_traj(33), cylinder(1.0)),
         "one_triple": (translator_traj(51, max_steps=2), trumpet()),
+        "disk2d_bump_65": (disk_traj(65), cylinder(1.0)),
+        # the gap sits three quarters in, inside the probe window
+        "curve1d_translator_gap": (without_snapshot(tr := translator_traj(51),
+                                                    3 * len(tr.states) // 4), trumpet()),
     }
 
 
@@ -160,7 +178,8 @@ def test_evolution_residuals_pinned(residual_inputs, name):
 
 @pytest.mark.parametrize("budget", [1, 200])
 def test_evolution_residuals_ignore_block_edges(residual_inputs, monkeypatch, budget):
-    # budget 1: one state per block; 200 nodes: a few 1d states per block
+    # budget 1: one state per block; 200 nodes: a few 1d states per block (a
+    # disk state of N = 33 or 65 is a block of its own at every budget here)
     monkeypatch.setattr(monitors, "RESIDUAL_BLOCK_NODES", budget)
     for name, (traj, profile) in residual_inputs.items():
         assert_same_values(evolution_residuals(traj, profile), RESIDUAL_PINS[name])
