@@ -32,11 +32,12 @@ the state the flow's guard saw.  v reads the boundary's V field: a planar
 boundary's own, the tube's radial extension from f'.  Central differences
 inside; the line kinds impose at their ends the slope the state's boundary
 takes there (-+1/s' on the planar boundary, f'(u_b) at the radial rim, 0 on
-the axis), the disk its mirror-point ghosts.  A line end's u_xx takes the ghost (mirror-slope) form
-in the step's rate and the one-sided second-order form in H.  With the
-future-pointing unit normal nu and h_ij = -<d2F, nu>, the mean curvature of
-an upward-convex graph is positive; the translating benchmark
-u = log cosh x + t has H = v_hat = cosh x and interior update g^xx u_xx = 1.
+the axis), the disk its mirror-point ghosts.  A line end's u_xx takes the
+ghost (mirror-slope) form in the step's rate and the one-sided second-order
+form in H.  With the future-pointing unit normal nu and h_ij = -<d2F, nu>,
+the mean curvature of an upward-convex graph is positive; the translating
+benchmark u = log cosh x + t has H = v_hat = cosh x and interior update
+g^xx u_xx = 1.
 
 A disk state is the m x m box of its nodes, m = N + 2: the N x N core and
 one pad ring.  Its fields live on the box too, with their values on the pad

@@ -173,7 +173,7 @@ def evolution_residuals(traj: Trajectory, profile) -> dict:
 
     res = np.zeros(2)
     for b in range(1 // per_block, (len(ids) - 2) // per_block + 1):
-        # the block's states with both neighbours in the walk
+        # the block's states with both neighbours in the walk (1 .. len(ids) - 2)
         lo, hi = max(b * per_block, 1), min((b + 1) * per_block, len(ids) - 1)
         keep = np.array([ids[j] in wanted for j in range(lo, hi)], dtype=bool)
         window = [run(0, lo + d, hi + d) for d in (-1, 0, 1)]
