@@ -14,11 +14,11 @@ compare the two engines, bit for bit.
 The node loops multiply by the reciprocals of 2h and h^2 taken once a step,
 and take w = sqrt(m) and v_hat = 1/w once a node (rhs = u_xx v_hat^2, v =
 (v w) v_hat), as geometry.py does; a line grid's end nodes are taken outside
-the loops, which hold no branch.  The trumpet's V field (sgn sinh a, cosh a)
-calls no libm function: ``exp_parts`` in ``_step.c`` forms e^a and e^a - 1
+the loops, which hold no branch, and curve1d's stencil, V field, rate and
+record fields are one pass over its inside nodes.  The trumpet's V field
+(sgn sinh a, cosh a) calls no libm function: ``exp_parts`` forms e^a, e^a - 1
 from adds, multiplies and the bits of 2^k, within an ulp of glibc's exp on
-the trumpet's domain, and ``profiles._exp_parts`` does the same operations
-in numpy.
+the trumpet's domain, as ``profiles._exp_parts`` does in numpy.
 
 On first use the source is compiled with the system C compiler (``$CC``,
 else ``cc``) and ``CFLAGS``, and loaded through ctypes.  The flags keep
@@ -34,7 +34,7 @@ or a signed zero could tell the orders apart takes them by the node-order
 walk instead (see ``_step.c``).  Never ``-ffast-math``, and no ``-march``:
 the cache key holds only the machine type, so a library tuned for one CPU
 could be loaded on another that lacks its instructions.  The disk's row
-kernel and the curve1d node loop instead carry their own AVX2 clones
+kernel and curve1d's node pass instead carry their own AVX2 clones
 (``target_clones``, on x86-64 with glibc), and the dynamic loader picks the
 clone the running CPU supports, so one cached library serves every x86-64
 machine.  The clones give the same bits: with contraction off, each lane of
@@ -46,12 +46,12 @@ the compiler and the flags.  Nothing is compiled at import.
 
 The library's second entry point, ``maxsurf_format_rows`` (``format_rows``
 here), writes blocks of CSV rows for ``runner``.  Its bytes equal Python's
-``format(v, ".17g")``: the 17 significant digits of x = m 2^e are
-m 5^p 2^(p+e), or m 2^e / 10^-p, rounded half to even in exact 128-bit
-integers, the decade being fixed on the truncated quotient; outside that
-range (below about 1e-16, from 2^128 on, or without a 128-bit integer type)
-glibc's ``snprintf``, which rounds correctly, writes the value, and NaN is
-``nan`` whatever its sign, as in Python.
+``format(v, ".17g")``: the decade is an integer estimate from the binary
+exponent, and the 17 significant digits of x = m 2^e one exact 128-bit
+quotient, m 5^p 2^(p+e) or m 2^e / 10^-p, rounded half to even (from its
+dropped digit where it has 18), written two at a time; outside that range
+(below 1e-16, from 2^128 on, or without a 128-bit integer type) glibc's
+``snprintf``, which rounds correctly, writes it; NaN is ``nan``, as in Python.
 
 ``available`` (read lazily) says whether the library could be built and
 loaded; when it could not, ``reason`` holds a one-line explanation,

@@ -28,14 +28,15 @@
  * w = sqrt(m) and v_hat = 1/w, so that rhs = u_xx v_hat^2, H = v_hat rhs and
  * v = (v w) v_hat are products (geometry.py does the same).  A line grid's
  * two end nodes, whose slope the boundary imposes, are taken outside the
- * loops, which thus hold no branch.  The trumpet's V field (sgn sinh a,
+ * loops, which thus hold no branch; curve1d then makes one pass over its
+ * inside nodes (radial2d makes three).  The trumpet's V field (sgn sinh a,
  * cosh a) calls no libm function: exp_parts forms e^a and e^a - 1 from adds,
  * multiplies and the bits of 2^k, within an ulp of glibc's exp on the
  * trumpet's domain, and a node takes one more division, 1/e^a.
  *
  * No -march either: _kernels.py caches the library under the machine type
  * alone, so it must run on every CPU of that type.  The two loops where
- * vector width pays, the disk's row kernel and the curve1d node loop with its
+ * vector width pays, the disk's row kernel and curve1d's pass with its
  * exponential, are cloned for AVX2 instead (target_clones, on x86-64 with
  * glibc, whose loader picks the clone once).  The clones agree bit for bit:
  * without contraction an AVX2 lane does the SSE2 lane's correctly rounded
@@ -44,16 +45,16 @@
  *
  * The record's least margin, sup v, sup |H| and range of u are simd
  * reductions, in whatever order the lanes run: the disk's row kernel takes
- * them, and on the line kinds stencil and line_record, the end nodes being
- * folded in after their loops.  Without a NaN, an inf or a tie of +0.0 and
- * -0.0 the extreme of a set is one value whatever the order; a step where a
- * NaN or an inf entered (a check sum says so) or where u's range ends on a
- * zero takes them by the node-order walk instead (take_sups and settle_sups:
- * the first NaN sticks, a tie keeps the earlier value), as numpy's reductions
- * over the reference's fields do.  sup v_hat is 1/sqrt(m_min) on every kind:
- * v_hat = 1/sqrt(m) node by node, and correctly rounded sqrt and division
- * are monotone, so the largest v_hat is that of the least margin bit for
- * bit, NaN and inf included.
+ * them, and curve1d's pass, and radial2d's stencil and line_record, the end
+ * nodes being folded in apart from the loops.  Without a NaN, an inf or a tie
+ * of +0.0 and -0.0 the extreme of a set is one value whatever the order; a
+ * step where a NaN or an inf entered (a check sum says so) or where u's
+ * range ends on a zero takes them by the node-order walk instead (take_sups
+ * and settle_sups: the first NaN sticks, a tie keeps the earlier value), as
+ * numpy's reductions over the reference's fields do.  sup v_hat is
+ * 1/sqrt(m_min) on every kind: v_hat = 1/sqrt(m) node by node, and correctly
+ * rounded sqrt and division are monotone, so the largest v_hat is that of
+ * the least margin bit for bit, NaN and inf included.
  *
  * As in flow.py, each kind supplies only what differs (see KINDS): its
  * evaluation (the rate with the moving grid's advection term, and the
@@ -88,9 +89,10 @@
  *
  * The file also holds the run outputs' CSV formatter, maxsurf_format_rows
  * (see the end of the file), which writes rows of doubles byte for byte as
- * Python's format(v, ".17g") does: the 17 digits are exact 128-bit integer
- * quotients rounded half to even, and the values outside that range go to
- * snprintf, which glibc rounds correctly.
+ * Python's format(v, ".17g") does: the decade is an integer estimate from the
+ * binary exponent, the 17 digits one exact 128-bit integer quotient rounded
+ * half to even, written two at a time from a table in fixed-width blocks, and
+ * the values outside that range go to snprintf, which glibc rounds correctly.
  */
 #include <math.h>
 #include <stdio.h>
@@ -236,28 +238,30 @@ void maxsurf_exp_parts(int64_t n, const double *a, double *e, double *em1)
 
 /* -- the incidence Newton (flow._newton and its two residuals) --------------- */
 
-/* one rim's incidence equation: start point x0, rim height ub, surface slope */
+/* one rim's incidence equation: start point x0, rim height ub, surface slope;
+ * s is where planar_residual keeps s(|x|) at the last point it took */
 typedef struct {
     int code;
     const double *prm;
-    double x0, ub, slope;
+    double x0, ub, slope, s;
 } Incidence;
 
 /* the residual phi(x), and phi'(x) in *dphi unless dphi is NULL */
-typedef double (*Residual)(const Incidence *c, double x, double *dphi);
+typedef double (*Residual)(Incidence *c, double x, double *dphi);
 
 /* slide the rim point along the surface tangent onto y = s(|x|), on the
  * branch of the start point */
-static double planar_residual(const Incidence *c, double x, double *dphi)
+static double planar_residual(Incidence *c, double x, double *dphi)
 {
     double ax = fabs(x);
     if (dphi)
         *dphi = c->slope - (c->x0 > 0 ? 1.0 : -1.0) * planar_ds(ax);
-    return c->ub + c->slope * (x - c->x0) - planar_s(ax);
+    c->s = planar_s(ax);
+    return c->ub + c->slope * (x - c->x0) - c->s;
 }
 
 /* r = f(u_b + slope (r - rho_b)) for the rim radius */
-static double rotational_residual(const Incidence *c, double r, double *dphi)
+static double rotational_residual(Incidence *c, double r, double *dphi)
 {
     double z = c->ub + c->slope * (r - c->x0);
     if (dphi)
@@ -266,8 +270,9 @@ static double rotational_residual(const Incidence *c, double r, double *dphi)
 }
 
 /* Root of phi near the predicted rim point c->x0: returns 0 and the root in
- * *x, or 1 with (start point, residual) in fail[]. */
-static int newton(Residual phi, const Incidence *c, double *x, double *fail)
+ * *x, at which the closing residual is taken, or 1 with (start point,
+ * residual) in fail[]. */
+static int newton(Residual phi, Incidence *c, double *x, double *fail)
 {
     double xi = c->x0;
     for (int it = 0; it < 12; ++it) {
@@ -370,11 +375,11 @@ typedef struct {
     const double *prm;
     const Disk *disk;
     double *u;
-    double *ux, *m, *w, *rhs;        /* u_x, the margin 1 - u_x^2, its sqrt (the line
-                                        kinds; the disk's uf takes its place), du/dt
-                                        without advection */
-    double *vh, *H, *v, *dV;         /* record fields; the line kinds first store v w
-                                        in v and dV per unit w h (1, or 2 pi rho) in dV */
+    double *ux, *m, *w, *rhs;        /* u_x, the margin 1 - u_x^2, its sqrt (radial2d, and
+                                        curve1d's ends; the disk's uf takes its place),
+                                        du/dt without advection (curve1d: at its ends) */
+    double *vh, *H, *v, *dV;         /* record fields; radial2d first stores v w in v and
+                                        dV per unit w h (2 pi rho) in dV */
     double vol, ih2;                 /* the record's sums of dV and H^2 dV */
     const int64_t *span_lo, *span_hi;   /* the record's nodes: span_lo[j] <= i < span_hi[j], */
     int64_t n_spans;                    /* [0, n) on a line, the disk's row runs */
@@ -438,11 +443,24 @@ static double line_end(Step *S, int64_t e, double slope, Run *r)
     return vhe * vhe;
 }
 
-/* u_x, u_xx, the margin, w = sqrt(m), v_hat = 1/w and rhs = u_xx v_hat^2 on
- * spacing h (geometry._line_derivatives): central differences, multiplied by
- * the reciprocals of 2h and h^2 taken once, at the inside nodes; the given
- * slopes at the ends, whose rhs each kind sets.  Sets h and 1/h^2; returns
- * the least margin and the check sum of the margins (see settle_sups). */
+/* a line grid's inside node i (geometry._line_derivatives): u_x and u_xx by
+ * central differences times 1/(2h) and 1/h^2, the margin m = 1 - u_x^2,
+ * w = sqrt(m), v_hat = 1/w and rhs = u_xx v_hat^2 */
+typedef struct {
+    double ux, m, w, vh, rhs;
+} Node;
+
+static inline Node stencil_node(const double *u, int64_t i, double inv_2h, double inv_h2)
+{
+    double d = (u[i + 1] - u[i - 1]) * inv_2h;
+    double dd = (u[i + 1] - 2.0 * u[i] + u[i - 1]) * inv_h2;
+    double mi = 1.0 - d * d;
+    double wi = sqrt(mi), vhi = 1.0 / wi;
+    return (Node){d, mi, wi, vhi, dd * (vhi * vhi)};
+}
+
+/* radial2d's stencil: stencil_node inside, the given slopes at the ends.
+ * Sets h and 1/h^2; returns the least margin and the margins' check sum. */
 static Run stencil(Step *S, double h, double slope_lo, double slope_hi)
 {
     const int64_t n = S->n;
@@ -453,17 +471,14 @@ static Run stencil(Step *S, double h, double slope_lo, double slope_hi)
     double m_lo = INFINITY, bad = 0.0;
 #pragma omp simd reduction(min: m_lo) reduction(+: bad)
     for (int64_t i = 1; i < n - 1; ++i) {
-        double d = (u[i + 1] - u[i - 1]) * inv_2h;
-        double dd = (u[i + 1] - 2.0 * u[i] + u[i - 1]) * inv_h2;
-        double mi = 1.0 - d * d;
-        double wi = sqrt(mi), vhi = 1.0 / wi;
-        ux[i] = d;
-        m[i] = mi;
-        w[i] = wi;
-        vh[i] = vhi;
-        rhs[i] = dd * (vhi * vhi);
-        m_lo = mi < m_lo ? mi : m_lo;
-        bad += mi - mi;
+        Node p = stencil_node(u, i, inv_2h, inv_h2);
+        ux[i] = p.ux;
+        m[i] = p.m;
+        w[i] = p.w;
+        vh[i] = p.vh;
+        rhs[i] = p.rhs;
+        m_lo = p.m < m_lo ? p.m : m_lo;
+        bad += p.m - p.m;
     }
     Run r = {m_lo, -INFINITY, -INFINITY, INFINITY, -INFINITY, bad};
     line_end(S, 0, slope_lo, &r);
@@ -516,28 +531,47 @@ static double pairwise_sum(const double *a, int64_t n)
     return pairwise_sum(a, n2) + pairwise_sum(a + n2, n - n2);
 }
 
-/* H, v and dV at the end e of a line grid (geometry._line_fields), H from
- * the one-sided rhs, dV over the half cell; folded into the reductions r */
-static void line_end_fields(Step *S, int64_t e, double rhs_e, Run *r)
+/* the record's fields at a node of a line grid (geometry._line_fields): H =
+ * v_hat rhs, v = (v w) v_hat and dV = (dV per unit w h) w h, and H^2 dV; h is
+ * the node's cell, the half cell at an end */
+typedef struct {
+    double H, v, dV, H2dV;
+} Fields;
+
+static inline Fields line_fields(double vh, double rhs, double vw, double dV_unit, double w,
+                                 double h)
 {
-    double vhe = S->vh[e], He = vhe * rhs_e, ve = S->v[e] * vhe,
-           dVe = S->dV[e] * S->w[e] * (0.5 * S->h);
-    double aH = fabs(He), c = S->u[e];
-    S->H[e] = He;
-    S->v[e] = ve;
-    S->dV[e] = dVe;
-    S->sum_H2dV[e] = He * He * dVe;
-    r->v = ve > r->v ? ve : r->v;
+    double H = vh * rhs, dV = dV_unit * w * h;
+    return (Fields){H, vw * vh, dV, H * H * dV};
+}
+
+/* line_fields at the end e of a line grid, H from the one-sided rhs, v w and
+ * the unit dV given; folded into the reductions r */
+static void line_end_fields(Step *S, int64_t e, double rhs_e, double vw, double dV_unit, Run *r)
+{
+    Fields f = line_fields(S->vh[e], rhs_e, vw, dV_unit, S->w[e], 0.5 * S->h);
+    double aH = fabs(f.H), c = S->u[e];
+    S->H[e] = f.H;
+    S->v[e] = f.v;
+    S->dV[e] = f.dV;
+    S->sum_H2dV[e] = f.H2dV;
+    r->v = f.v > r->v ? f.v : r->v;
     r->H = aH > r->H ? aH : r->H;
     r->umin = c < r->umin ? c : r->umin;
     r->umax = c > r->umax ? c : r->umax;
-    r->bad += (ve - ve) + (aH - aH) + (c - c);
+    r->bad += (f.v - f.v) + (aH - aH) + (c - c);
 }
 
-/* the record fields of a line grid (geometry._line_fields): H = v_hat rhs,
- * v = (v w) v_hat and dV = (dV per unit w h) w h at the inside nodes, as simd
- * reductions, then the ends; the record's sums, and its sups from the
- * reductions r, which hold stencil's */
+/* the record's sums, pairwise, and its sups from the reductions r */
+static void line_close(Step *S, Run r)
+{
+    S->vol = pairwise_sum(S->dV, S->n);
+    S->ih2 = pairwise_sum(S->sum_H2dV, S->n);
+    settle_sups(S, r);
+}
+
+/* radial2d's record: line_fields at the inside nodes, as simd reductions, then
+ * at the ends; the reductions r hold stencil's */
 static void line_record(Step *S, Run r)
 {
     const int64_t n = S->n;
@@ -548,24 +582,22 @@ static void line_record(Step *S, Run r)
     double v_hi = r.v, H_hi = r.H, u_lo = r.umin, u_hi = r.umax, bad = r.bad;
 #pragma omp simd reduction(max: v_hi, H_hi, u_hi) reduction(min: u_lo) reduction(+: bad)
     for (int64_t i = 1; i < n - 1; ++i) {
-        double vhi = vh[i], Hi = vhi * rhs[i], vi = v[i] * vhi, dVi = dV[i] * w[i] * h;
-        double aH = fabs(Hi), c = u[i];
-        H[i] = Hi;
-        v[i] = vi;
-        dV[i] = dVi;
-        sH2dV[i] = Hi * Hi * dVi;
-        v_hi = vi > v_hi ? vi : v_hi;
+        Fields f = line_fields(vh[i], rhs[i], v[i], dV[i], w[i], h);
+        double aH = fabs(f.H), c = u[i];
+        H[i] = f.H;
+        v[i] = f.v;
+        dV[i] = f.dV;
+        sH2dV[i] = f.H2dV;
+        v_hi = f.v > v_hi ? f.v : v_hi;
         H_hi = aH > H_hi ? aH : H_hi;
         u_lo = c < u_lo ? c : u_lo;
         u_hi = c > u_hi ? c : u_hi;
-        bad += (vi - vi) + (aH - aH) + (c - c);
+        bad += (f.v - f.v) + (aH - aH) + (c - c);
     }
     r = (Run){r.m, v_hi, H_hi, u_lo, u_hi, bad};
-    line_end_fields(S, 0, S->r_end[0], &r);
-    line_end_fields(S, n - 1, S->r_end[1], &r);
-    S->vol = pairwise_sum(S->dV, n);
-    S->ih2 = pairwise_sum(S->sum_H2dV, n);
-    settle_sups(S, r);
+    line_end_fields(S, 0, S->r_end[0], S->v[0], S->dV[0], &r);
+    line_end_fields(S, n - 1, S->r_end[1], S->v[n - 1], S->dV[n - 1], &r);
+    line_close(S, r);
 }
 
 /* Boundary identity data at one boundary point (flow._boundary_block): rim
@@ -603,52 +635,88 @@ static Block boundary_block(const Step *S, int hi, double a_vv, double a_ww)
 
 /* -- curve1d: u_t = u_xx / (1 - u_x^2) on [x_l(t), x_r(t)] -------------------- */
 
-/* the V field (the trumpet's on the domain [lo, hi]) and v w, the unit dV
- * (1), and u_t with the drift of the nodes, which sit at xc + s span/2 and
- * move at w_mid + s w_half/2 (geometry._curve1d_fields, flow._curve1d_rate).
- * Free of branches, so the compiler vectorises it; the exponential is most
- * of its work, so it is cloned for AVX2 as disk2d_row is. */
+/* the nodes' drift and the trumpet's domain, for curve1d_node */
+typedef struct {
+    double xc, span, lo, hi, w_mid, w_half;
+} Drift;
+
+/* the trumpet's V field on [lo, hi] and v w at the node of reference
+ * coordinate s, which sits at xc + s span/2, and u_t with the node's drift
+ * w_mid + s w_half/2 (geometry._curve1d_fields, flow._curve1d_rate) */
+static inline void curve1d_node(const Drift *g, double s, double ux, double rhs, double *vw,
+                                double *udot)
+{
+    double Vx, Vt;
+    trumpet_V(g->xc + s * 0.5 * g->span, g->lo, g->hi, &Vx, &Vt);
+    *vw = Vt - Vx * ux;
+    *udot = rhs + (g->w_mid + s * 0.5 * g->w_half) * ux;
+}
+
+/* curve1d's one pass over its inside nodes: stencil_node, curve1d_node and
+ * line_fields (the unit dV is 1), storing what the record, rim and update read,
+ * and the reductions, from the ends' r.  Free of branches, so it vectorises;
+ * the exponential is most of its work, so it is cloned for AVX2. */
 #if defined(__x86_64__) && defined(__GLIBC__)
 __attribute__((target_clones("avx2", "default")))
 #endif
-static void curve1d_nodes(int64_t n, double xc, double span, double lo, double hi,
-                          double w_mid, double w_half, const double *restrict s_ref,
-                          const double *restrict ux, const double *restrict rhs,
-                          double *restrict v, double *restrict dV, double *restrict udot)
+static Run curve1d_inside(const Step *S, const Drift *g, Run r)
 {
-    for (int64_t i = 0; i < n; ++i) {
-        double Vx, Vt;
-        trumpet_V(xc + s_ref[i] * 0.5 * span, lo, hi, &Vx, &Vt);
-        v[i] = Vt - Vx * ux[i];
-        dV[i] = 1.0;
-        udot[i] = rhs[i] + (w_mid + s_ref[i] * 0.5 * w_half) * ux[i];
+    const int64_t n = S->n;
+    const double h = S->h, inv_2h = 1.0 / (2.0 * h), inv_h2 = S->inv_h2;
+    const double *restrict u = S->u, *restrict s_ref = S->s_ref;
+    double *restrict m = S->m, *restrict H = S->H, *restrict v = S->v, *restrict dV = S->dV,
+           *restrict sH2dV = S->sum_H2dV, *restrict udot = S->udot;
+    double m_lo = r.m, v_hi = r.v, H_hi = r.H, u_lo = r.umin, u_hi = r.umax, bad = r.bad;
+#pragma omp simd reduction(min: m_lo, u_lo) reduction(max: v_hi, H_hi, u_hi) reduction(+: bad)
+    for (int64_t i = 1; i < n - 1; ++i) {
+        Node p = stencil_node(u, i, inv_2h, inv_h2);
+        double vw;
+        curve1d_node(g, s_ref[i], p.ux, p.rhs, &vw, udot + i);
+        Fields f = line_fields(p.vh, p.rhs, vw, 1.0, p.w, h);
+        double aH = fabs(f.H), c = u[i];
+        m[i] = p.m;
+        H[i] = f.H;
+        v[i] = f.v;
+        dV[i] = f.dV;
+        sH2dV[i] = f.H2dV;
+        m_lo = p.m < m_lo ? p.m : m_lo;
+        v_hi = f.v > v_hi ? f.v : v_hi;
+        H_hi = aH > H_hi ? aH : H_hi;
+        u_lo = c < u_lo ? c : u_lo;
+        u_hi = c > u_hi ? c : u_hi;
+        bad += (p.m - p.m) + (f.v - f.v) + (aH - aH) + (c - c);
     }
+    return (Run){m_lo, v_hi, H_hi, u_lo, u_hi, bad};
 }
 
-/* geometry._curve1d_evaluate and flow._curve1d_rate; V is the trumpet's */
+/* geometry._curve1d_evaluate and flow._curve1d_rate; V is the trumpet's.  The
+ * ends first (slope, ghost-form and one-sided rhs, boundary speed, then record
+ * fields), which read only u near them, then curve1d_inside */
 static void curve1d_evaluate(Step *S)
 {
     const int64_t n = S->n;
     double xl = S->b[0], xr = S->b[1], h = (xr - xl) / S->nm1;
-    double dsR = planar_ds(xr), dsL = planar_ds(fabs(xl));
-    double slope_r = 1.0 / dsR, slope_l = -1.0 / dsL;
-    Run r = stencil(S, h, slope_l, slope_r);
-    double vh2_l = S->vh[0] * S->vh[0], vh2_r = S->vh[n - 1] * S->vh[n - 1];
-    S->rhs[0] = ghost_uxx(S, 0, 1, slope_l) * vh2_l;
-    S->rhs[n - 1] = ghost_uxx(S, n - 1, -1, slope_r) * vh2_r;
-    S->r_end[0] = one_sided_uxx(S, 0, 1, slope_l) * vh2_l;
-    S->r_end[1] = one_sided_uxx(S, n - 1, -1, slope_r) * vh2_r;
-    S->ds[0] = dsL;
-    S->ds[1] = dsR;
-    double xdot_r = S->r_end[1] * dsR / (dsR * dsR - 1.0);
-    double xdot_l = -S->r_end[0] * dsL / (dsL * dsL - 1.0);
-    double w_mid = 0.5 * (xdot_l + xdot_r), w_half = xdot_r - xdot_l;
-    S->bdot[0] = xdot_l;
-    S->bdot[1] = xdot_r;
-
-    curve1d_nodes(n, 0.5 * (xl + xr), xr - xl, S->prm[0], S->prm[1], w_mid, w_half, S->s_ref,
-                  S->ux, S->rhs, S->v, S->dV, S->udot);
-    line_record(S, r);
+    Run r = {INFINITY, -INFINITY, -INFINITY, INFINITY, -INFINITY, 0.0};
+    S->h = h;
+    S->inv_h2 = 1.0 / (h * h);
+    for (int j = 0; j < 2; ++j) {
+        int64_t e = j ? n - 1 : 0, d = j ? -1 : 1;      /* the end, inward */
+        double ds = planar_ds(j ? xr : fabs(xl)), slope = -d / ds;
+        double vh2 = line_end(S, e, slope, &r);
+        S->rhs[e] = ghost_uxx(S, e, d, slope) * vh2;
+        S->r_end[j] = one_sided_uxx(S, e, d, slope) * vh2;
+        S->ds[j] = ds;
+        S->bdot[j] = -d * S->r_end[j] * ds / (ds * ds - 1.0);
+    }
+    Drift g = {0.5 * (xl + xr), xr - xl, S->prm[0], S->prm[1], 0.5 * (S->bdot[0] + S->bdot[1]),
+               S->bdot[1] - S->bdot[0]};
+    for (int j = 0; j < 2; ++j) {
+        int64_t e = j ? n - 1 : 0;
+        double vw;
+        curve1d_node(&g, S->s_ref[e], S->ux[e], S->rhs[e], &vw, S->udot + e);
+        line_end_fields(S, e, S->r_end[j], vw, 1.0, &r);
+    }
+    line_close(S, curve1d_inside(S, &g, r));
 }
 
 static Block curve1d_rim(const Step *S, double *lo)
@@ -660,15 +728,15 @@ static Block curve1d_rim(const Step *S, double *lo)
                         boundary_block(S, 1, planar_d2s(fabs(S->b[1])) / pow(wR, THREE), 0.0));
 }
 
-/* exact incidence at both ends, then transport the interior along, u_x by
- * the reciprocal of the new 2h */
+/* exact incidence at both ends (u there is s(|x|) from newton's closing
+ * residuals), then transport the interior along, u_x by 1/(new 2h) */
 static int curve1d_project(Step *S, double *fail)
 {
     const int64_t n = S->n;
     const double *unew = S->unew;
     double xl_new = S->bnew[0], xr_new = S->bnew[1];
-    Incidence r = {0, NULL, xr_new, unew[n - 1], 1.0 / planar_ds(xr_new)};
-    Incidence l = {0, NULL, xl_new, unew[0], -1.0 / planar_ds(fabs(xl_new))};
+    Incidence r = {0, NULL, xr_new, unew[n - 1], 1.0 / planar_ds(xr_new), 0.0};
+    Incidence l = {0, NULL, xl_new, unew[0], -1.0 / planar_ds(fabs(xl_new)), 0.0};
     double xr_p, xl_p;
     if (newton(planar_residual, &r, &xr_p, fail) || newton(planar_residual, &l, &xl_p, fail))
         return 1;
@@ -679,8 +747,8 @@ static int curve1d_project(Step *S, double *fail)
         double uxn = (unew[i + 1] - unew[i - 1]) * inv_2h;
         S->u[i] = unew[i] + (shift_mid + S->s_ref[i] * 0.5 * shift_half) * uxn;
     }
-    S->u[0] = planar_s(fabs(xl_p));
-    S->u[n - 1] = planar_s(fabs(xr_p));
+    S->u[0] = l.s;
+    S->u[n - 1] = r.s;
     S->b[0] = xl_p;
     S->b[1] = xr_p;
     return 0;
@@ -742,7 +810,7 @@ static int radial2d_project(Step *S, double *fail)
         rb_p = rot_f(S->code, S->prm, unew[n - 1]);
         du_b = 0.0;
     } else {
-        Incidence c = {S->code, S->prm, rb_new, unew[n - 1], dfbn};
+        Incidence c = {S->code, S->prm, rb_new, unew[n - 1], dfbn, 0.0};
         if (newton(rotational_residual, &c, &rb_p, fail))
             return 1;
         du_b = dfbn * (rb_p - rb_new);
@@ -915,8 +983,7 @@ static Block disk2d_rim(const Step *S, double *lo)
 /* the disk does not move: the update, written into u itself, is the new state */
 static int disk2d_project(Step *S, double *fail)
 {
-    (void)S;
-    (void)fail;
+    (void)S, (void)fail;
     return 0;
 }
 
@@ -1045,12 +1112,14 @@ static u128 pow5(int p)
 #define E17 100000000000000000ull
 
 /* The 17 significant digits of a finite x > 0, correctly rounded half to
- * even, as q in [10^16, 10^17) with x ~ q 10^(k-16).  With x = m 2^e exactly,
- * x 10^p (p = 16 - k) is m 5^p 2^(p+e), or m 2^e / 10^-p for p < 0, and is
- * taken in exact 128-bit integers; the decade k is tested on the truncated
- * quotient, before rounding, so that a value just below a power of ten keeps
- * its 17 nines.  Returns 0 where the products leave 128 bits: below about
- * 1e-16 and from 2^128 (about 3.4e38) on. */
+ * even, as q in [10^16, 10^17) with x ~ q 10^(k-16).  x = m 2^e lies in
+ * [2^(e+52), 2^(e+53)), so its decade is k = ((e + 52) 78913) >> 18, which is
+ * floor((e + 52) log10 2) for every exponent of a double, or k + 1.  One exact
+ * 128-bit quotient, of x 10^p (p = 16 - k) = m 5^p 2^(p+e) or of m 2^e / 10^-p,
+ * is truncated to q with a remainder rem of den; 18 digits mean the decade is
+ * k + 1.  The decade is fixed on the truncated quotient, so that a value just
+ * below a power of ten keeps its 17 nines.  Returns 0 where the products
+ * leave 128 bits: below 1e-16 and from 2^128 (about 3.4e38) on. */
 static int digits17(double x, uint64_t *q_out, int *k_out)
 {
     uint64_t bits;
@@ -1060,49 +1129,45 @@ static int digits17(double x, uint64_t *q_out, int *k_out)
         return 0;
     uint64_t m = (bits & ((1ull << 52) - 1)) | (1ull << 52);
     int e = biased - 1075;
-    /* x lies in [2^(e+52), 2^(e+53)): floor(log10 x) is this or one more */
-    int k = (int)floor((e + 52) * 0.30102999566398120);
-    for (int pass = 0; pass < 2; ++pass, ++k) {
-        int p = 16 - k;
-        u128 q;
-        int up;
-        if (p >= 0) {
-            if (p > 32)                    /* m 5^p would leave 128 bits */
-                continue;
-            u128 n = (u128)m * pow5(p);
-            int s = -(e + p);
-            if (s <= 0) {
-                q = n << -s;
-                up = 0;
-            } else {
-                if (s >= 128)
-                    return 0;
-                q = n >> s;
-                u128 rem = n - (q << s), half = (u128)1 << (s - 1);
-                up = rem > half || (rem == half && (q & 1));
-            }
-        } else {
-            if (e < 0 || e > 128 - 53 || -p > 22)
-                return 0;
-            u128 n = (u128)m << e, d = pow5(-p) << -p;
-            q = n / d;
-            u128 rem2 = 2 * (n - q * d);
-            up = rem2 > d || (rem2 == d && (q & 1));
-        }
-        if (q >= E17)                      /* the decade is k + 1 */
-            continue;
-        if (q < E16)
+    int k = ((e + 52) * 78913) >> 18;      /* GCC shifts a negative int arithmetically */
+    k = k < -16 ? -16 : k;                 /* 5^p leaves 128 bits above p = 32 */
+    int p = 16 - k;
+    u128 q, rem, den;
+    if (p >= 0) {
+        u128 n = (u128)m * pow5(p);
+        int s = -(e + p);
+        if (s >= 128)
             return 0;
-        q += up;
-        if (q == E17) {                    /* rounded up into the next decade */
-            q = E16;
-            k += 1;
-        }
-        *q_out = (uint64_t)q;
-        *k_out = k;
-        return 1;
+        den = (u128)1 << (s > 0 ? s : 0);
+        q = s > 0 ? n >> s : n << -s;
+        rem = n & (den - 1);
+    } else {                               /* k <= 38 below 2^128, so 10^-p < 2^74 */
+        if (e > 128 - 53)
+            return 0;
+        den = pow5(-p) << -p;
+        q = ((u128)m << e) / den;
+        rem = ((u128)m << e) - q * den;
     }
-    return 0;
+    uint64_t d = (uint64_t)q;              /* below 10^18 */
+    /* with 18 digits, the tenth of d rounds from the dropped digit and rem;
+     * both roundings are taken, as which applies is close to a coin toss */
+    int wide = d >= E17;
+    uint64_t tenth = d / 10;
+    unsigned dropped = (unsigned)(d - 10 * tenth);
+    int up10 = (dropped > 5) | ((dropped == 5) & ((rem != 0) | (int)(tenth & 1)));
+    int up1 = (2 * rem > den) | ((2 * rem == den) & (int)(d & 1));
+    d = wide ? tenth : d;
+    k += wide;
+    if (d < E16)
+        return 0;
+    d += wide ? up10 : up1;
+    if (d == E17) {                        /* rounded up into the next decade */
+        d = E16;
+        k += 1;
+    }
+    *q_out = d;
+    *k_out = k;
+    return 1;
 }
 #else
 static int digits17(double x, uint64_t *q_out, int *k_out)
@@ -1112,11 +1177,28 @@ static int digits17(double x, uint64_t *q_out, int *k_out)
 }
 #endif
 
+/* "00" to "99": digits are written two at a time */
+static const char PAIRS[201] = "00010203040506070809101112131415161718192021222324"
+                               "25262728293031323334353637383940414243444546474849"
+                               "50515253545556575859606162636465666768697071727374"
+                               "75767778798081828384858687888990919293949596979899";
+
+/* the 8 digits of x < 10^8 at d[0..8) */
+static inline void put8(uint32_t x, char *d)
+{
+    uint32_t hi = x / 10000, lo = x % 10000;
+    memcpy(d, PAIRS + 2 * (hi / 100), 2);
+    memcpy(d + 2, PAIRS + 2 * (hi % 100), 2);
+    memcpy(d + 4, PAIRS + 2 * (lo / 100), 2);
+    memcpy(d + 6, PAIRS + 2 * (lo % 100), 2);
+}
+
 /* x as Python's format(x, ".17g") writes it; returns the number of bytes.
  * The exponent form is taken for a decade below -4 or from 17 on, with at
  * least two exponent digits, and trailing zeros are dropped, as %g does.
  * Outside digits17's range glibc's snprintf, which rounds correctly, writes
- * the digits; NaN is "nan" whatever its sign, where glibc writes "-nan". */
+ * the digits; NaN is "nan" whatever its sign, where glibc writes "-nan".
+ * Fixed-width blocks may write past the value, never past out + 24. */
 static int format_g17(double x, char *out)
 {
     char *o = out;
@@ -1140,41 +1222,38 @@ static int format_g17(double x, char *out)
     int k;
     if (!digits17(x, &q, &k))
         return (int)(o - out) + snprintf(o, CSV_VALUE_BYTES - 1, "%.17g", x);
-    char d[17];
-    for (int i = 16; i >= 0; --i) {
-        d[i] = (char)('0' + q % 10);
-        q /= 10;
-    }
+    char d[40] = {0};                      /* the 17 digits; the rest is read, not shown */
+    uint32_t top = (uint32_t)(q / 100000000);
+    d[0] = (char)('0' + top / 100000000);
+    put8(top % 100000000, d + 1);
+    put8((uint32_t)(q % 100000000), d + 9);
     int nd = 17;
     while (nd > 1 && d[nd - 1] == '0')
         --nd;
     if (k < -4 || k >= 17) {
-        *o++ = d[0];
-        if (nd > 1) {
-            *o++ = '.';
-            memcpy(o, d + 1, nd - 1);
-            o += nd - 1;
-        }
-        *o++ = 'e';
-        *o++ = k < 0 ? '-' : '+';
+        o[0] = d[0];
+        o[1] = '.';
+        memcpy(o + 2, d + 1, 16);
+        o += nd > 1 ? nd + 1 : 1;
+        o[0] = 'e';
+        o[1] = k < 0 ? '-' : '+';
+        o += 2;
         int a = k < 0 ? -k : k;
         if (a >= 100)
             *o++ = (char)('0' + a / 100);
-        *o++ = (char)('0' + a / 10 % 10);
-        *o++ = (char)('0' + a % 10);
-    } else if (k >= 0) {
-        memcpy(o, d, k + 1);
-        o += k + 1;
-        if (nd > k + 1) {
-            *o++ = '.';
-            memcpy(o, d + k + 1, nd - k - 1);
-            o += nd - k - 1;
-        }
+        memcpy(o, PAIRS + 2 * (a % 100), 2);
+        o += 2;
+    } else if (k >= 0) {                   /* the point after k + 1 digits */
+        char t[40];
+        memcpy(t, d, 17);
+        memcpy(t + k + 2, d + k + 1, 16);
+        t[k + 1] = '.';
+        memcpy(o, t, 18);
+        o += nd > k + 1 ? nd + 1 : k + 1;
     } else {
-        memcpy(o, "0.0000", 1 - k);        /* "0." and -k - 1 zeros */
-        o += 1 - k;
-        memcpy(o, d, nd);
-        o += nd;
+        memcpy(o, "0.000", 5);             /* "0." and -k - 1 zeros */
+        memcpy(o + 1 - k, d, 17);
+        o += 1 - k + nd;
     }
     return (int)(o - out);
 }

@@ -490,6 +490,53 @@ def test_library_formats_values_as_python_does(row):
     assert buf[:n].tobytes() == per_value_csv([row]).encode()
 
 
+def formatter_families():
+    """Fixed families of doubles for the formatter: exact 17-digit ties, the
+    neighbours of each power of ten and of two (each binary exponent meets
+    the decade estimate), integers near 10^16 and 10^17, both edges of the
+    snprintf fallback (1e-16 and 2^128), subnormals, zeros, infinities and NaN."""
+    rng = np.random.default_rng(20)
+    odd = rng.integers(4 * 10**15, 2**53, size=4000) | 1          # c/4, c odd, in [1e15, 2^51)
+    tens = np.array([float(f"1e{k}") for k in range(-20, 31)])
+    twos = np.ldexp(1.0, np.arange(-1074, 1024))
+    ints = np.array([float(b + i) for b in (10**16, 10**17) for i in range(-300, 301, 3)])
+    edges = lo = hi = np.array([1e-16, 2.0**128])
+    near = [edges]
+    for _ in range(200):                                            # 200 ulps either side
+        lo, hi = np.nextafter(lo, 0.0), np.nextafter(hi, np.inf)
+        near += [lo, hi]
+    values = np.concatenate([
+        odd / 4.0, tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf),
+        twos, np.nextafter(twos, 0.0), ints, *near,
+        np.arange(1, 200) * 5e-324, [2.2250738585072014e-308, 0.0, np.inf, np.nan]])
+    return np.concatenate([values, -values])
+
+
+@needs_library
+def test_library_formats_fixed_families_as_python_does():
+    values = formatter_families()
+    rows = np.concatenate([values, np.zeros(-values.size % 17)]).reshape(-1, 17)
+    buf = np.empty(rows.size * _kernels.CSV_VALUE_BYTES, dtype=np.uint8)
+    n = _kernels.format_rows(rows, buf)
+    assert buf[:n].tobytes().decode().split("\n")[:-1] == per_value_csv(rows).split("\n")[:-1]
+
+
+@needs_library
+@pytest.mark.parametrize("last", [-2.2250738585072014e-308, -1.7976931348623157e+308,
+                                  -0.00012345678901234568, -1.2345678901234567e-05])
+@pytest.mark.parametrize("shape", [(1, 1), (1, 17), (1024, 17)])
+def test_library_format_stays_inside_its_buffer(shape, last):
+    # values of the longest form, 24 bytes and a separator, so that the last
+    # value starts at its own CSV_VALUE_BYTES slot
+    rows = np.resize([-2.2250738585072014e-308, -1.7976931348623157e+308], shape)
+    rows[-1, -1] = last
+    size = rows.size * _kernels.CSV_VALUE_BYTES
+    buf = np.full(size + 64, 0xA5, dtype=np.uint8)
+    n = _kernels.format_rows(rows, buf)
+    assert buf[:n].tobytes() == per_value_csv(rows).encode()
+    assert np.all(buf[size:] == 0xA5)
+
+
 @needs_library
 def test_library_format_rejects_a_short_buffer():
     with pytest.raises(ValueError, match="6 values need"):

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -888,6 +889,31 @@ def test_step_loop_flags_keep_the_reference_arithmetic():
     banned = {"-ffast-math", "-Ofast", "-ffinite-math-only", "-fassociative-math",
               "-funsafe-math-optimizations", "-fno-signed-zeros"}
     assert [f for f in _kernels.CFLAGS if f in banned or f.startswith("-march=")] == []
+
+
+def test_step_loop_constants_match_their_python_mirrors():
+    # _kernels mirrors these from _step.c by hand; ctypes cannot check them
+    with open(_kernels.SOURCE) as f:
+        source = f.read()
+    defines = dict(re.findall(r"^#define (\w+) (\d+)$", source, re.M))
+    assert int(defines["NREC"]) == _kernels.NREC == len(RECORD_COLUMNS)
+    assert int(defines["CSV_VALUE_BYTES"]) == _kernels.CSV_VALUE_BYTES
+    enums = {}
+    for body in re.findall(r"^enum \{(.*?)\};", source, re.M | re.S):
+        value = -1
+        for item in body.split(","):
+            name, _, given = item.strip().partition(" = ")
+            value = int(given) if given else value + 1
+            enums[name] = value
+    status = {name[3:]: v for name, v in enums.items() if name.startswith("ST_")}
+    assert status == {name[8:]: getattr(_kernels, name)
+                      for name in dir(_kernels) if name.startswith("_STATUS_")}
+    assert {name[2:].lower(): v for name, v in enums.items() if name.startswith("K_")} == \
+        {kind: k.code for kind, k in _kernels.KINDS.items()}
+    profiles = {name[2:].lower(): v for name, v in enums.items() if name.startswith("P_")}
+    assert profiles == {name: code for name, (code, _) in _kernels.PROFILES.items()
+                        if name != "trumpet"}
+    assert _kernels.PROFILES["trumpet"][0] not in profiles.values()
 
 
 def test_built_package_ships_the_step_loop_source(tmp_path):
