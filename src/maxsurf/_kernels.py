@@ -41,8 +41,14 @@ machine.  The clones give the same bits: with contraction off, each lane of
 either width runs the same correctly rounded add, multiply, divide and sqrt,
 and only the min/max reductions above run in another order.  The shared
 object is cached beside this module in ``__pycache__``, or in a per-user
-temporary directory when that is not writable, under a hash of the source,
-the compiler and the flags.  Nothing is compiled at import.
+temporary directory when that is not writable, as ``_step.<crc>.so``: its
+key is the source, the compiler, the flags and the machine type, ``<crc>``
+the key's CRC-32, and the key itself is stored beside it in
+``_step.<crc>.key``, written only once the library is in place.  A cached
+library is loaded only if its stored key equals the current one byte for
+byte, so a CRC collision rebuilds rather than loads another build; a cache
+hit imports neither hashlib nor subprocess, which only a compile needs.
+Nothing is compiled at import.
 
 The library's second entry point, ``maxsurf_format_rows`` (``format_rows``
 here), writes blocks of CSV rows for ``runner``.  Its bytes equal Python's
@@ -62,13 +68,12 @@ rows with Python's ``%``.
 from __future__ import annotations
 
 import ctypes
-import hashlib
 import os
 import platform
 import shlex
 import shutil
-import subprocess
 import tempfile
+import zlib
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -191,29 +196,57 @@ def _cache_dir() -> str:
 
 
 def _build() -> str:
-    """Path of the compiled library, compiling it first if it is not cached."""
+    """Path of the compiled library, compiling it first unless the cached one
+    was built from this very key."""
     cc = _compiler()
     with open(SOURCE, "rb") as f:
         source = f.read()
-    key = hashlib.sha256(repr((source, cc, CFLAGS, LDLIBS, platform.machine())).encode())
-    cache = _cache_dir()
-    target = os.path.join(cache, f"_step.{key.hexdigest()[:16]}.so")
-    if os.path.isfile(target):
-        return target
-    fd, tmp = tempfile.mkstemp(prefix="_step.", suffix=".so.tmp", dir=cache)
-    os.close(fd)
+    key = repr((source, cc, CFLAGS, LDLIBS, platform.machine())).encode()
+    stem = os.path.join(_cache_dir(), f"_step.{zlib.crc32(key):08x}")
     try:
-        proc = subprocess.run([*cc, *CFLAGS, "-o", tmp, SOURCE, *LDLIBS],
+        with open(stem + ".key", "rb") as f:
+            if f.read() == key and os.path.isfile(stem + ".so"):
+                return stem + ".so"
+    except OSError:
+        pass
+    _replace_atomically(stem + ".so", lambda tmp: _compile(cc, tmp))
+    # only after the library: a stored key always names a whole library
+    _replace_atomically(stem + ".key", lambda tmp: _write_bytes(tmp, key))
+    return stem + ".so"
+
+
+def _compile(cc: list, out: str) -> None:
+    import subprocess    # a compile alone needs it
+
+    try:
+        proc = subprocess.run([*cc, *CFLAGS, "-o", out, SOURCE, *LDLIBS],
                               capture_output=True, text=True, errors="replace",
                               timeout=COMPILE_TIMEOUT_S)
-        if proc.returncode != 0:
-            first = (proc.stderr.strip().splitlines() or ["no output"])[0]
-            raise BuildError(f"{os.path.basename(cc[0])} exited with {proc.returncode}: {first}")
-        os.replace(tmp, target)   # atomic: concurrent workers never load a partial file
+    except subprocess.SubprocessError as exc:
+        raise BuildError(f"{os.path.basename(cc[0])}: {exc}") from exc
+    if proc.returncode != 0:
+        first = (proc.stderr.strip().splitlines() or ["no output"])[0]
+        raise BuildError(f"{os.path.basename(cc[0])} exited with {proc.returncode}: {first}")
+
+
+def _write_bytes(path: str, data: bytes) -> None:
+    with open(path, "wb") as f:
+        f.write(data)
+
+
+def _replace_atomically(path: str, fill: Callable) -> None:
+    """fill(tmp) writes a temporary file beside path, which then replaces
+    path in one rename: concurrent workers see the old file or the whole new
+    one, never a partial file."""
+    fd, tmp = tempfile.mkstemp(prefix=os.path.basename(path) + ".", suffix=".tmp",
+                               dir=os.path.dirname(path))
+    os.close(fd)
+    try:
+        fill(tmp)
+        os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
-    return target
 
 
 def _load_library(path: str):
@@ -247,8 +280,7 @@ def load():
     if _loaded is None:
         try:
             _loaded = (_load_library(_build()), None)
-        except (BuildError, OSError, ValueError, AttributeError,
-                subprocess.SubprocessError) as exc:
+        except (BuildError, OSError, ValueError, AttributeError) as exc:
             reason = " ".join(str(exc).split()) or type(exc).__name__
             _loaded = (None, f"C library (step loop, CSV formatter) unavailable: {reason}")
     return _loaded
@@ -276,8 +308,8 @@ def format_rows(rows: np.ndarray, out: np.ndarray) -> int:
 def run_fast(state0, ctrl, profile, stride):
     """Chunked driver around the compiled loop; mirrors flow._run_python."""
     from .flow import (
-        CHUNK_STEPS, FlowEvent, Trajectory, check_profile, _newton_failure, _step_underflow,
-        record_state,
+        CHUNK_STEPS, FlowEvent, RecordBuffer, Trajectory, check_profile, _newton_failure,
+        _step_underflow, record_state,
     )
     from .geometry import FlowState
 
@@ -302,26 +334,25 @@ def run_fast(state0, ctrl, profile, stride):
     fail = np.zeros(2)
     work = np.empty(12 * n)
     has_t_end = ctrl.t_end is not None
-    records, states, state_steps = [], [], []
+    records, states, state_steps = RecordBuffer(), [], []
     while True:
         chunk = int(min(CHUNK_STEPS, ctrl.max_steps - k[0]))
         chunk = min(chunk, max(1, SNAPSHOT_BUFFER_BYTES // (8 * n) - 3) * stride)
-        rec = np.empty((chunk + 1, NREC))
         max_snaps = chunk // stride + 3
         snaps = np.empty((max_snaps, n))
         snap_t = np.empty(max_snaps)
         snap_b = np.empty((max_snaps, 2))
         snap_k = np.empty(max_snaps, dtype=np.int64)
+        rec = records.room(chunk + 1)    # the chunk's records and a spare row for the last
         status = lib.maxsurf_run(kind.code, n, u, bnd, t, s_ref, code, prm, disk,
                                  ctrl.cfl, ctrl.eps_guard, ctrl.h_stop,
                                  ctrl.t_end if has_t_end else 0.0, int(has_t_end),
-                                 chunk, stride, k, rec, nrec, snaps, snap_t, snap_b, snap_k,
-                                 nsnap, fail, work)
-        # trim the buffers in place (a realloc, no copy; nothing else refers
-        # to them yet) and hand out row views, so each snapshot is held once
-        rec.resize((int(nrec[0]), NREC), refcheck=False)
+                                 chunk, stride, k, rec, nrec,
+                                 snaps, snap_t, snap_b, snap_k, nsnap, fail, work)
+        records.count += int(nrec[0])
+        # trim the snapshot buffer in place (a realloc, no copy; nothing else
+        # refers to it yet) and hand out row views, so each snapshot is held once
         snaps.resize((int(nsnap[0]), n), refcheck=False)
-        records.append(rec)
         for j in range(int(nsnap[0])):
             states.append(FlowState(grid, float(snap_t[j]), snaps[j].reshape(shape),
                                     kind.boundary(snap_b[j, 0], snap_b[j, 1])))
@@ -334,7 +365,7 @@ def run_fast(state0, ctrl, profile, stride):
             event, event_time = FlowEvent.GUARD_TRIPPED, float(t[0])
             break
         if status == _STATUS_CONV:
-            event, event_time = FlowEvent.CONVERGED, float(rec[-1, 0])
+            event, event_time = FlowEvent.CONVERGED, float(rec[nrec[0] - 1, 0])
             break
         if status == _STATUS_TEND:
             event, event_time = FlowEvent.TIME_EXHAUSTED, float(t[0])
@@ -344,8 +375,8 @@ def run_fast(state0, ctrl, profile, stride):
             break
     final = FlowState(grid, float(t[0]), u, kind.boundary(bnd[0], bnd[1]))
     if event is not FlowEvent.GUARD_TRIPPED:
-        records.append(record_state(final, ctrl, profile)[None, :])
+        records.append(record_state(final, ctrl, profile))
     if not states or state_steps[-1] != k[0] or states[-1].t != final.t:
         states.append(final)
         state_steps.append(int(k[0]))
-    return Trajectory(np.concatenate(records), states, state_steps, event, event_time, grid)
+    return Trajectory(records.take(), states, state_steps, event, event_time, grid)

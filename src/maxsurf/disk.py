@@ -25,47 +25,43 @@ from __future__ import annotations
 import numpy as np
 
 
-def _circ_antiderivative(x: float, R: float) -> float:
+def _circ_antiderivative(x, R: float):
     """Antiderivative of sqrt(R^2 - x^2)."""
-    x = min(max(x, -R), R)
-    return 0.5 * (x * np.sqrt(max(R * R - x * x, 0.0)) + R * R * np.arcsin(x / R))
+    x = np.minimum(np.maximum(x, -R), R)
+    return 0.5 * (x * np.sqrt(np.maximum(R * R - x * x, 0.0)) + R * R * np.arcsin(x / R))
 
 
-def _cell_disk_area(x0: float, x1: float, y0: float, y1: float, R: float) -> float:
-    """Exact area of [x0,x1]x[y0,y1] intersected with the disk of radius R.
+def _cell_disk_areas(x0, x1, y0, y1, R: float) -> np.ndarray:
+    """Exact areas of the cells [x0,x1]x[y0,y1] (arrays) intersected with the
+    disk of radius R.
 
     Integrates clip(yc, y0, y1) - clip(-yc, y0, y1) over x with
-    yc = sqrt(R^2 - x^2), splitting at the points where a clip switches
-    branch; each piece is constant or a circular-segment antiderivative.
+    yc = sqrt(R^2 - x^2), split at the points where a clip switches branch;
+    each strip is constant or a circular-segment antiderivative, and the
+    strips are summed from the left.  A cut that does not apply is x1 again:
+    its strip has no width and adds a zero.
     """
-    x0 = max(x0, -R)
-    x1 = min(x1, R)
-    if x1 <= x0 or y0 >= R or y1 <= -R:
-        return 0.0
-    cuts = {x0, x1}
+    x0 = np.maximum(x0, -R)
+    x1 = np.minimum(x1, R)
+    cuts = [x0, x1]
     for y in (y0, y1):
-        if abs(y) <= R:
-            xc = float(np.sqrt(max(R * R - y * y, 0.0)))
-            for s in (-xc, xc):
-                if x0 < s < x1:
-                    cuts.add(s)
-    xs = sorted(cuts)
-    total = 0.0
-    for a, b in zip(xs[:-1], xs[1:]):
-        xm = 0.5 * (a + b)
-        yc = float(np.sqrt(max(R * R - xm * xm, 0.0)))
-        if yc <= y0 or -yc >= y1:
-            continue  # strip misses the band
-        if yc < y1:   # curved upper boundary
-            upper = _circ_antiderivative(b, R) - _circ_antiderivative(a, R)
-        else:
-            upper = y1 * (b - a)
-        if -yc > y0:  # curved lower boundary
-            lower = -(_circ_antiderivative(b, R) - _circ_antiderivative(a, R))
-        else:
-            lower = y0 * (b - a)
-        total += upper - lower
-    return max(total, 0.0)
+        xc = np.sqrt(np.maximum(R * R - y * y, 0.0))
+        for s in (-xc, xc):
+            cuts.append(np.where((np.abs(y) <= R) & (x0 < s) & (s < x1), s, x1))
+    xs = np.sort(np.stack(cuts, axis=-1), axis=-1)
+    a, b = xs[:, :-1], xs[:, 1:]
+    y0, y1 = y0[:, None], y1[:, None]
+    xm = 0.5 * (a + b)
+    yc = np.sqrt(np.maximum(R * R - xm * xm, 0.0))
+    seg = _circ_antiderivative(b, R) - _circ_antiderivative(a, R)
+    upper = np.where(yc < y1, seg, y1 * (b - a))        # curved upper boundary, or flat
+    lower = np.where(-yc > y0, -seg, y0 * (b - a))      # curved lower boundary, or flat
+    strips = np.where((yc <= y0) | (-yc >= y1), 0.0, upper - lower)   # or missing the band
+    total = np.zeros(x0.shape)
+    for k in range(strips.shape[1]):
+        total += strips[:, k]
+    empty = (x1 <= x0) | (y0[:, 0] >= R) | (y1[:, 0] <= -R)
+    return np.where(empty, 0.0, np.maximum(total, 0.0))
 
 
 class CSR:
@@ -179,45 +175,46 @@ class DiskGrid:
                 grown[sl_dst] |= ins[sl_src]
         return grown & ~ins
 
-    def _mirror_cell(self, i: int, j: int):
-        """Bilinear cell and weights of the mirror point of ghost (i, j)."""
+    def _mirror_cells(self, i, j):
+        """Bilinear cells of the mirror points of the ghosts (i, j), arrays:
+        each cell's corner rows and columns and their weights, the four
+        corners (i0, j0), (i0 + 1, j0), (i0, j0 + 1), (i0 + 1, j0 + 1) on a
+        trailing axis."""
         xg, yg = self.coord[i], self.coord[j]
-        d = float(np.hypot(xg, yg))
+        d = np.hypot(xg, yg)
         scale = (2.0 * self.radius - d) / d
-        xm, ym = xg * scale, yg * scale
-        fi = (xm - self.coord[0]) / self.h
-        fj = (ym - self.coord[0]) / self.h
-        i0, j0 = int(np.floor(fi)), int(np.floor(fj))
+        fi = (xg * scale - self.coord[0]) / self.h
+        fj = (yg * scale - self.coord[0]) / self.h
+        i0, j0 = np.floor(fi), np.floor(fj)
         tx, ty = fi - i0, fj - j0
-        corners = [(i0, j0), (i0 + 1, j0), (i0, j0 + 1), (i0 + 1, j0 + 1)]
-        weights = [(1 - tx) * (1 - ty), tx * (1 - ty), (1 - tx) * ty, tx * ty]
-        return corners, weights
+        ci = i0.astype(np.int64)[..., None] + [0, 1, 0, 1]
+        cj = j0.astype(np.int64)[..., None] + [0, 0, 1, 1]
+        return ci, cj, np.stack([(1 - tx) * (1 - ty), tx * (1 - ty), (1 - tx) * ty, tx * ty],
+                                axis=-1)
 
     def _build_ghosts(self) -> None:
+        """The ghosts are the outside neighbours of inside nodes and, in turn,
+        the outside corners of a ghost's mirror cell."""
         m = self.inside.shape[0]
-        ghost = self._neighbors_of_inside()
-        rows = {}
-        pending = [tuple(p) for p in np.argwhere(ghost)]
-        while pending:
-            nxt = []
-            for (i, j) in pending:
-                if (i, j) in rows:
-                    continue
-                corners, weights = self._mirror_cell(i, j)
-                rows[(i, j)] = (corners, weights)
-                for (ci, cj) in corners:
-                    if not self.inside[ci, cj] and (ci, cj) not in rows:
-                        nxt.append((ci, cj))
-            pending = nxt
-        self.ghost_nodes = sorted(rows)
-        self.ghost_flat = np.array([i * m + j for i, j in self.ghost_nodes], dtype=int)
-        taps = {}
-        for (i, j) in self.ghost_nodes:
-            corners, weights = rows[(i, j)]
-            taps[i * m + j] = [(ci * m + cj, w, bool(self.inside[ci, cj]))
-                               for (ci, cj), w in zip(corners, weights)]
+        inside = self.inside.ravel()
+        outside = np.flatnonzero(~inside)
+        ci, cj, w = self._mirror_cells(*np.divmod(outside, m))
+        corners = np.zeros((m * m, 4), dtype=np.int64)
+        weights = np.zeros((m * m, 4))
+        corners[outside], weights[outside] = ci * m + cj, w
+        ghost = np.zeros(m * m, dtype=bool)
+        front = np.flatnonzero(self._neighbors_of_inside())
+        while front.size:
+            ghost[front] = True
+            c = corners[front].ravel()
+            front = np.unique(c[~inside[c] & ~ghost[c]])
+        self.ghost_flat = np.flatnonzero(ghost)
+        c = corners[self.ghost_flat]
+        taps = {g: list(zip(*row)) for g, *row in zip(
+            self.ghost_flat.tolist(), c.tolist(), weights[self.ghost_flat].tolist(),
+            inside[c].tolist())}
         solved = _substitute(taps)
-        self.ghost_operator = CSR.from_rows([solved[g] for g in self.ghost_flat])
+        self.ghost_operator = CSR.from_rows([solved[g] for g in taps])
 
     def fill_ghosts(self, u: np.ndarray) -> np.ndarray:
         """Return a copy of u with ghost entries set by mirror reflection.
@@ -239,26 +236,24 @@ class DiskGrid:
         w = np.zeros_like(self.X)
         w[rmax < R] = h * h
         rim = (rmin < R) & (rmax >= R)
-        for i, j in np.argwhere(rim):
-            w[i, j] = _cell_disk_area(
-                self.X[i, j] - h / 2, self.X[i, j] + h / 2,
-                self.Y[i, j] - h / 2, self.Y[i, j] + h / 2, R,
-            )
+        x, y = self.X[rim], self.Y[rim]
+        w[rim] = _cell_disk_areas(x - h / 2, x + h / 2, y - h / 2, y + h / 2, R)
         # coverage of cells whose node sits outside the circle is lumped onto
-        # the nearest inside node along the inward ray (O(h^2) consistent)
-        for i, j in np.argwhere(rim & ~self.inside):
-            xi, yj = self.X[i, j], self.Y[i, j]
-            r = float(np.hypot(xi, yj))
-            step = 0
-            while step < 4:
-                step += 1
-                scale = (r - step * 0.7 * h) / r
-                ii = int(round((xi * scale - self.coord[0]) / h))
-                jj = int(round((yj * scale - self.coord[0]) / h))
-                if self.inside[ii, jj]:
-                    w[ii, jj] += w[i, j]
-                    break
-            w[i, j] = 0.0
+        # the nearest inside node along the inward ray (O(h^2) consistent):
+        # the first of 4 steps of 0.7h that lands inside, if any
+        out = rim & ~self.inside
+        x, y = self.X[out], self.Y[out]
+        r = np.hypot(x, y)
+        target = np.full(r.shape, -1)
+        for step in range(4, 0, -1):
+            scale = (r - step * 0.7 * h) / r
+            ii = np.rint((x * scale - self.coord[0]) / h).astype(np.int64)
+            jj = np.rint((y * scale - self.coord[0]) / h).astype(np.int64)
+            target = np.where(self.inside[ii, jj], ii * self.inside.shape[0] + jj, target)
+        found = target >= 0
+        # one cell after another in row order, as the sums' bits depend on it
+        np.add.at(w.reshape(-1), target[found], w[out][found])
+        w[out] = 0.0
         self.area_weights = w
 
     def _build_boundary_ring(self) -> None:

@@ -435,6 +435,41 @@ def record_state(state: FlowState, ctrl: StepControl, profile) -> np.ndarray:
 # -- trajectory drivers ---------------------------------------------------------
 
 
+class RecordBuffer:
+    """A run's per-step records, held once: rows are written in place into
+    one array, which grows by ``ndarray.resize``, a realloc that glibc takes
+    by remapping blocks this large, so that no record is copied.  Rows of a
+    new array take no memory until written; resize zero-fills the rows it
+    adds.  Both engines collect their records here."""
+
+    def __init__(self):
+        self._rows = np.empty((0, len(RECORD_COLUMNS)))
+        self.count = 0
+
+    def room(self, n: int) -> np.ndarray:
+        """The rows from the next one on, at least n of them: a view to write
+        into, valid until the buffer next grows."""
+        size = (self.count + n, len(RECORD_COLUMNS))
+        if self._rows.shape[0] == 0:
+            self._rows = np.empty(size)
+        elif size[0] > self._rows.shape[0]:
+            self._rows.resize(size, refcheck=False)
+        return self._rows[self.count:]
+
+    def append(self, row) -> None:
+        if self.count == self._rows.shape[0]:
+            self.room(CHUNK_STEPS)
+        self._rows[self.count] = row
+        self.count += 1
+
+    def take(self) -> np.ndarray:
+        """The records written, trimmed in place; the buffer starts over."""
+        rows, self._rows = self._rows, np.empty((0, len(RECORD_COLUMNS)))
+        rows.resize((self.count, len(RECORD_COLUMNS)), refcheck=False)
+        self.count = 0
+        return rows
+
+
 def run(state0: FlowState, ctrl: StepControl, profile, stride: int = 100) -> Trajectory:
     """Iterate the flow until convergence, guard trip, t_end or step limit.
 
@@ -476,7 +511,7 @@ def _t_end_reached(t: float, t_end: Optional[float]) -> bool:
 
 def _run_python(state0: FlowState, ctrl: StepControl, profile, stride: int) -> Trajectory:
     state = state0.copy()
-    records, states, state_steps = [], [], []
+    records, states, state_steps = RecordBuffer(), [], []
     event, event_time = FlowEvent.STEP_LIMIT, state.t
     k = 0
     while True:
@@ -511,7 +546,7 @@ def _run_python(state0: FlowState, ctrl: StepControl, profile, stride: int) -> T
     if not states or state_steps[-1] != k or states[-1].t != state.t:
         states.append(state.copy())
         state_steps.append(k)
-    return Trajectory(np.asarray(records), states, state_steps, event, event_time, state0.grid)
+    return Trajectory(records.take(), states, state_steps, event, event_time, state0.grid)
 
 
 def comparison_pair_run(state_a: FlowState, state_b: FlowState, ctrl: StepControl,
@@ -529,7 +564,7 @@ def comparison_pair_run(state_a: FlowState, state_b: FlowState, ctrl: StepContro
         raise ValueError("initial data must be ordered: u_A <= u_B nodewise")
     a, b = state_a.copy(), state_b.copy()
     nodes = a.grid.real_nodes()
-    rec_a, rec_b, gaps = [], [], []
+    rec_a, rec_b, gaps = RecordBuffer(), RecordBuffer(), []
     states_a, states_b, state_steps = [], [], []
     event, event_time = FlowEvent.STEP_LIMIT, a.t
     k = 0
@@ -560,8 +595,8 @@ def comparison_pair_run(state_a: FlowState, state_b: FlowState, ctrl: StepContro
         if k >= ctrl.max_steps:
             event_time = a.t
             break
-    rows = (-1, len(RECORD_COLUMNS))     # (0, 17) when the guard trips at once
-    traj_a = Trajectory(np.reshape(rec_a, rows), states_a, state_steps, event, event_time, a.grid)
-    traj_b = Trajectory(np.reshape(rec_b, rows), states_b, state_steps, event, event_time, b.grid)
-    traj_a.records[:, _COL["min_gap"]] = np.asarray(gaps[: len(rec_a)])
+    # (0, 17) records when the guard trips at once
+    traj_a = Trajectory(rec_a.take(), states_a, state_steps, event, event_time, a.grid)
+    traj_b = Trajectory(rec_b.take(), states_b, state_steps, event, event_time, b.grid)
+    traj_a.records[:, _COL["min_gap"]] = np.asarray(gaps[: len(traj_a.records)])
     return {"traj_a": traj_a, "traj_b": traj_b, "min_gap": np.asarray(gaps)}

@@ -124,6 +124,7 @@ class GeometryFields:
     ginv: Optional[tuple]               # disk2d: the inverse metric (g^xx, g^xy, g^yy)
     form_dV: Callable                   # () -> dV, from the evaluation
     kappa: Optional[tuple] = None       # radial2d principal curvatures
+    V: Optional[tuple] = None           # curve1d: the boundary's V field (V_x, V_t) at the nodes
 
     @functools.cached_property
     def nu(self) -> np.ndarray:
@@ -208,7 +209,7 @@ def evaluate(state: FlowState, profile) -> Evaluation:
 
 def node_fields(state: FlowState, profile, ev: Evaluation) -> NodeFields:
     """H, v and dV of an evaluated state."""
-    H, v, form_dV = _KINDS[state.grid.kind].fields(state, profile, ev)
+    H, v, form_dV, _ = _KINDS[state.grid.kind].fields(state, profile, ev)
     return NodeFields(H, v, form_dV())
 
 
@@ -316,13 +317,13 @@ def _curve1d_evaluate(state: FlowState, profile) -> Evaluation:
 
 
 def _curve1d_fields(state: FlowState, profile, ev: Evaluation) -> tuple:
-    Vx, Vt = profile.V(state.coords())
-    return _line_fields(ev, Vt - Vx * ev.du, 1.0)
+    Vx, Vt = V = profile.V(state.coords())
+    return (*_line_fields(ev, Vt - Vx * ev.du, 1.0), V)
 
 
-def _curve1d_observe(state: FlowState, ev: Evaluation, H, v, form_dV) -> GeometryFields:
+def _curve1d_observe(state: FlowState, ev: Evaluation, H, v, form_dV, V) -> GeometryFields:
     return GeometryFields(v_hat=ev.v_hat, v=v, H=H, normA2=H * H, du=ev.du, ginv=None,
-                          form_dV=form_dV)
+                          form_dV=form_dV, V=V)
 
 
 def _radial2d_evaluate(state: FlowState, profile) -> Evaluation:
@@ -341,11 +342,11 @@ def _radial2d_evaluate(state: FlowState, profile) -> Evaluation:
 
 def _radial2d_fields(state: FlowState, profile, ev: Evaluation) -> tuple:
     dfz, invw = rotational_V_factors(profile, state.u)
-    return _line_fields(ev, (1.0 - dfz * ev.du) * invw, 2.0 * np.pi * state.coords())
+    return (*_line_fields(ev, (1.0 - dfz * ev.du) * invw, 2.0 * np.pi * state.coords()), None)
 
 
-def _radial2d_observe(state: FlowState, ev: Evaluation, H, v, form_dV) -> GeometryFields:
-    g = _curve1d_observe(state, ev, H, v, form_dV)
+def _radial2d_observe(state: FlowState, ev: Evaluation, H, v, form_dV, V) -> GeometryFields:
+    g = _curve1d_observe(state, ev, H, v, form_dV, V)
     kappa2 = ev.v_hat * ev.second
     kappa1 = H - kappa2
     g.normA2, g.kappa = kappa1**2 + kappa2**2, (kappa1, kappa2)
@@ -375,10 +376,10 @@ def _disk2d_fields(state: FlowState, profile, ev: Evaluation) -> tuple:
     tube, so v = v_hat."""
     grid = disk_grid(state.grid.n, state.grid.radius)
     return (_off(ev.v_hat * ev.rhs, grid.inside, 0.0), ev.v_hat,
-            lambda: _off(grid.area_weights * ev.w, grid.inside, 0.0))
+            lambda: _off(grid.area_weights * ev.w, grid.inside, 0.0), None)
 
 
-def _disk2d_observe(state: FlowState, ev: Evaluation, H, v, form_dV) -> GeometryFields:
+def _disk2d_observe(state: FlowState, ev: Evaluation, H, v, form_dV, V) -> GeometryFields:
     """|A|^2 (0 off the disk) and the inverse metric."""
     uxx, uyy, uxy = ev.second
     ux, uy = ev.du
@@ -394,7 +395,7 @@ def _disk2d_observe(state: FlowState, ev: Evaluation, H, v, form_dV) -> Geometry
     normA2 *= vh2
     normA2 = _off(normA2, disk_grid(state.grid.n, state.grid.radius).inside, 0.0)
     return GeometryFields(v_hat=vh, v=v, H=H, normA2=normA2, du=ev.du, ginv=(a11, a12, a22),
-                          form_dV=form_dV)
+                          form_dV=form_dV, V=V)
 
 
 def _sum_in(a: np.ndarray, *terms) -> np.ndarray:
@@ -560,8 +561,9 @@ def _disk2d_real_nodes(grid: GridSpec) -> tuple:
 
 class _Kind(NamedTuple):
     evaluate: Callable           # (state, profile) -> Evaluation
-    fields: Callable             # (state, profile, Evaluation) -> (H, v, () -> dV)
-    observe: Callable            # (state, Evaluation, H, v, () -> dV) -> GeometryFields
+    fields: Callable             # (state, profile, Evaluation) -> (H, v, () -> dV, V),
+                                 # V as GeometryFields.V
+    observe: Callable            # (state, Evaluation, H, v, () -> dV, V) -> GeometryFields
     laplace_beltrami: Callable   # (state, f, g) -> the intrinsic Laplacian of f
     reference: Callable          # grid -> the reference coordinate per node
     coords: Callable             # state -> the physical coordinate per node

@@ -71,7 +71,8 @@ def volume_identity(traj: Trajectory) -> float:
 
 
 # -- ambient derivatives of the reference V field: a planar boundary supplies
-#    its own (profile.V_derivs), the tube's radial extension has them formed here
+#    its own (profile.V_derivs, from the V the observer took), the tube's
+#    radial extension has them formed here
 
 
 def _rotational_V_data(profile: RotationalProfile, z: np.ndarray):
@@ -274,7 +275,7 @@ def _ip(a_0, a_t, b_0, b_t):
 
 def _v_rhs_curve(s0: FlowState, g0, profile: PlanarBoundary):
     """-v|A|^2 + 2 g^xx A((DV)^T, x) + g^xx <D^2 V, nu> with the boundary's V field."""
-    (dVx, dVt), (d2Vx, d2Vt) = profile.V_derivs(s0.coords())
+    (dVx, dVt), (d2Vx, d2Vt) = profile.V_derivs(s0.coords(), g0.V)
     g_xx = g0.v_hat * g0.v_hat            # g^xx = v_hat^2
     hess_term = g_xx * _ip(d2Vx, d2Vt, g0.nu[..., 0], g0.nu[..., 1])
     # 2 g^xx A(DV^T, x) = 2 g^xx g^xx h_xx <DV, (1, u_x)>, with h_xx = H / g^xx

@@ -91,8 +91,9 @@ class PlanarBoundary:
 
     ``V`` is the boundary's timelike field x -> (V_x, V_t) off the boundary,
     which the gradient function v = -<nu, V> reads, and ``V_derivs`` its x
-    derivatives x -> ((dV_x, dV_t), (d2V_x, d2V_t)), which the evolution of
-    v reads (see monitors).
+    derivatives (x, V(x)) -> ((dV_x, dV_t), (d2V_x, d2V_t)), which the
+    evolution of v reads (see monitors); it is handed the V already taken at
+    x, so that derivatives read off V's values (the trumpet's) cost nothing.
     """
 
     s: Callable
@@ -436,9 +437,10 @@ def _libm_on_numbers(number: Callable, array: Callable) -> Callable:
     return f
 
 
-def _trumpet_V_derivs(x, lo: float, hi: float):
-    """(dV, d2V) = ((V_t, V_x), V): sinh and cosh are each other's derivative."""
-    Vx, Vt = _trumpet_V(x, lo, hi)
+def _trumpet_V_derivs(x, V):
+    """(dV, d2V) = ((V_t, V_x), V): sinh and cosh are each other's derivative,
+    so V's values at x give them, and x itself is not read."""
+    Vx, Vt = V
     return (Vt, Vx), (Vx, Vt)
 
 
@@ -460,7 +462,7 @@ def trumpet(domain=(1e-8, 12.0)) -> PlanarBoundary:
         kind="trumpet",
         params=(),
         V=lambda x: _trumpet_V(x, lo, hi),
-        V_derivs=lambda x: _trumpet_V_derivs(x, lo, hi),
+        V_derivs=_trumpet_V_derivs,
     )
 
 

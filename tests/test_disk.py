@@ -8,19 +8,27 @@ import pytest
 from maxsurf.disk import CSR, DiskGrid, _substitute
 
 
+def mirror_taps(grid):
+    """Each ghost's box-flat index and its mirror taps [(corner, weight, inside)]."""
+    m = grid.inside.shape[0]
+    ci, cj, w = grid._mirror_cells(*np.divmod(grid.ghost_flat, m))
+    return [(int(g), [(int(i * m + j), float(wk), bool(grid.inside[i, j]))
+                      for i, j, wk in zip(ci[k], cj[k], w[k])])
+            for k, g in enumerate(grid.ghost_flat)]
+
+
 def mirror_system(grid):
     """Dense (A_gg, A_gi) of the mirror taps, A_gi over the box-flat nodes."""
     m = grid.inside.shape[0]
-    gindex = {g: k for k, g in enumerate(grid.ghost_nodes)}
+    gindex = {g: k for k, g in enumerate(grid.ghost_flat.tolist())}
     A_gg = np.zeros((len(gindex), len(gindex)))
     A_gi = np.zeros((len(gindex), m * m))
-    for k, (i, j) in enumerate(grid.ghost_nodes):
-        corners, weights = grid._mirror_cell(i, j)
-        for (ci, cj), w in zip(corners, weights):
-            if grid.inside[ci, cj]:
-                A_gi[k, ci * m + cj] += w
+    for k, (_, taps) in enumerate(mirror_taps(grid)):
+        for c, w, inside in taps:
+            if inside:
+                A_gi[k, c] += w
             else:
-                A_gg[k, gindex[(ci, cj)]] += w
+                A_gg[k, gindex[c]] += w
     return A_gg, A_gi
 
 
@@ -77,12 +85,8 @@ def test_ghost_operator_rows_are_sorted_without_zeros():
 def test_ghost_operator_is_within_1e16_of_the_exact_solution():
     # the exact rational solution, checked to solve the mirror system exactly
     grid = DiskGrid(33)
-    m = grid.inside.shape[0]
-    taps = {}
-    for (i, j) in grid.ghost_nodes:
-        corners, weights = grid._mirror_cell(i, j)
-        taps[i * m + j] = [(ci * m + cj, Fraction(w), bool(grid.inside[ci, cj]))
-                           for (ci, cj), w in zip(corners, weights)]
+    taps = {g: [(c, Fraction(w), inside) for c, w, inside in row]
+            for g, row in mirror_taps(grid)}
     exact = {}
 
     def solve(g):

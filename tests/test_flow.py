@@ -751,6 +751,64 @@ def test_fast_kernel_failures_match_reference():
         assert str(fast.value) == str(ref.value)
 
 
+def chunk_cases():
+    """(state, ctrl, profile, stride) of runs of each grid kind taking
+    hundreds of steps: a guard trip, convergence, t_end and the step limit."""
+    st = translator_state(-1.0, 51)
+    steep = FlowState(st.grid, math.log(math.tanh(0.5)),
+                      np.log(np.cosh(st.grid.reference() * 0.5)) + math.log(math.tanh(0.5)),
+                      (-0.5, 0.5))
+    tube, grid = sine_tube(2.0, 0.5, 1.0), GridSpec("radial2d", 41)
+    bump = FlowState(grid, 0.0, math.pi / 2 + 0.02 * (1 - grid.reference() ** 2) ** 2,
+                     float(tube.f(math.pi / 2)))
+    return (
+        (st, StepControl(t_end=-0.95), trumpet(), 3),                              # 579 steps
+        (steep, StepControl(t_end=0.5), trumpet(), 5),                             # trips at 4009
+        (bump, StepControl(h_stop=0.01, t_end=5.0), tube, 3),                      # converges at 679
+        (disk_bump(0.1), StepControl(h_stop=1e-3, t_end=10.0), cylinder(1.0), 7),  # at 639
+        (disk_bump(0.0), StepControl(max_steps=150), cylinder(1.0), 7),
+    )
+
+
+def assert_same_run(a, b):
+    assert a.records.shape == b.records.shape and a.records.tobytes() == b.records.tobytes()
+    assert (a.event, a.event_time, a.state_steps) == (b.event, b.event_time, b.state_steps)
+    assert all(x.t == y.t and x.u.tobytes() == y.u.tobytes() and x.boundary == y.boundary
+               for x, y in zip(a.states, b.states, strict=True))
+
+
+@needs_step_loop
+@pytest.mark.parametrize("chunk", [7, 64])
+def test_chunked_runs_equal_one_chunk_runs(monkeypatch, chunk):
+    # every chunk's records land in one buffer that grows in place; any chunk
+    # size gives the one-chunk run's records, states and exit, bit for bit
+    from maxsurf import flow
+
+    events = set()
+    for state, ctrl, profile, stride in chunk_cases():
+        whole = _kernels.run_fast(state.copy(), ctrl, profile, stride)
+        assert whole.records.shape[0] > 2 * chunk
+        with monkeypatch.context() as m:
+            m.setattr(flow, "CHUNK_STEPS", chunk)
+            parts = _kernels.run_fast(state.copy(), ctrl, profile, stride)
+        assert_same_run(parts, whole)
+        events.add(whole.event)
+    assert events == set(FlowEvent)
+
+
+@pytest.mark.parametrize("chunk", [7, 64])
+def test_numpy_records_grow_by_chunks(monkeypatch, chunk):
+    # the numpy engine collects its records in the same buffer, a chunk at a time
+    from maxsurf import flow
+
+    for state, ctrl, profile, stride in [chunk_cases()[i] for i in (0, 4)]:
+        whole = _run_python(state.copy(), ctrl, profile, stride)
+        with monkeypatch.context() as m:
+            m.setattr(flow, "CHUNK_STEPS", chunk)
+            parts = _run_python(state.copy(), ctrl, profile, stride)
+        assert_same_run(parts, whole)
+
+
 def nan_start(kind):
     """(a state with a NaN at one interior node, its profile) of a grid kind."""
     if kind == "curve1d":
@@ -802,6 +860,68 @@ def test_run_falls_back_to_numpy_when_the_loop_cannot_load(monkeypatch, tmp_path
     ref = _run_python(disk.copy(), ctrl, cylinder(1.0), stride=10)
     assert np.array_equal(traj.records, ref.records, equal_nan=True)
     assert all(np.array_equal(a.u, b.u) for a, b in zip(traj.states, ref.states))
+
+
+@needs_step_loop
+def test_a_cached_library_is_loaded_only_under_its_own_key(monkeypatch, tmp_path):
+    # the cache names a library by its key's CRC-32 and keeps the key beside
+    # it; a stored key one source byte off is rebuilt over, not loaded
+    monkeypatch.setattr(_kernels, "_cache_dir", lambda: str(tmp_path))
+    compiles = []
+    compile_ = _kernels._compile
+    monkeypatch.setattr(_kernels, "_compile", lambda cc, out: (compiles.append(out),
+                                                               compile_(cc, out)))
+    path = _kernels._build()
+    key = (tmp_path / os.path.basename(path)).with_suffix(".key")
+    assert len(compiles) == 1 and key.is_file()
+    assert _kernels._build() == path and len(compiles) == 1
+    stored = key.read_bytes()
+    with open(_kernels.SOURCE, "rb") as f:
+        head = f.read(60)[40:]
+    assert repr(head)[2:-1].encode() == head    # the key holds it as it stands
+    key.write_bytes(stored.replace(head, head[:-1] + bytes([head[-1] ^ 1]), 1))
+    assert _kernels._build() == path and len(compiles) == 2
+    assert key.read_bytes() == stored
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        [os.path.basename(path), key.name])
+
+
+def test_a_compile_that_times_out_is_a_one_line_reason(monkeypatch, tmp_path):
+    monkeypatch.setattr(_kernels, "_cache_dir", lambda: str(tmp_path))
+    monkeypatch.setattr(_kernels, "COMPILE_TIMEOUT_S", 1e-3)
+    monkeypatch.setattr(_kernels, "_loaded", None)
+    assert not _kernels.available
+    assert "timed out" in _kernels.reason and "\n" not in _kernels.reason
+    assert list(tmp_path.iterdir()) == []
+
+
+LOAD_GUARD = """
+import sys
+from maxsurf import _kernels, flow
+from maxsurf.analytic import grim_reaper_boundary
+from maxsurf.geometry import FlowState, GridSpec
+from maxsurf.profiles import trumpet
+import numpy as np
+
+assert _kernels.available, _kernels.reason
+grid = GridSpec("curve1d", 51)
+xb = grim_reaper_boundary(-1.0)
+state = FlowState(grid, -1.0, np.log(np.cosh(grid.reference() * xb)) - 1.0, (-xb, xb))
+traj = flow.run(state, flow.StepControl(t_end=-0.99), trumpet())
+assert traj.event is flow.FlowEvent.TIME_EXHAUSTED
+print(" ".join(m for m in ("subprocess", "hashlib") if m in sys.modules) or "none")
+"""
+
+
+@needs_step_loop
+def test_loading_the_cached_library_imports_no_build_modules():
+    # the library is built (this test module loaded it): a fresh interpreter
+    # loads it from the cache without subprocess or hashlib (OpenSSL)
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(_kernels.SOURCE), os.pardir))
+    proc = subprocess.run([sys.executable, "-c", LOAD_GUARD], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "none"
 
 
 def test_run_sends_euler_runs_to_the_step_loop(monkeypatch):

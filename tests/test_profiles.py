@@ -254,7 +254,7 @@ def test_trumpet_V_derivs_are_its_V():
     b = trumpet()
     for x in (-EXP_SWEEP, EXP_SWEEP, np.array([-11.5, -10.0, 10.0, 11.5])):
         Vx, Vt = b.V(x)
-        (dVx, dVt), (d2Vx, d2Vt) = b.V_derivs(x)
+        (dVx, dVt), (d2Vx, d2Vt) = b.V_derivs(x, b.V(x))
         assert [a.tobytes() for a in (dVx, dVt, d2Vx, d2Vt)] == [a.tobytes()
                                                                 for a in (Vt, Vx, Vx, Vt)]
         assert _ulps(dVx, np.array([math.cosh(a) for a in x])).max() <= 2.0
@@ -265,7 +265,7 @@ def test_trumpet_V_derivs_are_its_V():
     x = np.concatenate([np.linspace(2 * delta, 12.0 - 2 * delta, 1001), [10.0, 11.5]])
     x = np.concatenate([-x, x])
     (Vx_p, Vt_p), (Vx_m, Vt_m) = b.V(x + delta), b.V(x - delta)
-    dVx, dVt = b.V_derivs(x)[0]
+    dVx, dVt = b.V_derivs(x, b.V(x))[0]
     bound = (delta**2 / 6 * 1.01 + 1e-12) * np.cosh(np.abs(x) + delta)
     assert np.all(np.abs((Vx_p - Vx_m) / (2 * delta) - dVx) <= bound)
     assert np.all(np.abs((Vt_p - Vt_m) / (2 * delta) - dVt) <= bound)
@@ -301,7 +301,7 @@ def test_planar_boundary_line():
         d2s=zero,
         domain=(1e-8, 10.0),
         V=lambda x: (np.sign(x) / math.sqrt(3.0), 2.0 / math.sqrt(3.0) + zero(x)),
-        V_derivs=lambda x: ((zero(x), zero(x)), (zero(x), zero(x))),
+        V_derivs=lambda x, V: ((zero(x), zero(x)), (zero(x), zero(x))),
     )
     bc = planar_boundary_data(line, 1.0)
     np.testing.assert_allclose(bc.V, np.array([1.0, 2.0]) / math.sqrt(3.0), atol=1e-14)
@@ -322,7 +322,7 @@ def test_planar_boundary_rejects_lightlike():
         d2s=zero,
         domain=(1e-8, 10.0),
         V=lambda x: (zero(x), 1.0 + zero(x)),
-        V_derivs=lambda x: ((zero(x), zero(x)), (zero(x), zero(x))),
+        V_derivs=lambda x, V: ((zero(x), zero(x)), (zero(x), zero(x))),
     )
     with pytest.raises(ProfileError):
         planar_boundary_data(diag, 1.0)
