@@ -69,6 +69,7 @@ from __future__ import annotations
 
 import ctypes
 import os
+import pathlib
 import platform
 import shlex
 import shutil
@@ -211,7 +212,7 @@ def _build() -> str:
         pass
     _replace_atomically(stem + ".so", lambda tmp: _compile(cc, tmp))
     # only after the library: a stored key always names a whole library
-    _replace_atomically(stem + ".key", lambda tmp: _write_bytes(tmp, key))
+    _replace_atomically(stem + ".key", lambda tmp: pathlib.Path(tmp).write_bytes(key))
     return stem + ".so"
 
 
@@ -227,11 +228,6 @@ def _compile(cc: list, out: str) -> None:
     if proc.returncode != 0:
         first = (proc.stderr.strip().splitlines() or ["no output"])[0]
         raise BuildError(f"{os.path.basename(cc[0])} exited with {proc.returncode}: {first}")
-
-
-def _write_bytes(path: str, data: bytes) -> None:
-    with open(path, "wb") as f:
-        f.write(data)
 
 
 def _replace_atomically(path: str, fill: Callable) -> None:

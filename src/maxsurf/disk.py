@@ -43,6 +43,7 @@ def _cell_disk_areas(x0, x1, y0, y1, R: float) -> np.ndarray:
     """
     x0 = np.maximum(x0, -R)
     x1 = np.minimum(x1, R)
+    empty = (x1 <= x0) | (y0 >= R) | (y1 <= -R)
     cuts = [x0, x1]
     for y in (y0, y1):
         xc = np.sqrt(np.maximum(R * R - y * y, 0.0))
@@ -60,7 +61,6 @@ def _cell_disk_areas(x0, x1, y0, y1, R: float) -> np.ndarray:
     total = np.zeros(x0.shape)
     for k in range(strips.shape[1]):
         total += strips[:, k]
-    empty = (x1 <= x0) | (y0[:, 0] >= R) | (y1[:, 0] <= -R)
     return np.where(empty, 0.0, np.maximum(total, 0.0))
 
 

@@ -886,6 +886,7 @@ def test_a_cached_library_is_loaded_only_under_its_own_key(monkeypatch, tmp_path
         [os.path.basename(path), key.name])
 
 
+@needs_step_loop
 def test_a_compile_that_times_out_is_a_one_line_reason(monkeypatch, tmp_path):
     monkeypatch.setattr(_kernels, "_cache_dir", lambda: str(tmp_path))
     monkeypatch.setattr(_kernels, "COMPILE_TIMEOUT_S", 1e-3)
