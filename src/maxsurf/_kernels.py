@@ -302,10 +302,11 @@ def format_rows(rows: np.ndarray, out: np.ndarray) -> int:
 
 
 def run_fast(state0, ctrl, profile, stride):
-    """Chunked driver around the compiled loop; mirrors flow._run_python."""
+    """``run`` on the compiled loop, in chunks of at most CHUNK_STEPS steps;
+    the run ends through flow's ``_finish``, as the numpy loop's does."""
     from .flow import (
-        CHUNK_STEPS, FlowEvent, RecordBuffer, Trajectory, check_profile, _newton_failure,
-        _step_underflow, record_state,
+        CHUNK_STEPS, FlowEvent, RecordBuffer, check_profile, _finish, _newton_failure,
+        _step_underflow,
     )
     from .geometry import FlowState
 
@@ -369,10 +370,7 @@ def run_fast(state0, ctrl, profile, stride):
         if k[0] >= ctrl.max_steps:
             event, event_time = FlowEvent.STEP_LIMIT, float(t[0])
             break
-    final = FlowState(grid, float(t[0]), u, kind.boundary(bnd[0], bnd[1]))
-    if event is not FlowEvent.GUARD_TRIPPED:
-        records.append(record_state(final, ctrl, profile))
-    if not states or state_steps[-1] != k[0] or states[-1].t != final.t:
-        states.append(final)
-        state_steps.append(int(k[0]))
-    return Trajectory(records.take(), states, state_steps, event, event_time, grid)
+    # the loop writes the tripped state's record itself
+    return _finish(records, states, state_steps,
+                   FlowState(grid, float(t[0]), u, kind.boundary(bnd[0], bnd[1])), int(k[0]),
+                   event, event_time, profile, recorded=event is FlowEvent.GUARD_TRIPPED)

@@ -47,11 +47,6 @@ def grim_reaper_boundary(t: float) -> float:
     return math.atanh(e)
 
 
-def grim_reaper_sup_vhat(t: float) -> float:
-    """sup v_hat = cosh x_b(t) = 1/sqrt(1 - e^{2t})."""
-    return 1.0 / math.sqrt(1.0 - math.exp(2.0 * t))
-
-
 def plane(z0: float) -> AnalyticSolution:
     z0 = float(z0)
     return AnalyticSolution(
@@ -98,19 +93,6 @@ def radial_graph_mean_curvature(rho, u_r, u_rr):
     m = 1.0 - u_r * u_r
     angular = np.where(rho > 0, u_r / np.maximum(rho, 1e-300), u_rr) / np.sqrt(m)
     return u_rr / m**1.5 + angular
-
-
-def hyperbolic_plane_mean_curvature(R: float, rho) -> np.ndarray:
-    """Exact |H| = 2/R of the hyperboloid, via the graph formula (n = 2).
-
-    Assembled from u_rho = rho/sqrt(R^2+rho^2) and u_rhorho through
-    radial_graph_mean_curvature, so a symbolic cancellation check rather
-    than the constant 2/R directly.
-    """
-    rho = np.asarray(rho, dtype=float)
-    R = float(R)
-    s = np.sqrt(R * R + rho**2)
-    return radial_graph_mean_curvature(rho, rho / s, R * R / s**3)
 
 
 def cylinder_disk_constant(c: float) -> AnalyticSolution:

@@ -25,7 +25,8 @@ too.  Each grid kind here supplies only what the step adds (a rate with the
 boundary's speeds, a projection back onto the boundary and the record's
 boundary blocks, see ``_KINDS``); one step skeleton and one record packer
 serve all three.  The line kinds share one record body and end block, as in
-``_step.c``.
+``_step.c``.  One numpy loop steps a run and a comparison pair (with their
+least dt bound), and one finish ends every trajectory, the C loop's too.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .geometry import Evaluation, FlowState, GridSpec, NodeFields, evaluate, lin
 from .profiles import normal_curvature, planar_boundary_data, profile_curvature
 
 CHUNK_STEPS = 65536
+PAIR_STRIDE = 100       # a comparison pair keeps a snapshot every PAIR_STRIDE steps
 
 RECORD_COLUMNS = (
     "t", "sup_v", "sup_v_hat", "sup_H", "volume", "int_H2_dV", "osc_u",
@@ -109,10 +111,6 @@ class Trajectory:
 
     def series(self, name: str) -> np.ndarray:
         return self.records[:, _COL[name]]
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.series("t")
 
 
 # -- the line kinds: one record body -----------------------------------------------
@@ -258,11 +256,11 @@ def check_profile(grid: GridSpec, profile) -> None:
 # -- the step skeleton -------------------------------------------------------------
 
 
-def step(state: FlowState, ctrl: StepControl, profile,
-         dt: Optional[float] = None) -> FlowState:
+def step(state: FlowState, ctrl: StepControl, profile) -> FlowState:
     """Advance one explicit step; raises GuardTrip / FlowError on failure."""
     check_profile(state.grid, profile)
-    return _advance(state, ctrl, profile, _evaluate(state, ctrl, profile), dt)
+    ev = _evaluate(state, ctrl, profile)
+    return _advance(state, ctrl, profile, ev, _dt_bound(state, ev, ctrl.cfl))
 
 
 def _evaluate(state: FlowState, ctrl: StepControl, profile) -> Evaluation:
@@ -277,11 +275,10 @@ def _dt_bound(state: FlowState, ev: Evaluation, cfl: float) -> float:
     return cfl * ev.h * ev.h * ev.m_min / _KINDS[state.grid.kind].dim_factor
 
 
-def _advance(state: FlowState, ctrl: StepControl, profile, ev: Evaluation,
-             dt: Optional[float] = None) -> FlowState:
-    """The next state from an evaluated state."""
+def _advance(state: FlowState, ctrl: StepControl, profile, ev: Evaluation, dt: float) -> FlowState:
+    """The next state from an evaluated state, dt later (or at t_end)."""
     kind = _KINDS[state.grid.kind]
-    dt = _clip_dt(_dt_bound(state, ev, ctrl.cfl) if dt is None else dt, state.t, ctrl.t_end)
+    dt = _clip_dt(dt, state.t, ctrl.t_end)
     udot, bdot = kind.rate(state, ev)
     u, boundary = state.u + dt * udot, _advance_boundary(state.boundary, bdot, dt)
     if ctrl.integrator == "rk2":
@@ -476,7 +473,8 @@ def run(state0: FlowState, ctrl: StepControl, profile, stride: int = 100) -> Tra
     Euler runs on built-in profiles, of every grid kind, take the compiled
     step loop of ``_kernels`` when that library can be built; RK2 runs,
     custom profiles, and every run when it cannot, take the numpy reference
-    engine.  A state already at t_end takes no step: its trajectory is itself.
+    engine, as does a state already at t_end, which takes no step: its
+    trajectory is itself.
     A profile that is not the boundary the grid kind imposes (see
     ``check_profile``), and a start no step could be taken from (see
     ``start_error``), are a ValueError, before any step.
@@ -484,11 +482,7 @@ def run(state0: FlowState, ctrl: StepControl, profile, stride: int = 100) -> Tra
     if stride < 1:
         raise ValueError("stride must be a positive number of steps")
     _check_start(state0, ctrl, profile)
-    if _t_end_reached(state0.t, ctrl.t_end):
-        state = state0.copy()
-        return Trajectory(record_state(state, ctrl, profile)[None, :], [state], [0],
-                          FlowEvent.TIME_EXHAUSTED, state.t, state.grid)
-    if ctrl.integrator == "euler":
+    if ctrl.integrator == "euler" and not _t_end_reached(state0.t, ctrl.t_end):
         from . import _kernels
 
         if _kernels.available and profile.kind in _kernels.PROFILES:
@@ -510,51 +504,79 @@ def _t_end_reached(t: float, t_end: Optional[float]) -> bool:
 
 
 def _run_python(state0: FlowState, ctrl: StepControl, profile, stride: int) -> Trajectory:
-    state = state0.copy()
-    records, states, state_steps = RecordBuffer(), [], []
-    event, event_time = FlowEvent.STEP_LIMIT, state.t
+    """``run`` on the numpy reference engine."""
+    return _run_states((state0,), ctrl, profile, stride)[0]
+
+
+def _run_states(starts: tuple, ctrl: StepControl, profile, stride: int) -> list:
+    """The numpy reference loop: co-evolve the states with one dt, the least
+    of their dt bounds, until every state's sup |H| is below h_stop, t_end,
+    the step limit or a guard trip in any of them.  One state steps by its
+    own bound, as ``run`` does, and one already at t_end takes no step.
+    Returns a trajectory per state; for a pair, the first one's min_gap
+    column holds min(u_B - u_A) over the real nodes."""
+    states = [s.copy() for s in starts]
+    records, snaps, steps = [RecordBuffer() for _ in states], [[] for _ in states], []
+    nodes = states[0].grid.real_nodes()
+    gaps, recs = [], ()
     k = 0
     while True:
         if k % stride == 0:
-            states.append(state.copy())
-            state_steps.append(k)
+            for snap, s in zip(snaps, states):
+                snap.append(s.copy())
+            steps.append(k)
+        if len(states) == 2:
+            gaps.append(float((states[1].u - states[0].u)[nodes].min()))
+        if ctrl.h_stop > 0.0 and recs and all(rec[_COL["sup_H"]] < ctrl.h_stop for rec in recs):
+            event, event_time = FlowEvent.CONVERGED, recs[0][_COL["t"]]
+            break
+        if _t_end_reached(states[0].t, ctrl.t_end):
+            event, event_time = FlowEvent.TIME_EXHAUSTED, states[0].t
+            break
+        if k >= ctrl.max_steps:
+            event, event_time = FlowEvent.STEP_LIMIT, states[0].t
+            break
         try:
-            ev = _evaluate(state, ctrl, profile)
-            rec = _record(state, profile, ev)
-            new_state = _advance(state, ctrl, profile, ev)
+            evs = [_evaluate(s, ctrl, profile) for s in states]
+            dt = min(_dt_bound(s, ev, ctrl.cfl) for s, ev in zip(states, evs))
+            recs = [_record(s, profile, ev) for s, ev in zip(states, evs)]
+            new_states = [_advance(s, ctrl, profile, ev, dt) for s, ev in zip(states, evs)]
         except GuardTrip as trip:
             event, event_time = FlowEvent.GUARD_TRIPPED, trip.t
-            records.append(record_state(state, ctrl, profile))
             break
         # free this step's fields before the next snapshot copy: kept alive,
         # they fragment the heap and raise the peak memory of stride-1 runs
-        del ev
-        records.append(rec)
-        state = new_state
+        del evs
+        for buf, rec in zip(records, recs):
+            buf.append(rec)
+        states = new_states
         k += 1
-        if ctrl.h_stop > 0.0 and rec[_COL["sup_H"]] < ctrl.h_stop:
-            event, event_time = FlowEvent.CONVERGED, rec[_COL["t"]]
-            break
-        if _t_end_reached(state.t, ctrl.t_end):
-            event, event_time = FlowEvent.TIME_EXHAUSTED, state.t
-            break
-        if k >= ctrl.max_steps:
-            event, event_time = FlowEvent.STEP_LIMIT, state.t
-            break
-    if event is not FlowEvent.GUARD_TRIPPED:
-        records.append(record_state(state, ctrl, profile))
-    if not states or state_steps[-1] != k or states[-1].t != state.t:
-        states.append(state.copy())
+    trajs = [_finish(buf, snap, list(steps), s, k, event, event_time, profile)
+             for buf, snap, s in zip(records, snaps, states)]
+    if gaps:
+        trajs[0].records[:, _COL["min_gap"]] = gaps
+    return trajs
+
+
+def _finish(records: RecordBuffer, states: list, state_steps: list, state: FlowState, k: int,
+            event: FlowEvent, event_time: float, profile, recorded: bool = False) -> Trajectory:
+    """The trajectory ending at state, step k: the driver's records and
+    snapshots (step 0's first) with the state's record unless the driver wrote
+    it, and its snapshot unless the last one is the state."""
+    if not recorded:
+        records.append(record_state(state, None, profile))
+    if state_steps[-1] != k or states[-1].t != state.t:
+        states.append(state)
         state_steps.append(k)
-    return Trajectory(records.take(), states, state_steps, event, event_time, state0.grid)
+    return Trajectory(records.take(), states, state_steps, event, event_time, state.grid)
 
 
-def comparison_pair_run(state_a: FlowState, state_b: FlowState, ctrl: StepControl,
-                        profile, stride: int = 100):
+def comparison_pair_run(state_a: FlowState, state_b: FlowState, ctrl: StepControl, profile):
     """Co-evolve an ordered pair with a common time step; track min(u_B - u_A).
 
-    The starts are checked as ``run`` checks its one; a guard trip before the
-    first step leaves trajectories without records.
+    The starts are checked as ``run`` checks its one.  The pair steps in the
+    numpy loop, a snapshot every PAIR_STRIDE steps; min_gap is traj_a's
+    min_gap column, the gap at every record.
     """
     if state_a.grid != state_b.grid:
         raise ValueError("comparison pair needs a common grid")
@@ -562,41 +584,5 @@ def comparison_pair_run(state_a: FlowState, state_b: FlowState, ctrl: StepContro
     _check_start(state_b, ctrl, profile)
     if np.any(state_b.u < state_a.u - 1e-12):
         raise ValueError("initial data must be ordered: u_A <= u_B nodewise")
-    a, b = state_a.copy(), state_b.copy()
-    nodes = a.grid.real_nodes()
-    rec_a, rec_b, gaps = RecordBuffer(), RecordBuffer(), []
-    states_a, states_b, state_steps = [], [], []
-    event, event_time = FlowEvent.STEP_LIMIT, a.t
-    k = 0
-    while True:
-        gaps.append(float((b.u - a.u)[nodes].min()))
-        if k % stride == 0:
-            states_a.append(a.copy())
-            states_b.append(b.copy())
-            state_steps.append(k)
-        try:
-            ev_a = _evaluate(a, ctrl, profile)
-            ev_b = _evaluate(b, ctrl, profile)
-            dt = min(_dt_bound(a, ev_a, ctrl.cfl), _dt_bound(b, ev_b, ctrl.cfl))
-            ra = _record(a, profile, ev_a)
-            a2 = _advance(a, ctrl, profile, ev_a, dt)
-            rb = _record(b, profile, ev_b)
-            b2 = _advance(b, ctrl, profile, ev_b, dt)
-        except GuardTrip as trip:
-            event, event_time = FlowEvent.GUARD_TRIPPED, trip.t
-            break
-        rec_a.append(ra)
-        rec_b.append(rb)
-        a, b = a2, b2
-        k += 1
-        if _t_end_reached(a.t, ctrl.t_end):
-            event, event_time = FlowEvent.TIME_EXHAUSTED, a.t
-            break
-        if k >= ctrl.max_steps:
-            event_time = a.t
-            break
-    # (0, 17) records when the guard trips at once
-    traj_a = Trajectory(rec_a.take(), states_a, state_steps, event, event_time, a.grid)
-    traj_b = Trajectory(rec_b.take(), states_b, state_steps, event, event_time, b.grid)
-    traj_a.records[:, _COL["min_gap"]] = np.asarray(gaps[: len(traj_a.records)])
-    return {"traj_a": traj_a, "traj_b": traj_b, "min_gap": np.asarray(gaps)}
+    traj_a, traj_b = _run_states((state_a, state_b), ctrl, profile, PAIR_STRIDE)
+    return {"traj_a": traj_a, "traj_b": traj_b, "min_gap": traj_a.series("min_gap").copy()}

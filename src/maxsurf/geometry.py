@@ -62,7 +62,6 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .disk import disk_grid
-from .profiles import RotationalProfile
 
 class SpacelikeError(ValueError):
     """Raised when a state violates the strict spacelike guard."""
@@ -124,7 +123,8 @@ class GeometryFields:
     ginv: Optional[tuple]               # disk2d: the inverse metric (g^xx, g^xy, g^yy)
     form_dV: Callable                   # () -> dV, from the evaluation
     kappa: Optional[tuple] = None       # radial2d principal curvatures
-    V: Optional[tuple] = None           # curve1d: the boundary's V field (V_x, V_t) at the nodes
+    V: Optional[tuple] = None           # the V field at the nodes: curve1d's (V_x, V_t);
+                                        # radial2d's (f' rhat + e3)/w as (f', 1/w), w = sqrt(1-f'^2)
 
     @functools.cached_property
     def nu(self) -> np.ndarray:
@@ -187,15 +187,6 @@ def trapezoid_weights(n: int, h) -> np.ndarray:
     w = h * np.ones(n)
     w[..., :1] = w[..., -1:] = 0.5 * h
     return w
-
-
-# -- reference V fields: a planar boundary supplies its own (profile.V) ----------
-
-
-def rotational_V_factors(profile: RotationalProfile, z):
-    """(f'(z), 1/sqrt(1-f'^2)) for the radial extension V = (f' rhat + e3)/sqrt(1-f'^2)."""
-    dfz = np.asarray(profile.df(z), dtype=float)
-    return dfz, 1.0 / np.sqrt(1.0 - dfz * dfz)
 
 
 # -- the evaluation and the observer --------------------------------------------
@@ -341,8 +332,10 @@ def _radial2d_evaluate(state: FlowState, profile) -> Evaluation:
 
 
 def _radial2d_fields(state: FlowState, profile, ev: Evaluation) -> tuple:
-    dfz, invw = rotational_V_factors(profile, state.u)
-    return (*_line_fields(ev, (1.0 - dfz * ev.du) * invw, 2.0 * np.pi * state.coords()), None)
+    dfz = np.asarray(profile.df(state.u), dtype=float)
+    invw = 1.0 / np.sqrt(1.0 - dfz * dfz)
+    return (*_line_fields(ev, (1.0 - dfz * ev.du) * invw, 2.0 * np.pi * state.coords()),
+            (dfz, invw))
 
 
 def _radial2d_observe(state: FlowState, ev: Evaluation, H, v, form_dV, V) -> GeometryFields:

@@ -49,13 +49,19 @@ from .disk import disk_grid
 from .flow import Trajectory
 from .geometry import (
     FlowState, d1, disk_divergence, disk_gradient, geometry, laplace_beltrami,
-    rotational_V_factors,
 )
 from .profiles import PlanarBoundary, RotationalProfile, normal_curvature, profile_curvature
 
 AXIS_EXCLUSION_CELLS = 3
 EDGE_FRACTION = 0.05   # interior = compactly inside: drop a 5% margin per side
 SKIP_FRACTION = 0.5    # the residuals skip the first half of the probe window
+BOUNDARY_SKIP = 300    # boundary residuals skip this many records, or a third of fewer
+MONOTONE_SLACK = 1e-8  # the rise of sup|H| a step that h_sup_monotone allows
+H_VS_V_P = 0.5         # the exponent p of the reported sup|H| <= C1 + C2 sup(v)^p fit
+CERT_EPSILON = 1e-2    # the margins a stability certificate needs
+CERT_RADIUS_MARGIN = 0.1   # R's margin over what the certificate requires of it
+MAXIMAL_TOL = 1e-4     # a certificate's state is maximal up to sup|H| <= MAXIMAL_TOL
+REFINEMENT_FACTOR = 2.0    # the grid refinement between successive levels
 
 
 def volume_identity(traj: Trajectory) -> float:
@@ -75,16 +81,15 @@ def volume_identity(traj: Trajectory) -> float:
 #    radial extension has them formed here
 
 
-def _rotational_V_data(profile: RotationalProfile, z: np.ndarray):
+def _rotational_V_data(profile: RotationalProfile, z: np.ndarray, df: np.ndarray):
     """Closed-form pieces of the rotational extension at heights z, from the
-    profile's f', f'' and f'''.
+    profile's f' there (df), f'' and f'''.
 
     Returns (c, dzV_mu_coef, d2zV_mu_coef, d2zV_V_coef) where
     c = f'/sqrt(1-f'^2) (the theta-direction strength),
     dz V = dzV_mu_coef * mu_ext, and
     d2z V = d2zV_mu_coef * mu_ext + d2zV_V_coef * V.
     """
-    df = np.asarray(profile.df(z), dtype=float)
     d2f = np.asarray(profile.d2f(z), dtype=float)
     d3f = np.asarray(profile.d3f(z), dtype=float)
     m = 1.0 - df * df
@@ -290,8 +295,8 @@ def _v_rhs_radial(s0: FlowState, g0, profile: RotationalProfile):
     ux = g0.du
     g_rr = g0.v_hat * g0.v_hat            # g^rr = v_hat^2
     kappa1, kappa2 = g0.kappa
-    c, dz_mu, d2z_mu, d2z_V = _rotational_V_data(profile, u)
-    df, invw = rotational_V_factors(profile, u)
+    df, invw = g0.V
+    c, dz_mu, d2z_mu, d2z_V = _rotational_V_data(profile, u, df)
     # frame components (radial, e3)
     mu_r, mu_3 = invw, df * invw
     V_r, V_3 = df * invw, invw
@@ -310,19 +315,18 @@ def _v_rhs_radial(s0: FlowState, g0, profile: RotationalProfile):
 # -- boundary identities ----------------------------------------------------------
 
 
-def boundary_identities(traj: Trajectory, profile, skip: Optional[int] = None) -> dict:
+def boundary_identities(traj: Trajectory, profile) -> dict:
     """Max over recorded times of the boundary identity residuals.
 
     The per-step series are recorded during the run (second-order normal
     derivatives against the curvature data of the profile, extrapolated from
     the first fully-centered nodes).  The boundary projection leaves a
     startup transient of a few hundred steps that refines nowhere, so the
-    residual maxima exclude an initial window; the sign series grad_v_max
-    covers all recorded times.
+    residual maxima skip the first BOUNDARY_SKIP records (a third of fewer);
+    the sign series grad_v_max covers all recorded times.  ``profile`` is
+    not read: the benchmark's trace replay passes it.
     """
-    n_rec = traj.records.shape[0]
-    if skip is None:
-        skip = min(300, n_rec // 3)
+    skip = min(BOUNDARY_SKIP, traj.records.shape[0] // 3)
     sl = slice(skip, None)
     return {
         "res_Hmu": float(np.nanmax(traj.series("bdry_res_Hmu")[sl])),
@@ -336,7 +340,7 @@ def boundary_identities(traj: Trajectory, profile, skip: Optional[int] = None) -
 # -- estimate monitors -------------------------------------------------------------
 
 
-def estimate_monitors(traj: Trajectory, p_default: float = 0.5, slack: float = 1e-8) -> dict:
+def estimate_monitors(traj: Trajectory) -> dict:
     """Witness constants for the gradient and mean-curvature estimates.
 
     h_sup_monotone is asserted only in the maximum-principle regime
@@ -350,7 +354,7 @@ def estimate_monitors(traj: Trajectory, p_default: float = 0.5, slack: float = 1
     asig_min = float(np.nanmin(traj.series("bdry_Asig_nn_min")))
     monotone: Optional[bool]
     if asig_min >= -1e-10:
-        monotone = bool(np.all(np.diff(sup_H) <= slack))
+        monotone = bool(np.all(np.diff(sup_H) <= MONOTONE_SLACK))
     else:
         monotone = None
     # v <= C1 exp(C2 osc u)
@@ -372,7 +376,7 @@ def estimate_monitors(traj: Trajectory, p_default: float = 0.5, slack: float = 1
         "h_sup_monotone": monotone,
         "boundary_Asig_min": asig_min,
         "grad_bound_fit": {"C1": C1, "C2": C2},
-        "h_vs_v_fit": {"C1": float(mh[0]), "C2": c2_for(p_default), "p": p_default},
+        "h_vs_v_fit": {"C1": float(mh[0]), "C2": c2_for(H_VS_V_P), "p": H_VS_V_P},
         "p_best_fit": p_best,
     }
 
@@ -433,13 +437,12 @@ def _disk2d_certificate(state: FlowState, g, profile, center):
     return a_nn, pairing, sq_bdry, sq
 
 
-def stability_certificate(state: FlowState, profile, center, epsilon: float = 1e-2,
-                          maximal_tol: float = 1e-4) -> StabilityCertificate:
+def stability_certificate(state: FlowState, profile, center) -> StabilityCertificate:
     """Build and check phi = R - |x-a|^2 on an (approximately) maximal state.
 
     The hypothesis A^Sig(nu,nu) > 0 on the boundary is reported, not raised:
     certificates are simply not constructible where it fails.  The radius is
-    R = max(sup|x-a|^2, boundary requirement) + epsilon-margin.  On a maximal
+    R = max(sup|x-a|^2, boundary requirement) + CERT_RADIUS_MARGIN.  On a maximal
     surface the interior identity Lap phi = -2n is cross-checked.
     """
     center = np.asarray(center, dtype=float)
@@ -447,16 +450,15 @@ def stability_certificate(state: FlowState, profile, center, epsilon: float = 1e
     a_nn, pairing, sq_bdry, sq = _KINDS[state.grid.kind].certificate(state, g, profile, center)
     ins = state.grid.real_nodes()
     sup_H = float(np.abs(g.H[ins]).max())
-    if sup_H > maximal_tol:
+    if sup_H > MAXIMAL_TOL:
         raise ValueError(f"state is not approximately maximal (sup|H| = {sup_H:.2e})")
     n_dim = 2    # both kinds with a certificate are surfaces
     hypothesis_ok = bool(np.min(a_nn) > 1e-10)
     sq_in = sq[ins]
-    if hypothesis_ok:
-        need_bdry = float(np.max(sq_bdry + 2.0 * pairing / a_nn))
-        radius = max(float(sq_in.max()), need_bdry) + max(epsilon, 0.1)
-    else:
-        radius = float(sq_in.max()) + max(epsilon, 0.1)
+    radius = float(sq_in.max())
+    if hypothesis_ok:    # the boundary's requirement
+        radius = max(radius, float(np.max(sq_bdry + 2.0 * pairing / a_nn)))
+    radius += CERT_RADIUS_MARGIN
     phi = radius - sq
     lap_phi = laplace_beltrami(state, phi, g)
     interior = np.isfinite(lap_phi)
@@ -464,11 +466,11 @@ def stability_certificate(state: FlowState, profile, center, epsilon: float = 1e
     interior_margin = float(np.min(-(lap_phi[interior] - phi[interior] * g.normA2[interior])))
     boundary_margin = float(np.min(-2.0 * pairing + (radius - sq_bdry) * a_nn))
     min_phi = float(phi[ins].min())
-    ok = bool(hypothesis_ok and interior_margin >= epsilon
-              and boundary_margin >= 0.0 and min_phi >= epsilon)
+    ok = bool(hypothesis_ok and interior_margin >= CERT_EPSILON
+              and boundary_margin >= 0.0 and min_phi >= CERT_EPSILON)
     reason = "" if hypothesis_ok else "A^Sigma(nu,nu) <= 0 on the boundary (hypothesis fails)"
     return StabilityCertificate(
-        phi=phi, epsilon=epsilon, R=float(radius), center=center,
+        phi=phi, epsilon=CERT_EPSILON, R=float(radius), center=center,
         interior_margin=interior_margin, boundary_margin=boundary_margin,
         laplace_identity_max=lap_identity, hypothesis_ok=hypothesis_ok,
         ok=ok, reason=reason,
@@ -493,12 +495,12 @@ _KINDS = {
 }
 
 
-def refinement_orders(values: list, factor: float = 2.0) -> list:
-    """log_factor(e_k / e_{k+1}) between successive refinement levels."""
+def refinement_orders(values: list) -> list:
+    """log(e_k / e_{k+1}) / log(REFINEMENT_FACTOR) between successive levels."""
     out = []
     for a, b in zip(values[:-1], values[1:]):
         if a <= 0 or b <= 0:
             out.append(math.inf if b == 0 else math.nan)
         else:
-            out.append(math.log(a / b) / math.log(factor))
+            out.append(math.log(a / b) / math.log(REFINEMENT_FACTOR))
     return out

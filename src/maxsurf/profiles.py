@@ -28,7 +28,6 @@ from typing import Callable
 import numpy as np
 
 from .analytic import radial_graph_mean_curvature
-from .lorentz import minkowski_inner
 
 __all__ = [
     "RotationalProfile",
@@ -53,6 +52,7 @@ __all__ = [
 ]
 
 PLANE_LEAF_TOL = 1e-10
+CONDITION_TOL = 1e-12   # the curvature criterion's largest value that counts as <= 0
 
 
 class ProfileError(ValueError):
@@ -208,10 +208,8 @@ class ConditionReport:
     worst_value: float
 
 
-def check_condition_curvature(
-    p, z_lo: float, z_hi: float, samples: int = 1001, tol: float = 1e-12
-) -> ConditionReport:
-    """Sample the curvature criterion on [z_lo, z_hi]; ok iff max <= tol.
+def check_condition_curvature(p, z_lo: float, z_hi: float, samples: int) -> ConditionReport:
+    """Sample the curvature criterion on [z_lo, z_hi]; ok iff max <= CONDITION_TOL.
 
     For rotational profiles the direct expression f''/(1-f'^2) - 1/f is
     cross-checked for sign agreement against -(A_VV + min A_WW) computed
@@ -232,7 +230,7 @@ def check_condition_curvature(
                 )
         if expr > worst:
             worst, worst_z = expr, float(z)
-    return ConditionReport(ok=bool(worst <= tol), worst_z=worst_z, worst_value=worst)
+    return ConditionReport(ok=bool(worst <= CONDITION_TOL), worst_z=worst_z, worst_value=worst)
 
 
 def cmc_leaf_through(p: RotationalProfile, z: float) -> CmcLeaf:
@@ -329,7 +327,7 @@ def leaf_time_anchor_rate(p: RotationalProfile, rho, z: float):
 # -- built-in profiles ---------------------------------------------------
 
 
-def cylinder(radius: float = 1.0, domain=(-5.0, 5.0)) -> RotationalProfile:
+def cylinder(radius: float = 1.0) -> RotationalProfile:
     r = float(radius)
     if r <= 0:
         raise ProfileError("cylinder radius must be positive")
@@ -338,13 +336,13 @@ def cylinder(radius: float = 1.0, domain=(-5.0, 5.0)) -> RotationalProfile:
         df=lambda z: np.zeros_like(np.asarray(z, dtype=float)) if np.ndim(z) else 0.0,
         d2f=lambda z: np.zeros_like(np.asarray(z, dtype=float)) if np.ndim(z) else 0.0,
         d3f=lambda z: np.zeros_like(np.asarray(z, dtype=float)) if np.ndim(z) else 0.0,
-        domain=tuple(domain),
+        domain=(-5.0, 5.0),
         kind="cylinder",
         params=(r,),
     )
 
 
-def pseudosphere(A: float = 1.0, B: float = 0.0, domain=(-3.0, 3.0)) -> RotationalProfile:
+def pseudosphere(A: float = 1.0, B: float = 0.0) -> RotationalProfile:
     """f = sqrt(A^2 + (z+B)^2): the equality case of the curvature criterion."""
     A, B = float(A), float(B)
     if A <= 0:
@@ -355,27 +353,25 @@ def pseudosphere(A: float = 1.0, B: float = 0.0, domain=(-3.0, 3.0)) -> Rotation
         df=lambda z: (np.asarray(z, dtype=float) + B) / f(z),
         d2f=lambda z: A * A / f(z) ** 3,
         d3f=lambda z: -3.0 * A * A * (np.asarray(z, dtype=float) + B) / f(z) ** 5,
-        domain=tuple(domain),
+        domain=(-3.0, 3.0),
         kind="pseudosphere",
         params=(A, B),
     )
 
 
-def sine_tube(a: float = 2.0, b: float = 0.5, omega: float = 1.0, domain=None) -> RotationalProfile:
+def sine_tube(a: float = 2.0, b: float = 0.5, omega: float = 1.0) -> RotationalProfile:
     """f = a + b sin(omega z); admissible for a sufficiently dominant a."""
     a, b, omega = float(a), float(b), float(omega)
     if a - abs(b) <= 0:
         raise ProfileError("sine_tube needs a > |b|")
     if abs(b * omega) >= 1:
         raise ProfileError("sine_tube needs |b*omega| < 1 (timelike tube)")
-    if domain is None:
-        domain = (0.0, 2.0 * math.pi / omega)
     return RotationalProfile(
         f=lambda z: a + b * np.sin(omega * np.asarray(z, dtype=float)),
         df=lambda z: b * omega * np.cos(omega * np.asarray(z, dtype=float)),
         d2f=lambda z: -b * omega * omega * np.sin(omega * np.asarray(z, dtype=float)),
         d3f=lambda z: -b * omega**3 * np.cos(omega * np.asarray(z, dtype=float)),
-        domain=tuple(domain),
+        domain=(0.0, 2.0 * math.pi / omega),
         kind="sine_tube",
         params=(a, b, omega),
     )
@@ -507,15 +503,3 @@ def profile_from_spec(text: str):
             raise ProfileError(f"profile parameter {tok!r} in {text!r} is not a finite number")
         args.append(value)
     return build(*args)
-
-
-def boundary_frame_orthonormal(bc: BoundaryCurvature, tol: float = 1e-12) -> bool:
-    """True when <mu,mu>=1, <V,V>=-1 and mu,V,W are mutually orthogonal."""
-    checks = [
-        abs(minkowski_inner(bc.mu, bc.mu) - 1.0),
-        abs(minkowski_inner(bc.V, bc.V) + 1.0),
-        abs(minkowski_inner(bc.mu, bc.V)),
-    ]
-    for w in bc.W:
-        checks += [abs(minkowski_inner(w, w) - 1.0), abs(minkowski_inner(bc.V, w))]
-    return max(checks) <= tol

@@ -135,7 +135,7 @@ def write_summary(path: str, summary: dict) -> None:
             f.write(f"{key} = {_fmt(summary[key])}\n")
 
 
-def check_boundary(cfg: ScenarioConfig, write: bool = True) -> ExitReport:
+def check_boundary(cfg: ScenarioConfig) -> ExitReport:
     """Curvature-condition check plus CMC-foliation data for the profile."""
     scenario = build_scenario(cfg)
     profile = scenario.profile
@@ -162,9 +162,8 @@ def check_boundary(cfg: ScenarioConfig, write: bool = True) -> ExitReport:
             worst_leaf = max(worst_leaf, float(np.abs(np.abs(H) * leaf.R - 2.0).max()))
         summary["leaf_HR_minus_2_max"] = worst_leaf
     out_dir = os.path.join(output_root(), cfg.out_dir)
-    if write:
-        os.makedirs(out_dir, exist_ok=True)
-        write_summary(os.path.join(out_dir, "check_boundary.txt"), summary)
+    os.makedirs(out_dir, exist_ok=True)
+    write_summary(os.path.join(out_dir, "check_boundary.txt"), summary)
     code = EXIT_OK if rep.ok else EXIT_CONDITION
     return ExitReport(code, None, out_dir, summary)
 

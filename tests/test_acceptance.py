@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from maxsurf.analytic import grim_reaper_boundary, grim_reaper_sup_vhat
+from maxsurf.analytic import grim_reaper_boundary
 from maxsurf.config import parse_config
 from maxsurf.disk import disk_grid
 from maxsurf.flow import FlowEvent, StepControl, comparison_pair_run, record_state, run, _COL
@@ -36,6 +36,11 @@ from maxsurf.profiles import (
 from maxsurf.runner import convergence_study, run_scenario, write_summary
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
+
+
+def grim_reaper_sup_vhat(t: float) -> float:
+    """sup v_hat = cosh x_b(t) = 1/sqrt(1 - e^{2t})."""
+    return 1.0 / math.sqrt(1.0 - math.exp(2.0 * t))
 
 
 def load_cfg(name):

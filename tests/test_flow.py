@@ -97,7 +97,7 @@ def test_run_translator_window():
     ctrl = StepControl(cfl=0.4, t_end=-0.8)
     traj = _run_python(st, ctrl, trumpet(), stride=50)
     assert traj.event is FlowEvent.TIME_EXHAUSTED
-    assert traj.times[-1] == pytest.approx(-0.8, abs=1e-12)
+    assert traj.series("t")[-1] == pytest.approx(-0.8, abs=1e-12)
     # space-time error against the exact translator
     errs = []
     for s in traj.states:
@@ -244,14 +244,17 @@ def test_comparison_pair_reports_a_guard_trip():
 
 
 def test_comparison_pair_trips_before_the_first_step():
-    # a spacelike pair whose margin is below the guard: no step, no record
+    # a spacelike pair whose margin is below the guard: no step, and each
+    # trajectory holds the start's record and snapshot alone
     st = translator_state(-1.0, 21)
     out = comparison_pair_run(st, st.copy(), StepControl(eps_guard=0.99), trumpet())
+    start = record_state(st, None, trumpet())
     for traj in (out["traj_a"], out["traj_b"]):
         assert traj.event is FlowEvent.GUARD_TRIPPED and traj.event_time == st.t
-        assert traj.records.shape == (0, len(RECORD_COLUMNS))
-        assert traj.series("min_gap").size == 0
-    assert out["min_gap"].tolist() == [0.0]
+        assert traj.records.shape == (1, len(RECORD_COLUMNS))
+        assert traj.records[0, :-1].tobytes() == start[:-1].tobytes()
+        assert traj.state_steps == [0] and traj.states[0].u.tobytes() == st.u.tobytes()
+    assert out["traj_a"].series("min_gap").tolist() == out["min_gap"].tolist() == [0.0]
 
 
 @pytest.mark.parametrize("engine", ["library", "numpy"])
@@ -280,7 +283,49 @@ def test_comparison_pair_reports_the_time_reached_at_the_step_limit():
     traj = comparison_pair_run(st, st.copy(), ctrl, p)["traj_a"]
     ref = _run_python(st, ctrl, p, stride=100)
     assert traj.event is ref.event is FlowEvent.STEP_LIMIT
-    assert traj.event_time == ref.event_time > traj.times[-1] > 0.0
+    assert traj.event_time == ref.event_time == traj.series("t")[-1] > traj.series("t")[-2] > 0.0
+    assert traj.records.shape == ref.records.shape == (51, len(RECORD_COLUMNS))
+
+
+def pair_ending(kind, ending):
+    """(state, ctrl, profile) of a grid kind whose run ends at t_end (after
+    more than one snapshot stride), at the step limit or by a guard trip; the
+    line kinds trip after three steps, as their least margin falls, and the
+    disk, whose margin grows, at its start."""
+    if kind == "curve1d":
+        t0 = math.log(math.tanh(0.5))
+        grid = GridSpec("curve1d", 21)
+        state = FlowState(grid, t0, np.log(np.cosh(grid.reference() * 0.5)) + t0, (-0.5, 0.5))
+        profile, t_end, guard = trumpet(), t0 + 0.12, 0.7855     # margin 0.7864 at the start
+    elif kind == "radial2d":
+        profile, grid, z = sine_tube(2.0, 0.5, 1.0), GridSpec("radial2d", 21), 1.5 * math.pi + 0.2
+        state = FlowState(grid, 0.0, np.full(21, z), float(profile.f(z)))
+        t_end, guard = 0.17, 0.98955                               # margin 0.99013
+    else:
+        state, profile, t_end, guard = disk_bump(0.1, n=17), cylinder(1.0), 0.4, 0.99
+    ctrl = {"t_end": StepControl(t_end=t_end), "step_limit": StepControl(max_steps=7),
+            "guard": StepControl(eps_guard=guard, t_end=1.0)}[ending]
+    return state, ctrl, profile
+
+
+@pytest.mark.parametrize("ending", ["t_end", "step_limit", "guard"])
+@pytest.mark.parametrize("kind", ["curve1d", "radial2d", "disk2d"])
+def test_a_pair_of_equal_states_steps_as_one_run(kind, ending):
+    # the pair and _run_python are one loop: each trajectory of an equal pair
+    # is the single run's, bit for bit, and traj_a's min_gap column is the
+    # pair's gap at every record
+    state, ctrl, profile = pair_ending(kind, ending)
+    out = comparison_pair_run(state, state.copy(), ctrl, profile)
+    ref = _run_python(state, ctrl, profile, 100)
+    event = {"t_end": FlowEvent.TIME_EXHAUSTED, "step_limit": FlowEvent.STEP_LIMIT,
+             "guard": FlowEvent.GUARD_TRIPPED}[ending]
+    assert ref.event is event
+    traj_a = out["traj_a"]
+    assert traj_a.series("min_gap").tobytes() == out["min_gap"].tobytes()
+    assert out["min_gap"].tolist() == [0.0] * ref.records.shape[0]
+    traj_a.records[:, RECORD_COLUMNS.index("min_gap")] = np.nan
+    assert_same_run(traj_a, ref)
+    assert_same_run(out["traj_b"], ref)
 
 
 def test_converged_run_labels_its_final_snapshot():
@@ -328,13 +373,12 @@ def test_a_budget_of_one_step_takes_one_step(driver):
     st, ctrl, p = translator_state(-1.0, 51), StepControl(max_steps=1), trumpet()
     if driver == "comparison_pair_run":
         traj = comparison_pair_run(st, st.copy(), ctrl, p)["traj_a"]
-        steps = traj.records.shape[0]
     else:
         engine = {"run": run, "_run_python": _run_python, "run_fast": _kernels.run_fast}
         traj = engine[driver](st.copy(), ctrl, p, 1)
-        steps = traj.records.shape[0] - 1       # the last record is the final state's
     assert traj.event is FlowEvent.STEP_LIMIT
-    assert steps == 1 and traj.event_time > st.t
+    # the last record is the final state's
+    assert traj.records.shape[0] - 1 == 1 and traj.event_time == traj.series("t")[-1] > st.t
 
 
 @needs_step_loop
@@ -1054,7 +1098,7 @@ def test_trajectory_invariants():
     st = translator_state(-1.0, 101)
     ctrl = StepControl(cfl=0.4, t_end=-0.95)
     traj = run(st, ctrl, trumpet(), stride=100)
-    times = traj.times
+    times = traj.series("t")
     assert np.all(np.diff(times) > 0)
     snap_times = [s.t for s in traj.states]
     assert all(b > a for a, b in zip(snap_times[:-1], snap_times[1:]))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as hs
 
 import maxsurf
-from maxsurf.analytic import grim_reaper, hyperbolic_plane, hyperbolic_plane_mean_curvature
+from maxsurf.analytic import grim_reaper, hyperbolic_plane, radial_graph_mean_curvature
 from maxsurf.config import SCENARIOS
 from maxsurf.disk import disk_grid
 from maxsurf.flow import StepControl, record_state
@@ -212,6 +212,19 @@ def test_radial_hyperboloid_mean_curvature_order2():
     assert errs[0] == pytest.approx(0.0, abs=1e-2)
     order = math.log2(errs[0] / errs[2]) / 2.0
     assert 1.6 < order < 2.4
+
+
+def hyperbolic_plane_mean_curvature(R: float, rho) -> np.ndarray:
+    """Exact |H| = 2/R of the hyperboloid, via the graph formula (n = 2).
+
+    Assembled from u_rho = rho/sqrt(R^2+rho^2) and u_rhorho through
+    radial_graph_mean_curvature, so a symbolic cancellation check rather
+    than the constant 2/R directly.
+    """
+    rho = np.asarray(rho, dtype=float)
+    R = float(R)
+    s = np.sqrt(R * R + rho**2)
+    return radial_graph_mean_curvature(rho, rho / s, R * R / s**3)
 
 
 def test_hyperbolic_plane_oracle_is_exact():

@@ -6,8 +6,8 @@ import pytest
 from maxsurf.lorentz import minkowski_inner
 from maxsurf.profiles import (
     ProfileError,
+    BoundaryCurvature,
     RotationalProfile,
-    boundary_frame_orthonormal,
     check_condition_curvature,
     cmc_leaf_through,
     condition_expression,
@@ -23,6 +23,18 @@ from maxsurf.profiles import (
     sine_tube,
     trumpet,
 )
+
+
+def boundary_frame_orthonormal(bc: BoundaryCurvature, tol: float = 1e-12) -> bool:
+    """True when <mu,mu>=1, <V,V>=-1 and mu,V,W are mutually orthogonal."""
+    checks = [
+        abs(minkowski_inner(bc.mu, bc.mu) - 1.0),
+        abs(minkowski_inner(bc.V, bc.V) + 1.0),
+        abs(minkowski_inner(bc.mu, bc.V)),
+    ]
+    for w in bc.W:
+        checks += [abs(minkowski_inner(w, w) - 1.0), abs(minkowski_inner(bc.V, w))]
+    return max(checks) <= tol
 
 
 def random_tube(rng):
