@@ -6,7 +6,6 @@ surfaces; the package also verifies the evolution identities, boundary
 derivatives and a-priori estimate quantities along every discrete trajectory.
 """
 
-from .lorentz import minkowski_inner
 from .profiles import (
     BoundaryCurvature,
     CmcLeaf,
@@ -32,7 +31,6 @@ from .geometry import (
     SpacelikeError,
     geometry,
     laplace_beltrami,
-    spacelike_margin,
 )
 from .flow import (
     FlowError,
@@ -50,7 +48,6 @@ from .monitors import (
     boundary_identities,
     estimate_monitors,
     evolution_residuals,
-    refinement_orders,
     stability_certificate,
     volume_identity,
 )

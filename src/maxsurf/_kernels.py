@@ -1,5 +1,5 @@
-"""Compiled Euler stepping loop for the scenarios on built-in profiles, and
-the CSV row formatter of the run outputs.
+"""Compiled Euler stepping loop for the scenarios on built-in profiles, the
+disk's evolution-residual walk, and the CSV row formatter of the run outputs.
 
 ``_step.c`` translates the numpy reference engine (flow.py's step over
 geometry.py's per-kind evaluation) operation for operation (same stencils,
@@ -59,10 +59,23 @@ dropped digit where it has 18), written two at a time; outside that range
 (below 1e-16, from 2^128 on, or without a 128-bit integer type) glibc's
 ``snprintf``, which rounds correctly, writes it; NaN is ``nan``, as in Python.
 
+The third entry point, ``maxsurf_disk_residuals`` (``disk_residuals``
+here), is monitors' numpy walk of the disk's evolution residuals translated
+operation for operation: per stored state one ghost fill and guard, one
+pass for the observer's fields over the deep nodes dilated by 2, the fluxes
+over them dilated by 1, and the drift, Laplacian and right-hand side over
+the deep nodes, into a ring of three states' fields, and per centre one
+pass that folds max |res_H| and max |res_v|, a state whose residual is NaN
+at a deep node skipped, as ``np.fmax`` skips it.  A node's derivatives,
+margin, w, v_hat and rhs come from the same inline function as the step's
+row kernel.  Its row kernels have AVX2 clones too; their only reductions
+are a least margin and largest residuals with NaNs counted apart, one value
+in any order.
+
 ``available`` (read lazily) says whether the library could be built and
 loaded; when it could not, ``reason`` holds a one-line explanation,
-``flow.run`` stays on the numpy engine and ``runner`` formats its CSV
-rows with Python's ``%``.
+``flow.run`` stays on the numpy engine, ``monitors`` walks the disk's
+residuals in numpy and ``runner`` formats its CSV rows with Python's ``%``.
 """
 
 from __future__ import annotations
@@ -92,6 +105,9 @@ PROFILES = {"cylinder": (0, 1), "pseudosphere": (1, 2), "sine_tube": (2, 3), "tr
 SNAPSHOT_BUFFER_BYTES = 64 << 20
 
 NREC = 17
+# the disk residual walk's work array, in boxes: a ring of 3 states' (H, v), one
+# of 2 states' 7 geometry fields, and 3 of scratch
+DISK_WALK_BOXES = 3 * 2 + 2 * 7 + 3
 # the longest %.17g value, "-2.2250738585072014e-308", and its separator
 CSV_VALUE_BYTES = 25
 (_STATUS_CHUNK, _STATUS_GUARD, _STATUS_CONV, _STATUS_TEND, _STATUS_DT_UNDERFLOW,
@@ -120,23 +136,29 @@ class _Disk(ctypes.Structure):
     ]
 
 
+def _row_runs(mask: np.ndarray) -> tuple:
+    """(lo, hi): each row x of an m x m box mask as one run of flat indices
+    lo[x] <= i < hi[x] (lo = hi on an empty row)."""
+    m = mask.shape[0]
+    count = mask.sum(axis=1)
+    first = np.where(count > 0, mask.argmax(axis=1), 0)
+    cols = np.arange(m)
+    if not np.array_equal(mask, (cols >= first[:, None]) & (cols < (first + count)[:, None])):
+        raise ValueError("the nodes of each box row must form one run")
+    return cols * m + first, cols * m + first + count
+
+
 def _disk_tables(grid):
     """(struct Disk, the arrays it points into) for a disk.DiskGrid."""
     G, ring = grid.ghost_operator, grid.ring_sampler
     if not np.all(np.diff(ring.indptr) == 4):
         raise ValueError("the ring sampler needs 4 taps per row")
-    # each box row's inside nodes, as one run of flat indices [row_lo, row_hi)
     m = grid.X.shape[0]
-    count = grid.inside.sum(axis=1)
-    first = np.where(count > 0, grid.inside.argmax(axis=1), 0)
-    cols = np.arange(m)
-    if not np.array_equal(grid.inside, (cols >= first[:, None]) & (cols < (first + count)[:, None])):
-        raise ValueError("the inside nodes of each box row must form one run")
-    row_lo = cols * m + first
+    row_lo, row_hi = _row_runs(grid.inside)
     f64 = {name: np.ascontiguousarray(a, dtype=np.float64) for name, a in (
         ("area", grid.area_weights), ("ghost_val", G.data), ("ring_val", ring.data))}
     i64 = {name: np.ascontiguousarray(a, dtype=np.int64) for name, a in (
-        ("row_lo", row_lo), ("row_hi", row_lo + count), ("ghost_node", grid.ghost_flat),
+        ("row_lo", row_lo), ("row_hi", row_hi), ("ghost_node", grid.ghost_flat),
         ("ghost_ptr", G.indptr), ("ghost_col", G.indices), ("ring_col", ring.indices))}
     tables = _Disk(m=m, h=grid.h, radius=grid.radius, n_ghost=grid.ghost_flat.size,
                    n_angles=grid.ring_angles.size, ring_delta=grid.ring_delta,
@@ -267,6 +289,13 @@ def _load_library(path: str):
     lib.maxsurf_trumpet_V.restype = None
     lib.maxsurf_exp_parts.argtypes = [ctypes.c_int64, f64, f64, f64]
     lib.maxsurf_exp_parts.restype = None
+    lib.maxsurf_disk_residuals.argtypes = [
+        ctypes.POINTER(_Disk), ctypes.c_int64,                         # disk, n_states
+        np.ctypeslib.ndpointer(dtype=np.uintp, flags="C_CONTIGUOUS"),  # u
+        f64, np.ctypeslib.ndpointer(dtype=np.int8, flags="C_CONTIGUOUS"),   # t, centre
+        i64, f64, f64, f64,                                            # runs .. work
+    ]
+    lib.maxsurf_disk_residuals.restype = ctypes.c_int
     return lib
 
 
@@ -278,7 +307,8 @@ def load():
             _loaded = (_load_library(_build()), None)
         except (BuildError, OSError, ValueError, AttributeError) as exc:
             reason = " ".join(str(exc).split()) or type(exc).__name__
-            _loaded = (None, f"C library (step loop, CSV formatter) unavailable: {reason}")
+            _loaded = (None, "C library (step loop, residual walk, CSV formatter) "
+                             f"unavailable: {reason}")
     return _loaded
 
 
@@ -299,6 +329,44 @@ def format_rows(rows: np.ndarray, out: np.ndarray) -> int:
         raise ValueError(f"{rows.size} values need a 2-d array and "
                          f"{rows.size * CSV_VALUE_BYTES} bytes of buffer, got {out.size}")
     return load()[0].maxsurf_format_rows(rows, rows.shape[0], rows.shape[1], out)
+
+
+def _dilate(mask: np.ndarray) -> np.ndarray:
+    """mask and the four neighbours of its nodes, on the box."""
+    out = mask.copy()
+    out[1:] |= mask[:-1]
+    out[:-1] |= mask[1:]
+    out[:, 1:] |= mask[:, :-1]
+    out[:, :-1] |= mask[:, 1:]
+    return out
+
+
+def disk_residuals(states: list, centre, deep: np.ndarray) -> tuple:
+    """(max |res_H|, max |res_v|) of the disk's evolution identities over a
+    walk of stored states (monitors' numpy walk, bit for bit): centre[s]
+    marks the states whose triple (s - 1, s, s + 1) is folded, deep the
+    nodes each identity is checked on.  SpacelikeError where a state's
+    margin is not positive, as geometry raises it.  Needs the library (see
+    ``available``)."""
+    from .disk import disk_grid
+    from .geometry import SpacelikeError
+
+    grid = states[0].grid
+    tables, keep_alive = _disk_tables(disk_grid(grid.n, grid.radius))
+    flux = _dilate(deep)
+    runs = np.concatenate([np.concatenate(_row_runs(a)) for a in (deep, flux, _dilate(flux))])
+    us = [np.ascontiguousarray(s.u, dtype=np.float64) for s in states]
+    if any(u.shape != deep.shape for u in us):
+        raise ValueError(f"the walk's states must be {deep.shape} disk boxes")
+    ptrs = np.array([u.ctypes.data for u in us], dtype=np.uintp)
+    t = np.array([s.t for s in states], dtype=np.float64)
+    res, fail = np.zeros(2), np.zeros(1)
+    work = np.empty(DISK_WALK_BOXES * deep.size)
+    status = load()[0].maxsurf_disk_residuals(
+        tables, len(us), ptrs, t, np.asarray(centre, dtype=np.int8), runs, res, fail, work)
+    if status:
+        raise SpacelikeError(f"graph is not strictly spacelike (least margin {fail[0]:.3g})")
+    return float(res[0]), float(res[1])
 
 
 def run_fast(state0, ctrl, profile, stride):

@@ -35,13 +35,13 @@
  * trumpet's domain, and a node takes one more division, 1/e^a.
  *
  * No -march either: _kernels.py caches the library under the machine type
- * alone, so it must run on every CPU of that type.  The two loops where
- * vector width pays, the disk's row kernel and curve1d's pass with its
- * exponential, are cloned for AVX2 instead (target_clones, on x86-64 with
- * glibc, whose loader picks the clone once).  The clones agree bit for bit:
- * without contraction an AVX2 lane does the SSE2 lane's correctly rounded
- * add, mul, div and sqrt, and of the loops' operations only the declared
- * min/max reductions change order.
+ * alone, so it must run on every CPU of that type.  The loops where vector
+ * width pays, the disk's row kernel, curve1d's pass with its exponential and
+ * the row kernels of the disk's residual walk, are cloned for AVX2 instead
+ * (target_clones, on x86-64 with glibc, whose loader picks the clone once).
+ * The clones agree bit for bit: without contraction an AVX2 lane does the
+ * SSE2 lane's correctly rounded add, mul, div and sqrt, and of the loops'
+ * operations only the declared min/max reductions change order.
  *
  * The record's least margin, sup v, sup |H| and range of u are simd
  * reductions, in whatever order the lanes run: the disk's row kernel takes
@@ -87,6 +87,10 @@
  * and returns one of the ST_* codes.  maxsurf_exp_parts and maxsurf_trumpet_V
  * evaluate exp_parts and trumpet_V over an array, for the tests.
  *
+ * maxsurf_disk_residuals walks the disk's evolution residuals over a
+ * trajectory's stored states, as monitors' numpy walk does (see its section
+ * below); a node's fields come from disk_node, as the step's do.
+ *
  * The file also holds the run outputs' CSV formatter, maxsurf_format_rows
  * (see the end of the file), which writes rows of doubles byte for byte as
  * Python's format(v, ".17g") does: the decade is an integer estimate from the
@@ -120,6 +124,13 @@ enum { P_CYLINDER = 0, P_PSEUDOSPHERE = 1, P_SINE_TUBE = 2 };
  * differ from x*x in the last bit; reading the exponent through a volatile
  * keeps the compiler from folding pow(x, 2.0) into x*x. */
 static volatile double TWO = 2.0, THREE = 3.0;
+
+/* an AVX2 clone beside the default build, where the loader can choose */
+#if defined(__x86_64__) && defined(__GLIBC__)
+#define AVX2_CLONE __attribute__((target_clones("avx2", "default")))
+#else
+#define AVX2_CLONE
+#endif
 
 /* Python's max(1.0, a) */
 static double max1(double a) { return a > 1.0 ? a : 1.0; }
@@ -656,9 +667,7 @@ static inline void curve1d_node(const Drift *g, double s, double ux, double rhs,
  * line_fields (the unit dV is 1), storing what the record, rim and update read,
  * and the reductions, from the ends' r.  Free of branches, so it vectorises;
  * the exponential is most of its work, so it is cloned for AVX2. */
-#if defined(__x86_64__) && defined(__GLIBC__)
-__attribute__((target_clones("avx2", "default")))
-#endif
+AVX2_CLONE
 static Run curve1d_inside(const Step *S, const Drift *g, Run r)
 {
     const int64_t n = S->n;
@@ -838,19 +847,43 @@ static inline void disk_gradient(const double *f, int64_t i, int64_t m, double i
     *uy = (f[i + 1] - f[i - 1]) * inv_2h;
 }
 
-/* geometry._disk2d_evaluate and flow._disk2d_rate, with the record's
+/* geometry._disk2d_evaluate at box node i of f: the central derivatives,
+ * the margin m = 1 - |Du|^2, w = sqrt(m), v_hat = 1/w, v_hat^2 and rhs =
+ * H / v_hat, the stencils multiplying by the reciprocals inv_2h = 1/(2h),
+ * inv_h2 = 1/h^2 and inv_4h2 = 1/(4h^2).  The step's row kernel and the
+ * residual walk both take a node's fields from here. */
+typedef struct {
+    double ux, uy, uxx, uyy, uxy, m, w, vh, vh2, rhs;
+} DiskNode;
+
+static inline DiskNode disk_node(const double *f, int64_t i, int64_t m, double inv_2h,
+                                 double inv_h2, double inv_4h2)
+{
+    DiskNode d;
+    double c = f[i];
+    disk_gradient(f, i, m, inv_2h, &d.ux, &d.uy);
+    d.uxx = (f[i + m] - 2.0 * c + f[i - m]) * inv_h2;
+    d.uyy = (f[i + 1] - 2.0 * c + f[i - 1]) * inv_h2;
+    d.uxy = (f[i + m + 1] + f[i - m - 1] - f[i + m - 1] - f[i - m + 1]) * inv_4h2;
+    d.m = 1.0 - (d.ux * d.ux + d.uy * d.uy);
+    d.w = sqrt(d.m);
+    d.vh = 1.0 / d.w;
+    d.vh2 = d.vh * d.vh;
+    d.rhs = (d.uxx + d.uyy)
+            + d.vh2 * (d.ux * d.ux * d.uxx + 2.0 * d.ux * d.uy * d.uxy + d.uy * d.uy * d.uyy);
+    return d;
+}
+
+/* geometry._disk2d_fields and flow._disk2d_rate, with the record's
  * summands of vol and int H^2 dV, over one run of len inside nodes: each
  * pointer is at the run's first node (sdV and sH2dV at its place in the
- * N x N core).  Free of branches, so the compiler vectorises it.  The
- * stencils multiply by the reciprocals of their spacings, taken once, and a
- * node takes one sqrt and one division (v_hat = 1/w; v_hat^2 and dV = area w
- * are products), so the divider no longer bounds the loop; its reductions
- * run in otherwise idle ports.  (m - m) + (|H| - |H|) + (u - u) is 0, or NaN
- * once a NaN or an inf entered, in any order of summation.  Cloned for AVX2
- * where the loader can choose (see the head of the file). */
-#if defined(__x86_64__) && defined(__GLIBC__)
-__attribute__((target_clones("avx2", "default")))
-#endif
+ * N x N core).  Free of branches, so the compiler vectorises it.  A node
+ * takes one sqrt and one division (disk_node), so the divider no longer
+ * bounds the loop; its reductions run in otherwise idle ports.
+ * (m - m) + (|H| - |H|) + (u - u) is 0, or NaN once a NaN or an inf
+ * entered, in any order of summation.  Cloned for AVX2 where the loader can
+ * choose (see the head of the file). */
+AVX2_CLONE
 static Run disk2d_row(int64_t len, int64_t m, double h, const double *restrict f,
                       const double *restrict area, double *restrict mm, double *restrict vh,
                       double *restrict H, double *restrict v, double *restrict udot,
@@ -861,23 +894,14 @@ static Run disk2d_row(int64_t len, int64_t m, double h, const double *restrict f
     double m_lo = INFINITY, H_hi = -INFINITY, u_lo = INFINITY, u_hi = -INFINITY, bad = 0.0;
 #pragma omp simd reduction(min: m_lo, u_lo) reduction(max: H_hi, u_hi) reduction(+: bad)
     for (int64_t i = 0; i < len; ++i) {
-        /* geometry.disk_derivatives */
-        double c = f[i], xp = f[i + m], xm = f[i - m], yp = f[i + 1], ym = f[i - 1];
-        double ux, uy;
-        disk_gradient(f, i, m, inv_2h, &ux, &uy);
-        double uxx = (xp - 2.0 * c + xm) * inv_h2, uyy = (yp - 2.0 * c + ym) * inv_h2;
-        double uxy = (f[i + m + 1] + f[i - m - 1] - f[i + m - 1] - f[i - m + 1]) * inv_4h2;
-        double mi = 1.0 - (ux * ux + uy * uy);
-        double wi = sqrt(mi);
-        double vhi = 1.0 / wi;
-        double vh2 = vhi * vhi;
-        double rhs = (uxx + uyy) + vh2 * (ux * ux * uxx + 2.0 * ux * uy * uxy + uy * uy * uyy);
-        double Hi = vhi * rhs, dV = area[i] * wi;
+        DiskNode d = disk_node(f, i, m, inv_2h, inv_h2, inv_4h2);
+        double c = f[i], mi = d.m;
+        double Hi = d.vh * d.rhs, dV = area[i] * d.w;
         mm[i] = mi;
-        vh[i] = vhi;
+        vh[i] = d.vh;
         H[i] = Hi;
-        v[i] = vhi;                  /* V = e_t on the cylinder */
-        udot[i] = rhs;
+        v[i] = d.vh;                 /* V = e_t on the cylinder */
+        udot[i] = d.rhs;
         sdV[i] = dV;
         sH2dV[i] = Hi * Hi * dV;
         double aH = fabs(Hi);
@@ -904,16 +928,9 @@ static void disk2d_prepare(Step *S)
     memset(S->sum_H2dV, 0, N * N * sizeof *S->sum_H2dV);
 }
 
-/* the disk's evaluation over its row runs (the rest of the box does not move,
- * and disk2d_prepare set its fields), and the record's sups from the rows'
- * reductions; sup v is sup v_hat, v being v_hat node for node */
-static void disk2d_evaluate(Step *S)
+/* disk.fill_ghosts: f = u with the ghost rows of G u[inside] */
+static void fill_ghosts(const Disk *D, const double *u, double *f, int64_t n)
 {
-    const Disk *D = S->disk;
-    const int64_t m = D->m, n = S->n, N = m - 2;
-    const double *u = S->u;
-    double *f = S->uf;
-    /* disk.fill_ghosts: u with the ghost rows of G u[inside] */
     memcpy(f, u, n * sizeof *f);
     for (int64_t g = 0; g < D->n_ghost; ++g) {
         double sum = 0.0;
@@ -921,6 +938,17 @@ static void disk2d_evaluate(Step *S)
             sum += D->ghost_val[j] * u[D->ghost_col[j]];
         f[D->ghost_node[g]] = sum;
     }
+}
+
+/* the disk's evaluation over its row runs (the rest of the box does not move,
+ * and disk2d_prepare set its fields), and the record's sups from the rows'
+ * reductions; sup v is sup v_hat, v being v_hat node for node */
+static void disk2d_evaluate(Step *S)
+{
+    const Disk *D = S->disk;
+    const int64_t m = D->m, n = S->n, N = m - 2;
+    double *f = S->uf;
+    fill_ghosts(D, S->u, f, n);
     Run all = {INFINITY, -INFINITY, -INFINITY, INFINITY, -INFINITY, 0.0};
     for (int64_t x = 1; x < m - 1; ++x) {
         int64_t lo = D->row_lo[x], hi = D->row_hi[x];    /* rows off the pad are never empty */
@@ -1082,6 +1110,206 @@ int maxsurf_run(int kind, int64_t n, double *u, double *bnd, double *t_io,
     bnd[1] = S.b[1];
     *k_io = k;
     return status;
+}
+
+/* -- the disk's evolution residuals (monitors.evolution_residuals) ----------- */
+
+/* The numpy walk over the stride-1 triples of a disk trajectory, operation
+ * for operation: geometry._disk2d_evaluate, _disk2d_fields and
+ * _disk2d_observe at the field nodes, disk_gradient and disk_divergence
+ * (both divisions included) at the flux and deep nodes, and
+ * monitors._material_rate and _fold_residuals at the deep nodes.  The deep
+ * nodes lie 6h inside the rim; the flux nodes are they and their four
+ * neighbours, where the Laplacian's divergence reads the fluxes; the field
+ * nodes are the flux nodes and theirs, where the gradient reads F = (H, v).
+ * Each state's fields are taken once, into a ring of three states' F and
+ * two states' geometry, and a centre's residual is folded once its
+ * successor's F is in.  The walk's nodes lie well inside the disk; a state
+ * is ghost-filled for geometry's guard alone, which refuses a state whose
+ * margin is not positive at any inside node, the rim's too, as the numpy
+ * walk refuses it. */
+
+/* geometry.geometry's guard: the least margin over one run of inside nodes,
+ * and the count of NaN margins */
+AVX2_CLONE
+static void margin_row(int64_t len, int64_t m, double inv_2h, const double *restrict f,
+                       double *lo, int64_t *nan)
+{
+    double m_lo = *lo;
+    int64_t bad = 0;
+#pragma omp simd reduction(min: m_lo) reduction(+: bad)
+    for (int64_t i = 0; i < len; ++i) {
+        double ux, uy;
+        disk_gradient(f, i, m, inv_2h, &ux, &uy);
+        double mi = 1.0 - (ux * ux + uy * uy);
+        m_lo = mi < m_lo ? mi : m_lo;
+        bad += mi != mi;
+    }
+    *lo = m_lo;
+    *nan += bad;
+}
+
+/* the observer's fields over one run of field nodes: H, v = v_hat, Du,
+ * sqrt(det g) = 1 / v_hat, the inverse metric g^ij and |A|^2 */
+AVX2_CLONE
+static void fields_row(int64_t len, int64_t m, double h, const double *restrict f,
+                       double *restrict H, double *restrict v, double *restrict ux,
+                       double *restrict uy, double *restrict sg, double *restrict a11,
+                       double *restrict a12, double *restrict a22, double *restrict nA2)
+{
+    const double inv_2h = 1.0 / (2.0 * h), inv_h2 = 1.0 / (h * h),
+                 inv_4h2 = 1.0 / (4.0 * h * h);
+    for (int64_t i = 0; i < len; ++i) {
+        DiskNode d = disk_node(f, i, m, inv_2h, inv_h2, inv_4h2);
+        double vh2_ux = d.vh2 * d.ux;
+        double b11 = 1.0 + vh2_ux * d.ux, b12 = vh2_ux * d.uy, b22 = 1.0 + d.vh2 * d.uy * d.uy;
+        double m11 = b11 * d.uxx + b12 * d.uxy, m12 = b11 * d.uxy + b12 * d.uyy;
+        double m21 = b12 * d.uxx + b22 * d.uxy, m22 = b12 * d.uxy + b22 * d.uyy;
+        H[i] = d.vh * d.rhs;
+        v[i] = d.vh;                 /* V = e_t on the cylinder */
+        ux[i] = d.ux;
+        uy[i] = d.uy;
+        sg[i] = 1.0 / d.vh;
+        a11[i] = b11;
+        a12[i] = b12;
+        a22[i] = b22;
+        nA2[i] = (m11 * m11 + 2.0 * m12 * m21 + m22 * m22) * d.vh2;
+    }
+}
+
+/* the fluxes sqrt(det g) g^ij F_j of one field F over one run of flux nodes */
+AVX2_CLONE
+static void flux_row(int64_t len, int64_t m, double inv_2h, const double *restrict F,
+                     const double *restrict a11, const double *restrict a12,
+                     const double *restrict a22, const double *restrict sg,
+                     double *restrict Fx, double *restrict Fy)
+{
+    for (int64_t i = 0; i < len; ++i) {
+        double fx, fy;
+        disk_gradient(F, i, m, inv_2h, &fx, &fy);
+        Fx[i] = (a11[i] * fx + a12[i] * fy) * sg[i];
+        Fy[i] = (a12[i] * fx + a22[i] * fy) * sg[i];
+    }
+}
+
+/* One identity's residual |dF/dt + H v_hat Du . grad F - Lap F + F |A|^2|
+ * over one run of deep nodes, the field F being H or v: the rate from F at
+ * the states before (Fm), at (Fo) and after (Fp) the centre with
+ * monitors._material_rate's coefficients c, the rest from the centre's
+ * fields and fluxes.  Its largest value, and its count of NaNs, which the
+ * largest value skips. */
+AVX2_CLONE
+static void residual_row(int64_t len, int64_t m, double h, const double *c,
+                         const double *restrict Fm, const double *restrict Fo,
+                         const double *restrict Fp, const double *restrict H,
+                         const double *restrict v, const double *restrict ux,
+                         const double *restrict uy, const double *restrict sg,
+                         const double *restrict nA2, const double *restrict Fx,
+                         const double *restrict Fy, double *hi, int64_t *nan)
+{
+    const double inv_2h = 1.0 / (2.0 * h), two_h = 2.0 * h;
+    const double cm = c[0], c0 = c[1], cp = c[2], den = c[3];
+    double r_hi = *hi;
+    int64_t bad = 0;
+#pragma omp simd reduction(max: r_hi) reduction(+: bad)
+    for (int64_t i = 0; i < len; ++i) {
+        double fx, fy;
+        disk_gradient(Fo, i, m, inv_2h, &fx, &fy);
+        double hv = H[i] * v[i];
+        double lap = ((Fx[i + m] - Fx[i - m]) + (Fy[i + 1] - Fy[i - 1])) / two_h / sg[i];
+        double rhs = -(Fo[i] * nA2[i]);
+        double r = cm * Fp[i];
+        r += c0 * Fo[i];
+        r -= cp * Fm[i];
+        r /= den;
+        r += hv * ux[i] * fx;
+        r += hv * uy[i] * fy;
+        r -= lap;
+        r = fabs(r - rhs);
+        r_hi = r > r_hi ? r : r_hi;
+        bad += r != r;
+    }
+    *hi = r_hi;
+    *nan += bad;
+}
+
+/* per state of the ring of three: F = (H, v) */
+enum { F_H, F_V, F_ARRAYS };
+/* per state of the ring of two: Du, sqrt(det g), g^ij and |A|^2 */
+enum { G_UX, G_UY, G_SG, G_A11, G_A12, G_A22, G_NA2, G_ARRAYS };
+/* scratch: the ghost-filled u and one field's fluxes */
+enum { SC_F, SC_FX, SC_FY, SCRATCH_ARRAYS };
+
+/* the walk over n_states states: u[s] the box of state s, t[s] its time,
+ * centre[s] nonzero where s is a centre whose triple (s - 1, s, s + 1) is
+ * folded; runs[6 m] the row runs [lo, hi) of the deep, flux and field nodes
+ * as flat indices (lo[x] then hi[x] for each set, x the box row); res[2]
+ * gets max |res_H| and max |res_v| over the centres, a centre whose
+ * residual is NaN at some deep node skipped; work holds
+ * (3 F_ARRAYS + 2 G_ARRAYS + SCRATCH_ARRAYS) m^2 doubles.  Returns 0, or
+ * s + 1 for the first state s that geometry's guard refuses (fail[0] its
+ * least margin). */
+int maxsurf_disk_residuals(const Disk *D, int64_t n_states, const double *const *u,
+                           const double *t, const int8_t *centre, const int64_t *runs,
+                           double *res, double *fail, double *work)
+{
+    const int64_t m = D->m, n = m * m;
+    const double h = D->h, inv_2h = 1.0 / (2.0 * h);
+    const int64_t *deep = runs, *flux = runs + 2 * m, *field = runs + 4 * m;
+    double *F[3][F_ARRAYS], *G[2][G_ARRAYS], *sc[SCRATCH_ARRAYS], *next = work;
+    for (int r = 0; r < 3; ++r)
+        for (int j = 0; j < F_ARRAYS; ++j, next += n)
+            F[r][j] = next;
+    for (int r = 0; r < 2; ++r)
+        for (int j = 0; j < G_ARRAYS; ++j, next += n)
+            G[r][j] = next;
+    for (int j = 0; j < SCRATCH_ARRAYS; ++j, next += n)
+        sc[j] = next;
+    res[0] = res[1] = 0.0;
+    for (int64_t s = 0; s < n_states; ++s) {
+        double **Fs = F[s % 3], **Gs = G[s % 2], *f = sc[SC_F];
+        fill_ghosts(D, u[s], f, n);
+        double m_lo = INFINITY;
+        int64_t nan = 0;
+        for (int64_t x = 1; x < m - 1; ++x)
+            margin_row(D->row_hi[x] - D->row_lo[x], m, inv_2h, f + D->row_lo[x], &m_lo, &nan);
+        if (nan || !(m_lo > 0.0)) {
+            fail[0] = nan ? NAN : m_lo;
+            return (int)(s + 1);
+        }
+        for (int64_t x = 0; x < m; ++x) {
+            int64_t lo = field[x];
+            fields_row(field[m + x] - lo, m, h, f + lo, Fs[F_H] + lo, Fs[F_V] + lo,
+                       Gs[G_UX] + lo, Gs[G_UY] + lo, Gs[G_SG] + lo, Gs[G_A11] + lo,
+                       Gs[G_A12] + lo, Gs[G_A22] + lo, Gs[G_NA2] + lo);
+        }
+        if (s < 2 || !centre[s - 1])
+            continue;
+        /* the triple (s - 2, s - 1, s) about the centre s - 1 */
+        double **Fm = F[(s - 2) % 3], **Fo = F[(s - 1) % 3], **Go = G[(s - 1) % 2];
+        double dm = t[s - 1] - t[s - 2], dp = t[s] - t[s - 1];
+        const double c[4] = {dm * dm, dp * dp - dm * dm, dp * dp, dp * dm * (dp + dm)};
+        for (int k = 0; k < 2; ++k) {    /* the H identity (F_H), then the v one (F_V) */
+            for (int64_t x = 0; x < m; ++x) {
+                int64_t lo = flux[x];
+                flux_row(flux[m + x] - lo, m, inv_2h, Fo[k] + lo, Go[G_A11] + lo,
+                         Go[G_A12] + lo, Go[G_A22] + lo, Go[G_SG] + lo, sc[SC_FX] + lo,
+                         sc[SC_FY] + lo);
+            }
+            double hi = -INFINITY;
+            nan = 0;
+            for (int64_t x = 0; x < m; ++x) {
+                int64_t lo = deep[x];
+                residual_row(deep[m + x] - lo, m, h, c, Fm[k] + lo, Fo[k] + lo, Fs[k] + lo,
+                             Fo[F_H] + lo, Fo[F_V] + lo, Go[G_UX] + lo, Go[G_UY] + lo,
+                             Go[G_SG] + lo, Go[G_NA2] + lo, sc[SC_FX] + lo, sc[SC_FY] + lo,
+                             &hi, &nan);
+            }
+            if (!nan && hi > res[k])    /* np.fmax skips a NaN state */
+                res[k] = hi;
+        }
+    }
+    return 0;
 }
 
 /* -- CSV rows (runner._write_rows) ------------------------------------------- */

@@ -204,12 +204,6 @@ def node_fields(state: FlowState, profile, ev: Evaluation) -> NodeFields:
     return NodeFields(H, v, form_dV())
 
 
-def spacelike_margin(state: FlowState, profile) -> float:
-    """The least 1 - |Du|^2 over the real nodes that the flow's guard compares."""
-    with np.errstate(all="ignore"):
-        return evaluate(state, profile).m_min
-
-
 def geometry(state: FlowState, profile) -> GeometryFields:
     """Metric, gradient functions, normal and curvature of a state, or of a
     stack of states along leading axes, from the kind's evaluation.

@@ -29,8 +29,16 @@ Laplacian of (H, v) reads the gradient the drift term reads, and the
 observer's normal and volume element, which no disk term reads, are never
 formed.
 
-What differs per grid kind -- the residual terms and the certificate's
-boundary data and Minkowski square -- sits in this module's one table,
+That numpy walk is the reference.  A disk trajectory is walked instead by
+the compiled library when it loads (``_kernels.disk_residuals``, its kind's
+``compiled_walk``): the numpy walk spends about 120 whole-box passes a disk
+state, and the library makes one fused pass a state, operation for
+operation, so the two return the same bits (the tests compare them through
+``_evolution_residuals_numpy``).  The line kinds, and every kind where the
+library does not load, take the numpy walk.
+
+What differs per grid kind -- the residual terms, the compiled walk and the
+certificate's boundary data and Minkowski square -- sits in this module's one table,
 ``_KINDS``.  It cannot join geometry's table: modules import in the order
 geometry -> flow -> monitors -> runner, and these terms need geometry's
 evaluators and flow's trajectories.
@@ -45,6 +53,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
+from . import _kernels
 from .disk import disk_grid
 from .flow import Trajectory
 from .geometry import (
@@ -61,7 +70,6 @@ H_VS_V_P = 0.5         # the exponent p of the reported sup|H| <= C1 + C2 sup(v)
 CERT_EPSILON = 1e-2    # the margins a stability certificate needs
 CERT_RADIUS_MARGIN = 0.1   # R's margin over what the certificate requires of it
 MAXIMAL_TOL = 1e-4     # a certificate's state is maximal up to sup|H| <= MAXIMAL_TOL
-REFINEMENT_FACTOR = 2.0    # the grid refinement between successive levels
 
 
 def volume_identity(traj: Trajectory) -> float:
@@ -144,14 +152,25 @@ def evolution_residuals(traj: Trajectory, profile) -> dict:
     and decays but refines nowhere).  res_v uses the profile's V extension;
     nodes in an axis band are excluded where that extension is singular.
     Comparable refinement studies must probe the same physical time window.
+    A triple whose residual is NaN is skipped.
 
-    The window is walked in blocks of states stacked along a leading axis,
-    with one geometry per state and one gradient of (H, v), which the drift
-    and the Laplacian share.  A centre's rate reads the rate inputs of its
-    neighbours where their blocks hold them, joined only where a run of
-    states crosses a block edge, and a block's terms are freed once no
-    centre reads them.  A triple whose residual is NaN is skipped.
+    A disk trajectory is walked by the compiled library when it loads (its
+    kind's ``compiled_walk``): one fused pass per state, bit for bit with the
+    numpy walk, which is the reference and walks the other kinds and any
+    trajectory when the library does not load.
     """
+    compiled = _KINDS[traj.states[0].grid.kind].compiled_walk
+    return _residuals(traj, profile,
+                      compiled if compiled is not None and _kernels.available else _numpy_walk)
+
+
+def _evolution_residuals_numpy(traj: Trajectory, profile) -> dict:
+    """evolution_residuals by the numpy walk, whether or not the library loads."""
+    return _residuals(traj, profile, _numpy_walk)
+
+
+def _residuals(traj: Trajectory, profile, walk: Callable) -> dict:
+    """The probe window's centres, and the residual maxima over them from walk."""
     centers = _consecutive_triples(traj)
     if not centers:
         raise ValueError("evolution residuals need three consecutive stride-1 states, and the "
@@ -159,6 +178,18 @@ def evolution_residuals(traj: Trajectory, profile) -> dict:
     centers = centers[int(SKIP_FRACTION * len(centers)):] or centers[-1:]
     wanted = set(centers)
     ids = sorted({j for i in centers for j in (i - 1, i, i + 1)})
+    res_H, res_v = walk(traj, profile, ids, wanted)
+    return {"res_H": res_H, "res_v": res_v, "triples": len(centers)}
+
+
+def _numpy_walk(traj: Trajectory, profile, ids: list, wanted: set) -> tuple:
+    """(max res_H, max res_v) over the centres wanted of the walk's stored
+    states ids, in blocks of states stacked along a leading axis, with one
+    geometry per state and one gradient of (H, v), which the drift and the
+    Laplacian share.  A centre's rate reads the rate inputs of its
+    neighbours where their blocks hold them, joined only where a run of
+    states crosses a block edge, and a block's terms are freed once no
+    centre reads them."""
     per_block = max(1, RESIDUAL_BLOCK_NODES // traj.states[0].u.size)
     kax = -1 - traj.states[0].u.ndim          # the state axis, ahead of the nodes
     nodes = (slice(None),) * (-kax - 1)       # a[(..., k) + nodes]: states k of a
@@ -186,7 +217,14 @@ def evolution_residuals(traj: Trajectory, profile) -> dict:
         _fold_residuals(res, window, run(1, lo, hi), keep, kax)
         held[b][1] = ()                       # read at this block's centres only
         held.pop(b - 1, None)
-    return {"res_H": float(res[0]), "res_v": float(res[1]), "triples": len(centers)}
+    return float(res[0]), float(res[1])
+
+
+def _disk2d_compiled_walk(traj: Trajectory, profile, ids: list, wanted: set) -> tuple:
+    """_numpy_walk on the disk by the compiled library, which reads no profile."""
+    deep = _deep_nodes(traj.states[0].grid)
+    return _kernels.disk_residuals([traj.states[j] for j in ids],
+                                   [j in wanted for j in ids], deep)
 
 
 def _block_terms(states: list, profile) -> list:
@@ -243,11 +281,17 @@ def _deep_inside(n: int, radius: float) -> np.ndarray:
     return deep
 
 
-def _disk2d_terms(st: FlowState, g, F: np.ndarray, profile):
-    deep = _deep_inside(st.grid.n, st.grid.radius)
+def _deep_nodes(grid) -> np.ndarray:
+    """_deep_inside of a disk GridSpec, which must hold one."""
+    deep = _deep_inside(grid.n, grid.radius)
     if not deep.any():
-        raise ValueError(f"evolution residuals need a disk of N >= 13: at N = {st.grid.n} "
+        raise ValueError(f"evolution residuals need a disk of N >= 13: at N = {grid.n} "
                          "no deep-interior node lies 6h inside the rim")
+    return deep
+
+
+def _disk2d_terms(st: FlowState, g, F: np.ndarray, profile):
+    deep = _deep_nodes(st.grid)
     # read on deep nodes only, whose central stencil reaches no ghost; the
     # Laplacian takes the same gradient
     grad = disk_gradient(F, st.spacing())
@@ -486,21 +530,13 @@ class _Kind(NamedTuple):
     # (state, g, profile, center) -> A^Sig(nu,nu), <x-a, mu> and |x-a|^2 at the
     # boundary points, and |x-a|^2 per node
     certificate: Callable
+    # _numpy_walk's signature and results by the compiled library, taken when
+    # it loads; None where the numpy walk alone runs
+    compiled_walk: Optional[Callable] = None
 
 
 _KINDS = {
     "curve1d": _Kind(_curve1d_terms, _no_certificate),
     "radial2d": _Kind(_radial2d_terms, _radial2d_certificate),
-    "disk2d": _Kind(_disk2d_terms, _disk2d_certificate),
+    "disk2d": _Kind(_disk2d_terms, _disk2d_certificate, _disk2d_compiled_walk),
 }
-
-
-def refinement_orders(values: list) -> list:
-    """log(e_k / e_{k+1}) / log(REFINEMENT_FACTOR) between successive levels."""
-    out = []
-    for a, b in zip(values[:-1], values[1:]):
-        if a <= 0 or b <= 0:
-            out.append(math.inf if b == 0 else math.nan)
-        else:
-            out.append(math.log(a / b) / math.log(REFINEMENT_FACTOR))
-    return out

@@ -26,9 +26,15 @@ from maxsurf.flow import (
     run,
     step,
 )
-from maxsurf.geometry import FlowState, GridSpec, d1, evaluate, node_fields, spacelike_margin
+from maxsurf.geometry import FlowState, GridSpec, d1, evaluate, node_fields
 from maxsurf.monitors import _consecutive_triples
 from maxsurf.profiles import cylinder, pseudosphere, sine_tube, trumpet
+
+
+def spacelike_margin(state: FlowState, profile) -> float:
+    """The least 1 - |Du|^2 over the real nodes that the flow's guard compares."""
+    with np.errstate(all="ignore"):
+        return evaluate(state, profile).m_min
 
 
 def translator_state(t0: float, n: int) -> FlowState:
@@ -1079,6 +1085,9 @@ def test_step_loop_constants_match_their_python_mirrors():
     assert profiles == {name: code for name, (code, _) in _kernels.PROFILES.items()
                         if name != "trumpet"}
     assert _kernels.PROFILES["trumpet"][0] not in profiles.values()
+    # the residual walk's work array: its two rings and its scratch
+    assert (3 * enums["F_ARRAYS"] + 2 * enums["G_ARRAYS"] + enums["SCRATCH_ARRAYS"]
+            == _kernels.DISK_WALK_BOXES)
 
 
 def test_built_package_ships_the_step_loop_source(tmp_path):

@@ -19,12 +19,16 @@ from maxsurf.geometry import (
     geometry,
     laplace_beltrami,
     node_fields,
-    spacelike_margin,
     trapezoid_weights,
 )
-from maxsurf.lorentz import minkowski_inner
 from maxsurf.profiles import cylinder, pseudosphere, sine_tube, trumpet
 from maxsurf.scenarios import _SCENARIOS
+
+
+def spacelike_margin(state: FlowState, profile) -> float:
+    """The least 1 - |Du|^2 over the real nodes that the flow's guard compares."""
+    with np.errstate(all="ignore"):
+        return evaluate(state, profile).m_min
 
 
 def curve_state(u_of_x, xl, xr, n, t=0.0):

