@@ -7,9 +7,10 @@ benchmark's identity_probe job without its jitter: grim reaper translators of
 N = 101 and 201 to t = -0.98, cylinder disk bumps of amplitude 0.1 and
 N = 65 and 97 to t = 0.06, and a sine tube plane bump of amplitude 0.05 and
 N = 101 to t = 0.05), then prints for each probe the least of 5 walks of
-evolution_residuals over its trajectory, in seconds.  The library walks the
-two disk probes when it loads; for them the script also prints the least
-of 5 walks of the numpy reference walk, so one run gives both.
+evolution_residuals over its trajectory, in seconds.  For each probe whose
+grid kind has a compiled walk (monitors' kind table says which: the
+translators and the disks), the script also prints which walk ran and the
+least of 5 walks of the numpy reference walk, so one run gives both.
 
 --src times the maxsurf package under DIR (another checkout's src) in place
 of this checkout's.  To compare two checkouts, run the script alternately
@@ -32,8 +33,6 @@ PROBES = {
     "sine_tube_101": ("scenario = sine_tube\nnodes = 101\n"
                       "initial = plane_bump(widest, 0.05)\nt_end = 0.05\n"),
 }
-# the probes that the library walks when it loads
-DISK_PROBES = ("cylinder_65", "cylinder_97")
 
 
 def least_time(walk, traj, profile) -> float:
@@ -63,8 +62,10 @@ def main(argv=None) -> int:
                                    h_stop=cfg.h_stop, t_end=cfg.t_end, integrator=cfg.integrator)
         traj = maxsurf.run(scenario.state0, ctrl, scenario.profile, stride=1)
         line = f"{name} {least_time(maxsurf.evolution_residuals, traj, scenario.profile):.4f} s"
-        if name in DISK_PROBES and numpy_walk is not None:
-            walked_by = "library" if _kernels.available else "numpy"
+        compiled = getattr(monitors._KINDS[scenario.state0.grid.kind], "compiled_walk", None)
+        if compiled is not None and numpy_walk is not None:
+            walked_by = ("library" if _kernels.available
+                         and scenario.profile.kind in _kernels.PROFILES else "numpy")
             line += (f" ({walked_by}); numpy walk "
                      f"{least_time(numpy_walk, traj, scenario.profile):.4f} s")
         print(line)

@@ -1,5 +1,6 @@
 """Compiled Euler stepping loop for the scenarios on built-in profiles, the
-disk's evolution-residual walk, and the CSV row formatter of the run outputs.
+evolution-residual walks of the disk and of curve1d on the trumpet, and the
+CSV row formatter of the run outputs.
 
 ``_step.c`` translates the numpy reference engine (flow.py's step over
 geometry.py's per-kind evaluation) operation for operation (same stencils,
@@ -33,9 +34,12 @@ of u: an extreme is one value in any order, and a step where a NaN, an inf
 or a signed zero could tell the orders apart takes them by the node-order
 walk instead (see ``_step.c``).  Never ``-ffast-math``, and no ``-march``:
 the cache key holds only the machine type, so a library tuned for one CPU
-could be loaded on another that lacks its instructions.  The disk's row
-kernel and curve1d's node pass instead carry their own AVX2 clones
-(``target_clones``, on x86-64 with glibc), and the dynamic loader picks the
+could be loaded on another that lacks its instructions.  The loops where
+vector width pays instead carry their own AVX2 clones (``target_clones``, on
+x86-64 with glibc): the disk's row kernel ``disk2d_row``, curve1d's node
+pass ``curve1d_inside``, the disk walk's ``margin_row``, ``fields_row``,
+``flux_row`` and ``residual_row``, and the curve1d walk's
+``line_fields_row`` and ``line_residual_row``.  The dynamic loader picks the
 clone the running CPU supports, so one cached library serves every x86-64
 machine.  The clones give the same bits: with contraction off, each lane of
 either width runs the same correctly rounded add, multiply, divide and sqrt,
@@ -68,13 +72,27 @@ the deep nodes, into a ring of three states' fields, and per centre one
 pass that folds max |res_H| and max |res_v|, a state whose residual is NaN
 at a deep node skipped, as ``np.fmax`` skips it.  A node's derivatives,
 margin, w, v_hat and rhs come from the same inline function as the step's
-row kernel.  Its row kernels have AVX2 clones too; their only reductions
-are a least margin and largest residuals with NaNs counted apart, one value
-in any order.
+row kernel.  The walk's only reductions are a least margin and largest
+residuals with NaNs counted apart, one value in any order.
+
+The fourth, ``maxsurf_curve1d_residuals`` (``curve1d_residuals`` here), is
+the same walk on a curve1d trajectory on the trumpet: per stored state
+geometry's guard over every node, the ends' slopes -1/s'(|x_l|) and
+1/s'(x_r) from s' that numpy's array tanh took (libm's tanh may differ in
+its last bit, so the C side never recomputes it), and one pass for the
+fields (x, u_x, v_hat, H, v and the trumpet's V) over the core nodes and
+their neighbours, into a ring of three states; per centre one pass for the
+material rate, the drift less the node velocity, d1 and the
+Laplace-Beltrami operator (their divisions by 2h and h kept) and both
+right-hand sides, folding max |res_H| and max |res_v|.  Its node fields come
+from ``stencil_node`` and ``trumpet_V``, as the step's do.  Both walks read
+the states in place, from an array of their addresses, and raise
+geometry's SpacelikeError for the first state the guard refuses, with that
+state's least margin (the numpy walk gives its block of states' least).
 
 ``available`` (read lazily) says whether the library could be built and
 loaded; when it could not, ``reason`` holds a one-line explanation,
-``flow.run`` stays on the numpy engine, ``monitors`` walks the disk's
+``flow.run`` stays on the numpy engine, ``monitors`` walks every kind's
 residuals in numpy and ``runner`` formats its CSV rows with Python's ``%``.
 """
 
@@ -108,6 +126,8 @@ NREC = 17
 # the disk residual walk's work array, in boxes: a ring of 3 states' (H, v), one
 # of 2 states' 7 geometry fields, and 3 of scratch
 DISK_WALK_BOXES = 3 * 2 + 2 * 7 + 3
+# the curve1d residual walk's work array, in node arrays: a ring of 3 states' 7 fields
+LINE_WALK_ARRAYS = 3 * 7
 # the longest %.17g value, "-2.2250738585072014e-308", and its separator
 CSV_VALUE_BYTES = 25
 (_STATUS_CHUNK, _STATUS_GUARD, _STATUS_CONV, _STATUS_TEND, _STATUS_DT_UNDERFLOW,
@@ -296,6 +316,13 @@ def _load_library(path: str):
         i64, f64, f64, f64,                                            # runs .. work
     ]
     lib.maxsurf_disk_residuals.restype = ctypes.c_int
+    lib.maxsurf_curve1d_residuals.argtypes = [
+        ctypes.c_int64, ctypes.c_int64,                                # n, n_states
+        np.ctypeslib.ndpointer(dtype=np.uintp, flags="C_CONTIGUOUS"),  # u
+        f64, f64, f64, np.ctypeslib.ndpointer(dtype=np.int8, flags="C_CONTIGUOUS"),  # t .. centre
+        f64, ctypes.c_int64, f64, f64, f64, f64,                       # s_ref .. work
+    ]
+    lib.maxsurf_curve1d_residuals.restype = ctypes.c_int
     return lib
 
 
@@ -341,6 +368,30 @@ def _dilate(mask: np.ndarray) -> np.ndarray:
     return out
 
 
+def _gather(states: list, shape: tuple) -> tuple:
+    """(the addresses of the states' u, their times, the arrays addressed):
+    the walks read each state in place where it is a C-contiguous float64
+    array of the given shape.  A writable array's address comes from a ctypes
+    view of its buffer, about a third of the cost of ``ndarray.ctypes``."""
+    us = [np.ascontiguousarray(s.u, dtype=np.float64) for s in states]
+    if any(u.shape != shape for u in us):
+        raise ValueError(f"the walk's states must have the shape {shape}")
+    view, address = ctypes.c_char.from_buffer, ctypes.addressof
+    ptrs = np.fromiter((address(view(u)) if u.flags.writeable else u.ctypes.data for u in us),
+                       dtype=np.uintp, count=len(us))
+    return ptrs, np.array([s.t for s in states], dtype=np.float64), us
+
+
+def _walked(status: int, res: np.ndarray, fail: np.ndarray) -> tuple:
+    """A walk's (max |res_H|, max |res_v|), or geometry's SpacelikeError for
+    the first state whose least margin fail[0] is not positive."""
+    from .geometry import SpacelikeError
+
+    if status:
+        raise SpacelikeError(f"graph is not strictly spacelike (least margin {fail[0]:.3g})")
+    return float(res[0]), float(res[1])
+
+
 def disk_residuals(states: list, centre, deep: np.ndarray) -> tuple:
     """(max |res_H|, max |res_v|) of the disk's evolution identities over a
     walk of stored states (monitors' numpy walk, bit for bit): centre[s]
@@ -349,24 +400,42 @@ def disk_residuals(states: list, centre, deep: np.ndarray) -> tuple:
     margin is not positive, as geometry raises it.  Needs the library (see
     ``available``)."""
     from .disk import disk_grid
-    from .geometry import SpacelikeError
 
     grid = states[0].grid
     tables, keep_alive = _disk_tables(disk_grid(grid.n, grid.radius))
     flux = _dilate(deep)
     runs = np.concatenate([np.concatenate(_row_runs(a)) for a in (deep, flux, _dilate(flux))])
-    us = [np.ascontiguousarray(s.u, dtype=np.float64) for s in states]
-    if any(u.shape != deep.shape for u in us):
-        raise ValueError(f"the walk's states must be {deep.shape} disk boxes")
-    ptrs = np.array([u.ctypes.data for u in us], dtype=np.uintp)
-    t = np.array([s.t for s in states], dtype=np.float64)
+    ptrs, t, us = _gather(states, deep.shape)
     res, fail = np.zeros(2), np.zeros(1)
     work = np.empty(DISK_WALK_BOXES * deep.size)
-    status = load()[0].maxsurf_disk_residuals(
-        tables, len(us), ptrs, t, np.asarray(centre, dtype=np.int8), runs, res, fail, work)
-    if status:
-        raise SpacelikeError(f"graph is not strictly spacelike (least margin {fail[0]:.3g})")
-    return float(res[0]), float(res[1])
+    return _walked(load()[0].maxsurf_disk_residuals(
+        tables, len(us), ptrs, t, np.asarray(centre, dtype=np.int8), runs, res, fail, work),
+        res, fail)
+
+
+def curve1d_residuals(states: list, centre, profile, edge: int) -> tuple:
+    """(max |res_H|, max |res_v|) of curve1d's evolution identities on the
+    trumpet over a walk of stored states (monitors' numpy walk, bit for
+    bit): centre[s] marks the states whose triple (s - 1, s, s + 1) is
+    folded, and each identity is checked on the nodes edge <= i < n - edge.
+    The ends' s'(|x_l|) and s'(x_r) are one ``profile.ds`` call on an
+    array, as the numpy walk takes them.  SpacelikeError where a state's
+    margin is not positive, as geometry raises it.  Needs the library (see
+    ``available``)."""
+    s_ref = states[0].grid.reference()
+    b = np.array([s.boundary for s in states], dtype=np.float64)
+    if b.shape != (len(states), 2) or not 2 <= edge < s_ref.size - edge:
+        raise ValueError("the walk needs each state's ends (x_l, x_r) and a core of nodes "
+                         "at least 2 from each end")
+    ends = np.abs(b)
+    ends[:, 1] = b[:, 1]
+    ds = np.ascontiguousarray(profile.ds(ends), dtype=np.float64)
+    ptrs, t, us = _gather(states, s_ref.shape)
+    res, fail = np.zeros(2), np.zeros(1)
+    work = np.empty(LINE_WALK_ARRAYS * s_ref.size)
+    return _walked(load()[0].maxsurf_curve1d_residuals(
+        s_ref.size, len(us), ptrs, t, b, ds, np.asarray(centre, dtype=np.int8), s_ref, edge,
+        np.array(profile.domain, dtype=np.float64), res, fail, work), res, fail)
 
 
 def run_fast(state0, ctrl, profile, stride):

@@ -36,9 +36,10 @@
  *
  * No -march either: _kernels.py caches the library under the machine type
  * alone, so it must run on every CPU of that type.  The loops where vector
- * width pays, the disk's row kernel, curve1d's pass with its exponential and
- * the row kernels of the disk's residual walk, are cloned for AVX2 instead
- * (target_clones, on x86-64 with glibc, whose loader picks the clone once).
+ * width pays, the disk's row kernel, curve1d's pass with its exponential,
+ * the row kernels of the disk's residual walk and the two passes of
+ * curve1d's walk, are cloned for AVX2 instead (target_clones, on x86-64
+ * with glibc, whose loader picks the clone once).
  * The clones agree bit for bit: without contraction an AVX2 lane does the
  * SSE2 lane's correctly rounded add, mul, div and sqrt, and of the loops'
  * operations only the declared min/max reductions change order.
@@ -87,9 +88,11 @@
  * and returns one of the ST_* codes.  maxsurf_exp_parts and maxsurf_trumpet_V
  * evaluate exp_parts and trumpet_V over an array, for the tests.
  *
- * maxsurf_disk_residuals walks the disk's evolution residuals over a
- * trajectory's stored states, as monitors' numpy walk does (see its section
- * below); a node's fields come from disk_node, as the step's do.
+ * maxsurf_disk_residuals and maxsurf_curve1d_residuals walk the evolution
+ * residuals of the disk and of curve1d on the trumpet over a trajectory's
+ * stored states, as monitors' numpy walk does (see their sections below); a
+ * node's fields come from disk_node, or stencil_node and trumpet_V, as the
+ * step's do.
  *
  * The file also holds the run outputs' CSV formatter, maxsurf_format_rows
  * (see the end of the file), which writes rows of doubles byte for byte as
@@ -651,14 +654,17 @@ typedef struct {
     double xc, span, lo, hi, w_mid, w_half;
 } Drift;
 
+/* the position of the node of reference coordinate s (geometry._curve1d_coords) */
+static inline double line_x(const Drift *g, double s) { return g->xc + s * 0.5 * g->span; }
+
 /* the trumpet's V field on [lo, hi] and v w at the node of reference
- * coordinate s, which sits at xc + s span/2, and u_t with the node's drift
- * w_mid + s w_half/2 (geometry._curve1d_fields, flow._curve1d_rate) */
+ * coordinate s, and u_t with the node's drift w_mid + s w_half/2
+ * (geometry._curve1d_fields, flow._curve1d_rate) */
 static inline void curve1d_node(const Drift *g, double s, double ux, double rhs, double *vw,
                                 double *udot)
 {
     double Vx, Vt;
-    trumpet_V(g->xc + s * 0.5 * g->span, g->lo, g->hi, &Vx, &Vt);
+    trumpet_V(line_x(g, s), g->lo, g->hi, &Vx, &Vt);
     *vw = Vt - Vx * ux;
     *udot = rhs + (g->w_mid + s * 0.5 * g->w_half) * ux;
 }
@@ -1308,6 +1314,165 @@ int maxsurf_disk_residuals(const Disk *D, int64_t n_states, const double *const 
             if (!nan && hi > res[k])    /* np.fmax skips a NaN state */
                 res[k] = hi;
         }
+    }
+    return 0;
+}
+
+/* -- curve1d's evolution residuals on the trumpet (monitors.evolution_residuals) */
+
+/* The numpy walk over the stride-1 triples of a curve1d trajectory on the
+ * trumpet, operation for operation: geometry._curve1d_evaluate's guard over
+ * every node, its fields and _curve1d_fields' (H, v and V) over the core
+ * nodes and their two neighbours, and per centre the material rate, the
+ * drift less the node velocity, d1 and _curve1d_laplace_beltrami (their
+ * divisions by 2h and h kept), monitors._v_rhs_curve and _fold_residuals
+ * over the core nodes.  Each state's fields are taken once, into a ring of
+ * three states, and a centre's residual is folded once its successor's
+ * fields are in.  The ends' s'(|x_l|) and s'(x_r) come from the caller,
+ * which takes them with numpy's array tanh, as the numpy walk does. */
+
+/* per state of the ring of three: node position, u_x, v_hat, H, v and V */
+enum { L_X, L_UX, L_VH, L_H, L_V, L_VX, L_VT, L_ARRAYS };
+
+/* the fields over nodes lo <= i < hi of the state u with spacing h: x,
+ * u_x, v_hat, H = v_hat rhs, v = (V_t - V_x u_x) v_hat and V */
+AVX2_CLONE
+static void line_fields_row(int64_t lo, int64_t hi, const double *restrict u,
+                            const double *restrict s_ref, double h, const Drift *g,
+                            double *restrict x, double *restrict ux, double *restrict vh,
+                            double *restrict H, double *restrict v, double *restrict Vx,
+                            double *restrict Vt)
+{
+    const double inv_2h = 1.0 / (2.0 * h), inv_h2 = 1.0 / (h * h);
+#pragma omp simd
+    for (int64_t i = lo; i < hi; ++i) {
+        Node p = stencil_node(u, i, inv_2h, inv_h2);
+        double xi = line_x(g, s_ref[i]), Vxi, Vti;
+        trumpet_V(xi, g->lo, g->hi, &Vxi, &Vti);
+        x[i] = xi;
+        ux[i] = p.ux;
+        vh[i] = p.vh;
+        H[i] = p.vh * p.rhs;
+        v[i] = (Vti - Vxi * p.ux) * p.vh;
+        Vx[i] = Vxi;
+        Vt[i] = Vti;
+    }
+}
+
+/* One identity's residual at node i: F's material rate from the states
+ * before (Fm), at (Fo) and after (Fp) the centre with _material_rate's
+ * coefficients c, plus the drift times d1 F, less the Laplacian of F from
+ * the midpoint weights al and ar, less rhs */
+static inline double line_residual(const double *Fm, const double *Fo, const double *Fp,
+                                   int64_t i, const double *c, double h, double al, double ar,
+                                   double vh, double drift, double rhs)
+{
+    double grad = (Fo[i + 1] - Fo[i - 1]) / (2.0 * h);
+    double lap = (ar * (Fo[i + 1] - Fo[i]) / h - al * (Fo[i] - Fo[i - 1]) / h) * vh / h;
+    double r = c[0] * Fp[i];
+    r += c[1] * Fo[i];
+    r -= c[2] * Fm[i];
+    r /= c[3];
+    r += drift * grad;
+    r -= lap;
+    return fabs(r - rhs);
+}
+
+/* Both identities' residuals over the core nodes lo <= i < hi of the centre
+ * o, whose state is u with spacing h, between the states m and p, dt apart;
+ * their largest values in hi_out and their counts of NaNs in nan */
+AVX2_CLONE
+static void line_residual_row(int64_t lo, int64_t hi, const double *u, double h,
+                              const double *c, double dt, double *const *m, double *const *o,
+                              double *const *p, double *hi_out, int64_t *nan)
+{
+    const double *xm = m[L_X], *xp = p[L_X], *Hm = m[L_H], *Ho = o[L_H], *Hp = p[L_H],
+                 *vm = m[L_V], *vo = o[L_V], *vp = p[L_V], *ux = o[L_UX], *vh = o[L_VH],
+                 *Vx = o[L_VX], *Vt = o[L_VT];
+    double rH_hi = -INFINITY, rv_hi = -INFINITY;
+    int64_t bad_H = 0, bad_v = 0;
+#pragma omp simd reduction(max: rH_hi, rv_hi) reduction(+: bad_H, bad_v)
+    for (int64_t i = lo; i < hi; ++i) {
+        /* sqrt(g) g^xx at the midpoints left and right of the node */
+        double dl = (u[i] - u[i - 1]) / h, dr = (u[i + 1] - u[i]) / h;
+        double al = 1.0 / sqrt(1.0 - dl * dl), ar = 1.0 / sqrt(1.0 - dr * dr);
+        double Hi = Ho[i], vhi = vh[i], uxi = ux[i], g_xx = vhi * vhi, nA2 = Hi * Hi;
+        double drift = Hi * vhi * uxi - (xp[i] - xm[i]) / dt;
+        /* -v|A|^2 + 2 g^xx A(DV^T, x) + g^xx <D^2 V, nu>, with DV = (V_t, V_x)
+         * and D^2 V = V on the trumpet */
+        double rhs_v = -vo[i] * nA2 + 2.0 * g_xx * Hi * (Vt[i] - Vx[i] * uxi) +
+                       g_xx * (Vx[i] * (uxi * vhi) - Vt[i] * vhi);
+        double rH = line_residual(Hm, Ho, Hp, i, c, h, al, ar, vhi, drift, -(Hi * nA2));
+        double rv = line_residual(vm, vo, vp, i, c, h, al, ar, vhi, drift, rhs_v);
+        rH_hi = rH > rH_hi ? rH : rH_hi;
+        rv_hi = rv > rv_hi ? rv : rv_hi;
+        bad_H += rH != rH;
+        bad_v += rv != rv;
+    }
+    hi_out[0] = rH_hi;
+    hi_out[1] = rv_hi;
+    nan[0] = bad_H;
+    nan[1] = bad_v;
+}
+
+/* the walk over n_states states of n nodes: u[s] the nodes of state s, t[s]
+ * its time, b[2 s..2 s + 1] its ends (x_l, x_r) and ds[2 s..2 s + 1] the
+ * boundary's s'(|x_l|) and s'(x_r), centre[s] nonzero where s is a centre
+ * whose triple (s - 1, s, s + 1) is folded; s_ref[n] the reference
+ * coordinate, the core nodes edge <= i < n - edge, domain[2] the trumpet's;
+ * res[2] gets max |res_H| and max |res_v| over the centres, a centre whose
+ * residual is NaN at some core node skipped; work holds 3 L_ARRAYS n
+ * doubles.  Returns 0, or s + 1 for the first state s that geometry's guard
+ * refuses (fail[0] its least margin). */
+int maxsurf_curve1d_residuals(int64_t n, int64_t n_states, const double *const *u,
+                              const double *t, const double *b, const double *ds,
+                              const int8_t *centre, const double *s_ref, int64_t edge,
+                              const double *domain, double *res, double *fail, double *work)
+{
+    const double nm1 = (double)(n - 1);
+    double *L[3][L_ARRAYS];
+    for (int r = 0; r < 3; ++r)
+        for (int j = 0; j < L_ARRAYS; ++j)
+            L[r][j] = work + (r * L_ARRAYS + j) * n;
+    res[0] = res[1] = 0.0;
+    for (int64_t s = 0; s < n_states; ++s) {
+        const double xl = b[2 * s], xr = b[2 * s + 1], h = (xr - xl) / nm1;
+        const double inv_2h = 1.0 / (2.0 * h), inv_h2 = 1.0 / (h * h);
+        const double *us = u[s];
+        double sl = -1.0 / ds[2 * s], sr = 1.0 / ds[2 * s + 1];
+        double m_lo = INFINITY, me[2] = {1.0 - sl * sl, 1.0 - sr * sr};
+        int64_t nan = 0;
+#pragma omp simd reduction(min: m_lo) reduction(+: nan)
+        for (int64_t i = 1; i < n - 1; ++i) {
+            double mi = stencil_node(us, i, inv_2h, inv_h2).m;
+            m_lo = mi < m_lo ? mi : m_lo;
+            nan += mi != mi;
+        }
+        for (int j = 0; j < 2; ++j) {
+            m_lo = me[j] < m_lo ? me[j] : m_lo;
+            nan += me[j] != me[j];
+        }
+        if (nan || !(m_lo > 0.0)) {
+            fail[0] = nan ? NAN : m_lo;
+            return (int)(s + 1);
+        }
+        double **f = L[s % 3];
+        Drift g = {0.5 * (xl + xr), xr - xl, domain[0], domain[1], 0.0, 0.0};
+        line_fields_row(edge - 1, n - edge + 1, us, s_ref, h, &g, f[L_X], f[L_UX], f[L_VH],
+                        f[L_H], f[L_V], f[L_VX], f[L_VT]);
+        if (s < 2 || !centre[s - 1])
+            continue;
+        /* the triple (s - 2, s - 1, s) about the centre s - 1 */
+        const double ho = (b[2 * s - 1] - b[2 * s - 2]) / nm1;
+        double dm = t[s - 1] - t[s - 2], dp = t[s] - t[s - 1];
+        const double c[4] = {dm * dm, dp * dp - dm * dm, dp * dp, dp * dm * (dp + dm)};
+        double hi[2];
+        int64_t bad[2];
+        line_residual_row(edge, n - edge, u[s - 1], ho, c, t[s] - t[s - 2], L[(s - 2) % 3],
+                          L[(s - 1) % 3], f, hi, bad);
+        for (int k = 0; k < 2; ++k)
+            if (!bad[k] && hi[k] > res[k])    /* np.fmax skips a NaN centre */
+                res[k] = hi[k];
     }
     return 0;
 }

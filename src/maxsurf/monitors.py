@@ -29,13 +29,16 @@ Laplacian of (H, v) reads the gradient the drift term reads, and the
 observer's normal and volume element, which no disk term reads, are never
 formed.
 
-That numpy walk is the reference.  A disk trajectory is walked instead by
-the compiled library when it loads (``_kernels.disk_residuals``, its kind's
-``compiled_walk``): the numpy walk spends about 120 whole-box passes a disk
-state, and the library makes one fused pass a state, operation for
-operation, so the two return the same bits (the tests compare them through
-``_evolution_residuals_numpy``).  The line kinds, and every kind where the
-library does not load, take the numpy walk.
+That numpy walk is the reference.  A disk trajectory, and a curve1d one on
+the trumpet, is walked instead by the compiled library when it loads and
+the profile is a built-in (``_kernels.disk_residuals`` and
+``curve1d_residuals``, the kind's ``compiled_walk``; the test is flow.run's):
+the numpy walk's cost is its count of array operations (about 120
+whole-box passes a disk state), and the library makes one fused pass a
+state and one a centre, operation for operation, so the two return the
+same bits (the tests compare them through ``_evolution_residuals_numpy``).
+radial2d, whose profile terms take numpy's array sin and cos, a custom
+profile, and every kind where the library does not load take the numpy walk.
 
 What differs per grid kind -- the residual terms, the compiled walk and the
 certificate's boundary data and Minkowski square -- sits in this module's one table,
@@ -110,8 +113,8 @@ def _rotational_V_data(profile: RotationalProfile, z: np.ndarray, df: np.ndarray
 
 # -- evolution residuals ---------------------------------------------------------
 
-# grid nodes per block of states (each temporary <= 64 KB): the benchmark's
-# identity_probe job peaks at 95 MB with this, at 104 and 117 MB with 4x and 8x
+# grid nodes per block of states in the numpy walk (each temporary <= 64 KB);
+# the benchmark's identity_probe job takes it on its sine tube probe alone
 RESIDUAL_BLOCK_NODES = 8192
 
 
@@ -154,14 +157,16 @@ def evolution_residuals(traj: Trajectory, profile) -> dict:
     Comparable refinement studies must probe the same physical time window.
     A triple whose residual is NaN is skipped.
 
-    A disk trajectory is walked by the compiled library when it loads (its
-    kind's ``compiled_walk``): one fused pass per state, bit for bit with the
-    numpy walk, which is the reference and walks the other kinds and any
-    trajectory when the library does not load.
+    A disk trajectory, and a curve1d one, is walked by the compiled library
+    (its kind's ``compiled_walk``) when the library loads and the profile is
+    a built-in, as flow.run takes the compiled loop: fused passes, bit for
+    bit with the numpy walk, which is the reference and walks radial2d, a
+    custom profile and any trajectory when the library does not load.
     """
-    compiled = _KINDS[traj.states[0].grid.kind].compiled_walk
-    return _residuals(traj, profile,
-                      compiled if compiled is not None and _kernels.available else _numpy_walk)
+    walk = _KINDS[traj.states[0].grid.kind].compiled_walk
+    if walk is None or not (_kernels.available and profile.kind in _kernels.PROFILES):
+        walk = _numpy_walk
+    return _residuals(traj, profile, walk)
 
 
 def _evolution_residuals_numpy(traj: Trajectory, profile) -> dict:
@@ -227,6 +232,13 @@ def _disk2d_compiled_walk(traj: Trajectory, profile, ids: list, wanted: set) -> 
                                    [j in wanted for j in ids], deep)
 
 
+def _curve1d_compiled_walk(traj: Trajectory, profile, ids: list, wanted: set) -> tuple:
+    """_numpy_walk on curve1d by the compiled library, on the trumpet."""
+    edge = int(_line_core(traj.states[0].grid.n).argmax())    # its first node
+    return _kernels.curve1d_residuals([traj.states[j] for j in ids],
+                                      [j in wanted for j in ids], profile, edge)
+
+
 def _block_terms(states: list, profile) -> list:
     """The pieces of the H and v identities over a block of states: the rate
     inputs (t, node positions x or None, F = (H, v)) and the terms read at a
@@ -240,11 +252,17 @@ def _block_terms(states: list, profile) -> list:
                            *(np.broadcast_to(m, g.H.shape) for m in masks))]
 
 
-def _curve1d_terms(st: FlowState, g, F: np.ndarray, profile):
-    core = _core(st.grid.n)
+def _line_core(n: int) -> np.ndarray:
+    """_core of a curve of n nodes, which must hold a node."""
+    core = _core(n)
     if not core.any():
-        raise ValueError(f"evolution residuals need a curve of N >= 11: at N = {st.grid.n} "
+        raise ValueError(f"evolution residuals need a curve of N >= 11: at N = {n} "
                          "no node lies 5 nodes inside both ends")
+    return core
+
+
+def _curve1d_terms(st: FlowState, g, F: np.ndarray, profile):
+    core = _line_core(st.grid.n)
     return (st.coords(), g.du[None], d1(F, st.spacing())[None], laplace_beltrami(st, F, g),
             _v_rhs_curve(st, g, profile), core, core)
 
@@ -536,7 +554,7 @@ class _Kind(NamedTuple):
 
 
 _KINDS = {
-    "curve1d": _Kind(_curve1d_terms, _no_certificate),
+    "curve1d": _Kind(_curve1d_terms, _no_certificate, _curve1d_compiled_walk),
     "radial2d": _Kind(_radial2d_terms, _radial2d_certificate),
     "disk2d": _Kind(_disk2d_terms, _disk2d_certificate, _disk2d_compiled_walk),
 }

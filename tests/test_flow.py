@@ -1085,9 +1085,11 @@ def test_step_loop_constants_match_their_python_mirrors():
     assert profiles == {name: code for name, (code, _) in _kernels.PROFILES.items()
                         if name != "trumpet"}
     assert _kernels.PROFILES["trumpet"][0] not in profiles.values()
-    # the residual walk's work array: its two rings and its scratch
+    # the residual walks' work arrays: the disk's two rings and its scratch,
+    # curve1d's one ring
     assert (3 * enums["F_ARRAYS"] + 2 * enums["G_ARRAYS"] + enums["SCRATCH_ARRAYS"]
             == _kernels.DISK_WALK_BOXES)
+    assert 3 * enums["L_ARRAYS"] == _kernels.LINE_WALK_ARRAYS
 
 
 def test_built_package_ships_the_step_loop_source(tmp_path):

@@ -157,6 +157,12 @@ def without_snapshot(traj, k):
                                state_steps=traj.state_steps[:k] + traj.state_steps[k + 1:])
 
 
+def replace_state(traj, k, **changes):
+    """traj with its k-th stored state's fields changed."""
+    return dataclasses.replace(traj, states=traj.states[:k] + [
+        dataclasses.replace(traj.states[k], **changes)] + traj.states[k + 1:])
+
+
 @pytest.fixture(scope="module")
 def residual_inputs():
     return {
@@ -214,16 +220,16 @@ def bump_traj(n, amp, tilt, steps):
     return run(st, StepControl(cfl=0.4, max_steps=steps), cylinder(1.0), stride=1)
 
 
-def compiled_walk_calls(monkeypatch) -> list:
-    """Records each call of the compiled disk walk."""
+def compiled_walk_calls(monkeypatch, name: str) -> list:
+    """Records each call of the compiled walk _kernels.<name>."""
     calls = []
-    walk = _kernels.disk_residuals
+    walk = getattr(_kernels, name)
 
     def counted(*args):
         calls.append(len(args[0]))
         return walk(*args)
 
-    monkeypatch.setattr(_kernels, "disk_residuals", counted)
+    monkeypatch.setattr(_kernels, name, counted)
     return calls
 
 
@@ -240,7 +246,7 @@ def test_compiled_disk_walk_equals_the_numpy_walk(n, amp, tilt, steps):
 def test_compiled_disk_walk_across_a_snapshot_gap(monkeypatch):
     traj = bump_traj(33, 0.2, 0.05, 40)
     gap = without_snapshot(traj, 3 * len(traj.states) // 4)
-    calls = compiled_walk_calls(monkeypatch)
+    calls = compiled_walk_calls(monkeypatch, "disk_residuals")
     res = evolution_residuals(gap, cylinder(1.0))
     assert calls and res == _evolution_residuals_numpy(gap, cylinder(1.0))
     # the three centres that read the missing state are gone from the window
@@ -251,21 +257,18 @@ def test_compiled_disk_walk_across_a_snapshot_gap(monkeypatch):
 def test_compiled_disk_walk_skips_a_nan_triple_and_keeps_the_guard():
     traj = bump_traj(33, 0.2, 0.05, 40)
     k = len(traj.states) - 2             # read by the last two triples only
-    s = traj.states[k]
-    late = dataclasses.replace(traj, states=traj.states[:k] + [
-        FlowState(s.grid, math.nan, s.u, s.boundary)] + traj.states[k + 1:])
+    late = replace_state(traj, k, t=math.nan)
     res = evolution_residuals(late, cylinder(1.0))
     assert res == _evolution_residuals_numpy(late, cylinder(1.0))
     assert math.isfinite(res["res_H"]) and math.isfinite(res["res_v"])
     # a NaN height, or a step at the rim that no residual reads, trips
     # geometry's guard in both walks
-    mid = len(s.u) // 2
+    mid = len(traj.states[k].u) // 2
     rim = np.flatnonzero(disk_grid(33, 1.0).inside[mid])[-1]
     for node, value in (((mid, mid), math.nan), ((mid, rim), 1.0)):
-        u = s.u.copy()
+        u = traj.states[k].u.copy()
         u[node] = value
-        bad = dataclasses.replace(traj, states=traj.states[:k] + [
-            FlowState(s.grid, s.t, u, s.boundary)] + traj.states[k + 1:])
+        bad = replace_state(traj, k, u=u)
         for walk in (evolution_residuals, _evolution_residuals_numpy):
             with pytest.raises(SpacelikeError):
                 walk(bad, cylinder(1.0))
@@ -275,7 +278,7 @@ def test_compiled_disk_walk_skips_a_nan_triple_and_keeps_the_guard():
 @pytest.mark.parametrize("name", ["disk2d_bump", "disk2d_bump_65"])
 def test_disk_residual_pins_hold_on_both_walks(residual_inputs, monkeypatch, name):
     traj, profile = residual_inputs[name]
-    calls = compiled_walk_calls(monkeypatch)
+    calls = compiled_walk_calls(monkeypatch, "disk_residuals")
     assert_same_values(evolution_residuals(traj, profile), RESIDUAL_PINS[name])
     assert len(calls) == 1
     assert_same_values(_evolution_residuals_numpy(traj, profile), RESIDUAL_PINS[name])
@@ -285,8 +288,90 @@ def test_disk_residual_pins_hold_on_both_walks(residual_inputs, monkeypatch, nam
 def test_disk_residuals_fall_back_to_the_numpy_walk(residual_inputs, monkeypatch):
     traj, profile = residual_inputs["disk2d_bump"]
     monkeypatch.setattr(_kernels, "_loaded", (None, "forced off"))
-    calls = compiled_walk_calls(monkeypatch)
+    calls = compiled_walk_calls(monkeypatch, "disk_residuals")
     assert_same_values(evolution_residuals(traj, profile), RESIDUAL_PINS["disk2d_bump"])
+    assert calls == []
+
+
+# -- the compiled curve1d walk against the numpy walk ------------------------------
+
+
+def line_traj(n, t0, steps):
+    """A stride-1 run of steps steps from the translator at time t0."""
+    xb = grim_reaper_boundary(t0)
+    grid = GridSpec("curve1d", n)
+    x = grid.reference() * xb
+    st = FlowState(grid, t0, np.log(np.cosh(x)) + t0, (-xb, xb))
+    return run(st, StepControl(cfl=0.4, max_steps=steps), trumpet(), stride=1)
+
+
+@needs_library
+@given(hs.integers(11, 201), hs.floats(-3.0, -0.2), hs.integers(2, 40))
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+def test_compiled_curve1d_walk_equals_the_numpy_walk(n, t0, steps):
+    traj = line_traj(n, t0, steps)
+    assert evolution_residuals(traj, trumpet()) == _evolution_residuals_numpy(traj, trumpet())
+
+
+@needs_library
+@pytest.mark.parametrize("name", ["curve1d_translator", "one_triple", "curve1d_translator_gap"])
+def test_curve1d_residual_pins_hold_on_both_walks(residual_inputs, monkeypatch, name):
+    traj, profile = residual_inputs[name]
+    calls = compiled_walk_calls(monkeypatch, "curve1d_residuals")
+    assert_same_values(evolution_residuals(traj, profile), RESIDUAL_PINS[name])
+    assert len(calls) == 1
+    assert_same_values(_evolution_residuals_numpy(traj, profile), RESIDUAL_PINS[name])
+    assert len(calls) == 1
+
+
+@needs_library
+def test_compiled_curve1d_walk_skips_a_nan_triple_and_keeps_the_guard():
+    traj = translator_traj(51, max_steps=40)
+    k = len(traj.states) - 2             # read by the last two triples only
+    late = replace_state(traj, k, t=math.nan)
+    res = evolution_residuals(late, trumpet())
+    assert res == _evolution_residuals_numpy(late, trumpet())
+    assert math.isfinite(res["res_H"]) and math.isfinite(res["res_v"])
+    # neighbours at one time: the centre's nodes divide by dt = 0, and those
+    # where x does not move read 0/0, so the centre is skipped, not inf
+    tie = replace_state(traj, k - 1, t=traj.states[k + 1].t)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        res = evolution_residuals(tie, trumpet())
+        assert res == _evolution_residuals_numpy(tie, trumpet())
+    assert math.isfinite(res["res_H"]) and math.isfinite(res["res_v"])
+    # a NaN height, a step near an end that no residual reads, a NaN end, or
+    # an end so far out that s' rounds to 1 (the end's margin alone is 0)
+    # trips geometry's guard in both walks
+    u, xr = traj.states[k].u, traj.states[k].boundary[1]
+    bad = [replace_state(traj, k, u=np.where(np.arange(51) == node, value, u))
+           for node, value in ((25, math.nan), (1, u[1] + 1.0))]
+    bad += [replace_state(traj, k, boundary=(xl, xr)) for xl in (math.nan, -40.0)]
+    for walk in (evolution_residuals, _evolution_residuals_numpy):
+        for b in bad:
+            with pytest.raises(SpacelikeError, match="not strictly spacelike"):
+                walk(b, trumpet())
+
+
+@pytest.mark.parametrize("walk", [evolution_residuals, _evolution_residuals_numpy])
+def test_curve1d_walks_need_eleven_nodes(walk):
+    traj = line_traj(10, -1.0, 5)
+    with pytest.raises(ValueError, match="need a curve of N >= 11: at N = 10"):
+        walk(traj, trumpet())
+
+
+def test_a_custom_planar_profile_takes_the_numpy_walk(residual_inputs, monkeypatch):
+    traj, _ = residual_inputs["curve1d_translator"]
+    calls = compiled_walk_calls(monkeypatch, "curve1d_residuals")
+    custom = dataclasses.replace(trumpet(), kind="custom")
+    assert_same_values(evolution_residuals(traj, custom), RESIDUAL_PINS["curve1d_translator"])
+    assert calls == []
+
+
+def test_curve1d_residuals_fall_back_to_the_numpy_walk(residual_inputs, monkeypatch):
+    traj, profile = residual_inputs["curve1d_translator"]
+    monkeypatch.setattr(_kernels, "_loaded", (None, "forced off"))
+    calls = compiled_walk_calls(monkeypatch, "curve1d_residuals")
+    assert_same_values(evolution_residuals(traj, profile), RESIDUAL_PINS["curve1d_translator"])
     assert calls == []
 
 
