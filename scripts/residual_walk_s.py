@@ -9,8 +9,9 @@ N = 65 and 97 to t = 0.06, and a sine tube plane bump of amplitude 0.05 and
 N = 101 to t = 0.05), then prints for each probe the least of 5 walks of
 evolution_residuals over its trajectory, in seconds.  For each probe whose
 grid kind has a compiled walk (monitors' kind table says which: the
-translators and the disks), the script also prints which walk ran and the
-least of 5 walks of the numpy reference walk, so one run gives both.
+translators and the disks), the script also prints which walk monitors
+chose and the least of 5 walks of the numpy reference walk, so one run gives
+both.
 
 --src times the maxsurf package under DIR (another checkout's src) in place
 of this checkout's.  To compare two checkouts, run the script alternately
@@ -51,10 +52,10 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     sys.path.insert(0, os.path.abspath(args.src))
     import maxsurf
-    from maxsurf import _kernels, monitors
+    from maxsurf import monitors
 
-    # a checkout without the compiled walk has only the numpy one
-    numpy_walk = getattr(monitors, "_evolution_residuals_numpy", None)
+    # a checkout older than monitors' walk choice prints the one time
+    walk_for = getattr(monitors, "_walk", None)
     for name, text in PROBES.items():
         cfg = maxsurf.parse_config(text)
         scenario = maxsurf.build_scenario(cfg)
@@ -62,12 +63,12 @@ def main(argv=None) -> int:
                                    h_stop=cfg.h_stop, t_end=cfg.t_end, integrator=cfg.integrator)
         traj = maxsurf.run(scenario.state0, ctrl, scenario.profile, stride=1)
         line = f"{name} {least_time(maxsurf.evolution_residuals, traj, scenario.profile):.4f} s"
-        compiled = getattr(monitors._KINDS[scenario.state0.grid.kind], "compiled_walk", None)
-        if compiled is not None and numpy_walk is not None:
-            walked_by = ("library" if _kernels.available
-                         and scenario.profile.kind in _kernels.PROFILES else "numpy")
-            line += (f" ({walked_by}); numpy walk "
-                     f"{least_time(numpy_walk, traj, scenario.profile):.4f} s")
+        kind = scenario.state0.grid.kind
+        if walk_for is not None and monitors._KINDS[kind].compiled_walk is not None:
+            walk = walk_for(kind, scenario.profile)
+            walked_by = "numpy" if walk is monitors._numpy_walk else "library"
+            numpy_s = least_time(monitors._evolution_residuals_numpy, traj, scenario.profile)
+            line += f" ({walked_by}); numpy walk {numpy_s:.4f} s"
         print(line)
         del traj
     return 0

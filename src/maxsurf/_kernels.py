@@ -94,6 +94,8 @@ state's least margin (the numpy walk gives its block of states' least).
 loaded; when it could not, ``reason`` holds a one-line explanation,
 ``flow.run`` stays on the numpy engine, ``monitors`` walks every kind's
 residuals in numpy and ``runner`` formats its CSV rows with Python's ``%``.
+``serves(profile)`` says whether it loads and holds the profile's formulas,
+the test for the step loop and for curve1d's walk, which reads the profile.
 """
 
 from __future__ import annotations
@@ -339,6 +341,13 @@ def load():
     return _loaded
 
 
+def serves(profile) -> bool:
+    """Whether the library loads and holds the profile's formulas: the test
+    for the compiled step loop, and for a compiled residual walk that reads
+    the profile."""
+    return load()[0] is not None and profile.kind in PROFILES
+
+
 def __getattr__(name):
     if name == "available":
         return load()[0] is not None
@@ -371,14 +380,11 @@ def _dilate(mask: np.ndarray) -> np.ndarray:
 def _gather(states: list, shape: tuple) -> tuple:
     """(the addresses of the states' u, their times, the arrays addressed):
     the walks read each state in place where it is a C-contiguous float64
-    array of the given shape.  A writable array's address comes from a ctypes
-    view of its buffer, about a third of the cost of ``ndarray.ctypes``."""
+    array of the given shape."""
     us = [np.ascontiguousarray(s.u, dtype=np.float64) for s in states]
     if any(u.shape != shape for u in us):
         raise ValueError(f"the walk's states must have the shape {shape}")
-    view, address = ctypes.c_char.from_buffer, ctypes.addressof
-    ptrs = np.fromiter((address(view(u)) if u.flags.writeable else u.ctypes.data for u in us),
-                       dtype=np.uintp, count=len(us))
+    ptrs = np.array([u.ctypes.data for u in us], dtype=np.uintp)
     return ptrs, np.array([s.t for s in states], dtype=np.float64), us
 
 

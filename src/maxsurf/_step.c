@@ -1135,6 +1135,56 @@ int maxsurf_run(int kind, int64_t n, double *u, double *bnd, double *t_io,
  * margin is not positive at any inside node, the rim's too, as the numpy
  * walk refuses it. */
 
+/* The pieces that the disk's walk and curve1d's share. */
+
+/* points slots[0..count) at successive arrays of n doubles from next, and
+ * returns the double after the last */
+static double *carve(double *next, int64_t n, int count, double **slots)
+{
+    for (int j = 0; j < count; ++j, next += n)
+        slots[j] = next;
+    return next;
+}
+
+/* 0 where state s passes geometry's guard (its least margin m_lo positive,
+ * none of its margins NaN), else s + 1, with fail[0] the least margin */
+static int guard_verdict(int64_t s, double m_lo, int64_t nan, double *fail)
+{
+    if (!nan && m_lo > 0.0)
+        return 0;
+    fail[0] = nan ? NAN : m_lo;
+    return (int)(s + 1);
+}
+
+/* monitors._material_rate's coefficients of F after, at and before a centre
+ * and their denominator, from the times before (tm), at (to) and after (tp) */
+static inline void rate_coefficients(double tm, double to, double tp, double c[4])
+{
+    double dm = to - tm, dp = tp - to;
+    c[0] = dm * dm;
+    c[1] = dp * dp - dm * dm;
+    c[2] = dp * dp;
+    c[3] = dp * dm * (dp + dm);
+}
+
+/* F's material rate at a node from F before (fm), at (fo) and after (fp) the
+ * centre, with rate_coefficients' c */
+static inline double material_rate(const double c[4], double fm, double fo, double fp)
+{
+    double r = c[0] * fp;
+    r += c[1] * fo;
+    r -= c[2] * fm;
+    return r / c[3];
+}
+
+/* folds identity k's largest residual hi over a centre's nodes into res[k],
+ * unless nan counts a NaN residual among them: np.fmax skips a NaN centre */
+static void fold_centre(double *res, int k, double hi, int64_t nan)
+{
+    if (!nan && hi > res[k])
+        res[k] = hi;
+}
+
 /* geometry.geometry's guard: the least margin over one run of inside nodes,
  * and the count of NaN margins */
 AVX2_CLONE
@@ -1214,7 +1264,6 @@ static void residual_row(int64_t len, int64_t m, double h, const double *c,
                          const double *restrict Fy, double *hi, int64_t *nan)
 {
     const double inv_2h = 1.0 / (2.0 * h), two_h = 2.0 * h;
-    const double cm = c[0], c0 = c[1], cp = c[2], den = c[3];
     double r_hi = *hi;
     int64_t bad = 0;
 #pragma omp simd reduction(max: r_hi) reduction(+: bad)
@@ -1224,10 +1273,7 @@ static void residual_row(int64_t len, int64_t m, double h, const double *c,
         double hv = H[i] * v[i];
         double lap = ((Fx[i + m] - Fx[i - m]) + (Fy[i + 1] - Fy[i - 1])) / two_h / sg[i];
         double rhs = -(Fo[i] * nA2[i]);
-        double r = cm * Fp[i];
-        r += c0 * Fo[i];
-        r -= cp * Fm[i];
-        r /= den;
+        double r = material_rate(c, Fm[i], Fo[i], Fp[i]);
         r += hv * ux[i] * fx;
         r += hv * uy[i] * fy;
         r -= lap;
@@ -1264,13 +1310,10 @@ int maxsurf_disk_residuals(const Disk *D, int64_t n_states, const double *const 
     const int64_t *deep = runs, *flux = runs + 2 * m, *field = runs + 4 * m;
     double *F[3][F_ARRAYS], *G[2][G_ARRAYS], *sc[SCRATCH_ARRAYS], *next = work;
     for (int r = 0; r < 3; ++r)
-        for (int j = 0; j < F_ARRAYS; ++j, next += n)
-            F[r][j] = next;
+        next = carve(next, n, F_ARRAYS, F[r]);
     for (int r = 0; r < 2; ++r)
-        for (int j = 0; j < G_ARRAYS; ++j, next += n)
-            G[r][j] = next;
-    for (int j = 0; j < SCRATCH_ARRAYS; ++j, next += n)
-        sc[j] = next;
+        next = carve(next, n, G_ARRAYS, G[r]);
+    carve(next, n, SCRATCH_ARRAYS, sc);
     res[0] = res[1] = 0.0;
     for (int64_t s = 0; s < n_states; ++s) {
         double **Fs = F[s % 3], **Gs = G[s % 2], *f = sc[SC_F];
@@ -1279,10 +1322,9 @@ int maxsurf_disk_residuals(const Disk *D, int64_t n_states, const double *const 
         int64_t nan = 0;
         for (int64_t x = 1; x < m - 1; ++x)
             margin_row(D->row_hi[x] - D->row_lo[x], m, inv_2h, f + D->row_lo[x], &m_lo, &nan);
-        if (nan || !(m_lo > 0.0)) {
-            fail[0] = nan ? NAN : m_lo;
-            return (int)(s + 1);
-        }
+        int refused = guard_verdict(s, m_lo, nan, fail);
+        if (refused)
+            return refused;
         for (int64_t x = 0; x < m; ++x) {
             int64_t lo = field[x];
             fields_row(field[m + x] - lo, m, h, f + lo, Fs[F_H] + lo, Fs[F_V] + lo,
@@ -1293,8 +1335,8 @@ int maxsurf_disk_residuals(const Disk *D, int64_t n_states, const double *const 
             continue;
         /* the triple (s - 2, s - 1, s) about the centre s - 1 */
         double **Fm = F[(s - 2) % 3], **Fo = F[(s - 1) % 3], **Go = G[(s - 1) % 2];
-        double dm = t[s - 1] - t[s - 2], dp = t[s] - t[s - 1];
-        const double c[4] = {dm * dm, dp * dp - dm * dm, dp * dp, dp * dm * (dp + dm)};
+        double c[4];
+        rate_coefficients(t[s - 2], t[s - 1], t[s], c);
         for (int k = 0; k < 2; ++k) {    /* the H identity (F_H), then the v one (F_V) */
             for (int64_t x = 0; x < m; ++x) {
                 int64_t lo = flux[x];
@@ -1311,8 +1353,7 @@ int maxsurf_disk_residuals(const Disk *D, int64_t n_states, const double *const 
                              Go[G_SG] + lo, Go[G_NA2] + lo, sc[SC_FX] + lo, sc[SC_FY] + lo,
                              &hi, &nan);
             }
-            if (!nan && hi > res[k])    /* np.fmax skips a NaN state */
-                res[k] = hi;
+            fold_centre(res, k, hi, nan);
         }
     }
     return 0;
@@ -1369,10 +1410,7 @@ static inline double line_residual(const double *Fm, const double *Fo, const dou
 {
     double grad = (Fo[i + 1] - Fo[i - 1]) / (2.0 * h);
     double lap = (ar * (Fo[i + 1] - Fo[i]) / h - al * (Fo[i] - Fo[i - 1]) / h) * vh / h;
-    double r = c[0] * Fp[i];
-    r += c[1] * Fo[i];
-    r -= c[2] * Fm[i];
-    r /= c[3];
+    double r = material_rate(c, Fm[i], Fo[i], Fp[i]);
     r += drift * grad;
     r -= lap;
     return fabs(r - rhs);
@@ -1430,10 +1468,9 @@ int maxsurf_curve1d_residuals(int64_t n, int64_t n_states, const double *const *
                               const double *domain, double *res, double *fail, double *work)
 {
     const double nm1 = (double)(n - 1);
-    double *L[3][L_ARRAYS];
+    double *L[3][L_ARRAYS], *next = work;
     for (int r = 0; r < 3; ++r)
-        for (int j = 0; j < L_ARRAYS; ++j)
-            L[r][j] = work + (r * L_ARRAYS + j) * n;
+        next = carve(next, n, L_ARRAYS, L[r]);
     res[0] = res[1] = 0.0;
     for (int64_t s = 0; s < n_states; ++s) {
         const double xl = b[2 * s], xr = b[2 * s + 1], h = (xr - xl) / nm1;
@@ -1452,10 +1489,9 @@ int maxsurf_curve1d_residuals(int64_t n, int64_t n_states, const double *const *
             m_lo = me[j] < m_lo ? me[j] : m_lo;
             nan += me[j] != me[j];
         }
-        if (nan || !(m_lo > 0.0)) {
-            fail[0] = nan ? NAN : m_lo;
-            return (int)(s + 1);
-        }
+        int refused = guard_verdict(s, m_lo, nan, fail);
+        if (refused)
+            return refused;
         double **f = L[s % 3];
         Drift g = {0.5 * (xl + xr), xr - xl, domain[0], domain[1], 0.0, 0.0};
         line_fields_row(edge - 1, n - edge + 1, us, s_ref, h, &g, f[L_X], f[L_UX], f[L_VH],
@@ -1464,15 +1500,13 @@ int maxsurf_curve1d_residuals(int64_t n, int64_t n_states, const double *const *
             continue;
         /* the triple (s - 2, s - 1, s) about the centre s - 1 */
         const double ho = (b[2 * s - 1] - b[2 * s - 2]) / nm1;
-        double dm = t[s - 1] - t[s - 2], dp = t[s] - t[s - 1];
-        const double c[4] = {dm * dm, dp * dp - dm * dm, dp * dp, dp * dm * (dp + dm)};
-        double hi[2];
+        double c[4], hi[2];
         int64_t bad[2];
+        rate_coefficients(t[s - 2], t[s - 1], t[s], c);
         line_residual_row(edge, n - edge, u[s - 1], ho, c, t[s] - t[s - 2], L[(s - 2) % 3],
                           L[(s - 1) % 3], f, hi, bad);
         for (int k = 0; k < 2; ++k)
-            if (!bad[k] && hi[k] > res[k])    /* np.fmax skips a NaN centre */
-                res[k] = hi[k];
+            fold_centre(res, k, hi[k], bad[k]);
     }
     return 0;
 }

@@ -485,7 +485,7 @@ def run(state0: FlowState, ctrl: StepControl, profile, stride: int = 100) -> Tra
     if ctrl.integrator == "euler" and not _t_end_reached(state0.t, ctrl.t_end):
         from . import _kernels
 
-        if _kernels.available and profile.kind in _kernels.PROFILES:
+        if _kernels.serves(profile):
             return _kernels.run_fast(state0, ctrl, profile, stride)
     return _run_python(state0, ctrl, profile, stride)
 

@@ -30,15 +30,17 @@ observer's normal and volume element, which no disk term reads, are never
 formed.
 
 That numpy walk is the reference.  A disk trajectory, and a curve1d one on
-the trumpet, is walked instead by the compiled library when it loads and
-the profile is a built-in (``_kernels.disk_residuals`` and
-``curve1d_residuals``, the kind's ``compiled_walk``; the test is flow.run's):
-the numpy walk's cost is its count of array operations (about 120
-whole-box passes a disk state), and the library makes one fused pass a
-state and one a centre, operation for operation, so the two return the
-same bits (the tests compare them through ``_evolution_residuals_numpy``).
-radial2d, whose profile terms take numpy's array sin and cos, a custom
-profile, and every kind where the library does not load take the numpy walk.
+the trumpet, is walked instead by the compiled library when it loads
+(``_kernels.disk_residuals`` and ``curve1d_residuals``, the kind's
+``compiled_walk``, chosen by ``_walk``); curve1d's walk reads the profile,
+so it also needs a built-in profile (``_kernels.serves``, flow.run's test
+too), while the disk's reads none.  The numpy walk's cost is its count of
+array operations (about 120 whole-box passes a disk state), and the
+library makes one fused pass a state and one a centre, operation for
+operation, so the two return the same bits (the tests compare them through
+``_evolution_residuals_numpy``).  radial2d, whose profile terms take numpy's
+array sin and cos, curve1d on a custom profile, and every kind where the
+library does not load take the numpy walk.
 
 What differs per grid kind -- the residual terms, the compiled walk and the
 certificate's boundary data and Minkowski square -- sits in this module's one table,
@@ -157,16 +159,24 @@ def evolution_residuals(traj: Trajectory, profile) -> dict:
     Comparable refinement studies must probe the same physical time window.
     A triple whose residual is NaN is skipped.
 
-    A disk trajectory, and a curve1d one, is walked by the compiled library
-    (its kind's ``compiled_walk``) when the library loads and the profile is
-    a built-in, as flow.run takes the compiled loop: fused passes, bit for
-    bit with the numpy walk, which is the reference and walks radial2d, a
-    custom profile and any trajectory when the library does not load.
+    A disk trajectory, and a curve1d one on a built-in profile, is walked by
+    the compiled library (its kind's ``compiled_walk``) when the library
+    loads: fused passes, bit for bit with the numpy walk, which is the
+    reference and walks radial2d, curve1d on a custom profile and any
+    trajectory when the library does not load.
     """
-    walk = _KINDS[traj.states[0].grid.kind].compiled_walk
-    if walk is None or not (_kernels.available and profile.kind in _kernels.PROFILES):
-        walk = _numpy_walk
-    return _residuals(traj, profile, walk)
+    return _residuals(traj, profile, _walk(traj.states[0].grid.kind, profile))
+
+
+def _walk(kind: str, profile) -> Callable:
+    """The walk evolution_residuals takes on a grid kind: the kind's compiled
+    walk where the library loads (and, for a walk that reads the profile,
+    holds the profile's formulas: ``_kernels.serves``), else the numpy walk."""
+    spec = _KINDS[kind]
+    if spec.compiled_walk is not None and (
+            _kernels.serves(profile) if spec.walk_reads_profile else _kernels.available):
+        return spec.compiled_walk
+    return _numpy_walk
 
 
 def _evolution_residuals_numpy(traj: Trajectory, profile) -> dict:
@@ -551,10 +561,13 @@ class _Kind(NamedTuple):
     # _numpy_walk's signature and results by the compiled library, taken when
     # it loads; None where the numpy walk alone runs
     compiled_walk: Optional[Callable] = None
+    # whether the compiled walk reads the profile, and so runs on the
+    # profiles whose formulas the library holds alone
+    walk_reads_profile: bool = False
 
 
 _KINDS = {
-    "curve1d": _Kind(_curve1d_terms, _no_certificate, _curve1d_compiled_walk),
+    "curve1d": _Kind(_curve1d_terms, _no_certificate, _curve1d_compiled_walk, True),
     "radial2d": _Kind(_radial2d_terms, _radial2d_certificate),
     "disk2d": _Kind(_disk2d_terms, _disk2d_certificate, _disk2d_compiled_walk),
 }

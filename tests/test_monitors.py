@@ -296,13 +296,22 @@ def test_disk_residuals_fall_back_to_the_numpy_walk(residual_inputs, monkeypatch
 # -- the compiled curve1d walk against the numpy walk ------------------------------
 
 
-def line_traj(n, t0, steps):
-    """A stride-1 run of steps steps from the translator at time t0."""
+def line_traj(n, t0, steps, tilt=0.0):
+    """A stride-1 run of steps steps from the translator at time t0, plus
+    tilt r (1 - r^2)^2 with r = x / x_b, which leaves the ends and their
+    slopes as they are but makes the curve odd as well as even."""
     xb = grim_reaper_boundary(t0)
     grid = GridSpec("curve1d", n)
     x = grid.reference() * xb
-    st = FlowState(grid, t0, np.log(np.cosh(x)) + t0, (-xb, xb))
-    return run(st, StepControl(cfl=0.4, max_steps=steps), trumpet(), stride=1)
+    u0 = np.log(np.cosh(x)) + t0 + tilt * (x / xb) * (1.0 - (x / xb) ** 2) ** 2
+    return run(FlowState(grid, t0, u0, (-xb, xb)), StepControl(cfl=0.4, max_steps=steps),
+               trumpet(), stride=1)
+
+
+def triple(traj, k):
+    """traj's three stored states about the k-th: one centre."""
+    return dataclasses.replace(traj, states=traj.states[k - 1:k + 2],
+                               state_steps=traj.state_steps[k - 1:k + 2])
 
 
 @needs_library
@@ -311,6 +320,20 @@ def line_traj(n, t0, steps):
 def test_compiled_curve1d_walk_equals_the_numpy_walk(n, t0, steps):
     traj = line_traj(n, t0, steps)
     assert evolution_residuals(traj, trumpet()) == _evolution_residuals_numpy(traj, trumpet())
+
+
+@needs_library
+@pytest.mark.parametrize("t0", [-3.0, -1.0, -0.3])
+def test_compiled_curve1d_walk_equals_the_numpy_walk_at_one_node(t0):
+    # at N = 11 the core is node 5 alone, and a triple has one centre, so
+    # each result is one node's residual at one centre, to the last bit;
+    # the tilt moves node 5 off the curve's axis, where d1 would read 0
+    traj = line_traj(11, t0, 12, tilt=0.02)
+    for k in range(1, len(traj.states) - 1):
+        one = triple(traj, k)
+        res = evolution_residuals(one, trumpet())
+        assert res["triples"] == 1 and res["res_H"] > 0.0 and res["res_v"] > 0.0
+        assert res == _evolution_residuals_numpy(one, trumpet())
 
 
 @needs_library
@@ -365,6 +388,16 @@ def test_a_custom_planar_profile_takes_the_numpy_walk(residual_inputs, monkeypat
     custom = dataclasses.replace(trumpet(), kind="custom")
     assert_same_values(evolution_residuals(traj, custom), RESIDUAL_PINS["curve1d_translator"])
     assert calls == []
+
+
+@needs_library
+def test_a_custom_rotational_profile_keeps_the_compiled_disk_walk(residual_inputs, monkeypatch):
+    # the disk's walk reads no profile
+    traj, profile = residual_inputs["disk2d_bump"]
+    calls = compiled_walk_calls(monkeypatch, "disk_residuals")
+    custom = dataclasses.replace(profile, kind="custom")
+    assert_same_values(evolution_residuals(traj, custom), RESIDUAL_PINS["disk2d_bump"])
+    assert len(calls) == 1
 
 
 def test_curve1d_residuals_fall_back_to_the_numpy_walk(residual_inputs, monkeypatch):
