@@ -8,7 +8,7 @@ N = 101 and a disk2d cylinder bump of N = 101, and prints for each kind the
 least of 5 runs of 200 steps, in microseconds per step.  Each kind is timed
 in a fresh interpreter: the numpy disk step takes about 450 or about 650 us
 by the allocator's state, which whatever ran earlier in the same process
-sets.  The numpy loop is the engine of RK2 runs, comparison pairs and custom
+sets.  The numpy loop is the engine of comparison pairs and custom
 profiles; no benchmark workload runs it, so this script is how its cost is
 measured.
 

@@ -124,7 +124,6 @@ PROFILES = {"cylinder": (0, 1), "pseudosphere": (1, 2), "sine_tube": (2, 3), "tr
 # stride-1 runs would otherwise reserve without touching)
 SNAPSHOT_BUFFER_BYTES = 64 << 20
 
-NREC = 17
 # the disk residual walk's work array, in boxes: a ring of 3 states' (H, v), one
 # of 2 states' 7 geometry fields, and 3 of scratch
 DISK_WALK_BOXES = 3 * 2 + 2 * 7 + 3

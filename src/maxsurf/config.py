@@ -16,13 +16,13 @@ numeric arguments of profile and initial):
     h_stop              sup|H| convergence threshold; 0 disables  (0)
     cfl                 step factor in (0, 0.5]                   (0.4)
     eps_guard           spacelike guard margin in (0, 1)          (0.001)
-    integrator          euler | rk2                               (euler)
+    integrator          euler                                     (euler)
     initial             initial-data selector                     (scenario default)
     snapshot_stride     state snapshot stride, >= 1               (1000)
     out_dir             output directory                          (runs/<scenario>)
     require_conditions  check the curvature criterion first       (false)
     condition_samples   sample count for that check, >= 2         (2001)
-    monitor_evolution   write evolution residuals (stride-1 runs) (false)
+    monitor_evolution   write evolution residuals; needs stride 1 (false)
     certificate         build a stability certificate at the end  (false)
     certificate_z       certificate center height on the axis     (initial plane)
 
@@ -81,6 +81,7 @@ _SCENARIO_DEFAULTS = {
                           "initial": ("leaf", (1.0,))},
 }
 SCENARIOS = tuple(_SCENARIO_DEFAULTS)
+INTEGRATORS = ("euler",)
 
 
 class ConfigError(ValueError):
@@ -130,10 +131,12 @@ class ScenarioConfig:
             raise ConfigError("cfl must lie in (0, 0.5]")
         if not 0.0 < self.eps_guard < 1.0:
             raise ConfigError("eps_guard must lie in (0, 1)")
-        if self.integrator not in ("euler", "rk2"):
-            raise ConfigError("integrator must be euler or rk2")
+        if self.integrator not in INTEGRATORS:
+            raise ConfigError(f"integrator must be {' or '.join(INTEGRATORS)}")
         if self.snapshot_stride < 1:
             raise ConfigError("snapshot_stride must be >= 1")
+        if self.monitor_evolution and self.snapshot_stride != 1:
+            raise ConfigError("monitor_evolution needs snapshot_stride = 1")
         if self.max_steps < 1:
             raise ConfigError("max_steps must be >= 1")
         for key in ("t0", "t_end", "h_stop", "certificate_z"):

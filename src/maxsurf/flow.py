@@ -13,8 +13,8 @@ tube: rho_b' = f'(u_b) u_t / (1 - f'^2).  Moving domains use a fixed
 reference grid rescaled each step, which adds the advection term
 (node velocity) * u_x to the right-hand side.
 
-Explicit Euler (default) or two-stage Runge-Kutta, with the parabolic step
-bound dt = cfl * h^2 * min(1 - |Du|^2) (halved for the 2d kinds).  A tripped
+Explicit Euler, with the parabolic step bound
+dt = cfl * h^2 * min(1 - |Du|^2) (halved for the 2d kinds).  A tripped
 spacelike guard is a successful detection of gradient blow-up, reported as a
 trajectory event rather than an exception from `run`.
 
@@ -81,15 +81,15 @@ class StepControl:
     max_steps: int = 5_000_000
     h_stop: float = 0.0          # 0 disables the sup|H| convergence test
     t_end: Optional[float] = None
-    integrator: str = "euler"    # "euler" | "rk2"
+    integrator: str = "euler"    # explicit Euler, the one method
 
     def __post_init__(self):
         if not 0.0 < self.cfl <= 0.5:
             raise ValueError("cfl must lie in (0, 0.5]")
         if not 0.0 < self.eps_guard < 1.0:
             raise ValueError("eps_guard must lie in (0, 1)")
-        if self.integrator not in ("euler", "rk2"):
-            raise ValueError("integrator must be 'euler' or 'rk2'")
+        if self.integrator != "euler":
+            raise ValueError("integrator must be 'euler'")
         if not self.max_steps >= 1:
             raise ValueError("max_steps must be >= 1")
         if not 0.0 <= self.h_stop < math.inf:
@@ -281,12 +281,6 @@ def _advance(state: FlowState, ctrl: StepControl, profile, ev: Evaluation, dt: f
     dt = _clip_dt(dt, state.t, ctrl.t_end)
     udot, bdot = kind.rate(state, ev)
     u, boundary = state.u + dt * udot, _advance_boundary(state.boundary, bdot, dt)
-    if ctrl.integrator == "rk2":
-        ev1 = _evaluate(FlowState(state.grid, state.t, u, boundary), ctrl, profile)
-        udot1, bdot1 = kind.rate(state, ev1)
-        half = 0.5 * dt
-        u = state.u + half * (udot + udot1)
-        boundary = _advance_boundary(state.boundary, None if bdot is None else bdot + bdot1, half)
     u, boundary = kind.project(state, u, boundary, profile)
     return FlowState(state.grid, state.t + dt, u, boundary)
 
@@ -470,11 +464,10 @@ class RecordBuffer:
 def run(state0: FlowState, ctrl: StepControl, profile, stride: int = 100) -> Trajectory:
     """Iterate the flow until convergence, guard trip, t_end or step limit.
 
-    Euler runs on built-in profiles, of every grid kind, take the compiled
-    step loop of ``_kernels`` when that library can be built; RK2 runs,
-    custom profiles, and every run when it cannot, take the numpy reference
-    engine, as does a state already at t_end, which takes no step: its
-    trajectory is itself.
+    Runs on built-in profiles, of every grid kind, take the compiled step
+    loop of ``_kernels`` when that library can be built; custom profiles,
+    and every run when it cannot, take the numpy reference engine, as does
+    a state already at t_end, which takes no step: its trajectory is itself.
     A profile that is not the boundary the grid kind imposes (see
     ``check_profile``), and a start no step could be taken from (see
     ``start_error``), are a ValueError, before any step.
@@ -482,11 +475,10 @@ def run(state0: FlowState, ctrl: StepControl, profile, stride: int = 100) -> Tra
     if stride < 1:
         raise ValueError("stride must be a positive number of steps")
     _check_start(state0, ctrl, profile)
-    if ctrl.integrator == "euler" and not _t_end_reached(state0.t, ctrl.t_end):
-        from . import _kernels
+    from . import _kernels
 
-        if _kernels.serves(profile):
-            return _kernels.run_fast(state0, ctrl, profile, stride)
+    if not _t_end_reached(state0.t, ctrl.t_end) and _kernels.serves(profile):
+        return _kernels.run_fast(state0, ctrl, profile, stride)
     return _run_python(state0, ctrl, profile, stride)
 
 

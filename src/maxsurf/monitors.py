@@ -120,12 +120,11 @@ def _rotational_V_data(profile: RotationalProfile, z: np.ndarray, df: np.ndarray
 RESIDUAL_BLOCK_NODES = 8192
 
 
-def _consecutive_triples(traj: Trajectory) -> list:
+def _consecutive_triples(traj: Trajectory) -> np.ndarray:
     """Indices i of the stored states whose neighbours i - 1 and i + 1 are the
     adjacent steps: the centres of the stride-1 triples."""
-    steps = traj.state_steps
-    return [i for i in range(1, len(traj.states) - 1)
-            if steps[i] - steps[i - 1] == 1 and steps[i + 1] - steps[i] == 1]
+    adjacent = np.diff(np.asarray(traj.state_steps)) == 1
+    return np.flatnonzero(adjacent[:-1] & adjacent[1:]) + 1
 
 
 def _material_rate(f_minus, f_mid, f_plus, t_minus, t_mid, t_plus):
@@ -187,26 +186,29 @@ def _evolution_residuals_numpy(traj: Trajectory, profile) -> dict:
 def _residuals(traj: Trajectory, profile, walk: Callable) -> dict:
     """The probe window's centres, and the residual maxima over them from walk."""
     centers = _consecutive_triples(traj)
-    if not centers:
+    if not centers.size:
         raise ValueError("evolution residuals need three consecutive stride-1 states, and the "
                          f"trajectory's {len(traj.states)} stored states hold none")
-    centers = centers[int(SKIP_FRACTION * len(centers)):] or centers[-1:]
-    wanted = set(centers)
-    ids = sorted({j for i in centers for j in (i - 1, i, i + 1)})
-    res_H, res_v = walk(traj, profile, ids, wanted)
-    return {"res_H": res_H, "res_v": res_v, "triples": len(centers)}
+    centers = centers[int(SKIP_FRACTION * centers.size):]   # SKIP_FRACTION < 1 keeps one
+    read = np.zeros(len(traj.states), dtype=bool)           # the stored states a triple reads
+    read[centers - 1] = read[centers] = read[centers + 1] = True
+    centre = np.zeros_like(read)
+    centre[centers] = True
+    ids = np.flatnonzero(read)
+    res_H, res_v = walk([traj.states[j] for j in ids], profile, centre[ids])
+    return {"res_H": res_H, "res_v": res_v, "triples": int(centers.size)}
 
 
-def _numpy_walk(traj: Trajectory, profile, ids: list, wanted: set) -> tuple:
-    """(max res_H, max res_v) over the centres wanted of the walk's stored
-    states ids, in blocks of states stacked along a leading axis, with one
-    geometry per state and one gradient of (H, v), which the drift and the
-    Laplacian share.  A centre's rate reads the rate inputs of its
-    neighbours where their blocks hold them, joined only where a run of
-    states crosses a block edge, and a block's terms are freed once no
-    centre reads them."""
-    per_block = max(1, RESIDUAL_BLOCK_NODES // traj.states[0].u.size)
-    kax = -1 - traj.states[0].u.ndim          # the state axis, ahead of the nodes
+def _numpy_walk(states: list, profile, centre: np.ndarray) -> tuple:
+    """(max res_H, max res_v) over the centres of the walk's stored states:
+    each s with centre[s], whose triple is (s - 1, s, s + 1).  The states go
+    in blocks stacked along a leading axis, with one geometry per state and
+    one gradient of (H, v), which the drift and the Laplacian share.  A
+    centre's rate reads the rate inputs of its neighbours where their blocks
+    hold them, joined only where a run of states crosses a block edge, and a
+    block's terms are freed once no centre reads them."""
+    per_block = max(1, RESIDUAL_BLOCK_NODES // states[0].u.size)
+    kax = -1 - states[0].u.ndim               # the state axis, ahead of the nodes
     nodes = (slice(None),) * (-kax - 1)       # a[(..., k) + nodes]: states k of a
     held = {}                                 # block number -> its terms, while read
 
@@ -216,37 +218,32 @@ def _numpy_walk(traj: Trajectory, profile, ids: list, wanted: set) -> tuple:
         pieces = []
         for b in range(lo // per_block, (hi - 1) // per_block + 1):
             if b not in held:
-                block = ids[b * per_block:(b + 1) * per_block]
-                held[b] = _block_terms([traj.states[j] for j in block], profile)
+                held[b] = _block_terms(states[b * per_block:(b + 1) * per_block], profile)
             k = slice(max(lo - b * per_block, 0), hi - b * per_block)
             pieces.append([a if a is None else a[(..., k) + nodes] for a in held[b][part]])
         return [p[0] if len(p) == 1 or p[0] is None else np.concatenate(p, axis=kax)
                 for p in zip(*pieces)]
 
     res = np.zeros(2)
-    for b in range(1 // per_block, (len(ids) - 2) // per_block + 1):
-        # the block's states with both neighbours in the walk (1 .. len(ids) - 2)
-        lo, hi = max(b * per_block, 1), min((b + 1) * per_block, len(ids) - 1)
-        keep = np.array([ids[j] in wanted for j in range(lo, hi)], dtype=bool)
+    for b in range(1 // per_block, (len(states) - 2) // per_block + 1):
+        # the block's states with both neighbours in the walk (1 .. len(states) - 2)
+        lo, hi = max(b * per_block, 1), min((b + 1) * per_block, len(states) - 1)
         window = [run(0, lo + d, hi + d) for d in (-1, 0, 1)]
-        _fold_residuals(res, window, run(1, lo, hi), keep, kax)
+        _fold_residuals(res, window, run(1, lo, hi), centre[lo:hi], kax)
         held[b][1] = ()                       # read at this block's centres only
         held.pop(b - 1, None)
     return float(res[0]), float(res[1])
 
 
-def _disk2d_compiled_walk(traj: Trajectory, profile, ids: list, wanted: set) -> tuple:
+def _disk2d_compiled_walk(states: list, profile, centre: np.ndarray) -> tuple:
     """_numpy_walk on the disk by the compiled library, which reads no profile."""
-    deep = _deep_nodes(traj.states[0].grid)
-    return _kernels.disk_residuals([traj.states[j] for j in ids],
-                                   [j in wanted for j in ids], deep)
+    return _kernels.disk_residuals(states, centre, _deep_nodes(states[0].grid))
 
 
-def _curve1d_compiled_walk(traj: Trajectory, profile, ids: list, wanted: set) -> tuple:
+def _curve1d_compiled_walk(states: list, profile, centre: np.ndarray) -> tuple:
     """_numpy_walk on curve1d by the compiled library, on the trumpet."""
-    edge = int(_line_core(traj.states[0].grid.n).argmax())    # its first node
-    return _kernels.curve1d_residuals([traj.states[j] for j in ids],
-                                      [j in wanted for j in ids], profile, edge)
+    edge = int(_line_core(states[0].grid.n).argmax())    # its first node
+    return _kernels.curve1d_residuals(states, centre, profile, edge)
 
 
 def _block_terms(states: list, profile) -> list:

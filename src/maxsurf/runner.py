@@ -204,7 +204,7 @@ def run_scenario(cfg: ScenarioConfig, write: bool = True):
         summary["h_vs_v_C2"] = est["h_vs_v_fit"]["C2"]
         summary["h_vs_v_p"] = est["h_vs_v_fit"]["p"]
         summary["p_best_fit"] = est["p_best_fit"]
-    if cfg.monitor_evolution and cfg.snapshot_stride == 1:
+    if cfg.monitor_evolution:
         try:
             res = evolution_residuals(traj, scenario.profile)
             summary["res_H"] = res["res_H"]

@@ -213,7 +213,7 @@ KEY_SPACE = {
     "h_stop": [None, 0, 1e-3, 0.1],
     "cfl": [None, 0.1, 0.5],
     "eps_guard": [None, 0.5, 0.9],
-    "integrator": [None, "rk2"],
+    "integrator": [None, "euler"],
     "snapshot_stride": [None, 1, 3],
     "require_conditions": [None, "true"],
     "condition_samples": [2, 11],
@@ -233,7 +233,7 @@ FLAWS = ([("profile", p) for p in PROFILES]
                                      "leaf(abc)", "plane_bump(widest, abc)", "bump(0.1, 0.2)",
                                      "bump(1.0)"]]
          + [("nodes", 5), ("t0", -1e-20), ("t0", -1000), ("t0", 0), ("t0", 0.5), ("t0", 1e20),
-            ("t_end", 0), ("t_end", -0.9)]
+            ("t_end", 0), ("t_end", -0.9), ("integrator", "rk2")]
          # retired keys: unknown, so exit 3
          + [("monitor_volume", "true"), ("monitor_boundary", "false"),
             ("monitor_estimates", "true")])
@@ -255,6 +255,8 @@ def configs(draw):
             "profile": draw(hs.sampled_from(SCENARIO_PROFILES[scenario])),
             "initial": draw(hs.sampled_from(SCENARIO_INITIALS[scenario])),
             **{k: draw(hs.sampled_from(v)) for k, v in KEY_SPACE.items()}}
+    if keys["monitor_evolution"] == "true":
+        keys["snapshot_stride"] = 1         # the monitor reads stride-1 runs alone
     flaw = draw(hs.none() | hs.sampled_from(FLAWS))
     if flaw is not None:
         keys[flaw[0]] = flaw[1]
@@ -266,6 +268,17 @@ def configs(draw):
 def test_generated_configs_end_in_a_documented_exit_code(keys):
     for command in (("run",), ("converge", "--levels", "2"), ("check-boundary",)):
         assert_documented_ending(keys, command)
+
+
+@pytest.mark.parametrize("keys", ["integrator = rk2",
+                                  "monitor_evolution = true\nsnapshot_stride = 3"],
+                         ids=["rk2", "monitor-at-stride-3"])
+def test_run_exit_3_on_a_retired_integrator_or_an_unread_monitor(tmp_path, out_root, capsys,
+                                                                  keys):
+    cfg = write(tmp_path, "bad.cfg", f"scenario = grim_reaper\nnodes = 21\n{keys}\n")
+    assert main(["run", cfg]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
 
 
 def test_run_exit_3_when_the_first_step_underflows(tmp_path, out_root, capsys):
@@ -350,7 +363,7 @@ def test_run_writes_the_geometry_of_a_coarse_final_state(tmp_path, out_root, cap
     # boundary's slope at the ends, as the flow does, and sees that state
     cfg = write(tmp_path, "coarse.cfg",
                 "scenario = grim_reaper\nnodes = 7\nt0 = -0.5\nt_end = none\nmax_steps = 30\n"
-                "integrator = rk2\ncertificate = true\ncertificate_z = 0.5\nout_dir = coarse\n")
+                "certificate = true\ncertificate_z = 0.5\nout_dir = coarse\n")
     assert main(["run", cfg]) == 0
     assert capsys.readouterr().err == ""
     summary = (out_root / "coarse" / "monitor_summary.txt").read_text().splitlines()

@@ -1,9 +1,13 @@
 import glob
 import os
+import re
 
 import pytest
 
-from maxsurf.config import _SCENARIO_DEFAULTS, SCENARIOS, ConfigError, parse_config, serialize
+from maxsurf import config
+from maxsurf.config import (_ALL_KEYS, _SCENARIO_DEFAULTS, INTEGRATORS, SCENARIOS, ConfigError,
+                            parse_config, serialize)
+from maxsurf.flow import StepControl
 from maxsurf.scenarios import _SCENARIOS, build_scenario
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -52,6 +56,35 @@ def test_out_of_range_values():
         parse_config("scenario = grim_reaper\neps_guard = 2\n")
     with pytest.raises(ConfigError, match="true/false|bad value"):
         parse_config("scenario = grim_reaper\ncertificate = maybe\n")
+
+
+def test_retired_integrator_rejected():
+    with pytest.raises(ConfigError, match="integrator must be euler$"):
+        parse_config("scenario = grim_reaper\nintegrator = rk2\n")
+    with pytest.raises(ValueError, match="integrator"):
+        StepControl(integrator="rk2")
+
+
+def test_evolution_monitor_needs_stride_1():
+    # the residuals read stride-1 triples: at any other stride the monitor had nothing to read
+    for stride in ("", "snapshot_stride = 3\n"):
+        with pytest.raises(ConfigError, match="monitor_evolution needs snapshot_stride = 1"):
+            parse_config(f"scenario = grim_reaper\nmonitor_evolution = true\n{stride}")
+    cfg = parse_config("scenario = grim_reaper\nmonitor_evolution = true\nsnapshot_stride = 1\n")
+    assert cfg.monitor_evolution and cfg.snapshot_stride == 1
+
+
+def test_key_table_documents_the_parsed_keys():
+    # the module docstring's key table names every key the parser takes, and
+    # no other, and lists the integrators the config and the flow accept
+    table = config.__doc__.split("Key table", 1)[1].split("Profile specs", 1)[0]
+    rows = dict(re.findall(r"^    (\w+) {2,}(.*)$", table, re.M))
+    assert set(rows) == _ALL_KEYS
+    choices = re.sub(r"\s*\([^)]*\)$", "", rows["integrator"]).split("|")
+    assert {c.strip() for c in choices} == set(INTEGRATORS)
+    for name in INTEGRATORS:
+        assert parse_config(f"scenario = grim_reaper\nintegrator = {name}\n").integrator == name
+        assert StepControl(integrator=name).integrator == name
 
 
 def test_duplicate_key_rejected():

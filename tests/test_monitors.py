@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -155,6 +156,16 @@ def without_snapshot(traj, k):
     """traj with its k-th stored state removed: a gap of two steps."""
     return dataclasses.replace(traj, states=traj.states[:k] + traj.states[k + 1:],
                                state_steps=traj.state_steps[:k] + traj.state_steps[k + 1:])
+
+
+def test_probe_window_centres_are_the_stride_1_triples():
+    # the centres i whose stored neighbours are the adjacent steps, found in
+    # one pass over the steps, wherever the gaps fall
+    for steps in ([], [0], [0, 1], [0, 1, 2], [0, 2, 3, 4], [0, 1, 2, 4, 5, 6, 7],
+                  [0, 1000, 1001, 1002, 1003, 3000]):
+        centres = monitors._consecutive_triples(SimpleNamespace(state_steps=steps))
+        assert centres.tolist() == [i for i in range(1, len(steps) - 1)
+                                    if steps[i] - steps[i - 1] == 1 == steps[i + 1] - steps[i]]
 
 
 def replace_state(traj, k, **changes):
