@@ -7,9 +7,11 @@ Times _kernels.run_fast (Euler, one snapshot a chunk) on five fixed starts:
 curve1d grim reaper translators of N = 101, 201 and 401 and a radial2d sine
 tube plane bump of N = 201, each for 20,000 steps, and a disk2d cylinder bump
 of N = 101 for 1,000 steps; it prints for each the least of 5 runs, in
-microseconds per step taken.  Then it formats the per-step records of the
-benchmark's translator_1d job (grim reaper, N = 201, t0 = -1 to t_end = -0.75)
-with _kernels.format_rows and prints the least of 5, in nanoseconds per value.
+microseconds per step taken, and that time per node the step evaluates (a
+line grid's N nodes, the disk's inside nodes), in nanoseconds.  Then it
+formats the per-step records of the benchmark's translator_1d job (grim
+reaper, N = 201, t0 = -1 to t_end = -0.75) with _kernels.format_rows and
+prints the least of 5, in nanoseconds per value.
 The compiled library must build; the numpy engine is timed by
 reference_loop_us.py.
 
@@ -56,12 +58,16 @@ def main(argv=None) -> int:
 
     import maxsurf
     from maxsurf import _kernels
+    from maxsurf.disk import disk_grid
 
     if not _kernels.available:
         print(_kernels.reason)
         return 1
     for name, (text, steps) in STARTS.items():
         scenario = maxsurf.build_scenario(maxsurf.parse_config(text))
+        grid = scenario.state0.grid
+        nodes = (int(disk_grid(grid.n, grid.radius).inside.sum()) if grid.kind == "disk2d"
+                 else scenario.state0.u.size)
         ctrl = maxsurf.StepControl(max_steps=steps)
         taken = []
 
@@ -70,7 +76,9 @@ def main(argv=None) -> int:
             taken.append(traj.records.shape[0] - 1)
 
         best = least(job)
-        print(f"{name} {best / taken[-1] * 1e6:.2f} us/step ({taken[-1]} steps)")
+        per_step = best / taken[-1]
+        print(f"{name} {per_step * 1e6:.2f} us/step ({taken[-1]} steps; "
+              f"{per_step / nodes * 1e9:.1f} ns/node)")
 
     cfg = maxsurf.parse_config(TRANSLATOR)
     scenario = maxsurf.build_scenario(cfg)

@@ -14,9 +14,11 @@ compare the two engines, bit for bit.
 
 The node loops multiply by the reciprocals of 2h and h^2 taken once a step,
 and take w = sqrt(m) and v_hat = 1/w once a node (rhs = u_xx v_hat^2, v =
-(v w) v_hat), as geometry.py does; a line grid's end nodes are taken outside
-the loops, which hold no branch, and curve1d's stencil, V field, rate and
-record fields are one pass over its inside nodes.  The trumpet's V field
+(v w) v_hat), as geometry.py does; a line grid's end nodes are taken first,
+outside the loops, which hold no branch, and each line kind's stencil, V
+field (curve1d) or v w from f' (radial2d, which takes f' in a scalar pass
+before it), rate and record fields are one pass over its inside nodes, which
+stores only what the record, rim and update read.  The trumpet's V field
 (sgn sinh a, cosh a) calls no libm function: ``exp_parts`` forms e^a, e^a - 1
 from adds, multiplies and the bits of 2^k, within an ulp of glibc's exp on
 the trumpet's domain, as ``profiles._exp_parts`` does in numpy.
@@ -36,14 +38,15 @@ walk instead (see ``_step.c``).  Never ``-ffast-math``, and no ``-march``:
 the cache key holds only the machine type, so a library tuned for one CPU
 could be loaded on another that lacks its instructions.  The loops where
 vector width pays instead carry their own AVX2 clones (``target_clones``, on
-x86-64 with glibc): the disk's row kernel ``disk2d_row``, curve1d's node
-pass ``curve1d_inside``, the disk walk's ``margin_row``, ``fields_row``,
-``flux_row`` and ``residual_row``, and the curve1d walk's
-``line_fields_row`` and ``line_residual_row``.  The dynamic loader picks the
-clone the running CPU supports, so one cached library serves every x86-64
-machine.  The clones give the same bits: with contraction off, each lane of
-either width runs the same correctly rounded add, multiply, divide and sqrt,
-and only the min/max reductions above run in another order.  The shared
+x86-64 with glibc): the disk's row kernel ``disk2d_row``, the line kinds'
+node passes ``curve1d_inside`` and ``radial2d_inside``, the disk walk's
+``margin_row``, ``fields_row``, ``flux_row`` and ``residual_row``, and the
+curve1d walk's ``line_fields_row`` and ``line_residual_row``.  The dynamic
+loader picks the clone the running CPU supports, so one cached library serves
+every x86-64 machine.  The clones give the same bits: with contraction off,
+each lane of either width runs the same correctly rounded add, multiply,
+divide and sqrt, and only the min/max reductions above run in another order.
+The shared
 object is cached beside this module in ``__pycache__``, or in a per-user
 temporary directory when that is not writable, as ``_step.<crc>.so``: its
 key is the source, the compiler, the flags and the machine type, ``<crc>``
@@ -124,6 +127,10 @@ PROFILES = {"cylinder": (0, 1), "pseudosphere": (1, 2), "sine_tube": (2, 3), "tr
 # stride-1 runs would otherwise reserve without touching)
 SNAPSHOT_BUFFER_BYTES = 64 << 20
 
+# the step loop's work array, in arrays of n doubles: the margin, H, v, the
+# summands of vol and of int H^2 dV, du/dt, the Euler update and the disk's
+# ghost-filled u
+STEP_WORK_ARRAYS = 8
 # the disk residual walk's work array, in boxes: a ring of 3 states' (H, v), one
 # of 2 states' 7 geometry fields, and 3 of scratch
 DISK_WALK_BOXES = 3 * 2 + 2 * 7 + 3
@@ -471,7 +478,7 @@ def run_fast(state0, ctrl, profile, stride):
     k = np.zeros(1, dtype=np.int64)
     nrec, nsnap = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
     fail = np.zeros(2)
-    work = np.empty(12 * n)
+    work = np.empty(STEP_WORK_ARRAYS * n)
     has_t_end = ctrl.t_end is not None
     records, states, state_steps = RecordBuffer(), [], []
     while True:

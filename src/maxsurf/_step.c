@@ -27,17 +27,17 @@
  * 2h and h^2, taken once a step, and a node takes one sqrt and one division,
  * w = sqrt(m) and v_hat = 1/w, so that rhs = u_xx v_hat^2, H = v_hat rhs and
  * v = (v w) v_hat are products (geometry.py does the same).  A line grid's
- * two end nodes, whose slope the boundary imposes, are taken outside the
- * loops, which thus hold no branch; curve1d then makes one pass over its
- * inside nodes (radial2d makes three).  The trumpet's V field (sgn sinh a,
+ * two end nodes, whose slope the boundary imposes, are taken first, outside
+ * the loops, which thus hold no branch; each line kind then makes one pass
+ * over its inside nodes.  The trumpet's V field (sgn sinh a,
  * cosh a) calls no libm function: exp_parts forms e^a and e^a - 1 from adds,
  * multiplies and the bits of 2^k, within an ulp of glibc's exp on the
  * trumpet's domain, and a node takes one more division, 1/e^a.
  *
  * No -march either: _kernels.py caches the library under the machine type
  * alone, so it must run on every CPU of that type.  The loops where vector
- * width pays, the disk's row kernel, curve1d's pass with its exponential,
- * the row kernels of the disk's residual walk and the two passes of
+ * width pays, the disk's row kernel, the line kinds' passes over their inside
+ * nodes, the row kernels of the disk's residual walk and the two passes of
  * curve1d's walk, are cloned for AVX2 instead (target_clones, on x86-64
  * with glibc, whose loader picks the clone once).
  * The clones agree bit for bit: without contraction an AVX2 lane does the
@@ -46,21 +46,21 @@
  *
  * The record's least margin, sup v, sup |H| and range of u are simd
  * reductions, in whatever order the lanes run: the disk's row kernel takes
- * them, and curve1d's pass, and radial2d's stencil and line_record, the end
- * nodes being folded in apart from the loops.  Without a NaN, an inf or a tie
- * of +0.0 and -0.0 the extreme of a set is one value whatever the order; a
- * step where a NaN or an inf entered (a check sum says so) or where u's
- * range ends on a zero takes them by the node-order walk instead (take_sups
- * and settle_sups: the first NaN sticks, a tie keeps the earlier value), as
- * numpy's reductions over the reference's fields do.  sup v_hat is
- * 1/sqrt(m_min) on every kind: v_hat = 1/sqrt(m) node by node, and correctly
- * rounded sqrt and division are monotone, so the largest v_hat is that of
- * the least margin bit for bit, NaN and inf included.
+ * them, and the line kinds' passes, the end nodes being folded in apart from
+ * the loops.  Without a NaN, an inf or a tie of +0.0 and -0.0 the extreme of
+ * a set is one value whatever the order; a step where a NaN or an inf
+ * entered (a check sum says so) or where u's range ends on a zero takes them
+ * by the node-order walk instead (take_sups and settle_sups: the first NaN
+ * sticks, a tie keeps the earlier value), as numpy's reductions over the
+ * reference's fields do.  sup v_hat is 1/sqrt(m_min) on every kind: v_hat =
+ * 1/sqrt(m) node by node, and correctly rounded sqrt and division are
+ * monotone, so the largest v_hat is that of the least margin bit for bit,
+ * NaN and inf included.
  *
  * As in flow.py, each kind supplies only what differs (see KINDS): its
  * evaluation (the rate with the moving grid's advection term, and the
- * record's per-node fields v_hat, H, v and dV), its rim block(s) and its
- * projection back onto the boundary.  One loop, maxsurf_run, does the rest.
+ * record's per-node fields H, v and dV), its rim block(s) and its projection
+ * back onto the boundary.  One loop, maxsurf_run, does the rest.
  *
  * _kernels.py compiles the file with the system C compiler and calls
  * maxsurf_run through ctypes, one chunk of steps per call, with
@@ -83,7 +83,7 @@
  *                                   guard-tripped state
  *   fail[2]                         on ST_DT_UNDERFLOW (dt, t); on
  *                                   ST_NEWTON (rim start point, residual)
- *   work[12*n]                      scratch
+ *   work[STEP_ARRAYS*n]             scratch (see Step)
  *
  * and returns one of the ST_* codes.  maxsurf_exp_parts and maxsurf_trumpet_V
  * evaluate exp_parts and trumpet_V over an array, for the tests.
@@ -160,8 +160,8 @@ static double rot_df(int code, const double *p, double z)
     return p[1] * p[2] * cos(p[2] * z);
 }
 
-/* rot_df as profile.df evaluates it over an array (the radial record's v
- * pass): numpy's array power takes (z+B)**2 as x*x, not as pow */
+/* rot_df as profile.df evaluates it over an array (radial2d's f' at its
+ * nodes): numpy's array power takes (z+B)**2 as x*x, not as pow */
 static double rot_df_array(int code, const double *p, double z)
 {
     if (code == P_PSEUDOSPHERE) {
@@ -381,6 +381,16 @@ typedef struct {
     double ring_delta;
 } Disk;
 
+/* a line grid's end, low (node 0) or high (node n - 1): its imposed slope u_x,
+ * w, v_hat, rhs from the ghost form (the update's) and from the one-sided
+ * form (the record's and the boundary speed's), and s'(|x|) or f'(u_b) */
+typedef struct {
+    double ux, w, vh, rhs, r_one, ds;
+} End;
+
+/* the step's work arrays of n doubles; mirrored in _kernels.STEP_WORK_ARRAYS */
+enum { W_M, W_H, W_V, W_DV, W_H2DV, W_UDOT, W_UNEW, W_UF, STEP_ARRAYS };
+
 typedef struct {
     int64_t n;
     double nm1;                      /* n - 1 */
@@ -389,25 +399,33 @@ typedef struct {
     const double *prm;
     const Disk *disk;
     double *u;
-    double *ux, *m, *w, *rhs;        /* u_x, the margin 1 - u_x^2, its sqrt (radial2d, and
-                                        curve1d's ends; the disk's uf takes its place),
-                                        du/dt without advection (curve1d: at its ends) */
-    double *vh, *H, *v, *dV;         /* record fields; radial2d first stores v w in v and
-                                        dV per unit w h (2 pi rho) in dV */
+    double *m, *H, *v;               /* the margin 1 - |Du|^2 and record fields; radial2d
+                                        first stores f'(u) in v */
+    double *dV, *H2dV;               /* summands of vol and ih2 (disk2d: of the N x N core) */
     double vol, ih2;                 /* the record's sums of dV and H^2 dV */
     const int64_t *span_lo, *span_hi;   /* the record's nodes: span_lo[j] <= i < span_hi[j], */
     int64_t n_spans;                    /* [0, n) on a line, the disk's row runs */
     double *udot, *unew;             /* du/dt with advection, the Euler update
                                         (disk2d: u itself, which the projection keeps) */
     double *uf;                      /* disk2d: u with its ghost values */
-    double *sum_dV, *sum_H2dV;       /* summands of vol, ih2 (disk2d: the N x N core) */
+    End end[2];                      /* a line grid's ends */
     double b[2];                     /* (x_l, x_r), or (rho_b, rho_b) */
     double bdot[2], bnew[2];         /* boundary velocity, the Euler update */
     double h, inv_h2, m_min;
     Sups sup;                        /* the record's sups; sup.vh is 1/sqrt(m_min) */
-    double r_end[2];                 /* rhs at the ends from the one-sided stencil */
-    double ds[2];                    /* s'(|x|) at both ends, or f'(u_b) at the rim */
 } Step;
+
+/* the reductions over no node */
+static const Run NO_NODES = {INFINITY, -INFINITY, -INFINITY, INFINITY, -INFINITY, 0.0};
+
+/* points slots[0..count) at successive arrays of n doubles from next, and
+ * returns the double after the last */
+static double *carve(double *next, int64_t n, int count, double **slots)
+{
+    for (int j = 0; j < count; ++j, next += n)
+        slots[j] = next;
+    return next;
+}
 
 /* the record's Sups over the spans, in node order, but for sup v_hat (which
  * maxsurf_run takes from m_min) */
@@ -443,18 +461,19 @@ static void settle_sups(Step *S, Run r)
     S->m_min = r.m;
 }
 
-/* a line grid's node e, whose slope is imposed: u_x, the margin, w and v_hat
- * there, folded into r's least margin and check sum; returns v_hat^2 */
-static double line_end(Step *S, int64_t e, double slope, Run *r)
+/* a line grid's end j with its imposed slope: u_x, w and v_hat there, and
+ * the margin, folded into r's least margin and check sum; returns v_hat^2 */
+static double line_end(Step *S, int j, double slope, Run *r)
 {
-    double me = 1.0 - slope * slope, we = sqrt(me), vhe = 1.0 / we;
-    S->ux[e] = slope;
-    S->m[e] = me;
-    S->w[e] = we;
-    S->vh[e] = vhe;
+    End *E = &S->end[j];
+    double me = 1.0 - slope * slope;
+    E->ux = slope;
+    E->w = sqrt(me);
+    E->vh = 1.0 / E->w;
+    S->m[j ? S->n - 1 : 0] = me;
     r->m = me < r->m ? me : r->m;
     r->bad += me - me;
-    return vhe * vhe;
+    return E->vh * E->vh;
 }
 
 /* a line grid's inside node i (geometry._line_derivatives): u_x and u_xx by
@@ -471,35 +490,6 @@ static inline Node stencil_node(const double *u, int64_t i, double inv_2h, doubl
     double mi = 1.0 - d * d;
     double wi = sqrt(mi), vhi = 1.0 / wi;
     return (Node){d, mi, wi, vhi, dd * (vhi * vhi)};
-}
-
-/* radial2d's stencil: stencil_node inside, the given slopes at the ends.
- * Sets h and 1/h^2; returns the least margin and the margins' check sum. */
-static Run stencil(Step *S, double h, double slope_lo, double slope_hi)
-{
-    const int64_t n = S->n;
-    const double *restrict u = S->u;
-    double *restrict ux = S->ux, *restrict m = S->m, *restrict w = S->w,
-           *restrict vh = S->vh, *restrict rhs = S->rhs;
-    const double inv_2h = 1.0 / (2.0 * h), inv_h2 = 1.0 / (h * h);
-    double m_lo = INFINITY, bad = 0.0;
-#pragma omp simd reduction(min: m_lo) reduction(+: bad)
-    for (int64_t i = 1; i < n - 1; ++i) {
-        Node p = stencil_node(u, i, inv_2h, inv_h2);
-        ux[i] = p.ux;
-        m[i] = p.m;
-        w[i] = p.w;
-        vh[i] = p.vh;
-        rhs[i] = p.rhs;
-        m_lo = p.m < m_lo ? p.m : m_lo;
-        bad += p.m - p.m;
-    }
-    Run r = {m_lo, -INFINITY, -INFINITY, INFINITY, -INFINITY, bad};
-    line_end(S, 0, slope_lo, &r);
-    line_end(S, n - 1, slope_hi, &r);
-    S->h = h;
-    S->inv_h2 = inv_h2;
-    return r;
 }
 
 /* u_xx at the end e (inward step d = +-1) with the slope imposed there: the
@@ -546,8 +536,8 @@ static double pairwise_sum(const double *a, int64_t n)
 }
 
 /* the record's fields at a node of a line grid (geometry._line_fields): H =
- * v_hat rhs, v = (v w) v_hat and dV = (dV per unit w h) w h, and H^2 dV; h is
- * the node's cell, the half cell at an end */
+ * v_hat rhs, v = (v w) v_hat, dV = dV_unit w h (dV_unit 1 on curve1d, 2 pi rho
+ * on radial2d) and H^2 dV; h is the node's cell, the half cell at an end */
 typedef struct {
     double H, v, dV, H2dV;
 } Fields;
@@ -559,16 +549,18 @@ static inline Fields line_fields(double vh, double rhs, double vw, double dV_uni
     return (Fields){H, vw * vh, dV, H * H * dV};
 }
 
-/* line_fields at the end e of a line grid, H from the one-sided rhs, v w and
+/* line_fields at the end j of a line grid, H from the one-sided rhs, v w and
  * the unit dV given; folded into the reductions r */
-static void line_end_fields(Step *S, int64_t e, double rhs_e, double vw, double dV_unit, Run *r)
+static void line_end_fields(Step *S, int j, double vw, double dV_unit, Run *r)
 {
-    Fields f = line_fields(S->vh[e], rhs_e, vw, dV_unit, S->w[e], 0.5 * S->h);
+    const End *E = &S->end[j];
+    int64_t e = j ? S->n - 1 : 0;
+    Fields f = line_fields(E->vh, E->r_one, vw, dV_unit, E->w, 0.5 * S->h);
     double aH = fabs(f.H), c = S->u[e];
     S->H[e] = f.H;
     S->v[e] = f.v;
     S->dV[e] = f.dV;
-    S->sum_H2dV[e] = f.H2dV;
+    S->H2dV[e] = f.H2dV;
     r->v = f.v > r->v ? f.v : r->v;
     r->H = aH > r->H ? aH : r->H;
     r->umin = c < r->umin ? c : r->umin;
@@ -580,38 +572,8 @@ static void line_end_fields(Step *S, int64_t e, double rhs_e, double vw, double 
 static void line_close(Step *S, Run r)
 {
     S->vol = pairwise_sum(S->dV, S->n);
-    S->ih2 = pairwise_sum(S->sum_H2dV, S->n);
+    S->ih2 = pairwise_sum(S->H2dV, S->n);
     settle_sups(S, r);
-}
-
-/* radial2d's record: line_fields at the inside nodes, as simd reductions, then
- * at the ends; the reductions r hold stencil's */
-static void line_record(Step *S, Run r)
-{
-    const int64_t n = S->n;
-    const double h = S->h, *restrict u = S->u, *restrict rhs = S->rhs,
-                 *restrict vh = S->vh, *restrict w = S->w;
-    double *restrict H = S->H, *restrict v = S->v, *restrict dV = S->dV,
-           *restrict sH2dV = S->sum_H2dV;
-    double v_hi = r.v, H_hi = r.H, u_lo = r.umin, u_hi = r.umax, bad = r.bad;
-#pragma omp simd reduction(max: v_hi, H_hi, u_hi) reduction(min: u_lo) reduction(+: bad)
-    for (int64_t i = 1; i < n - 1; ++i) {
-        Fields f = line_fields(vh[i], rhs[i], v[i], dV[i], w[i], h);
-        double aH = fabs(f.H), c = u[i];
-        H[i] = f.H;
-        v[i] = f.v;
-        dV[i] = f.dV;
-        sH2dV[i] = f.H2dV;
-        v_hi = f.v > v_hi ? f.v : v_hi;
-        H_hi = aH > H_hi ? aH : H_hi;
-        u_lo = c < u_lo ? c : u_lo;
-        u_hi = c > u_hi ? c : u_hi;
-        bad += (f.v - f.v) + (aH - aH) + (c - c);
-    }
-    r = (Run){r.m, v_hi, H_hi, u_lo, u_hi, bad};
-    line_end_fields(S, 0, S->r_end[0], S->v[0], S->dV[0], &r);
-    line_end_fields(S, n - 1, S->r_end[1], S->v[n - 1], S->dV[n - 1], &r);
-    line_close(S, r);
 }
 
 /* Boundary identity data at one boundary point (flow._boundary_block): rim
@@ -644,7 +606,7 @@ static Block boundary_block(const Step *S, int hi, double a_vv, double a_ww)
     double dH2 = (2.5 * (f1 * f1) - 4.0 * (f2 * f2) + 1.5 * (f3 * f3)) / h;
     double dv = out * ((3.0 * vb - 4.0 * v1 + v2) / (2.0 * h));
     double dv2pt = (vb - v1) / h;
-    return identity_block(H_b, vb, dH, dv, dH2, dv2pt, S->vh[e], a_vv, a_ww);
+    return identity_block(H_b, vb, dH, dv, dH2, dv2pt, S->end[hi].vh, a_vv, a_ww);
 }
 
 /* -- curve1d: u_t = u_xx / (1 - u_x^2) on [x_l(t), x_r(t)] -------------------- */
@@ -680,7 +642,7 @@ static Run curve1d_inside(const Step *S, const Drift *g, Run r)
     const double h = S->h, inv_2h = 1.0 / (2.0 * h), inv_h2 = S->inv_h2;
     const double *restrict u = S->u, *restrict s_ref = S->s_ref;
     double *restrict m = S->m, *restrict H = S->H, *restrict v = S->v, *restrict dV = S->dV,
-           *restrict sH2dV = S->sum_H2dV, *restrict udot = S->udot;
+           *restrict H2dV = S->H2dV, *restrict udot = S->udot;
     double m_lo = r.m, v_hi = r.v, H_hi = r.H, u_lo = r.umin, u_hi = r.umax, bad = r.bad;
 #pragma omp simd reduction(min: m_lo, u_lo) reduction(max: v_hi, H_hi, u_hi) reduction(+: bad)
     for (int64_t i = 1; i < n - 1; ++i) {
@@ -693,7 +655,7 @@ static Run curve1d_inside(const Step *S, const Drift *g, Run r)
         H[i] = f.H;
         v[i] = f.v;
         dV[i] = f.dV;
-        sH2dV[i] = f.H2dV;
+        H2dV[i] = f.H2dV;
         m_lo = p.m < m_lo ? p.m : m_lo;
         v_hi = f.v > v_hi ? f.v : v_hi;
         H_hi = aH > H_hi ? aH : H_hi;
@@ -711,32 +673,33 @@ static void curve1d_evaluate(Step *S)
 {
     const int64_t n = S->n;
     double xl = S->b[0], xr = S->b[1], h = (xr - xl) / S->nm1;
-    Run r = {INFINITY, -INFINITY, -INFINITY, INFINITY, -INFINITY, 0.0};
+    Run r = NO_NODES;
     S->h = h;
     S->inv_h2 = 1.0 / (h * h);
     for (int j = 0; j < 2; ++j) {
         int64_t e = j ? n - 1 : 0, d = j ? -1 : 1;      /* the end, inward */
+        End *E = &S->end[j];
         double ds = planar_ds(j ? xr : fabs(xl)), slope = -d / ds;
-        double vh2 = line_end(S, e, slope, &r);
-        S->rhs[e] = ghost_uxx(S, e, d, slope) * vh2;
-        S->r_end[j] = one_sided_uxx(S, e, d, slope) * vh2;
-        S->ds[j] = ds;
-        S->bdot[j] = -d * S->r_end[j] * ds / (ds * ds - 1.0);
+        double vh2 = line_end(S, j, slope, &r);
+        E->rhs = ghost_uxx(S, e, d, slope) * vh2;
+        E->r_one = one_sided_uxx(S, e, d, slope) * vh2;
+        E->ds = ds;
+        S->bdot[j] = -d * E->r_one * ds / (ds * ds - 1.0);
     }
     Drift g = {0.5 * (xl + xr), xr - xl, S->prm[0], S->prm[1], 0.5 * (S->bdot[0] + S->bdot[1]),
                S->bdot[1] - S->bdot[0]};
     for (int j = 0; j < 2; ++j) {
         int64_t e = j ? n - 1 : 0;
         double vw;
-        curve1d_node(&g, S->s_ref[e], S->ux[e], S->rhs[e], &vw, S->udot + e);
-        line_end_fields(S, e, S->r_end[j], vw, 1.0, &r);
+        curve1d_node(&g, S->s_ref[e], S->end[j].ux, S->end[j].rhs, &vw, S->udot + e);
+        line_end_fields(S, j, vw, 1.0, &r);
     }
     line_close(S, curve1d_inside(S, &g, r));
 }
 
 static Block curve1d_rim(const Step *S, double *lo)
 {
-    double dsL = S->ds[0], dsR = S->ds[1];
+    double dsL = S->end[0].ds, dsR = S->end[1].ds;
     double wL = sqrt(dsL * dsL - 1.0), wR = sqrt(dsR * dsR - 1.0);
     *lo = S->b[0];
     return merge_blocks(boundary_block(S, 0, planar_d2s(fabs(S->b[0])) / pow(wL, THREE), 0.0),
@@ -771,40 +734,87 @@ static int curve1d_project(Step *S, double *fail)
 
 /* -- radial2d: u_t = u_rr / (1 - u_r^2) + u_r / rho on [0, rho_b(t)] ----------- */
 
-/* geometry._radial2d_evaluate and flow._radial2d_rate */
+/* v w at a node of a rotational grid (geometry._radial2d_fields) from the
+ * slope u_r and f'(u) */
+static inline double rot_vw(double ux, double df)
+{
+    return (1.0 - df * ux) * (1.0 / sqrt(1.0 - df * df));
+}
+
+/* radial2d's one pass over its inside nodes, as curve1d_inside: stencil_node
+ * with u_r / rho, rot_vw from the f' that v holds, u_t with the node's drift
+ * s rdot, and line_fields (the unit dV is 2 pi rho).  The index is 32-bit:
+ * SSE2 and AVX2 convert only 32-bit integers to doubles, for rho = i h. */
+AVX2_CLONE
+static Run radial2d_inside(const Step *S, double rdot, Run r)
+{
+    const int32_t n = (int32_t)S->n;
+    const double h = S->h, inv_2h = 1.0 / (2.0 * h), inv_h2 = S->inv_h2, twopi = 2.0 * M_PI;
+    const double *restrict u = S->u, *restrict s_ref = S->s_ref;
+    double *restrict m = S->m, *restrict H = S->H, *restrict v = S->v, *restrict dV = S->dV,
+           *restrict H2dV = S->H2dV, *restrict udot = S->udot;
+    double m_lo = r.m, v_hi = r.v, H_hi = r.H, u_lo = r.umin, u_hi = r.umax, bad = r.bad;
+#pragma omp simd reduction(min: m_lo, u_lo) reduction(max: v_hi, H_hi, u_hi) reduction(+: bad)
+    for (int32_t i = 1; i < n - 1; ++i) {
+        Node p = stencil_node(u, i, inv_2h, inv_h2);
+        double rho = (double)i * h, rhs = p.rhs + p.ux / rho;
+        Fields f = line_fields(p.vh, rhs, rot_vw(p.ux, v[i]), twopi * rho, p.w, h);
+        double aH = fabs(f.H), c = u[i];
+        udot[i] = rhs + s_ref[i] * rdot * p.ux;
+        m[i] = p.m;
+        H[i] = f.H;
+        v[i] = f.v;
+        dV[i] = f.dV;
+        H2dV[i] = f.H2dV;
+        m_lo = p.m < m_lo ? p.m : m_lo;
+        v_hi = f.v > v_hi ? f.v : v_hi;
+        H_hi = aH > H_hi ? aH : H_hi;
+        u_lo = c < u_lo ? c : u_lo;
+        u_hi = c > u_hi ? c : u_hi;
+        bad += (p.m - p.m) + (f.v - f.v) + (aH - aH) + (c - c);
+    }
+    return (Run){m_lo, v_hi, H_hi, u_lo, u_hi, bad};
+}
+
+/* geometry._radial2d_evaluate and flow._radial2d_rate: f' at every node into
+ * v, in a scalar pass (on the sine tube libm's cos, behind a branch that would
+ * keep radial2d_inside from vectorising), the axis and the rim as curve1d's
+ * ends, then radial2d_inside */
 static void radial2d_evaluate(Step *S)
 {
     const int64_t n = S->n;
     const double *u = S->u, twopi = 2.0 * M_PI;
     double rb = S->b[1], h = rb / S->nm1;
     double dfb = rot_df(S->code, S->prm, u[n - 1]);
-    Run r = stencil(S, h, 0.0, dfb);
-    for (int64_t i = 1; i < n - 1; ++i)              /* the u_r / rho term */
-        S->rhs[i] += S->ux[i] / ((double)i * h);
+    End *rim = &S->end[1];
+    Run r = NO_NODES;
+    for (int64_t i = 0; i < n; ++i)
+        S->v[i] = rot_df_array(S->code, S->prm, u[i]);
+    S->h = h;
+    S->inv_h2 = 1.0 / (h * h);
+    double vh2_0 = line_end(S, 0, 0.0, &r), vh2_b = line_end(S, 1, dfb, &r);
     /* even across the axis, where v_hat = 1: the reference's u_rr v_hat^2 + u_rr */
-    double uxx0 = ghost_uxx(S, 0, 1, 0.0), vh2_b = S->vh[n - 1] * S->vh[n - 1];
-    S->rhs[0] = uxx0 * (S->vh[0] * S->vh[0]) + uxx0;
-    S->rhs[n - 1] = ghost_uxx(S, n - 1, -1, dfb) * vh2_b + dfb / rb;
-    S->r_end[0] = S->rhs[0];
-    S->r_end[1] = one_sided_uxx(S, n - 1, -1, dfb) * vh2_b + dfb / rb;
-    S->ds[0] = S->ds[1] = dfb;
-    double rdot = dfb * S->r_end[1] / (1.0 - dfb * dfb);
+    double uxx0 = ghost_uxx(S, 0, 1, 0.0);
+    S->end[0].rhs = S->end[0].r_one = uxx0 * vh2_0 + uxx0;
+    rim->rhs = ghost_uxx(S, n - 1, -1, dfb) * vh2_b + dfb / rb;
+    rim->r_one = one_sided_uxx(S, n - 1, -1, dfb) * vh2_b + dfb / rb;
+    rim->ds = dfb;
+    double rdot = dfb * rim->r_one / (1.0 - dfb * dfb);
     S->bdot[0] = S->bdot[1] = rdot;
-
-    for (int64_t i = 0; i < n; ++i) {
-        double dfz = rot_df_array(S->code, S->prm, u[i]);
-        S->v[i] = (1.0 - dfz * S->ux[i]) * (1.0 / sqrt(1.0 - dfz * dfz));
-        S->dV[i] = twopi * ((double)i * h);
-        S->udot[i] = S->rhs[i] + S->s_ref[i] * rdot * S->ux[i];
+    for (int j = 0; j < 2; ++j) {
+        int64_t e = j ? n - 1 : 0;
+        const End *E = &S->end[j];
+        double rho = j ? rb : 0.0 * h;                  /* the rim node sits at rho_b */
+        S->udot[e] = E->rhs + S->s_ref[e] * rdot * E->ux;
+        line_end_fields(S, j, rot_vw(E->ux, S->v[e]), twopi * rho, &r);
     }
-    S->dV[n - 1] = twopi * rb;                       /* the rim node sits at rho_b */
-    line_record(S, r);
+    line_close(S, radial2d_inside(S, rdot, r));
 }
 
 static Block radial2d_rim(const Step *S, double *lo)
 {
     /* profiles.profile_curvature at the rim height */
-    double zb = S->u[S->n - 1], dfb = S->ds[1];
+    double zb = S->u[S->n - 1], dfb = S->end[1].ds;
     double fz = rot_f(S->code, S->prm, zb);
     double wb = sqrt(1.0 - dfb * dfb);
     *lo = 0.0;
@@ -883,17 +893,15 @@ static inline DiskNode disk_node(const double *f, int64_t i, int64_t m, double i
 /* geometry._disk2d_fields and flow._disk2d_rate, with the record's
  * summands of vol and int H^2 dV, over one run of len inside nodes: each
  * pointer is at the run's first node (sdV and sH2dV at its place in the
- * N x N core).  Free of branches, so the compiler vectorises it.  A node
- * takes one sqrt and one division (disk_node), so the divider no longer
- * bounds the loop; its reductions run in otherwise idle ports.
+ * N x N core).  Free of branches, so the compiler vectorises it;
  * (m - m) + (|H| - |H|) + (u - u) is 0, or NaN once a NaN or an inf
- * entered, in any order of summation.  Cloned for AVX2 where the loader can
- * choose (see the head of the file). */
+ * entered, in any order of summation.  Cloned for AVX2 (see the head of
+ * the file). */
 AVX2_CLONE
 static Run disk2d_row(int64_t len, int64_t m, double h, const double *restrict f,
-                      const double *restrict area, double *restrict mm, double *restrict vh,
-                      double *restrict H, double *restrict v, double *restrict udot,
-                      double *restrict sdV, double *restrict sH2dV)
+                      const double *restrict area, double *restrict mm, double *restrict H,
+                      double *restrict v, double *restrict udot, double *restrict sdV,
+                      double *restrict sH2dV)
 {
     const double inv_2h = 1.0 / (2.0 * h), inv_h2 = 1.0 / (h * h),
                  inv_4h2 = 1.0 / (4.0 * h * h);
@@ -904,7 +912,6 @@ static Run disk2d_row(int64_t len, int64_t m, double h, const double *restrict f
         double c = f[i], mi = d.m;
         double Hi = d.vh * d.rhs, dV = area[i] * d.w;
         mm[i] = mi;
-        vh[i] = d.vh;
         H[i] = Hi;
         v[i] = d.vh;                 /* V = e_t on the cylinder */
         udot[i] = d.rhs;
@@ -930,8 +937,8 @@ static void disk2d_prepare(Step *S)
         S->H[i] = 0.0;
         S->v[i] = 1.0;
     }
-    memset(S->sum_dV, 0, N * N * sizeof *S->sum_dV);
-    memset(S->sum_H2dV, 0, N * N * sizeof *S->sum_H2dV);
+    memset(S->dV, 0, N * N * sizeof *S->dV);
+    memset(S->H2dV, 0, N * N * sizeof *S->H2dV);
 }
 
 /* disk.fill_ghosts: f = u with the ghost rows of G u[inside] */
@@ -955,12 +962,12 @@ static void disk2d_evaluate(Step *S)
     const int64_t m = D->m, n = S->n, N = m - 2;
     double *f = S->uf;
     fill_ghosts(D, S->u, f, n);
-    Run all = {INFINITY, -INFINITY, -INFINITY, INFINITY, -INFINITY, 0.0};
+    Run all = NO_NODES;
     for (int64_t x = 1; x < m - 1; ++x) {
         int64_t lo = D->row_lo[x], hi = D->row_hi[x];    /* rows off the pad are never empty */
         int64_t q = (x - 1) * N + (lo - x * m - 1);
-        Run r = disk2d_row(hi - lo, m, D->h, f + lo, D->area + lo, S->m + lo, S->vh + lo,
-                           S->H + lo, S->v + lo, S->udot + lo, S->sum_dV + q, S->sum_H2dV + q);
+        Run r = disk2d_row(hi - lo, m, D->h, f + lo, D->area + lo, S->m + lo, S->H + lo,
+                           S->v + lo, S->udot + lo, S->dV + q, S->H2dV + q);
         TAKE_MIN(all.m, r.m);
         TAKE_MAX(all.H, r.H);
         TAKE_MIN(all.umin, r.umin);
@@ -970,8 +977,8 @@ static void disk2d_evaluate(Step *S)
     all.v = 1.0 / sqrt(all.m);        /* v is v_hat node for node */
     settle_sups(S, all);
     /* the integrals as the reference takes them: pairwise over the N x N core */
-    S->vol = pairwise_sum(S->sum_dV, N * N);
-    S->ih2 = pairwise_sum(S->sum_H2dV, N * N);
+    S->vol = pairwise_sum(S->dV, N * N);
+    S->ih2 = pairwise_sum(S->H2dV, N * N);
     S->h = D->h;
     S->bdot[0] = S->bdot[1] = 0.0;
 }
@@ -1046,13 +1053,14 @@ int maxsurf_run(int kind, int64_t n, double *u, double *bnd, double *t_io,
 {
     const Kind *K = &KINDS[kind];
     const int64_t whole[2] = {0, n};
+    double *a[STEP_ARRAYS];
+    carve(work, n, STEP_ARRAYS, a);
     Step S = {
         .n = n, .nm1 = (double)(n - 1), .s_ref = s_ref, .code = code, .prm = prm,
-        .disk = disk, .u = u, .ux = work, .m = work + n, .rhs = work + 2 * n, .w = work + 9 * n,
-        .vh = work + 3 * n, .H = work + 4 * n, .v = work + 5 * n, .dV = work + 6 * n,
-        .span_lo = disk ? disk->row_lo : whole, .span_hi = disk ? disk->row_hi : whole + 1,
-        .n_spans = disk ? disk->m : 1, .udot = work + 7 * n, .unew = disk ? u : work + 8 * n,
-        .uf = work + 9 * n, .sum_dV = work + 10 * n, .sum_H2dV = work + 11 * n,
+        .disk = disk, .u = u, .m = a[W_M], .H = a[W_H], .v = a[W_V], .dV = a[W_DV],
+        .H2dV = a[W_H2DV], .span_lo = disk ? disk->row_lo : whole,
+        .span_hi = disk ? disk->row_hi : whole + 1, .n_spans = disk ? disk->m : 1,
+        .udot = a[W_UDOT], .unew = disk ? u : a[W_UNEW], .uf = a[W_UF],
         .b = {bnd[0], bnd[1]},
     };
     if (disk)
@@ -1136,15 +1144,6 @@ int maxsurf_run(int kind, int64_t n, double *u, double *bnd, double *t_io,
  * walk refuses it. */
 
 /* The pieces that the disk's walk and curve1d's share. */
-
-/* points slots[0..count) at successive arrays of n doubles from next, and
- * returns the double after the last */
-static double *carve(double *next, int64_t n, int count, double **slots)
-{
-    for (int j = 0; j < count; ++j, next += n)
-        slots[j] = next;
-    return next;
-}
 
 /* 0 where state s passes geometry's guard (its least margin m_lo positive,
  * none of its margins NaN), else s + 1, with fail[0] the least margin */

@@ -43,7 +43,6 @@ __all__ = [
     "foliation_monotonicity",
     "leaf_time",
     "leaf_time_slope",
-    "leaf_time_anchor_rate",
     "cylinder",
     "pseudosphere",
     "sine_tube",
@@ -307,21 +306,6 @@ def leaf_mean_curvature(p: RotationalProfile, rho, z: float):
     with np.errstate(divide="ignore", invalid="ignore"):
         return radial_graph_mean_curvature(rho, leaf_time_slope(p, rho, z),
                                            leaf_time_slope2(p, rho, z))
-
-
-def leaf_time_anchor_rate(p: RotationalProfile, rho, z: float):
-    """d t(rho, z) / dz at fixed rho; reduces to g'(z) on the axis."""
-    fz, dfz, d2fz = float(p.f(z)), float(p.df(z)), float(p.d2f(z))
-    rho = np.asarray(rho, dtype=float)
-    c = 1.0 - rho**2 / fz**2
-    if abs(dfz) < _SMALL_DF:
-        return 1.0 - 0.5 * fz * d2fz * c + 0.0 * rho
-    q = dfz * dfz * c
-    S = np.sqrt(1.0 - q)
-    P = fz / dfz
-    dP = 1.0 - fz * d2fz / dfz**2
-    dq = 2.0 * dfz * (d2fz * c + rho**2 * dfz**2 / fz**3)
-    return 1.0 - dP * (1.0 - S) - P * dq / (2.0 * S)
 
 
 # -- built-in profiles ---------------------------------------------------

@@ -380,7 +380,10 @@ def test_fast_kernel_matches_reference_curve1d():
 @needs_step_loop
 def test_fast_kernel_matches_reference_radial2d():
     # cylinder keeps the rim pinned (|f'| < 1e-13); the pseudosphere and the
-    # sine tube take the incidence Newton
+    # sine tube take the incidence Newton.  Over these runs of 200 to 1,300
+    # steps the states, the rim radii, the event time and all 17 record
+    # columns agree bit for bit, so a reordering that shows only over a long
+    # run fails here
     grid = GridSpec("radial2d", 81)
     s_ref = np.linspace(0.0, 1.0, 81)
     for p, z0 in ((sine_tube(2.0, 0.5, 1.0), math.pi / 2), (cylinder(1.0), 0.0),
@@ -390,11 +393,13 @@ def test_fast_kernel_matches_reference_radial2d():
         ref = _run_python(st.copy(), ctrl, p, stride=50)
         fast = _kernels.run_fast(st.copy(), ctrl, p, stride=50)
         assert ref.event is fast.event
+        assert fast.event_time == ref.event_time
+        assert fast.state_steps == ref.state_steps
+        assert all(a.u.tobytes() == b.u.tobytes() and a.t == b.t and
+                   np.float64(a.boundary).tobytes() == np.float64(b.boundary).tobytes()
+                   for a, b in zip(ref.states, fast.states))
         assert ref.records.shape == fast.records.shape
-        assert np.abs(ref.states[-1].u - fast.states[-1].u).max() < 1e-12
-        d = np.abs(ref.records - fast.records)
-        finite = np.isfinite(ref.records)
-        assert np.nanmax(np.where(finite, d, 0.0)) < 1e-8
+        assert ref.records.tobytes() == fast.records.tobytes()
 
 
 def disk_bump(amp, n=33, radius=1.0, base=0.0):
@@ -586,10 +591,12 @@ def _sups_case(kind, zero):
     if kind == "disk2d":
         st = disk_bump(0.0) if zero else disk_bump(0.1, base=0.1)
         return st, cylinder(1.0), np.flatnonzero(disk_grid(st.grid.n, st.grid.radius).inside)
-    if kind == "radial2d":
+    if kind.startswith("radial2d"):
+        # the rim on the tube: the sine tube's f(0) = 2 holds for the zero ties
+        p = sine_tube(2.0, 0.5, 1.0) if kind == "radial2d_sine_tube" else cylinder(1.0)
         grid = GridSpec("radial2d", 41)
         u = 0.0 * grid.reference() if zero else 0.1 + 0.1 * (1 - grid.reference() ** 2) ** 2
-        return FlowState(grid, 0.0, u, 1.0), cylinder(1.0), np.arange(41)
+        return FlowState(grid, 0.0, u, float(p.f(u[-1]))), p, np.arange(41)
     if not zero:
         return translator_state(-1.0, 41), trumpet(), np.arange(1, 40)
     # the ends on the trumpet where s(x) = log sinh x is 0 (to roundoff)
@@ -599,13 +606,14 @@ def _sups_case(kind, zero):
 
 
 @needs_step_loop
-@pytest.mark.parametrize("kind", ["curve1d", "radial2d", "disk2d"])
+@pytest.mark.parametrize("kind", ["curve1d", "radial2d", "disk2d", "radial2d_sine_tube"])
 @pytest.mark.parametrize("special", ["nan", "inf", "zero_tie_minus_first", "zero_tie_plus_first",
                                      "zero_tie_minus_after_positive"])
 def test_fast_kernel_sups_follow_node_order(kind, special):
     # a NaN, a +inf or a tie of +0.0 and -0.0 at inside nodes: the C record's
     # sups and range of u, simd reductions elsewhere, are the node-order
-    # walk's, bit for bit
+    # walk's, bit for bit (on the sine tube a NaN or an inf node goes
+    # through libm's cos in radial2d's f' pass)
     st, profile, inside = _sups_case(kind, special.startswith("zero"))
     u = st.u.ravel()
     if special == "nan":
@@ -1067,6 +1075,8 @@ def test_step_loop_constants_match_their_python_mirrors():
     assert (3 * enums["F_ARRAYS"] + 2 * enums["G_ARRAYS"] + enums["SCRATCH_ARRAYS"]
             == _kernels.DISK_WALK_BOXES)
     assert 3 * enums["L_ARRAYS"] == _kernels.LINE_WALK_ARRAYS
+    # the step loop's work arrays
+    assert enums["STEP_ARRAYS"] == _kernels.STEP_WORK_ARRAYS
 
 
 def test_built_package_ships_the_step_loop_source(tmp_path):

