@@ -13,8 +13,9 @@ translators and the disks), the script also prints which walk monitors
 chose and the least of 5 walks of the numpy reference walk, so one run gives
 both.
 
---src times the maxsurf package under DIR (another checkout's src) in place
-of this checkout's.  To compare two checkouts, run the script alternately
+--src times the maxsurf package under DIR (another checkout's src, one whose
+configs build their controls with ScenarioConfig.step_control) in place of
+this checkout's.  To compare two checkouts, run the script alternately
 with each --src, a few times each, and compare the pairs.
 """
 
@@ -59,9 +60,7 @@ def main(argv=None) -> int:
     for name, text in PROBES.items():
         cfg = maxsurf.parse_config(text)
         scenario = maxsurf.build_scenario(cfg)
-        ctrl = maxsurf.StepControl(cfl=cfg.cfl, eps_guard=cfg.eps_guard, max_steps=cfg.max_steps,
-                                   h_stop=cfg.h_stop, t_end=cfg.t_end, integrator=cfg.integrator)
-        traj = maxsurf.run(scenario.state0, ctrl, scenario.profile, stride=1)
+        traj = maxsurf.run(scenario.state0, cfg.step_control(), scenario.profile, stride=1)
         line = f"{name} {least_time(maxsurf.evolution_residuals, traj, scenario.profile):.4f} s"
         kind = scenario.state0.grid.kind
         if walk_for is not None and monitors._KINDS[kind].compiled_walk is not None:

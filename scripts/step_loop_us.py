@@ -15,8 +15,9 @@ prints the least of 5, in nanoseconds per value.
 The compiled library must build; the numpy engine is timed by
 reference_loop_us.py.
 
---src times the maxsurf package under DIR (another checkout's src) in place
-of this checkout's.  To compare two checkouts, run the script alternately
+--src times the maxsurf package under DIR (another checkout's src, one whose
+configs build their controls with ScenarioConfig.step_control) in place of
+this checkout's.  To compare two checkouts, run the script alternately
 with each --src, a few times each, and compare the pairs.
 """
 
@@ -82,9 +83,7 @@ def main(argv=None) -> int:
 
     cfg = maxsurf.parse_config(TRANSLATOR)
     scenario = maxsurf.build_scenario(cfg)
-    ctrl = maxsurf.StepControl(cfl=cfg.cfl, eps_guard=cfg.eps_guard, max_steps=cfg.max_steps,
-                               h_stop=cfg.h_stop, t_end=cfg.t_end)
-    rows = _kernels.run_fast(scenario.state0, ctrl, scenario.profile, 2000).records
+    rows = _kernels.run_fast(scenario.state0, cfg.step_control(), scenario.profile, 2000).records
     out = np.empty(rows.size * _kernels.CSV_VALUE_BYTES, dtype=np.uint8)
     best = least(lambda: _kernels.format_rows(rows, out))
     print(f"format_rows {best / rows.size * 1e9:.1f} ns/value ({rows.size} values)")

@@ -24,38 +24,19 @@ from adds, multiplies and the bits of 2^k, within an ulp of glibc's exp on
 the trumpet's domain, as ``profiles._exp_parts`` does in numpy.
 
 On first use the source is compiled with the system C compiler (``$CC``,
-else ``cc``) and ``CFLAGS``, and loaded through ctypes.  The flags keep
-results bit-identical to the scalar code: ``-O3`` vectorises loops without
-reordering any floating-point operation, ``-fno-math-errno`` only spares
-``sqrt`` (correctly rounded either way) its errno check, which otherwise
-blocks vectorising the node loops, and ``-ffp-contract=off`` forbids fused
-multiply-adds; ``-fopenmp-simd`` honours ``#pragma omp simd`` alone (no
-OpenMP runtime, no threads), whose declared min/max reductions in the node
-loops of every kind take the record's least margin, sup v, sup |H| and range
-of u: an extreme is one value in any order, and a step where a NaN, an inf
-or a signed zero could tell the orders apart takes them by the node-order
-walk instead (see ``_step.c``).  Never ``-ffast-math``, and no ``-march``:
-the cache key holds only the machine type, so a library tuned for one CPU
-could be loaded on another that lacks its instructions.  The loops where
-vector width pays instead carry their own AVX2 clones (``target_clones``, on
-x86-64 with glibc): the disk's row kernel ``disk2d_row``, the line kinds'
-node passes ``curve1d_inside`` and ``radial2d_inside``, the disk walk's
-``margin_row``, ``fields_row``, ``flux_row`` and ``residual_row``, and the
-curve1d walk's ``line_fields_row`` and ``line_residual_row``.  The dynamic
-loader picks the clone the running CPU supports, so one cached library serves
-every x86-64 machine.  The clones give the same bits: with contraction off,
-each lane of either width runs the same correctly rounded add, multiply,
-divide and sqrt, and only the min/max reductions above run in another order.
-The shared
-object is cached beside this module in ``__pycache__``, or in a per-user
-temporary directory when that is not writable, as ``_step.<crc>.so``: its
-key is the source, the compiler, the flags and the machine type, ``<crc>``
-the key's CRC-32, and the key itself is stored beside it in
-``_step.<crc>.key``, written only once the library is in place.  A cached
-library is loaded only if its stored key equals the current one byte for
-byte, so a CRC collision rebuilds rather than loads another build; a cache
-hit imports neither hashlib nor subprocess, which only a compile needs.
-Nothing is compiled at import.
+else ``cc``) and ``CFLAGS``, and loaded through ctypes.  ``_step.c``'s
+header says why each flag keeps results bit-identical to the scalar code,
+why there is no ``-march`` and which loops carry AVX2 clones
+(``target_clones``, on x86-64 with glibc, picked by the dynamic loader) with
+the same bits.  The shared object is cached beside this module in
+``__pycache__``, or in a per-user temporary directory when that is not
+writable, as ``_step.<crc>.so``: its key is the source, the compiler, the
+flags and the machine type, ``<crc>`` the key's CRC-32, and the key itself
+is stored beside it in ``_step.<crc>.key``, written only once the library is
+in place.  A cached library is loaded only if its stored key equals the
+current one byte for byte, so a CRC collision rebuilds rather than loads
+another build; a cache hit imports neither hashlib nor subprocess, which
+only a compile needs.  Nothing is compiled at import.
 
 The library's second entry point, ``maxsurf_format_rows`` (``format_rows``
 here), writes blocks of CSV rows for ``runner``.  Its bytes equal Python's

@@ -13,16 +13,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import ConfigError, read_config
-from .flow import FlowError
-from .runner import (
-    EXIT_BREAKDOWN,
-    EXIT_CONFIG,
-    check_boundary,
-    convergence_study,
-    run_batch,
-    run_scenario,
-)
+from .config import read_config
+from .runner import check_boundary, convergence_study, exit_code, run_batch, run_scenario
 
 
 def main(argv=None) -> int:
@@ -40,40 +32,34 @@ def main(argv=None) -> int:
     p_bat.add_argument("directory")
     p_bat.add_argument("--workers", type=int, default=None)
     args = parser.parse_args(argv)
+    return exit_code(lambda: _command(args))
 
-    try:
-        if args.command == "run":
-            report, _ = run_scenario(read_config(args.config))
-            print(f"event = {report.event.value if report.event else 'condition_check'}")
-            print(f"outputs in {report.out_dir}")
-            return report.code
-        if args.command == "check-boundary":
-            report = check_boundary(read_config(args.config))
-            for key in sorted(report.summary):
-                print(f"{key} = {report.summary[key]}")
-            return report.code
-        if args.command == "converge":
-            rows = convergence_study(read_config(args.config), args.levels)
-            print("nodes, max_error, order")
-            for nodes_k, err, order in rows:
-                otxt = "" if order is None else (
-                    order if isinstance(order, str) else f"{order:.3f}")
-                print(f"{nodes_k}, {err:.6e}, {otxt}")
-            return 0
-        if args.command == "batch":
-            results = run_batch(args.directory, args.workers)
-            worst = 0
-            for path, code in sorted(results.items()):
-                print(f"{path}: exit {code}")
-                worst = max(worst, code)
-            return worst
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except FlowError as exc:
-        print(f"flow breakdown: {exc}", file=sys.stderr)
-        return EXIT_BREAKDOWN
-    return 0
+
+def _command(args) -> int:
+    if args.command == "run":
+        report, _ = run_scenario(read_config(args.config))
+        print(f"event = {report.event.value if report.event else 'condition_check'}")
+        print(f"outputs in {report.out_dir}")
+        return report.code
+    if args.command == "check-boundary":
+        report = check_boundary(read_config(args.config))
+        for key in sorted(report.summary):
+            print(f"{key} = {report.summary[key]}")
+        return report.code
+    if args.command == "converge":
+        rows = convergence_study(read_config(args.config), args.levels)
+        print("nodes, max_error, order")
+        for nodes_k, err, order in rows:
+            otxt = "" if order is None else (
+                order if isinstance(order, str) else f"{order:.3f}")
+            print(f"{nodes_k}, {err:.6e}, {otxt}")
+        return 0
+    results = run_batch(args.directory, args.workers)     # the batch command
+    worst = 0
+    for path, code in sorted(results.items()):
+        print(f"{path}: exit {code}")
+        worst = max(worst, code)
+    return worst
 
 
 if __name__ == "__main__":

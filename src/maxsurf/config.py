@@ -3,14 +3,13 @@
 Lines starting with `#` (or blank) are ignored.  Unknown keys are errors so
 configs stay diff-checkable; parse(serialize(cfg)) round-trips exactly.
 
-Key table (defaults in parentheses; "scenario default" varies per scenario;
-t0, t_end, h_stop and certificate_z must be finite numbers, as must the
-numeric arguments of profile and initial):
+Key table (defaults in parentheses; t0, t_end, h_stop and certificate_z must
+be finite numbers, as must the numeric arguments of profile and initial):
 
     scenario            grim_reaper | cylinder_disk | sine_tube | pseudosphere_leaf
     profile             profile spec, e.g. sine_tube(2, 0.5, 1)   (scenario default)
     nodes               grid resolution per axis, >= 5            (101)
-    t0                  start time                                (scenario default)
+    t0                  start time; "none" takes the default      (scenario default)
     t_end               stop time, >= t0; "none" disables         (scenario default)
     max_steps           step budget                               (5000000)
     h_stop              sup|H| convergence threshold; 0 disables  (0)
@@ -25,6 +24,13 @@ numeric arguments of profile and initial):
     monitor_evolution   write evolution residuals; needs stride 1 (false)
     certificate         build a stability certificate at the end  (false)
     certificate_z       certificate center height on the axis     (initial plane)
+
+The scenario defaults live in the scenario's entry of ``scenarios._SCENARIOS``.
+``parse_config`` fills them in once: profile and initial where the value is
+empty, t0 where it is absent or none, t_end only where it is absent, and
+out_dir, where empty, with runs/<scenario>.  The run controls cfl, eps_guard,
+integrator, max_steps, h_stop and t_end are checked by ``flow.StepControl``
+alone, which ``ScenarioConfig.step_control`` builds.
 
 Profile specs (trailing parameters may be left out for their defaults):
 
@@ -67,25 +73,23 @@ does not take reads `<scenario>: a <kind> state needs <boundary>, not
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Optional, Tuple
 
-_SCENARIO_DEFAULTS = {
-    "grim_reaper": {"profile": "trumpet", "t0": -1.0, "t_end": -0.3,
-                    "initial": ("translator", ())},
-    "cylinder_disk": {"profile": "cylinder(1)", "t0": 0.0, "t_end": None,
-                      "initial": ("constant", (0.0,))},
-    "sine_tube": {"profile": "sine_tube(2, 0.5, 1)", "t0": 0.0, "t_end": 40.0,
-                  "initial": ("plane", ("widest",))},
-    "pseudosphere_leaf": {"profile": "pseudosphere(1, 0)", "t0": 0.0, "t_end": 0.0,
-                          "initial": ("leaf", (1.0,))},
-}
-SCENARIOS = tuple(_SCENARIO_DEFAULTS)
-INTEGRATORS = ("euler",)
+from .flow import StepControl
 
 
 class ConfigError(ValueError):
     """Invalid scenario configuration (exit class 3)."""
+
+
+def _spec(scenario: str):
+    """The scenario's entry of ``scenarios._SCENARIOS``; ConfigError when there is none."""
+    from .scenarios import _SCENARIOS      # scenarios imports this module
+
+    if scenario not in _SCENARIOS:
+        raise ConfigError(f"unknown scenario {scenario!r} (one of {', '.join(_SCENARIOS)})")
+    return _SCENARIOS[scenario]
 
 
 @dataclass
@@ -109,54 +113,38 @@ class ScenarioConfig:
     certificate: bool = False
     certificate_z: Optional[float] = None
 
+    def step_control(self) -> StepControl:
+        """The run's controls; StepControl is their one check (ValueError)."""
+        return StepControl(cfl=self.cfl, eps_guard=self.eps_guard, max_steps=self.max_steps,
+                           h_stop=self.h_stop, t_end=self.t_end, integrator=self.integrator)
+
     def validated(self) -> "ScenarioConfig":
-        if self.scenario not in SCENARIOS:
-            raise ConfigError(
-                f"unknown scenario {self.scenario!r} (one of {', '.join(SCENARIOS)})"
-            )
-        d = _SCENARIO_DEFAULTS[self.scenario]
-        if not self.profile:
-            self.profile = d["profile"]
-        if self.t0 is None:
-            self.t0 = d["t0"]
-        if self.t_end is None and "t_end" not in self._explicit:
-            self.t_end = d["t_end"]
-        if self.initial[0] == "":
-            self.initial = d["initial"]
-        if not self.out_dir:
-            self.out_dir = f"runs/{self.scenario}"
+        _spec(self.scenario)
         if self.nodes < 5:
             raise ConfigError("nodes must be >= 5")
-        if not 0.0 < self.cfl <= 0.5:
-            raise ConfigError("cfl must lie in (0, 0.5]")
-        if not 0.0 < self.eps_guard < 1.0:
-            raise ConfigError("eps_guard must lie in (0, 1)")
-        if self.integrator not in INTEGRATORS:
-            raise ConfigError(f"integrator must be {' or '.join(INTEGRATORS)}")
+        try:
+            self.step_control()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if self.snapshot_stride < 1:
             raise ConfigError("snapshot_stride must be >= 1")
         if self.monitor_evolution and self.snapshot_stride != 1:
             raise ConfigError("monitor_evolution needs snapshot_stride = 1")
-        if self.max_steps < 1:
-            raise ConfigError("max_steps must be >= 1")
-        for key in ("t0", "t_end", "h_stop", "certificate_z"):
+        for key in ("t0", "certificate_z"):
             value = getattr(self, key)
             if value is not None and not math.isfinite(value):
                 raise ConfigError(f"{key} must be a finite number")
         if self.t_end is not None and self.t_end < self.t0:
             raise ConfigError("t_end must not be earlier than t0")
-        if self.h_stop < 0:
-            raise ConfigError("h_stop must be >= 0")
         if self.condition_samples < 2:
             raise ConfigError("condition_samples must be >= 2")
         return self
-
-    _explicit: set = field(default_factory=set, repr=False, compare=False)
 
 
 _BOOL_KEYS = {"require_conditions", "monitor_evolution", "certificate"}
 _INT_KEYS = {"nodes", "max_steps", "snapshot_stride", "condition_samples"}
 _FLOAT_KEYS = {"t0", "t_end", "h_stop", "cfl", "eps_guard", "certificate_z"}
+_NONE_KEYS = {"t0", "t_end", "certificate_z"}         # the float keys that take "none"
 _STR_KEYS = {"scenario", "profile", "integrator", "out_dir"}
 _ALL_KEYS = _BOOL_KEYS | _INT_KEYS | _FLOAT_KEYS | _STR_KEYS | {"initial"}
 
@@ -197,7 +185,6 @@ def _format_selector(sel: tuple) -> str:
 def parse_config(text: str) -> ScenarioConfig:
     """Parse and fully validate a scenario configuration."""
     values = {}
-    explicit = set()
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -210,7 +197,6 @@ def parse_config(text: str) -> ScenarioConfig:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        explicit.add(key)
         try:
             if key in _BOOL_KEYS:
                 if val.lower() not in ("true", "false"):
@@ -219,7 +205,7 @@ def parse_config(text: str) -> ScenarioConfig:
             elif key in _INT_KEYS:
                 values[key] = int(val)
             elif key in _FLOAT_KEYS:
-                values[key] = None if val.lower() == "none" else float(val)
+                values[key] = None if key in _NONE_KEYS and val.lower() == "none" else float(val)
             elif key == "initial":
                 values[key] = _parse_selector(val)
             else:
@@ -230,9 +216,18 @@ def parse_config(text: str) -> ScenarioConfig:
             raise ConfigError(f"line {lineno}: bad value for {key}: {exc}") from exc
     if "scenario" not in values:
         raise ConfigError("missing required key 'scenario'")
-    cfg = ScenarioConfig(**values)
-    cfg._explicit = explicit
-    return cfg.validated()
+    # the scenario's defaults, once: t_end = none is kept, as it disables t_end
+    defaults = _spec(values["scenario"]).defaults
+    if not values.get("profile"):
+        values["profile"] = defaults["profile"]
+    if values.get("t0") is None:
+        values["t0"] = defaults["t0"]
+    values.setdefault("t_end", defaults["t_end"])
+    if not values.get("initial", ("",))[0]:
+        values["initial"] = defaults["initial"]
+    if not values.get("out_dir"):
+        values["out_dir"] = f"runs/{values['scenario']}"
+    return ScenarioConfig(**values).validated()
 
 
 def read_config(path: str) -> ScenarioConfig:
@@ -255,8 +250,6 @@ def serialize(cfg: ScenarioConfig) -> str:
     """Canonical text form; parse(serialize(cfg)) == cfg."""
     lines = []
     for f in fields(cfg):
-        if f.name == "_explicit":
-            continue
         val = getattr(cfg, f.name)
         if f.name == "initial":
             out = _format_selector(val)

@@ -43,6 +43,7 @@ from .geometry import Evaluation, FlowState, GridSpec, NodeFields, evaluate, lin
 from .profiles import normal_curvature, planar_boundary_data, profile_curvature
 
 CHUNK_STEPS = 65536
+INTEGRATORS = ("euler",)    # StepControl.integrator: explicit Euler, the one method
 PAIR_STRIDE = 100       # a comparison pair keeps a snapshot every PAIR_STRIDE steps
 
 RECORD_COLUMNS = (
@@ -81,15 +82,15 @@ class StepControl:
     max_steps: int = 5_000_000
     h_stop: float = 0.0          # 0 disables the sup|H| convergence test
     t_end: Optional[float] = None
-    integrator: str = "euler"    # explicit Euler, the one method
+    integrator: str = "euler"    # one of INTEGRATORS
 
     def __post_init__(self):
         if not 0.0 < self.cfl <= 0.5:
             raise ValueError("cfl must lie in (0, 0.5]")
         if not 0.0 < self.eps_guard < 1.0:
             raise ValueError("eps_guard must lie in (0, 1)")
-        if self.integrator != "euler":
-            raise ValueError("integrator must be 'euler'")
+        if self.integrator not in INTEGRATORS:
+            raise ValueError(f"integrator must be {' or '.join(INTEGRATORS)}")
         if not self.max_steps >= 1:
             raise ValueError("max_steps must be >= 1")
         if not 0.0 <= self.h_stop < math.inf:

@@ -20,13 +20,13 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from .analytic import radial_graph_mean_curvature
 from .config import ConfigError, ScenarioConfig, read_config
-from .flow import RECORD_COLUMNS, FlowError, FlowEvent, StepControl, Trajectory, run
+from .flow import RECORD_COLUMNS, FlowError, FlowEvent, Trajectory, run
 from .geometry import SpacelikeError, geometry
 from .monitors import (
     boundary_identities,
@@ -74,9 +74,17 @@ class ExitReport:
     summary: dict
 
 
-def _ctrl_from(cfg: ScenarioConfig) -> StepControl:
-    return StepControl(cfl=cfg.cfl, eps_guard=cfg.eps_guard, max_steps=cfg.max_steps,
-                       h_stop=cfg.h_stop, t_end=cfg.t_end, integrator=cfg.integrator)
+def exit_code(command: Callable[[], int], label: str = "") -> int:
+    """command()'s exit code, or that of the failure it raised: a ConfigError
+    is exit 3 and a FlowError exit 2, each told on one stderr line after label."""
+    try:
+        return command()
+    except ConfigError as exc:
+        print(f"{label}config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except FlowError as exc:
+        print(f"{label}flow breakdown: {exc}", file=sys.stderr)
+        return EXIT_BREAKDOWN
 
 
 # rows formatted per block: 8,192-row blocks raised the benchmark translator
@@ -183,8 +191,7 @@ def run_scenario(cfg: ScenarioConfig, write: bool = True):
                 os.makedirs(out_dir, exist_ok=True)
                 write_summary(os.path.join(out_dir, "monitor_summary.txt"), summary)
             return ExitReport(EXIT_CONDITION, None, out_dir, summary), None
-    ctrl = _ctrl_from(cfg)
-    traj = run(scenario.state0, ctrl, scenario.profile, stride=cfg.snapshot_stride)
+    traj = run(scenario.state0, cfg.step_control(), scenario.profile, stride=cfg.snapshot_stride)
     summary["event"] = traj.event.value
     summary["event_time"] = traj.event_time
     summary["steps"] = traj.records.shape[0] - 1
@@ -274,7 +281,6 @@ def convergence_study(cfg: ScenarioConfig, levels: int, write: bool = True) -> l
     for k in range(levels):
         nodes_k = (cfg.nodes - 1) * 2**k + 1
         cfg_k = replace(cfg, nodes=nodes_k, snapshot_stride=max(1, cfg.snapshot_stride))
-        cfg_k._explicit = cfg._explicit
         cfg_k.validated()
         scenario = build_scenario(cfg_k)
         if scenario.exact is None:
@@ -282,8 +288,8 @@ def convergence_study(cfg: ScenarioConfig, levels: int, write: bool = True) -> l
         static = scenario.exact.static and (cfg.t_end is None or cfg.t_end == cfg.t0)
         traj = None
         if not static:
-            ctrl = _ctrl_from(cfg_k)
-            traj = run(scenario.state0, ctrl, scenario.profile, stride=cfg_k.snapshot_stride)
+            traj = run(scenario.state0, cfg_k.step_control(), scenario.profile,
+                       stride=cfg_k.snapshot_stride)
         errors.append(_study_error(scenario, traj))
         rows.append([nodes_k, errors[-1], None])
     for i in range(1, levels):
@@ -305,15 +311,7 @@ def convergence_study(cfg: ScenarioConfig, levels: int, write: bool = True) -> l
 
 def _batch_worker(path: str) -> tuple:
     """(path, exit code) of one run; a bad file does not stop the others."""
-    try:
-        report, _ = run_scenario(read_config(path))
-    except ConfigError as exc:
-        print(f"{path}: config error: {exc}", file=sys.stderr)
-        return path, EXIT_CONFIG
-    except FlowError as exc:
-        print(f"{path}: flow breakdown: {exc}", file=sys.stderr)
-        return path, EXIT_BREAKDOWN
-    return path, report.code
+    return path, exit_code(lambda: run_scenario(read_config(path))[0].code, f"{path}: ")
 
 
 def run_batch(directory: str, max_workers: Optional[int] = None) -> dict:

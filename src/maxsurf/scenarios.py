@@ -9,9 +9,11 @@ sine_tube          rotational tube f = a + b sin(w z) (radial2d); stable and
 pseudosphere_leaf  a CMC leaf inside the pseudo-sphere tube (radial2d);
                    static geometry checks against |H| = 2/R.
 
-Each scenario is one entry of ``_SCENARIOS``; ``build_scenario`` builds its
-grid, asks the kind whether it takes the profile (``flow.check_profile``) and
-calls the selector's builder.  Nothing branches on a scenario or selector name.
+Each scenario is one entry of ``_SCENARIOS``: its grid kind, its selectors and
+the defaults ``config.parse_config`` fills in (profile, t0, t_end, initial).
+``build_scenario`` builds its grid, asks the kind whether it takes the profile
+(``flow.check_profile``) and calls the selector's builder.  Nothing branches on
+a scenario or selector name.
 """
 
 from __future__ import annotations
@@ -120,18 +122,29 @@ class _Spec(NamedTuple):
     # builder maps (cfg, profile, grid, *arguments) to (u0, boundary, exact
     # solution or None, plane height or None)
     initials: dict
+    # the config's scenario defaults: profile, t0, t_end and initial (a
+    # selector with its arguments, as parse_config gives it)
+    defaults: dict
     radius: Callable = lambda profile: 1.0     # the grid's radius
 
 
 _SCENARIOS = {
-    "grim_reaper": _Spec("curve1d", {"translator": (_translator, ())}),
+    "grim_reaper": _Spec("curve1d", {"translator": (_translator, ())},
+                         {"profile": "trumpet", "t0": -1.0, "t_end": -0.3,
+                          "initial": ("translator", ())}),
     # the disk's radius is the cylinder's; the kind refuses any other profile
     "cylinder_disk": _Spec("disk2d", {"constant": (_constant, (0.0,)), "bump": (_bump, (0.1,))},
+                           {"profile": "cylinder(1)", "t0": 0.0, "t_end": None,
+                            "initial": ("constant", (0.0,))},
                            lambda p: p.params[0] if p.kind == "cylinder" else 1.0),
     "sine_tube": _Spec("radial2d", {"plane": (_plane, ("widest",)),
                                     "plane_bump": (_plane_bump, ("widest", 0.05)),
-                                    "nodes": (_nodes, None)}),
-    "pseudosphere_leaf": _Spec("radial2d", {"leaf": (_leaf, (1.0,))}),
+                                    "nodes": (_nodes, None)},
+                       {"profile": "sine_tube(2, 0.5, 1)", "t0": 0.0, "t_end": 40.0,
+                        "initial": ("plane", ("widest",))}),
+    "pseudosphere_leaf": _Spec("radial2d", {"leaf": (_leaf, (1.0,))},
+                               {"profile": "pseudosphere(1, 0)", "t0": 0.0, "t_end": 0.0,
+                                "initial": ("leaf", (1.0,))}),
 }
 
 

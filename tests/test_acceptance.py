@@ -70,7 +70,6 @@ def test_ac1_translator_reproduction(out_root):
     errs, times = [], []
     for k in range(3):
         cfg_k = replace(base, nodes=(base.nodes - 1) * 2**k + 1)
-        cfg_k._explicit = base._explicit
         t0 = time.perf_counter()
         rows = convergence_study(cfg_k.validated(), 1, write=False)
         times.append(time.perf_counter() - t0)

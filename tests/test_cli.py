@@ -614,7 +614,7 @@ def test_writers_give_the_same_bytes_without_the_library(tmp_path, monkeypatch):
                  "scenario = cylinder_disk\nnodes = 33\ninitial = bump(0.05)\nmax_steps = 300"):
         cfg = parse_config(text + "\n")
         scenario = build_scenario(cfg)
-        runs.append((scenario, run(scenario.state0, runner._ctrl_from(cfg), scenario.profile)))
+        runs.append((scenario, run(scenario.state0, cfg.step_control(), scenario.profile)))
 
     def written():
         out = []

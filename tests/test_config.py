@@ -1,13 +1,13 @@
 import glob
+import math
 import os
 import re
 
 import pytest
 
-from maxsurf import config
-from maxsurf.config import (_ALL_KEYS, _SCENARIO_DEFAULTS, INTEGRATORS, SCENARIOS, ConfigError,
-                            parse_config, serialize)
-from maxsurf.flow import StepControl
+from maxsurf import config, runner
+from maxsurf.config import _ALL_KEYS, ConfigError, parse_config, serialize
+from maxsurf.flow import INTEGRATORS, StepControl
 from maxsurf.scenarios import _SCENARIOS, build_scenario
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -56,6 +56,25 @@ def test_out_of_range_values():
         parse_config("scenario = grim_reaper\neps_guard = 2\n")
     with pytest.raises(ConfigError, match="true/false|bad value"):
         parse_config("scenario = grim_reaper\ncertificate = maybe\n")
+
+
+@pytest.mark.parametrize("key, value", [
+    ("cfl", 0.9), ("eps_guard", 1.0), ("integrator", "rk2"), ("max_steps", 0),
+    ("h_stop", -1.0), ("h_stop", math.nan), ("t_end", math.inf)])
+def test_run_controls_are_checked_by_step_control_alone(key, value):
+    # the config's error is StepControl's one line
+    with pytest.raises(ValueError) as ctrl:
+        StepControl(**{key: value})
+    with pytest.raises(ConfigError) as cfg:
+        parse_config(f"scenario = sine_tube\n{key} = {value}\n")
+    assert str(cfg.value) == str(ctrl.value)
+
+
+@pytest.mark.parametrize("key", ["cfl", "eps_guard", "h_stop"])
+def test_none_is_a_bad_value_for_a_run_control(key):
+    # only t0, t_end and certificate_z take none; these raised a TypeError
+    with pytest.raises(ConfigError, match=f"line 2: bad value for {key}"):
+        parse_config(f"scenario = grim_reaper\n{key} = none\n")
 
 
 def test_retired_integrator_rejected():
@@ -114,8 +133,39 @@ def test_shipped_configs_parse():
 
 
 def test_every_scenario_is_one_table_entry_with_its_default_selector():
-    assert tuple(_SCENARIOS) == SCENARIOS
-    for name in SCENARIOS:
-        assert _SCENARIO_DEFAULTS[name]["initial"][0] in _SCENARIOS[name].initials
-        scenario = build_scenario(parse_config(f"scenario = {name}\nnodes = 21\n"))
-        assert scenario.state0.grid.kind == _SCENARIOS[name].kind
+    for name, spec in _SCENARIOS.items():
+        cfg = parse_config(f"scenario = {name}\nnodes = 21\n")
+        assert cfg.initial == spec.defaults["initial"] and cfg.initial[0] in spec.initials
+        assert build_scenario(cfg).state0.grid.kind == spec.kind
+
+
+@pytest.mark.parametrize("name", list(_SCENARIOS))
+def test_empty_values_and_t0_none_take_the_scenario_defaults(name):
+    cfg = parse_config(f"scenario = {name}\nprofile =\nout_dir =\ninitial =\nt0 = none\n")
+    assert cfg == parse_config(f"scenario = {name}\n")
+    defaults = _SCENARIOS[name].defaults
+    assert (cfg.profile, cfg.t0, cfg.initial) == (defaults["profile"], defaults["t0"],
+                                                  defaults["initial"])
+    assert cfg.out_dir == f"runs/{name}"
+
+
+def test_explicit_times_keep_their_values():
+    # a zero is a value, not an absent key; t_end = none disables t_end
+    assert parse_config("scenario = grim_reaper\nt0 = 0\nt_end = 0\n").t0 == 0.0
+    assert parse_config("scenario = sine_tube\nt_end = 0\n").t_end == 0.0
+    cfg = parse_config("scenario = sine_tube\nt_end = none\n")
+    assert cfg.t_end is None and parse_config(serialize(cfg)) == cfg
+
+
+def test_t_end_none_stays_none_through_the_levels_of_a_convergence_study(monkeypatch):
+    # each level is a replace() of the parsed config, validated again
+    seen = []
+
+    def build(cfg):
+        seen.append((cfg.nodes, cfg.t_end))
+        return build_scenario(cfg)
+
+    monkeypatch.setattr(runner, "build_scenario", build)
+    cfg = parse_config("scenario = pseudosphere_leaf\nnodes = 21\nt_end = none\n")
+    assert len(runner.convergence_study(cfg, 2, write=False)) == 2
+    assert seen == [(21, None), (41, None)]

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as hs
 
 import maxsurf
 from maxsurf.analytic import grim_reaper, hyperbolic_plane, radial_graph_mean_curvature
-from maxsurf.config import SCENARIOS
 from maxsurf.disk import disk_grid
 from maxsurf.flow import StepControl, record_state
 from maxsurf.geometry import (
@@ -397,7 +396,7 @@ def test_no_module_compares_grid_kind_names():
 def test_no_module_compares_scenario_selector_or_end_names():
     # a scenario is an entry of scenarios._SCENARIOS and its selectors are keys
     # of that entry; flow's line kinds read the high end on reversed arrays
-    assert compared_constants(set(SCENARIOS)) == []
+    assert compared_constants(set(_SCENARIOS)) == []
     selectors = {name for spec in _SCENARIOS.values() for name in spec.initials}
     assert [f for f in compared_constants(selectors) if f[0] == "scenarios.py"] == []
     assert [f for f in compared_constants({"lo", "hi"}) if f[0] == "flow.py"] == []
