@@ -354,16 +354,6 @@ def format_rows(rows: np.ndarray, out: np.ndarray) -> int:
     return load()[0].maxsurf_format_rows(rows, rows.shape[0], rows.shape[1], out)
 
 
-def _dilate(mask: np.ndarray) -> np.ndarray:
-    """mask and the four neighbours of its nodes, on the box."""
-    out = mask.copy()
-    out[1:] |= mask[:-1]
-    out[:-1] |= mask[1:]
-    out[:, 1:] |= mask[:, :-1]
-    out[:, :-1] |= mask[:, 1:]
-    return out
-
-
 def _gather(states: list, shape: tuple) -> tuple:
     """(the addresses of the states' u, their times, the arrays addressed):
     the walks read each state in place where it is a C-contiguous float64
@@ -392,12 +382,13 @@ def disk_residuals(states: list, centre, deep: np.ndarray) -> tuple:
     nodes each identity is checked on.  SpacelikeError where a state's
     margin is not positive, as geometry raises it.  Needs the library (see
     ``available``)."""
-    from .disk import disk_grid
+    from .disk import disk_grid, grow
 
     grid = states[0].grid
     tables, keep_alive = _disk_tables(disk_grid(grid.n, grid.radius))
-    flux = _dilate(deep)
-    runs = np.concatenate([np.concatenate(_row_runs(a)) for a in (deep, flux, _dilate(flux))])
+    flux = grow(deep, diagonal=False)
+    runs = np.concatenate([np.concatenate(_row_runs(a))
+                           for a in (deep, flux, grow(flux, diagonal=False))])
     ptrs, t, us = _gather(states, deep.shape)
     res, fail = np.zeros(2), np.zeros(1)
     work = np.empty(DISK_WALK_BOXES * deep.size)

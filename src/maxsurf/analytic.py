@@ -94,13 +94,3 @@ def radial_graph_mean_curvature(rho, u_r, u_rr):
     angular = np.where(rho > 0, u_r / np.maximum(rho, 1e-300), u_rr) / np.sqrt(m)
     return u_rr / m**1.5 + angular
 
-
-def cylinder_disk_constant(c: float) -> AnalyticSolution:
-    return AnalyticSolution(
-        name="cylinder_disk_constant",
-        u=lambda x, t: np.full_like(np.asarray(x, dtype=float), float(c)),
-        du=lambda x, t: np.zeros_like(np.asarray(x, dtype=float)),
-        d2u=lambda x, t: np.zeros_like(np.asarray(x, dtype=float)),
-        static=True,
-    )
-

@@ -8,7 +8,7 @@ be finite numbers, as must the numeric arguments of profile and initial):
 
     scenario            grim_reaper | cylinder_disk | sine_tube | pseudosphere_leaf
     profile             profile spec, e.g. sine_tube(2, 0.5, 1)   (scenario default)
-    nodes               grid resolution per axis, >= 5            (101)
+    nodes               grid nodes per axis, >= the kind's minimum (101)
     t0                  start time; "none" takes the default      (scenario default)
     t_end               stop time, >= t0; "none" disables         (scenario default)
     max_steps           step budget                               (5000000)
@@ -30,9 +30,18 @@ The scenario defaults live in the scenario's entry of ``scenarios._SCENARIOS``.
 empty, t0 where it is absent or none, t_end only where it is absent, and
 out_dir, where empty, with runs/<scenario>.  The run controls cfl, eps_guard,
 integrator, max_steps, h_stop and t_end are checked by ``flow.StepControl``
-alone, which ``ScenarioConfig.step_control`` builds.
+alone, which ``ScenarioConfig.step_control`` builds, and nodes by the
+scenario's ``geometry.GridSpec``: at least 5 on curve1d and radial2d, 6 on
+disk2d.
 
-Profile specs (trailing parameters may be left out for their defaults):
+Profile specs and initial selectors have one grammar, ``profiles.parse_spec``:
+a name, or name(a, b, ...) with each argument a finite number or a name; an
+empty argument, as in sine_tube(2, , 1), is an error.  Trailing arguments may
+be left out for their defaults, which for the profiles live in
+``profiles._BUILTINS`` and for the selectors in ``scenarios._SCENARIOS``;
+``profiles.spec_args`` applies both.  ``validated`` builds the profile once, so
+a profile spec that is malformed or whose parameters the profile rejects fails
+at parse.  Profile specs (defaults in parentheses):
 
     cylinder(R)             the vertical cylinder of radius R (1)
     pseudosphere(A, B)      f = sqrt(A^2 + (z+B)^2)            (1, 0)
@@ -73,10 +82,13 @@ does not take reads `<scenario>: a <kind> state needs <boundary>, not
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 from typing import Optional, Tuple
 
 from .flow import StepControl
+from .geometry import GridSpec
+from .profiles import parse_spec, profile_from_spec
 
 
 class ConfigError(ValueError):
@@ -119,10 +131,13 @@ class ScenarioConfig:
                            h_stop=self.h_stop, t_end=self.t_end, integrator=self.integrator)
 
     def validated(self) -> "ScenarioConfig":
-        _spec(self.scenario)
-        if self.nodes < 5:
-            raise ConfigError("nodes must be >= 5")
+        spec = _spec(self.scenario)
+        if self.t0 is None or not self.initial[0] or not self.out_dir:
+            raise ConfigError("t0, initial and out_dir must be set: parse_config fills in the "
+                              "scenario's defaults")
         try:
+            profile_from_spec(self.profile)
+            GridSpec(spec.kind, self.nodes)       # at least the kind's nodes per axis
             self.step_control()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
@@ -149,37 +164,22 @@ _STR_KEYS = {"scenario", "profile", "integrator", "out_dir"}
 _ALL_KEYS = _BOOL_KEYS | _INT_KEYS | _FLOAT_KEYS | _STR_KEYS | {"initial"}
 
 
-def _parse_selector(text: str) -> tuple:
-    text = text.strip()
-    if "(" not in text:
-        return (text, ())
-    name, _, rest = text.partition("(")
-    if not rest.endswith(")"):
-        raise ConfigError(f"malformed selector {text!r}")
-    args = []
-    body = rest[:-1].strip()
-    if body:
-        for tok in body.split(","):
-            tok = tok.strip()
-            try:
-                value = float(tok)
-            except ValueError:
-                args.append(tok)        # a name, such as plane(widest)
-                continue
-            if not math.isfinite(value):
-                raise ConfigError(f"selector argument {tok!r} in {text!r} is not a finite number")
-            args.append(value)
-    return (name.strip(), tuple(args))
-
-
-def _format_selector(sel: tuple) -> str:
-    name, args = sel
-    if not args:
-        return name
-    parts = []
-    for a in args:
-        parts.append(format(a, ".17g") if isinstance(a, float) else str(a))
-    return f"{name}({', '.join(parts)})"
+def format_value(value) -> str:
+    """The text of a config or summary value: none, true or false, an integer,
+    a float to 17 significant digits, a string as it is, or a selector (name,
+    arguments) as name(a, b, ...), bare when it has none."""
+    if value is None:
+        return "none"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, str):
+        return value
+    if isinstance(value, tuple):
+        name, args = value
+        return f"{name}({', '.join(map(format_value, args))})" if args else name
+    if isinstance(value, numbers.Integral):
+        return str(int(value))
+    return format(float(value), ".17g")
 
 
 def parse_config(text: str) -> ScenarioConfig:
@@ -207,11 +207,9 @@ def parse_config(text: str) -> ScenarioConfig:
             elif key in _FLOAT_KEYS:
                 values[key] = None if key in _NONE_KEYS and val.lower() == "none" else float(val)
             elif key == "initial":
-                values[key] = _parse_selector(val)
+                values[key] = parse_spec(val)
             else:
                 values[key] = val
-        except ConfigError:
-            raise
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key}: {exc}") from exc
     if "scenario" not in values:
@@ -248,18 +246,4 @@ def read_config(path: str) -> ScenarioConfig:
 
 def serialize(cfg: ScenarioConfig) -> str:
     """Canonical text form; parse(serialize(cfg)) == cfg."""
-    lines = []
-    for f in fields(cfg):
-        val = getattr(cfg, f.name)
-        if f.name == "initial":
-            out = _format_selector(val)
-        elif val is None:
-            out = "none"
-        elif isinstance(val, bool):
-            out = "true" if val else "false"
-        elif isinstance(val, float):
-            out = format(val, ".17g")
-        else:
-            out = str(val)
-        lines.append(f"{f.name} = {out}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{f.name} = {format_value(getattr(cfg, f.name))}\n" for f in fields(cfg))

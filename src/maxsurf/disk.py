@@ -144,6 +144,20 @@ def _substitute(rows: dict) -> dict:
     return solved
 
 
+def grow(mask: np.ndarray, diagonal: bool = True) -> np.ndarray:
+    """mask and the neighbours of its nodes on the box: the eight around each,
+    or with diagonal False the four along the axes."""
+    out = mask.copy()
+    m0, m1 = mask.shape
+    for di in (-1, 0, 1):
+        for dj in (-1, 0, 1):
+            if di and dj and not diagonal:
+                continue
+            out[max(di, 0):m0 + min(di, 0), max(dj, 0):m1 + min(dj, 0)] |= \
+                mask[max(-di, 0):m0 + min(-di, 0), max(-dj, 0):m1 + min(-dj, 0)]
+    return out
+
+
 class DiskGrid:
     def __init__(self, n: int, radius: float = 1.0):
         if n < 5:
@@ -163,34 +177,27 @@ class DiskGrid:
 
     # -- ghost machinery ---------------------------------------------------
 
-    def _neighbors_of_inside(self) -> np.ndarray:
-        grown = np.zeros_like(self.inside)
-        ins = self.inside
-        for di in (-1, 0, 1):
-            for dj in (-1, 0, 1):
-                sl_src = (slice(max(0, -di), ins.shape[0] - max(0, di)),
-                          slice(max(0, -dj), ins.shape[1] - max(0, dj)))
-                sl_dst = (slice(max(0, di), ins.shape[0] - max(0, -di)),
-                          slice(max(0, dj), ins.shape[1] - max(0, -dj)))
-                grown[sl_dst] |= ins[sl_src]
-        return grown & ~ins
+    def _cells(self, x, y):
+        """Bilinear cells of the points (x, y), arrays: each cell's corner rows
+        and columns and their weights, the four corners (i0, j0), (i0 + 1, j0),
+        (i0, j0 + 1), (i0 + 1, j0 + 1) on a trailing axis, the cell clipped
+        into the box."""
+        m = self.coord.size
+        fi = (x - self.coord[0]) / self.h
+        fj = (y - self.coord[0]) / self.h
+        i0 = np.clip(np.floor(fi).astype(np.int64), 0, m - 2)
+        j0 = np.clip(np.floor(fj).astype(np.int64), 0, m - 2)
+        tx, ty = fi - i0, fj - j0
+        return (i0[..., None] + [0, 1, 0, 1], j0[..., None] + [0, 0, 1, 1],
+                np.stack([(1 - tx) * (1 - ty), tx * (1 - ty), (1 - tx) * ty, tx * ty], axis=-1))
 
     def _mirror_cells(self, i, j):
-        """Bilinear cells of the mirror points of the ghosts (i, j), arrays:
-        each cell's corner rows and columns and their weights, the four
-        corners (i0, j0), (i0 + 1, j0), (i0, j0 + 1), (i0 + 1, j0 + 1) on a
-        trailing axis."""
+        """The bilinear cells (see _cells) of the mirror points of the ghosts
+        (i, j), arrays."""
         xg, yg = self.coord[i], self.coord[j]
         d = np.hypot(xg, yg)
         scale = (2.0 * self.radius - d) / d
-        fi = (xg * scale - self.coord[0]) / self.h
-        fj = (yg * scale - self.coord[0]) / self.h
-        i0, j0 = np.floor(fi), np.floor(fj)
-        tx, ty = fi - i0, fj - j0
-        ci = i0.astype(np.int64)[..., None] + [0, 1, 0, 1]
-        cj = j0.astype(np.int64)[..., None] + [0, 0, 1, 1]
-        return ci, cj, np.stack([(1 - tx) * (1 - ty), tx * (1 - ty), (1 - tx) * ty, tx * ty],
-                                axis=-1)
+        return self._cells(xg * scale, yg * scale)
 
     def _build_ghosts(self) -> None:
         """The ghosts are the outside neighbours of inside nodes and, in turn,
@@ -203,7 +210,7 @@ class DiskGrid:
         weights = np.zeros((m * m, 4))
         corners[outside], weights[outside] = ci * m + cj, w
         ghost = np.zeros(m * m, dtype=bool)
-        front = np.flatnonzero(self._neighbors_of_inside())
+        front = np.flatnonzero(grow(self.inside) & ~self.inside)
         while front.size:
             ghost[front] = True
             c = corners[front].ravel()
@@ -259,7 +266,9 @@ class DiskGrid:
     def _build_boundary_ring(self) -> None:
         n_angles = min(4 * self.n, 128)
         self.ring_angles = (np.arange(n_angles) + 0.5) * (2.0 * np.pi / n_angles)
-        self.deep = self._erode(self._erode(self.inside))
+        # the inside eroded twice, an erosion being ~grow(~mask): exact, as the
+        # inside is False on the pad ring
+        self.deep = ~grow(grow(~self.inside))
         # mirror-ghost second derivatives are only O(1) in a ~2-cell rim band,
         # so boundary monitors sample an offset circle inside the clean zone;
         # all bilinear cells below stay strictly inside the disk
@@ -269,39 +278,15 @@ class DiskGrid:
         # one operator for the three sampling circles R_off - k*1.5h, k = 0, 1, 2:
         # row k*n_angles + a samples circle k at angle a
         radii = self.ring_radius - np.arange(3.0)[:, None] * self.ring_delta
-        self.ring_sampler = self._bilinear_operator(
-            (radii * np.cos(self.ring_angles)).ravel(), (radii * np.sin(self.ring_angles)).ravel())
+        ci, cj, w = self._cells((radii * np.cos(self.ring_angles)).ravel(),
+                                (radii * np.sin(self.ring_angles)).ravel())
+        order = [0, 2, 1, 3]       # each row's 4 taps in increasing column order
+        self.ring_sampler = CSR(4 * np.arange(w.shape[0] + 1),
+                                (ci * self.coord.size + cj)[:, order].ravel(), w[:, order].ravel())
         # its first circle alone (4 taps a row), for rim_values
         ring = self.ring_sampler
         self._rim_sampler = CSR(ring.indptr[:n_angles + 1], ring.indices[:4 * n_angles],
                                 ring.data[:4 * n_angles])
-
-    def _bilinear_operator(self, xs, ys) -> CSR:
-        mshape = self.X.shape[0]
-        fi = (np.asarray(xs) - self.coord[0]) / self.h
-        fj = (np.asarray(ys) - self.coord[0]) / self.h
-        i0 = np.clip(np.floor(fi).astype(int), 0, mshape - 2)
-        j0 = np.clip(np.floor(fj).astype(int), 0, mshape - 2)
-        tx, ty = fi - i0, fj - j0
-        # the 4 taps of each row in increasing column order
-        cols = np.stack([
-            i0 * mshape + j0, i0 * mshape + j0 + 1,
-            (i0 + 1) * mshape + j0, (i0 + 1) * mshape + j0 + 1,
-        ], axis=-1).ravel()
-        vals = np.stack([
-            (1 - tx) * (1 - ty), (1 - tx) * ty, tx * (1 - ty), tx * ty,
-        ], axis=-1).ravel()
-        return CSR(4 * np.arange(xs.size + 1), cols, vals)
-
-    @staticmethod
-    def _erode(mask: np.ndarray) -> np.ndarray:
-        out = mask.copy()
-        for di in (-1, 0, 1):
-            for dj in (-1, 0, 1):
-                out[1:-1, 1:-1] &= mask[1 + di:mask.shape[0] - 1 + di,
-                                        1 + dj:mask.shape[1] - 1 + dj]
-        out[0, :] = out[-1, :] = out[:, 0] = out[:, -1] = False
-        return out
 
     def radial_derivative_at_rim(self, w: np.ndarray):
         """One-sided second-order d(w)/drho at the monitor ring, per angle.

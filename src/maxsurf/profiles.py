@@ -47,6 +47,8 @@ __all__ = [
     "pseudosphere",
     "sine_tube",
     "trumpet",
+    "parse_spec",
+    "spec_args",
     "profile_from_spec",
 ]
 
@@ -311,7 +313,7 @@ def leaf_mean_curvature(p: RotationalProfile, rho, z: float):
 # -- built-in profiles ---------------------------------------------------
 
 
-def cylinder(radius: float = 1.0) -> RotationalProfile:
+def cylinder(radius: float) -> RotationalProfile:
     r = float(radius)
     if r <= 0:
         raise ProfileError("cylinder radius must be positive")
@@ -326,7 +328,7 @@ def cylinder(radius: float = 1.0) -> RotationalProfile:
     )
 
 
-def pseudosphere(A: float = 1.0, B: float = 0.0) -> RotationalProfile:
+def pseudosphere(A: float, B: float) -> RotationalProfile:
     """f = sqrt(A^2 + (z+B)^2): the equality case of the curvature criterion."""
     A, B = float(A), float(B)
     if A <= 0:
@@ -343,7 +345,7 @@ def pseudosphere(A: float = 1.0, B: float = 0.0) -> RotationalProfile:
     )
 
 
-def sine_tube(a: float = 2.0, b: float = 0.5, omega: float = 1.0) -> RotationalProfile:
+def sine_tube(a: float, b: float, omega: float) -> RotationalProfile:
     """f = a + b sin(omega z); admissible for a sufficiently dominant a."""
     a, b, omega = float(a), float(b), float(omega)
     if a - abs(b) <= 0:
@@ -446,44 +448,68 @@ def trumpet(domain=(1e-8, 12.0)) -> PlanarBoundary:
     )
 
 
-# each built-in and the most numeric parameters its spec may give
+def parse_spec(text: str) -> tuple:
+    """(name, arguments) of a spec ``name`` or ``name(a, b, ...)``: each
+    argument a finite number, or a name where it does not read as a number.
+    ValueError for a malformed spec, an empty argument or a non-finite number."""
+    text = text.strip()
+    name, paren, rest = text.partition("(")
+    name = name.strip()
+    if not paren:
+        return name, ()
+    if not name or not rest.endswith(")"):
+        raise ValueError(f"malformed spec {text!r}")
+    body = rest[:-1].strip()
+    args = []
+    for tok in body.split(",") if body else ():
+        tok = tok.strip()
+        if not tok:
+            raise ValueError(f"empty argument in {text!r}")
+        try:
+            value = float(tok)
+        except ValueError:
+            args.append(tok)        # a name, such as plane(widest)
+            continue
+        if not math.isfinite(value):
+            raise ValueError(f"argument {tok!r} in {text!r} is not a finite number")
+        args.append(value)
+    return name, tuple(args)
+
+
+def spec_args(name: str, args: tuple, defaults) -> list:
+    """A spec's arguments, the missing trailing ones taken from defaults (None:
+    any count of numbers); where a default is a number, so must the argument
+    be.  ValueError otherwise."""
+    if defaults is None:
+        defaults = (0.0,) * len(args)
+    if len(args) > len(defaults):
+        raise ValueError(f"too many arguments in {name}: it takes at most {len(defaults)}")
+    out = list(args) + list(defaults[len(args):])
+    for value, default in zip(out, defaults):
+        if isinstance(default, float) and not isinstance(value, float):
+            raise ValueError(f"{name}: argument {value!r} is not a number")
+    return out
+
+
+# each built-in and the defaults of its spec's arguments
 _BUILTINS = {
-    "cylinder": (cylinder, 1),
-    "pseudosphere": (pseudosphere, 2),
-    "sine_tube": (sine_tube, 3),
-    "trumpet": (trumpet, 0),
+    "cylinder": (cylinder, (1.0,)),
+    "pseudosphere": (pseudosphere, (1.0, 0.0)),
+    "sine_tube": (sine_tube, (2.0, 0.5, 1.0)),
+    "trumpet": (trumpet, ()),
 }
 
 
 def profile_from_spec(text: str):
-    """Parse a profile spec like ``pseudosphere(1, 0)`` or ``cylinder``.
+    """The built-in profile of a spec like ``pseudosphere(1, 0)`` or ``cylinder``.
 
-    ProfileError for an unknown name, more parameters than the profile takes,
-    a parameter that is not a finite number, or parameters it rejects.
+    ValueError for a malformed spec (see parse_spec), an unknown name, more
+    arguments than the profile takes, or arguments it rejects.
     """
-    text = text.strip()
-    if "(" in text:
-        name, _, rest = text.partition("(")
-        if not rest.endswith(")"):
-            raise ProfileError(f"malformed profile spec {text!r}")
-        tokens = [tok.strip() for tok in rest[:-1].split(",") if tok.strip()]
-    else:
-        name, tokens = text, []
-    name = name.strip()
+    name, args = parse_spec(text)
     if name not in _BUILTINS:
         raise ProfileError(
             f"unknown profile {name!r} (built-ins: {', '.join(sorted(_BUILTINS))})"
         )
-    build, most = _BUILTINS[name]
-    if len(tokens) > most:
-        raise ProfileError(f"too many parameters in {text!r}: {name} takes at most {most}")
-    args = []
-    for tok in tokens:
-        try:
-            value = float(tok)
-        except ValueError:
-            value = math.nan
-        if not math.isfinite(value):
-            raise ProfileError(f"profile parameter {tok!r} in {text!r} is not a finite number")
-        args.append(value)
-    return build(*args)
+    build, defaults = _BUILTINS[name]
+    return build(*spec_args(name, args, defaults))

@@ -25,7 +25,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .analytic import radial_graph_mean_curvature
-from .config import ConfigError, ScenarioConfig, read_config
+from .config import ConfigError, ScenarioConfig, format_value, read_config
 from .flow import RECORD_COLUMNS, FlowError, FlowEvent, Trajectory, run
 from .geometry import SpacelikeError, geometry
 from .monitors import (
@@ -48,18 +48,6 @@ EXIT_NOT_CONVERGED = 1
 EXIT_BREAKDOWN = 2
 EXIT_CONFIG = 3
 EXIT_CONDITION = 4
-
-
-def _fmt(x) -> str:
-    if x is None:
-        return "none"
-    if isinstance(x, bool):
-        return str(x).lower()
-    if isinstance(x, str):
-        return x
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return format(float(x), ".17g")
 
 
 def output_root() -> str:
@@ -140,7 +128,7 @@ def write_profile(path: str, scenario: Scenario, state) -> None:
 def write_summary(path: str, summary: dict) -> None:
     with open(path, "w", newline="\n") as f:
         for key in sorted(summary):
-            f.write(f"{key} = {_fmt(summary[key])}\n")
+            f.write(f"{key} = {format_value(summary[key])}\n")
 
 
 def check_boundary(cfg: ScenarioConfig) -> ExitReport:

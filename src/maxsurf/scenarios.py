@@ -24,19 +24,12 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .analytic import (
-    AnalyticSolution,
-    cylinder_disk_constant,
-    grim_reaper,
-    grim_reaper_boundary,
-    hyperbolic_plane,
-    plane,
-)
+from .analytic import AnalyticSolution, grim_reaper, grim_reaper_boundary, hyperbolic_plane, plane
 from .config import ConfigError, ScenarioConfig
 from .disk import disk_grid
 from .flow import check_profile, start_error
 from .geometry import FlowState, GridSpec
-from .profiles import cmc_leaf_through, leaf_time, profile_from_spec
+from .profiles import cmc_leaf_through, leaf_time, profile_from_spec, spec_args
 
 
 @dataclass
@@ -80,7 +73,7 @@ def _translator(cfg, profile, grid):
 
 def _constant(cfg, profile, grid, c):
     dg = disk_grid(grid.n, grid.radius)
-    return np.where(dg.inside, c, 0.0), None, cylinder_disk_constant(c), None
+    return np.where(dg.inside, c, 0.0), None, plane(c), None
 
 
 def _bump(cfg, profile, grid, amp):
@@ -148,22 +141,6 @@ _SCENARIOS = {
 }
 
 
-def _args(name: str, args: tuple, defaults: Optional[tuple]) -> list:
-    """The selector's arguments, the missing trailing ones taken from defaults
-    (None: any count of numbers); where a default is a number, so must the
-    argument be."""
-    if defaults is None:
-        defaults = (0.0,) * len(args)
-    if len(args) > len(defaults):
-        raise ConfigError(f"too many arguments in initial = {name}: it takes at most "
-                          f"{len(defaults)}")
-    out = list(args) + list(defaults[len(args):])
-    for value, default in zip(out, defaults):
-        if isinstance(default, float) and not isinstance(value, float):
-            raise ConfigError(f"initial = {name}: argument {value!r} is not a number")
-    return out
-
-
 def build_scenario(cfg: ScenarioConfig) -> Scenario:
     """The scenario of a config; ConfigError when its profile is not the
     boundary its grid kind imposes, its selector is not one of its own, its
@@ -183,7 +160,11 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
         raise ConfigError(f"{cfg.scenario} does not support initial = {name} "
                           f"(it takes {', '.join(spec.initials)})")
     build, defaults = spec.initials[name]
-    u0, boundary, exact, plane_z = build(cfg, profile, grid, *_args(name, args, defaults))
+    try:
+        args = spec_args(f"initial = {name}", args, defaults)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    u0, boundary, exact, plane_z = build(cfg, profile, grid, *args)
     scenario = Scenario(cfg.scenario, profile, FlowState(grid, cfg.t0, u0, boundary), exact,
                         plane_z)
     error = start_error(scenario.state0, profile, cfg.cfl)

@@ -89,6 +89,10 @@ def test_run_exit_3_on_bad_times(tmp_path, out_root, capsys, times):
     "scenario = cylinder_disk\ninitial = constant(nan)",
     "scenario = cylinder_disk\ninitial = bump(0.1, 0.2)",
     "scenario = cylinder_disk\ninitial = bump(1.0)",
+    # an empty argument is an error, not a skipped one
+    "scenario = sine_tube\nprofile = sine_tube(2, , 0.25)",
+    "scenario = sine_tube\nprofile = sine_tube(,)",
+    "scenario = sine_tube\ninitial = plane_bump(, 0.01)",
     "scenario = grim_reaper\nt0 = -1e-20\nt_end = 0",
     "scenario = grim_reaper\nt0 = -1000",
     # the disk's rim condition du/drho = 0 is the cylinder's alone
@@ -222,7 +226,8 @@ KEY_SPACE = {
     "certificate_z": [None, 0.5],
 }
 BAD_PROFILES = ["foo", "cylinder(1, 2)", "trumpet(3)", "cylinder(-1)", "cylinder(nan)",
-                "cylinder(inf)", "sine_tube(2, 0.5, nan)", "cylinder(abc)", "sine_tube(2, 0.5"]
+                "cylinder(inf)", "sine_tube(2, 0.5, nan)", "cylinder(abc)", "sine_tube(2, 0.5",
+                "sine_tube(2, , 0.25)", "sine_tube(,)"]
 PROFILES = sorted({p for ps in SCENARIO_PROFILES.values() for p in ps if p}) + BAD_PROFILES
 # one flaw a config may hold: a bad value, or another scenario's profile or selector
 FLAWS = ([("profile", p) for p in PROFILES]
@@ -231,7 +236,7 @@ FLAWS = ([("profile", p) for p in PROFILES]
          + [("initial", i) for i in ["translator(1)", "plane(north)", "nodes(widest)", "moebius",
                                      "bump(", "constant(nan)", "plane(inf)", "bump(abc)",
                                      "leaf(abc)", "plane_bump(widest, abc)", "bump(0.1, 0.2)",
-                                     "bump(1.0)"]]
+                                     "bump(1.0)", "plane_bump(, 0.01)"]]
          + [("nodes", 5), ("t0", -1e-20), ("t0", -1000), ("t0", 0), ("t0", 0.5), ("t0", 1e20),
             ("t_end", 0), ("t_end", -0.9), ("integrator", "rk2")]
          # retired keys: unknown, so exit 3

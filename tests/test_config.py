@@ -1,13 +1,16 @@
+import dataclasses
 import glob
 import math
 import os
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as hs
 
 from maxsurf import config, runner
-from maxsurf.config import _ALL_KEYS, ConfigError, parse_config, serialize
+from maxsurf.config import _ALL_KEYS, ConfigError, ScenarioConfig, format_value, parse_config, serialize
 from maxsurf.flow import INTEGRATORS, StepControl
+from maxsurf.profiles import parse_spec
 from maxsurf.scenarios import _SCENARIOS, build_scenario
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -56,6 +59,69 @@ def test_out_of_range_values():
         parse_config("scenario = grim_reaper\neps_guard = 2\n")
     with pytest.raises(ConfigError, match="true/false|bad value"):
         parse_config("scenario = grim_reaper\ncertificate = maybe\n")
+
+
+@pytest.mark.parametrize("profile, message", [
+    ("cylinder(inf)", "argument 'inf' in 'cylinder(inf)' is not a finite number"),
+    ("sine_tube(2, 0.5, abc)", "sine_tube: argument 'abc' is not a number"),
+    ("sine_tube(3, 2, 1)", "sine_tube needs |b*omega| < 1 (timelike tube)"),
+    ("sine_tube(2, , 0.25)", "empty argument in 'sine_tube(2, , 0.25)'"),
+])
+def test_profile_spec_is_checked_at_parse(profile, message):
+    # each failed only in build_scenario, or ran with its arguments shifted
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        parse_config(f"scenario = sine_tube\nprofile = {profile}\n")
+
+
+@pytest.mark.parametrize("initial", ["plane_bump(, 0.01)", "plane(widest,)", "plane(,)"])
+def test_an_empty_selector_argument_is_a_bad_value(initial):
+    with pytest.raises(ConfigError, match="line 2: bad value for initial: empty argument"):
+        parse_config(f"scenario = sine_tube\ninitial = {initial}\n")
+
+
+def test_nodes_are_checked_against_the_grid_kind():
+    # the disk's rim monitor needs 6 nodes a side, the line kinds 5
+    with pytest.raises(ConfigError, match="a disk2d grid needs at least 6 nodes per axis"):
+        parse_config("scenario = cylinder_disk\nnodes = 5\n")
+    assert parse_config("scenario = cylinder_disk\nnodes = 6\n").nodes == 6
+    assert parse_config("scenario = sine_tube\nnodes = 5\n").nodes == 5
+
+
+def test_a_hand_built_config_must_set_what_parse_config_fills_in():
+    # t0 = None used to reach t_end >= t0 as a TypeError
+    for cfg in (ScenarioConfig(scenario="grim_reaper", profile="trumpet", t_end=-0.3),
+                ScenarioConfig(scenario="grim_reaper", profile="trumpet", t0=-1.0,
+                               out_dir="x"),
+                ScenarioConfig(scenario="grim_reaper", profile="trumpet", t0=-1.0,
+                               initial=("translator", ()))):
+        with pytest.raises(ConfigError, match="must be set: parse_config fills in"):
+            cfg.validated()
+    with pytest.raises(ConfigError, match="unknown profile ''"):
+        ScenarioConfig(scenario="grim_reaper", t0=-1.0, initial=("translator", ()),
+                       out_dir="x").validated()
+    cfg = parse_config("scenario = grim_reaper\n")
+    assert dataclasses.replace(cfg).validated() == cfg
+
+
+def _reads_as_a_number(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+SPEC_NAMES = hs.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,8}", fullmatch=True).filter(
+    lambda s: not _reads_as_a_number(s))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(name=SPEC_NAMES, args=hs.lists(hs.floats(allow_nan=False, allow_infinity=False)
+                                      | SPEC_NAMES, max_size=6))
+def test_spec_grammar_reads_back_what_format_value_writes(name, args):
+    sel = (name, tuple(args))
+    back = parse_spec(format_value(sel))
+    assert back == sel and [type(a) for a in back[1]] == [type(a) for a in args]
 
 
 @pytest.mark.parametrize("key, value", [

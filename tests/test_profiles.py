@@ -400,3 +400,8 @@ def test_profile_from_spec():
     assert profile_from_spec("trumpet").kind == "trumpet"
     with pytest.raises(ValueError):
         profile_from_spec("moebius(1)")
+    # missing trailing arguments take the built-in's defaults; an empty one is an error
+    assert profile_from_spec("sine_tube(2.5)").params == (2.5, 0.5, 1.0)
+    for spec in ("sine_tube(2, , 0.25)", "sine_tube(,)", "cylinder(1,)"):
+        with pytest.raises(ValueError, match="empty argument"):
+            profile_from_spec(spec)
